@@ -74,8 +74,12 @@ class Client {
   /// Non-blocking availability probe: drains whatever the socket has
   /// ready and reports whether a complete line is buffered (recv_line
   /// would return without waiting).  Throws like recv_line on transport
-  /// failure or an over-long line.
+  /// failure or an over-long line.  After it returns false the socket has
+  /// no unread bytes, so poll()ing fd() waits for the rest of the line.
   bool poll_line();
+
+  /// The connected socket, for callers that multiplex it with poll().
+  int fd() const { return fd_; }
 
   /// Largest response line recv_line accepts before failing with
   /// std::runtime_error -- a newline-less stream must error out, not OOM.

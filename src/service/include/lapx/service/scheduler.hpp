@@ -29,6 +29,16 @@
 // `stopping_` drain the queue, resolving still-queued jobs as kBusy,
 // before exiting; the destructor keeps a final sweep as a backstop.  No
 // future returned by submit() can hang across destruction.
+//
+// Completion notification: a submission may carry a Notify callback,
+// which joins the job's waiter list (a coalesced join appends to the
+// running job's list).  Every path that resolves a queued job -- executed,
+// deadline-expired, drained as busy at shutdown -- runs each waiter once,
+// strictly AFTER setting the promise, so a waiter woken by it always finds
+// its future ready.  Submissions returned already resolved (queue full,
+// stopping) never notify: the caller can see that without waiting.  The
+// socket front ends use this to sleep on a per-connection eventfd instead
+// of polling futures on a timer.
 
 #include <chrono>
 #include <condition_variable>
@@ -77,6 +87,10 @@ class BatchScheduler {
   // (jobs resolved kBusy at shutdown count under rejected_busy).
 
   using Work = std::function<Outcome()>;
+  /// Completion callback: runs once, on the resolving thread and outside
+  /// the scheduler lock, after the submission's future became ready.  Must
+  /// be cheap and must not throw.
+  using Notify = std::function<void()>;
 
   /// One accepted submit(): the per-job sequence number plus the future.
   /// Sequence numbers are monotonic in submission order across the whole
@@ -97,9 +111,10 @@ class BatchScheduler {
   /// Enqueues work (or joins an identical in-flight job when `fingerprint`
   /// != core::kNoType).  The returned future is always valid; a full queue
   /// yields an already-resolved kBusy outcome.  `deadline_ms < 0` means no
-  /// deadline.
+  /// deadline.  A non-empty `on_ready` runs once when the returned future
+  /// becomes ready -- unless submit() returns it already resolved.
   Submission submit(core::TypeId fingerprint, Work work,
-                    std::int64_t deadline_ms = -1);
+                    std::int64_t deadline_ms = -1, Notify on_ready = {});
 
   Stats stats() const;
 
@@ -114,11 +129,17 @@ class BatchScheduler {
     std::shared_future<Outcome> future;
     std::chrono::steady_clock::time_point deadline;
     bool has_deadline = false;
+    std::vector<Notify> waiters;  ///< guarded by mu_ until detached
   };
 
   void executor_loop();
   // Pops and resolves every queued job as kBusy; requires mu_ NOT held.
   void drain_queue_resolving();
+  // Requires mu_: removes the job from inflight_ (no later submission can
+  // join it) and hands back its waiters for resolve().
+  std::vector<Notify> detach_locked(Job& job);
+  // Requires mu_ NOT held: sets the outcome, then runs the waiters.
+  static void resolve(Job& job, std::vector<Notify> waiters, Outcome out);
 
   Options opt_;
   mutable std::mutex mu_;

@@ -10,10 +10,20 @@
 // thread keeps reading, and a ResponseSequencer emits responses strictly
 // in submission order (at most max_pipeline in flight per connection).
 // The response transcript is therefore byte-identical to a synchronous
-// request/response loop at any executor count.  A `shutdown` request is
-// acknowledged on its own connection, after which the accept loop closes
-// and `serve_forever` returns; stop() does the same from another thread
-// (the CLI installs it as the signal handler's action).
+// request/response loop at any executor count.
+//
+// The loops are event-driven (net::FrontEnd, shared with the shard
+// router): a connection thread sleeps in poll() on its client socket, the
+// server's stop eventfd, and its own wake eventfd, which the scheduler
+// signals when a job the connection waits on resolves -- a response
+// leaves as soon as it is computed, and no wait has a timeout.  A
+// `shutdown` request is acknowledged on its own connection and signals
+// the stop eventfd: the accept loop and every other connection wake, emit
+// what they have in flight and close, and `serve_forever` returns.
+// stop() does the same from another thread or a signal handler (it is
+// async-signal-safe).  The CLI installs no signal handler: SIGINT and
+// SIGTERM end `lapx_cli serve` abruptly, which the crash-safe cache
+// journal tolerates.
 //
 // Lines are capped (max_line_bytes) so a hostile peer cannot buffer
 // unbounded garbage; an overlong line terminates that connection after
@@ -26,6 +36,10 @@
 #include "lapx/service/service.hpp"
 
 namespace lapx::service {
+
+namespace net {
+class FrontEnd;
+}
 
 /// Where to listen.  Exactly one of `unix_path` / `tcp_port` is used:
 /// a non-empty path wins, else a TCP socket on 127.0.0.1:`tcp_port`.
@@ -63,14 +77,11 @@ class Server {
 
   /// The bound TCP port (after construction); useful with tcp_port = 0,
   /// which binds an ephemeral port.  0 for Unix-domain endpoints.
-  int bound_tcp_port() const { return bound_port_; }
+  int bound_tcp_port() const;
 
  private:
-  struct Impl;
   Service& service_;
-  Options opt_;
-  std::unique_ptr<Impl> impl_;
-  int bound_port_ = 0;
+  std::unique_ptr<net::FrontEnd> front_;
 };
 
 }  // namespace lapx::service

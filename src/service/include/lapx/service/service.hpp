@@ -122,10 +122,15 @@ class Service {
   /// defers pure query compute to the scheduler, and returns immediately.
   /// Callers that need responses in submission order feed the Pendings
   /// through a ResponseSequencer (or simply get() them in order).
-  Pending submit(const std::string& line);
+  /// A non-empty `on_ready` runs once, on an executor, after a deferred
+  /// Pending became ready (BatchScheduler::Notify); it never runs for a
+  /// Pending returned already ready, so a caller that drains ready
+  /// Pendings before sleeping on the callback's signal never misses one.
+  Pending submit(const std::string& line,
+                 const BatchScheduler::Notify& on_ready = {});
 
   /// True once a `shutdown` request has been acknowledged; the socket
-  /// server polls this to leave its accept loop.
+  /// server checks it after each line it submits and then stops.
   bool shutdown_requested() const {
     return shutdown_.load(std::memory_order_acquire);
   }
@@ -159,7 +164,8 @@ class Service {
   std::string admin(const Request& req);
   // Cache probe + scheduler dispatch for a query op; fills `out` with
   // either a resolved response or a deferred future.
-  void query(const Request& req, Pending& out);
+  void query(const Request& req, Pending& out,
+             const BatchScheduler::Notify& on_ready);
 
   SessionStore store_;
   ResultCache cache_;

@@ -133,6 +133,11 @@ class GraphEntry {
   mutable std::unique_ptr<graph::Graph> mat_graph_;  // ooc materialization
   mutable std::mutex refine_mu_;
   mutable std::unique_ptr<core::RefineState> refine_;
+  // Held by SessionStore::mutate while it derives the next epoch from
+  // this one: mutations of one session serialize, other sessions' run
+  // concurrently.
+  mutable std::mutex mutate_mu_;
+  friend class SessionStore;
 };
 
 class SessionStore {
@@ -176,8 +181,9 @@ class SessionStore {
   /// the result as the next epoch, delta-forking the refinement state
   /// when one is materialized.  Returns the new entry, or nullptr when
   /// the name is absent.  Throws graph::MutationError on an invalid edit
-  /// (the binding is left untouched).  Mutations are serialized, so
-  /// epochs of one name are strictly increasing.
+  /// (the binding is left untouched).  Mutations of one name are
+  /// serialized, so its epochs are strictly increasing; mutations of
+  /// different names run concurrently.
   std::shared_ptr<const GraphEntry> mutate(
       const std::string& name, std::span<const graph::EdgeEdit> edits);
 
@@ -194,7 +200,6 @@ class SessionStore {
 
   Options opt_;
   mutable std::mutex mu_;
-  std::mutex mutate_mu_;  // serializes mutate's clone+rebind sequence
   // LRU list front = most recent; map values point into the list.
   struct Slot {
     std::string name;

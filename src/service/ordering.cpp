@@ -18,16 +18,16 @@ void ResponseSequencer::enqueue_resolved(std::string response_line) {
   pending_.push_back(std::move(e));
 }
 
-void ResponseSequencer::enqueue_deferred(std::function<bool()> ready,
+void ResponseSequencer::enqueue_deferred(std::function<int()> blocked_fd,
                                          std::function<std::string()> fetch) {
   Entry e;
   e.kind = Entry::Kind::kDeferred;
-  e.ready = std::move(ready);
+  e.blocked_fd = std::move(blocked_fd);
   e.fetch = std::move(fetch);
   pending_.push_back(std::move(e));
 }
 
-bool ResponseSequencer::head_ready() const {
+bool ResponseSequencer::head_ready() {
   const Entry& head = pending_.front();
   switch (head.kind) {
     case Entry::Kind::kLocal:
@@ -35,7 +35,8 @@ bool ResponseSequencer::head_ready() const {
     case Entry::Kind::kResolved:
       return true;
     case Entry::Kind::kDeferred:
-      return head.ready();
+      head_fd_ = head.blocked_fd();
+      return head_fd_ < 0;
   }
   return false;
 }
@@ -58,6 +59,7 @@ void ResponseSequencer::emit_head(std::string& out) {
 }
 
 std::size_t ResponseSequencer::drain_ready(std::string& out) {
+  head_fd_ = -1;
   std::size_t emitted = 0;
   while (!pending_.empty() && head_ready()) {
     emit_head(out);

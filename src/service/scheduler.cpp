@@ -37,7 +37,8 @@ BatchScheduler::~BatchScheduler() {
 
 BatchScheduler::Submission BatchScheduler::submit(core::TypeId fingerprint,
                                                   Work work,
-                                                  std::int64_t deadline_ms) {
+                                                  std::int64_t deadline_ms,
+                                                  Notify on_ready) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.submitted;
   const std::uint64_t seq = ++next_seq_;
@@ -48,6 +49,9 @@ BatchScheduler::Submission BatchScheduler::submit(core::TypeId fingerprint,
   if (fingerprint != core::kNoType) {
     if (const auto it = inflight_.find(fingerprint); it != inflight_.end()) {
       ++stats_.coalesced;
+      // Still in inflight_, so not yet detached: the waiter is notified
+      // with everyone else when the job resolves.
+      if (on_ready) it->second->waiters.push_back(std::move(on_ready));
       return {seq, it->second->future};
     }
   }
@@ -65,6 +69,7 @@ BatchScheduler::Submission BatchScheduler::submit(core::TypeId fingerprint,
     job->deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(deadline_ms);
   }
+  if (on_ready) job->waiters.push_back(std::move(on_ready));
   queue_.push_back(job);
   if (fingerprint != core::kNoType) inflight_[fingerprint] = job;
   cv_.notify_one();
@@ -78,25 +83,41 @@ BatchScheduler::Stats BatchScheduler::stats() const {
   return out;
 }
 
+std::vector<BatchScheduler::Notify> BatchScheduler::detach_locked(Job& job) {
+  if (job.fingerprint != core::kNoType) inflight_.erase(job.fingerprint);
+  return std::move(job.waiters);
+}
+
+void BatchScheduler::resolve(Job& job, std::vector<Notify> waiters,
+                             Outcome out) {
+  job.promise.set_value(std::move(out));
+  for (Notify& notify : waiters) notify();
+}
+
 void BatchScheduler::executor_loop() {
   while (true) {
     std::shared_ptr<Job> job;
+    std::vector<Notify> waiters;
+    bool expired = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (stopping_) break;
       job = queue_.front();
       queue_.pop_front();
-      if (job->has_deadline &&
-          std::chrono::steady_clock::now() > job->deadline) {
+      expired = job->has_deadline &&
+                std::chrono::steady_clock::now() > job->deadline;
+      if (expired) {
         ++stats_.expired;
-        if (job->fingerprint != core::kNoType)
-          inflight_.erase(job->fingerprint);
-        job->promise.set_value(
-            Outcome{Outcome::Status::kDeadline, "deadline expired in queue"});
-        continue;
+        waiters = detach_locked(*job);
+      } else {
+        ++stats_.executed;
       }
-      ++stats_.executed;
+    }
+    if (expired) {
+      resolve(*job, std::move(waiters),
+              Outcome{Outcome::Status::kDeadline, "deadline expired in queue"});
+      continue;
     }
     Outcome out;
     try {
@@ -108,10 +129,10 @@ void BatchScheduler::executor_loop() {
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (job->fingerprint != core::kNoType) inflight_.erase(job->fingerprint);
       ++stats_.completed;
+      waiters = detach_locked(*job);
     }
-    job->promise.set_value(std::move(out));
+    resolve(*job, std::move(waiters), std::move(out));
   }
   // Stopping: a job enqueued before `stopping_` was set may still be
   // queued (several executors can all wake into this branch).  Abandoning
@@ -123,15 +144,17 @@ void BatchScheduler::executor_loop() {
 void BatchScheduler::drain_queue_resolving() {
   while (true) {
     std::shared_ptr<Job> job;
+    std::vector<Notify> waiters;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (queue_.empty()) return;
       job = queue_.front();
       queue_.pop_front();
-      if (job->fingerprint != core::kNoType) inflight_.erase(job->fingerprint);
       ++stats_.rejected_busy;
+      waiters = detach_locked(*job);
     }
-    job->promise.set_value(Outcome{Outcome::Status::kBusy, "shutting down"});
+    resolve(*job, std::move(waiters),
+            Outcome{Outcome::Status::kBusy, "shutting down"});
   }
 }
 

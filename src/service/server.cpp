@@ -1,171 +1,31 @@
 #include "lapx/service/server.hpp"
 
 #include "lapx/service/net.hpp"
-#include "lapx/service/ordering.hpp"
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <memory>
-#include <stdexcept>
-#include <thread>
-#include <vector>
 
 namespace lapx::service {
 
-namespace {
-
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-}  // namespace
-
-struct Server::Impl {
-  // A connection thread flips `done` as its last action so the accept loop
-  // can join and reap it; without reaping, thread handles accumulate for
-  // the daemon's whole lifetime.
-  struct Connection {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  std::unique_ptr<net::ListenSocket> listener;
-  std::atomic<bool> stopping{false};
-  std::vector<Connection> connections;
-
-  void reap_finished() {
-    auto it = connections.begin();
-    while (it != connections.end()) {
-      if (it->done->load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = connections.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  void join_all() {
-    for (Connection& c : connections)
-      if (c.thread.joinable()) c.thread.join();
-    connections.clear();
-  }
-};
-
 Server::Server(Service& service, Options opt)
-    : service_(service), opt_(std::move(opt)), impl_(new Impl) {
-  impl_->listener = std::make_unique<net::ListenSocket>(opt_.endpoint,
-                                                        opt_.listen_backlog);
-  bound_port_ = impl_->listener->bound_tcp_port();
-}
+    : service_(service),
+      front_(std::make_unique<net::FrontEnd>(opt.endpoint, opt.listen_backlog,
+                                             opt.max_line_bytes,
+                                             opt.max_pipeline)) {}
 
-Server::~Server() {
-  stop();
-  impl_->join_all();
-}
-
-void Server::stop() { impl_->stopping.store(true, std::memory_order_release); }
+// net::FrontEnd's destructor stops and joins the connection threads.
+Server::~Server() = default;
 
 void Server::serve_forever() {
-  while (!impl_->stopping.load(std::memory_order_acquire) &&
-         !service_.shutdown_requested()) {
-    impl_->reap_finished();
-    pollfd pfd{impl_->listener->fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      sys_fail("poll");
-    }
-    if (ready == 0) continue;
-    const int fd = ::accept(impl_->listener->fd(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-          errno == EWOULDBLOCK)
-        continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        // Resource exhaustion is recoverable once connections drain; back
-        // off instead of letting the exception kill the daemon.
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        continue;
-      }
-      sys_fail("accept");
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::thread worker([this, fd, done] {
-      // Pipelined connection loop: submit every complete line without
-      // waiting for its response; the sequencer re-emits responses in
-      // submission order as they resolve.  Reading stalls (blocking on
-      // the oldest pending response) once max_pipeline are in flight.
-      std::string buffer;
-      std::string outbox;
-      char chunk[4096];
-      ResponseSequencer sequencer;
-      bool closing = false;
-      bool too_large = false;
-      while (!closing && !impl_->stopping.load(std::memory_order_acquire)) {
-        outbox.clear();
-        sequencer.drain_ready(outbox);
-        if (!outbox.empty()) net::send_all(fd, outbox);
-        pollfd cpfd{fd, POLLIN, 0};
-        const int cready = ::poll(&cpfd, 1, /*timeout_ms=*/100);
-        if (cready < 0 && errno != EINTR) break;
-        if (cready <= 0) continue;
-        const ssize_t k = net::recv_retry(fd, chunk, sizeof chunk);
-        if (k <= 0) break;  // 0 = orderly close, < 0 = real error
-        buffer.append(chunk, static_cast<std::size_t>(k));
-        std::size_t nl;
-        while ((nl = buffer.find('\n')) != std::string::npos) {
-          std::string line = buffer.substr(0, nl);
-          buffer.erase(0, nl + 1);
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          if (line.empty()) continue;
-          sequencer.enqueue(service_.submit(line));
-          if (service_.shutdown_requested()) {
-            closing = true;  // ack (below) is the last pipelined response
-            break;
-          }
-          while (sequencer.in_flight() >= opt_.max_pipeline) {
-            outbox.clear();
-            if (!sequencer.drain_one(outbox)) break;
-            net::send_all(fd, outbox);
-          }
-        }
-        // A partial line beyond the cap is a hostile or confused peer.
-        // Finish the pipeline, answer `too_large` (below) and close --
-        // silently dropping the socket looked like a server crash.
-        if (!closing && buffer.size() > opt_.max_line_bytes) {
-          too_large = true;
-          closing = true;
-        }
-      }
-      // Emit everything still in flight before closing -- responses are
-      // never dropped, even when shutdown or a protocol rejection raced
-      // the pipeline.
-      outbox.clear();
-      sequencer.drain_all(outbox);
-      if (too_large) {
-        outbox += error_response(
-            std::nullopt, ErrorCode::kTooLarge,
-            "request line exceeds " + std::to_string(opt_.max_line_bytes) +
-                " bytes");
-        outbox += '\n';
-      }
-      if (!outbox.empty()) net::send_all(fd, outbox);
-      ::close(fd);
-      done->store(true, std::memory_order_release);
-    });
-    impl_->connections.push_back({std::move(worker), std::move(done)});
-  }
-  // Wake connection threads (they poll `stopping`) and drain them.
-  impl_->stopping.store(true, std::memory_order_release);
-  impl_->join_all();
+  front_->serve_forever([this](int fd) {
+    front_->serve_connection(
+        fd, [this](const std::string& line, ResponseSequencer& seq,
+                   const BatchScheduler::Notify& wake) {
+          seq.enqueue(service_.submit(line, wake));
+          return service_.shutdown_requested();
+        });
+  });
 }
+
+void Server::stop() { front_->stop(); }
+
+int Server::bound_tcp_port() const { return front_->bound_tcp_port(); }
 
 }  // namespace lapx::service

@@ -107,7 +107,8 @@ std::string Service::handle(const std::string& line) {
   return submit(line).get();
 }
 
-Service::Pending Service::submit(const std::string& line) {
+Service::Pending Service::submit(const std::string& line,
+                                 const BatchScheduler::Notify& on_ready) {
   Pending out;
   out.seq_ = submit_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto resolve = [&out](std::string response) {
@@ -124,7 +125,7 @@ Service::Pending Service::submit(const std::string& line) {
   out.id_ = req.id;
   try {
     if (is_query_op(req.op)) {
-      query(req, out);
+      query(req, out, on_ready);
     } else {
       resolve(admin(req));
     }
@@ -351,7 +352,8 @@ std::string Service::admin(const Request& req) {
   throw ServiceError(ErrorCode::kBadRequest, "unknown op: " + req.op);
 }
 
-void Service::query(const Request& req, Pending& out) {
+void Service::query(const Request& req, Pending& out,
+                    const BatchScheduler::Notify& on_ready) {
   const Json* graph_name = req.body.find("graph");
   if (graph_name == nullptr || !graph_name->is_string())
     throw ServiceError(ErrorCode::kBadRequest,
@@ -392,7 +394,7 @@ void Service::query(const Request& req, Pending& out) {
                              e.what()};
         }
       },
-      req.deadline_ms.value_or(-1));
+      req.deadline_ms.value_or(-1), on_ready);
   out.future_ = std::move(submission.future);
 }
 

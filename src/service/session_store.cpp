@@ -189,12 +189,21 @@ std::shared_ptr<const GraphEntry> SessionStore::get(const std::string& name) {
 
 std::shared_ptr<const GraphEntry> SessionStore::mutate(
     const std::string& name, std::span<const graph::EdgeEdit> edits) {
-  // mutate_mu_ serializes the whole read-copy-install sequence, so two
-  // concurrent mutates of one name produce consecutive epochs instead of
-  // racing to install siblings of the same parent.  mu_ itself is only
-  // held for the map operations, never across the clone or the delta.
-  std::lock_guard<std::mutex> mlock(mutate_mu_);
-  const std::shared_ptr<const GraphEntry> old = get(name);
+  // The bound entry's mutate_mu_ serializes the whole read-copy-install
+  // sequence, so two concurrent mutates of one name produce consecutive
+  // epochs instead of racing to install siblings of the same parent.  A
+  // mutate that waited while the binding moved on retries against the
+  // new entry.  Other sessions never wait, and mu_ itself is only held
+  // for the map operations, never across the clone or the delta.
+  std::shared_ptr<const GraphEntry> old = get(name);
+  std::unique_lock<std::mutex> mlock;  // destroyed before `old`
+  while (old != nullptr) {
+    mlock = std::unique_lock<std::mutex>(old->mutate_mu_);
+    std::shared_ptr<const GraphEntry> cur = get(name);
+    if (cur == old) break;
+    mlock.unlock();
+    old = std::move(cur);
+  }
   if (!old) return nullptr;
   if (old->is_ooc())
     throw graph::MutationError(

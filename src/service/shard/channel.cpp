@@ -36,13 +36,13 @@ bool ShardChannel::recv_line(std::string& out) {
   }
 }
 
-bool ShardChannel::line_ready() {
-  if (broken_) return true;
+int ShardChannel::blocked_fd() {
+  if (broken_) return -1;
   try {
-    return client_->poll_line();
+    return client_->poll_line() ? -1 : client_->fd();
   } catch (const std::exception&) {
     broken_ = true;
-    return true;
+    return -1;
   }
 }
 

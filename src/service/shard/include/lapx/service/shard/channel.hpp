@@ -47,10 +47,15 @@ class ShardChannel {
   /// Blocks for the next response line; false (and broken) on failure.
   bool recv_line(std::string& out);
 
-  /// Non-blocking: true when recv_line would not wait.  A broken channel
-  /// reports true so sequencer heads never wedge on it (their fetch
-  /// renders the busy error immediately).
-  bool line_ready();
+  /// Non-blocking probe: -1 when recv_line would not wait, else the
+  /// socket fd the next line will arrive on.  The probe first drains the
+  /// socket, so that fd is readable only once new bytes (or the peer's
+  /// close) arrive: poll() it right after the probe returned it, never a
+  /// channel that was not just probed -- one with unconsumed bytes would
+  /// make poll() return at once and the caller spin.  A broken channel
+  /// reports -1 so sequencer heads never wedge on it (their fetch renders
+  /// the busy error immediately).
+  int blocked_fd();
 
  private:
   std::size_t shard_;

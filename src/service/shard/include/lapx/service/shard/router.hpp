@@ -21,6 +21,15 @@
 //     every shard, acks the client after all shards ack, then stops the
 //     router.
 //
+// Connection loop: the one Server runs (net::FrontEnd).  Each head of
+// the connection's sequencer is a deferred shard reply; when it is not
+// ready the loop polls the channel fd it reported -- a fan-out or
+// shutdown head, its first leg still waiting -- next to the client socket
+// and the router's stop eventfd, so a shard's reply is forwarded the
+// moment it arrives and no wait has a timeout.  `shutdown` and stop()
+// signal the stop eventfd, which wakes the accept loop and every
+// connection.
+//
 // Determinism argument, sketched: all requests that can observe a given
 // session route to the one shard owning it, and each per-connection
 // shard channel is FIFO, so the per-session request order every shard

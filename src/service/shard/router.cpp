@@ -1,16 +1,7 @@
 #include "lapx/service/shard/router.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <optional>
-#include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,10 +15,6 @@
 namespace lapx::service::shard {
 
 namespace {
-
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 std::string busy_line(std::optional<std::int64_t> id, std::size_t shard) {
   return error_response(id, ErrorCode::kBusy,
@@ -43,47 +30,47 @@ std::string routing_key(const Request& req) {
   return (v != nullptr && v->is_string()) ? v->as_string() : std::string();
 }
 
+// Sends `line` on every shard's channel of this connection, in-stream, so
+// each shard sees it at exactly its submission-order position relative to
+// the connection's other requests.  A failed send leaves its leg broken;
+// the caller renders that leg's reply as busy.
+std::vector<ShardChannel*> broadcast(const std::string& line,
+                                     ShardClientSet& channels) {
+  std::vector<ShardChannel*> legs;
+  legs.reserve(channels.count());
+  for (std::size_t i = 0; i < channels.count(); ++i) {
+    ShardChannel* ch = channels.channel(i);
+    ch->send(line);
+    legs.push_back(ch);
+  }
+  return legs;
+}
+
+// A multi-leg head waits on its first leg still blocked; -1 once every
+// leg has a line buffered (or is broken).
+int first_blocked_leg(const std::vector<ShardChannel*>& legs) {
+  for (ShardChannel* ch : legs)
+    if (const int fd = ch->blocked_fd(); fd >= 0) return fd;
+  return -1;
+}
+
 }  // namespace
 
 struct Router::Impl {
-  struct Connection {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
   ShardSupervisor& shards;
   Options opt;
   HashRing ring;
-  std::unique_ptr<net::ListenSocket> listener;
-  std::atomic<bool> stopping{false};
   std::atomic<bool> shutdown{false};
-  std::vector<Connection> connections;
+  // Declared after everything connection threads touch: destroyed
+  // (stopped and joined) first.
+  net::FrontEnd front;
 
   Impl(ShardSupervisor& shards_in, Options opt_in)
       : shards(shards_in),
         opt(std::move(opt_in)),
-        ring(shards_in.count(), opt.vnodes) {
-    listener = std::make_unique<net::ListenSocket>(opt.endpoint,
-                                                   opt.listen_backlog);
-  }
-
-  void reap_finished() {
-    auto it = connections.begin();
-    while (it != connections.end()) {
-      if (it->done->load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = connections.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  void join_all() {
-    for (Connection& c : connections)
-      if (c.thread.joinable()) c.thread.join();
-    connections.clear();
-  }
+        ring(shards_in.count(), opt.vnodes),
+        front(opt.endpoint, opt.listen_backlog, opt.max_line_bytes,
+              opt.max_pipeline) {}
 
   std::vector<std::string> shard_endpoints() const {
     std::vector<std::string> out;
@@ -115,7 +102,7 @@ void Router::Impl::enqueue_routed(std::size_t shard,
     seq.enqueue_resolved(busy_line(id, shard));
     return;
   }
-  seq.enqueue_deferred([ch] { return ch->line_ready(); },
+  seq.enqueue_deferred([ch] { return ch->blocked_fd(); },
                        [ch, id, shard] {
                          std::string out;
                          if (ch->recv_line(out)) return out;
@@ -126,25 +113,12 @@ void Router::Impl::enqueue_routed(std::size_t shard,
 void Router::Impl::enqueue_fanout(const Request& req, const std::string& line,
                                   ShardClientSet& channels,
                                   ResponseSequencer& seq) {
-  // One leg per shard, sent in-stream on this connection's channels so
-  // each shard sees the fan-out at exactly its submission-order position
-  // relative to this connection's other requests.
-  std::vector<ShardChannel*> legs;
-  legs.reserve(channels.count());
-  for (std::size_t i = 0; i < channels.count(); ++i) {
-    ShardChannel* ch = channels.channel(i);
-    ch->send(line);  // failure leaves the leg broken; rendered below
-    legs.push_back(ch);
-  }
+  const std::vector<ShardChannel*> legs = broadcast(line, channels);
   const std::optional<std::int64_t> id = req.id;
   const std::string op = req.op;
   const MergeContext ctx{channels.count(), opt.cache_dir};
   seq.enqueue_deferred(
-      [legs] {
-        for (ShardChannel* ch : legs)
-          if (!ch->line_ready()) return false;
-        return true;
-      },
+      [legs] { return first_blocked_leg(legs); },
       [legs, id, op, ctx] {
         std::vector<std::string> replies;
         replies.reserve(legs.size());
@@ -163,21 +137,11 @@ void Router::Impl::handle_shutdown(const Request& req, const std::string& line,
   // Freeze BEFORE broadcasting: the monitor must not resurrect workers
   // that are about to exit on request.
   shards.freeze();
-  std::vector<ShardChannel*> legs;
-  legs.reserve(channels.count());
-  for (std::size_t i = 0; i < channels.count(); ++i) {
-    ShardChannel* ch = channels.channel(i);
-    ch->send(line);
-    legs.push_back(ch);
-  }
+  const std::vector<ShardChannel*> legs = broadcast(line, channels);
   shutdown.store(true, std::memory_order_release);
   const std::optional<std::int64_t> id = req.id;
   seq.enqueue_deferred(
-      [legs] {
-        for (ShardChannel* ch : legs)
-          if (!ch->line_ready()) return false;
-        return true;
-      },
+      [legs] { return first_blocked_leg(legs); },
       [legs, id] {
         // Every shard renders the identical ack (same id), so the first
         // successful one is THE response; unreachable shards fall back
@@ -230,115 +194,34 @@ void Router::Impl::route_line(const std::string& line,
 }
 
 void Router::Impl::connection_loop(int fd) {
-  // Mirrors Server's pipelined connection loop; the sequencer holds
-  // deferred shard replies instead of scheduler futures.
-  std::string buffer;
-  std::string outbox;
-  char chunk[4096];
+  // The shared pipelined loop; the sequencer holds deferred shard replies,
+  // and each unready head names the channel fd the loop then polls.
   ShardClientSet channels(shard_endpoints(), opt.shard_retry);
-  ResponseSequencer sequencer;
-  bool closing = false;
-  bool too_large = false;
-  while (!closing && !stopping.load(std::memory_order_acquire)) {
-    outbox.clear();
-    sequencer.drain_ready(outbox);
-    if (!outbox.empty()) net::send_all(fd, outbox);
-    pollfd cpfd{fd, POLLIN, 0};
-    const int cready = ::poll(&cpfd, 1, /*timeout_ms=*/100);
-    if (cready < 0 && errno != EINTR) break;
-    if (cready <= 0) continue;
-    const ssize_t k = net::recv_retry(fd, chunk, sizeof chunk);
-    if (k <= 0) break;  // 0 = orderly close, < 0 = real error
-    buffer.append(chunk, static_cast<std::size_t>(k));
-    std::size_t nl;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      route_line(line, channels, sequencer);
-      if (shutdown.load(std::memory_order_acquire)) {
-        closing = true;  // ack (below) is the last pipelined response
-        break;
-      }
-      while (sequencer.in_flight() >= opt.max_pipeline) {
-        outbox.clear();
-        if (!sequencer.drain_one(outbox)) break;
-        net::send_all(fd, outbox);
-      }
-    }
-    if (!closing && buffer.size() > opt.max_line_bytes) {
-      too_large = true;
-      closing = true;
-    }
-  }
-  outbox.clear();
-  sequencer.drain_all(outbox);
-  if (too_large) {
-    outbox += error_response(
-        std::nullopt, ErrorCode::kTooLarge,
-        "request line exceeds " + std::to_string(opt.max_line_bytes) +
-            " bytes");
-    outbox += '\n';
-  }
-  if (!outbox.empty()) net::send_all(fd, outbox);
-  ::close(fd);
+  front.serve_connection(
+      fd, [&](const std::string& line, ResponseSequencer& seq,
+              const BatchScheduler::Notify&) {
+        route_line(line, channels, seq);
+        return shutdown.load(std::memory_order_acquire);
+      });
 }
 
 Router::Router(ShardSupervisor& shards, Options opt)
     : impl_(new Impl(shards, std::move(opt))) {}
 
-Router::~Router() {
-  stop();
-  impl_->join_all();
-}
+// Impl's FrontEnd stops and joins the connection threads.
+Router::~Router() = default;
 
-void Router::stop() {
-  impl_->stopping.store(true, std::memory_order_release);
-}
+void Router::stop() { impl_->front.stop(); }
 
 bool Router::shutdown_requested() const {
   return impl_->shutdown.load(std::memory_order_acquire);
 }
 
-int Router::bound_tcp_port() const {
-  return impl_->listener->bound_tcp_port();
-}
+int Router::bound_tcp_port() const { return impl_->front.bound_tcp_port(); }
 
 void Router::serve_forever() {
-  while (!impl_->stopping.load(std::memory_order_acquire) &&
-         !impl_->shutdown.load(std::memory_order_acquire)) {
-    impl_->reap_finished();
-    pollfd pfd{impl_->listener->fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      sys_fail("poll");
-    }
-    if (ready == 0) continue;
-    const int fd = ::accept(impl_->listener->fd(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-          errno == EWOULDBLOCK)
-        continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        continue;
-      }
-      sys_fail("accept");
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    Impl* impl = impl_.get();
-    std::thread worker([impl, fd, done] {
-      impl->connection_loop(fd);
-      done->store(true, std::memory_order_release);
-    });
-    impl_->connections.push_back({std::move(worker), std::move(done)});
-  }
-  // Wake connection threads (they poll `stopping`) and drain them.
-  impl_->stopping.store(true, std::memory_order_release);
-  impl_->join_all();
+  Impl* impl = impl_.get();
+  impl->front.serve_forever([impl](int fd) { impl->connection_loop(fd); });
 }
 
 }  // namespace lapx::service::shard

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -200,10 +201,11 @@ TEST(MergeFanout, UnparsableReplyBecomesInternalError) {
 
 TEST(Sequencer, MixedEntryKindsEmitInEnqueueOrder) {
   ResponseSequencer seq;
+  constexpr int kWaitFd = 42;  // never polled here; only reported back
   bool deferred_ready = false;
   int fetches = 0;
   seq.enqueue_resolved("first");
-  seq.enqueue_deferred([&] { return deferred_ready; },
+  seq.enqueue_deferred([&] { return deferred_ready ? -1 : kWaitFd; },
                        [&] {
                          ++fetches;
                          return std::string("second");
@@ -211,11 +213,15 @@ TEST(Sequencer, MixedEntryKindsEmitInEnqueueOrder) {
   seq.enqueue_resolved("third");
   std::string out;
   // Only the head is ready; the unready deferred entry gates everything
-  // behind it, including the already-resolved "third".
+  // behind it, including the already-resolved "third", and names the fd
+  // its caller should poll.
   EXPECT_EQ(seq.drain_ready(out), 1u);
   EXPECT_EQ(out, "first\n");
   EXPECT_EQ(seq.in_flight(), 2u);
+  EXPECT_EQ(seq.head_blocked_fd(), kWaitFd);
   deferred_ready = true;
+  EXPECT_EQ(seq.drain_ready(out), 2u);
+  EXPECT_EQ(seq.head_blocked_fd(), -1);
   seq.drain_all(out);
   EXPECT_EQ(out, "first\nsecond\nthird\n");
   EXPECT_EQ(fetches, 1);
@@ -225,7 +231,7 @@ TEST(Sequencer, MixedEntryKindsEmitInEnqueueOrder) {
 TEST(Sequencer, DrainOneBlocksForTheDeferredHead) {
   ResponseSequencer seq;
   std::atomic<bool> ready{false};
-  seq.enqueue_deferred([&] { return ready.load(); },
+  seq.enqueue_deferred([&] { return ready.load() ? -1 : 0; },
                        [] { return std::string("late"); });
   std::thread flip([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -437,6 +443,80 @@ TEST(RouterEndToEnd, FanoutStatsAggregatesAcrossShards) {
     client.call(R"({"op":"shutdown"})");
   }
   serve.join();
+  sup.stop_all();
+}
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(RouterEndToEnd, OneShotHeadsAnswerWithoutAPollTick) {
+  // A reply a head waits on (a shard's, or every leg of a fan-out) must be
+  // forwarded the moment it arrives, not on a timer tick of the worker or
+  // the router.  Each request travels alone on a fresh connection, as
+  // `lapx_cli call` sends it; its overhead is the round trip minus the
+  // same request's handle() time on an in-process twin fed the same lines.
+  constexpr double kBoundMs = 50.0;  // half of a 100 ms poll tick
+  constexpr int kQueries = 9;
+  const std::string base = test_sock_base("tick");
+  ShardSupervisor sup(make_hosts(2, base));
+  sup.start_all();
+  sup.begin_monitor(std::chrono::milliseconds(10),
+                    std::chrono::milliseconds(50));
+  Router::Options ropt;
+  ropt.endpoint.unix_path = base + ".router";
+  Router router(sup, ropt);
+  std::thread serve([&router] { router.serve_forever(); });
+  Service twin;
+  std::vector<double> overhead_ms;
+  auto one_shot = [&](const std::string& line) {
+    const auto sent = std::chrono::steady_clock::now();
+    std::string got;
+    {
+      Client client = Client::connect_unix(ropt.endpoint.unix_path,
+                                           Client::startup_retry());
+      got = client.call(line);
+    }
+    const double round_trip = ms_since(sent);
+    const auto computed = std::chrono::steady_clock::now();
+    EXPECT_EQ(got, twin.handle(line));
+    overhead_ms.push_back(round_trip - ms_since(computed));
+  };
+  Client setup =
+      Client::connect_unix(ropt.endpoint.unix_path, Client::startup_retry());
+  for (int i = 0; i < kQueries; ++i) {
+    const std::string g = "g" + std::to_string(i);
+    const std::string gen = "{\"op\":\"generate\",\"name\":\"" + g +
+                            "\",\"family\":\"lift\",\"args\":[3,3,200," +
+                            std::to_string(i + 1) + "]}";
+    setup.call(gen);
+    twin.handle(gen);
+    // A cold query computing a few ms on the owning shard's executor.
+    one_shot("{\"id\":" + std::to_string(i) +
+             ",\"op\":\"views\",\"graph\":\"" + g + "\",\"radius\":2}");
+  }
+  // A fan-out head waits on each shard's leg in turn.
+  one_shot(R"({"id":100,"op":"session_info"})");
+  // A head on a kill_hard'ed shard, answered by its respawned replacement
+  // -- which lost the shard's sessions, as the twin now has.
+  const std::size_t victim = HashRing(2).owner("g0");
+  static_cast<InProcessShardHost*>(&sup.host(victim))->kill_hard();
+  for (int i = 0; i < 500 && !sup.host(victim).alive(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(sup.host(victim).alive()) << "monitor did not respawn";
+  twin.handle(R"({"op":"drop","name":"g0"})");
+  one_shot(R"({"id":101,"op":"views","graph":"g0","radius":2})");
+  std::sort(overhead_ms.begin(), overhead_ms.end());
+  EXPECT_LT(overhead_ms[overhead_ms.size() / 2], kBoundMs);
+  // stop() must wake the accept loop and the idle connection at once.
+  ASSERT_TRUE(
+      Json::parse(setup.call(R"({"op":"ping"})")).find("ok")->as_bool());
+  const auto stopping = std::chrono::steady_clock::now();
+  router.stop();
+  serve.join();
+  EXPECT_LT(ms_since(stopping), kBoundMs);
   sup.stop_all();
 }
 

@@ -8,10 +8,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -446,6 +448,107 @@ TEST(BatchScheduler, ShutdownResolvesEveryAcceptedJob) {
   EXPECT_GE(completed, 4u);  // the gated jobs themselves ran to completion
 }
 
+BatchScheduler::Work returning(const char* payload) {
+  return [payload] { return Outcome{Outcome::Status::kOk, payload}; };
+}
+
+// Submits a job and counts its completion callbacks, and how many of them
+// ran before the job's future was ready.  The tests gate every job, so
+// none resolves before submit() has stored the future.
+struct NotifyProbe {
+  std::shared_future<Outcome> future;
+  std::atomic<int> fired{0};
+  std::atomic<int> fired_early{0};
+
+  void submit(BatchScheduler& sched, TypeId fp, BatchScheduler::Work work,
+              std::int64_t deadline_ms = -1) {
+    auto notify = [this] {
+      if (future.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready)
+        fired_early.fetch_add(1);
+      fired.fetch_add(1);
+    };
+    future = sched.submit(fp, std::move(work), deadline_ms, notify).future;
+  }
+};
+
+TEST(BatchScheduler, NotifiesEachDeferredSubmissionOnceAfterItIsReady) {
+  NotifyProbe executed, creator, joiner, expired, full;
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  {
+    BatchScheduler::Options opt;
+    opt.queue_capacity = 2;
+    opt.executors = 1;
+    BatchScheduler sched(opt);
+    // The single executor picks this up and parks on the gate...
+    executed.submit(sched, kNoType, [&started, gate] {
+      started.set_value();
+      gate.wait();
+      return Outcome{Outcome::Status::kOk, "ran"};
+    });
+    started.get_future().wait();
+    // ...so these queue behind it (two slots) or join a queued job.
+    creator.submit(sched, 7, returning("shared"));
+    joiner.submit(sched, 7, returning("unused"));
+    expired.submit(sched, kNoType, returning("late"), /*deadline_ms=*/0);
+    // The queue is full: this one comes back resolved and never notifies.
+    full.submit(sched, kNoType, returning("no room"));
+    EXPECT_EQ(full.future.get().status, Outcome::Status::kBusy);
+    release.set_value();
+    for (NotifyProbe* p : {&executed, &creator, &expired}) p->future.wait();
+    const auto s = sched.stats();
+    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.coalesced, 1u);
+    EXPECT_EQ(s.expired, 1u);
+    EXPECT_EQ(s.rejected_busy, 1u);
+  }  // joins the executor: every callback has returned
+  for (NotifyProbe* p : {&executed, &creator, &joiner, &expired}) {
+    EXPECT_EQ(p->fired.load(), 1);
+    EXPECT_EQ(p->fired_early.load(), 0);
+  }
+  EXPECT_EQ(full.fired.load(), 0);
+  EXPECT_EQ(joiner.future.get().payload, "shared");
+  EXPECT_EQ(expired.future.get().status, Outcome::Status::kDeadline);
+}
+
+TEST(BatchScheduler, NotifiesJobsDrainedAsBusyAtShutdown) {
+  NotifyProbe running, drained;
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  const TypeId fp = 9;
+  auto owner = std::make_unique<BatchScheduler>();  // one executor
+  BatchScheduler* sched = owner.get();
+  running.submit(*sched, fp, [&started, gate] {
+    started.set_value();
+    gate.wait();
+    return Outcome{Outcome::Status::kOk, "ran"};
+  });
+  started.get_future().wait();
+  drained.submit(*sched, kNoType, returning("queued"));
+  std::thread destroy([&owner] { owner.reset(); });
+  // Hold the running job until the destructor has flagged shutdown, so the
+  // queued job is drained instead of run.  A submission with the running
+  // job's fingerprint joins it (an unready future) until then and comes
+  // back resolved busy after; the destructor cannot return before the
+  // gate opens, so the scheduler is alive while it is probed.
+  auto stopping = [sched, fp] {
+    const auto probe = sched->submit(fp, returning("probe")).future;
+    return probe.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  };
+  while (!stopping()) std::this_thread::yield();
+  release.set_value();
+  destroy.join();
+  for (NotifyProbe* p : {&running, &drained}) {
+    EXPECT_EQ(p->fired.load(), 1);
+    EXPECT_EQ(p->fired_early.load(), 0);
+  }
+  EXPECT_EQ(running.future.get().status, Outcome::Status::kOk);
+  EXPECT_EQ(drained.future.get().status, Outcome::Status::kBusy);
+}
+
 TEST(ResultCache, FirstWriterWinsOnInsertRace) {
   ResultCache cache;
   const TypeId fp = TypeInterner::global().intern("fww-test-key");
@@ -777,6 +880,61 @@ TEST(ServerClient, StopUnblocksServeForever) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server.stop();
   t.join();
+}
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(ServerClient, OneShotColdQueriesAnswerWithoutAPollTick) {
+  // A response computed on an executor must leave as soon as its job
+  // resolves, not on a timer tick.  Each one-shot query (a fresh
+  // connection, as `lapx_cli call` sends it) is cold and computes a few ms
+  // on the single executor.  Its overhead is the socket round trip minus
+  // the same request's handle() time on an in-process twin.
+  constexpr double kBoundMs = 50.0;  // half of a 100 ms poll tick
+  constexpr int kQueries = 9;
+  Service svc;
+  Service twin;
+  Server::Options opt;
+  opt.endpoint.tcp_port = 0;
+  Server server(svc, opt);
+  std::thread t([&] { server.serve_forever(); });
+  Client setup = Client::connect_tcp(server.bound_tcp_port());
+  std::vector<double> overhead_ms;
+  for (int i = 0; i < kQueries; ++i) {
+    const std::string g = "g" + std::to_string(i);
+    const std::string gen = "{\"op\":\"generate\",\"name\":\"" + g +
+                            "\",\"family\":\"lift\",\"args\":[3,3,200," +
+                            std::to_string(i + 1) + "]}";
+    setup.call(gen);
+    twin.handle(gen);
+    const std::string query = "{\"id\":" + std::to_string(i) +
+                              ",\"op\":\"views\",\"graph\":\"" + g +
+                              "\",\"radius\":2}";
+    const auto sent = std::chrono::steady_clock::now();
+    std::string got;
+    {
+      Client client = Client::connect_tcp(server.bound_tcp_port());
+      got = client.call(query);
+    }
+    const double round_trip = ms_since(sent);
+    const auto computed = std::chrono::steady_clock::now();
+    EXPECT_EQ(got, twin.handle(query));
+    overhead_ms.push_back(round_trip - ms_since(computed));
+  }
+  std::sort(overhead_ms.begin(), overhead_ms.end());
+  EXPECT_LT(overhead_ms[overhead_ms.size() / 2], kBoundMs);
+  EXPECT_EQ(svc.cache().stats().misses, static_cast<std::uint64_t>(kQueries));
+  // stop() must wake the accept loop and the idle connection at once.
+  ASSERT_TRUE(
+      Json::parse(setup.call(R"({"op":"ping"})")).find("ok")->as_bool());
+  const auto stopping = std::chrono::steady_clock::now();
+  server.stop();
+  t.join();
+  EXPECT_LT(ms_since(stopping), kBoundMs);
 }
 
 TEST(ServerClient, TcpOversizedLineDrainsThenSendsTooLargeFarewell) {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lapx/core/refine.hpp"
@@ -182,6 +184,44 @@ TEST(SessionStore, ConcurrentGetAndMutatePinEpochs) {
   writer.join();
   for (auto& r : readers) r.join();
   EXPECT_EQ(store.stats().mutated, static_cast<std::uint64_t>(kMutations));
+}
+
+TEST(SessionStore, ConcurrentMutatesOfOneNameGetConsecutiveEpochs) {
+  // Mutations serialize per session: writers racing on one name must each
+  // derive from the latest epoch (a writer that waited while the binding
+  // moved on retries), so the epochs they get back are exactly
+  // 2..1+writers*kMutations with no sibling installed twice.
+  SessionStore store;
+  store.put("g", lapx::graph::torus({4, 4}));
+  constexpr int kMutations = 24;  // even: each writer ends on a remove
+  // One absent edge per writer; each toggles only its own, so every edit
+  // is valid in any interleaving.
+  const std::vector<std::pair<int, int>> edges = {
+      {0, 10}, {1, 11}, {2, 8}, {3, 9}};
+  std::vector<std::vector<std::uint64_t>> epochs(edges.size());
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < edges.size(); ++w) {
+    writers.emplace_back([&, w] {
+      const auto [u, v] = edges[w];
+      for (int i = 0; i < kMutations; ++i) {
+        const EdgeEdit::Kind kind =
+            i % 2 == 0 ? EdgeEdit::Kind::kAdd : EdgeEdit::Kind::kRemove;
+        const std::vector<EdgeEdit> edit{{kind, u, v}};
+        const auto e = store.mutate("g", edit);
+        ASSERT_NE(e, nullptr);
+        epochs[w].push_back(e->epoch());
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  std::vector<std::uint64_t> all;
+  for (const auto& e : epochs) all.insert(all.end(), e.begin(), e.end());
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), edges.size() * kMutations);
+  for (std::size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i + 2);
+  // Every writer ended on a remove, so the final epoch is the torus again.
+  EXPECT_EQ(store.get("g")->graph().num_edges(), 32u);
+  EXPECT_EQ(store.get("g")->epoch(), 1 + all.size());
 }
 
 }  // namespace
