@@ -27,6 +27,7 @@
 // runners never deduplicate: identifiers make every ball distinct.
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "lapx/core/ball.hpp"
@@ -63,8 +64,17 @@ using EdgeIdAlgorithm = std::function<EdgeMarksOi(const Ball&)>;
 // --- Runners ---
 
 /// Runs a PO vertex algorithm on every node: result[v] = output at v.
+/// Types every vertex with bulk_view_type_ids; a caller that already holds
+/// the radius-r view types (a lapxd session's RefineState) passes them to
+/// the overload below instead.
 std::vector<bool> run_po(const LDigraph& g, const VertexPoAlgorithm& algo,
                          int r);
+
+/// run_po given types[v] == view_type_id(view(g, v, r)) for every vertex
+/// (as core::RefineState::types_at(r) returns them).  Only the class
+/// representatives' views are materialized.
+std::vector<bool> run_po(const LDigraph& g, std::span<const TypeId> types,
+                         const VertexPoAlgorithm& algo, int r);
 
 /// Runs an OI vertex algorithm with the given order keys.
 std::vector<bool> run_oi(const graph::Graph& g, const order::Keys& keys,
@@ -78,6 +88,14 @@ std::vector<bool> run_id(const graph::Graph& g, const order::Keys& ids,
 /// graph of g.  An edge is selected iff some endpoint marks it.
 std::vector<bool> run_po_edges(const LDigraph& g, const EdgePoAlgorithm& algo,
                                int r);
+
+/// run_po_edges given the radius-r view types of every vertex (as for
+/// run_po) and g.underlying_graph(), or any graph with the same edge ids;
+/// the bits are indexed by `underlying`'s edge ids.
+std::vector<bool> run_po_edges(const LDigraph& g,
+                               const graph::Graph& underlying,
+                               std::span<const TypeId> types,
+                               const EdgePoAlgorithm& algo, int r);
 
 /// Runs an OI (or, without canonicalization, ID) edge algorithm.
 std::vector<bool> run_oi_edges(const graph::Graph& g, const order::Keys& keys,

@@ -282,9 +282,6 @@ class RefineState {
   std::vector<std::vector<TypeId>> scratch_rounds_;
 };
 
-/// The engine's historical name; new code should say RefineState.
-using ViewRefiner = RefineState;
-
 /// One-shot convenience: radius-r root types for every vertex.
 std::vector<TypeId> bulk_view_type_ids(
     const LDigraph& g, int r, TypeInterner& interner = TypeInterner::global());

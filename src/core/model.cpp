@@ -32,7 +32,7 @@ struct TypeClasses {
   std::vector<Vertex> rep;
 };
 
-TypeClasses classify(const std::vector<TypeId>& types) {
+TypeClasses classify(std::span<const TypeId> types) {
   TypeClasses tc;
   tc.cls.resize(types.size());
   std::unordered_map<TypeId, std::size_t> index;
@@ -45,14 +45,26 @@ TypeClasses classify(const std::vector<TypeId>& types) {
   return tc;
 }
 
+// The PO runners take their view types from the caller.
+TypeClasses classify_views(const LDigraph& g, std::span<const TypeId> types) {
+  if (types.size() != static_cast<std::size_t>(g.num_vertices()))
+    throw std::invalid_argument("PO runner needs one view type per vertex");
+  return classify(types);
+}
+
 }  // namespace
 
 std::vector<bool> run_po(const LDigraph& g, const VertexPoAlgorithm& algo,
                          int r) {
+  return run_po(g, bulk_view_type_ids(g, r), algo, r);
+}
+
+std::vector<bool> run_po(const LDigraph& g, std::span<const TypeId> types,
+                         const VertexPoAlgorithm& algo, int r) {
   // A PO algorithm is by definition a function of the truncated view, so it
   // runs once per view-type class (on the class's first vertex, whose tree
   // is materialized as the witness) and the answer is scattered.
-  const auto tc = classify(bulk_view_type_ids(g, r));
+  const auto tc = classify_views(g, types);
   std::vector<unsigned char> out(tc.rep.size());
   runtime::parallel_for(static_cast<std::int64_t>(tc.rep.size()),
                         [&](std::int64_t c) {
@@ -105,10 +117,17 @@ std::vector<bool> run_id(const graph::Graph& g, const order::Keys& ids,
 std::vector<bool> run_po_edges(const LDigraph& g, const EdgePoAlgorithm& algo,
                                int r) {
   const graph::Graph underlying = g.underlying_graph();
+  return run_po_edges(g, underlying, bulk_view_type_ids(g, r), algo, r);
+}
+
+std::vector<bool> run_po_edges(const LDigraph& g,
+                               const graph::Graph& underlying,
+                               std::span<const TypeId> types,
+                               const EdgePoAlgorithm& algo, int r) {
   // The move selection is a function of the view type, so the algorithm
   // runs once per class; the per-vertex translation of moves to edge ids
   // (including the missing-arc check) still happens at every vertex.
-  const auto tc = classify(bulk_view_type_ids(g, r));
+  const auto tc = classify_views(g, types);
   std::vector<EdgeMarksPo> class_marks(tc.rep.size());
   runtime::parallel_for(static_cast<std::int64_t>(tc.rep.size()),
                         [&](std::int64_t c) {

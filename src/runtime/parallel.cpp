@@ -190,19 +190,27 @@ class Pool {
   // exact joined/left counts under mu_ before the job is declared over --
   // the same serialization that keeps late-waking workers from joining a
   // finished job (they recheck fn_ under mu_).
+  //
+  // left_ is loaded with acquire: a worker that leaves without taking mu_
+  // publishes its last unlocked reads (chunks_ in drain(), the tree in
+  // leave()) only through its acq_rel increment, and the next job's
+  // coordinator -- this thread or the next job_mu_ holder -- rewrites
+  // both.  The increments form one release sequence, so reading the final
+  // count synchronizes with every leaver.
+  bool workers_left() const {
+    return joined_.load(std::memory_order_relaxed) ==
+           left_.load(std::memory_order_acquire);
+  }
+
   void wait_workers() {
     for (int i = 0; i < kCoordinatorSpins; ++i) {
       if (!tree_ || tree_->quiescent()) break;
       spin_pause(i);
     }
     std::unique_lock<std::mutex> lock(mu_);
-    if (joined_.load(std::memory_order_relaxed) !=
-        left_.load(std::memory_order_relaxed)) {
+    if (!workers_left()) {
       parked_ = true;
-      done_cv_.wait(lock, [&] {
-        return joined_.load(std::memory_order_relaxed) ==
-               left_.load(std::memory_order_relaxed);
-      });
+      done_cv_.wait(lock, [&] { return workers_left(); });
       parked_ = false;
     }
     fn_ = nullptr;

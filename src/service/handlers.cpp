@@ -177,26 +177,34 @@ Json handle_fractional(const GraphEntry& entry) {
 }
 
 Json handle_run(const Request& req, const GraphEntry& entry) {
+  // First: an ooc entry above the materialization cap answers kTooLarge
+  // here, before any streaming refinement starts.
   const Graph& g = entry.graph();
   const std::string alg = string_field(req, "algorithm");
   const int r = static_cast<int>(int_field(req, "radius", 0, 0, kMaxRadius));
   const auto keys = order::identity_keys(g.num_vertices());
+  // A PO algorithm is a function of the view type (core/model.hpp), so it
+  // runs on the epoch's own view classes -- the entry's RefineState, shared
+  // with `views` and delta-forked by `mutate` -- and marks edges by the
+  // ids of g, which are those of ldigraph().underlying_graph().
+  auto po_edges = [&](const core::EdgePoAlgorithm& algo, int radius) {
+    return problems::edge_solution(core::run_po_edges(
+        entry.ldigraph(), g, entry.view_types(radius), algo, radius));
+  };
   problems::Solution sol;
   const problems::Problem* p = nullptr;
   std::string model;
   if (alg == "eds-mark-first") {
-    sol = problems::edge_solution(core::run_po_edges(
-        entry.ldigraph(), algorithms::eds_mark_first_po(), 1));
+    sol = po_edges(algorithms::eds_mark_first_po(), 1);
     p = &problems::edge_dominating_set();
     model = "PO";
   } else if (alg == "edge-cover") {
-    sol = problems::edge_solution(core::run_po_edges(
-        entry.ldigraph(), algorithms::mark_first_edge_po(), 1));
+    sol = po_edges(algorithms::mark_first_edge_po(), 1);
     p = &problems::edge_cover();
     model = "PO";
   } else if (alg == "take-all-ds") {
-    sol = problems::vertex_solution(
-        core::run_po(entry.ldigraph(), algorithms::take_all_po(), 0));
+    sol = problems::vertex_solution(core::run_po(
+        entry.ldigraph(), entry.view_types(0), algorithms::take_all_po(), 0));
     p = &problems::dominating_set();
     model = "PO";
   } else if (alg == "local-min-is") {

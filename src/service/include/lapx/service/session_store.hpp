@@ -4,11 +4,14 @@
 // A resident service answers many queries against the same instances, so
 // graphs live here once, together with the expensive artifacts derived
 // from them (the default port-numbered L-digraph and, lazily, the
-// whole-graph RefineState; anything a future request type needs can join
+// whole-graph RefineState that `views` and the PO algorithms of `run`
+// classify vertices with; anything a future request type needs can join
 // GraphEntry).  Entries are handed out as shared_ptr<const GraphEntry>:
 // the shared_ptr count IS the reference count, so eviction, replacement,
 // or mutation never invalidates an in-flight request -- the superseded
-// entry simply dies when its last request drops it.
+// entry simply dies when its last request drops it, and the store drops
+// its own references only after releasing its mutex, so freeing an
+// epoch's artifacts never stalls another session's get().
 //
 // Epochs: a name is a *session* whose graph evolves.  Every binding
 // carries an epoch counter -- 1 for a fresh put, previous + 1 when a put
@@ -102,9 +105,11 @@ class GraphEntry {
   const graph::LDigraph& ldigraph() const;
 
   /// Radius-r view types of every vertex against the global interner --
-  /// identical ids to core::bulk_view_type_ids(ldigraph(), r).  The
-  /// refinement state is built on first use, kept (with per-round
-  /// tables) for deeper radii and for delta-forking by mutate.
+  /// identical ids to core::bulk_view_type_ids(ldigraph(), r), whether the
+  /// state was built here, delta-forked by mutate, or streams an ooc
+  /// file.  `views` and the PO algorithms of `run` share it: built on
+  /// first use by either, kept (with per-round tables) for deeper radii
+  /// and for delta-forking by mutate.
   std::vector<core::TypeId> view_types(int r) const;
 
   /// True when the refinement state has been materialized (stats only).
@@ -196,7 +201,14 @@ class SessionStore {
   Stats stats() const;
 
  private:
-  void evict_locked();
+  using Displaced = std::vector<std::shared_ptr<const GraphEntry>>;
+
+  // Binds `name` to `entry` at the next epoch of any live binding.  The
+  // references the store gives up (an overwritten binding, LRU victims)
+  // move to `out`, which the caller destroys after releasing mu_.
+  void bind_locked(const std::string& name,
+                   const std::shared_ptr<GraphEntry>& entry, Displaced& out);
+  void evict_locked(Displaced& out);
 
   Options opt_;
   mutable std::mutex mu_;

@@ -61,9 +61,12 @@ graph::Label GraphEntry::alphabet() const {
 
 const graph::Graph& GraphEntry::graph() const {
   if (!ooc_) return graph_;
-  std::call_once(graph_once_, [this] {
-    mat_graph_ =
-        std::make_unique<graph::Graph>(ldigraph().underlying_graph());
+  // ldigraph() throws kTooLarge above the cap; calling it outside
+  // call_once keeps the throw from unwinding through the once_flag, which
+  // not every pthread_once (TSan's among them) survives.
+  const graph::LDigraph& ld = ldigraph();
+  std::call_once(graph_once_, [&] {
+    mat_graph_ = std::make_unique<graph::Graph>(ld.underlying_graph());
   });
   return *mat_graph_;
 }
@@ -125,23 +128,11 @@ std::shared_ptr<const GraphEntry> SessionStore::put(const std::string& name,
                                                     graph::Graph g) {
   std::string text = graph::to_edge_list(g);
   const core::TypeId content = core::TypeInterner::global().intern(text);
+  auto entry = std::make_shared<GraphEntry>(std::move(g), std::move(text),
+                                            content, /*epoch=*/1);
+  Displaced displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t epoch = 1;
-  if (auto it = index_.find(name); it != index_.end()) {
-    // Overwriting a live binding is a new epoch of the same session, and
-    // is counted -- a silent drop used to be invisible in the stats.
-    epoch = it->second->entry->epoch() + 1;
-    lru_.erase(it->second);
-    ++stats_.overwritten;
-  }
-  auto entry = std::make_shared<const GraphEntry>(std::move(g),
-                                                  std::move(text), content,
-                                                  epoch);
-  lru_.push_front(Slot{name, entry});
-  index_[name] = lru_.begin();
-  ++stats_.inserted;
-  while (lru_.size() > opt_.max_graphs) evict_locked();
-  stats_.resident = lru_.size();
+  bind_locked(name, entry, displaced);
   return entry;
 }
 
@@ -160,22 +151,31 @@ std::shared_ptr<const GraphEntry> SessionStore::open_ooc(
   }
   const core::TypeId content =
       core::TypeInterner::global().intern("ooc:" + hex);
+  auto entry = std::make_shared<GraphEntry>(std::move(ooc), path, content,
+                                            std::move(hex), /*epoch=*/1,
+                                            opt_.ooc_materialize_max_vertices);
+  Displaced displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t epoch = 1;
+  bind_locked(name, entry, displaced);
+  return entry;
+}
+
+void SessionStore::bind_locked(const std::string& name,
+                               const std::shared_ptr<GraphEntry>& entry,
+                               Displaced& out) {
   if (auto it = index_.find(name); it != index_.end()) {
-    epoch = it->second->entry->epoch() + 1;
+    // Overwriting a live binding is a new epoch of the same session, and
+    // is counted -- a silent drop used to be invisible in the stats.
+    entry->epoch_ = it->second->entry->epoch() + 1;
+    out.push_back(std::move(it->second->entry));
     lru_.erase(it->second);
     ++stats_.overwritten;
   }
-  auto entry = std::make_shared<const GraphEntry>(
-      std::move(ooc), path, content, std::move(hex), epoch,
-      opt_.ooc_materialize_max_vertices);
   lru_.push_front(Slot{name, entry});
   index_[name] = lru_.begin();
   ++stats_.inserted;
-  while (lru_.size() > opt_.max_graphs) evict_locked();
+  while (lru_.size() > opt_.max_graphs) evict_locked(out);
   stats_.resident = lru_.size();
-  return entry;
 }
 
 std::shared_ptr<const GraphEntry> SessionStore::get(const std::string& name) {
@@ -217,19 +217,22 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
                                                   std::move(text), content,
                                                   old->epoch() + 1);
   entry->fork_refine_from(*old);
+  std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(name);
   if (it == index_.end()) return nullptr;  // dropped concurrently
-  it->second->entry = entry;
+  displaced = std::exchange(it->second->entry, entry);
   lru_.splice(lru_.begin(), lru_, it->second);
   ++stats_.mutated;
   return entry;
 }
 
 bool SessionStore::drop(const std::string& name) {
+  std::shared_ptr<const GraphEntry> dropped;  // freed after the unlock
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(name);
   if (it == index_.end()) return false;
+  dropped = std::move(it->second->entry);
   lru_.erase(it->second);
   index_.erase(it);
   ++stats_.dropped;
@@ -251,8 +254,9 @@ SessionStore::Stats SessionStore::stats() const {
   return stats_;
 }
 
-void SessionStore::evict_locked() {
-  const Slot& victim = lru_.back();
+void SessionStore::evict_locked(Displaced& out) {
+  Slot& victim = lru_.back();
+  out.push_back(std::move(victim.entry));
   index_.erase(victim.name);
   lru_.pop_back();
   ++stats_.evicted;

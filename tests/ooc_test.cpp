@@ -332,7 +332,13 @@ TEST(OocService, OpenMatchesInMemoryGenerateByteForByte) {
   for (const std::string& op :
        {std::string(R"({"id":2,"op":"views","graph":"%","radius":2})"),
         std::string(R"({"id":3,"op":"homogeneity","graph":"%","radius":2})"),
-        std::string(R"({"id":4,"op":"analyze","graph":"%"})")}) {
+        std::string(R"({"id":4,"op":"analyze","graph":"%"})"),
+        std::string(
+            R"({"id":5,"op":"run","graph":"%","algorithm":"eds-mark-first"})"),
+        std::string(
+            R"({"id":6,"op":"run","graph":"%","algorithm":"edge-cover"})"),
+        std::string(
+            R"({"id":7,"op":"run","graph":"%","algorithm":"take-all-ds"})")}) {
     auto req = [&](const std::string& name) {
       std::string r = op;
       r.replace(r.find('%'), 1, name);
@@ -381,6 +387,16 @@ TEST(OocService, MaterializationCapGatesNonStreamingOps) {
   sopt.store.ooc_materialize_max_vertices = 8;  // n = 36 > 8
   lapx::service::Service svc(sopt);
   svc.handle(R"({"op":"open","name":"g","path":")" + path + R"("})");
+  // A PO run reads the streaming state but needs the graph for edge ids
+  // and feasibility: it answers too_large before any refinement starts.
+  for (const char* line :
+       {R"({"op":"run","graph":"g","algorithm":"eds-mark-first"})",
+        R"({"op":"run","graph":"g","algorithm":"edge-cover"})",
+        R"({"op":"run","graph":"g","algorithm":"take-all-ds"})"}) {
+    const std::string run = svc.handle(line);
+    EXPECT_NE(run.find("\"code\":\"too_large\""), std::string::npos) << run;
+  }
+  EXPECT_FALSE(svc.store().get("g")->has_refine_state());
   const std::string views =
       svc.handle(R"({"op":"views","graph":"g","radius":1})");
   EXPECT_NE(views.find("\"ok\":true"), std::string::npos) << views;

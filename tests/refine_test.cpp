@@ -31,7 +31,7 @@ using lapx::graph::Vertex;
 // TypeId equality, not just equality as a partition.
 void expect_engine_matches_legacy(const LDigraph& g, int max_r) {
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   for (int r = 0; r <= max_r; ++r) {
     const auto& types = refiner.types_at(r);
     ASSERT_EQ(static_cast<Vertex>(types.size()), g.num_vertices());
@@ -103,7 +103,7 @@ TEST(Refine, EmptyAndSingleVertex) {
 TEST(Refine, DistinctCountsMatchPartition) {
   const LDigraph g = directed_torus({6, 6});
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   for (int r : {0, 1, 2}) {
     const auto& types = refiner.types_at(r);
     std::vector<TypeId> sorted(types);
@@ -160,7 +160,7 @@ TEST(Refine, StabilityFastPathStaysExact) {
   // per-class fast path must keep matching the oracle at every radius.
   const LDigraph g = directed_torus({5, 5});
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   refiner.types_at(6);
   EXPECT_TRUE(refiner.stable());
   for (int r = 4; r <= 6; ++r) {
@@ -459,7 +459,7 @@ TEST(RefineWorklist, MatchesLegacyAcrossThreadCounts) {
     set_refine_scheduling(RefineSched::kLegacy);
     lapx::runtime::set_thread_count(1);
     TypeInterner ref_interner;
-    ViewRefiner ref(g, ref_interner);
+    RefineState ref(g, ref_interner);
     ref.types_at(max_r);
     for (int threads : {1, 8, 16}) {
       lapx::runtime::set_thread_count(threads);
@@ -467,7 +467,7 @@ TEST(RefineWorklist, MatchesLegacyAcrossThreadCounts) {
            {RefineSched::kLegacy, RefineSched::kWorklist}) {
         set_refine_scheduling(sched);
         TypeInterner interner;
-        ViewRefiner refiner(g, interner);
+        RefineState refiner(g, interner);
         for (int r = 0; r <= max_r; ++r) {
           EXPECT_EQ(refiner.types_at(r), ref.types_at(r))
               << "threads=" << threads << " sched="
@@ -503,7 +503,7 @@ TEST(RefineWorklist, RetirementEngagesOnForest) {
   const LDigraph g = random_forest(4000, 2, rng);
   const auto before = lapx::runtime::worklist_stats();
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   refiner.types_at(8);
   const auto after = lapx::runtime::worklist_stats();
   EXPECT_GT(after.regions + after.inline_regions,
@@ -520,13 +520,13 @@ TEST(RefineWorklist, SchedulingToggleMidStream) {
   std::mt19937_64 rng(31);
   const LDigraph g = random_forest(200, 2, rng);
   TypeInterner interner;
-  ViewRefiner refiner(g, interner);
+  RefineState refiner(g, interner);
   const RefineSched plan[] = {RefineSched::kWorklist, RefineSched::kWorklist,
                               RefineSched::kLegacy, RefineSched::kWorklist,
                               RefineSched::kLegacy, RefineSched::kWorklist,
                               RefineSched::kWorklist};
   TypeInterner ref_interner;
-  ViewRefiner ref(g, ref_interner);
+  RefineState ref(g, ref_interner);
   set_refine_scheduling(RefineSched::kLegacy);
   ref.types_at(6);  // reference computed wholly under the dense schedule
   int r = 0;

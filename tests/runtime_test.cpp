@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <limits>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "lapx/algorithms/cole_vishkin.hpp"
 #include "lapx/core/model.hpp"
@@ -224,6 +228,46 @@ TEST(ParseEnvInt, RejectsJunkWithoutWriting) {
   EXPECT_FALSE(rejected("99999999999999999999", 1,  // overflows long long
                         std::numeric_limits<long long>::max()));
   EXPECT_FALSE(rejected("-1", 0, 10));
+}
+
+// Back-to-back small jobs at 8 threads: a worker's last reads of job N
+// (the chunk count, the arrival tree, the caller's function object) must
+// happen-before job N+1's coordinator rewrites them -- whether that is the
+// same caller or another one that won the pool.  TSan (the sanitizer
+// ctest leg) checks the ordering; the sums check every chunk ran exactly
+// once.  Sizes cycle so consecutive jobs publish different chunk counts.
+void hammer_small_jobs(int jobs, std::int64_t salt, std::atomic<int>* wrong) {
+  for (int j = 0; j < jobs; ++j) {
+    const std::int64_t n = 32 + (j % 9) * 29;  // 32..264 -> 32..256 chunks
+    std::vector<std::int64_t> out(static_cast<std::size_t>(n), -1);
+    parallel_for(n, [&](std::int64_t i) {
+      out[static_cast<std::size_t>(i)] = i * salt + j;
+    });
+    const auto value = [&](std::int64_t i) {
+      return out[static_cast<std::size_t>(i)];
+    };
+    const auto add = [](std::int64_t a, std::int64_t b) { return a + b; };
+    const std::int64_t sum = parallel_reduce(n, std::int64_t{0}, value, add);
+    if (sum != salt * n * (n - 1) / 2 + n * j) wrong->fetch_add(1);
+  }
+}
+
+TEST(PoolStress, BackToBackSmallJobsOneCaller) {
+  set_thread_count(8);
+  std::atomic<int> wrong{0};
+  hammer_small_jobs(30000, 3, &wrong);
+  set_thread_count(0);
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(PoolStress, BackToBackSmallJobsTwoRacingCallers) {
+  set_thread_count(8);
+  std::atomic<int> wrong{0};
+  std::thread other([&] { hammer_small_jobs(20000, 5, &wrong); });
+  hammer_small_jobs(20000, 7, &wrong);
+  other.join();
+  set_thread_count(0);
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(RunPoViaMessages, ReconstructedViewsAreExact) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <utility>
@@ -26,10 +27,14 @@ using lapx::service::Service;
 
 // Fixed-seed randomized request mix.  Exact-optimum ops are confined to
 // the small graphs so the exponential solvers stay fast; the larger
-// graphs (n > 64) exercise the neighbourhood/simulation/LP paths.
+// graphs (n > 64) exercise the neighbourhood/simulation/LP paths.  PO
+// runs classify vertices with the session's RefineState, so they also
+// pick the large graphs `views` refines: concurrent views and run share
+// one entry's state.
 std::vector<std::string> build_mix(std::mt19937& rng, int count) {
   const std::vector<std::string> small = {"pet", "c10"};
   const std::vector<std::string> large = {"t99", "c90"};
+  const std::vector<std::string> any = {"pet", "c10", "t99", "c90"};
   const std::vector<std::string> problems = {"vc", "mm", "ds", "eds", "is"};
   const std::vector<std::string> algorithms = {
       "eds-mark-first", "edge-cover", "local-min-is",
@@ -59,10 +64,13 @@ std::vector<std::string> build_mix(std::mt19937& rng, int count) {
         req += "\"op\":\"optimum\",\"graph\":\"" + pick(small) +
                "\",\"problem\":\"" + pick(problems) + "\"";
         break;
-      case 4:
-        req += "\"op\":\"run\",\"graph\":\"" + pick(small) +
-               "\",\"algorithm\":\"" + pick(algorithms) + "\"";
+      case 4: {
+        const std::string alg = pick(algorithms);
+        const bool po = alg == "eds-mark-first" || alg == "edge-cover";
+        req += "\"op\":\"run\",\"graph\":\"" + pick(po ? any : small) +
+               "\",\"algorithm\":\"" + alg + "\"";
         break;
+      }
       default:
         req += "\"op\":\"fractional\",\"graph\":\"" + pick(large) + "\"";
         break;
@@ -110,6 +118,12 @@ std::string cold_then_warm(int threads, int executors,
 TEST(ServiceDeterminism, ByteIdenticalAcrossCacheThreadsAndExecutors) {
   std::mt19937 rng(20120717);  // PODC'12 vintage, fixed
   const std::vector<std::string> reqs = build_mix(rng, 120);
+  // Guard against a vacuous mix: some PO run must share a views graph.
+  const auto run_on_large = [](const std::string& r) {
+    return r.find(R"("op":"run","graph":"t99")") != std::string::npos ||
+           r.find(R"("op":"run","graph":"c90")") != std::string::npos;
+  };
+  EXPECT_TRUE(std::any_of(reqs.begin(), reqs.end(), run_on_large));
 
   // The full matrix: executors {1, 4} x LAPX_THREADS {1, 8}.
   std::string reference_cold;

@@ -12,15 +12,23 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "lapx/algorithms/po.hpp"
 #include "lapx/core/interner.hpp"
+#include "lapx/core/model.hpp"
+#include "lapx/core/refine.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/io.hpp"
+#include "lapx/graph/ooc.hpp"
+#include "lapx/graph/port_numbering.hpp"
+#include "lapx/problems/problem.hpp"
+#include "lapx/runtime/parallel.hpp"
 #include "lapx/service/client.hpp"
 #include "lapx/service/json.hpp"
 #include "lapx/service/ordering.hpp"
@@ -824,6 +832,129 @@ TEST(Service, PipelinedSubmitMatchesSynchronousTranscript) {
   }
   EXPECT_EQ(pipelined_bytes, sync_bytes);
   EXPECT_EQ(pipelined_bytes.find("\"ok\":false"), std::string::npos);
+}
+
+// ------------------------------------------- PO run on the session state --
+
+// The bytes `run` must answer for a PO algorithm on g, built by the
+// one-shot runners -- a fresh bulk refinement of to_ldigraph(g) and its
+// own underlying graph -- not by the session's RefineState.  Every fixture
+// has n > 64, so the payload carries no exact optimum.
+std::string one_shot_po_run(const lapx::graph::Graph& g,
+                            const std::string& alg) {
+  namespace problems = lapx::problems;
+  const auto ld = lapx::graph::to_ldigraph(g);
+  problems::Solution sol;
+  const problems::Problem* p = nullptr;
+  if (alg == "eds-mark-first") {
+    sol = problems::edge_solution(lapx::core::run_po_edges(
+        ld, lapx::algorithms::eds_mark_first_po(), 1));
+    p = &problems::edge_dominating_set();
+  } else if (alg == "edge-cover") {
+    sol = problems::edge_solution(lapx::core::run_po_edges(
+        ld, lapx::algorithms::mark_first_edge_po(), 1));
+    p = &problems::edge_cover();
+  } else {
+    sol = problems::vertex_solution(
+        lapx::core::run_po(ld, lapx::algorithms::take_all_po(), 0));
+    p = &problems::dominating_set();
+  }
+  Json out = Json::object();
+  out.set("problem", Json::string(p->name));
+  out.set("algorithm", Json::string(alg));
+  out.set("model", Json::string("PO"));
+  out.set("size", Json::integer(static_cast<std::int64_t>(sol.size())));
+  out.set("feasible", Json::boolean(p->feasible(g, sol)));
+  return ok_response(std::nullopt, out.dump());
+}
+
+// Runs every PO algorithm on `name` with a cold cache (a hit would replay
+// bytes instead of exercising the handler) and compares against the
+// one-shot runners on g.  Also checks the two facts `run` relies on: the
+// entry's view types are a from-scratch refinement's, and its Graph has
+// the edge ids of its own ldigraph().underlying_graph().
+void expect_po_runs_match(Service& svc, const std::string& name,
+                          const lapx::graph::Graph& g,
+                          const std::string& state) {
+  const std::string where = name + " (" + state + ")";
+  for (const char* alg : {"eds-mark-first", "edge-cover", "take-all-ds"}) {
+    std::string req = R"({"op":"run","graph":")" + name;
+    req += R"(","algorithm":")" + std::string(alg) + R"("})";
+    svc.clear_cache();
+    EXPECT_EQ(svc.handle(req), one_shot_po_run(g, alg)) << where << ' ' << alg;
+  }
+  const auto entry = svc.store().get(name);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_TRUE(entry->has_refine_state()) << where;
+  // An ooc file's CSR renumbers the edges by vertex, so only the edge set
+  // is g's; an in-memory entry keeps g's ids, mutations included.
+  std::vector<lapx::graph::Edge> edges = entry->graph().edges();
+  std::vector<lapx::graph::Edge> expected = g.edges();
+  if (entry->is_ooc()) {
+    std::sort(edges.begin(), edges.end());
+    std::sort(expected.begin(), expected.end());
+  }
+  EXPECT_EQ(edges, expected) << where;
+  const auto underlying = entry->ldigraph().underlying_graph();
+  EXPECT_EQ(entry->graph().edges(), underlying.edges()) << where;
+  for (int r = 0; r <= 1; ++r) {
+    const auto scratch = lapx::core::bulk_view_type_ids(entry->ldigraph(), r);
+    EXPECT_EQ(entry->view_types(r), scratch) << where << " r=" << r;
+  }
+}
+
+TEST(Service, PoRunsOnTheSessionStateMatchOneShotRunners) {
+  char tmpl[] = "/tmp/lapx-porun-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::vector<std::string> names = {"lift", "torus"};
+  const std::vector<std::string> generate = {
+      R"({"op":"generate","name":"lift","family":"lift","args":[3,3,40,5]})",
+      R"({"op":"generate","name":"torus","family":"torus","args":[9,9]})"};
+  const std::vector<lapx::graph::Graph> graphs = {
+      lapx::graph::lifted_torus(3, 3, 40, 5), lapx::graph::torus({9, 9})};
+  for (const int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    Service svc;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const std::string& name = names[i];
+      lapx::graph::Graph g = graphs[i];
+      svc.handle(generate[i]);
+      ASSERT_FALSE(svc.store().get(name)->has_refine_state());
+      // Cutting an edge that is not the last moves the last edge's id into
+      // the freed slot; the delta-forked state and the new ids must hold.
+      auto cut = [&](std::size_t edge_id, const char* state) {
+        const auto [u, v] = g.edges()[edge_id];
+        g.remove_edge(u, v);
+        std::string req = R"({"op":"mutate","name":")" + name;
+        req += R"(","edits":[{"op":"remove","u":)" + std::to_string(u);
+        req += R"(,"v":)" + std::to_string(v) + "}]}";
+        const std::string resp = svc.handle(req);
+        ASSERT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+        ASSERT_TRUE(svc.store().get(name)->has_refine_state());  // forked
+        expect_po_runs_match(svc, name, g, state);
+      };
+      // run first builds the kept-rounds state itself: mutate forks it...
+      expect_po_runs_match(svc, name, g, "fresh");
+      cut(3, "after mutate of a run-built state");
+      // ...and a deeper views reuses the forked state, which run reads back.
+      svc.handle(R"({"op":"views","graph":")" + name + R"(","radius":3})");
+      expect_po_runs_match(svc, name, g, "after views r=3");
+      cut(7, "after mutate of a views r=3 state");
+      // The original graph written as graph-convert writes it, then opened:
+      // run streams the state over the file and materializes the graph.
+      const std::string path = dir + "/" + name + ".lapxooc";
+      lapx::graph::write_ooc_graph(path, lapx::graph::to_ldigraph(graphs[i]));
+      const std::string ooc = "ooc-" + name;
+      svc.handle(R"({"op":"open","name":")" + ooc + R"(","path":")" + path +
+                 R"("})");
+      ASSERT_FALSE(svc.store().get(ooc)->has_refine_state());
+      expect_po_runs_match(svc, ooc, graphs[i], "ooc");
+      ::unlink(path.c_str());
+    }
+  }
+  lapx::runtime::set_thread_count(0);
+  ::rmdir(dir.c_str());
 }
 
 // ------------------------------------------------------- socket round trip --

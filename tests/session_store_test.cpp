@@ -1,12 +1,14 @@
 // SessionStore semantics: LRU eviction accounting, overwrite epochs, the
-// pinning contract (shared_ptr holders survive eviction AND mutation), and
-// epoch consistency under concurrent get/mutate -- the store-side half of
-// the incremental-session design (DESIGN.md "Delta-refinement").
+// pinning contract (shared_ptr holders survive eviction AND mutation),
+// epoch consistency under concurrent get/mutate, and overwrite/drop/evict
+// racing readers of other names -- the store-side half of the
+// incremental-session design (DESIGN.md "Delta-refinement").
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -222,6 +224,66 @@ TEST(SessionStore, ConcurrentMutatesOfOneNameGetConsecutiveEpochs) {
   // Every writer ended on a remove, so the final epoch is the torus again.
   EXPECT_EQ(store.get("g")->graph().num_edges(), 32u);
   EXPECT_EQ(store.get("g")->epoch(), 1 + all.size());
+}
+
+TEST(SessionStore, ConcurrentOverwriteDropAndEvictionBesideReaders) {
+  // Writers overwrite, drop and LRU-evict their own sessions -- each
+  // displaced entry carrying a materialized RefineState, so its release
+  // frees real memory -- while readers resolve other names.  The store
+  // releases displaced entries after dropping its mutex; under TSan this
+  // runs at full pool width.  Readers check that whatever they resolve is
+  // internally consistent and stays usable while pinned.
+  constexpr std::size_t kCap = 6;
+  SessionStore store(capped(kCap));
+  const std::vector<std::string> readers_names = {"r0", "r1"};
+  for (const auto& name : readers_names)
+    store.put(name, lapx::graph::torus({4, 4}))->view_types(1);
+  constexpr int kWriters = 3;
+  constexpr int kRounds = 200;
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      const std::string mine = "w" + std::to_string(w);
+      for (int i = 0; i < kRounds; ++i) {
+        // Overwrite: a new epoch of `mine` displaces the previous one.
+        store.put(mine, lapx::graph::cycle(8 + i % 4))->view_types(2);
+        store.put(mine, lapx::graph::torus({3, 4 + i % 3}))->view_types(2);
+        // Fresh names push the least recently used bindings out.
+        const std::string extra = mine + "-" + std::to_string(i);
+        store.put(extra, lapx::graph::cycle(5 + i % 6))->view_types(1);
+        if (i % 3 == 0) store.drop(mine);
+        if (i % 2 == 0) store.drop(extra);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (const auto& name : readers_names) {
+    threads.emplace_back([&, name] {
+      std::shared_ptr<const GraphEntry> pinned;
+      while (writers_left.load() > 0) {
+        // A reader's name may itself fall off the LRU tail; an entry it
+        // does resolve is the torus it was bound to.
+        const auto e = store.get(name);
+        if (e == nullptr) continue;
+        EXPECT_EQ(e->graph().num_vertices(), 16);
+        EXPECT_EQ(e->view_types(1).size(), 16u);
+        if (!pinned) pinned = e;
+      }
+      if (pinned) {
+        EXPECT_EQ(pinned->view_types(2).size(), 16u);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const auto s = store.stats();
+  EXPECT_LE(s.resident, kCap);
+  EXPECT_EQ(s.resident, store.names().size());
+  // Every binding ever made is resident or left exactly one way.
+  EXPECT_EQ(s.inserted, s.resident + s.evicted + s.dropped + s.overwritten);
+  EXPECT_GT(s.evicted, 0u);
+  EXPECT_GT(s.overwritten, 0u);
+  EXPECT_GT(s.dropped, 0u);
 }
 
 }  // namespace
