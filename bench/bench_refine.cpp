@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
@@ -19,6 +21,7 @@
 #include "lapx/core/view.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/lift.hpp"
+#include "lapx/graph/port_numbering.hpp"
 #include "lapx/runtime/parallel.hpp"
 
 namespace {
@@ -76,6 +79,7 @@ CaseResult run_case(const graph::LDigraph& g, int r) {
 }
 
 void print_worklist_table();
+void print_interner_size_table();
 
 void print_tables() {
   bench::print_header(
@@ -152,6 +156,7 @@ void print_tables() {
                "materialization (hardware-gated)");
 
   print_worklist_table();
+  print_interner_size_table();
 }
 
 // A stabilizing workload: component diameters spread over two orders of
@@ -251,6 +256,115 @@ void print_worklist_table() {
   bench::check(eight_cores ? gated_speedup >= 1.9 : gated_speedup >= 1.2,
                "worklist >= 1.9x faster than dense rounds on the "
                "stabilizing workload at 8 threads (hardware-gated)");
+}
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
+// E17c: a daemon's interner only ever grows (each fresh session adds
+// thousands of ids), so a RefineState's per-round scratch must be sized by
+// the graph, not by interner.size().  Times the two lapxd cold-session
+// graphs and the mutate fork against one private interner padded with
+// 1M unrelated keys and one without, interleaved per rep.
+void print_interner_size_table() {
+  bench::print_header(
+      "E17c: refine scratch vs interner size (+0 vs +1M ids)",
+      "a state's scratch is O(distinct ids per round), whatever the "
+      "interner holds: padding the interner leaves build and fork time flat");
+
+  constexpr int kReps = 15;
+  constexpr core::TypeId kPad = 1'000'000;
+  bench::phase("interner_size_setup");
+  const graph::LDigraph lift =
+      graph::to_ldigraph(graph::lifted_torus(3, 3, 1000, 1));
+  std::mt19937_64 rng(1);
+  const graph::LDigraph regular =
+      graph::to_ldigraph(graph::random_regular(1500, 3, rng));
+  core::TypeInterner unpadded;
+  core::TypeInterner padded;
+  for (core::TypeId i = 0; i < kPad; ++i)
+    padded.intern("pad:" + std::to_string(i));
+
+  // Op 0: lift build + types_at(3); op 1: the same for the regular graph;
+  // op 2: copy of the lift's kept-rounds radius-3 state (the mutate fork).
+  struct Side {
+    core::TypeInterner* interner = nullptr;
+    std::vector<core::TypeId> lift_ids, regular_ids;
+    std::unique_ptr<core::RefineState> kept;
+    std::vector<double> ms[3];
+  };
+  Side sides[2];
+  sides[0].interner = &unpadded;
+  sides[1].interner = &padded;
+  const auto ms_since = [](std::chrono::steady_clock::time_point t0) {
+    return 1e3 * seconds_since(t0);
+  };
+  for (Side& side : sides) {  // warm-up: first interning of every type
+    side.lift_ids = core::bulk_view_type_ids(lift, 3, *side.interner);
+    side.regular_ids = core::bulk_view_type_ids(regular, 3, *side.interner);
+    side.kept = std::make_unique<core::RefineState>(lift, *side.interner,
+                                                    /*keep_rounds=*/true);
+    side.kept->types_at(3);
+  }
+  bench::phase("interner_size_reps");
+  // Each rep times every op on both sides back to back, alternating which
+  // side goes first, so drift in the host's load lands on both alike.
+  const auto time_op = [&](int op, Side& side) {
+    const auto t0 = std::chrono::steady_clock::now();
+    if (op == 2) {
+      const core::RefineState fork(*side.kept);
+      side.ms[op].push_back(ms_since(t0));
+      return;
+    }
+    core::RefineState st(op == 0 ? lift : regular, *side.interner);
+    st.types_at(3);
+    side.ms[op].push_back(ms_since(t0));
+  };
+  for (int rep = 0; rep < kReps; ++rep)
+    for (int op = 0; op < 3; ++op)
+      for (int k = 0; k < 2; ++k) time_op(op, sides[(rep + k) % 2]);
+
+  const char* names[3] = {"lift build + r=3", "regular build + r=3",
+                          "lift fork (kept)"};
+  bench::print_row({"operation", "+0 ids ms", "+1M ids ms", "ratio"});
+  double ratio[3];
+  for (int op = 0; op < 3; ++op) {
+    const double base = median(sides[0].ms[op]);
+    const double pad = median(sides[1].ms[op]);
+    ratio[op] = base > 0 ? pad / base : 0.0;
+    bench::print_row({names[op], bench::fmt(base, 2), bench::fmt(pad, 2),
+                      bench::fmt(ratio[op], 2) + "x"});
+  }
+  std::printf("(medians of %d interleaved reps)\n", kReps);
+
+  // Ids are dense in insertion order, and the padding keys (printable
+  // text) never collide with node keys: the padded interner hands out the
+  // same ids shifted by kPad.
+  bool shifted = true;
+  for (int g = 0; g < 2; ++g) {
+    const auto& base = g == 0 ? sides[0].lift_ids : sides[0].regular_ids;
+    const auto& pad = g == 0 ? sides[1].lift_ids : sides[1].regular_ids;
+    for (std::size_t v = 0; v < base.size(); ++v)
+      shifted = shifted && pad[v] == base[v] + kPad;
+  }
+  const auto distinct = [](std::vector<core::TypeId> t) {
+    std::sort(t.begin(), t.end());
+    return static_cast<double>(std::unique(t.begin(), t.end()) - t.begin());
+  };
+  bench::value("e17c_distinct_lift_3x3x1000_r=3", distinct(sides[0].lift_ids));
+  bench::value("e17c_distinct_regular_1500x3_r=3",
+               distinct(sides[0].regular_ids));
+  bench::check(shifted,
+               "E17c TypeIds on the +1M-id interner equal the unpadded ids "
+               "shifted by the padding");
+  bench::check(ratio[1] <= 2.0,
+               "E17c regular 1500x3 build + types_at(3): +1M-id interner "
+               "<= 2x the unpadded time (median of 15 interleaved reps)");
+  bench::check(ratio[2] <= 2.0,
+               "E17c fork of the lift's kept-rounds state: +1M-id interner "
+               "<= 2x the unpadded time (median of 15 interleaved reps)");
 }
 
 void BM_LegacyViewTypes(benchmark::State& state) {

@@ -34,7 +34,8 @@
 // order a fully serial pass would produce: they depend only on the graph,
 // never on LAPX_THREADS or LAPX_INTERN_SHARDS.  Round-local deduplication
 // rides on the ids themselves (the interner is injective on the serialized
-// tuple), via stamped direct-mapped id -> class arrays.
+// tuple), via stamped open-addressed id -> class maps sized by the ids a
+// round holds, never by the interner.
 //
 // Refinement is monotone: equal round-i trees truncate to equal round-(i-1)
 // trees, so the state partition only ever splits.  When a round leaves the
@@ -59,6 +60,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <span>
@@ -153,6 +155,47 @@ class RefineState {
   DeltaStats refine_delta(const LDigraph& g);
 
  private:
+  // Open-addressed TypeId -> u32 map for the rounds' bookkeeping.  Sized
+  // by the keys it holds -- a daemon's interner only ever grows, so
+  // nothing here may scale with interner.size().  A slot is live iff its
+  // stamp equals the map's, so clear() is O(1); capacity doubles from 64
+  // at half load; a copy carries only the live entries.
+  class IdMap {
+   public:
+    IdMap() = default;
+    IdMap(const IdMap& other);
+    IdMap& operator=(const IdMap& other);
+    IdMap(IdMap&&) noexcept = default;
+    IdMap& operator=(IdMap&&) noexcept = default;
+
+    std::size_t size() const { return size_; }
+    void clear();
+    std::uint32_t* find(TypeId key);  // nullptr when absent
+    // The value slot of `key`, inserting `value` first when absent; the
+    // pointer stays valid until the next insert.
+    std::pair<std::uint32_t*, bool> try_emplace(TypeId key,
+                                                std::uint32_t value);
+    void erase(TypeId key);  // `key` must be present
+
+   private:
+    struct Slot {
+      TypeId key;
+      std::uint32_t value;
+      std::uint32_t stamp;  // live iff == stamp_; 0 is never live
+    };
+    std::size_t home(TypeId key) const;
+    // Re-places the live entries of `from` into `capacity` (a power of
+    // two above twice their count) fresh slots.
+    void assign_live(const IdMap& from, std::size_t capacity);
+    [[gnu::noinline]] void grow();  // keeps try_emplace's hot path small
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;  // capacity - 1 (0 while unallocated)
+    int shift_ = 64;        // 64 - log2(capacity): home() keeps the top bits
+    std::uint32_t stamp_ = 1;
+    std::size_t size_ = 0;
+  };
+
   void build_steps();  // CSR over *g_'s non-backtracking steps
   void fill_vertex_steps(graph::Vertex v);  // one vertex's span of the CSR
   void init_round0();  // shared radius-0 setup for both constructors
@@ -257,20 +300,18 @@ class RefineState {
   std::vector<TypeId> root_body_;      // per vertex: root tuple body id
   bool all_active_ = true;
 
-  // Split-round fast paths.  TypeIds are dense interner indices, so the
-  // per-round body -> root memo is a stamped direct-mapped array (no
-  // hashing per retired vertex), and stability detection runs off an
-  // incrementally patched multiset of the current state ids: a split
-  // round touches the multiset only at changed steps, O(active) instead
-  // of O(steps).  Seeded by the dense pass of the preceding track round.
-  std::vector<TypeId> body_root_;          // body id -> this round's root id
-  std::vector<std::uint32_t> body_cls_;    // body id -> class (dense pass)
-  std::vector<std::uint64_t> body_round_;  // stamp guarding the two above
-  std::vector<std::uint32_t> id_cls_;      // state id -> class (dense pass)
-  std::vector<std::uint64_t> id_round_;    // stamp guarding id_cls_
-  std::uint64_t round_stamp_ = 0;
-  std::vector<std::uint32_t> state_count_;  // state id -> multiplicity
-  std::size_t live_states_ = 0;             // ids with multiplicity > 0
+  // Round-local id maps, empty between rounds (so a fork copies nothing
+  // of them).  The root pass maps each distinct body id to its class
+  // (dense) or straight to this round's root id (split: one probe per
+  // retired vertex), and the state pass labels state ids the same way.
+  IdMap body_map_;
+  IdMap state_map_;
+  // Split-round stability detection: the multiset of the current state
+  // ids (id -> multiplicity, zero counts erased, so size() is the class
+  // count), patched only at changed steps -- O(active) instead of
+  // O(steps).  Seeded by a dense track round whose successor will split;
+  // empty whenever no split round can follow.
+  IdMap state_count_;
 
   // refine_delta scratch: the retired CSR + round tables of the previous
   // generation.  Swapped, never freed -- a steady-state session alternates

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -65,6 +66,92 @@ void set_refine_scheduling(RefineSched s) {
 // streaming TypeIds would diverge from in-memory ones.
 static_assert(graph::kOocViewEdgeTag == type_tag::kViewEdge,
               "graph/ooc edge tag must equal type_tag::kViewEdge");
+
+RefineState::IdMap::IdMap(const IdMap& other) {
+  if (other.size_ == 0) return;
+  const std::size_t fits = std::bit_ceil(2 * (other.size_ + 1));
+  assign_live(other, std::max<std::size_t>(64, fits));
+}
+
+RefineState::IdMap& RefineState::IdMap::operator=(const IdMap& other) {
+  if (this != &other) *this = IdMap(other);
+  return *this;
+}
+
+void RefineState::IdMap::assign_live(const IdMap& from, std::size_t capacity) {
+  slots_.assign(capacity, Slot{0, 0, 0});
+  mask_ = capacity - 1;
+  shift_ = 64 - std::countr_zero(capacity);
+  stamp_ = 1;
+  size_ = from.size_;
+  for (const Slot& s : from.slots_) {
+    if (s.stamp != from.stamp_) continue;
+    std::size_t i = home(s.key);
+    while (slots_[i].stamp == stamp_) i = (i + 1) & mask_;
+    slots_[i] = {s.key, s.value, stamp_};
+  }
+}
+
+void RefineState::IdMap::grow() {
+  IdMap grown;
+  grown.assign_live(*this, slots_.empty() ? 64 : 2 * (mask_ + 1));
+  *this = std::move(grown);
+}
+
+std::size_t RefineState::IdMap::home(TypeId key) const {
+  // Fibonacci hashing: dense interner ids spread over the top bits.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+void RefineState::IdMap::clear() {
+  if (size_ == 0) return;
+  size_ = 0;
+  if (++stamp_ == 0) {  // wrapped: no stale stamp may alias the new one
+    for (Slot& s : slots_) s.stamp = 0;
+    stamp_ = 1;
+  }
+}
+
+std::uint32_t* RefineState::IdMap::find(TypeId key) {
+  if (size_ == 0) return nullptr;
+  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    Slot& s = slots_[i];
+    if (s.stamp != stamp_) return nullptr;
+    if (s.key == key) return &s.value;
+  }
+}
+
+std::pair<std::uint32_t*, bool> RefineState::IdMap::try_emplace(
+    TypeId key, std::uint32_t value) {
+  if (2 * (size_ + 1) > mask_ + 1) grow();
+  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    Slot& s = slots_[i];
+    if (s.stamp != stamp_) {
+      s = {key, value, stamp_};
+      ++size_;
+      return {&s.value, true};
+    }
+    if (s.key == key) return {&s.value, false};
+  }
+}
+
+void RefineState::IdMap::erase(TypeId key) {
+  std::size_t hole = home(key);
+  while (slots_[hole].key != key || slots_[hole].stamp != stamp_)
+    hole = (hole + 1) & mask_;
+  // Backward-shift deletion (no tombstones): pull each later member of
+  // the probe run whose home does not lie strictly after the hole into
+  // it, so every live key stays reachable from its home slot.
+  for (std::size_t j = (hole + 1) & mask_; slots_[j].stamp == stamp_;
+       j = (j + 1) & mask_) {
+    if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].stamp = 0;
+  --size_;
+}
 
 void RefineState::build_steps() {
   const LDigraph& g = *g_;
@@ -366,32 +453,18 @@ void RefineState::advance() {
     root_distinct = root_rep_.size();
   } else if (split) {
     // Retirement pass.  The interner is injective on the serialized body
-    // tuple, so equal bodies <=> equal ids, and the stamped per-round
-    // body -> root memo dedups retired and active vertices alike; the
-    // fresh allocations this round are exactly one root node per distinct
-    // body, at the first vertex (in order) producing that body -- the
-    // positions the dense pass would intern at.  A retired vertex reuses
-    // its cached body and pays one stamped array probe; no hashing, no
-    // per-vertex map.  root_class_/root_rep_ are NOT maintained here: the
-    // per-class path is gated on roots_stable_, which a later dense round
-    // (re)establishes along with the tables.
-    ++round_stamp_;
-    std::size_t distinct = 0;
+    // tuple, so equal bodies <=> equal ids, and the round's body -> root
+    // map dedups retired and active vertices alike; the fresh allocations
+    // this round are exactly one root node per distinct body, at the
+    // first vertex (in order) producing that body -- the positions the
+    // dense pass would intern at.  A retired vertex reuses its cached body
+    // and pays one map probe.  root_class_/root_rep_ are NOT maintained
+    // here: the per-class path is gated on roots_stable_, which a later
+    // dense round (re)establishes along with the tables.
     const auto root_of = [&](TypeId body) {
-      const auto b = static_cast<std::size_t>(body);
-      if (b >= body_round_.size()) {
-        const std::size_t grow =
-            std::max({b + 1, 2 * body_round_.size(), interner.size()});
-        body_round_.resize(grow, 0);
-        body_root_.resize(grow);
-        body_cls_.resize(grow);
-      }
-      if (body_round_[b] != round_stamp_) {
-        body_round_[b] = round_stamp_;
-        body_root_[b] = interner.intern_node(root_tag, &body, 1);
-        ++distinct;
-      }
-      return body_root_[b];
+      const auto [root, fresh] = body_map_.try_emplace(body, 0);
+      if (fresh) *root = interner.intern_node(root_tag, &body, 1);
+      return *root;
     };
     for (Vertex v = 0; v < n; ++v) {
       if (!active_flag_[static_cast<std::size_t>(v)]) {
@@ -404,39 +477,31 @@ void RefineState::advance() {
         root_body_[static_cast<std::size_t>(v)] = body = intern_body(v);
       roots[static_cast<std::size_t>(v)] = root_of(body);
     }
-    root_distinct = distinct;
+    root_distinct = body_map_.size();
+    body_map_.clear();
     roots_stable_ = false;  // split requires !states_stable_
   } else {
     // Dense pass: one serial walk in vertex order; Phase A already
     // resolved every body that was interned before this round, so the
     // rebuilds below cover novel bodies (and vertices racing them to the
     // same novel body, whose rebuilt calls all hit).  Class labels ride on
-    // body ids through a stamped direct-mapped map.
-    ++round_stamp_;
+    // body ids through the round's body -> class map.
     root_rep_.clear();
     std::vector<TypeId> class_type;
     for (Vertex v = 0; v < n; ++v) {
       TypeId body = root_body_[static_cast<std::size_t>(v)];
       if (body == kNoType)
         root_body_[static_cast<std::size_t>(v)] = body = intern_body(v);
-      const auto b = static_cast<std::size_t>(body);
-      if (b >= body_round_.size()) {
-        const std::size_t grow =
-            std::max({b + 1, 2 * body_round_.size(), interner.size()});
-        body_round_.resize(grow, 0);
-        body_root_.resize(grow);
-        body_cls_.resize(grow);
-      }
-      if (body_round_[b] != round_stamp_) {
-        body_round_[b] = round_stamp_;
-        body_cls_[b] = static_cast<std::uint32_t>(class_type.size());
+      const auto [cls, fresh] = body_map_.try_emplace(
+          body, static_cast<std::uint32_t>(class_type.size()));
+      if (fresh) {
         class_type.push_back(interner.intern_node(root_tag, &body, 1));
         root_rep_.push_back(static_cast<std::uint32_t>(v));
       }
-      const std::uint32_t cls = body_cls_[b];
-      root_class_[static_cast<std::size_t>(v)] = cls;
-      roots[static_cast<std::size_t>(v)] = class_type[cls];
+      root_class_[static_cast<std::size_t>(v)] = *cls;
+      roots[static_cast<std::size_t>(v)] = class_type[*cls];
     }
+    body_map_.clear();
     root_distinct = class_type.size();
     // Once the states are stable the root tuples (as a partition of the
     // vertices) cannot change either; from now on one intern per class.
@@ -497,52 +562,38 @@ void RefineState::advance() {
         }
         if (t_cur_[s] != t_prev_[s]) {
           vchanged = true;
-          if (--state_count_[t_prev_[s]] == 0) --live_states_;
-          const auto id = static_cast<std::size_t>(t_cur_[s]);
-          if (id >= state_count_.size())
-            state_count_.resize(
-                std::max({id + 1, 2 * state_count_.size(), interner.size()}),
-                0);
-          if (state_count_[id]++ == 0) ++live_states_;
+          if (--*state_count_.find(t_prev_[s]) == 0)
+            state_count_.erase(t_prev_[s]);
+          ++*state_count_.try_emplace(t_cur_[s], 0).first;
         }
       }
       if (vchanged) changed_[static_cast<std::size_t>(v)] = 1;
     }
-    states_stable_ = live_states_ == state_distinct_;
-    state_distinct_ = live_states_;
+    states_stable_ = state_count_.size() == state_distinct_;
+    state_distinct_ = state_count_.size();
     if (states_stable_) {
       // The per-class path takes over next round; rebuild the tables it
       // consumes once, with the dense labelling (first occurrence per id
-      // in step order) via the stamped id -> class map.
-      ++round_stamp_;
+      // in step order) via the round's id -> class map.
+      state_count_.clear();
       state_rep_.clear();
       for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(t_cur_.size());
            ++s) {
-        const auto id = static_cast<std::size_t>(t_cur_[s]);
-        if (id >= id_round_.size()) {
-          const std::size_t grow =
-              std::max({id + 1, 2 * id_round_.size(), interner.size()});
-          id_round_.resize(grow, 0);
-          id_cls_.resize(grow);
-        }
-        if (id_round_[id] != round_stamp_) {
-          id_round_[id] = round_stamp_;
-          id_cls_[id] = static_cast<std::uint32_t>(state_rep_.size());
-          state_rep_.push_back(s);
-        }
-        state_class_[s] = id_cls_[id];
+        const auto [cls, fresh] = state_map_.try_emplace(
+            t_cur_[s], static_cast<std::uint32_t>(state_rep_.size()));
+        if (fresh) state_rep_.push_back(s);
+        state_class_[s] = *cls;
       }
+      state_map_.clear();
     }
   } else {
     // Dense pass: intern what Phase A left unresolved, in step order (the
     // root pass resolved every edge node already, so a state tuple is a
     // gather over edge_ids_).  Distinct tuples <=> distinct ids (the
     // interner is injective on the serialized tuple), so class labels ride
-    // on the stamped id -> class map -- no byte keys, no hashing.
+    // on the round's id -> class map -- no byte keys.
     std::vector<TypeId> tuple;
-    ++round_stamp_;
     state_rep_.clear();
-    std::size_t distinct = 0;
     if (track) changed_.assign(static_cast<std::size_t>(n), 0);
     for (Vertex v = 0; v < n; ++v) {
       const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
@@ -555,36 +606,20 @@ void RefineState::advance() {
           t_cur_[s] =
               batch_intern(type_tag::kViewNode, tuple.data(), tuple.size());
         }
-        const auto id = static_cast<std::size_t>(t_cur_[s]);
-        if (id >= id_round_.size()) {
-          const std::size_t grow =
-              std::max({id + 1, 2 * id_round_.size(), interner.size()});
-          id_round_.resize(grow, 0);
-          id_cls_.resize(grow);
-        }
-        if (id_round_[id] != round_stamp_) {
-          id_round_[id] = round_stamp_;
-          id_cls_[id] = static_cast<std::uint32_t>(distinct++);
-          state_rep_.push_back(s);
-        }
-        state_class_[s] = id_cls_[id];
+        const auto [cls, fresh] = state_map_.try_emplace(
+            t_cur_[s], static_cast<std::uint32_t>(state_rep_.size()));
+        if (fresh) state_rep_.push_back(s);
+        state_class_[s] = *cls;
         vchanged |= t_cur_[s] != t_prev_[s];
       }
       if (track && vchanged) changed_[static_cast<std::size_t>(v)] = 1;
     }
+    state_map_.clear();
     // Equal class count + monotone refinement => identical partition, which
     // is then a fixed point of the splitting step: stable forever.
-    states_stable_ = distinct == state_distinct_;
-    state_distinct_ = distinct;
-    if (track && !states_stable_) {
-      // Seed the split rounds' incremental stability detector with this
-      // round's id multiset (distinct ids == distinct keys: the interner
-      // is injective on the serialized tuple).
-      state_count_.assign(interner.size(), 0);
-      live_states_ = 0;
-      for (const TypeId id : t_cur_)
-        if (state_count_[static_cast<std::size_t>(id)]++ == 0) ++live_states_;
-    }
+    states_stable_ = state_rep_.size() == state_distinct_;
+    state_distinct_ = state_rep_.size();
+    state_count_.clear();  // re-seeded below if a split round follows
   }
 
   // --- Seed the next round's worklist: a vertex re-enqueues iff some
@@ -605,6 +640,12 @@ void RefineState::advance() {
       if (active_flag_[static_cast<std::size_t>(v)])
         active_.push_back(static_cast<std::uint32_t>(v));
     all_active_ = false;
+    if (!split && active_.size() < static_cast<std::size_t>(n)) {
+      // The next round splits: seed its incremental stability detector
+      // with this round's id multiset (distinct ids == distinct keys: the
+      // interner is injective on the serialized tuple).
+      for (const TypeId id : t_cur_) ++*state_count_.try_emplace(id, 0).first;
+    }
   } else {
     all_active_ = true;
   }
@@ -644,6 +685,7 @@ void RefineState::reset_partitions() {
   root_class_.resize(n);
   root_rep_.clear();
   roots_stable_ = false;
+  state_count_.clear();  // stale: refine_delta rewrote frontier types
   // The worklist tracking is stale too (refine_delta rewrote frontier
   // types without updating changed_/root_body_): force a full round,
   // which re-seeds it.

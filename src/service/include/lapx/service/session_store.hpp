@@ -42,6 +42,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,7 +68,9 @@ namespace lapx::service {
 /// the instance is under the materialization cap (else kTooLarge).
 class GraphEntry {
  public:
-  GraphEntry(graph::Graph g, std::string edge_list, core::TypeId content,
+  /// `text` is g's canonical edge-list text; only its hash is kept (the
+  /// bytes live on in the interner as `content`'s spelling).
+  GraphEntry(graph::Graph g, std::string_view text, core::TypeId content,
              std::uint64_t epoch);
 
   /// Out-of-core backing.  `content` is intern("ooc:" + content_hex) where
@@ -90,7 +93,6 @@ class GraphEntry {
   /// The full adjacency.  Ooc backing: lazily materialized from the file;
   /// throws ServiceError(kTooLarge) above the materialization cap.
   const graph::Graph& graph() const;
-  const std::string& edge_list() const { return edge_list_; }
   core::TypeId content_id() const { return content_id_; }
 
   /// 1 for a fresh binding; previous + 1 after each overwrite or mutate.
@@ -128,7 +130,6 @@ class GraphEntry {
   std::unique_ptr<graph::OocGraph> ooc_;
   std::string source_path_;
   graph::Vertex materialize_max_ = 0;
-  std::string edge_list_;
   core::TypeId content_id_;
   std::uint64_t epoch_;
   std::string content_hex_;

@@ -10,12 +10,8 @@ namespace lapx::service {
 
 namespace {
 
-std::string fnv1a64_hex(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+// 16 lowercase hex digits, most significant first.
+std::string hex16(std::uint64_t h) {
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
     out[static_cast<std::size_t>(i)] = "0123456789abcdef"[h & 0xf];
@@ -26,13 +22,12 @@ std::string fnv1a64_hex(const std::string& text) {
 
 }  // namespace
 
-GraphEntry::GraphEntry(graph::Graph g, std::string edge_list,
+GraphEntry::GraphEntry(graph::Graph g, std::string_view text,
                        core::TypeId content, std::uint64_t epoch)
     : graph_(std::move(g)),
-      edge_list_(std::move(edge_list)),
       content_id_(content),
       epoch_(epoch),
-      content_hex_(fnv1a64_hex(edge_list_)) {}
+      content_hex_(hex16(graph::fnv1a64(text.data(), text.size()))) {}
 
 GraphEntry::GraphEntry(std::unique_ptr<graph::OocGraph> ooc,
                        std::string source_path, core::TypeId content,
@@ -126,10 +121,10 @@ SessionStore::SessionStore(Options opt) : opt_(opt) {
 
 std::shared_ptr<const GraphEntry> SessionStore::put(const std::string& name,
                                                     graph::Graph g) {
-  std::string text = graph::to_edge_list(g);
+  const std::string text = graph::to_edge_list(g);
   const core::TypeId content = core::TypeInterner::global().intern(text);
-  auto entry = std::make_shared<GraphEntry>(std::move(g), std::move(text),
-                                            content, /*epoch=*/1);
+  auto entry =
+      std::make_shared<GraphEntry>(std::move(g), text, content, /*epoch=*/1);
   Displaced displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
   bind_locked(name, entry, displaced);
@@ -143,12 +138,7 @@ std::shared_ptr<const GraphEntry> SessionStore::open_ooc(
   auto ooc = std::make_unique<graph::OocGraph>(path, gopt);  // throws OocError
   // Content identity: the file's payload checksum, re-internable across
   // restarts, namespaced so it can never collide with edge-list text.
-  std::uint64_t checksum = ooc->payload_checksum();
-  std::string hex(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    hex[static_cast<std::size_t>(i)] = "0123456789abcdef"[checksum & 0xf];
-    checksum >>= 4;
-  }
+  std::string hex = hex16(ooc->payload_checksum());
   const core::TypeId content =
       core::TypeInterner::global().intern("ooc:" + hex);
   auto entry = std::make_shared<GraphEntry>(std::move(ooc), path, content,
@@ -192,39 +182,48 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
   // The bound entry's mutate_mu_ serializes the whole read-copy-install
   // sequence, so two concurrent mutates of one name produce consecutive
   // epochs instead of racing to install siblings of the same parent.  A
-  // mutate that waited while the binding moved on retries against the
-  // new entry.  Other sessions never wait, and mu_ itself is only held
-  // for the map operations, never across the clone or the delta.
+  // put/open does not take that lock, so the install re-checks under mu_
+  // that the binding still holds `old`; a mutate whose binding moved on --
+  // while it waited or while it derived -- retries against the new entry.
+  // Other sessions never wait, and mu_ itself is only held for the map
+  // operations, never across the clone or the delta.
   std::shared_ptr<const GraphEntry> old = get(name);
-  std::unique_lock<std::mutex> mlock;  // destroyed before `old`
   while (old != nullptr) {
-    mlock = std::unique_lock<std::mutex>(old->mutate_mu_);
-    std::shared_ptr<const GraphEntry> cur = get(name);
-    if (cur == old) break;
-    mlock.unlock();
-    old = std::move(cur);
+    std::unique_lock<std::mutex> mlock(old->mutate_mu_);
+    if (std::shared_ptr<const GraphEntry> cur = get(name); cur != old) {
+      mlock.unlock();
+      old = std::move(cur);
+      continue;
+    }
+    if (old->is_ooc())
+      throw graph::MutationError(
+          "cannot mutate an out-of-core session; regenerate the file and "
+          "re-open it");
+    graph::Graph g = old->graph();
+    graph::apply_edits(g, edits);  // throws MutationError; binding untouched
+    const std::string text = graph::to_edge_list(g);
+    const core::TypeId content = core::TypeInterner::global().intern(text);
+    const std::uint64_t epoch = old->epoch() + 1;
+    auto entry =
+        std::make_shared<const GraphEntry>(std::move(g), text, content, epoch);
+    entry->fork_refine_from(*old);
+    std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(name);
+    if (it == index_.end()) return nullptr;  // dropped concurrently
+    if (it->second->entry != old) {
+      // A put/open replaced the binding mid-derive: rederive from it.
+      // Unlock before `old` lets go of the entry that owns the mutex.
+      mlock.unlock();
+      displaced = std::exchange(old, it->second->entry);
+      continue;
+    }
+    displaced = std::exchange(it->second->entry, entry);
+    lru_.splice(lru_.begin(), lru_, it->second);
+    ++stats_.mutated;
+    return entry;
   }
-  if (!old) return nullptr;
-  if (old->is_ooc())
-    throw graph::MutationError(
-        "cannot mutate an out-of-core session; regenerate the file and "
-        "re-open it");
-  graph::Graph g = old->graph();
-  graph::apply_edits(g, edits);  // throws MutationError; binding untouched
-  std::string text = graph::to_edge_list(g);
-  const core::TypeId content = core::TypeInterner::global().intern(text);
-  auto entry = std::make_shared<const GraphEntry>(std::move(g),
-                                                  std::move(text), content,
-                                                  old->epoch() + 1);
-  entry->fork_refine_from(*old);
-  std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(name);
-  if (it == index_.end()) return nullptr;  // dropped concurrently
-  displaced = std::exchange(it->second->entry, entry);
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.mutated;
-  return entry;
+  return nullptr;
 }
 
 bool SessionStore::drop(const std::string& name) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "lapx/core/refine.hpp"
@@ -130,6 +131,53 @@ TEST(Refine, ThreadCountIndependentTypeIds) {
   const auto ids8 = bulk_view_type_ids(lift.graph, 3, interner8);
   lapx::runtime::set_thread_count(old_threads);
   EXPECT_EQ(ids1, ids8);
+}
+
+TEST(Refine, RoundWiderThanInitialMapCapacity) {
+  // The round-local id maps start at 64 slots and grow on demand: on a
+  // random 3-regular graph every radius-3 view is distinct, so each round
+  // holds thousands of ids and the maps rehash mid-round several times.
+  std::mt19937_64 rng(1);
+  const LDigraph g =
+      lapx::graph::to_ldigraph(lapx::graph::random_regular(1500, 3, rng));
+  const int old_threads = lapx::runtime::thread_count();
+  for (int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    expect_engine_matches_legacy(g, 3);
+    TypeInterner interner;
+    RefineState refiner(g, interner);
+    EXPECT_EQ(refiner.distinct_at(3), 1500u) << "threads=" << threads;
+  }
+  lapx::runtime::set_thread_count(old_threads);
+}
+
+TEST(Refine, PaddedInternerKeepsTypeIds) {
+  // A state's scratch is sized by the ids its rounds hold, never by the
+  // interner: 200K unrelated keys interned before a state is built change
+  // nothing about the ids it returns -- on the interner the ids already
+  // live in, and (shifted by the padding) on a fresh padded one.
+  std::mt19937_64 rng(5);
+  const LDigraph g =
+      lapx::graph::random_lift(directed_torus({3, 4}), 64, rng).graph;
+  constexpr TypeId kPad = 200000;
+  const auto pad = [](TypeInterner& interner) {
+    for (TypeId i = 0; i < kPad; ++i)
+      interner.intern("pad:" + std::to_string(i));
+  };
+  TypeInterner interner;
+  RefineState before(g, interner);
+  before.types_at(3);
+  pad(interner);
+  RefineState after(g, interner);
+  TypeInterner padded_first;
+  pad(padded_first);
+  RefineState shifted(g, padded_first);
+  for (int r = 0; r <= 3; ++r) {
+    EXPECT_EQ(after.types_at(r), before.types_at(r)) << "radius " << r;
+    std::vector<TypeId> expect = before.types_at(r);
+    for (TypeId& id : expect) id += kPad;
+    EXPECT_EQ(shifted.types_at(r), expect) << "radius " << r;
+  }
 }
 
 TEST(Refine, CompleteViewTypeId) {
@@ -509,6 +557,35 @@ TEST(RefineWorklist, RetirementEngagesOnForest) {
   EXPECT_GT(after.regions + after.inline_regions,
             before.regions + before.inline_regions)
       << "no refinement round ran on the sparse worklist path";
+}
+
+TEST(RefineWorklist, CopyAfterSplitRoundMatchesScratch) {
+  // A fork taken right after a split round must carry the live entries of
+  // the state-id multiset: the copy's next split round patches it, and
+  // stability detection reads its size.
+  const SchedGuard guard;
+  set_refine_scheduling(RefineSched::kWorklist);
+  lapx::runtime::set_thread_count(8);
+  std::mt19937_64 rng(29);
+  const LDigraph g = random_forest(4000, 2, rng);
+  TypeInterner interner;
+  RefineState state(g, interner);
+  state.types_at(2);
+  const auto before = lapx::runtime::worklist_stats();
+  state.types_at(3);
+  const auto after = lapx::runtime::worklist_stats();
+  ASSERT_GT(after.regions + after.inline_regions,
+            before.regions + before.inline_regions)
+      << "round 3 did not run on the split path";
+  ASSERT_FALSE(state.stable());
+  RefineState fork(state);
+  RefineState scratch(g, interner);
+  for (int r = 0; r <= 8; ++r) {
+    EXPECT_EQ(fork.types_at(r), scratch.types_at(r)) << "radius " << r;
+    EXPECT_EQ(fork.distinct_at(r), scratch.distinct_at(r)) << "radius " << r;
+  }
+  EXPECT_EQ(fork.state_classes(), scratch.state_classes());
+  EXPECT_EQ(fork.stable(), scratch.stable());
 }
 
 TEST(RefineWorklist, SchedulingToggleMidStream) {

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -98,6 +100,14 @@ TEST(SessionStore, MutateAdvancesEpochAndRoundTripsContent) {
   // Content addressing is stable: undoing the edit restores the hash.
   EXPECT_EQ(v3->content_hex(), original);
   EXPECT_EQ(store.stats().mutated, 2u);
+}
+
+TEST(SessionStore, ContentHexIsPinned) {
+  // FNV-1a 64 of the canonical edge-list text, 16 lowercase hex digits:
+  // responses surface it, so the format must never drift.
+  SessionStore store;
+  EXPECT_EQ(store.put("g", lapx::graph::torus({4, 4}))->content_hex(),
+            "91873099f584ee33");
 }
 
 TEST(SessionStore, MutateForksRefineStateWithExactIds) {
@@ -224,6 +234,59 @@ TEST(SessionStore, ConcurrentMutatesOfOneNameGetConsecutiveEpochs) {
   // Every writer ended on a remove, so the final epoch is the torus again.
   EXPECT_EQ(store.get("g")->graph().num_edges(), 32u);
   EXPECT_EQ(store.get("g")->epoch(), 1 + all.size());
+}
+
+TEST(SessionStore, PutDuringMutateIsNotLost) {
+  // A put that lands while a mutate of the same name derives its next
+  // epoch must survive: the mutate re-checks the binding at install and
+  // rederives from the put's entry (or fails with MutationError when its
+  // batch is invalid there).  A 9000-vertex lift with materialized
+  // radius-3 views makes every derive -- graph copy, edge-list text,
+  // state fork and delta -- take milliseconds, so puts land inside that
+  // window.  Every successful call must own its own epoch: exactly 1..N.
+  SessionStore store;
+  const lapx::graph::Graph lift = lapx::graph::lifted_torus(3, 3, 1000, 1);
+  const auto [u, v] = lift.edges().front();
+  constexpr int kPuts = 12;
+  std::mutex epochs_mu;
+  std::vector<std::uint64_t> epochs;
+  const auto record = [&](std::uint64_t epoch) {
+    std::lock_guard<std::mutex> lock(epochs_mu);
+    epochs.push_back(epoch);
+  };
+  const auto first = store.put("g", lift);
+  first->view_types(3);
+  record(first->epoch());
+  std::atomic<bool> done{false};
+  std::thread putter([&] {
+    for (int i = 0; i < kPuts; ++i) {
+      const auto e = store.put("g", lift);
+      e->view_types(3);
+      record(e->epoch());
+    }
+    done.store(true);
+  });
+  std::thread mutator([&] {
+    const std::vector<EdgeEdit> cut{{EdgeEdit::Kind::kRemove, u, v}};
+    const std::vector<EdgeEdit> heal{{EdgeEdit::Kind::kAdd, u, v}};
+    for (int i = 0; !done.load(); ++i) {
+      try {
+        const auto e = store.mutate("g", i % 2 == 0 ? cut : heal);
+        ASSERT_NE(e, nullptr);
+        record(e->epoch());
+      } catch (const lapx::graph::MutationError&) {
+        // A put restored the edge this heal adds: the batch is invalid
+        // on the new binding.
+      }
+    }
+  });
+  putter.join();
+  mutator.join();
+  std::sort(epochs.begin(), epochs.end());
+  std::vector<std::uint64_t> expected(epochs.size());
+  std::iota(expected.begin(), expected.end(), std::uint64_t{1});
+  EXPECT_EQ(epochs, expected) << "an epoch was issued twice or skipped";
+  EXPECT_EQ(store.get("g")->epoch(), epochs.size());
 }
 
 TEST(SessionStore, ConcurrentOverwriteDropAndEvictionBesideReaders) {
