@@ -142,16 +142,13 @@ void print_tables() {
   // stream from the mmap'd file under eviction pressure.  Fresh interner
   // per run; equality is id-for-id, not just as partitions.
   phase("refine-streaming-sched-parity");
-  const auto old_sched = lapx::core::refine_scheduling();
-  lapx::core::set_refine_scheduling(lapx::core::RefineSched::kLegacy);
   TypeInterner li;
   RefineState legacy_sched(g, li);
+  lapx::core::RefineTestPeer::set_all_active(legacy_sched, true);
   const std::vector<TypeId> legacy_ids = legacy_sched.types_at(kRadius);
-  lapx::core::set_refine_scheduling(lapx::core::RefineSched::kWorklist);
   TypeInterner wi;
   RefineState worklist_sched(g, wi);
   const std::vector<TypeId> worklist_ids = worklist_sched.types_at(kRadius);
-  lapx::core::set_refine_scheduling(old_sched);
   check(legacy_ids == worklist_ids,
         "worklist and dense scheduling agree id-for-id on the streaming "
         "path");

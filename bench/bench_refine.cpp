@@ -193,13 +193,18 @@ void print_worklist_table() {
   const graph::LDigraph g = stabilizing_forest();
   constexpr int kR = 48;
   const int old_threads = lapx::runtime::thread_count();
-  const auto old_sched = core::refine_scheduling();
+  // Radius-kR ids; all_active pins every round to the dense reference (no
+  // retirement).
+  const auto ids = [&](core::TypeInterner& interner, bool all_active) {
+    core::RefineState state(g, interner);
+    core::RefineTestPeer::set_all_active(state, all_active);
+    return state.types_at(kR);
+  };
 
   // Reference ids: dense schedule, one thread.
-  core::set_refine_scheduling(core::RefineSched::kLegacy);
   lapx::runtime::set_thread_count(1);
   core::TypeInterner ref_interner;
-  const auto ref_ids = core::bulk_view_type_ids(g, kR, ref_interner);
+  const auto ref_ids = ids(ref_interner, true);
 
   bench::print_row(
       {"threads", "legacy s", "worklist s", "speedup", "ids identical"});
@@ -209,16 +214,14 @@ void print_worklist_table() {
   for (const int threads : {1, 2, 4, 8, 16}) {
     lapx::runtime::set_thread_count(threads);
     bench::phase("worklist_sweep_legacy");
-    core::set_refine_scheduling(core::RefineSched::kLegacy);
     core::TypeInterner li;
     auto t0 = std::chrono::steady_clock::now();
-    const auto legacy_ids = core::bulk_view_type_ids(g, kR, li);
+    const auto legacy_ids = ids(li, true);
     const double legacy_s = seconds_since(t0);
     bench::phase("worklist_sweep_worklist");
-    core::set_refine_scheduling(core::RefineSched::kWorklist);
     core::TypeInterner wi;
     t0 = std::chrono::steady_clock::now();
-    const auto worklist_ids = core::bulk_view_type_ids(g, kR, wi);
+    const auto worklist_ids = ids(wi, false);
     const double worklist_s = seconds_since(t0);
     // Raw TypeId equality (not just partitions): the retirement fast path
     // must intern in the identical allocation order.
@@ -232,7 +235,6 @@ void print_worklist_table() {
          bench::fmt(worklist_s > 0 ? legacy_s / worklist_s : 0.0, 2) + "x",
          identical ? "yes" : "NO"});
   }
-  core::set_refine_scheduling(old_sched);
   lapx::runtime::set_thread_count(old_threads);
 
   auto sorted = ref_ids;

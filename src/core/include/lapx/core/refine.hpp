@@ -23,40 +23,38 @@
 // ViewTree path stays as the debug/witness implementation and the oracle
 // refine_test cross-validates against.
 //
-// Determinism (DESIGN.md "Sharded interner & batched id assignment"): each
-// round runs the interner's two-phase batch pattern.  Phase A resolves the
-// round's edge nodes, root bodies, and state tuples with lock-free
-// try_intern_node probes on the deterministic parallel pool (per-index
-// slots only; kNoType marks a miss).  Phase B walks vertices serially in
-// index order and interns exactly the unresolved tuples -- a probe can only
-// resolve a type that is already present, so every intern Phase B skips
-// would have been a hit, and freshly allocated TypeIds land in the same
-// order a fully serial pass would produce: they depend only on the graph,
-// never on LAPX_THREADS or LAPX_INTERN_SHARDS.  Round-local deduplication
-// rides on the ids themselves (the interner is injective on the serialized
-// tuple), via stamped open-addressed id -> class maps sized by the ids a
-// round holds, never by the interner.
+// The round kernel (DESIGN.md "Round kernel").  T_i[s] depends only on the
+// signature of s's vertex and the T_{i-1} values of its neighbours' states,
+// so a round recomputes only its ACTIVE vertices; every other span keeps a
+// retained value.  Going forward the retained value is T_{i-1} itself (a
+// vertex none of whose neighbours changed last round reproduces its tuples
+// bitwise) and the next round's active set is the neighbours of the
+// vertices that changed; the first round, and every round with all
+// vertices active, is the full recurrence.  A delta (refine_delta) is the
+// same rounds 1..r replayed against the tables kept before a graph edit:
+// the active set starts at the dirty (signature-changed) vertices and adds
+// each round the neighbours of any vertex whose T_i differs from the kept
+// one, so the frontier stops where types stop changing.
+//
+// Determinism: each round runs the interner's two-phase batch pattern.
+// Phase A resolves the active spans' edge nodes, root bodies and state
+// tuples with lock-free try_intern_node probes on the parallel pool
+// (per-index slots only; kNoType marks a miss).  Phase B walks vertices in
+// index order and interns exactly the unresolved tuples: a probe resolves
+// only types already present, and a retired span's tuples were interned
+// when it was last active, so fresh TypeIds land in the order a fully
+// serial pass would produce -- they depend only on the graph (and, for a
+// delta, on the kept state), never on LAPX_THREADS or LAPX_INTERN_SHARDS.
+// Round-local deduplication rides on the ids themselves (the interner is
+// injective on the serialized tuple), via open-addressed id maps sized by
+// the ids a round holds, never by the interner.
 //
 // Refinement is monotone: equal round-i trees truncate to equal round-(i-1)
 // trees, so the state partition only ever splits.  When a round leaves the
-// number of classes unchanged the partition is stable forever (the next
-// partition is a function of the current one), and later rounds intern one
-// tuple per class from a representative instead of deduplicating all
-// states.  High-girth and Cayley graphs stabilize after ~girth rounds, so
-// deep radii cost O(classes * k) per round.
-//
-// Incremental delta-refinement (DESIGN.md "Delta-refinement"): a state
-// constructed with keep_rounds retains every round's state table, and
-// refine_delta(g') replays the recurrence after a graph edit touching only
-// the radius-i ball around the structurally-changed vertices at round i.
-// Soundness rides on locality: T_i[s] is a function of the (move, succ)
-// signature of s's vertex and the T_{i-1} values of its neighbors, so a
-// vertex whose signature is unchanged and whose distance from every changed
-// vertex exceeds i - 1 keeps its exact TypeId.  Identity of the recomputed
-// ids with a from-scratch refine is free: intern_node is hash-consed, so
-// equal structure means equal id within one interner, and the frontier pass
-// runs serially in vertex order, keeping fresh ids thread-count-independent
-// just like the rendezvous pass.
+// number of classes unchanged the partition is stable forever, and later
+// rounds intern one tuple per class from a representative.  High-girth and
+// Cayley graphs stabilize after ~girth rounds, so deep radii cost
+// O(classes * k) per round.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,25 +69,6 @@
 #include "lapx/graph/ooc.hpp"
 
 namespace lapx::core {
-
-/// Round scheduling for RefineState::advance.
-///
-/// kWorklist (the default) adds the active-vertex worklist on top of the
-/// rendezvous rounds: a vertex whose in-neighbourhood produced no new state
-/// type is RETIRED -- its tuples are bitwise those of the previous round,
-/// so its types are re-derived from cached ids without key building or
-/// interning -- and it re-enqueues only when a neighbour's state changes.
-/// The sparse active set is scheduled with the work-stealing worklist
-/// (runtime/worklist.hpp).  kLegacy keeps the seed behaviour: every
-/// vertex, every round, dense parallel_for chunks.  Both modes produce
-/// IDENTICAL TypeIds in identical allocation order (the retired fast path
-/// only skips interner calls that are provably cache hits), which
-/// refine_test cross-validates; the toggle exists for that validation and
-/// for the E17 scheduling bench.  Initial value comes from
-/// LAPX_REFINE_SCHED ("worklist" | "legacy"; default worklist).
-enum class RefineSched { kLegacy, kWorklist };
-RefineSched refine_scheduling();
-void set_refine_scheduling(RefineSched s);
 
 /// Persistent whole-graph view typing: advances radius by radius, keeping
 /// the root types of every radius computed so far, and (with keep_rounds)
@@ -136,25 +115,30 @@ class RefineState {
   /// deterministic response -- frontier sizes depend on the computed
   /// radius, which depends on query history).
   struct DeltaStats {
-    std::size_t dirty_vertices = 0;     ///< signature-changed seed set
-    std::size_t frontier_vertices = 0;  ///< ball around the seed at the last round
+    std::size_t dirty_vertices = 0;  ///< signature-changed seed set
+    /// Active set of the last replayed round (0 when none replays).
+    std::size_t frontier_vertices = 0;
     std::size_t total_vertices = 0;
-    int rounds = 0;
+    int rounds = 0;             ///< rounds replayed (the computed radius)
     bool full_rebuild = false;  ///< shrunk graph: state rebuilt from scratch
   };
 
-  /// Re-binds the state to `g` (the edited graph) and re-refines only the
-  /// edit frontier: round i recomputes the states and roots of vertices
-  /// within distance i - 1 of a vertex whose incident-arc signature
-  /// changed.  After the call, types_at(r) for every previously computed r
-  /// equals what a from-scratch RefineState(g).types_at(r) would return --
-  /// identical TypeIds, same interner.  Requires keep_rounds; `g` must
+  /// Re-binds the state to `g` (the edited graph) and replays rounds
+  /// 1..radius() through the round kernel against the kept tables: round
+  /// i recomputes the dirty vertices (incident-arc signature changed) and
+  /// the neighbours of every vertex whose round-(i-1) states differ from
+  /// the kept ones; every other span keeps its kept value.  After the
+  /// call, types_at(r) for every previously computed r equals what a
+  /// from-scratch RefineState(g).types_at(r) would return -- identical
+  /// TypeIds, same interner.  Requires keep_rounds; `g` must
   /// outlive the state (or the next refine_delta).  Vertex ids must be
   /// stable across the edit (append-only growth is fine; shrinking falls
   /// back to a full rebuild).
   DeltaStats refine_delta(const LDigraph& g);
 
  private:
+  friend struct RefineTestPeer;
+
   // Open-addressed TypeId -> u32 map for the rounds' bookkeeping.  Sized
   // by the keys it holds -- a daemon's interner only ever grows, so
   // nothing here may scale with interner.size().  A slot is live iff its
@@ -198,9 +182,23 @@ class RefineState {
 
   void build_steps();  // CSR over *g_'s non-backtracking steps
   void fill_vertex_steps(graph::Vertex v);  // one vertex's span of the CSR
-  void init_round0();  // shared radius-0 setup for both constructors
-  void advance();      // one synchronous round: radius() + 1
-  void reset_partitions();  // conservative: next advance() re-deduplicates
+  void init_round0();  // (re)start at radius 0: constructors, refine_delta
+  void advance();      // one forward round: radius() + 1
+  // The round kernel: rewrites the active spans of `out` (T_radius) from
+  // `in` (T_{radius-1}) and their roots in `roots`, and lists in changed_
+  // the active vertices whose span differs from the kept values
+  // base[base_off[v] + k] (kNone: none kept).  A forward round types
+  // every root and returns the distinct count; a replay (refine_delta)
+  // types only the active roots.
+  std::size_t run_round(int radius, const TypeId* in, TypeId* out,
+                        const TypeId* base,
+                        std::span<const std::uint32_t> base_off,
+                        std::vector<TypeId>& roots, bool replay);
+  // The next round's active set: `seed` plus the neighbours of changed_.
+  void schedule(std::span<const std::uint32_t> seed);
+  // f(v) for every active vertex v, in ascending order.
+  template <typename F>
+  void for_active(const F& f) const;
 
   // The step CSR the rounds iterate: the owned vectors below, or (in
   // streaming mode) the ooc file's mmap'd segments.  advance() takes these
@@ -219,10 +217,6 @@ class RefineState {
   std::span<const std::uint64_t> tag_span() const {
     return ooc_ ? ooc_->step_edge_tag()
                 : std::span<const std::uint64_t>(step_edge_tag_);
-  }
-  std::span<const std::uint32_t> move_span() const {
-    return ooc_ ? ooc_->step_move_bits()
-                : std::span<const std::uint32_t>(step_move_bits_);
   }
   void touch_steps(std::uint32_t lo, std::uint32_t hi) const {
     if (ooc_) ooc_->touch_steps(lo, hi);
@@ -286,31 +280,27 @@ class RefineState {
   // Only with keep_rounds: round_states_[i][s] = T_i[s], i = 0..radius().
   std::vector<std::vector<TypeId>> round_states_;
 
-  // Active-vertex worklist state (kWorklist scheduling; see DESIGN.md,
-  // "Work-stealing worklist & retirement").  A vertex is active in round i
-  // iff some neighbour had a state change in round i-1; retired vertices
-  // keep bitwise-identical entries, so their round-i types equal their
-  // round-(i-1) types (states) resp. re-wrap an unchanged body under the
-  // new radius tag (roots).  all_active_ marks rounds where the tracking
-  // is not yet seeded (round 1, after refine_delta / reset_partitions):
-  // those run the full dense pass, which also (re)seeds the tracking.
-  std::vector<std::uint32_t> active_;  // sorted vertices to recompute
-  std::vector<char> active_flag_;      // O(1) membership for split passes
-  std::vector<char> changed_;          // any state of v changed this round
-  std::vector<TypeId> root_body_;      // per vertex: root tuple body id
+  // Round scheduling.  active_ lists the next round's vertices in
+  // ascending order unless all_active_, which holds while the tracking is
+  // unseeded (round 1, after refine_delta) and once the partition is
+  // stable.  all_active_only_ keeps every round all-active: the dense
+  // reference the retirement is checked against (RefineTestPeer).
+  std::vector<std::uint32_t> active_;
+  std::vector<std::uint64_t> active_bits_;  // schedule()'s scratch
+  std::vector<std::uint32_t> changed_;      // this round's changed vertices
+  std::vector<TypeId> root_body_;           // per vertex: root tuple body id
   bool all_active_ = true;
+  bool all_active_only_ = false;
 
   // Round-local id maps, empty between rounds (so a fork copies nothing
-  // of them).  The root pass maps each distinct body id to its class
-  // (dense) or straight to this round's root id (split: one probe per
-  // retired vertex), and the state pass labels state ids the same way.
+  // of them): the root pass maps each distinct body id to its class, and
+  // the stable labelling maps each state id to its class.
   IdMap body_map_;
   IdMap state_map_;
-  // Split-round stability detection: the multiset of the current state
-  // ids (id -> multiplicity, zero counts erased, so size() is the class
-  // count), patched only at changed steps -- O(active) instead of
-  // O(steps).  Seeded by a dense track round whose successor will split;
-  // empty whenever no split round can follow.
+  // Stability detection: the multiset of the current state ids (id ->
+  // multiplicity, zero counts erased, so size() is the class count).  A
+  // full round recounts it; a partial round patches it at changed steps,
+  // O(active) instead of O(steps).  Empty whenever the next round is full.
   IdMap state_count_;
 
   // refine_delta scratch: the retired CSR + round tables of the previous
@@ -321,6 +311,16 @@ class RefineState {
       scratch_nbr_, scratch_move_;
   std::vector<std::uint64_t> scratch_tag_;
   std::vector<std::vector<TypeId>> scratch_rounds_;
+};
+
+/// Test-only peer: while on, every round of `state` runs with all
+/// vertices active -- the dense reference that refine_test and the E17b
+/// and E20 benches check the retiring rounds against, id for id.
+struct RefineTestPeer {
+  static void set_all_active(RefineState& state, bool on) {
+    state.all_active_only_ = on;
+    state.all_active_ = true;  // a full round is always sound
+  }
 };
 
 /// One-shot convenience: radius-r root types for every vertex.

@@ -1,12 +1,9 @@
 #include "lapx/core/refine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "lapx/runtime/parallel.hpp"
@@ -16,25 +13,15 @@ namespace lapx::core {
 
 namespace {
 
-RefineSched initial_sched() {
-  if (const char* s = std::getenv("LAPX_REFINE_SCHED")) {
-    const std::string_view v(s);
-    if (v == "legacy") return RefineSched::kLegacy;
-    if (v == "worklist") return RefineSched::kWorklist;
-    std::fprintf(stderr,
-                 "lapx: ignoring unknown LAPX_REFINE_SCHED=\"%s\" (expected "
-                 "\"worklist\" or \"legacy\"); using worklist\n",
-                 s);
-  }
-  return RefineSched::kWorklist;
-}
-
-std::atomic<RefineSched> g_refine_sched{initial_sched()};
-
 // root_distinct_ sentinel: refine_delta defers the per-round distinct-root
 // count to the first distinct_at call (counting is O(n log n), the delta
 // itself only O(frontier)).
 constexpr std::size_t kDistinctUnknown = static_cast<std::size_t>(-1);
+
+// "None" for a step index or offset: in base_off, a span with no kept
+// counterpart (its step layout changed, or it is new), which therefore
+// always counts as changed; as a skipped step, none.
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
 // Index of the step (v, move{outgoing, label}) inside its vertex's span.
 std::uint32_t step_index_of(const graph::LDigraph& g, graph::Vertex v,
@@ -52,14 +39,6 @@ std::uint32_t step_index_of(const graph::LDigraph& g, graph::Vertex v,
 }
 
 }  // namespace
-
-RefineSched refine_scheduling() {
-  return g_refine_sched.load(std::memory_order_relaxed);
-}
-
-void set_refine_scheduling(RefineSched s) {
-  g_refine_sched.store(s, std::memory_order_relaxed);
-}
 
 // The ooc writer persists edge tags computed in graph/ (which cannot see
 // this header); the duplicated constant must stay bit-identical or
@@ -217,28 +196,97 @@ RefineState::RefineState(const graph::OocGraph& g, TypeInterner& interner)
 void RefineState::init_round0() {
   const std::size_t steps = off_span()[static_cast<std::size_t>(n_)];
 
-  // Round 0: every state is the empty node -- one class.
+  // Round 0: every state is the empty node -- one class.  The partition
+  // and the edge memo start over (refine_delta restarts here too).
   const TypeId empty = interner_->intern_node(type_tag::kViewNode, nullptr, 0);
   t_prev_.assign(steps, empty);
   t_cur_.resize(steps);
   edge_ids_.resize(steps);
   edge_sub_.assign(steps, kNoType);
-  state_class_.assign(steps, 0);
-  state_rep_.assign(steps ? 1 : 0, 0);
+  state_class_.resize(steps);
   state_distinct_ = steps ? 1 : 0;
+  states_stable_ = roots_stable_ = false;
+  state_count_.clear();
 
   // Radius 0: every vertex has the same single-node view.
   const TypeId root0 =
       interner_->intern_node(type_tag::kViewRoot | 0u, &empty, 1);
-  roots_.emplace_back(static_cast<std::size_t>(n_), root0);
-  root_distinct_.push_back(n_ ? 1 : 0);
-  root_class_.assign(static_cast<std::size_t>(n_), 0);
-  root_rep_.assign(n_ ? 1 : 0, 0);
-  all_active_ = true;  // worklist tracking seeds itself on the first round
-  if (keep_rounds_) round_states_.push_back(t_prev_);
+  roots_.resize(1);
+  roots_[0].assign(static_cast<std::size_t>(n_), root0);
+  root_distinct_.assign(1, n_ ? 1 : 0);
+  root_class_.resize(static_cast<std::size_t>(n_));
+  all_active_ = true;  // the tracking seeds itself on the first round
+  if (keep_rounds_) round_states_.assign(1, t_prev_);
 }
 
 void RefineState::advance() {
+  const bool states_were_stable = states_stable_;
+  // Retired spans carry last round's values; the kernel rewrites the rest.
+  if (!all_active_) std::copy(t_prev_.begin(), t_prev_.end(), t_cur_.begin());
+  std::vector<TypeId> roots(static_cast<std::size_t>(n_));
+  root_distinct_.push_back(run_round(radius() + 1, t_prev_.data(),
+                                     t_cur_.data(), t_prev_.data(),
+                                     off_span(), roots, /*replay=*/false));
+  roots_.push_back(std::move(roots));
+
+  if (!states_were_stable) {
+    // Equal class count + monotone refinement => identical partition, which
+    // is then a fixed point of the splitting step: stable forever.  Distinct
+    // tuples <=> distinct ids (the interner is injective on the serialized
+    // tuple), so the class count is the size of the id multiset.
+    const std::span<const std::uint32_t> step_off = off_span();
+    if (all_active_) {
+      state_count_.clear();
+      for (const TypeId id : t_cur_) ++*state_count_.try_emplace(id, 0).first;
+    } else {
+      for (const std::uint32_t v : changed_)
+        for (std::uint32_t s = step_off[v]; s < step_off[v + 1]; ++s) {
+          if (t_cur_[s] == t_prev_[s]) continue;
+          if (--*state_count_.find(t_prev_[s]) == 0)
+            state_count_.erase(t_prev_[s]);
+          ++*state_count_.try_emplace(t_cur_[s], 0).first;
+        }
+    }
+    states_stable_ = state_count_.size() == state_distinct_;
+    state_distinct_ = state_count_.size();
+    if (states_stable_) {
+      // The per-class path takes over next round; label the states once,
+      // by first occurrence per id in step order.
+      state_rep_.clear();
+      for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(t_cur_.size());
+           ++s) {
+        const auto [cls, fresh] = state_map_.try_emplace(
+            t_cur_[s], static_cast<std::uint32_t>(state_rep_.size()));
+        if (fresh) state_rep_.push_back(s);
+        state_class_[s] = *cls;
+      }
+      state_map_.clear();
+    }
+  }
+  // Once the partition is stable the per-class paths own every round.
+  if (states_stable_ || all_active_only_)
+    all_active_ = true;
+  else
+    schedule({});
+  if (all_active_) state_count_.clear();  // a full round recounts
+
+  t_prev_.swap(t_cur_);
+  if (keep_rounds_) round_states_.push_back(t_prev_);
+}
+
+template <typename F>
+void RefineState::for_active(const F& f) const {
+  if (all_active_) {
+    for (Vertex v = 0; v < n_; ++v) f(v);
+  } else {
+    for (const std::uint32_t v : active_) f(static_cast<Vertex>(v));
+  }
+}
+
+std::size_t RefineState::run_round(int radius, const TypeId* in, TypeId* out,
+                                   const TypeId* base,
+                                   std::span<const std::uint32_t> base_off,
+                                   std::vector<TypeId>& roots, bool replay) {
   TypeInterner& interner = *interner_;
   const Vertex n = n_;
   // One code path for both modes: locals over the owned vectors or over
@@ -248,34 +296,19 @@ void RefineState::advance() {
   const std::span<const std::uint32_t> step_vertex = vertex_span();
   const std::span<const std::uint32_t> step_succ = succ_span();
   const std::span<const std::uint64_t> step_edge_tag = tag_span();
-  const int next_radius = radius() + 1;
   const std::uint64_t root_tag =
-      type_tag::kViewRoot | static_cast<std::uint32_t>(next_radius);
-  // track: maintain the active-vertex worklist (kWorklist scheduling).
-  // split: this round actually runs it -- the tracking was seeded by a
-  // previous full round and at least one vertex retired.  The retirement
-  // invariant: a retired vertex had no neighbour state change last round,
-  // so its round tuples are bitwise the previous round's and its types
-  // re-derive from cached ids.  The fast paths below skip only interner
-  // calls that are provably cache hits (the structures were interned when
-  // the tuple was first produced), so the interner's allocation ORDER --
-  // and with it every TypeId -- is identical to the dense pass;
-  // refine_test cross-validates this.
-  const bool track = refine_scheduling() == RefineSched::kWorklist;
-  const bool split = track && !states_stable_ && !all_active_ &&
-                     active_.size() < static_cast<std::size_t>(n);
+      type_tag::kViewRoot | static_cast<std::uint32_t>(radius);
 
   // --- Phase A: lock-free batch resolution (the worker half of the
   // interner's two-phase pattern).  Every edge node, root body, and state
-  // tuple of the round is probed with try_intern_node -- no locks, no
+  // tuple of an active span is probed with try_intern_node -- no locks, no
   // inserts -- and per-index slots record the id, or kNoType on a miss.  A
   // probe can only resolve a type that is already interned, so every call
   // Phase B then skips would have been a hit: the serial section below
   // interns novel types only, in exactly the order a fully serial pass
   // would, keeping TypeIds independent of LAPX_THREADS and
-  // LAPX_INTERN_SHARDS.  Split rounds resolve only active spans
-  // (work-stealing: the active set is sparse and irregular); retired spans
-  // re-derive from cached ids and are never probed.
+  // LAPX_INTERN_SHARDS.  A sparse active set is work-stolen (its per-item
+  // cost is irregular); a full round is a dense parallel_for.
   const bool need_states = !states_stable_;
   const bool need_roots = !roots_stable_;
   if (need_roots) root_body_.resize(static_cast<std::size_t>(n));
@@ -287,7 +320,7 @@ void RefineState::advance() {
       std::uint32_t changed = 0, last_changed = 0;
       bool probed = false;
       for (std::uint32_t j = lo; j < hi; ++j) {
-        const TypeId sub = t_prev_[step_succ[j]];
+        const TypeId sub = in[step_succ[j]];
         TypeId e = edge_ids_[j];
         if (edge_sub_[j] != sub || e == kNoType) {
           // Memo miss: the successor state changed since this span's last
@@ -335,7 +368,7 @@ void RefineState::advance() {
         // span was last visited).
         if (unresolved > (last == s ? 1u : 0u) ||
             changed > (last_changed == s ? 1u : 0u)) {
-          t_cur_[s] = kNoType;
+          out[s] = kNoType;
           continue;
         }
         tuple.resize(hi - lo - 1);
@@ -343,36 +376,31 @@ void RefineState::advance() {
                   tuple.begin());
         std::copy(edge_ids_.begin() + s + 1, edge_ids_.begin() + hi,
                   tuple.begin() + (s - lo));
-        t_cur_[s] = interner.try_intern_node(type_tag::kViewNode,
-                                             tuple.data(), tuple.size());
+        out[s] = interner.try_intern_node(type_tag::kViewNode, tuple.data(),
+                                          tuple.size());
       }
     };
-    if (split) {
-      runtime::for_each_index(active_,
-                              [&](std::uint32_t v) { resolve_span(v); });
-    } else {
+    if (all_active_) {
       runtime::parallel_for(
           n, [&](std::int64_t vi) { resolve_span(static_cast<Vertex>(vi)); });
+    } else {
+      runtime::for_each_index(active_,
+                              [&](std::uint32_t v) { resolve_span(v); });
     }
-  }
 
-  // --- Phase B round-local dedup (see BatchEntry in the header).  Every
-  // serial intern below goes through batch_intern, which pays the real
-  // interner once per *distinct* (tag, children) key this round;
+    // Phase B round-local dedup (see BatchEntry in the header).
+    batch_entries_.clear();
+    batch_arena_.clear();
+    batch_slots_.assign(std::max<std::size_t>(batch_slots_.size(), 1024), 0);
+  }
+  // Every serial intern below goes through batch_intern, which pays the
+  // real interner once per *distinct* (tag, children) key this round;
   // duplicates -- symmetric regions refine in lockstep, so novel tuples
   // arrive in large duplicate clusters -- verify against the arena copy
   // by id compare, with no hash-cons probe and no spelling access.  A
   // local hit is provably an interner hit (its first occurrence was
   // interned earlier the same round), so the skipped calls cannot
   // perturb id allocation order.
-  if (need_states || need_roots) {
-    batch_entries_.clear();
-    batch_arena_.clear();
-    if (batch_slots_.size() < 1024)
-      batch_slots_.assign(1024, 0);
-    else
-      std::fill(batch_slots_.begin(), batch_slots_.end(), 0);
-  }
   const auto batch_intern = [&](std::uint64_t tag, const TypeId* ch,
                                 std::size_t len) {
     std::uint64_t h = tag * 0x9E3779B97F4A7C15ull + len;
@@ -411,247 +439,144 @@ void RefineState::advance() {
     return id;
   };
 
-  // --- Phase B helper: serially intern an unresolved span -- edge nodes
-  // in step order, then the body tuple -- exactly the calls the serial
-  // rendezvous pass always made at a first occurrence.
+  // Phase B helper: serially intern an unresolved span -- edge nodes in
+  // step order, then the body tuple -- exactly the calls the serial pass
+  // always made at a first occurrence.
   const auto intern_body = [&](Vertex v) {
     const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
     touch_steps(lo, hi);
     for (std::uint32_t j = lo; j < hi; ++j) {
-      const TypeId sub = t_prev_[step_succ[j]];
+      const TypeId sub = in[step_succ[j]];
       edge_ids_[j] = batch_intern(step_edge_tag[j], &sub, 1);
       edge_sub_[j] = sub;
     }
     return batch_intern(type_tag::kViewNode, edge_ids_.data() + lo, hi - lo);
   };
 
+  // Stable per-class path: intern the node over v's steps, `skip`
+  // excluded, from a class representative.
   std::vector<TypeId> tmp_edges;
+  const auto intern_rep = [&](Vertex v, std::uint32_t skip) {
+    touch_steps(step_off[v], step_off[v + 1]);
+    tmp_edges.clear();
+    for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j) {
+      if (j == skip) continue;
+      const TypeId sub = in[step_succ[j]];
+      tmp_edges.push_back(interner.intern_node(step_edge_tag[j], &sub, 1));
+    }
+    return interner.intern_node(type_tag::kViewNode, tmp_edges.data(),
+                                tmp_edges.size());
+  };
 
-  // --- Roots at next_radius: the tuple over ALL steps of v. ---
-  std::vector<TypeId> roots(static_cast<std::size_t>(n));
-  std::size_t root_distinct;
+  // --- Roots at `radius`: the tuple over ALL steps of v. ---
+  std::vector<TypeId> class_type;  // root id per class
   if (roots_stable_) {
     // The root partition stopped changing; intern one tuple per class from
     // its representative and scatter by the recorded labels.
-    std::vector<TypeId> class_type(root_rep_.size());
-    for (std::size_t c = 0; c < root_rep_.size(); ++c) {
-      const Vertex v = static_cast<Vertex>(root_rep_[c]);
-      touch_steps(step_off[v], step_off[v + 1]);
-      tmp_edges.clear();
-      for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j) {
-        const TypeId sub = t_prev_[step_succ[j]];
-        tmp_edges.push_back(interner.intern_node(step_edge_tag[j], &sub, 1));
-      }
-      const TypeId body = interner.intern_node(
-          type_tag::kViewNode, tmp_edges.data(), tmp_edges.size());
-      class_type[c] = interner.intern_node(root_tag, &body, 1);
+    for (const std::uint32_t v : root_rep_) {
+      const TypeId body = intern_rep(static_cast<Vertex>(v), kNone);
+      class_type.push_back(interner.intern_node(root_tag, &body, 1));
     }
     runtime::parallel_for(n, [&](std::int64_t v) {
       roots[static_cast<std::size_t>(v)] =
           class_type[root_class_[static_cast<std::size_t>(v)]];
     });
-    root_distinct = root_rep_.size();
-  } else if (split) {
-    // Retirement pass.  The interner is injective on the serialized body
-    // tuple, so equal bodies <=> equal ids, and the round's body -> root
-    // map dedups retired and active vertices alike; the fresh allocations
-    // this round are exactly one root node per distinct body, at the
-    // first vertex (in order) producing that body -- the positions the
-    // dense pass would intern at.  A retired vertex reuses its cached body
-    // and pays one map probe.  root_class_/root_rep_ are NOT maintained
-    // here: the per-class path is gated on roots_stable_, which a later
-    // dense round (re)establishes along with the tables.
-    const auto root_of = [&](TypeId body) {
-      const auto [root, fresh] = body_map_.try_emplace(body, 0);
-      if (fresh) *root = interner.intern_node(root_tag, &body, 1);
-      return *root;
-    };
-    for (Vertex v = 0; v < n; ++v) {
-      if (!active_flag_[static_cast<std::size_t>(v)]) {
-        roots[static_cast<std::size_t>(v)] =
-            root_of(root_body_[static_cast<std::size_t>(v)]);
-        continue;
-      }
-      TypeId body = root_body_[static_cast<std::size_t>(v)];
-      if (body == kNoType)
-        root_body_[static_cast<std::size_t>(v)] = body = intern_body(v);
-      roots[static_cast<std::size_t>(v)] = root_of(body);
-    }
-    root_distinct = body_map_.size();
-    body_map_.clear();
-    roots_stable_ = false;  // split requires !states_stable_
   } else {
-    // Dense pass: one serial walk in vertex order; Phase A already
-    // resolved every body that was interned before this round, so the
-    // rebuilds below cover novel bodies (and vertices racing them to the
-    // same novel body, whose rebuilt calls all hit).  Class labels ride on
-    // body ids through the round's body -> class map.
-    root_rep_.clear();
-    std::vector<TypeId> class_type;
-    for (Vertex v = 0; v < n; ++v) {
-      TypeId body = root_body_[static_cast<std::size_t>(v)];
-      if (body == kNoType)
-        root_body_[static_cast<std::size_t>(v)] = body = intern_body(v);
+    // One serial walk in vertex order.  The interner is injective on the
+    // serialized body tuple, so equal bodies <=> equal ids, and the round's
+    // body -> class map dedups active and retired vertices alike: the fresh
+    // allocations are one root node per distinct body, at the first vertex
+    // producing it.  A retired vertex re-wraps its cached body (its tuples
+    // are bitwise last round's).  Once the states are stable the root
+    // partition cannot change either: label it for the per-class path.
+    const bool label = states_stable_;
+    if (label) root_rep_.clear();
+    const auto type_root = [&](Vertex v) {
+      const auto vi = static_cast<std::size_t>(v);
+      TypeId body = root_body_[vi];
+      if (body == kNoType) root_body_[vi] = body = intern_body(v);
       const auto [cls, fresh] = body_map_.try_emplace(
           body, static_cast<std::uint32_t>(class_type.size()));
       if (fresh) {
         class_type.push_back(interner.intern_node(root_tag, &body, 1));
-        root_rep_.push_back(static_cast<std::uint32_t>(v));
+        if (label) root_rep_.push_back(static_cast<std::uint32_t>(v));
       }
-      root_class_[static_cast<std::size_t>(v)] = *cls;
-      roots[static_cast<std::size_t>(v)] = class_type[*cls];
+      if (label) root_class_[vi] = *cls;
+      roots[vi] = class_type[*cls];
+    };
+    // A replay keeps the retired vertices' kept roots as they are.
+    if (replay) {
+      for_active(type_root);
+    } else {
+      for (Vertex v = 0; v < n; ++v) type_root(v);
     }
     body_map_.clear();
-    root_distinct = class_type.size();
-    // Once the states are stable the root tuples (as a partition of the
-    // vertices) cannot change either; from now on one intern per class.
-    roots_stable_ = states_stable_;
+    roots_stable_ = label;
   }
-  roots_.push_back(std::move(roots));
-  root_distinct_.push_back(root_distinct);
 
   // --- States: the tuple over the steps of s's vertex, s excluded. ---
+  changed_.clear();
   if (states_stable_) {
-    std::vector<TypeId> class_type(state_rep_.size());
-    for (std::size_t c = 0; c < state_rep_.size(); ++c) {
-      const std::uint32_t s = state_rep_[c];
-      const Vertex v = static_cast<Vertex>(step_vertex[s]);
-      touch_steps(step_off[v], step_off[v + 1]);
-      tmp_edges.clear();
-      for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j) {
-        if (j == s) continue;
-        const TypeId sub = t_prev_[step_succ[j]];
-        tmp_edges.push_back(interner.intern_node(step_edge_tag[j], &sub, 1));
-      }
-      class_type[c] = interner.intern_node(
-          type_tag::kViewNode, tmp_edges.data(), tmp_edges.size());
-    }
-    runtime::parallel_for(static_cast<std::int64_t>(t_cur_.size()),
-                          [&](std::int64_t s) {
-                            t_cur_[static_cast<std::size_t>(s)] =
-                                class_type[state_class_[
-                                    static_cast<std::size_t>(s)]];
-                          });
-  } else if (split) {
-    // Retirement pass: Phase A resolved the previously-seen tuples of the
-    // active spans lock-free; the loop interns only what it left kNoType
-    // (first occurrences in step order; a retired span's tuples are
-    // provably cache hits), and retired spans copy forward bitwise.  The
-    // root pass above interned every edge node of every active span, so
-    // edge_ids_ is fully resolved here.  Stability detection is
-    // incremental -- the multiset of current ids, seeded by the last
-    // dense track round, is patched only at changed steps -- so a round
-    // costs O(active) work, not O(steps).
+    std::vector<TypeId> state_type;
+    for (const std::uint32_t s : state_rep_)
+      state_type.push_back(intern_rep(static_cast<Vertex>(step_vertex[s]), s));
+    runtime::parallel_for(
+        static_cast<std::int64_t>(step_off[static_cast<std::size_t>(n)]),
+        [&](std::int64_t s) {
+          out[s] = state_type[state_class_[static_cast<std::size_t>(s)]];
+        });
+  } else {
+    // Intern what Phase A left unresolved, in step order; the root pass
+    // interned every edge node of every active span, so a state tuple is a
+    // gather over edge_ids_.  A span that differs from its kept values, or
+    // has none, marks its vertex changed.
     std::vector<TypeId> tuple;
-    changed_.assign(static_cast<std::size_t>(n), 0);
-    for (Vertex v = 0; v < n; ++v) {
+    for_active([&](Vertex v) {
       const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
-      if (!active_flag_[static_cast<std::size_t>(v)]) {
-        std::copy(t_prev_.begin() + lo, t_prev_.begin() + hi,
-                  t_cur_.begin() + lo);
-        continue;
-      }
-      bool vchanged = false;
+      const std::uint32_t b = base_off[v];
+      bool changed = b == kNone;
       for (std::uint32_t s = lo; s < hi; ++s) {
-        if (t_cur_[s] == kNoType) {
+        if (out[s] == kNoType) {
           tuple.clear();
           for (std::uint32_t j = lo; j < hi; ++j)
             if (j != s) tuple.push_back(edge_ids_[j]);
-          t_cur_[s] =
+          out[s] =
               batch_intern(type_tag::kViewNode, tuple.data(), tuple.size());
         }
-        if (t_cur_[s] != t_prev_[s]) {
-          vchanged = true;
-          if (--*state_count_.find(t_prev_[s]) == 0)
-            state_count_.erase(t_prev_[s]);
-          ++*state_count_.try_emplace(t_cur_[s], 0).first;
-        }
+        changed = changed || out[s] != base[b + (s - lo)];
       }
-      if (vchanged) changed_[static_cast<std::size_t>(v)] = 1;
-    }
-    states_stable_ = state_count_.size() == state_distinct_;
-    state_distinct_ = state_count_.size();
-    if (states_stable_) {
-      // The per-class path takes over next round; rebuild the tables it
-      // consumes once, with the dense labelling (first occurrence per id
-      // in step order) via the round's id -> class map.
-      state_count_.clear();
-      state_rep_.clear();
-      for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(t_cur_.size());
-           ++s) {
-        const auto [cls, fresh] = state_map_.try_emplace(
-            t_cur_[s], static_cast<std::uint32_t>(state_rep_.size()));
-        if (fresh) state_rep_.push_back(s);
-        state_class_[s] = *cls;
-      }
-      state_map_.clear();
-    }
-  } else {
-    // Dense pass: intern what Phase A left unresolved, in step order (the
-    // root pass resolved every edge node already, so a state tuple is a
-    // gather over edge_ids_).  Distinct tuples <=> distinct ids (the
-    // interner is injective on the serialized tuple), so class labels ride
-    // on the round's id -> class map -- no byte keys.
-    std::vector<TypeId> tuple;
-    state_rep_.clear();
-    if (track) changed_.assign(static_cast<std::size_t>(n), 0);
-    for (Vertex v = 0; v < n; ++v) {
-      const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
-      bool vchanged = false;
-      for (std::uint32_t s = lo; s < hi; ++s) {
-        if (t_cur_[s] == kNoType) {
-          tuple.clear();
-          for (std::uint32_t j = lo; j < hi; ++j)
-            if (j != s) tuple.push_back(edge_ids_[j]);
-          t_cur_[s] =
-              batch_intern(type_tag::kViewNode, tuple.data(), tuple.size());
-        }
-        const auto [cls, fresh] = state_map_.try_emplace(
-            t_cur_[s], static_cast<std::uint32_t>(state_rep_.size()));
-        if (fresh) state_rep_.push_back(s);
-        state_class_[s] = *cls;
-        vchanged |= t_cur_[s] != t_prev_[s];
-      }
-      if (track && vchanged) changed_[static_cast<std::size_t>(v)] = 1;
-    }
-    state_map_.clear();
-    // Equal class count + monotone refinement => identical partition, which
-    // is then a fixed point of the splitting step: stable forever.
-    states_stable_ = state_rep_.size() == state_distinct_;
-    state_distinct_ = state_rep_.size();
-    state_count_.clear();  // re-seeded below if a split round follows
+      if (changed) changed_.push_back(static_cast<std::uint32_t>(v));
+    });
   }
+  return class_type.size();
+}
 
-  // --- Seed the next round's worklist: a vertex re-enqueues iff some
-  // neighbour's state changed this round (its entries depend on nothing
-  // else).  Once the partition is stable the per-class paths own the
-  // scheduling and the tracking is dropped; legacy rounds also reset it so
-  // a mid-flight scheduling switch can never trust stale flags.
-  if (track && !states_stable_) {
-    active_flag_.assign(static_cast<std::size_t>(n), 0);
-    active_.clear();
-    for (Vertex v = 0; v < n; ++v) {
-      if (!changed_[static_cast<std::size_t>(v)]) continue;
-      touch_steps(step_off[v], step_off[v + 1]);
-      for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j)
-        active_flag_[step_vertex[step_succ[j]]] = 1;
-    }
-    for (Vertex v = 0; v < n; ++v)
-      if (active_flag_[static_cast<std::size_t>(v)])
-        active_.push_back(static_cast<std::uint32_t>(v));
-    all_active_ = false;
-    if (!split && active_.size() < static_cast<std::size_t>(n)) {
-      // The next round splits: seed its incremental stability detector
-      // with this round's id multiset (distinct ids == distinct keys: the
-      // interner is injective on the serialized tuple).
-      for (const TypeId id : t_cur_) ++*state_count_.try_emplace(id, 0).first;
-    }
-  } else {
-    all_active_ = true;
+void RefineState::schedule(std::span<const std::uint32_t> seed) {
+  // A vertex's round tuples depend only on its own signature and its
+  // neighbours' states, so the next round recomputes the seed plus every
+  // neighbour of a vertex whose states changed.
+  const Vertex n = n_;
+  const std::span<const std::uint32_t> step_off = off_span();
+  const std::span<const std::uint32_t> step_vertex = vertex_span();
+  const std::span<const std::uint32_t> step_succ = succ_span();
+  // One bit per vertex: listing the set in ascending order reads n / 64
+  // words, so it stays cheap when a delta round activates a few dozen.
+  active_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  const auto mark = [&](std::uint32_t v) {
+    active_bits_[v / 64] |= std::uint64_t{1} << (v % 64);
+  };
+  for (const std::uint32_t v : seed) mark(v);
+  for (const std::uint32_t v : changed_) {
+    touch_steps(step_off[v], step_off[v + 1]);
+    for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j)
+      mark(step_vertex[step_succ[j]]);
   }
-
-  t_prev_.swap(t_cur_);
-  if (keep_rounds_) round_states_.push_back(t_prev_);
+  active_.clear();
+  for (std::size_t w = 0; w < active_bits_.size(); ++w)
+    for (std::uint64_t b = active_bits_[w]; b != 0; b &= b - 1)
+      active_.push_back(static_cast<std::uint32_t>(64 * w) +
+                        static_cast<std::uint32_t>(std::countr_zero(b)));
+  all_active_ = active_.size() == static_cast<std::size_t>(n);
 }
 
 const std::vector<TypeId>& RefineState::types_at(int radius) {
@@ -673,23 +598,6 @@ std::size_t RefineState::distinct_at(int radius) {
         std::unique(sorted.begin(), sorted.end()) - sorted.begin());
   }
   return d;
-}
-
-void RefineState::reset_partitions() {
-  const auto n = static_cast<std::size_t>(n_);
-  const std::size_t steps = step_off_.empty() ? 0 : step_off_.back();
-  state_class_.resize(steps);
-  state_rep_.clear();
-  state_distinct_ = 0;
-  states_stable_ = false;
-  root_class_.resize(n);
-  root_rep_.clear();
-  roots_stable_ = false;
-  state_count_.clear();  // stale: refine_delta rewrote frontier types
-  // The worklist tracking is stale too (refine_delta rewrote frontier
-  // types without updating changed_/root_body_): force a full round,
-  // which re-seeds it.
-  all_active_ = true;
 }
 
 RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
@@ -761,198 +669,148 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   // state, so a clean vertex's old table values transplant verbatim.
   // Serial on purpose: the whole scan is ~one pass over the adjacency, and
   // the pool's wake/barrier costs more than the scan itself at this size.
-  std::vector<char> in_frontier(static_cast<std::size_t>(n), 0);
-  std::vector<Vertex> frontier;
+  std::vector<std::uint32_t> dirty;
+  const auto same_arcs = [&](const auto& arcs, std::uint32_t out_bit,
+                             std::uint32_t& k) {
+    for (const auto& [l, w] : arcs)
+      if (old_move[k] != (out_bit | static_cast<std::uint32_t>(l)) ||
+          old_nbr[k++] != static_cast<std::uint32_t>(w))
+        return false;
+    return true;
+  };
   for (Vertex v = 0; v < n; ++v) {
-    bool same = v < old_n &&
-                step_off_[v + 1] - step_off_[v] == old_off[v + 1] - old_off[v];
-    if (same) {
-      std::uint32_t k = old_off[v];
-      for (const auto& [l, w] : g.in_arcs(v)) {
-        if (old_move[k] != static_cast<std::uint32_t>(l) ||
-            old_nbr[k] != static_cast<std::uint32_t>(w)) {
-          same = false;
-          break;
-        }
-        ++k;
-      }
-      if (same)
-        for (const auto& [l, w] : g.out_arcs(v)) {
-          if (old_move[k] != (0x80000000u | static_cast<std::uint32_t>(l)) ||
-              old_nbr[k] != static_cast<std::uint32_t>(w)) {
-            same = false;
-            break;
-          }
-          ++k;
-        }
-    }
-    if (!same) {
-      in_frontier[static_cast<std::size_t>(v)] = 1;
-      frontier.push_back(v);
-    }
+    std::uint32_t k = v < old_n ? old_off[v] : 0;
+    const bool same =
+        v < old_n &&
+        step_off_[v + 1] - step_off_[v] == old_off[v + 1] - old_off[v] &&
+        same_arcs(g.in_arcs(v), 0, k) &&
+        same_arcs(g.out_arcs(v), 0x80000000u, k);
+    if (!same) dirty.push_back(static_cast<std::uint32_t>(v));
   }
-  stats.dirty_vertices = frontier.size();
+  stats.dirty_vertices = dirty.size();
 
-  // Patch the CSR.  Dirty spans refill from scratch; clean spans block-copy
-  // (within a run of clean vertices the old-vs-new offset delta is
-  // constant, because degrees change only at signature-changed vertices).
-  // A clean step's successor index shifts by its target span's offset
-  // delta -- unless the target itself is dirty and may have reordered its
-  // span, which costs one label scan.
+  // Clean spans move in block copies: within a run of clean vertices the
+  // old-vs-new offset delta is constant, because degrees change only at
+  // signature-changed vertices.  f(lo, old_lo, len) per maximal run.
+  const auto clean_runs = [&](const auto& f) {
+    Vertex run_start = 0;
+    for (std::size_t di = 0; di <= dirty.size(); ++di) {
+      const Vertex stop =
+          di < dirty.size() ? static_cast<Vertex>(dirty[di]) : n;
+      if (run_start < stop)  // all clean => every vertex < old_n
+        f(step_off_[run_start], old_off[run_start],
+          step_off_[stop] - step_off_[run_start]);
+      if (di < dirty.size()) run_start = static_cast<Vertex>(dirty[di]) + 1;
+    }
+  };
+
+  // Patch the CSR.  Dirty spans refill from scratch; clean spans block-copy.
   step_vertex_.resize(steps);
   step_succ_.resize(steps);
   step_nbr_.resize(steps);
   step_edge_tag_.resize(steps);
   step_move_bits_.resize(steps);
-  {
-    Vertex run_start = 0;
-    for (std::size_t fi = 0; fi <= frontier.size(); ++fi) {
-      const Vertex stop = fi < frontier.size() ? frontier[fi] : n;
-      if (run_start < stop) {
-        const std::uint32_t lo = step_off_[run_start];
-        const std::uint32_t olo = old_off[run_start];
-        const std::uint32_t len = step_off_[stop] - lo;
-        std::copy(old_vertex.begin() + olo, old_vertex.begin() + olo + len,
-                  step_vertex_.begin() + lo);
-        std::copy(old_nbr.begin() + olo, old_nbr.begin() + olo + len,
-                  step_nbr_.begin() + lo);
-        std::copy(old_move.begin() + olo, old_move.begin() + olo + len,
-                  step_move_bits_.begin() + lo);
-        std::copy(old_tag.begin() + olo, old_tag.begin() + olo + len,
-                  step_edge_tag_.begin() + lo);
-        for (std::uint32_t j = 0; j < len; ++j) {
-          const std::uint32_t os = old_succ[olo + j];
-          const auto w = static_cast<Vertex>(old_nbr[olo + j]);
-          if (in_frontier[static_cast<std::size_t>(w)]) {
-            const std::uint32_t mb = old_move[olo + j];
-            step_succ_[lo + j] = step_index_of(
-                g, w, (mb & 0x80000000u) == 0,
-                static_cast<graph::Label>(mb & 0x7fffffffu), step_off_[w]);
-          } else {
-            step_succ_[lo + j] = os - old_off[w] + step_off_[w];
-          }
-        }
-      }
-      if (fi < frontier.size()) {
-        fill_vertex_steps(frontier[fi]);
-        run_start = frontier[fi] + 1;
-      }
+  for (const std::uint32_t v : dirty) fill_vertex_steps(static_cast<Vertex>(v));
+
+  // Kept values: a clean span, or a dirty one whose step layout (its move
+  // sequence) survived the edit, keeps its old tables at old_at[v]; any
+  // other span has none (kNone) and counts as changed every round.
+  std::vector<std::uint32_t> old_at(static_cast<std::size_t>(n), kNone);
+  std::copy(old_off.begin(), old_off.begin() + std::min(n, old_n),
+            old_at.begin());
+  for (const std::uint32_t v : dirty) {
+    const std::uint32_t lo = step_off_[v], hi = step_off_[v + 1];
+    if (v >= static_cast<std::uint32_t>(old_n) ||
+        hi - lo != old_off[v + 1] - old_off[v] ||
+        !std::equal(step_move_bits_.begin() + lo, step_move_bits_.begin() + hi,
+                    old_move.begin() + old_off[v]))
+      old_at[v] = kNone;
+  }
+  // A clean step's successor index shifts by its target span's offset
+  // delta -- unless the target's layout changed and may have reordered its
+  // span, which costs one label scan.
+  clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
+    std::copy_n(old_vertex.begin() + olo, len, step_vertex_.begin() + lo);
+    std::copy_n(old_nbr.begin() + olo, len, step_nbr_.begin() + lo);
+    std::copy_n(old_move.begin() + olo, len, step_move_bits_.begin() + lo);
+    std::copy_n(old_tag.begin() + olo, len, step_edge_tag_.begin() + lo);
+    for (std::uint32_t j = 0; j < len; ++j) {
+      const auto w = static_cast<Vertex>(old_nbr[olo + j]);
+      const std::uint32_t mb = old_move[olo + j];
+      step_succ_[lo + j] =
+          old_at[static_cast<std::size_t>(w)] == kNone
+              ? step_index_of(g, w, (mb & 0x80000000u) == 0,
+                              static_cast<graph::Label>(mb & 0x7fffffffu),
+                              step_off_[w])
+              : old_succ[olo + j] - old_off[w] + step_off_[w];
     }
-  }
+  });
 
-  // Round 0 is edit-proof: every state is the empty node, every root the
-  // same single-node view; only the lengths can change (growth).
-  const TypeId empty = interner_->intern_node(type_tag::kViewNode, nullptr, 0);
-  const TypeId root0 =
-      interner_->intern_node(type_tag::kViewRoot | 0u, &empty, 1);
-  round_states_.reserve(old_rounds.size());
-  {
-    std::vector<TypeId> r0 = take_spare();
-    r0.assign(steps, empty);
-    round_states_.push_back(std::move(r0));
-  }
-  roots_[0].assign(static_cast<std::size_t>(n), root0);
-  root_distinct_[0] = n ? 1 : 0;
-
-  // Round i re-derives exactly the ball of radius i-1 around the seed (in
-  // the new graph): outside it, both the vertex signature and every input
-  // T_{i-1} value are unchanged, so hash-consing guarantees the old TypeId
-  // is still the right answer.  The frontier pass is serial in ascending
-  // vertex order, so freshly interned ids are thread-count-independent --
-  // the same guarantee the rendezvous pass gives a from-scratch refine.
-
-  // Unchanged step layout (pure rewires, or a cut healed earlier) lets each
-  // old round table transplant by move; otherwise clean spans are copied in
-  // contiguous runs -- degrees shift only at signature-changed vertices, so
-  // between two dirty vertices the old-vs-new offset delta is constant and
-  // the whole run is one block copy.
+  // A kept table whose span sizes all survived moves into the new
+  // generation whole; otherwise its clean spans block-copy.  Dirty spans
+  // are stale either way, but dirty vertices are active in every round:
+  // the kernel rewrites them.
   const bool same_layout = old_off == step_off_;
-  std::vector<TypeId> tmp_edges;
-  for (int i = 1; i <= max_r; ++i) {
-    std::vector<TypeId> t;
-    if (same_layout) {
-      t = std::move(old_rounds[static_cast<std::size_t>(i)]);
-    } else {
-      t = take_spare();
-      t.resize(steps);  // stale tail is fine: clean spans are copied below,
-                        // frontier spans recomputed, and that covers steps
-      const std::vector<TypeId>& old_t =
-          old_rounds[static_cast<std::size_t>(i)];
-      Vertex run_start = 0;
-      for (std::size_t fi = 0; fi <= frontier.size(); ++fi) {
-        const Vertex stop = fi < frontier.size() ? frontier[fi] : n;
-        if (run_start < stop) {  // all-clean => every vertex < old_n
-          const std::uint32_t lo = step_off_[run_start];
-          const std::uint32_t len = step_off_[stop] - lo;
-          std::copy(old_t.begin() + old_off[run_start],
-                    old_t.begin() + old_off[run_start] + len, t.begin() + lo);
-        }
-        if (fi < frontier.size()) run_start = frontier[fi] + 1;
-      }
-    }
-    const std::vector<TypeId>& prev =
-        round_states_[static_cast<std::size_t>(i) - 1];
-    const std::uint64_t root_tag =
-        type_tag::kViewRoot | static_cast<std::uint32_t>(i);
-    std::vector<TypeId>& roots = roots_[static_cast<std::size_t>(i)];
-    roots.resize(static_cast<std::size_t>(n), TypeId{});
-    for (const Vertex v : frontier) {
-      const std::uint32_t lo = step_off_[v], hi = step_off_[v + 1];
-      tmp_edges.clear();
-      for (std::uint32_t j = lo; j < hi; ++j) {
-        const TypeId sub = prev[step_succ_[j]];
-        tmp_edges.push_back(interner_->intern_node(step_edge_tag_[j], &sub, 1));
-      }
-      const TypeId body = interner_->intern_node(
-          type_tag::kViewNode, tmp_edges.data(), tmp_edges.size());
-      roots[static_cast<std::size_t>(v)] =
-          interner_->intern_node(root_tag, &body, 1);
-      for (std::uint32_t s = lo; s < hi; ++s) {
-        tmp_edges.clear();
-        for (std::uint32_t j = lo; j < hi; ++j) {
-          if (j == s) continue;
-          const TypeId sub = prev[step_succ_[j]];
-          tmp_edges.push_back(
-              interner_->intern_node(step_edge_tag_[j], &sub, 1));
-        }
-        t[s] = interner_->intern_node(type_tag::kViewNode, tmp_edges.data(),
-                                      tmp_edges.size());
-      }
-    }
-    round_states_.push_back(std::move(t));
-    root_distinct_[static_cast<std::size_t>(i)] = kDistinctUnknown;
-    if (i < max_r) {
-      // Grow the ball by one step for the next round, then restore
-      // ascending order so the recompute loop stays deterministic.
-      const std::size_t end = frontier.size();
-      for (std::size_t idx = 0; idx < end; ++idx) {
-        const Vertex v = frontier[idx];
-        auto visit = [&](Vertex w) {
-          if (!in_frontier[static_cast<std::size_t>(w)]) {
-            in_frontier[static_cast<std::size_t>(w)] = 1;
-            frontier.push_back(w);
-          }
-        };
-        for (const auto& [l, w] : g.in_arcs(v)) visit(w);
-        for (const auto& [l, w] : g.out_arcs(v)) visit(w);
-      }
-      std::sort(frontier.begin(), frontier.end());
-    }
-  }
-  stats.frontier_vertices = frontier.size();
+  const auto transplant =
+      [&](std::vector<TypeId>& old_t) -> std::vector<TypeId> {
+    if (same_layout) return std::move(old_t);
+    std::vector<TypeId> t = take_spare();
+    t.resize(steps);
+    clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
+      std::copy_n(old_t.begin() + olo, len, t.begin() + lo);
+    });
+    return t;
+  };
 
-  // Re-arm the incremental machinery on the last reconciled round; the
-  // partitions may have split, so the next advance() takes the full
-  // rendezvous path rather than trusting stale stability flags.
+  // Restart at round 0 (the partitions may have split or merged, and the
+  // delta relabelled steps under the edge memo), reusing the old buffers.
+  std::vector<std::vector<TypeId>> old_roots;
+  old_roots.swap(roots_);
+  roots_.push_back(std::move(old_roots[0]));
+  round_states_.push_back(take_spare());
+  init_round0();
+
+  // Rounds 1..max_r through the kernel.  Round 1 recomputes the dirty
+  // vertices (T_0 is uniform, so nothing else can differ); each later
+  // round adds the neighbours of every vertex whose states differ from
+  // the kept ones.  Phase B interns in ascending vertex order, so fresh
+  // ids are thread-count-independent, and hash-consing makes them the
+  // ids a from-scratch refine finds.
+  // The kernel compares each active span with its kept values, which the
+  // transplant moves or overwrites: stash them first, O(active) per round.
+  std::vector<TypeId> kept;
+  std::vector<std::uint32_t> kept_off(static_cast<std::size_t>(n), kNone);
+  active_ = dirty;
+  all_active_ = active_.size() == static_cast<std::size_t>(n);
+  for (int i = 1; i <= max_r; ++i) {
+    std::vector<TypeId>& old_t = old_rounds[static_cast<std::size_t>(i)];
+    kept.clear();
+    for_active([&](Vertex v) {
+      const std::uint32_t at = old_at[static_cast<std::size_t>(v)];
+      kept_off[static_cast<std::size_t>(v)] =
+          at == kNone ? kNone : static_cast<std::uint32_t>(kept.size());
+      if (at != kNone)
+        kept.insert(kept.end(), old_t.begin() + at,
+                    old_t.begin() + at + (step_off_[v + 1] - step_off_[v]));
+    });
+    std::vector<TypeId> t = transplant(old_t);
+    std::vector<TypeId>& roots = old_roots[static_cast<std::size_t>(i)];
+    roots.resize(static_cast<std::size_t>(n));
+    run_round(i, round_states_.back().data(), t.data(), kept.data(),
+              kept_off, roots, /*replay=*/true);
+    round_states_.push_back(std::move(t));
+    roots_.push_back(std::move(roots));
+    root_distinct_.push_back(kDistinctUnknown);
+    stats.frontier_vertices =
+        all_active_ ? static_cast<std::size_t>(n) : active_.size();
+    if (i < max_r) schedule(dirty);
+  }
+
+  // Re-arm the forward rounds on the last replayed round.  The tracking
+  // compared against kept tables and root_body_ mixes rounds, so the next
+  // advance() runs all-active, which re-seeds it.
   t_prev_ = round_states_.back();
-  // Size-only: advance()'s forced-unstable path rewrites every element of
-  // these (and of the partition labels) before reading any of them.
-  t_cur_.resize(steps);
-  edge_ids_.resize(steps);
-  // The delta relabels steps, so stale (edge_sub_, edge_ids_) pairs no
-  // longer describe step j's move: drop the memo wholesale.
-  edge_sub_.assign(steps, kNoType);
-  reset_partitions();
+  all_active_ = true;
   return stats;
 }
 

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "lapx/graph/properties.hpp"
 #include "lapx/runtime/parallel.hpp"
@@ -166,6 +167,40 @@ void append_u32(std::string& key, std::uint32_t x) {
     key.push_back(static_cast<char>((x >> (8 * b)) & 0xFF));
 }
 
+// The interner key of ordered_ball_type_id, written into `key`.
+void ordered_ball_key(const Graph& g, const Keys& keys, Vertex v, int r,
+                      std::string& key) {
+  const auto members = graph::ball(g, v, r);
+  const auto sb = sorted_ball(members, keys, v);
+  const auto edges = collect_edges(g, sb);
+  key.clear();
+  key.reserve(1 + 8 + 8 * edges.size());
+  key.push_back('\x02');  // domain byte: ordered graph ball
+  append_u32(key, static_cast<std::uint32_t>(sb.vertices.size()));
+  append_u32(key, static_cast<std::uint32_t>(sb.root_pos));
+  for (const auto& [a, b] : edges) {
+    append_u32(key, static_cast<std::uint32_t>(a));
+    append_u32(key, static_cast<std::uint32_t>(b));
+  }
+}
+
+void ordered_ball_key(const LDigraph& d, const Keys& keys, Vertex v, int r,
+                      std::string& key) {
+  const auto members = digraph_ball(d, v, r);
+  const auto sb = sorted_ball(members, keys, v);
+  const auto arcs = collect_arcs(d, sb);
+  key.clear();
+  key.reserve(1 + 8 + 12 * arcs.size());
+  key.push_back('\x03');  // domain byte: ordered L-digraph ball
+  append_u32(key, static_cast<std::uint32_t>(sb.vertices.size()));
+  append_u32(key, static_cast<std::uint32_t>(sb.root_pos));
+  for (const auto& [a, b, l] : arcs) {
+    append_u32(key, static_cast<std::uint32_t>(a));
+    append_u32(key, static_cast<std::uint32_t>(b));
+    append_u32(key, static_cast<std::uint32_t>(l));
+  }
+}
+
 }  // namespace
 
 std::string ordered_ball_type(const Graph& g, const Keys& keys, Vertex v,
@@ -224,60 +259,54 @@ std::string unordered_ball_type_with_ids(const Graph& g, const Keys& ids,
 
 core::TypeId ordered_ball_type_id(const Graph& g, const Keys& keys, Vertex v,
                                   int r, core::TypeInterner& interner) {
-  const auto members = graph::ball(g, v, r);
-  const auto sb = sorted_ball(members, keys, v);
-  const auto edges = collect_edges(g, sb);
-  // Reused per thread: the homogeneity counting loop calls this for every
-  // vertex, and the interner never retains the caller's buffer.
-  thread_local std::string key;
-  key.clear();
-  key.reserve(1 + 8 + 8 * edges.size());
-  key.push_back('\x02');  // domain byte: ordered graph ball
-  append_u32(key, static_cast<std::uint32_t>(sb.vertices.size()));
-  append_u32(key, static_cast<std::uint32_t>(sb.root_pos));
-  for (const auto& [a, b] : edges) {
-    append_u32(key, static_cast<std::uint32_t>(a));
-    append_u32(key, static_cast<std::uint32_t>(b));
-  }
+  thread_local std::string key;  // the interner never retains the buffer
+  ordered_ball_key(g, keys, v, r, key);
   return interner.intern(key);
 }
 
 core::TypeId ordered_ball_type_id(const LDigraph& d, const Keys& keys,
                                   Vertex v, int r,
                                   core::TypeInterner& interner) {
-  const auto members = digraph_ball(d, v, r);
-  const auto sb = sorted_ball(members, keys, v);
-  const auto arcs = collect_arcs(d, sb);
-  thread_local std::string key;  // see the Graph overload above
-  key.clear();
-  key.reserve(1 + 8 + 12 * arcs.size());
-  key.push_back('\x03');  // domain byte: ordered L-digraph ball
-  append_u32(key, static_cast<std::uint32_t>(sb.vertices.size()));
-  append_u32(key, static_cast<std::uint32_t>(sb.root_pos));
-  for (const auto& [a, b, l] : arcs) {
-    append_u32(key, static_cast<std::uint32_t>(a));
-    append_u32(key, static_cast<std::uint32_t>(b));
-    append_u32(key, static_cast<std::uint32_t>(l));
-  }
+  thread_local std::string key;  // the interner never retains the buffer
+  ordered_ball_key(d, keys, v, r, key);
   return interner.intern(key);
 }
 
 namespace {
 
 template <typename GraphT>
-HomogeneityReport measure(const GraphT& g, const Keys& keys, int r) {
+HomogeneityReport measure(const GraphT& g, const Keys& keys, int r,
+                          core::TypeInterner& interner) {
   HomogeneityReport report;
   const Vertex n = g.num_vertices();
   if (static_cast<Vertex>(keys.size()) != n)
     throw std::invalid_argument("keys size mismatch");
-  // Hot phase: one interned TypeId per vertex, in parallel.  TypeIds are
-  // only compared for equality here, so the thread-dependent interning
-  // order is invisible to the result.
+  // One interned TypeId per vertex, in the interner's two-phase pattern:
+  // parallel lock-free probes fill per-vertex slots, and each block of
+  // consecutive vertices keeps the keys of its misses; a serial pass then
+  // interns the misses block by block, so fresh ids land in vertex order
+  // whatever the thread schedule.
   std::vector<core::TypeId> ids(static_cast<std::size_t>(n));
-  runtime::parallel_for(n, [&](std::int64_t v) {
-    ids[static_cast<std::size_t>(v)] =
-        ordered_ball_type_id(g, keys, static_cast<Vertex>(v), r);
+  const Vertex block = n / 256 + 1;  // at most 256 blocks
+  const Vertex blocks = (n + block - 1) / block;
+  std::vector<std::vector<std::pair<Vertex, std::string>>> missed(
+      static_cast<std::size_t>(blocks));
+  runtime::parallel_for(blocks, [&](std::int64_t b) {
+    // Reused per thread: the interner never retains the caller's buffer.
+    thread_local std::string key;
+    const Vertex lo = static_cast<Vertex>(b) * block;
+    const Vertex hi = std::min(n, lo + block);
+    for (Vertex v = lo; v < hi; ++v) {
+      ordered_ball_key(g, keys, v, r, key);
+      core::TypeId& id = ids[static_cast<std::size_t>(v)];
+      id = interner.try_intern(key);
+      if (id == core::kNoType)
+        missed[static_cast<std::size_t>(b)].emplace_back(v, key);
+    }
   });
+  for (const auto& misses : missed)
+    for (const auto& [v, key] : misses)
+      ids[static_cast<std::size_t>(v)] = interner.intern(key);
   // Count the classes, then spell out one representative per class so the
   // report's histogram keeps the canonical (sorted) text encoding.
   std::unordered_map<core::TypeId, std::pair<int, Vertex>> classes;
@@ -305,14 +334,14 @@ HomogeneityReport measure(const GraphT& g, const Keys& keys, int r) {
 
 }  // namespace
 
-HomogeneityReport measure_homogeneity(const Graph& g, const Keys& keys,
-                                      int r) {
-  return measure(g, keys, r);
+HomogeneityReport measure_homogeneity(const Graph& g, const Keys& keys, int r,
+                                      core::TypeInterner& interner) {
+  return measure(g, keys, r, interner);
 }
 
 HomogeneityReport measure_homogeneity(const LDigraph& d, const Keys& keys,
-                                      int r) {
-  return measure(d, keys, r);
+                                      int r, core::TypeInterner& interner) {
+  return measure(d, keys, r, interner);
 }
 
 bool is_homogeneous(const Graph& g, const Keys& keys, double alpha, int r) {

@@ -80,9 +80,15 @@ struct HomogeneityReport {
   std::map<std::string, int> histogram;  ///< type -> multiplicity
 };
 
-HomogeneityReport measure_homogeneity(const Graph& g, const Keys& keys, int r);
-HomogeneityReport measure_homogeneity(const LDigraph& d, const Keys& keys,
-                                      int r);
+/// Measures over the ordered-ball TypeIds of every vertex.  Fresh ids are
+/// interned serially in vertex order, so the interner's id -> key map
+/// does not depend on LAPX_THREADS.
+HomogeneityReport measure_homogeneity(
+    const Graph& g, const Keys& keys, int r,
+    core::TypeInterner& interner = core::TypeInterner::global());
+HomogeneityReport measure_homogeneity(
+    const LDigraph& d, const Keys& keys, int r,
+    core::TypeInterner& interner = core::TypeInterner::global());
 
 /// True if (g, keys) is (alpha, r)-homogeneous.
 bool is_homogeneous(const Graph& g, const Keys& keys, double alpha, int r);

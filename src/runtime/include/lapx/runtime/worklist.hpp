@@ -22,7 +22,7 @@
 //    with the interner's two-phase batch pattern: workers only resolve
 //    already-interned types lock-free (try_intern_node); anything novel is
 //    interned in a serial pass, never from worker threads (DESIGN.md,
-//    "Work-stealing worklist & round barrier").
+//    "Round kernel").
 //
 // Nested calls and the 1-thread pool degrade to inline serial execution of
 // the same chunks, exactly like parallel_for.

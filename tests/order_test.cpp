@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
+#include "lapx/core/interner.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/order/homogeneity.hpp"
+#include "lapx/runtime/parallel.hpp"
 
 namespace {
 
@@ -128,6 +132,29 @@ TEST(Order, IsHomogeneousThreshold) {
   const Graph g = cycle(20);
   EXPECT_TRUE(is_homogeneous(g, identity_keys(20), 0.8, 1));
   EXPECT_FALSE(is_homogeneous(g, identity_keys(20), 0.95, 1));
+}
+
+TEST(Order, HomogeneityInterningIsScheduleIndependent) {
+  // measure_homogeneity mints one ordered-ball id per distinct key (~2.9K
+  // here); a fresh interner must map ids to keys identically whatever the
+  // thread count -- the TypeId invariant every other interner client keeps.
+  std::mt19937_64 rng(3);
+  const Graph g = lapx::graph::random_regular(3000, 3, rng);
+  const Keys keys = identity_keys(3000);
+  const int old_threads = lapx::runtime::thread_count();
+  std::vector<std::vector<std::string>> spellings;
+  for (int threads : {1, 4, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    lapx::core::TypeInterner interner;
+    measure_homogeneity(g, keys, 2, interner);
+    std::vector<std::string>& ids = spellings.emplace_back();
+    for (lapx::core::TypeId id = 0; id < interner.size(); ++id)
+      ids.push_back(interner.spelling(id));
+  }
+  lapx::runtime::set_thread_count(old_threads);
+  EXPECT_GT(spellings[0].size(), 2000u);
+  EXPECT_EQ(spellings[1], spellings[0]) << "4 threads vs 1";
+  EXPECT_EQ(spellings[2], spellings[0]) << "8 threads vs 1";
 }
 
 }  // namespace

@@ -391,27 +391,22 @@ TEST(RefineDelta, RequiresKeepRounds) {
   EXPECT_THROW(state.refine_delta(g), std::logic_error);
 }
 
-TEST(RefineDelta, ThreadCountIndependentTypeIds) {
-  // The delta path's serial frontier pass must keep raw ids independent
-  // of LAPX_THREADS, exactly like the from-scratch rendezvous pass.
-  const auto run = [] {
-    std::mt19937_64 rng(9);
-    auto lift = lapx::graph::random_lift(directed_torus({3, 4}), 3, rng);
-    TypeInterner interner;
-    RefineState state(lift.graph, interner, /*keep_rounds=*/true);
-    state.types_at(3);
-    LDigraph next = lift.graph;
-    random_rewire(next, rng);
-    state.refine_delta(next);
-    return state.types_at(3);
-  };
-  const int old_threads = lapx::runtime::thread_count();
-  lapx::runtime::set_thread_count(1);
-  const auto ids1 = run();
-  lapx::runtime::set_thread_count(8);
-  const auto ids8 = run();
-  lapx::runtime::set_thread_count(old_threads);
-  EXPECT_EQ(ids1, ids8);
+TEST(RefineDelta, FrontierStopsWhereTypesStopChanging) {
+  // A same-label rewire of a 2-in-2-out torus keeps every vertex
+  // 2-in-2-out, so it changes no type: the replay recomputes the four
+  // dirty endpoints in every round and never activates a neighbour.
+  const LDigraph g = directed_torus({6, 6});
+  TypeInterner interner;
+  RefineState state(g, interner, /*keep_rounds=*/true);
+  const std::vector<TypeId> before = state.types_at(3);
+  LDigraph next = g;
+  std::mt19937_64 rng(4);
+  random_rewire(next, rng);
+  const auto stats = state.refine_delta(next);
+  EXPECT_EQ(stats.dirty_vertices, 4u);
+  EXPECT_EQ(stats.frontier_vertices, stats.dirty_vertices);
+  EXPECT_EQ(state.types_at(3), before);
+  expect_delta_matches_scratch(state, next, 3, interner);
 }
 
 TEST(RefineDelta, AffectedFrontierIsSoundForViewTypes) {
@@ -444,20 +439,16 @@ TEST(RefineDelta, AffectedFrontierIsSoundForViewTypes) {
 }
 
 // ---------------------------------------------------------------------------
-// Worklist scheduling: the active-vertex retirement path (core/refine.cpp,
-// RefineSched::kWorklist) must be invisible in output -- raw TypeIds equal
-// to the legacy dense schedule, in the same interner allocation order, at
+// Worklist scheduling: vertex retirement in the round kernel must be
+// invisible in output -- raw TypeIds equal to the all-active reference
+// rounds (RefineTestPeer), in the same interner allocation order, at
 // every thread count.
 
-// RAII guard: every worklist test perturbs the process-wide scheduling mode
-// and thread count; restore both even when an assertion throws.
-struct SchedGuard {
-  RefineSched sched = refine_scheduling();
+// RAII guard: the worklist tests perturb the process-wide thread count;
+// restore it even when an assertion throws.
+struct ThreadGuard {
   int threads = lapx::runtime::thread_count();
-  ~SchedGuard() {
-    set_refine_scheduling(sched);
-    lapx::runtime::set_thread_count(threads);
-  }
+  ~ThreadGuard() { lapx::runtime::set_thread_count(threads); }
 };
 
 // Random forest with arcs parent -> child: views truncate at the leaves and
@@ -500,26 +491,24 @@ std::vector<LDigraph> worklist_families() {
 }
 
 TEST(RefineWorklist, MatchesLegacyAcrossThreadCounts) {
-  const SchedGuard guard;
+  const ThreadGuard guard;
   const int max_r = 4;
   for (const auto& g : worklist_families()) {
-    // Reference: legacy dense schedule, single thread.
-    set_refine_scheduling(RefineSched::kLegacy);
+    // Reference: every round all-active, single thread.
     lapx::runtime::set_thread_count(1);
     TypeInterner ref_interner;
     RefineState ref(g, ref_interner);
+    RefineTestPeer::set_all_active(ref, true);
     ref.types_at(max_r);
     for (int threads : {1, 8, 16}) {
       lapx::runtime::set_thread_count(threads);
-      for (RefineSched sched :
-           {RefineSched::kLegacy, RefineSched::kWorklist}) {
-        set_refine_scheduling(sched);
+      for (const bool all_active : {true, false}) {
         TypeInterner interner;
         RefineState refiner(g, interner);
+        RefineTestPeer::set_all_active(refiner, all_active);
         for (int r = 0; r <= max_r; ++r) {
           EXPECT_EQ(refiner.types_at(r), ref.types_at(r))
-              << "threads=" << threads << " sched="
-              << (sched == RefineSched::kWorklist ? "worklist" : "legacy")
+              << "threads=" << threads << " all_active=" << all_active
               << " radius=" << r;
           EXPECT_EQ(refiner.distinct_at(r), ref.distinct_at(r));
         }
@@ -529,11 +518,9 @@ TEST(RefineWorklist, MatchesLegacyAcrossThreadCounts) {
 }
 
 TEST(RefineWorklist, MatchesOracleOnForest) {
-  // The retirement path against the per-vertex oracle directly (the other
-  // Refine.* oracle tests run under whatever LAPX_REFINE_SCHED says; this
-  // one pins the worklist schedule on the family where retirement engages).
-  const SchedGuard guard;
-  set_refine_scheduling(RefineSched::kWorklist);
+  // The retirement path against the per-vertex oracle directly, on the
+  // family where retirement engages.
+  const ThreadGuard guard;
   std::mt19937_64 rng(23);
   for (int threads : {1, 8}) {
     lapx::runtime::set_thread_count(threads);
@@ -544,8 +531,7 @@ TEST(RefineWorklist, MatchesOracleOnForest) {
 TEST(RefineWorklist, RetirementEngagesOnForest) {
   // Scheduling observability: on a forest the active set must shrink below
   // n, routing rounds through for_each_index (visible in worklist_stats).
-  const SchedGuard guard;
-  set_refine_scheduling(RefineSched::kWorklist);
+  const ThreadGuard guard;
   lapx::runtime::set_thread_count(8);
   std::mt19937_64 rng(29);
   const LDigraph g = random_forest(4000, 2, rng);
@@ -560,11 +546,10 @@ TEST(RefineWorklist, RetirementEngagesOnForest) {
 }
 
 TEST(RefineWorklist, CopyAfterSplitRoundMatchesScratch) {
-  // A fork taken right after a split round must carry the live entries of
-  // the state-id multiset: the copy's next split round patches it, and
-  // stability detection reads its size.
-  const SchedGuard guard;
-  set_refine_scheduling(RefineSched::kWorklist);
+  // A fork taken right after a partial round must carry the live entries
+  // of the state-id multiset: the copy's next partial round patches it,
+  // and stability detection reads its size.
+  const ThreadGuard guard;
   lapx::runtime::set_thread_count(8);
   std::mt19937_64 rng(29);
   const LDigraph g = random_forest(4000, 2, rng);
@@ -588,38 +573,11 @@ TEST(RefineWorklist, CopyAfterSplitRoundMatchesScratch) {
   EXPECT_EQ(fork.stable(), scratch.stable());
 }
 
-TEST(RefineWorklist, SchedulingToggleMidStream) {
-  // Switching modes between rounds of ONE refiner must stay exact: legacy
-  // rounds do not maintain the active set, so the first worklist round
-  // after a toggle has to re-run dense (the all_active_ reset guard).
-  const SchedGuard guard;
-  lapx::runtime::set_thread_count(8);
-  std::mt19937_64 rng(31);
-  const LDigraph g = random_forest(200, 2, rng);
-  TypeInterner interner;
-  RefineState refiner(g, interner);
-  const RefineSched plan[] = {RefineSched::kWorklist, RefineSched::kWorklist,
-                              RefineSched::kLegacy, RefineSched::kWorklist,
-                              RefineSched::kLegacy, RefineSched::kWorklist,
-                              RefineSched::kWorklist};
-  TypeInterner ref_interner;
-  RefineState ref(g, ref_interner);
-  set_refine_scheduling(RefineSched::kLegacy);
-  ref.types_at(6);  // reference computed wholly under the dense schedule
-  int r = 0;
-  for (RefineSched sched : plan) {
-    set_refine_scheduling(sched);
-    EXPECT_EQ(refiner.types_at(r), ref.types_at(r)) << "radius " << r;
-    ++r;
-  }
-}
-
 TEST(RefineWorklist, DeltaRefinementOnWorklistPath) {
   // refine_delta must compose with worklist scheduling: the delta replay
-  // resets the active-set tracking (reset_partitions), after which further
-  // worklist rounds must still match a from-scratch refinement.
-  const SchedGuard guard;
-  set_refine_scheduling(RefineSched::kWorklist);
+  // leaves the next forward round all-active, after which further
+  // retiring rounds must still match a from-scratch refinement.
+  const ThreadGuard guard;
   lapx::runtime::set_thread_count(8);
   std::mt19937_64 rng(37);
   LDigraph g = random_forest(150, 2, rng);
@@ -633,6 +591,33 @@ TEST(RefineWorklist, DeltaRefinementOnWorklistPath) {
   const auto stats = state.refine_delta(next);
   EXPECT_FALSE(stats.full_rebuild);
   expect_delta_matches_scratch(state, next, 4, interner);
+}
+
+TEST(RefineDelta, RelabelledSpansMatchScratch) {
+  // Relabelling an arc reorders both endpoints' step spans while their
+  // other neighbours stay clean: a clean vertex's state at such an
+  // endpoint moves to a new position, so the endpoint's kept values no
+  // longer line up and must count as changed in every round.
+  std::mt19937_64 rng(41);
+  LDigraph g = random_forest(400, 3, rng);
+  TypeInterner interner;
+  RefineState state(g, interner, /*keep_rounds=*/true);
+  state.types_at(4);
+  for (int edit = 0; edit < 12; ++edit) {
+    LDigraph next = g;
+    const auto a = next.arcs()[rng() % next.arcs().size()];
+    for (lapx::graph::Label l = 0; l < next.alphabet_size(); ++l) {
+      if (l == a.label || next.out_neighbor(a.from, l) ||
+          next.in_neighbor(a.to, l))
+        continue;
+      next.remove_arc(a.from, a.to);
+      next.add_arc(a.from, a.to, l);
+      break;
+    }
+    state.refine_delta(next);
+    expect_delta_matches_scratch(state, next, 4, interner);
+    g = std::move(next);
+  }
 }
 
 TEST(RefineDelta, PortRenumberingAfterMaxDegreeChange) {
@@ -655,6 +640,64 @@ TEST(RefineDelta, PortRenumberingAfterMaxDegreeChange) {
   const auto stats = state.refine_delta(ld1);
   EXPECT_FALSE(stats.full_rebuild);
   expect_delta_matches_scratch(state, ld1, 2, interner);
+}
+
+TEST(RefineDelta, ThreadCountIndependentTypeIds) {
+  // Ids a delta replay mints must not depend on LAPX_THREADS or
+  // LAPX_INTERN_SHARDS, exactly like a from-scratch refine's: every
+  // RandomizedRewiresMatchScratch family, a forest (where retirement
+  // engages), and the max-degree edit that relabels every arc.
+  std::mt19937_64 setup(3);
+  std::vector<LDigraph> rewired;
+  rewired.push_back(directed_torus({6, 6}));
+  rewired.push_back(directed_torus({3, 4}));
+  rewired.push_back(
+      lapx::graph::random_lift(directed_torus({3, 4}), 4, setup).graph);
+  {
+    auto spec = lapx::group::design_homogeneous(1, 2, 4, setup);
+    ASSERT_TRUE(spec.has_value());
+    spec->m = 4;
+    rewired.push_back(lapx::group::materialize_homogeneous(
+                          *spec, 1 << 20, /*take_component=*/true)
+                          .digraph);
+  }
+  rewired.push_back(random_forest(150, 2, setup));
+  std::vector<std::pair<LDigraph, LDigraph>> edits;
+  std::mt19937_64 rng(9);
+  for (const LDigraph& g : rewired) {
+    LDigraph next = g;
+    random_rewire(next, rng);
+    edits.emplace_back(g, std::move(next));
+  }
+  {
+    const lapx::graph::Graph g = lapx::graph::torus({4, 4});
+    lapx::graph::Graph after = g;
+    const std::vector<lapx::graph::EdgeEdit> add = {
+        {lapx::graph::EdgeEdit::Kind::kAdd, 0, 5}};
+    lapx::graph::apply_edits(after, add);
+    edits.emplace_back(lapx::graph::to_ldigraph(g),
+                       lapx::graph::to_ldigraph(after));
+  }
+  const auto run = [](const std::pair<LDigraph, LDigraph>& edit, int shards) {
+    TypeInterner interner(shards);
+    RefineState state(edit.first, interner, /*keep_rounds=*/true);
+    state.types_at(3);
+    state.refine_delta(edit.second);
+    std::vector<std::vector<TypeId>> ids;
+    for (int r = 0; r <= 4; ++r) ids.push_back(state.types_at(r));
+    return ids;
+  };
+  const ThreadGuard guard;
+  for (std::size_t e = 0; e < edits.size(); ++e) {
+    lapx::runtime::set_thread_count(1);
+    const auto ref = run(edits[e], 1);
+    for (int threads : {1, 8, 16}) {
+      lapx::runtime::set_thread_count(threads);
+      for (int shards : {1, 64})
+        EXPECT_EQ(run(edits[e], shards), ref)
+            << "edit " << e << " threads=" << threads << " shards=" << shards;
+    }
+  }
 }
 
 }  // namespace

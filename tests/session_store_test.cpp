@@ -2,7 +2,7 @@
 // pinning contract (shared_ptr holders survive eviction AND mutation),
 // epoch consistency under concurrent get/mutate, and overwrite/drop/evict
 // racing readers of other names -- the store-side half of the
-// incremental-session design (DESIGN.md "Delta-refinement").
+// incremental-session design (DESIGN.md "Round kernel").
 
 #include <gtest/gtest.h>
 
