@@ -304,8 +304,10 @@ void print_tables() {
 // truncate); a second service over the same directory re-generates the
 // graphs and replays the mix.  Every query must be a cache hit, and the
 // transcript must be byte-identical to the cold run -- the on-disk format
-// survives the restart's fresh TypeId assignment by re-interning each
-// loaded fingerprint.  (An in-process "restart" shares the global
+// survives the restart's fresh TypeId assignment because each record
+// holds the fingerprint's spelling, which names the graph by a
+// BLAKE2b-256 digest of its edge-list text, and loading re-interns that
+// spelling.  (An in-process "restart" shares the global
 // interner, so the id-shift axis itself is covered by
 // service_persist_test's two-interner suite and the CI cross-process
 // smoke test; what E16 measures is the replayed transcript and the

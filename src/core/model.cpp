@@ -85,13 +85,7 @@ std::vector<bool> run_oi(const graph::Graph& g, const order::Keys& keys,
   // Same dedup for OI: the canonical ball handed to the algorithm is a
   // function of the interned ordered-ball tuple (the `original` traceback
   // is not part of the OI-visible input), so one evaluation per class.
-  const Vertex n = g.num_vertices();
-  std::vector<TypeId> types(static_cast<std::size_t>(n));
-  runtime::parallel_for(n, [&](std::int64_t v) {
-    types[static_cast<std::size_t>(v)] = order::ordered_ball_type_id(
-        g, keys, static_cast<graph::Vertex>(v), r);
-  });
-  const auto tc = classify(types);
+  const auto tc = classify(order::ordered_ball_type_ids(g, keys, r));
   std::vector<unsigned char> out(tc.rep.size());
   runtime::parallel_for(
       static_cast<std::int64_t>(tc.rep.size()), [&](std::int64_t c) {

@@ -199,11 +199,8 @@ HomogeneousGraph materialize_homogeneous(const HomogeneousSpec& spec,
   const std::vector<int> comp = graph::connected_components(underlying);
   const int num_comps = 1 + *std::max_element(comp.begin(), comp.end());
   const graph::Vertex n_vertices = cg.digraph.num_vertices();
-  std::vector<core::TypeId> vids(static_cast<std::size_t>(n_vertices));
-  runtime::parallel_for(n_vertices, [&](std::int64_t v) {
-    vids[static_cast<std::size_t>(v)] = order::ordered_ball_type_id(
-        cg.digraph, full_keys, static_cast<graph::Vertex>(v), spec.r);
-  });
+  const std::vector<core::TypeId> vids =
+      order::ordered_ball_type_ids(cg.digraph, full_keys, spec.r);
   std::vector<std::int64_t> total(num_comps, 0), good(num_comps, 0);
   for (graph::Vertex v = 0; v < n_vertices; ++v) {
     ++total[comp[v]];

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "lapx/graph/properties.hpp"
@@ -275,17 +274,15 @@ core::TypeId ordered_ball_type_id(const LDigraph& d, const Keys& keys,
 namespace {
 
 template <typename GraphT>
-HomogeneityReport measure(const GraphT& g, const Keys& keys, int r,
-                          core::TypeInterner& interner) {
-  HomogeneityReport report;
+std::vector<core::TypeId> type_ids(const GraphT& g, const Keys& keys, int r,
+                                   core::TypeInterner& interner) {
   const Vertex n = g.num_vertices();
   if (static_cast<Vertex>(keys.size()) != n)
     throw std::invalid_argument("keys size mismatch");
-  // One interned TypeId per vertex, in the interner's two-phase pattern:
-  // parallel lock-free probes fill per-vertex slots, and each block of
-  // consecutive vertices keeps the keys of its misses; a serial pass then
-  // interns the misses block by block, so fresh ids land in vertex order
-  // whatever the thread schedule.
+  // The interner's two-phase pattern: parallel lock-free probes fill
+  // per-vertex slots, and each block of consecutive vertices keeps the
+  // keys of its misses; a serial pass then interns the misses block by
+  // block, so fresh ids land in vertex order whatever the thread schedule.
   std::vector<core::TypeId> ids(static_cast<std::size_t>(n));
   const Vertex block = n / 256 + 1;  // at most 256 blocks
   const Vertex blocks = (n + block - 1) / block;
@@ -307,41 +304,47 @@ HomogeneityReport measure(const GraphT& g, const Keys& keys, int r,
   for (const auto& misses : missed)
     for (const auto& [v, key] : misses)
       ids[static_cast<std::size_t>(v)] = interner.intern(key);
-  // Count the classes, then spell out one representative per class so the
-  // report's histogram keeps the canonical (sorted) text encoding.
-  std::unordered_map<core::TypeId, std::pair<int, Vertex>> classes;
-  for (Vertex v = 0; v < n; ++v) {
-    auto [it, inserted] =
-        classes.try_emplace(ids[static_cast<std::size_t>(v)], 0, v);
-    (void)inserted;
-    ++it->second.first;
+  return ids;
+}
+
+HomogeneityReport measure(std::vector<core::TypeId> ids) {
+  HomogeneityReport report;
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size();) {
+    std::size_t j = i;
+    while (j < ids.size() && ids[j] == ids[i]) ++j;
+    ++report.distinct_types;
+    report.largest_class = std::max(report.largest_class, j - i);
+    i = j;
   }
-  for (const auto& [id, cls] : classes) {
-    (void)id;
-    report.histogram[ordered_ball_type(g, keys, cls.second, r)] =
-        cls.first;
-  }
-  report.distinct_types = report.histogram.size();
-  for (const auto& [type, count] : report.histogram) {
-    const double frac = n == 0 ? 0.0 : static_cast<double>(count) / n;
-    if (frac > report.fraction) {
-      report.fraction = frac;
-      report.type = type;
-    }
-  }
+  if (!ids.empty())
+    report.fraction = static_cast<double>(report.largest_class) /
+                      static_cast<double>(ids.size());
   return report;
 }
 
 }  // namespace
 
+std::vector<core::TypeId> ordered_ball_type_ids(const Graph& g,
+                                                const Keys& keys, int r,
+                                                core::TypeInterner& interner) {
+  return type_ids(g, keys, r, interner);
+}
+
+std::vector<core::TypeId> ordered_ball_type_ids(const LDigraph& d,
+                                                const Keys& keys, int r,
+                                                core::TypeInterner& interner) {
+  return type_ids(d, keys, r, interner);
+}
+
 HomogeneityReport measure_homogeneity(const Graph& g, const Keys& keys, int r,
                                       core::TypeInterner& interner) {
-  return measure(g, keys, r, interner);
+  return measure(ordered_ball_type_ids(g, keys, r, interner));
 }
 
 HomogeneityReport measure_homogeneity(const LDigraph& d, const Keys& keys,
                                       int r, core::TypeInterner& interner) {
-  return measure(d, keys, r, interner);
+  return measure(ordered_ball_type_ids(d, keys, r, interner));
 }
 
 bool is_homogeneous(const Graph& g, const Keys& keys, double alpha, int r) {

@@ -19,7 +19,6 @@
 // homogeneity type.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -72,17 +71,27 @@ core::TypeId ordered_ball_type_id(
     const LDigraph& d, const Keys& keys, Vertex v, int r,
     core::TypeInterner& interner = core::TypeInterner::global());
 
-/// Homogeneity measurement result.
+/// ordered_ball_type_id of every vertex, computed in parallel.  Fresh ids
+/// are interned serially in vertex order, so the interner's id -> key map
+/// does not depend on LAPX_THREADS.  Throws std::invalid_argument when
+/// `keys` does not hold one key per vertex.
+std::vector<core::TypeId> ordered_ball_type_ids(
+    const Graph& g, const Keys& keys, int r,
+    core::TypeInterner& interner = core::TypeInterner::global());
+std::vector<core::TypeId> ordered_ball_type_ids(
+    const LDigraph& d, const Keys& keys, int r,
+    core::TypeInterner& interner = core::TypeInterner::global());
+
+/// Homogeneity measurement result.  Classes are counted by TypeId, and
+/// equal ids <=> equal ordered_ball_type spellings, so the counts are
+/// those of the canonical encodings.
 struct HomogeneityReport {
-  double fraction = 0.0;          ///< largest type-class fraction (best alpha)
-  std::string type;               ///< canonical encoding of that class
+  double fraction = 0.0;  ///< largest_class / n (best alpha)
+  std::size_t largest_class = 0;
   std::size_t distinct_types = 0;
-  std::map<std::string, int> histogram;  ///< type -> multiplicity
 };
 
-/// Measures over the ordered-ball TypeIds of every vertex.  Fresh ids are
-/// interned serially in vertex order, so the interner's id -> key map
-/// does not depend on LAPX_THREADS.
+/// Measures over ordered_ball_type_ids of every vertex.
 HomogeneityReport measure_homogeneity(
     const Graph& g, const Keys& keys, int r,
     core::TypeInterner& interner = core::TypeInterner::global());

@@ -92,15 +92,13 @@ Json handle_homogeneity(const Request& req, const GraphEntry& entry) {
   const int r = static_cast<int>(int_field(req, "radius", 1, 0, kMaxRadius));
   const auto keys = order::identity_keys(g.num_vertices());
   const auto report = order::measure_homogeneity(g, keys, r);
-  int largest = 0;
-  for (const auto& [type, count] : report.histogram)
-    largest = std::max(largest, count);
   Json out = Json::object();
   out.set("radius", Json::integer(r));
   out.set("fraction", Json::number(report.fraction));
   out.set("distinct_types",
           Json::integer(static_cast<std::int64_t>(report.distinct_types)));
-  out.set("largest_class", Json::integer(largest));
+  out.set("largest_class",
+          Json::integer(static_cast<std::int64_t>(report.largest_class)));
   return out;
 }
 

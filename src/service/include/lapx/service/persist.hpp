@@ -2,37 +2,32 @@
 // Crash-safe persistence for the result cache: a versioned binary
 // snapshot plus an append-only journal of cache fills.
 //
-// Why this is not just "write the map": cache keys are TypeIds, and
-// TypeIds are process-local (dense in interner insertion order), so a
-// key's numeric value means nothing to the next process.  Worse, the
-// fingerprint *spelling* embeds another TypeId -- the interned id of the
-// graph's canonical edge-list text ("graph#content") -- so even the
-// spelling is not restart-stable.  The on-disk records therefore store:
-//
-//   * a content table: each distinct graph edge-list text, keyed by a
-//     small file-local slot number, and
-//   * per entry: the fingerprint key JSON with "graph#content" rewritten
-//     to the slot, plus the cached payload bytes verbatim.
-//
-// Loading inverts the rewrite through the LIVE interner: intern the
-// content text, substitute the fresh TypeId back into the key, re-dump
-// (the canonical serializer makes this byte-stable), and intern the
-// framed spelling -- exactly the string protocol.cpp would build for the
-// same request against the re-uploaded graph.  Payload bytes are never
+// Cache keys are TypeIds, and TypeIds are process-local (dense in
+// interner insertion order), so a key's numeric value means nothing to
+// the next process.  Its *spelling* does: a query fingerprint embeds the
+// graph's content id, a digest of the graph's canonical bytes
+// (GraphEntry::content_id), so protocol.cpp spells the same request
+// against the same graph identically in every process.  The on-disk
+// records therefore store each fill as (fingerprint spelling, payload
+// bytes), both verbatim, and loading interns the spelling into the LIVE
+// interner -- yielding exactly the TypeId the protocol layer computes for
+// that request after the graph is re-uploaded.  Payload bytes are never
 // reparsed, so a warm-restart hit replays the cold computation's exact
 // bytes and responses stay byte-identical across restarts.
 //
 // File layout under the cache dir (both files share one record framing):
 //
-//   snapshot.lapxc   "LAPXC001" magic, then records.  Rewritten as a
+//   snapshot.lapxc   "LAPXC002" magic, then records.  Rewritten as a
 //                    whole via write-to-temp + fsync + rename, so a
 //                    crash mid-save leaves the previous snapshot intact.
-//   journal.lapxj    "LAPXJ001" magic, then records appended on every
+//   journal.lapxj    "LAPXJ002" magic, then records appended on every
 //                    first-writer-wins cache fill (one write() each).
 //
 //   record  := u32le body_len | u8 type | body | u32le crc32(type+body)
-//   'C' body := u32le slot | edge-list text
-//   'E' body := u32le key_len | key JSON (graph#content = slot) | payload
+//   'E' body := u32le key_len | fingerprint spelling | payload
+//
+// A directory written in an older format fails the magic check and loads
+// cold, like any unreadable store.
 //
 // Replay invariants:
 //   * a truncated tail (kill -9 mid-append, torn write) is detected by
@@ -40,9 +35,6 @@
 //     every record before the tear is kept;
 //   * after a load that discarded a journal tail, the journal is
 //     truncated back to its valid prefix so new appends extend good data;
-//   * slots are assigned monotonically for the lifetime of the writer and
-//     never reused, so snapshot and journal always agree on what a slot
-//     means;
 //   * replayed fills go through ResultCache::put, whose first-writer-wins
 //     rule also makes duplicate records (snapshot + journal overlap)
 //     harmless.
@@ -55,7 +47,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,7 +60,6 @@ class CachePersist {
   struct Info {
     std::string dir;
     std::uint64_t loaded_entries = 0;   ///< entries replayed into the cache
-    std::uint64_t loaded_contents = 0;  ///< distinct graph texts replayed
     std::uint64_t discarded_bytes = 0;  ///< torn/corrupt tail bytes dropped
     std::uint64_t dropped_records = 0;  ///< well-framed but unusable records
     std::uint64_t journal_appends = 0;  ///< fills journaled by this process
@@ -90,15 +80,16 @@ class CachePersist {
   CachePersist& operator=(const CachePersist&) = delete;
 
   /// Replays snapshot then journal; returns (fingerprint, payload) pairs
-  /// oldest-first, fingerprints freshly interned.  Never throws on file
+  /// oldest-first, spellings freshly interned.  Never throws on file
   /// content: torn tails and corrupt records are discarded and surfaced
   /// through info().  Also repairs the journal (truncates a bad tail) so
   /// subsequent appends extend a valid prefix.
   std::vector<std::pair<core::TypeId, std::string>> load();
 
-  /// Journals one cache fill (thread-safe, one write() per record).
-  /// Write failures flip the journal into an error state surfaced by
-  /// info(); they never throw into the executor.
+  /// Journals one cache fill, keyed by the fingerprint's spelling in the
+  /// interner (thread-safe, one write() per record).  Write failures flip
+  /// the journal into an error state surfaced by info(); they never throw
+  /// into the executor.
   void append_fill(core::TypeId fingerprint, const std::string& payload);
 
   /// Atomically rewrites the snapshot from `entries` (oldest-first) and
@@ -113,17 +104,12 @@ class CachePersist {
   std::string journal_path() const;
 
  private:
-  struct ReplayState;
-
-  // Parses a fingerprint spelling into (content id, key JSON); false when
-  // the spelling is not a query fingerprint.
-  bool split_fingerprint(core::TypeId fingerprint, core::TypeId& content,
-                         std::string& key_json) const;
-  // Appends the 'C' record for a content id not yet written; returns its
-  // slot.  Requires mu_ held.
-  std::uint32_t slot_for_locked(core::TypeId content, std::string& out);
-  void replay_file_locked(const std::string& path, const char* magic,
-                          bool repair_tail, ReplayState& state);
+  // The framed 'E' record of one fill.
+  std::string entry_record(core::TypeId fingerprint,
+                           const std::string& payload) const;
+  void replay_file_locked(
+      const std::string& path, const char* magic, bool repair_tail,
+      std::vector<std::pair<core::TypeId, std::string>>& entries);
   bool write_journal_locked(const std::string& bytes);
   void note_error_locked(const std::string& what);
 
@@ -132,9 +118,6 @@ class CachePersist {
   mutable std::mutex mu_;
   int journal_fd_ = -1;
   bool journal_bad_ = false;  ///< a write failed; stop appending
-  // Content slots already present in the current snapshot/journal pair.
-  std::unordered_map<core::TypeId, std::uint32_t> slot_of_content_;
-  std::uint32_t next_slot_ = 0;
   Info info_;
 };
 

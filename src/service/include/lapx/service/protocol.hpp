@@ -21,9 +21,11 @@
 //
 // The fingerprint of a query is the canonical dump (keys sorted, "id" and
 // "deadline_ms" stripped) of the request with the graph *name* replaced by
-// the interned TypeId of the graph's canonical edge-list text -- so the
-// cache is addressed by content, not by name, and identical graphs under
-// different names (or re-uploads of identical content) share entries.
+// the graph's content id string ("graph#content", see GraphEntry::
+// content_id) -- so the cache is addressed by content, not by name,
+// identical graphs under different names (or re-uploads of identical
+// content) share entries, and a fingerprint is spelled the same in every
+// process, which is what lets the persisted cache store spellings as is.
 // Only whitelisted per-op fields may appear in a query request; reserved
 // or unknown keys (e.g. a client-supplied "graph#content") are rejected
 // with bad_request so they can never enter the fingerprint.
@@ -76,10 +78,11 @@ Request parse_request(const std::string& line, const Json::Limits& limits = {});
 
 /// Canonical cache fingerprint of a query request: sorted-key dump with
 /// "id"/"deadline_ms" stripped and the given content id substituted for
-/// the graph name, interned into `interner`.  Throws std::invalid_argument
-/// if the request contains any field outside the per-op whitelist.
+/// the graph name as a JSON string, interned into `interner`.  Throws
+/// std::invalid_argument if the request contains any field outside the
+/// per-op whitelist.
 core::TypeId request_fingerprint(
-    const Request& req, core::TypeId graph_content,
+    const Request& req, const std::string& graph_content,
     core::TypeInterner& interner = core::TypeInterner::global());
 
 /// Response envelopes (already-serialized single lines, no trailing \n).

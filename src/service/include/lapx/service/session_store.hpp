@@ -18,9 +18,9 @@
 // overwrites or a mutate edits the bound graph.  An in-flight query pins
 // its epoch (it holds the entry shared_ptr it resolved); mutation
 // installs the next epoch without touching the old one.  `content_hex`
-// is a stable FNV-1a 64 hash of the canonical edge-list text -- unlike
-// raw interner ids it never depends on process history, so it is safe to
-// surface in deterministic responses.
+// is a stable FNV-1a 64 hash of the canonical edge-list text -- it never
+// depends on process history, so it is safe to surface in deterministic
+// responses.
 //
 // Mutation: `mutate` applies a batch of edge edits to a copy of the
 // bound graph (atomic: a bad edit throws graph::MutationError and leaves
@@ -31,9 +31,11 @@
 //
 // Eviction: the store holds at most `max_graphs` named entries; inserting
 // beyond that evicts the least-recently-used name.  `content_id` is the
-// canonical edge-list text interned in the global TypeInterner -- the
-// result cache keys on it, so two names bound to identical graphs share
-// cache entries and re-uploading identical content keeps the cache warm.
+// BLAKE2b-256 digest of the canonical edge-list text -- the result cache
+// keys on it, so two names bound to identical graphs share cache entries,
+// re-uploading identical content keeps the cache warm, and the id is the
+// same in every process.  The text itself is dropped once hashed and never
+// enters the interner.
 
 #include <cstdint>
 #include <list>
@@ -68,17 +70,15 @@ namespace lapx::service {
 /// the instance is under the materialization cap (else kTooLarge).
 class GraphEntry {
  public:
-  /// `text` is g's canonical edge-list text; only its hash is kept (the
-  /// bytes live on in the interner as `content`'s spelling).
-  GraphEntry(graph::Graph g, std::string_view text, core::TypeId content,
-             std::uint64_t epoch);
+  /// `text` is g's canonical edge-list text; only its two hashes are kept.
+  GraphEntry(graph::Graph g, std::string_view text, std::uint64_t epoch);
 
-  /// Out-of-core backing.  `content` is intern("ooc:" + content_hex) where
-  /// content_hex is the file's payload checksum in hex -- stable across
+  /// Out-of-core backing.  `content_hex` is the file's payload checksum in
+  /// hex and the content id is "ooc:" + content_hex -- stable across
   /// processes, so persisted cache entries stay addressable.
   GraphEntry(std::unique_ptr<graph::OocGraph> ooc, std::string source_path,
-             core::TypeId content, std::string content_hex,
-             std::uint64_t epoch, graph::Vertex materialize_max_vertices);
+             std::string content_hex, std::uint64_t epoch,
+             graph::Vertex materialize_max_vertices);
 
   bool is_ooc() const { return ooc_ != nullptr; }
   const graph::OocGraph* ooc() const { return ooc_.get(); }
@@ -93,7 +93,12 @@ class GraphEntry {
   /// The full adjacency.  Ooc backing: lazily materialized from the file;
   /// throws ServiceError(kTooLarge) above the materialization cap.
   const graph::Graph& graph() const;
-  core::TypeId content_id() const { return content_id_; }
+
+  /// The content identity query fingerprints embed: 64 hex digits of
+  /// BLAKE2b-256 over the canonical edge-list text, or "ooc:" +
+  /// content_hex for an out-of-core entry.  Equal for equal graphs in any
+  /// process.
+  const std::string& content_id() const { return content_id_; }
 
   /// 1 for a fresh binding; previous + 1 after each overwrite or mutate.
   std::uint64_t epoch() const { return epoch_; }
@@ -130,7 +135,7 @@ class GraphEntry {
   std::unique_ptr<graph::OocGraph> ooc_;
   std::string source_path_;
   graph::Vertex materialize_max_ = 0;
-  core::TypeId content_id_;
+  std::string content_id_;
   std::uint64_t epoch_;
   std::string content_hex_;
   mutable std::once_flag ld_once_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -17,23 +18,26 @@ namespace {
 
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
-  for (unsigned char c : s) {
+  std::size_t plain = 0;  // start of the pending run that needs no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, plain, s.size() - plain);
   out += '"';
 }
 
@@ -365,9 +369,8 @@ void Json::append_to(std::string& out) const {
     case Kind::Null: out += "null"; break;
     case Kind::Bool: out += bool_ ? "true" : "false"; break;
     case Kind::Int: {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(int_));
-      out += buf;
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, int_).ptr);
       break;
     }
     case Kind::Double: append_double(out, double_); break;

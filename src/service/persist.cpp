@@ -9,20 +9,16 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
-
-#include "lapx/service/json.hpp"
+#include <string_view>
 
 namespace lapx::service {
 
 namespace {
 
-constexpr char kSnapshotMagic[9] = "LAPXC001";
-constexpr char kJournalMagic[9] = "LAPXJ001";
+constexpr char kSnapshotMagic[9] = "LAPXC002";
+constexpr char kJournalMagic[9] = "LAPXJ002";
 constexpr std::size_t kMagicLen = 8;
-constexpr char kContentRecord = 'C';
 constexpr char kEntryRecord = 'E';
-constexpr char kFingerprintPrefix[] = "lapxd:q:";
-constexpr std::size_t kPrefixLen = sizeof(kFingerprintPrefix) - 1;
 // A record body is a key + a payload, both protocol-capped at 16 MiB; a
 // larger length field can only be a torn or corrupt record.
 constexpr std::uint32_t kMaxRecordBody = (1u << 25) + 64;
@@ -112,14 +108,6 @@ bool read_file(const std::string& path, std::string& out, bool& exists) {
 
 }  // namespace
 
-// Accumulates replayed records across snapshot + journal: slot bindings
-// are shared (the journal may reference snapshot slots), entries stay in
-// file order so first-writer-wins replay keeps the oldest bytes.
-struct CachePersist::ReplayState {
-  std::unordered_map<std::uint32_t, core::TypeId> content_of_slot;
-  std::vector<std::pair<core::TypeId, std::string>> entries;
-};
-
 CachePersist::CachePersist(std::string dir, core::TypeInterner& interner)
     : dir_(std::move(dir)), interner_(interner) {
   if (dir_.empty()) throw std::runtime_error("cache dir must be non-empty");
@@ -150,42 +138,20 @@ void CachePersist::note_error_locked(const std::string& what) {
   info_.last_error = what;
 }
 
-bool CachePersist::split_fingerprint(core::TypeId fingerprint,
-                                     core::TypeId& content,
-                                     std::string& key_json) const {
-  const std::string& spelling = interner_.spelling(fingerprint);
-  if (spelling.compare(0, kPrefixLen, kFingerprintPrefix) != 0) return false;
-  key_json = spelling.substr(kPrefixLen);
-  try {
-    const Json key = Json::parse(key_json);
-    const Json* cid = key.find("graph#content");
-    if (cid == nullptr || !cid->is_int() || cid->as_int() < 0 ||
-        cid->as_int() > 0xFFFFFFFFll)
-      return false;
-    content = static_cast<core::TypeId>(cid->as_int());
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  return true;
-}
-
-std::uint32_t CachePersist::slot_for_locked(core::TypeId content,
-                                            std::string& out) {
-  if (const auto it = slot_of_content_.find(content);
-      it != slot_of_content_.end())
-    return it->second;
-  const std::uint32_t slot = next_slot_++;
-  slot_of_content_.emplace(content, slot);
+std::string CachePersist::entry_record(core::TypeId fingerprint,
+                                       const std::string& payload) const {
+  const std::string& key = interner_.spelling(fingerprint);
   std::string body;
-  put_u32(body, slot);
-  body += interner_.spelling(content);
-  out += frame_record(kContentRecord, body);
-  return slot;
+  body.reserve(4 + key.size() + payload.size());
+  put_u32(body, static_cast<std::uint32_t>(key.size()));
+  body += key;
+  body += payload;
+  return frame_record(kEntryRecord, body);
 }
 
-void CachePersist::replay_file_locked(const std::string& path,
-                                      const char* magic, bool repair_tail,
-                                      ReplayState& state) {
+void CachePersist::replay_file_locked(
+    const std::string& path, const char* magic, bool repair_tail,
+    std::vector<std::pair<core::TypeId, std::string>>& entries) {
   std::string bytes;
   bool exists = false;
   if (!read_file(path, bytes, exists)) {
@@ -217,47 +183,17 @@ void CachePersist::replay_file_locked(const std::string& path,
     const char* typed = bytes.data() + pos + 4;  // type byte + body
     const std::uint32_t stored_crc = get_u32(typed + 1 + body_len);
     if (crc32(typed, body_len + 1) != stored_crc) break;
-    const char type = typed[0];
     const char* body = typed + 1;
-    if (type == kContentRecord && body_len >= 4) {
-      const std::uint32_t slot = get_u32(body);
-      const std::string text(body + 4, body_len - 4);
-      state.content_of_slot[slot] = interner_.intern(text);
-      ++info_.loaded_contents;
-    } else if (type == kEntryRecord && body_len >= 4) {
-      const std::uint32_t key_len = get_u32(body);
-      if (key_len > body_len - 4) {
-        ++info_.dropped_records;
-        note_error_locked(path + ": entry record with bad key length");
-      } else {
-        const std::string key_json(body + 4, key_len);
-        std::string payload(body + 4 + key_len, body_len - 4 - key_len);
-        // Rebuild the live fingerprint: slot -> re-interned content id,
-        // substituted in place so the canonical dump is byte-stable.
-        try {
-          Json key = Json::parse(key_json);
-          const Json* slot_field = key.find("graph#content");
-          if (slot_field == nullptr || !slot_field->is_int())
-            throw std::invalid_argument("no graph#content");
-          const auto it = state.content_of_slot.find(
-              static_cast<std::uint32_t>(slot_field->as_int()));
-          if (it == state.content_of_slot.end())
-            throw std::invalid_argument("unknown content slot");
-          key.set("graph#content",
-                  Json::integer(static_cast<std::int64_t>(it->second)));
-          const core::TypeId fingerprint =
-              interner_.intern(kFingerprintPrefix + key.dump());
-          state.entries.emplace_back(fingerprint, std::move(payload));
-          ++info_.loaded_entries;
-        } catch (const std::invalid_argument& e) {
-          ++info_.dropped_records;
-          note_error_locked(path + ": undecodable entry record (" + e.what() +
-                            ")");
-        }
-      }
-    } else {
+    const std::uint32_t key_len = body_len >= 4 ? get_u32(body) : 0;
+    if (typed[0] != kEntryRecord || body_len < 4 || key_len > body_len - 4) {
       ++info_.dropped_records;
-      note_error_locked(path + ": unknown record type");
+      note_error_locked(path + ": undecodable record");
+    } else {
+      const std::string_view key(body + 4, key_len);
+      entries.emplace_back(interner_.intern(key),
+                           std::string(body + 4 + key_len,
+                                       body_len - 4 - key_len));
+      ++info_.loaded_entries;
     }
     pos += 9 + body_len;
   }
@@ -275,18 +211,14 @@ void CachePersist::replay_file_locked(const std::string& path,
 
 std::vector<std::pair<core::TypeId, std::string>> CachePersist::load() {
   std::lock_guard<std::mutex> lock(mu_);
-  ReplayState state;
+  // File order throughout, so first-writer-wins replay keeps the oldest
+  // bytes.
+  std::vector<std::pair<core::TypeId, std::string>> entries;
   replay_file_locked(snapshot_path(), kSnapshotMagic, /*repair_tail=*/false,
-                     state);
+                     entries);
   replay_file_locked(journal_path(), kJournalMagic, /*repair_tail=*/true,
-                     state);
-  // Future appends must extend the slot space both files already use, and
-  // may reuse an existing binding for re-seen content.
-  for (const auto& [slot, content] : state.content_of_slot) {
-    slot_of_content_.emplace(content, slot);
-    if (slot >= next_slot_) next_slot_ = slot + 1;
-  }
-  return std::move(state.entries);
+                     entries);
+  return entries;
 }
 
 bool CachePersist::write_journal_locked(const std::string& bytes) {
@@ -320,58 +252,17 @@ bool CachePersist::write_journal_locked(const std::string& bytes) {
 
 void CachePersist::append_fill(core::TypeId fingerprint,
                                const std::string& payload) {
-  core::TypeId content = core::kNoType;
-  std::string key_json;
-  if (!split_fingerprint(fingerprint, content, key_json)) return;
+  const std::string record = entry_record(fingerprint, payload);
   std::lock_guard<std::mutex> lock(mu_);
-  std::string bytes;
-  const std::uint32_t slot = slot_for_locked(content, bytes);
-  // Rewrite graph#content to the slot; parse-then-set keeps member order,
-  // so load's inverse substitution reproduces the dump byte for byte.
-  Json key = Json::parse(key_json);
-  key.set("graph#content", Json::integer(slot));
-  const std::string slotted = key.dump();
-  std::string body;
-  put_u32(body, static_cast<std::uint32_t>(slotted.size()));
-  body += slotted;
-  body += payload;
-  bytes += frame_record(kEntryRecord, body);
-  if (write_journal_locked(bytes)) ++info_.journal_appends;
+  if (write_journal_locked(record)) ++info_.journal_appends;
 }
 
 bool CachePersist::save_snapshot(
     const std::vector<std::pair<core::TypeId, std::string>>& entries) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out(kSnapshotMagic, kMagicLen);
-  // The snapshot is self-contained: re-emit a content record for every
-  // slot binding, then the entries.  Slot numbers are kept stable so the
-  // journal (truncated below, appended to later) stays consistent.
-  std::unordered_map<core::TypeId, std::uint32_t> written;
-  for (const auto& [fingerprint, payload] : entries) {
-    core::TypeId content = core::kNoType;
-    std::string key_json;
-    if (!split_fingerprint(fingerprint, content, key_json)) continue;
-    std::string content_record;
-    const std::uint32_t slot = slot_for_locked(content, content_record);
-    if (written.emplace(content, slot).second) {
-      if (!content_record.empty()) {
-        out += content_record;
-      } else {
-        std::string body;
-        put_u32(body, slot);
-        body += interner_.spelling(content);
-        out += frame_record(kContentRecord, body);
-      }
-    }
-    Json key = Json::parse(key_json);
-    key.set("graph#content", Json::integer(slot));
-    const std::string slotted = key.dump();
-    std::string body;
-    put_u32(body, static_cast<std::uint32_t>(slotted.size()));
-    body += slotted;
-    body += payload;
-    out += frame_record(kEntryRecord, body);
-  }
+  for (const auto& [fingerprint, payload] : entries)
+    out += entry_record(fingerprint, payload);
   const std::string tmp = snapshot_path() + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);

@@ -39,7 +39,7 @@ Request parse_request(const std::string& line, const Json::Limits& limits) {
 }
 
 core::TypeId request_fingerprint(const Request& req,
-                                 core::TypeId graph_content,
+                                 const std::string& graph_content,
                                  core::TypeInterner& interner) {
   // Only whitelisted per-op fields enter the fingerprint; anything else is
   // rejected rather than copied.  Copying arbitrary client keys would let a
@@ -61,8 +61,7 @@ core::TypeId request_fingerprint(const Request& req,
       continue;
     }
     if (k == "graph") {
-      key.set("graph#content",
-              Json::integer(static_cast<std::int64_t>(graph_content)));
+      key.set("graph#content", Json::string(graph_content));
       continue;
     }
     if (!allowed(k))

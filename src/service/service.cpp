@@ -329,8 +329,6 @@ std::string Service::admin(const Request& req) {
       out.set("dir", Json::string(pi.dir));
       out.set("loaded_entries",
               Json::integer(static_cast<std::int64_t>(pi.loaded_entries)));
-      out.set("loaded_contents",
-              Json::integer(static_cast<std::int64_t>(pi.loaded_contents)));
       out.set("discarded_bytes",
               Json::integer(static_cast<std::int64_t>(pi.discarded_bytes)));
       out.set("dropped_records",

@@ -5,6 +5,7 @@
 
 #include "lapx/graph/io.hpp"
 #include "lapx/graph/port_numbering.hpp"
+#include "lapx/service/blake2b.hpp"
 
 namespace lapx::service {
 
@@ -23,20 +24,20 @@ std::string hex16(std::uint64_t h) {
 }  // namespace
 
 GraphEntry::GraphEntry(graph::Graph g, std::string_view text,
-                       core::TypeId content, std::uint64_t epoch)
+                       std::uint64_t epoch)
     : graph_(std::move(g)),
-      content_id_(content),
+      content_id_(blake2b_256_hex(text)),
       epoch_(epoch),
       content_hex_(hex16(graph::fnv1a64(text.data(), text.size()))) {}
 
 GraphEntry::GraphEntry(std::unique_ptr<graph::OocGraph> ooc,
-                       std::string source_path, core::TypeId content,
-                       std::string content_hex, std::uint64_t epoch,
+                       std::string source_path, std::string content_hex,
+                       std::uint64_t epoch,
                        graph::Vertex materialize_max_vertices)
     : ooc_(std::move(ooc)),
       source_path_(std::move(source_path)),
       materialize_max_(materialize_max_vertices),
-      content_id_(content),
+      content_id_("ooc:" + content_hex),
       epoch_(epoch),
       content_hex_(std::move(content_hex)) {}
 
@@ -122,9 +123,7 @@ SessionStore::SessionStore(Options opt) : opt_(opt) {
 std::shared_ptr<const GraphEntry> SessionStore::put(const std::string& name,
                                                     graph::Graph g) {
   const std::string text = graph::to_edge_list(g);
-  const core::TypeId content = core::TypeInterner::global().intern(text);
-  auto entry =
-      std::make_shared<GraphEntry>(std::move(g), text, content, /*epoch=*/1);
+  auto entry = std::make_shared<GraphEntry>(std::move(g), text, /*epoch=*/1);
   Displaced displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
   bind_locked(name, entry, displaced);
@@ -136,12 +135,10 @@ std::shared_ptr<const GraphEntry> SessionStore::open_ooc(
   graph::OocGraph::Options gopt;
   gopt.budget_bytes = opt_.ooc_budget_bytes;
   auto ooc = std::make_unique<graph::OocGraph>(path, gopt);  // throws OocError
-  // Content identity: the file's payload checksum, re-internable across
-  // restarts, namespaced so it can never collide with edge-list text.
+  // Content identity: the file's payload checksum, stable across restarts
+  // and namespaced so it can never collide with an edge-list digest.
   std::string hex = hex16(ooc->payload_checksum());
-  const core::TypeId content =
-      core::TypeInterner::global().intern("ooc:" + hex);
-  auto entry = std::make_shared<GraphEntry>(std::move(ooc), path, content,
+  auto entry = std::make_shared<GraphEntry>(std::move(ooc), path,
                                             std::move(hex), /*epoch=*/1,
                                             opt_.ooc_materialize_max_vertices);
   Displaced displaced;  // destroyed after the lock is released
@@ -202,10 +199,8 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
     graph::Graph g = old->graph();
     graph::apply_edits(g, edits);  // throws MutationError; binding untouched
     const std::string text = graph::to_edge_list(g);
-    const core::TypeId content = core::TypeInterner::global().intern(text);
-    const std::uint64_t epoch = old->epoch() + 1;
-    auto entry =
-        std::make_shared<const GraphEntry>(std::move(g), text, content, epoch);
+    auto entry = std::make_shared<const GraphEntry>(std::move(g), text,
+                                                    old->epoch() + 1);
     entry->fork_refine_from(*old);
     std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock
     std::lock_guard<std::mutex> lock(mu_);

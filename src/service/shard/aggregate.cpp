@@ -119,8 +119,8 @@ std::string merge_fanout(const std::string& op, std::optional<std::int64_t> id,
       out.set("dir", Json::string(ctx.cache_dir));
       Json sums = sum_fields(
           results, nullptr,
-          {"loaded_entries", "loaded_contents", "discarded_bytes",
-           "dropped_records", "journal_appends", "snapshots_written"});
+          {"loaded_entries", "discarded_bytes", "dropped_records",
+           "journal_appends", "snapshots_written"});
       for (const auto& [key, value] : sums.members()) out.set(key, value);
       std::string load_error;
       for (const Json& result : results) {

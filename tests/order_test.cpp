@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "lapx/core/interner.hpp"
 #include "lapx/graph/generators.hpp"
+#include "lapx/graph/port_numbering.hpp"
 #include "lapx/order/homogeneity.hpp"
 #include "lapx/runtime/parallel.hpp"
 
@@ -120,12 +123,28 @@ TEST(Order, RandomOrderIsLessHomogeneous) {
 }
 
 TEST(Order, HistogramAccountsForAllVertices) {
-  const Graph g = torus({6, 6});
-  const auto report = measure_homogeneity(g, identity_keys(36), 1);
-  int total = 0;
-  for (const auto& [type, count] : report.histogram) total += count;
-  EXPECT_EQ(total, 36);
-  EXPECT_GE(report.distinct_types, 2u);
+  // The report counts classes by TypeId; the text spellings are the
+  // oracle: their histogram accounts for every vertex and has the report's
+  // class count and largest class, for both ball overloads.
+  const Keys keys = identity_keys(36);
+  auto check = [&](const auto& g) {
+    const auto report = measure_homogeneity(g, keys, 1);
+    std::map<std::string, std::size_t> histogram;
+    for (lapx::graph::Vertex v = 0; v < 36; ++v)
+      ++histogram[ordered_ball_type(g, keys, v, 1)];
+    std::size_t total = 0, largest = 0;
+    for (const auto& [type, count] : histogram) {
+      total += count;
+      largest = std::max(largest, count);
+    }
+    EXPECT_EQ(total, 36u);
+    EXPECT_EQ(report.distinct_types, histogram.size());
+    EXPECT_EQ(report.largest_class, largest);
+    EXPECT_EQ(report.fraction, static_cast<double>(largest) / 36);
+    EXPECT_GE(report.distinct_types, 2u);
+  };
+  check(torus({6, 6}));
+  check(lapx::graph::directed_torus({6, 6}));
 }
 
 TEST(Order, IsHomogeneousThreshold) {
@@ -135,26 +154,34 @@ TEST(Order, IsHomogeneousThreshold) {
 }
 
 TEST(Order, HomogeneityInterningIsScheduleIndependent) {
-  // measure_homogeneity mints one ordered-ball id per distinct key (~2.9K
-  // here); a fresh interner must map ids to keys identically whatever the
-  // thread count -- the TypeId invariant every other interner client keeps.
+  // ordered_ball_type_ids mints one ordered-ball id per distinct key
+  // (~2.9K here); a fresh interner must map ids to keys identically
+  // whatever the thread count -- the TypeId invariant every other interner
+  // client keeps.  The Graph overload serves measure_homogeneity and
+  // run_oi, the L-digraph one materialize_homogeneous.
   std::mt19937_64 rng(3);
   const Graph g = lapx::graph::random_regular(3000, 3, rng);
+  const lapx::graph::LDigraph d = lapx::graph::to_ldigraph(g);
   const Keys keys = identity_keys(3000);
   const int old_threads = lapx::runtime::thread_count();
-  std::vector<std::vector<std::string>> spellings;
-  for (int threads : {1, 4, 8}) {
-    lapx::runtime::set_thread_count(threads);
-    lapx::core::TypeInterner interner;
-    measure_homogeneity(g, keys, 2, interner);
-    std::vector<std::string>& ids = spellings.emplace_back();
-    for (lapx::core::TypeId id = 0; id < interner.size(); ++id)
-      ids.push_back(interner.spelling(id));
+  for (const bool digraph : {false, true}) {
+    std::vector<std::vector<std::string>> spellings;
+    for (int threads : {1, 4, 8}) {
+      lapx::runtime::set_thread_count(threads);
+      lapx::core::TypeInterner interner;
+      if (digraph)
+        ordered_ball_type_ids(d, keys, 2, interner);
+      else
+        ordered_ball_type_ids(g, keys, 2, interner);
+      std::vector<std::string>& ids = spellings.emplace_back();
+      for (lapx::core::TypeId id = 0; id < interner.size(); ++id)
+        ids.push_back(interner.spelling(id));
+    }
+    EXPECT_GT(spellings[0].size(), 2000u) << "digraph " << digraph;
+    EXPECT_EQ(spellings[1], spellings[0]) << "4 threads vs 1, " << digraph;
+    EXPECT_EQ(spellings[2], spellings[0]) << "8 threads vs 1, " << digraph;
   }
   lapx::runtime::set_thread_count(old_threads);
-  EXPECT_GT(spellings[0].size(), 2000u);
-  EXPECT_EQ(spellings[1], spellings[0]) << "4 threads vs 1";
-  EXPECT_EQ(spellings[2], spellings[0]) << "8 threads vs 1";
 }
 
 }  // namespace

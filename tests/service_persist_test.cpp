@@ -9,6 +9,9 @@
 //   * torn tails and corrupted checksums: the valid prefix loads, the bad
 //     tail is discarded and surfaced via cache_info, the journal is
 //     repaired so later appends extend good data;
+//   * generated damage: ~2000 seeded truncations, byte flips, length
+//     overwrites and splices of a journal or snapshot each load as a
+//     prefix of what was written;
 //   * EINTR injection (service/testing.hpp) through the server recv and
 //     client send/recv retry paths;
 //   * an oversized request line answers `too_large` after the pipeline
@@ -27,11 +30,14 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lapx/core/interner.hpp"
+#include "lapx/service/blake2b.hpp"
 #include "lapx/service/client.hpp"
 #include "lapx/service/json.hpp"
 #include "lapx/service/persist.hpp"
@@ -73,6 +79,26 @@ struct TempDir {
 off_t file_size(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0 ? st.st_size : -1;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::string out;
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return out;
+  char buf[4096];
+  ssize_t k;
+  while ((k = ::read(fd, buf, sizeof buf)) > 0)
+    out.append(buf, static_cast<std::size_t>(k));
+  ::close(fd);
+  return out;
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fd);
 }
 
 void patch_byte(const std::string& path, off_t offset, char delta) {
@@ -181,7 +207,9 @@ TEST(PersistService, OpsWithoutPersistence) {
 // and check the loaded fingerprints match B's own recomputation.
 TEST(PersistService, ReloadThroughShiftedInterner) {
   TempDir dir;
-  const std::string text = "3 2\n0 1\n1 2\n";
+  // Content ids are restart-stable strings (GraphEntry::content_id): the
+  // same graph yields the same id in both "processes".
+  const std::string content = blake2b_256_hex("3 2\n0 1\n1 2\n");
   const std::vector<std::string> lines = {
       R"({"op":"analyze","graph":"g"})",
       R"({"op":"homogeneity","graph":"g","radius":1})",
@@ -189,12 +217,11 @@ TEST(PersistService, ReloadThroughShiftedInterner) {
   };
   {
     TypeInterner a;
-    const TypeId content_a = a.intern(text);
     CachePersist persist(dir.path, a);
     EXPECT_TRUE(persist.load().empty());
     for (std::size_t i = 0; i < lines.size(); ++i)
       persist.append_fill(
-          request_fingerprint(parse_request(lines[i]), content_a, a),
+          request_fingerprint(parse_request(lines[i]), content, a),
           "{\"payload\":" + std::to_string(i) + "}");
   }
   TypeInterner b;
@@ -202,13 +229,11 @@ TEST(PersistService, ReloadThroughShiftedInterner) {
   CachePersist persist(dir.path, b);
   const auto entries = persist.load();
   ASSERT_EQ(entries.size(), lines.size());
-  const TypeId content_b = b.intern(text);
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(entries[i].first,
-              request_fingerprint(parse_request(lines[i]), content_b, b));
+              request_fingerprint(parse_request(lines[i]), content, b));
     EXPECT_EQ(entries[i].second, "{\"payload\":" + std::to_string(i) + "}");
   }
-  EXPECT_EQ(persist.info().loaded_contents, 1u);
   EXPECT_EQ(persist.info().last_error, "");
 }
 
@@ -217,7 +242,7 @@ TEST(PersistService, ReloadThroughShiftedInterner) {
 TEST(PersistService, TruncatedJournalTailDiscardedAndRepaired) {
   TempDir dir;
   TypeInterner a;
-  const TypeId content = a.intern("2 1\n0 1\n");
+  const std::string content = "c2";
   auto fp = [&](int radius) {
     return request_fingerprint(
         parse_request(R"({"op":"homogeneity","graph":"g","radius":)" +
@@ -248,11 +273,10 @@ TEST(PersistService, TruncatedJournalTailDiscardedAndRepaired) {
     EXPECT_EQ(file_size(dir.path + "/journal.lapxj"), two_entries);
     // ...so appending now extends good data.
     persist.append_fill(entries[0].first, entries[0].second);  // dup: fine
-    const TypeId content_b = b.intern("2 1\n0 1\n");
     persist.append_fill(
         request_fingerprint(
             parse_request(R"({"op":"homogeneity","graph":"g","radius":4})"),
-            content_b, b),
+            content, b),
         "{\"r\":4}");
   }
   TypeInterner c;
@@ -264,7 +288,7 @@ TEST(PersistService, TruncatedJournalTailDiscardedAndRepaired) {
 TEST(PersistService, CorruptedChecksumDiscardsFromCorruption) {
   TempDir dir;
   TypeInterner a;
-  const TypeId content = a.intern("2 1\n0 1\n");
+  const std::string content = "c2";
   auto fp = [&](const char* prob) {
     return request_fingerprint(
         parse_request(std::string(R"({"op":"optimum","graph":"g","problem":")") +
@@ -295,28 +319,157 @@ TEST(PersistService, CorruptedChecksumDiscardsFromCorruption) {
 }
 
 TEST(PersistService, GarbageFilesIgnoredNotFatal) {
-  TempDir dir;
-  for (const char* name : {"/snapshot.lapxc", "/journal.lapxj"}) {
-    const int fd =
-        ::open((dir.path + name).c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    ASSERT_GE(fd, 0);
-    ASSERT_EQ(::write(fd, "total garbage, not a store\n", 27), 27);
-    ::close(fd);
+  // Two kinds of unreadable store: plain garbage, and framed records under
+  // the previous format's magics (LAPXC001/LAPXJ001), whose entries keyed
+  // graphs by file-local content slots.  Both load cold.
+  TempDir framed;
+  {
+    TypeInterner a;
+    CachePersist persist(framed.path, a);
+    const TypeId fp = request_fingerprint(
+        parse_request(R"({"op":"analyze","graph":"g"})"), "c2", a);
+    persist.save_snapshot({{fp, "{\"n\":2}"}});
+    persist.append_fill(fp, "{\"n\":2}");
   }
-  TypeInterner a;
-  CachePersist persist(dir.path, a);
-  EXPECT_TRUE(persist.load().empty());
-  EXPECT_EQ(persist.info().discarded_bytes, 54u);
-  EXPECT_NE(persist.info().last_error.find("bad magic"), std::string::npos);
-  // The garbage journal was reinitialized; appends work and reload.
-  const TypeId content = a.intern("2 1\n0 1\n");
-  persist.append_fill(
-      request_fingerprint(parse_request(R"({"op":"analyze","graph":"g"})"),
-                          content, a),
-      "{\"n\":2}");
-  TypeInterner b;
-  CachePersist reload(dir.path, b);
-  EXPECT_EQ(reload.load().size(), 1u);
+  std::string old_snapshot = read_bytes(framed.path + "/snapshot.lapxc");
+  std::string old_journal = read_bytes(framed.path + "/journal.lapxj");
+  ASSERT_GT(old_snapshot.size(), 8u);
+  ASSERT_GT(old_journal.size(), 8u);
+  old_snapshot.replace(0, 8, "LAPXC001");
+  old_journal.replace(0, 8, "LAPXJ001");
+  const std::string garbage = "total garbage, not a store\n";
+  for (const auto& [snapshot, journal] :
+       {std::pair{garbage, garbage}, std::pair{old_snapshot, old_journal}}) {
+    TempDir dir;
+    write_bytes(dir.path + "/snapshot.lapxc", snapshot);
+    write_bytes(dir.path + "/journal.lapxj", journal);
+    TypeInterner a;
+    CachePersist persist(dir.path, a);
+    EXPECT_TRUE(persist.load().empty());
+    EXPECT_EQ(persist.info().discarded_bytes, snapshot.size() + journal.size());
+    EXPECT_NE(persist.info().last_error.find("bad magic"), std::string::npos);
+    // The unreadable journal was reinitialized; appends work and reload.
+    persist.append_fill(
+        request_fingerprint(parse_request(R"({"op":"analyze","graph":"g"})"),
+                            "c2", a),
+        "{\"n\":2}");
+    TypeInterner b;
+    CachePersist reload(dir.path, b);
+    EXPECT_EQ(reload.load().size(), 1u);
+  }
+}
+
+// Generated damage: a 6-entry journal and a 6-entry snapshot, each hit by
+// one seeded mutation -- truncation, one flipped byte, an overwritten
+// length field (a record's body length or its key length), or a splice of
+// random bytes -- must load, through a fresh interner and without
+// throwing, as a prefix of the written (spelling, payload) pairs in
+// order.  A damaged journal is repaired by the load, so one more fill
+// must then reload as that prefix plus the new entry.
+TEST(PersistReplay, GeneratedDamageLoadsAPrefix) {
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  Pairs written;  // entries 0..5 go to disk; entry 6 is the later fill
+  std::string journal, snapshot;
+  {
+    TempDir dir;
+    TypeInterner a(1);
+    CachePersist persist(dir.path, a);
+    std::vector<std::pair<TypeId, std::string>> entries;
+    for (int i = 0; i < 7; ++i) {
+      const TypeId fp = request_fingerprint(
+          parse_request(R"({"op":"homogeneity","graph":"g","radius":)" +
+                        std::to_string(i) + "}"),
+          blake2b_256_hex(std::to_string(i)), a);
+      written.emplace_back(a.spelling(fp), "{\"r\":" + std::to_string(i) + "}");
+      if (i == 6) break;
+      entries.emplace_back(fp, written.back().second);
+      persist.append_fill(fp, written.back().second);
+    }
+    journal = read_bytes(persist.journal_path());
+    ASSERT_TRUE(persist.save_snapshot(entries));
+    snapshot = read_bytes(persist.snapshot_path());
+  }
+  const std::pair<std::string, std::string> extra = written.back();
+  written.pop_back();
+  // Record offsets of the pristine framing (u32le body_len | type | body |
+  // crc), for the length-field mutation.
+  auto record_starts = [](const std::string& bytes) {
+    std::vector<std::size_t> starts;
+    for (std::size_t pos = 8; pos + 9 <= bytes.size();) {
+      starts.push_back(pos);
+      std::uint32_t body_len = 0;
+      for (int b = 3; b >= 0; --b)
+        body_len = body_len << 8 | static_cast<unsigned char>(bytes[pos + b]);
+      pos += 9 + body_len;
+    }
+    return starts;
+  };
+  const std::vector<std::size_t> journal_records = record_starts(journal);
+  const std::vector<std::size_t> snapshot_records = record_starts(snapshot);
+  ASSERT_EQ(journal_records.size(), 6u);
+  ASSERT_EQ(snapshot_records.size(), 6u);
+
+  // Loads through a fresh interner; with `then_append`, the same
+  // CachePersist journals `extra` right after its load.
+  auto load_pairs = [&](const std::string& dir_path, bool then_append) {
+    TypeInterner fresh(1);
+    CachePersist persist(dir_path, fresh);
+    Pairs out;
+    for (const auto& [fp, payload] : persist.load())
+      out.emplace_back(fresh.spelling(fp), payload);
+    if (then_append)
+      persist.append_fill(fresh.intern(extra.first), extra.second);
+    return out;
+  };
+  auto is_prefix = [&](const Pairs& loaded) {
+    return loaded.size() <= written.size() &&
+           std::equal(loaded.begin(), loaded.end(), written.begin());
+  };
+
+  TempDir dir;
+  const std::string journal_path = dir.path + "/journal.lapxj";
+  const std::string snapshot_path = dir.path + "/snapshot.lapxc";
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    std::mt19937_64 rng(seed);
+    const bool damage_journal = seed % 2 == 0;
+    std::string bytes = damage_journal ? journal : snapshot;
+    const auto& records = damage_journal ? journal_records : snapshot_records;
+    auto below = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    switch (seed / 2 % 4) {
+      case 0:  // truncate
+        bytes.resize(below(bytes.size()));
+        break;
+      case 1:  // flip one byte
+        bytes[below(bytes.size())] ^= static_cast<char>(1 + below(255));
+        break;
+      case 2: {  // overwrite a length field: body_len or the entry's key_len
+        const std::size_t at = records[below(records.size())] +
+                               (below(2) == 0 ? 0 : 5);
+        const std::uint32_t len = static_cast<std::uint32_t>(rng());
+        std::memcpy(bytes.data() + at, &len, 4);
+        break;
+      }
+      default: {  // splice in 1..64 random bytes
+        std::string junk(1 + below(64), '\0');
+        for (char& c : junk) c = static_cast<char>(rng());
+        bytes.insert(below(bytes.size() + 1), junk);
+        break;
+      }
+    }
+    ::unlink(journal_path.c_str());
+    ::unlink(snapshot_path.c_str());
+    write_bytes(damage_journal ? journal_path : snapshot_path, bytes);
+    Pairs loaded;
+    ASSERT_NO_THROW(loaded = load_pairs(dir.path, damage_journal))
+        << "seed " << seed;
+    ASSERT_TRUE(is_prefix(loaded))
+        << "seed " << seed << ": " << loaded.size() << " entries";
+    if (!damage_journal) continue;
+    loaded.push_back(extra);
+    ASSERT_EQ(load_pairs(dir.path, false), loaded) << "seed " << seed;
+  }
 }
 
 // End to end: a store whose journal was torn by a crash mid-fill must

@@ -153,7 +153,7 @@ TEST(Protocol, ParseRequest) {
 
 TEST(Protocol, FingerprintIgnoresIdAndDeadlineAndKeyOrder) {
   TypeInterner interner;
-  const TypeId content = 5;
+  const std::string content = "c5";
   const TypeId a = request_fingerprint(
       parse_request(R"({"id":1,"op":"views","graph":"g","radius":2})"),
       content, interner);
@@ -167,9 +167,13 @@ TEST(Protocol, FingerprintIgnoresIdAndDeadlineAndKeyOrder) {
       interner);
   EXPECT_NE(a, c);  // radius is semantic
   const TypeId d = request_fingerprint(
-      parse_request(R"({"op":"views","graph":"g","radius":2})"), content + 1,
+      parse_request(R"({"op":"views","graph":"g","radius":2})"), "c6",
       interner);
   EXPECT_NE(a, d);  // different graph content
+  // The content id enters the spelling as a JSON string, so a fingerprint
+  // is spelled the same in every process.
+  EXPECT_EQ(interner.spelling(a),
+            R"(lapxd:q:{"graph#content":"c5","op":"views","radius":2})");
 }
 
 TEST(Protocol, FingerprintRejectsReservedAndUnknownKeys) {
@@ -179,21 +183,21 @@ TEST(Protocol, FingerprintRejectsReservedAndUnknownKeys) {
   // shift the canonical dump.
   EXPECT_THROW(
       request_fingerprint(
-          parse_request(R"({"op":"views","graph":"g","graph#content":7})"), 5,
-          interner),
+          parse_request(R"({"op":"views","graph":"g","graph#content":7})"),
+          "c5", interner),
       std::invalid_argument);
   EXPECT_THROW(request_fingerprint(
-                   parse_request(R"({"op":"views","graph":"g","extra":1})"), 5,
-                   interner),
+                   parse_request(R"({"op":"views","graph":"g","extra":1})"),
+                   "c5", interner),
                std::invalid_argument);
   // Per-op whitelist: "problem" belongs to optimum, not views.
   EXPECT_THROW(
       request_fingerprint(
-          parse_request(R"({"op":"views","graph":"g","problem":"vc"})"), 5,
-          interner),
+          parse_request(R"({"op":"views","graph":"g","problem":"vc"})"),
+          "c5", interner),
       std::invalid_argument);
   EXPECT_NO_THROW(request_fingerprint(
-      parse_request(R"({"op":"optimum","graph":"g","problem":"vc"})"), 5,
+      parse_request(R"({"op":"optimum","graph":"g","problem":"vc"})"), "c5",
       interner));
 }
 

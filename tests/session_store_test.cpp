@@ -2,7 +2,9 @@
 // pinning contract (shared_ptr holders survive eviction AND mutation),
 // epoch consistency under concurrent get/mutate, and overwrite/drop/evict
 // racing readers of other names -- the store-side half of the
-// incremental-session design (DESIGN.md "Round kernel").
+// incremental-session design (DESIGN.md "Round kernel") -- plus content
+// identity: the pinned hashes, the BLAKE2b vectors behind content_id, and
+// an interner left untouched by put and mutate.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +17,18 @@
 #include <utility>
 #include <vector>
 
+#include "lapx/core/interner.hpp"
 #include "lapx/core/refine.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
+#include "lapx/service/blake2b.hpp"
 #include "lapx/service/session_store.hpp"
 
 namespace {
 
 using lapx::graph::EdgeEdit;
+using lapx::service::blake2b_256_hex;
 using lapx::service::GraphEntry;
 using lapx::service::SessionStore;
 
@@ -104,10 +109,56 @@ TEST(SessionStore, MutateAdvancesEpochAndRoundTripsContent) {
 
 TEST(SessionStore, ContentHexIsPinned) {
   // FNV-1a 64 of the canonical edge-list text, 16 lowercase hex digits:
-  // responses surface it, so the format must never drift.
+  // responses surface it, so the format must never drift.  The content id
+  // is BLAKE2b-256 of the same 158 bytes; persisted fingerprints embed it,
+  // so it must not drift either.
   SessionStore store;
-  EXPECT_EQ(store.put("g", lapx::graph::torus({4, 4}))->content_hex(),
-            "91873099f584ee33");
+  const auto entry = store.put("g", lapx::graph::torus({4, 4}));
+  EXPECT_EQ(entry->content_hex(), "91873099f584ee33");
+  EXPECT_EQ(entry->content_id(),
+            "ebebcf178b5e846031498d57ae801aa11cae0b05e663540a579cba4728cdde09");
+}
+
+TEST(SessionStore, PutAndMutateAddNoInternerIds) {
+  // Content identity is a digest, not an interned text: binding and
+  // mutating a session leave the global interner alone until a query
+  // runs.  (cycle(29) is used by no other test in this binary.)
+  const std::size_t before = lapx::core::TypeInterner::global().size();
+  SessionStore store;
+  const auto v1 = store.put("fresh", lapx::graph::cycle(29));
+  const auto v2 = store.mutate(
+      "fresh", std::vector<EdgeEdit>{{EdgeEdit::Kind::kRemove, 0, 1}});
+  const auto v3 = store.mutate(
+      "fresh", std::vector<EdgeEdit>{{EdgeEdit::Kind::kRemove, 5, 6}});
+  ASSERT_NE(v3, nullptr);
+  EXPECT_EQ(v3->epoch(), 3u);
+  EXPECT_NE(v1->content_id(), v2->content_id());
+  EXPECT_NE(v2->content_id(), v3->content_id());
+  EXPECT_EQ(lapx::core::TypeInterner::global().size(), before);
+}
+
+TEST(Blake2b, MatchesHashlibVectors) {
+  // hashlib.blake2b(data, digest_size=32).hexdigest(), with `pattern(n)`
+  // = bytes(i % 251 for i in range(n)).  The multiples of 128 exercise
+  // BLAKE2's rule that the last block is finalized even when it is full.
+  auto pattern = [](std::size_t n) {
+    std::string s(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) s[i] = static_cast<char>(i % 251);
+    return s;
+  };
+  EXPECT_EQ(blake2b_256_hex(""),
+            "0e5751c026e543b2e8ab2eb06099daa1d1e5df47778f7787faab45cdf12fe3a8");
+  EXPECT_EQ(blake2b_256_hex("abc"),
+            "bddd813c634239723171ef3fee98579b94964e3bb1cb3e427262c8c068d52319");
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {127, "f2fe67ff342e21b8f45e8f2e0bcd1d9243245d50ee6c78042e9c491388791c72"},
+      {128, "c3582f71ebb2be66fa5dd750f80baae97554f3b015663c8be377cfcb2488c1d1"},
+      {129, "f7f3c46ba2564ff4c4c162da1f5b605f9f1c4aa6a20652a9f9a337c1a2f5b9c9"},
+      {256, "582f782226018ec33076bd8d1c42413530ac7e1126260ffc0f306ba3befc3f24"},
+      {std::size_t{1} << 20,
+       "8a5a7a9dc3cf203ed374b0a1eea930601ad2acbfe2b4bc62cf83de4ee536528b"}};
+  for (const auto& [n, hex] : vectors)
+    EXPECT_EQ(blake2b_256_hex(pattern(n)), hex) << "length " << n;
 }
 
 TEST(SessionStore, MutateForksRefineStateWithExactIds) {
