@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -134,6 +135,14 @@ inline void write_json_report(const std::string& path, const std::string& name,
   bool all_ok = true;
   std::fprintf(f, "{\n  \"name\": \"%s\",\n", json_escape(name).c_str());
   std::fprintf(f, "  \"table_wall_seconds\": %.6f,\n", table_wall_seconds);
+  // The host the numbers came from; bench_compare.py prints it, never
+  // gates on it.
+  std::fprintf(f,
+               "  \"host\": {\"nproc\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\"},\n",
+               std::thread::hardware_concurrency(),
+               json_escape(__VERSION__).c_str(),
+               json_escape(LAPX_BENCH_BUILD_TYPE).c_str());
   // Informational like table_wall_seconds: the regression gate never reads
   // timings; the trend report does.
   std::fprintf(f, "  \"phases\": {\n");

@@ -1,8 +1,5 @@
 // E15: the lapxd service layer under load.
 // E16: warm restart -- the same mix replayed from the persisted cache.
-// E19: sharded deployment -- consistent-hash router over N shard workers,
-//      byte-identical transcripts at any shard count, SIGKILL-one-shard
-//      warm restart.
 //
 // Drives the in-process Service core (exactly what `lapx_cli serve`
 // wraps in a socket) with a mixed query workload over a family of stored
@@ -28,19 +25,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "lapx/runtime/parallel.hpp"
-#include "lapx/service/client.hpp"
 #include "lapx/service/ordering.hpp"
 #include "lapx/service/service.hpp"
-#include "lapx/service/shard/hash_ring.hpp"
-#include "lapx/service/shard/router.hpp"
-#include "lapx/service/shard/worker.hpp"
 
 namespace {
 
@@ -199,7 +191,6 @@ ThreadsResult run_executors(int executors,
 }
 
 void print_persistence_table(const std::vector<std::string>& reqs);
-void print_shard_table();
 
 void print_tables() {
   print_header("E15  lapxd service: cache + scheduler under load",
@@ -296,7 +287,6 @@ void print_tables() {
   std::printf("(burst-mode busy responses are exercised in service_test)\n");
 
   print_persistence_table(reqs);
-  print_shard_table();
 }
 
 // E16: warm restart from the persisted cache.  A service with a cache dir
@@ -374,254 +364,6 @@ void print_persistence_table(const std::vector<std::string>& reqs) {
   for (const char* f : {"/snapshot.lapxc", "/journal.lapxj"})
     ::unlink((std::string(dir) + f).c_str());
   ::rmdir(dir);
-}
-
-// ---------------------------------------------------------------------
-// E19: sharded deployment.
-
-namespace shard = lapx::service::shard;
-using lapx::service::Client;
-
-// The E19 socket mix: session setup, a query spread that touches every
-// shard, an admin mutation with re-queries, and the fan-out ops.  `stats`
-// and `cache_info` are the two ops exempt from the determinism contract,
-// so they stay out.
-std::vector<std::string> e19_requests() {
-  std::vector<std::string> reqs = setup_requests();
-  int id = 5000;
-  auto add = [&](const std::string& g, const std::string& rest) {
-    reqs.push_back("{\"id\":" + std::to_string(id++) + ",\"graph\":\"" + g +
-                   "\"," + rest + "}");
-  };
-  for (int rep = 0; rep < 2; ++rep) {
-    for (const char* g : {"pet", "g44", "c12"}) {
-      add(g, R"("op":"optimum","problem":"vc")");
-      add(g, R"("op":"run","algorithm":"local-min-is")");
-    }
-    for (const char* g : {"c200", "t99", "q7", "r4"}) {
-      add(g, R"("op":"analyze")");
-      add(g, R"("op":"homogeneity","radius":1)");
-      add(g, R"("op":"homogeneity","radius":2)");
-      add(g, R"("op":"views","radius":1)");
-      add(g, R"("op":"fractional")");
-      add(g, R"("op":"run","algorithm":"eds-mark-first")");
-    }
-  }
-  // A mutation epoch: admin ops run inline in submission order on the
-  // owning shard, so the edit -> re-query -> revert -> re-query sequence
-  // is deterministic at any shard count.
-  reqs.push_back(
-      R"({"id":5900,"op":"mutate","name":"c12","edits":[{"op":"add","u":0,"v":6}]})");
-  add("c12", R"("op":"analyze")");
-  add("c12", R"("op":"homogeneity","radius":1)");
-  reqs.push_back(
-      R"({"id":5901,"op":"mutate","name":"c12","edits":[{"op":"remove","u":0,"v":6}]})");
-  add("c12", R"("op":"analyze")");
-  reqs.push_back(R"({"id":5902,"op":"session_info"})");
-  reqs.push_back(R"({"id":5903,"op":"list"})");
-  return reqs;
-}
-
-// The kill-scenario mix must replay byte-identically against a cluster
-// where the SURVIVING shard kept its session store: re-generating an
-// existing name overwrites it and advances the epoch, so epoch-bearing
-// ops (mutate, session_info) are excluded -- generate/query responses
-// carry no epochs.
-std::vector<std::string> e19_kill_requests() {
-  std::vector<std::string> reqs = setup_requests();
-  int id = 6000;
-  auto add = [&](const std::string& g, const std::string& rest) {
-    reqs.push_back("{\"id\":" + std::to_string(id++) + ",\"graph\":\"" + g +
-                   "\"," + rest + "}");
-  };
-  for (const char* g : {"c200", "t99", "q7", "r4"}) {
-    add(g, R"("op":"analyze")");
-    add(g, R"("op":"homogeneity","radius":1)");
-    add(g, R"("op":"fractional")");
-  }
-  return reqs;
-}
-
-struct ShardRun {
-  std::string bytes;  // concatenated response lines (shutdown excluded)
-  double seconds = 0.0;
-  double requests_per_second = 0.0;
-};
-
-std::vector<std::unique_ptr<shard::ShardHost>> make_hosts(
-    std::size_t shards, int executors, const std::string& sock_base,
-    const std::string& cache_base) {
-  std::vector<std::unique_ptr<shard::ShardHost>> hosts;
-  for (std::size_t i = 0; i < shards; ++i) {
-    shard::WorkerConfig cfg;
-    cfg.index = static_cast<int>(i);
-    cfg.count = static_cast<int>(shards);
-    cfg.socket_path = sock_base + ".s" + std::to_string(i);
-    cfg.base_cache_dir = cache_base;
-    cfg.service.scheduler.executors = executors;
-    hosts.push_back(std::make_unique<shard::InProcessShardHost>(cfg));
-  }
-  return hosts;
-}
-
-// One pipelined client pass over the router socket (window 32, matching
-// the E15 sweep); responses append to `out.bytes` in submission order.
-ShardRun run_client_pass(const std::string& router_sock,
-                         const std::vector<std::string>& reqs) {
-  ShardRun out;
-  Client client =
-      Client::connect_unix(router_sock, Client::startup_retry());
-  constexpr std::size_t kWindow = 32;
-  std::size_t in_flight = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (const std::string& r : reqs) {
-    if (in_flight >= kWindow) {
-      out.bytes += client.recv_line();
-      out.bytes += '\n';
-      --in_flight;
-    }
-    client.send(r);
-    ++in_flight;
-  }
-  while (in_flight > 0) {
-    out.bytes += client.recv_line();
-    out.bytes += '\n';
-    --in_flight;
-  }
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  out.requests_per_second =
-      out.seconds > 0 ? static_cast<double>(reqs.size()) / out.seconds : 0.0;
-  return out;
-}
-
-ShardRun run_sharded(std::size_t shards, int executors,
-                     const std::vector<std::string>& reqs,
-                     const std::string& tag) {
-  const std::string base = "/tmp/lapx-e19-" + std::to_string(::getpid()) +
-                           "-" + tag;
-  shard::ShardSupervisor sup(make_hosts(shards, executors, base, ""));
-  sup.start_all();
-  shard::Router::Options ropt;
-  ropt.endpoint.unix_path = base + ".router";
-  shard::Router router(sup, ropt);
-  std::thread serve([&router] { router.serve_forever(); });
-  ShardRun out = run_client_pass(ropt.endpoint.unix_path, reqs);
-  {
-    Client client = Client::connect_unix(ropt.endpoint.unix_path,
-                                         Client::startup_retry());
-    client.call(R"({"op":"shutdown"})");
-  }
-  serve.join();
-  sup.stop_all();
-  return out;
-}
-
-void print_shard_table() {
-  print_header("E19  sharded lapxd: router + shard workers",
-               "per-connection transcripts byte-identical at shards 1/2/4 "
-               "and executors 1/4; a SIGKILLed shard respawns warm");
-  lapx::runtime::set_thread_count(1);
-  const std::vector<std::string> reqs = e19_requests();
-  std::printf("request mix: %zu requests (setup + queries + mutate + "
-              "fan-out ops)\n\n",
-              reqs.size());
-  print_row({"shards", "executors", "req/s", "transcript bytes"});
-  const std::vector<std::size_t> shard_counts = {1, 2, 4};
-  const std::vector<int> widths = {1, 4};
-  std::vector<std::vector<ShardRun>> runs(shard_counts.size());
-  for (std::size_t si = 0; si < shard_counts.size(); ++si) {
-    for (const int e : widths) {
-      const std::string tag =
-          "n" + std::to_string(shard_counts[si]) + "x" + std::to_string(e);
-      runs[si].push_back(run_sharded(shard_counts[si], e, reqs, tag));
-      const ShardRun& r = runs[si].back();
-      print_row({std::to_string(shard_counts[si]), std::to_string(e),
-                 fmt(r.requests_per_second, 0),
-                 std::to_string(r.bytes.size())});
-    }
-  }
-  std::printf("\n");
-  for (std::size_t si = 0; si < shard_counts.size(); ++si)
-    for (std::size_t ei = 0; ei < widths.size(); ++ei)
-      check(runs[si][ei].bytes == runs[0][0].bytes,
-            "byte-identical transcript (shards " +
-                std::to_string(shard_counts[si]) + ", executors " +
-                std::to_string(widths[ei]) + ")");
-  value("e19_transcript_bytes", static_cast<double>(runs[0][0].bytes.size()));
-  // Scaling across shard processes is hardware-dependent; self-gate as
-  // the executor sweep does so single-core CI still checks "no collapse".
-  const bool enough_cores = std::thread::hardware_concurrency() >= 4;
-  const double scaling = runs[2][0].requests_per_second /
-                         runs[0][0].requests_per_second;
-  std::printf("cold scaling at 4 shards: %sx (%u hardware threads)\n",
-              fmt(scaling, 2).c_str(), std::thread::hardware_concurrency());
-  check(enough_cores ? scaling >= 1.5 : scaling >= 0.2,
-        "cold throughput scales with shards (>= 1.5x on >= 4 cores)");
-
-  // Kill-one-shard: SIGKILL (emulated in-process: serving stops abruptly,
-  // the shutdown snapshot is skipped) the shard owning "t99" after a cold
-  // pass; the supervisor respawns it, the replacement warm-loads its cache
-  // slice, and the replayed transcript is byte-identical with zero misses
-  // on the respawned shard.
-  char tmpl[] = "/tmp/lapx-e19-kill-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  if (dir == nullptr) {
-    check(false, "mkdtemp for the shard cache dir");
-    lapx::runtime::set_thread_count(0);
-    return;
-  }
-  const std::vector<std::string> kill_reqs = e19_kill_requests();
-  const std::string base =
-      "/tmp/lapx-e19-" + std::to_string(::getpid()) + "-kill";
-  {
-    shard::ShardSupervisor sup(make_hosts(2, 1, base, dir));
-    sup.start_all();
-    sup.begin_monitor();
-    shard::Router::Options ropt;
-    ropt.endpoint.unix_path = base + ".router";
-    ropt.cache_dir = dir;
-    shard::Router router(sup, ropt);
-    std::thread serve([&router] { router.serve_forever(); });
-
-    const ShardRun cold = run_client_pass(ropt.endpoint.unix_path, kill_reqs);
-    const std::size_t victim = shard::HashRing(2).owner("t99");
-    auto* victim_host =
-        static_cast<shard::InProcessShardHost*>(&sup.host(victim));
-    victim_host->kill_hard();
-    for (int i = 0; i < 500 && !sup.host(victim).alive(); ++i)
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    check(sup.host(victim).alive(), "supervisor respawned the killed shard");
-    const ShardRun warm = run_client_pass(ropt.endpoint.unix_path, kill_reqs);
-    const auto cs = victim_host->service()->cache().stats();
-    std::printf("killed shard %zu: respawns %llu, replay misses %llu\n\n",
-                victim, static_cast<unsigned long long>(sup.respawns()),
-                static_cast<unsigned long long>(cs.misses));
-    check(sup.respawns() == 1, "exactly one respawn");
-    check(cold.bytes == warm.bytes,
-          "replay byte-identical after SIGKILL + warm respawn");
-    check(cs.misses == 0, "respawned shard replays from its cache slice "
-                          "(misses = 0)");
-    value("e19_killed_shard_replay_misses", static_cast<double>(cs.misses));
-    {
-      Client client = Client::connect_unix(ropt.endpoint.unix_path,
-                                           Client::startup_retry());
-      client.call(R"({"op":"shutdown"})");
-    }
-    serve.join();
-    sup.stop_all();
-  }
-  for (int i = 0; i < 2; ++i) {
-    const std::string sd =
-        std::string(dir) + "/shard-" + std::to_string(i) + "-of-2";
-    for (const char* f : {"/snapshot.lapxc", "/journal.lapxj"})
-      ::unlink((sd + f).c_str());
-    ::rmdir(sd.c_str());
-  }
-  ::unlink((std::string(dir) + "/shards.meta").c_str());
-  ::rmdir(dir);
-  lapx::runtime::set_thread_count(0);
 }
 
 void BM_WarmQuery(benchmark::State& state) {

@@ -4,7 +4,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -163,32 +162,6 @@ std::string Client::recv_line() {
     const ssize_t k = ::recv(fd_, chunk, sizeof chunk, 0);
     if (k < 0) {
       if (errno == EINTR) continue;
-      sys_fail("recv");
-    }
-    if (k == 0) throw std::runtime_error("server closed the connection");
-    buffer_.append(chunk, static_cast<std::size_t>(k));
-  }
-}
-
-bool Client::poll_line() {
-  if (fd_ < 0) throw std::runtime_error("client not connected");
-  char chunk[4096];
-  while (true) {
-    if (buffer_.find('\n') != std::string::npos) return true;
-    if (buffer_.size() > max_line_bytes_)
-      throw std::runtime_error(
-          "response line exceeds " + std::to_string(max_line_bytes_) +
-          " bytes without a newline; closing");
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/0);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      sys_fail("poll");
-    }
-    if (ready == 0) return false;
-    const ssize_t k = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (k < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       sys_fail("recv");
     }
     if (k == 0) throw std::runtime_error("server closed the connection");

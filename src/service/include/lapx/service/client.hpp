@@ -15,7 +15,7 @@ namespace lapx::service {
 
 /// Bounded retry-with-backoff for connect attempts that fail with
 /// ECONNREFUSED or ENOENT -- the two errnos a daemon that is still
-/// binding (or being respawned) produces.  Any other connect failure
+/// binding (or restarting) produces.  Any other connect failure
 /// is permanent and thrown immediately.  The default is fail-fast
 /// (one attempt), preserving the historical library behavior.
 /// (Namespace-scope so its defaults are usable in Client's own default
@@ -31,10 +31,9 @@ class Client {
   using Retry = ClientRetry;
 
   /// The startup policy: ~40 attempts with doubling backoff capped at
-  /// 250 ms (worst case under ten seconds).  Used by `lapx_cli call`,
-  /// the CI smoke tests, and the router's shard-spawn handshake so none
-  /// of them needs a fixed sleep between spawning a daemon and dialing
-  /// it.
+  /// 250 ms (worst case under ten seconds).  Used by `lapx_cli call` and
+  /// the CI smoke tests so neither needs a fixed sleep between spawning a
+  /// daemon and dialing it.
   static Retry startup_retry() {
     return Retry{40, std::chrono::milliseconds(10),
                  std::chrono::milliseconds(250)};
@@ -70,16 +69,6 @@ class Client {
   /// after N send()s, N recv_line()s return the matching responses.
   void send(const std::string& request_line);
   std::string recv_line();
-
-  /// Non-blocking availability probe: drains whatever the socket has
-  /// ready and reports whether a complete line is buffered (recv_line
-  /// would return without waiting).  Throws like recv_line on transport
-  /// failure or an over-long line.  After it returns false the socket has
-  /// no unread bytes, so poll()ing fd() waits for the rest of the line.
-  bool poll_line();
-
-  /// The connected socket, for callers that multiplex it with poll().
-  int fd() const { return fd_; }
 
   /// Largest response line recv_line accepts before failing with
   /// std::runtime_error -- a newline-less stream must error out, not OOM.

@@ -86,6 +86,8 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 
   void append_to(std::string& out) const;
+
+  class Parser;  // json.cpp; appends object members directly
 };
 
 }  // namespace lapx::service

@@ -121,29 +121,4 @@ class CachePersist {
   Info info_;
 };
 
-/// Per-shard persistence layout under one base cache directory.
-///
-/// Each shard worker owns a disjoint slice of the result cache, so each
-/// gets its own CachePersist directory "<base>/shard-<i>-of-<n>" -- the
-/// shard count is part of the directory name because entries are placed
-/// by the hash ring, and a cache written under a different ring would
-/// hand shards entries they no longer own.  "<base>/shards.meta" records
-/// the count the directory was last served with; a mismatch is detected
-/// (previous_shard_count / count_changed) and reported, never migrated:
-/// the old directories are left untouched, the new count serves cold,
-/// and reverting to the old count restores the old warmth.
-struct ShardLayout {
-  std::string base_dir;
-  int shard_count = 0;
-  int previous_shard_count = 0;  ///< 0 = fresh directory (no meta yet)
-  bool count_changed = false;
-  std::vector<std::string> shard_dirs;  ///< one per shard, in shard order
-};
-
-/// Plans the per-shard cache directories under `base_dir` (creating the
-/// base and rewriting shards.meta) for `shard_count` workers.  Throws
-/// std::runtime_error when the base cannot be created or probed -- same
-/// fail-loudly contract as CachePersist.
-ShardLayout plan_shard_layout(const std::string& base_dir, int shard_count);
-
 }  // namespace lapx::service

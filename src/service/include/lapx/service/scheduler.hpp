@@ -78,8 +78,8 @@ class BatchScheduler {
     std::uint64_t executed = 0;   ///< jobs an executor started running
     std::uint64_t completed = 0;  ///< jobs that ran and resolved
     /// Gauge (not a counter): jobs waiting in the queue at stats() time.
-    /// Surfaced per shard so an operator can see WHICH worker's bounded
-    /// queue is the one emitting `busy` backpressure.
+    /// Surfaced in `stats` so an operator can see how close the bounded
+    /// queue is to emitting `busy` backpressure.
     std::uint64_t queued = 0;
   };
   // Conservation invariant, once every returned future is ready:

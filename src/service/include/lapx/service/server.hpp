@@ -12,12 +12,21 @@
 // The response transcript is therefore byte-identical to a synchronous
 // request/response loop at any executor count.
 //
-// The loops are event-driven (net::FrontEnd, shared with the shard
-// router): a connection thread sleeps in poll() on its client socket, the
-// server's stop eventfd, and its own wake eventfd, which the scheduler
-// signals when a job the connection waits on resolves -- a response
-// leaves as soon as it is computed, and no wait has a timeout.  A
-// `shutdown` request is acknowledged on its own connection and signals
+// Every wait is a poll() on file descriptors with no timeout.  A
+// connection thread sleeps until one of these becomes readable:
+//   * its client socket (more request bytes, or the peer's close);
+//   * the server's stop eventfd -- stop() and an acknowledged `shutdown`
+//     write it, and it is never cleared;
+//   * its own wake eventfd, which the scheduler signals when a job this
+//     connection waits on resolves (the Notify handed to each submit).
+// No lost wakeup: the wake fd is consumed BEFORE drain_ready(), and the
+// scheduler signals only after setting the job's promise, so a completion
+// that lands between the drain and the poll leaves the fd readable.  The
+// Notify holds the wake eventfd by shared ownership, so a completion
+// racing the connection's close writes to a still-open fd, never to a
+// closed (or reused) fd number.
+//
+// A `shutdown` request is acknowledged on its own connection and signals
 // the stop eventfd: the accept loop and every other connection wake, emit
 // what they have in flight and close, and `serve_forever` returns.
 // stop() does the same from another thread or a signal handler (it is
@@ -30,16 +39,15 @@
 // every in-flight response has been emitted plus one final `too_large`
 // error line, so a client can tell protocol rejection from a crash.
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "lapx/service/service.hpp"
 
 namespace lapx::service {
-
-namespace net {
-class FrontEnd;
-}
 
 /// Where to listen.  Exactly one of `unix_path` / `tcp_port` is used:
 /// a non-empty path wins, else a TCP socket on 127.0.0.1:`tcp_port`.
@@ -63,6 +71,7 @@ class Server {
   /// Binds and listens; throws std::runtime_error on socket failures
   /// (address in use, bad path, ...).
   Server(Service& service, Options opt);
+  /// stop(), then joins every connection thread.
   ~Server();
 
   Server(const Server&) = delete;
@@ -72,7 +81,9 @@ class Server {
   /// connection threads before returning.
   void serve_forever();
 
-  /// Unblocks serve_forever from another thread or a signal context.
+  /// Wakes the accept loop and every connection loop; serve_forever then
+  /// returns once the connections have drained.  Idempotent and
+  /// async-signal-safe; a stopped server stays stopped.
   void stop();
 
   /// The bound TCP port (after construction); useful with tcp_port = 0,
@@ -80,8 +91,32 @@ class Server {
   int bound_tcp_port() const;
 
  private:
+  class ListenSocket;  // server.cpp
+  class EventFd;       // server.cpp
+
+  // A connection thread flips `done` as its last action so the accept
+  // loop can join and reap it; without reaping, thread handles accumulate
+  // for the daemon's whole lifetime.
+  struct Connection {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+
+  /// The pipelined connection loop: submits every complete line without
+  /// waiting for its response and emits responses in submission order as
+  /// they resolve.  Runs until the peer closes, the server stops, a line
+  /// is an acknowledged `shutdown`, or a line exceeds max_line_bytes
+  /// (answered with one final `too_large` error); then emits everything
+  /// still in flight and closes `fd`.
+  void serve_connection(int fd);
+  void reap_finished();
+  void join_all();
+
   Service& service_;
-  std::unique_ptr<net::FrontEnd> front_;
+  Options opt_;
+  std::unique_ptr<ListenSocket> listener_;
+  std::unique_ptr<EventFd> stop_fd_;  // signalled by stop(), never cleared
+  std::vector<Connection> connections_;
 };
 
 }  // namespace lapx::service

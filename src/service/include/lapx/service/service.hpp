@@ -144,16 +144,6 @@ class Service {
   /// and destruction run.
   bool save_cache();
 
-  /// TESTING seam: emulate a SIGKILL's persistence effect in-process.
-  /// Disables the shutdown snapshot (and save_cache) so destruction
-  /// leaves the cache directory exactly as an abrupt process death
-  /// would -- the stale snapshot plus the journal of every fill so far.
-  /// The in-process shard host's kill_hard() uses this to exercise the
-  /// warm-respawn path without forking.
-  void abandon_persistence() {
-    abandon_persist_.store(true, std::memory_order_release);
-  }
-
   SessionStore& store() { return store_; }
   ResultCache& cache() { return cache_; }
   const BatchScheduler& scheduler() const { return scheduler_; }
@@ -176,7 +166,6 @@ class Service {
   // touch the cache and pin store entries) all finish before either dies.
   BatchScheduler scheduler_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<bool> abandon_persist_{false};
   std::atomic<std::uint64_t> submit_seq_{0};
 };
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
 
 namespace lapx::service {
@@ -64,7 +65,9 @@ void append_double(std::string& out, double d) {
   out += s;
 }
 
-class Parser {
+}  // namespace
+
+class Json::Parser {
  public:
   Parser(std::string_view text, const Json::Limits& limits)
       : text_(text), limits_(limits) {}
@@ -132,13 +135,21 @@ class Parser {
       ++pos_;
       return obj;
     }
+    // Member indices ordered by key: each key costs one O(log k) probe,
+    // where scanning every earlier key made a k-key object O(k^2).
+    auto& members = obj.object_;
+    const auto by_key = [&members](std::size_t a, std::size_t b) {
+      return members[a].first < members[b].first;
+    };
+    std::set<std::size_t, decltype(by_key)> seen(by_key);
     while (true) {
       skip_ws();
-      std::string key = string();
+      members.emplace_back(string(), Json());
       skip_ws();
       expect(':');
-      if (obj.find(key) != nullptr) fail("duplicate key: " + key);
-      obj.set(std::move(key), value(depth + 1));
+      if (!seen.insert(members.size() - 1).second)
+        fail("duplicate key: " + members.back().first);
+      members.back().second = value(depth + 1);
       skip_ws();
       const char c = peek();
       ++pos_;
@@ -265,8 +276,6 @@ class Parser {
   Json::Limits limits_;
   std::size_t pos_ = 0;
 };
-
-}  // namespace
 
 Json Json::boolean(bool b) {
   Json j;
@@ -416,8 +425,9 @@ Json Json::sorted_copy() const {
     for (const auto& [k, v] : object_) sorted.emplace_back(k, v.sorted_copy());
     std::sort(sorted.begin(), sorted.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    // The keys were distinct before sorting, so no set() scan is needed.
     Json obj = Json::object();
-    for (auto& [k, v] : sorted) obj.set(std::move(k), std::move(v));
+    obj.object_ = std::move(sorted);
     return obj;
   }
   return *this;

@@ -304,53 +304,4 @@ CachePersist::Info CachePersist::info() const {
   return info_;
 }
 
-ShardLayout plan_shard_layout(const std::string& base_dir, int shard_count) {
-  if (base_dir.empty())
-    throw std::runtime_error("cache dir must be non-empty");
-  if (shard_count < 1)
-    throw std::runtime_error("shard count must be >= 1");
-  struct stat st{};
-  if (::stat(base_dir.c_str(), &st) != 0) {
-    if (::mkdir(base_dir.c_str(), 0755) != 0 && errno != EEXIST)
-      throw std::runtime_error("cannot create cache dir " + base_dir + ": " +
-                               std::strerror(errno));
-  } else if (!S_ISDIR(st.st_mode)) {
-    throw std::runtime_error("cache dir is not a directory: " + base_dir);
-  }
-
-  ShardLayout layout;
-  layout.base_dir = base_dir;
-  layout.shard_count = shard_count;
-  const std::string meta_path = base_dir + "/shards.meta";
-  // Meta format: one line, "shards <N>\n".  Unreadable or malformed meta
-  // counts as fresh -- the worst outcome is a cold start.
-  {
-    const int fd = ::open(meta_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd >= 0) {
-      char buf[64] = {};
-      const ssize_t n = ::read(fd, buf, sizeof buf - 1);
-      ::close(fd);
-      int prev = 0;
-      if (n > 0 && std::sscanf(buf, "shards %d", &prev) == 1 && prev >= 1)
-        layout.previous_shard_count = prev;
-    }
-  }
-  layout.count_changed = layout.previous_shard_count != 0 &&
-                         layout.previous_shard_count != shard_count;
-  {
-    const std::string text = "shards " + std::to_string(shard_count) + "\n";
-    const int fd = ::open(meta_path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0)
-      throw std::runtime_error("cannot write " + meta_path + ": " +
-                               std::strerror(errno));
-    write_all(fd, text.data(), text.size());
-    ::close(fd);
-  }
-  for (int i = 0; i < shard_count; ++i)
-    layout.shard_dirs.push_back(base_dir + "/shard-" + std::to_string(i) +
-                                "-of-" + std::to_string(shard_count));
-  return layout;
-}
-
 }  // namespace lapx::service

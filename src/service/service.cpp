@@ -60,9 +60,6 @@ Service::~Service() {
 
 bool Service::save_cache() {
   if (persist_ == nullptr) return true;
-  // Abandoned (kill_hard emulation): skip the snapshot so the directory
-  // keeps only what a real SIGKILL would have left behind.
-  if (abandon_persist_.load(std::memory_order_acquire)) return true;
   return persist_->save_snapshot(cache_.entries());
 }
 

@@ -1,8 +1,9 @@
-// Unit tests for the lapxd service layer: the hardened JSON parser, the
-// wire protocol and its content-addressed fingerprints, the session graph
-// store, the result cache, the batch scheduler (backpressure, deadlines,
-// coalescing), the Service dispatch core, and a socket round trip through
-// Server + Client.
+// Unit tests for the lapxd service layer: the hardened JSON parser (with
+// generated inputs), the wire protocol and its content-addressed
+// fingerprints, the session graph store, the result cache, the batch
+// scheduler (backpressure, deadlines, coalescing), the Service dispatch
+// core, and socket round trips through Server + Client, including the
+// client's connect retry.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,6 +139,115 @@ TEST(Json, DeepCopySemantics) {
   b.set("k", Json::integer(2));
   EXPECT_EQ(a.find("k")->as_int(), 1);
   EXPECT_EQ(b.find("k")->as_int(), 2);
+}
+
+// Object members are checked for duplicates in O(log k) each, so parse
+// and sorted_copy grow near-linearly with the key count: 8x the keys may
+// cost at most 16x the time (scanning every earlier key made it ~64x).
+TEST(Json, ManyKeysParseAndSortInNearLinearTime) {
+  const auto ping_with_keys = [](int keys) {
+    std::string line = R"({"op":"ping")";
+    for (int i = 0; i < keys; ++i)
+      line += ",\"k" + std::to_string(i) + "\":" + std::to_string(i);
+    return line + "}";
+  };
+  const auto min_of_3_ms = [](const auto& run) {
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      run();
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      best = rep == 0 ? ms : std::min(best, ms);
+    }
+    return best;
+  };
+  const std::string small = ping_with_keys(10000);
+  const std::string large = ping_with_keys(80000);
+  const double parse_small = min_of_3_ms([&] { Json::parse(small); });
+  const double parse_large = min_of_3_ms([&] { Json::parse(large); });
+  EXPECT_LE(parse_large, 16.0 * parse_small)
+      << "parse: " << parse_small << " ms at 10k keys, " << parse_large
+      << " ms at 80k";
+  const Json small_obj = Json::parse(small);
+  const Json large_obj = Json::parse(large);
+  ASSERT_EQ(large_obj.members().size(), 80001u);
+  const double sort_small = min_of_3_ms([&] { small_obj.sorted_copy(); });
+  const double sort_large = min_of_3_ms([&] { large_obj.sorted_copy(); });
+  EXPECT_LE(sort_large, 16.0 * sort_small)
+      << "sorted_copy: " << sort_small << " ms at 10k keys, " << sort_large
+      << " ms at 80k";
+  // Duplicate rejection survives: the repeat is the very last key.
+  std::string dup = large;
+  dup.insert(dup.size() - 1, R"(,"k123":0)");
+  EXPECT_THROW(Json::parse(dup), std::invalid_argument);
+}
+
+// Generated inputs: seeded byte flips, deletions, insertions, truncations
+// and splices of real request lines.  The parser either accepts a line or
+// throws std::invalid_argument, and the service answers every line with
+// exactly one response line.
+TEST(Json, MutatedRequestLinesParseOrThrowAndGetOneResponse) {
+  const std::vector<std::string> fixtures = {
+      R"({"op":"ping"})",
+      R"({"id":1,"op":"generate","name":"h","family":"torus","args":[4,4]})",
+      R"({"id":2,"op":"generate","name":"h","family":"lift","args":[3,3,20,7]})",
+      R"({"op":"upload","name":"u","edges":"3 2\n0 1\n1 2\n"})",
+      R"({"id":3,"op":"mutate","name":"g","edits":[{"op":"remove","u":0,"v":1},{"op":"add","u":0,"v":5}]})",
+      R"({"id":4,"op":"views","graph":"g","radius":2})",
+      R"({"id":5,"op":"homogeneity","graph":"g","radius":1,"deadline_ms":500})",
+      R"({"id":6,"op":"run","graph":"g","algorithm":"eds-mark-first"})",
+      R"({"id":7,"op":"optimum","graph":"g","problem":"vc"})",
+      R"({"id":8,"op":"fractional","graph":"g"})",
+      R"({"id":9,"op":"analyze","graph":"g"})",
+      R"({"op":"session_info"})",
+      R"({"op":"drop","name":"g"})",
+  };
+  const std::string alphabet = "{}[]:,\"\\ -.0123456789eEtrufalsn";
+  std::mt19937_64 rng(20261017);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string line = fixtures[pick(fixtures.size())];
+    for (std::size_t m = 1 + pick(3); m > 0 && !line.empty(); --m) {
+      const std::size_t at = pick(line.size());
+      switch (pick(5)) {
+        case 0:  // flip one bit
+          line[at] = static_cast<char>(line[at] ^ (1 << pick(8)));
+          break;
+        case 1:  // delete a short run
+          line.erase(at, 1 + pick(4));
+          break;
+        case 2:  // insert from the JSON alphabet
+          line.insert(at, 1, alphabet[pick(alphabet.size())]);
+          break;
+        case 3:  // truncate
+          line.resize(at);
+          break;
+        default: {  // splice: this prefix, another line's suffix
+          const std::string& other = fixtures[pick(fixtures.size())];
+          line = line.substr(0, at) + other.substr(pick(other.size()));
+        }
+      }
+    }
+    try {
+      Json::parse(line);
+    } catch (const std::invalid_argument&) {
+    } catch (...) {
+      ADD_FAILURE() << "parse threw a non-invalid_argument on: " << line;
+    }
+    // A fresh service per line, so no mutated line's graph can make a
+    // later query expensive.
+    Service svc;
+    svc.handle(R"({"op":"generate","name":"g","family":"torus","args":[4,4]})");
+    const std::string response = svc.handle(line);
+    EXPECT_EQ(response.find('\n'), std::string::npos) << line;
+    const Json parsed = Json::parse(response);
+    ASSERT_TRUE(parsed.find("ok") != nullptr && parsed.find("ok")->is_bool())
+        << line << " -> " << response;
+  }
 }
 
 // ------------------------------------------------------------ protocol --
@@ -1017,6 +1129,10 @@ TEST(ServerClient, StopUnblocksServeForever) {
   t.join();
 }
 
+std::string test_sock_base(const std::string& tag) {
+  return "/tmp/lapx-svt-" + std::to_string(::getpid()) + "-" + tag;
+}
+
 double ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -1127,6 +1243,38 @@ TEST(ServerClient, TcpPipeliningAnswersInSubmissionOrder) {
     client.call(R"({"op":"shutdown"})");
   }
   t.join();
+}
+
+// ------------------------------------------------------- client retry --
+
+TEST(ClientRetry, ConnectAbsorbsALateBindingServer) {
+  const std::string path = test_sock_base("late") + ".sock";
+  Service svc;
+  std::unique_ptr<Server> server;
+  std::thread start_late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    Server::Options opt;
+    opt.endpoint.unix_path = path;
+    server = std::make_unique<Server>(svc, opt);
+    server->serve_forever();
+  });
+  // The socket does not exist yet (ENOENT); the startup policy keeps
+  // redialing until the server binds.
+  Client client = Client::connect_unix(path, Client::startup_retry());
+  const Json pong = Json::parse(client.call(R"({"id":1,"op":"ping"})"));
+  EXPECT_TRUE(pong.find("ok")->as_bool());
+  client.call(R"({"op":"shutdown"})");
+  start_late.join();
+  std::remove(path.c_str());
+}
+
+TEST(ClientRetry, DefaultPolicyFailsFast) {
+  const std::string path = test_sock_base("absent") + ".sock";
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(Client::connect_unix(path), std::runtime_error);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 1.0)
+      << "fail-fast default must not sit in a retry loop";
 }
 
 }  // namespace

@@ -21,7 +21,9 @@ baselines).
 Reports are matched by their embedded ``name`` field, not by filename, so
 the two directories may use different naming schemes.
 
-After the gate verdict the script prints an **informational** wall-time
+After the gate verdict the script prints the host each side ran on (the
+``host`` block of the reports: cores, compiler, build type; baselines
+older than that block read "unrecorded") and an **informational** wall-time
 trend: per report, baseline vs current ``table_wall_seconds`` and every
 ``phases`` entry with the relative delta.  The trend never affects the exit
 status (timings are machine-dependent); ``--trend-report PATH`` additionally
@@ -183,6 +185,27 @@ def _fmt_seconds_delta(baseline, current):
     return "%.3fs -> %.3fs" % (baseline, current)
 
 
+def _hosts(reports):
+    """The distinct host blocks of a report set, formatted; never gates."""
+    seen = set()
+    for record in reports.values():
+        host = record.get("host")
+        if isinstance(host, dict):
+            seen.add("nproc=%s compiler=%s build_type=%s" % (
+                host.get("nproc"), host.get("compiler"),
+                host.get("build_type")))
+        else:
+            seen.add("unrecorded")
+    return "; ".join(sorted(seen))
+
+
+def host_lines(baselines, currents):
+    """Which hosts the two report sets came from (informational)."""
+    return ["host (informational, never gates):",
+            "  baseline: %s" % _hosts(baselines),
+            "  current:  %s" % _hosts(currents)]
+
+
 def trend_lines(baselines, currents):
     """Informational wall-time trend, baseline vs current.  Never gates."""
     lines = ["wall-time trend (informational, never gates):"]
@@ -303,7 +326,8 @@ def main(argv):
         currents = load_reports(args.current_dir)
         failures, _ = compare(baselines, currents,
                               rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-        trend = trend_lines(baselines, currents)
+        trend = host_lines(baselines, currents) + trend_lines(baselines,
+                                                              currents)
         print("\n".join(trend))
         if args.trend_report:
             with open(args.trend_report, "w") as f:

@@ -25,8 +25,6 @@
 // line had "ok":false).  Malformed LAPXD_* environment values never abort:
 // they warn on stderr and fall back to the documented default.
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -53,11 +51,8 @@
 #include "lapx/problems/problem.hpp"
 #include "lapx/runtime/parallel.hpp"
 #include "lapx/service/client.hpp"
-#include "lapx/service/persist.hpp"
 #include "lapx/service/server.hpp"
 #include "lapx/service/service.hpp"
-#include "lapx/service/shard/router.hpp"
-#include "lapx/service/shard/spawn.hpp"
 
 namespace {
 
@@ -80,7 +75,7 @@ int usage() {
       "       serve [--socket PATH | --tcp PORT] [--threads N]\n"
       "             [--executors N] [--cache-entries N] [--cache-bytes N]\n"
       "             [--cache-dir DIR] [--queue-depth N] [--max-graphs N]\n"
-      "             [--ooc-budget-mb N] [--shards N] |\n"
+      "             [--ooc-budget-mb N] |\n"
       "       call [--pipeline] <endpoint> [json-request]\n"
       "endpoints: unix:PATH | tcp:PORT | a /path | a bare port\n"
       "wire ops: ping | generate | upload | open | mutate | drop | list |\n"
@@ -94,7 +89,6 @@ int usage() {
       "           \"path\":P} -- queries stream over the mmap'd file)\n"
       "env: LAPXD_EXECUTORS sets the serve executor default,\n"
       "     LAPXD_CACHE_DIR the result-cache persistence dir,\n"
-      "     LAPXD_SHARDS the serve shard-count default,\n"
       "     LAPXD_OOC_BUDGET_MB the out-of-core residency budget\n");
   return kExitUsage;
 }
@@ -340,102 +334,16 @@ int cmd_graph_convert(int argc, char** argv) {
   return 0;
 }
 
-// `lapx_cli serve --shards N`: fork+exec one worker per shard (each a
-// plain single-process lapxd on its own socket and cache slice) and run
-// the consistent-hash router on the public endpoint.
-int serve_sharded(int shards, const service::Service::Options& sopt,
-                  const service::Server::Options& wopt, long long threads) {
-  namespace shard = service::shard;
-  // Worker sockets live next to the public unix socket; TCP front ends
-  // park them under /tmp keyed by pid.
-  const std::string base = !wopt.endpoint.unix_path.empty()
-                               ? wopt.endpoint.unix_path
-                               : "/tmp/lapxd." + std::to_string(::getpid());
-  std::vector<std::string> shard_dirs(static_cast<std::size_t>(shards));
-  if (!sopt.cache_dir.empty()) {
-    const auto layout = service::plan_shard_layout(sopt.cache_dir, shards);
-    if (layout.count_changed)
-      std::fprintf(stderr,
-                   "lapxd: shard count changed %d -> %d; caches start cold "
-                   "(old shard dirs are kept; revert --shards to rewarm)\n",
-                   layout.previous_shard_count, layout.shard_count);
-    shard_dirs = layout.shard_dirs;
-  }
-  const std::string exe = shard::self_exe_path();
-  std::vector<std::unique_ptr<shard::ShardHost>> hosts;
-  for (int i = 0; i < shards; ++i) {
-    const std::string sock = base + ".shard" + std::to_string(i);
-    // Resource flags forward verbatim: every worker gets the full
-    // per-process budget (shards partition sessions, not memory).
-    std::vector<std::string> cmd = {
-        exe,
-        "serve",
-        "--shard-worker",
-        std::to_string(i),
-        "--shard-count",
-        std::to_string(shards),
-        "--socket",
-        sock,
-        "--executors",
-        std::to_string(sopt.scheduler.executors),
-        "--cache-entries",
-        std::to_string(sopt.cache.max_entries),
-        "--cache-bytes",
-        std::to_string(sopt.cache.max_bytes),
-        "--queue-depth",
-        std::to_string(sopt.scheduler.queue_capacity),
-        "--max-graphs",
-        std::to_string(sopt.store.max_graphs),
-        "--ooc-budget-mb",
-        std::to_string(sopt.store.ooc_budget_bytes >> 20),
-        // Always passed, even when empty: an explicit --cache-dir beats a
-        // LAPXD_CACHE_DIR the worker would otherwise inherit and share.
-        "--cache-dir",
-        shard_dirs[static_cast<std::size_t>(i)]};
-    if (threads >= 1) {
-      cmd.push_back("--threads");
-      cmd.push_back(std::to_string(threads));
-    }
-    hosts.push_back(
-        std::make_unique<shard::ProcessShardHost>(std::move(cmd), sock));
-  }
-  shard::ShardSupervisor sup(std::move(hosts));
-  sup.start_all();
-  sup.begin_monitor();
-  shard::Router::Options ropt;
-  ropt.endpoint = wopt.endpoint;
-  ropt.max_line_bytes = wopt.max_line_bytes;
-  ropt.listen_backlog = wopt.listen_backlog;
-  ropt.max_pipeline = wopt.max_pipeline;
-  ropt.cache_dir = sopt.cache_dir;
-  shard::Router router(sup, ropt);
-  if (!wopt.endpoint.unix_path.empty())
-    std::fprintf(stderr, "lapxd: router for %d shards listening on %s\n",
-                 shards, wopt.endpoint.unix_path.c_str());
-  else
-    std::fprintf(stderr,
-                 "lapxd: router for %d shards listening on 127.0.0.1:%d\n",
-                 shards, router.bound_tcp_port());
-  router.serve_forever();
-  sup.stop_all();
-  std::fprintf(stderr, "lapxd: shut down cleanly\n");
-  return 0;
-}
-
 // lapxd entry point: `lapx_cli serve` runs the service until a client
 // sends {"op":"shutdown"}.
 int cmd_serve(int argc, char** argv) {
   service::Service::Options sopt;
   service::Server::Options wopt;
-  int shards = 0;        // 0 = classic single-process serve
-  int shard_worker = -1; // >= 0: run as spawned worker <index>
-  int shard_count = 1;
-  long long threads = 0;
   // LAPXD_* environment seeds.  atoi silently truncated junk ("8x" ran 8
   // executors, "banana" ran 0 and was ignored without a trace); malformed
   // values now warn on stderr and fall back to the documented default so a
   // typo'd deployment is visible in the service log instead of quietly
-  // changing topology.  --executors / --shards / --ooc-budget-mb override.
+  // changing topology.  --executors / --ooc-budget-mb override.
   auto env_int = [](const char* name, long long lo, long long hi,
                     long long* out) {
     const char* env = std::getenv(name);
@@ -452,8 +360,6 @@ int cmd_serve(int argc, char** argv) {
     sopt.scheduler.executors = static_cast<int>(env_v);
   // LAPXD_CACHE_DIR seeds the persistence dir; --cache-dir overrides it.
   if (const char* env = std::getenv("LAPXD_CACHE_DIR")) sopt.cache_dir = env;
-  if (env_int("LAPXD_SHARDS", 1, 1024, &env_v))
-    shards = static_cast<int>(env_v);
   // 0 means unlimited (never evict).
   if (env_int("LAPXD_OOC_BUDGET_MB", 0, 1LL << 40, &env_v))
     sopt.store.ooc_budget_bytes = static_cast<std::size_t>(env_v) << 20;
@@ -471,8 +377,7 @@ int cmd_serve(int argc, char** argv) {
     } else if (flag == "--tcp") {
       wopt.endpoint.tcp_port = static_cast<int>(int_flag(value));
     } else if (flag == "--threads") {
-      threads = int_flag(value);
-      runtime::set_thread_count(static_cast<int>(threads));
+      runtime::set_thread_count(static_cast<int>(int_flag(value)));
     } else if (flag == "--executors") {
       const long long v = int_flag(value);
       if (v < 1) throw std::invalid_argument("--executors must be >= 1");
@@ -490,24 +395,12 @@ int cmd_serve(int argc, char** argv) {
     } else if (flag == "--ooc-budget-mb") {
       sopt.store.ooc_budget_bytes =
           static_cast<std::size_t>(int_flag(value)) << 20;
-    } else if (flag == "--shards") {
-      const long long v = int_flag(value);
-      if (v < 1) throw std::invalid_argument("--shards must be >= 1");
-      shards = static_cast<int>(v);
-    } else if (flag == "--shard-worker") {  // internal: spawned by router
-      shard_worker = static_cast<int>(int_flag(value));
-    } else if (flag == "--shard-count") {  // internal: spawned by router
-      shard_count = static_cast<int>(int_flag(value));
     } else {
       throw std::invalid_argument("unknown flag: " + flag);
     }
   }
   if (wopt.endpoint.unix_path.empty() && wopt.endpoint.tcp_port == 0)
     wopt.endpoint.unix_path = "/tmp/lapxd.sock";
-  // A spawned worker is a plain single-process lapxd: it must never
-  // re-shard itself (an inherited LAPXD_SHARDS would fork-bomb).
-  if (shard_worker >= 0) shards = 0;
-  if (shards >= 1) return serve_sharded(shards, sopt, wopt, threads);
   service::Service svc(sopt);
   if (svc.persist() != nullptr) {
     const auto pi = svc.persist()->info();
@@ -518,10 +411,7 @@ int cmd_serve(int argc, char** argv) {
                  pi.last_error.c_str());
   }
   service::Server server(svc, wopt);
-  if (shard_worker >= 0)
-    std::fprintf(stderr, "lapxd: shard %d/%d listening on %s\n", shard_worker,
-                 shard_count, wopt.endpoint.unix_path.c_str());
-  else if (!wopt.endpoint.unix_path.empty())
+  if (!wopt.endpoint.unix_path.empty())
     std::fprintf(stderr, "lapxd: listening on %s\n",
                  wopt.endpoint.unix_path.c_str());
   else
