@@ -1,9 +1,9 @@
-// E21 -- the sharded TypeInterner's concurrent hit path.  Refinement rounds
+// E21 -- the TypeInterner's concurrent hit path.  Refinement rounds
 // re-derive mostly-unchanged node tuples, so the interner's dominant
 // operation is a lookup of an already-interned key from many threads at
-// once.  The sharded table resolves those with atomic loads only (no lock,
-// no allocation; see DESIGN.md, "Sharded interner & batched id
-// assignment"), which is what lets Phase A of the refinement engine's
+// once.  The table resolves those with atomic loads only (no lock, no
+// allocation; see DESIGN.md, "Interner & batched id assignment"), which
+// is what lets Phase A of the refinement engine's
 // two-phase pattern fan out across LAPX_THREADS.  The table measures
 // hit-path throughput scaling with raw std::thread workers (not the pool:
 // the subject is the interner), and the batched-miss microbench times the
@@ -49,12 +49,12 @@ std::vector<TypeId> intern_universe(core::TypeInterner& interner) {
 
 void print_hit_path_table() {
   bench::print_header(
-      "E21: sharded interner hit-path throughput",
+      "E21: interner hit-path throughput",
       "already-interned node keys resolve with atomic loads only -- no "
-      "shard mutex, no allocation -- so lookup throughput should scale "
+      "mutex, no allocation -- so lookup throughput should scale "
       "with threads while every thread sees the identical ids");
 
-  core::TypeInterner interner;  // default shards (LAPX_INTERN_SHARDS)
+  core::TypeInterner interner;
   const std::vector<TypeId> ids = intern_universe(interner);
 
   // Per-thread probe order: distinct deterministic shuffles, so threads
@@ -134,73 +134,65 @@ void print_batched_miss_table() {
       "E21b: batched novel-type interning (the two-phase pattern)",
       "workers probe a round's keys lock-free (all miss on novel keys), "
       "then one serial pass interns the misses in canonical order -- ids "
-      "must come out byte-identical to a fully serial pass, whatever the "
-      "shard count");
+      "must come out byte-identical to a fully serial pass");
 
   constexpr std::size_t kRounds = 64;
   constexpr std::size_t kPerRound = 2048;
 
-  bench::print_row({"shards", "serial s", "two-phase s", "size", "ids equal"});
-  bool all_equal = true;
-  double size_value = 0.0;
-  for (const int shards : {1, 64}) {
-    // Reference: one serial interning pass.
-    core::TypeInterner serial(shards);
-    std::vector<TypeId> serial_ids;
-    bench::phase("miss_serial");
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < kRounds; ++r)
-      for (std::uint32_t i = 0; i < kPerRound; ++i) {
-        const TypeId child = static_cast<TypeId>(r * kPerRound + i);
-        serial_ids.push_back(
-            serial.intern_node(core::type_tag::kViewNode, &child, 1));
-      }
-    const double serial_s = seconds_since(t0);
-
-    // Two-phase: per round, 8 workers probe the round's keys (novel keys
-    // miss; repeat keys resolve), then the serial phase interns what is
-    // still unresolved, in canonical order.
-    core::TypeInterner batched(shards);
-    std::vector<TypeId> batched_ids;
-    std::vector<TypeId> resolved(kPerRound);
-    bench::phase("miss_two_phase");
-    const auto t1 = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      std::vector<std::thread> workers;
-      for (int t = 0; t < 8; ++t) {
-        workers.emplace_back([&, t] {
-          for (std::size_t i = t; i < kPerRound; i += 8) {
-            const TypeId child = static_cast<TypeId>(r * kPerRound + i);
-            resolved[i] = batched.try_intern_node(core::type_tag::kViewNode,
-                                                  &child, 1);
-          }
-        });
-      }
-      for (auto& w : workers) w.join();
-      for (std::size_t i = 0; i < kPerRound; ++i) {
-        const TypeId child = static_cast<TypeId>(r * kPerRound + i);
-        batched_ids.push_back(
-            resolved[i] != core::kNoType
-                ? resolved[i]
-                : batched.intern_node(core::type_tag::kViewNode, &child, 1));
-      }
+  bench::print_row({"serial s", "two-phase s", "size", "ids equal"});
+  // Reference: one serial interning pass.
+  core::TypeInterner serial;
+  std::vector<TypeId> serial_ids;
+  bench::phase("miss_serial");
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < kRounds; ++r)
+    for (std::uint32_t i = 0; i < kPerRound; ++i) {
+      const TypeId child = static_cast<TypeId>(r * kPerRound + i);
+      serial_ids.push_back(
+          serial.intern_node(core::type_tag::kViewNode, &child, 1));
     }
-    const double two_phase_s = seconds_since(t1);
+  const double serial_s = seconds_since(t0);
 
-    const bool equal =
-        batched_ids == serial_ids && batched.size() == serial.size();
-    all_equal = all_equal && equal;
-    size_value = static_cast<double>(serial.size());
-    bench::print_row({std::to_string(shards), bench::fmt(serial_s, 3),
-                      bench::fmt(two_phase_s, 3),
-                      std::to_string(serial.size()),
-                      equal ? "yes" : "NO"});
+  // Two-phase: per round, 8 workers probe the round's keys (novel keys
+  // miss; repeat keys resolve), then the serial phase interns what is
+  // still unresolved, in canonical order.
+  core::TypeInterner batched;
+  std::vector<TypeId> batched_ids;
+  std::vector<TypeId> resolved(kPerRound);
+  bench::phase("miss_two_phase");
+  const auto t1 = std::chrono::steady_clock::now();
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 8; ++t) {
+      workers.emplace_back([&, t] {
+        for (std::size_t i = t; i < kPerRound; i += 8) {
+          const TypeId child = static_cast<TypeId>(r * kPerRound + i);
+          resolved[i] =
+              batched.try_intern_node(core::type_tag::kViewNode, &child, 1);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (std::size_t i = 0; i < kPerRound; ++i) {
+      const TypeId child = static_cast<TypeId>(r * kPerRound + i);
+      batched_ids.push_back(
+          resolved[i] != core::kNoType
+              ? resolved[i]
+              : batched.intern_node(core::type_tag::kViewNode, &child, 1));
+    }
   }
+  const double two_phase_s = seconds_since(t1);
 
-  bench::value("interner_miss_rounds_distinct", size_value);
-  bench::check(all_equal,
+  const bool equal =
+      batched_ids == serial_ids && batched.size() == serial.size();
+  bench::print_row({bench::fmt(serial_s, 3), bench::fmt(two_phase_s, 3),
+                    std::to_string(serial.size()), equal ? "yes" : "NO"});
+
+  bench::value("interner_miss_rounds_distinct",
+               static_cast<double>(serial.size()));
+  bench::check(equal,
                "two-phase batched interning allocates ids byte-identical "
-               "to a serial pass at shards 1 and 64");
+               "to a serial pass");
 }
 
 void print_tables() {

@@ -188,7 +188,7 @@ void print_worklist_table() {
       "E17b: worklist scheduling (active-vertex retirement) vs dense rounds",
       "once a vertex's neighbourhood stops changing it retires from the "
       "round worklist; on stabilizing workloads later rounds touch only "
-      "the still-active region (runtime/worklist.hpp work-stealing)");
+      "the still-active region (runtime/worklist.hpp chunks)");
 
   const graph::LDigraph g = stabilizing_forest();
   constexpr int kR = 48;

@@ -20,19 +20,16 @@
 //    tagged, so they can never collide with flat text encodings (which are
 //    printable) or with each other.
 //
-// Concurrency (DESIGN.md, "Sharded interner & batched id assignment").
-// The table is sharded: the key hash, computed once, selects one of N
-// power-of-two shards (LAPX_INTERN_SHARDS, default 64).  The HIT path is
-// lock-free and allocation-free -- node keys are framed in a stack buffer,
-// the shard's open-addressed index is probed with atomic loads, and a
-// per-thread stamped direct-mapped L1 memo short-circuits repeated
-// re-interns (every memo hit is verified byte-for-byte against the stored
-// spelling, so a hash collision can never alias two types).  Only a MISS
-// takes locks: the owning shard's mutex, then a global assignment mutex
-// under which ids are handed out densely in insertion order and the
-// spelling is written.  Sharding therefore never changes WHICH id a key
-// gets -- ids depend only on the order intern calls commit, so a serial
-// interning pass produces identical ids at every shard count.
+// Concurrency (DESIGN.md, "Interner & batched id assignment").  One
+// open-addressed table of packed (32-bit hash tag << 32 | id) words, each
+// homed by the top bits of its tag.  The HIT path is lock-free and
+// allocation-free -- node keys are framed in a stack buffer, the table is
+// probed with atomic loads, and a per-thread stamped direct-mapped L1 memo
+// short-circuits repeated re-interns (every memo hit is verified
+// byte-for-byte against the stored spelling, so a hash collision can never
+// alias two types).  Only a MISS takes the one mutex, under which ids are
+// handed out densely in insertion order, the spelling is written and the
+// slot is published -- ids depend only on the order intern calls commit.
 //
 // Code that needs a deterministic id order must still intern serially.
 // Parallel consumers either compare ids for equality only (order-free), or
@@ -48,6 +45,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace lapx::core {
 
@@ -58,24 +56,9 @@ using TypeId = std::uint32_t;
 /// try_intern can use it as its miss value.
 inline constexpr TypeId kNoType = 0xFFFFFFFFu;
 
-namespace detail {
-
-/// Strict LAPX_INTERN_SHARDS parser: true and *out only when `s` is wholly
-/// a base-10 power of two in [1, 1024] (parse_env_int rules: no leading or
-/// trailing junk, no whitespace, no partial writes).  Exposed for tests.
-bool parse_intern_shards(const char* s, int* out);
-
-}  // namespace detail
-
-/// The process default shard count: LAPX_INTERN_SHARDS when set and valid
-/// (a loud one-line warning and the default otherwise), else 64.
-int default_intern_shards();
-
 class TypeInterner {
  public:
-  /// shards == 0 (the default) uses default_intern_shards(); tests pass an
-  /// explicit power of two in [1, 1024] to pin the layout.
-  explicit TypeInterner(int shards = 0);
+  TypeInterner();
   ~TypeInterner();
   TypeInterner(const TypeInterner&) = delete;
   TypeInterner& operator=(const TypeInterner&) = delete;
@@ -108,18 +91,15 @@ class TypeInterner {
     return size_.load(std::memory_order_acquire);
   }
 
-  /// Number of shards this instance hashes across (bench introspection).
-  int shard_count() const { return shard_count_; }
-
   /// The process-wide default interner.
   static TypeInterner& global();
 
  private:
-  struct Shard;
+  struct Table;
 
   // Spelling storage: geometric slabs (slab k holds 2^(10+k) strings), so
   // a 22-pointer directory covers the whole 32-bit id space lock-free and
-  // references stay stable forever.  Slabs are allocated under assign_mu_;
+  // references stay stable forever.  Slabs are allocated under mu_;
   // readers reach a slab only through ids published after the write.
   static constexpr int kSlabBase = 10;
   static constexpr int kMaxSlabs = 23;
@@ -128,12 +108,16 @@ class TypeInterner {
   TypeId insert(std::uint64_t hash, std::string_view key);
   const std::string& spelling_at(TypeId id) const;
 
-  int shard_count_ = 0;
-  int shard_bits_ = 0;
-  std::unique_ptr<Shard[]> shards_;
-
-  std::mutex assign_mu_;  // serializes id assignment + spelling writes
-  TypeId next_id_ = 0;    // guarded by assign_mu_
+  // mu_ serializes every insert: the re-probe, id assignment, the
+  // spelling write, growth and the slot publish.
+  std::mutex mu_;
+  std::atomic<Table*> table_{nullptr};
+  // Current + retired tables, guarded by mu_.  Grown tables are never
+  // freed while the interner lives: a lock-free reader may still be
+  // probing a retired array, and keeping them costs at most 2x the live
+  // table (geometric growth).
+  std::vector<std::unique_ptr<Table>> tables_;
+  TypeId next_id_ = 0;  // guarded by mu_
   std::atomic<std::size_t> size_{0};
   std::atomic<std::string*> slabs_[kMaxSlabs] = {};
 };

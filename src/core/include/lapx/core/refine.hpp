@@ -44,7 +44,7 @@
 // only types already present, and a retired span's tuples were interned
 // when it was last active, so fresh TypeIds land in the order a fully
 // serial pass would produce -- they depend only on the graph (and, for a
-// delta, on the kept state), never on LAPX_THREADS or LAPX_INTERN_SHARDS.
+// delta, on the kept state), never on LAPX_THREADS.
 // Round-local deduplication rides on the ids themselves (the interner is
 // injective on the serialized tuple), via open-addressed id maps sized by
 // the ids a round holds, never by the interner.

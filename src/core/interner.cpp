@@ -1,12 +1,8 @@
 #include "lapx/core/interner.hpp"
 
 #include <bit>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <vector>
-
-#include "lapx/runtime/parallel.hpp"
 
 namespace lapx::core {
 
@@ -15,8 +11,8 @@ namespace {
 // Structural keys are framed so they can never collide with flat text
 // encodings: a leading '\x01' byte (canonical text encodings are printable)
 // followed by the 8-byte tag and the 4-byte child ids, little-endian.  The
-// framing is byte-identical to the pre-sharding interner, so persisted
-// spellings and the substr-based tests keep their meaning.
+// framing is part of the persisted spellings (and the substr-based tests),
+// so it never changes.
 std::size_t node_key_size(std::size_t n) { return 1 + 8 + 4 * n; }
 
 void frame_node_key(char* out, std::uint64_t tag, const TypeId* children,
@@ -35,7 +31,8 @@ constexpr std::size_t kInlineChildren = 62;
 
 inline std::uint64_t mix64(std::uint64_t x) {
   // splitmix64 finalizer: cheap, and strong enough that the low bits
-  // (shard select) and high bits (slot tag) are independently usable.
+  // (L1 memo slot) and high bits (slot tag and home) are independently
+  // usable.
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
   x ^= x >> 27;
@@ -62,13 +59,17 @@ std::uint64_t hash_bytes(const char* p, std::size_t n) {
 }
 
 // Open-addressed slot array: one atomic word per slot packing
-// (32-bit hash tag << 32) | id.  Readers probe with acquire loads; writers
-// publish with release stores under the shard mutex.  The all-ones word is
-// the empty sentinel -- unambiguous because id kNoType is never assigned.
+// (32-bit hash tag << 32) | id, homed by the top bits of the tag.  Because
+// a word carries its own home, growth re-places the old table's words
+// directly -- no (hash, id) side list is kept.  Readers probe with acquire
+// loads; writers publish with release stores under the interner mutex.
+// The all-ones word is the empty sentinel -- unambiguous because id
+// kNoType is never assigned.
 constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
-constexpr std::size_t kInitialSlots = 64;
+constexpr int kInitialBits = 6;  // 64 slots
+constexpr int kMaxBits = 32;     // a 32-bit tag homes at most 2^32 slots
 
-// Thread-local stamped direct-mapped L1 memo in front of the shards: one
+// Thread-local stamped direct-mapped L1 memo in front of the table: one
 // slot per hash bucket holding the owning interner, the full 64-bit hash,
 // and the id.  Hits are verified byte-for-byte against the spelling before
 // being trusted (a collision or a stale owner pointer can therefore never
@@ -84,63 +85,44 @@ thread_local L1Entry g_l1[kL1Slots];
 
 }  // namespace
 
-namespace detail {
+struct TypeInterner::Table {
+  explicit Table(int bits)
+      : mask((std::size_t{1} << bits) - 1),
+        shift(kMaxBits - bits),
+        slots(new std::atomic<std::uint64_t>[mask + 1]) {
+    for (std::size_t i = 0; i <= mask; ++i)
+      slots[i].store(kEmptySlot, std::memory_order_relaxed);
+  }
 
-bool parse_intern_shards(const char* s, int* out) {
-  long long v = 0;
-  if (!runtime::detail::parse_env_int(s, 1, 1024, &v)) return false;
-  if ((v & (v - 1)) != 0) return false;  // shard selection masks the hash
-  *out = static_cast<int>(v);
-  return true;
-}
-
-}  // namespace detail
-
-int default_intern_shards() {
-  static const int shards = [] {
-    if (const char* s = std::getenv("LAPX_INTERN_SHARDS")) {
-      int v = 0;
-      if (detail::parse_intern_shards(s, &v)) return v;
-      std::fprintf(stderr,
-                   "lapx: ignoring invalid LAPX_INTERN_SHARDS=\"%s\" "
-                   "(expected a power of two in [1, 1024]); using 64\n",
-                   s);
+  // The id stored under `tag` whose spelling equals key, else kNoType.
+  TypeId find(const TypeInterner& in, std::uint64_t tag,
+              std::string_view key) const {
+    for (std::size_t idx = tag >> shift;; idx = (idx + 1) & mask) {
+      const std::uint64_t slot = slots[idx].load(std::memory_order_acquire);
+      if (slot == kEmptySlot) return kNoType;
+      if ((slot >> 32) != tag) continue;
+      const auto id = static_cast<TypeId>(slot);
+      const std::string& sp = in.spelling_at(id);
+      if (sp.size() == key.size() &&
+          std::memcmp(sp.data(), key.data(), key.size()) == 0)
+        return id;
     }
-    return 64;
-  }();
-  return shards;
-}
+  }
 
-struct TypeInterner::Shard {
-  struct Table {
-    explicit Table(std::size_t cap)
-        : mask(cap - 1), slots(new std::atomic<std::uint64_t>[cap]) {
-      for (std::size_t i = 0; i < cap; ++i)
-        slots[i].store(kEmptySlot, std::memory_order_relaxed);
-    }
-    std::size_t mask;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
-  };
+  // Stores a (tag << 32 | id) word in the first free slot from its home.
+  void place(std::uint64_t word) {
+    std::size_t idx = (word >> 32) >> shift;
+    while (slots[idx].load(std::memory_order_relaxed) != kEmptySlot)
+      idx = (idx + 1) & mask;
+    slots[idx].store(word, std::memory_order_release);
+  }
 
-  std::mutex mu;
-  std::atomic<Table*> table{nullptr};
-  // Current + retired tables.  Grown tables are never freed while the
-  // interner lives: a lock-free reader may still be probing a retired
-  // array, and keeping them costs at most 2x the live table (geometric
-  // growth).  All are reclaimed in the interner destructor.
-  std::vector<std::unique_ptr<Table>> tables;       // guarded by mu
-  std::vector<std::pair<std::uint64_t, TypeId>> entries;  // (hash, id); mu
+  std::size_t mask;
+  int shift;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
 };
 
-TypeInterner::TypeInterner(int shards)
-    : shard_count_(shards == 0 ? default_intern_shards() : shards) {
-  if (shard_count_ < 1 || shard_count_ > 1024 ||
-      (shard_count_ & (shard_count_ - 1)) != 0)
-    throw std::invalid_argument(
-        "TypeInterner: shards must be a power of two in [1, 1024]");
-  shard_bits_ = std::countr_zero(static_cast<unsigned>(shard_count_));
-  shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(shard_count_));
-}
+TypeInterner::TypeInterner() = default;
 
 TypeInterner::~TypeInterner() {
   for (int k = 0; k < kMaxSlabs; ++k)
@@ -161,7 +143,7 @@ TypeId TypeInterner::lookup(std::uint64_t hash, std::string_view key) const {
   const std::size_t live = size_.load(std::memory_order_acquire);
   // L1 memo first: a thread re-interning the same node (refinement rounds
   // re-derive unchanged tuples every round) pays one private probe plus
-  // the byte verify, never touching the shared shard index.
+  // the byte verify, never touching the shared table.
   L1Entry& memo = g_l1[hash & (kL1Slots - 1)];
   if (memo.owner == this && memo.hash == hash && memo.id < live) {
     const std::string& sp = spelling_at(memo.id);
@@ -169,103 +151,60 @@ TypeId TypeInterner::lookup(std::uint64_t hash, std::string_view key) const {
         std::memcmp(sp.data(), key.data(), key.size()) == 0)
       return memo.id;
   }
-  const Shard& sh =
-      shards_[hash & (static_cast<std::uint64_t>(shard_count_) - 1)];
-  const Shard::Table* t = sh.table.load(std::memory_order_acquire);
+  const Table* t = table_.load(std::memory_order_acquire);
   if (t == nullptr) return kNoType;
-  const std::uint64_t tag = hash >> 32;
-  std::size_t idx = (hash >> shard_bits_) & t->mask;
-  for (;;) {
-    const std::uint64_t slot = t->slots[idx].load(std::memory_order_acquire);
-    if (slot == kEmptySlot) return kNoType;
-    if ((slot >> 32) == tag) {
-      const auto id = static_cast<TypeId>(slot);
-      const std::string& sp = spelling_at(id);
-      if (sp.size() == key.size() &&
-          std::memcmp(sp.data(), key.data(), key.size()) == 0) {
-        memo = {this, hash, id};
-        return id;
-      }
-    }
-    idx = (idx + 1) & t->mask;
-  }
+  const TypeId id = t->find(*this, hash >> 32, key);
+  if (id != kNoType) memo = {this, hash, id};
+  return id;
 }
 
 TypeId TypeInterner::insert(std::uint64_t hash, std::string_view key) {
-  Shard& sh = shards_[hash & (static_cast<std::uint64_t>(shard_count_) - 1)];
-  std::lock_guard<std::mutex> shard_lock(sh.mu);
-  // Re-probe under the shard lock: we may have lost the race to another
+  const std::uint64_t tag = hash >> 32;
+  std::lock_guard<std::mutex> lock(mu_);
+  // Re-probe under the lock: we may have lost the race to another
   // inserter of the same key (lookup misses are not stable).
-  {
-    const Shard::Table* t = sh.table.load(std::memory_order_relaxed);
-    if (t != nullptr) {
-      const std::uint64_t tag = hash >> 32;
-      std::size_t idx = (hash >> shard_bits_) & t->mask;
-      for (;;) {
-        const std::uint64_t slot =
-            t->slots[idx].load(std::memory_order_relaxed);
-        if (slot == kEmptySlot) break;
-        if ((slot >> 32) == tag) {
-          const auto id = static_cast<TypeId>(slot);
-          const std::string& sp = spelling_at(id);
-          if (sp.size() == key.size() &&
-              std::memcmp(sp.data(), key.data(), key.size()) == 0)
-            return id;
-        }
-        idx = (idx + 1) & t->mask;
-      }
-    }
+  Table* t = table_.load(std::memory_order_relaxed);
+  if (t != nullptr) {
+    const TypeId hit = t->find(*this, tag, key);
+    if (hit != kNoType) return hit;
   }
-  // Novel key: the global assignment lock hands out the next dense id and
-  // writes the spelling before publishing the new size.  This is the ONLY
-  // cross-shard serialization, and it covers novel types only -- ids are
-  // dense in commit order whatever the shard count, which is what keeps a
-  // serial interning pass byte-identical across LAPX_INTERN_SHARDS.
-  TypeId id;
-  {
-    std::lock_guard<std::mutex> assign_lock(assign_mu_);
-    id = next_id_;
-    if (id == kNoType)
-      throw std::length_error("TypeInterner: id space exhausted");
-    const std::uint64_t bucket =
-        (static_cast<std::uint64_t>(id) >> kSlabBase) + 1;
-    const int k = 63 - std::countl_zero(bucket);
-    std::string* slab = slabs_[k].load(std::memory_order_relaxed);
-    if (slab == nullptr) {
-      slab = new std::string[std::size_t{1} << (kSlabBase + k)];
-      slabs_[k].store(slab, std::memory_order_release);
-    }
-    const std::uint64_t start = ((std::uint64_t{1} << k) - 1) << kSlabBase;
-    slab[id - start].assign(key.data(), key.size());
-    next_id_ = id + 1;
-    size_.store(static_cast<std::size_t>(id) + 1, std::memory_order_release);
-  }
-  // Publish into the shard index (still under the shard mutex).  Grow at
-  // 3/4 load: the new table is filled before the pointer flips, so
-  // lock-free readers see either the old table (and fall back to the miss
-  // path, which re-probes under this mutex) or the complete new one.
-  sh.entries.emplace_back(hash, id);
-  Shard::Table* t = sh.table.load(std::memory_order_relaxed);
-  if (t == nullptr || sh.entries.size() * 4 > (t->mask + 1) * 3) {
-    std::size_t cap = t == nullptr ? kInitialSlots : 2 * (t->mask + 1);
-    while (sh.entries.size() * 4 > cap * 3) cap *= 2;
-    auto grown = std::make_unique<Shard::Table>(cap);
-    for (const auto& [eh, eid] : sh.entries) {
-      std::size_t idx = (eh >> shard_bits_) & grown->mask;
-      while (grown->slots[idx].load(std::memory_order_relaxed) != kEmptySlot)
-        idx = (idx + 1) & grown->mask;
-      grown->slots[idx].store((eh >> 32 << 32) | eid,
-                              std::memory_order_relaxed);
-    }
+  const TypeId id = next_id_;
+  if (id == kNoType)
+    throw std::length_error("TypeInterner: id space exhausted");
+  // Grow at 3/4 load, before the id is assigned: the new table is filled
+  // before the pointer flips, so lock-free readers see either the old
+  // table (and fall back to this path) or the complete new one.
+  const std::size_t count = static_cast<std::size_t>(id) + 1;
+  if (t == nullptr || count * 4 > (t->mask + 1) * 3) {
+    int bits = t == nullptr ? kInitialBits : kMaxBits - t->shift + 1;
+    while (count * 4 > (std::size_t{1} << bits) * 3) ++bits;
+    if (bits > kMaxBits)
+      throw std::length_error("TypeInterner: slot table exhausted");
+    auto grown = std::make_unique<Table>(bits);
+    if (t != nullptr)
+      for (std::size_t i = 0; i <= t->mask; ++i)
+        if (const std::uint64_t w = t->slots[i].load(std::memory_order_relaxed);
+            w != kEmptySlot)
+          grown->place(w);
     t = grown.get();
-    sh.tables.push_back(std::move(grown));
-    sh.table.store(t, std::memory_order_release);
-  } else {
-    std::size_t idx = (hash >> shard_bits_) & t->mask;
-    while (t->slots[idx].load(std::memory_order_relaxed) != kEmptySlot)
-      idx = (idx + 1) & t->mask;
-    t->slots[idx].store((hash >> 32 << 32) | id, std::memory_order_release);
+    tables_.push_back(std::move(grown));
+    table_.store(t, std::memory_order_release);
   }
+  // The next dense id: write the spelling, then publish the size and the
+  // slot, so every reader that reaches the id can read its spelling.
+  const std::uint64_t bucket =
+      (static_cast<std::uint64_t>(id) >> kSlabBase) + 1;
+  const int k = 63 - std::countl_zero(bucket);
+  std::string* slab = slabs_[k].load(std::memory_order_relaxed);
+  if (slab == nullptr) {
+    slab = new std::string[std::size_t{1} << (kSlabBase + k)];
+    slabs_[k].store(slab, std::memory_order_release);
+  }
+  const std::uint64_t start = ((std::uint64_t{1} << k) - 1) << kSlabBase;
+  slab[id - start].assign(key.data(), key.size());
+  next_id_ = id + 1;
+  size_.store(static_cast<std::size_t>(id) + 1, std::memory_order_release);
+  t->place((tag << 32) | id);
   g_l1[hash & (kL1Slots - 1)] = {this, hash, id};
   return id;
 }

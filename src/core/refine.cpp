@@ -306,9 +306,9 @@ std::size_t RefineState::run_round(int radius, const TypeId* in, TypeId* out,
   // probe can only resolve a type that is already interned, so every call
   // Phase B then skips would have been a hit: the serial section below
   // interns novel types only, in exactly the order a fully serial pass
-  // would, keeping TypeIds independent of LAPX_THREADS and
-  // LAPX_INTERN_SHARDS.  A sparse active set is work-stolen (its per-item
-  // cost is irregular); a full round is a dense parallel_for.
+  // would, keeping TypeIds independent of LAPX_THREADS.  A sparse active
+  // set runs in small worklist chunks (its per-item cost is irregular); a
+  // full round is a dense parallel_for.
   const bool need_states = !states_stable_;
   const bool need_roots = !roots_stable_;
   if (need_roots) root_body_.resize(static_cast<std::size_t>(n));

@@ -131,7 +131,10 @@ class OocGraph {
 
   /// Opens and fully validates `path`; throws OocError on any mismatch
   /// (missing file, bad magic/version/endian tag, checksum mismatch, file
-  /// shorter than the header claims, or corrupt offsets/indices).
+  /// shorter than the header claims, corrupt offsets/indices, an adjacency
+  /// LDigraph::add_arc would reject, in_arcs that are not the transpose of
+  /// out_arcs, or step segments build_step_csr would not derive).  An
+  /// opened file therefore always materializes.
   OocGraph(const std::string& path, Options opt);
   explicit OocGraph(const std::string& path) : OocGraph(path, Options{}) {}
   ~OocGraph();
@@ -190,6 +193,9 @@ class OocGraph {
   LDigraph materialize() const;
 
  private:
+  /// Why the mapped segments are not what write_ooc_graph emits for some
+  /// LDigraph, or nullptr.  Checked vertex by vertex, never materializing.
+  const char* structure_error() const;
   void touch_range_locked(std::size_t byte_off, std::size_t bytes) const;
   /// madvise(MADV_DONTNEED) on [byte_off, byte_off + bytes) with the
   /// result checked: a refusal is counted (madvise_failures /

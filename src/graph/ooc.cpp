@@ -322,9 +322,13 @@ OocGraph::OocGraph(const std::string& path, Options opt)
   step_move_ = take32(steps_);
 
   // Structural invariants: monotone offsets ending at the claimed totals,
-  // and every index within range.  The checksum already rules out bit rot;
-  // this pass rules out a well-checksummed but crafted/corrupt writer, so
-  // the span accessors can never read out of bounds.
+  // every index within range, and (structure_error) exactly the segments
+  // write_ooc_graph emits for some LDigraph.  The checksum already rules
+  // out bit rot; this pass rules out a well-checksummed but crafted or
+  // corrupt writer, so the span accessors never read out of bounds and
+  // materialize() never throws.
+  if (alphabet_ > static_cast<std::uint32_t>(std::numeric_limits<Label>::max()))
+    cleanup_fail("alphabet size out of range");
   if (out_off_[0] != 0 || in_off_[0] != 0 || step_off_[0] != 0)
     cleanup_fail("segment offsets do not start at zero");
   for (std::size_t v = 0; v < n_; ++v) {
@@ -337,17 +341,12 @@ OocGraph::OocGraph(const std::string& path, Options opt)
   }
   if (out_off_[n_] != m_ || in_off_[n_] != m_ || step_off_[n_] != steps_)
     cleanup_fail("CSR offsets do not cover the claimed totals");
-  for (std::size_t s = 0; s < steps_; ++s) {
-    if (step_succ_[s] >= steps_ || step_nbr_[s] >= n_ ||
-        step_vertex_[s] >= n_ ||
-        (step_move_[s] & 0x7fffffffu) >= alphabet_)
-      cleanup_fail("step index out of range");
-  }
   for (std::size_t a = 0; a < m_; ++a) {
     if ((out_arcs_[a] & 0xffffffffu) >= n_ || (out_arcs_[a] >> 32) >= alphabet_ ||
         (in_arcs_[a] & 0xffffffffu) >= n_ || (in_arcs_[a] >> 32) >= alphabet_)
       cleanup_fail("arc endpoint or label out of range");
   }
+  if (const char* why = structure_error()) cleanup_fail(why);
 
   stats_.budget_bytes = opt_.budget_bytes;
   if (opt_.budget_bytes > 0) {
@@ -358,6 +357,76 @@ OocGraph::OocGraph(const std::string& path, Options opt)
     // so residency() never silently claims a clean start.
     drop_pages(0, map_bytes_);
   }
+}
+
+const char* OocGraph::structure_error() const {
+  // A vertex's arc run, packed label << 32 | endpoint.  With strictly
+  // increasing labels the packed words are sorted too, so a label's
+  // position is one lower_bound on label << 32.
+  const auto run = [](const std::uint64_t* off, const std::uint64_t* arcs,
+                      std::size_t v) {
+    return std::span<const std::uint64_t>(arcs + off[v], arcs + off[v + 1]);
+  };
+  const auto label_pos = [](std::span<const std::uint64_t> r,
+                            std::uint64_t label) {
+    return static_cast<std::uint64_t>(
+        std::lower_bound(r.begin(), r.end(), label << 32) - r.begin());
+  };
+  // What LDigraph::add_arc rejects: a repeated label on either side of a
+  // vertex, a self-loop, or two arcs to the same target.
+  std::vector<std::uint64_t> targets;
+  for (std::size_t v = 0; v < n_; ++v) {
+    for (const auto r :
+         {run(out_off_, out_arcs_, v), run(in_off_, in_arcs_, v)}) {
+      for (std::size_t i = 1; i < r.size(); ++i)
+        if ((r[i] >> 32) <= (r[i - 1] >> 32))
+          return "arc labels of a vertex repeat or are unsorted";
+    }
+    targets.clear();
+    for (const std::uint64_t a : run(out_off_, out_arcs_, v)) {
+      if ((a & 0xffffffffu) == v) return "self-loop";
+      targets.push_back(a & 0xffffffffu);
+    }
+    std::sort(targets.begin(), targets.end());
+    if (std::adjacent_find(targets.begin(), targets.end()) != targets.end())
+      return "parallel arcs";
+  }
+  // in_arcs must be the transpose of out_arcs: every arc v -> w labelled l
+  // appears as (l, v) in w's in-run.  The map is injective (labels are
+  // unique per run) and both sides hold m arcs, so it is a bijection.
+  for (std::size_t v = 0; v < n_; ++v)
+    for (const std::uint64_t a : run(out_off_, out_arcs_, v)) {
+      const auto r = run(in_off_, in_arcs_, a & 0xffffffffu);
+      if (!std::binary_search(r.begin(), r.end(), (a >> 32 << 32) | v))
+        return "in_arcs is not the transpose of out_arcs";
+    }
+  // The step segments must be exactly what build_step_csr derives from
+  // the adjacency: per vertex, in-arc steps then out-arc steps, each
+  // leading to the inverse move's step in the neighbour's span (whose
+  // out-steps follow its in-steps).
+  for (std::size_t v = 0; v < n_; ++v) {
+    std::uint32_t s = step_off_[v];
+    for (const bool out : {false, true}) {
+      for (const std::uint64_t a :
+           out ? run(out_off_, out_arcs_, v) : run(in_off_, in_arcs_, v)) {
+        const std::uint64_t label = a >> 32;
+        const auto w = static_cast<std::uint32_t>(a);
+        const auto back =
+            out ? run(in_off_, in_arcs_, w) : run(out_off_, out_arcs_, w);
+        const std::uint64_t skip = out ? 0 : in_off_[w + 1] - in_off_[w];
+        const std::uint64_t succ = step_off_[w] + skip + label_pos(back, label);
+        const std::uint64_t tag =
+            kOocViewEdgeTag | (std::uint64_t{out} << 32) | label;
+        const std::uint64_t move = (out ? 0x80000000u : 0u) | label;
+        if (step_vertex_[s] != v || step_nbr_[s] != w ||
+            step_succ_[s] != succ || step_tag_[s] != tag ||
+            step_move_[s] != move)
+          return "step segments disagree with the adjacency";
+        ++s;
+      }
+    }
+  }
+  return nullptr;
 }
 
 bool OocGraph::drop_pages(std::size_t byte_off, std::size_t bytes) const {

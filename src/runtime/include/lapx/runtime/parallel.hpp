@@ -36,13 +36,15 @@ namespace lapx::runtime {
 int thread_count();
 
 /// Overrides the thread count; n < 1 restores the LAPX_THREADS/hardware
-/// default.  Not safe to call concurrently with running loops.
+/// default.  Every later job runs on at most this many participants, even
+/// when an earlier, larger setting left more worker threads alive.  Not
+/// safe to call concurrently with running loops.
 void set_thread_count(int n);
 
 /// Process-wide pool scheduling counters (monotone).  These make scheduling
 /// degradation observable: a lapxd executor that loses the pool to a
 /// concurrent job runs its loop inline on its own thread -- correct (chunk
-/// boundaries depend on n alone) but single-threaded, so E15/E19 and the
+/// boundaries depend on n alone) but single-threaded, so E15 and the
 /// stress tests can watch `jobs_inline_contended` to assert the degradation
 /// stays bounded.
 struct PoolStats {
@@ -104,17 +106,22 @@ T parallel_reduce(std::int64_t n, T init, Map&& map, Combine&& combine) {
   if (n <= 0) return init;
   const std::int64_t chunks = detail::chunks_for(n);
   const std::int64_t step = (n + chunks - 1) / chunks;
-  std::vector<T> partial(static_cast<std::size_t>(chunks), init);
+  // One object per chunk: a bare std::vector<bool> would pack neighbouring
+  // chunks' partials into one word, and their concurrent writes would race.
+  struct Partial {
+    T value;
+  };
+  std::vector<Partial> partial(static_cast<std::size_t>(chunks), {init});
   detail::run_chunks(chunks, [&](std::int64_t c) {
     const std::int64_t lo = c * step;
     const std::int64_t hi = std::min(n, lo + step);
     T acc = init;
     for (std::int64_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
-    partial[static_cast<std::size_t>(c)] = acc;
+    partial[static_cast<std::size_t>(c)].value = acc;
   });
   T result = init;
   for (std::int64_t c = 0; c < chunks; ++c)
-    result = combine(result, partial[static_cast<std::size_t>(c)]);
+    result = combine(result, partial[static_cast<std::size_t>(c)].value);
   return result;
 }
 

@@ -7,11 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
-
-#include "lapx/runtime/worklist.hpp"
 
 namespace lapx::runtime {
 
@@ -129,6 +126,7 @@ class Pool {
     {
       std::lock_guard<std::mutex> lock(mu_);
       fn_ = &fn;
+      helpers_ = want - 1;
       chunks_ = chunks;
       next_.store(0, std::memory_order_relaxed);
       error_ = nullptr;
@@ -153,17 +151,13 @@ class Pool {
   static constexpr int kWorkerSpins = 2048;    // pre-sleep pickup window
   static constexpr int kCoordinatorSpins = 4096;
 
+  // The pool only grows; a job caps its own participants instead (a
+  // worker whose spawn slot is >= helpers_ sits the job out).
   void ensure_workers(int n) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (static_cast<int>(workers_.size()) < n) {
-      // Grow the arrival tree first: no job is active here (the caller
-      // holds job_mu_ and the previous job fully completed), so no thread
-      // touches the old tree concurrently.
-      tree_ = std::make_unique<detail::ArrivalTree>(n);
-      while (static_cast<int>(workers_.size()) < n) {
-        const int slot = static_cast<int>(workers_.size());
-        workers_.emplace_back([this, slot] { worker_loop(slot); });
-      }
+    while (static_cast<int>(workers_.size()) < n) {
+      const int slot = static_cast<int>(workers_.size());
+      workers_.emplace_back([this, slot] { worker_loop(slot); });
     }
   }
 
@@ -182,21 +176,20 @@ class Pool {
     in_parallel_region = false;
   }
 
-  // Round barrier, completion side.  Workers arrive through the lock-free
-  // combining tree (leaf line each, root line once per subtree); the
-  // coordinator spins on the root with backoff and only then parks on the
-  // condvar.  Because a join's upward propagation can transiently zero the
-  // root (worklist.hpp), quiescence is always revalidated against the
-  // exact joined/left counts under mu_ before the job is declared over --
-  // the same serialization that keeps late-waking workers from joining a
-  // finished job (they recheck fn_ under mu_).
+  // Round barrier, completion side.  Workers join under mu_ and leave with
+  // one lock-free increment of left_; the coordinator spins on the counts
+  // with backoff and only then parks on the condvar.  An unlocked
+  // joined_ == left_ can hold transiently (a worker may be about to join),
+  // so quiescence is always revalidated under mu_ before the job is
+  // declared over -- the same serialization that keeps late-waking workers
+  // from joining a finished job (they recheck fn_ under mu_).
   //
   // left_ is loaded with acquire: a worker that leaves without taking mu_
-  // publishes its last unlocked reads (chunks_ in drain(), the tree in
-  // leave()) only through its acq_rel increment, and the next job's
-  // coordinator -- this thread or the next job_mu_ holder -- rewrites
-  // both.  The increments form one release sequence, so reading the final
-  // count synchronizes with every leaver.
+  // publishes its last unlocked read (chunks_ in drain()) only through its
+  // acq_rel increment, and the next job's coordinator -- this thread or
+  // the next job_mu_ holder -- rewrites it.  The increments form one
+  // release sequence, so reading the final count synchronizes with every
+  // leaver.
   bool workers_left() const {
     return joined_.load(std::memory_order_relaxed) ==
            left_.load(std::memory_order_acquire);
@@ -204,7 +197,7 @@ class Pool {
 
   void wait_workers() {
     for (int i = 0; i < kCoordinatorSpins; ++i) {
-      if (!tree_ || tree_->quiescent()) break;
+      if (workers_left()) break;
       spin_pause(i);
     }
     std::unique_lock<std::mutex> lock(mu_);
@@ -234,31 +227,22 @@ class Pool {
           return generation_.load(std::memory_order_relaxed) != seen;
         });
         seen = generation_.load(std::memory_order_relaxed);
-        if (!fn_) continue;  // job already finished before we woke
+        // The job already finished before we woke, or it runs on fewer
+        // helpers than the pool holds (set_thread_count lowered the cap).
+        if (!fn_ || slot >= helpers_) continue;
         fn = fn_;
         joined_.fetch_add(1, std::memory_order_relaxed);
-        tree_->join(slot);
       }
       drain(*fn);
-      // leave() strictly precedes the left_ increment: once the
-      // coordinator validates joined_ == left_, no worker can still be
-      // inside the tree, so ensure_workers may safely replace it.
-      //
-      // Wakeup rule: root_zero alone is NOT a reliable "I was last" signal
-      // -- the tree can reach zero under a worker that is not the last to
-      // increment left_ (decrement order and left_ order are independent),
-      // and a worker whose decrement saw a non-zero root would then skip
-      // the notify forever.  So it is only a fast-path filter: in addition,
-      // any worker whose increment makes left_ catch up to joined_ takes
-      // the lock.  The acq_rel RMW on left_ chains all leavers, so the
-      // worker that completes the round observes the final joined_ value
-      // (every join is sequenced before that joiner's own leave), locks,
-      // and notifies; the predicate is still revalidated under mu_, so a
-      // stale-joined_ spurious notify is harmless.
-      const bool root_zero = tree_->leave(slot);
+      // Wakeup rule: any worker whose increment makes left_ catch up to
+      // joined_ takes the lock.  The acq_rel RMW on left_ chains all
+      // leavers, so the worker that completes the round observes the final
+      // joined_ value (every join is sequenced before that joiner's own
+      // leave), locks, and notifies; the predicate is still revalidated
+      // under mu_, so a stale-joined_ spurious notify is harmless.
       const std::uint64_t nleft =
           left_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (root_zero || nleft == joined_.load(std::memory_order_acquire)) {
+      if (nleft == joined_.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(mu_);
         if (parked_ && joined_.load(std::memory_order_relaxed) ==
                            left_.load(std::memory_order_relaxed))
@@ -271,12 +255,12 @@ class Pool {
   std::mutex mu_;
   std::condition_variable cv_, done_cv_;
   std::vector<std::thread> workers_;
-  std::unique_ptr<detail::ArrivalTree> tree_;
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> joined_{0};  // modified under mu_ only
   std::atomic<std::uint64_t> left_{0};
   bool parked_ = false;                   // guarded by mu_
   const std::function<void(std::int64_t)>* fn_ = nullptr;
+  int helpers_ = 0;                       // guarded by mu_
   std::int64_t chunks_ = 0;
   std::atomic<std::int64_t> next_{0};
   std::exception_ptr error_;

@@ -1,87 +1,20 @@
 #include "lapx/runtime/worklist.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "lapx/runtime/parallel.hpp"
 
 namespace lapx::runtime {
-
-namespace detail {
-
-ArrivalTree::ArrivalTree(int slots) : slots_(slots) {
-  const int leaves = std::max(1, (slots + kFanIn - 1) / kFanIn);
-  // leaf_base_ = size of the complete kFanIn-ary tree above the leaf
-  // level: 1 + 4 + ... + 4^(d-1) where 4^d is the first power >= leaves.
-  int level = 1;
-  leaf_base_ = 0;
-  while (level < leaves) {
-    leaf_base_ = leaf_base_ * kFanIn + 1;
-    level *= kFanIn;
-  }
-  nodes_ = std::vector<Node>(static_cast<std::size_t>(leaf_base_ + leaves));
-}
-
-void ArrivalTree::join(int slot) {
-  std::size_t i = static_cast<std::size_t>(leaf_base_ + slot / kFanIn);
-  while (true) {
-    const std::uint32_t prev =
-        nodes_[i].count.fetch_add(1, std::memory_order_acq_rel);
-    if (prev != 0 || i == 0) return;
-    i = (i - 1) / kFanIn;
-  }
-}
-
-bool ArrivalTree::leave(int slot) {
-  std::size_t i = static_cast<std::size_t>(leaf_base_ + slot / kFanIn);
-  while (true) {
-    const std::uint32_t prev =
-        nodes_[i].count.fetch_sub(1, std::memory_order_acq_rel);
-    if (prev != 1) return false;
-    if (i == 0) return true;
-    i = (i - 1) / kFanIn;
-  }
-}
-
-bool ArrivalTree::quiescent() const {
-  return nodes_[0].count.load(std::memory_order_acquire) == 0;
-}
-
-}  // namespace detail
 
 namespace {
 
 struct WorklistCounters {
   std::atomic<std::uint64_t> regions{0};
   std::atomic<std::uint64_t> chunks{0};
-  std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> inline_regions{0};
 };
 WorklistCounters g_wl;
-
-// Per-participant chunk queue: the owner and thieves both claim from the
-// same monotone cursor, so a claim is one fetch_add and queues only drain
-// (the termination sweep relies on that monotonicity).  Padded so two
-// participants' cursors never share a cache line.
-struct alignas(64) ChunkQueue {
-  std::atomic<std::int64_t> next{0};
-  std::int64_t hi = 0;
-};
-
-inline std::int64_t claim(ChunkQueue& q) {
-  if (q.next.load(std::memory_order_relaxed) >= q.hi) return -1;
-  const std::int64_t c = q.next.fetch_add(1, std::memory_order_relaxed);
-  return c < q.hi ? c : -1;
-}
-
-// splitmix64: scheduling-only randomness (victim selection).  Results never
-// depend on it -- fn writes per-index slots.
-inline std::uint64_t next_rand(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 }  // namespace
 
@@ -89,7 +22,6 @@ WorklistStats worklist_stats() {
   WorklistStats s;
   s.regions = g_wl.regions.load(std::memory_order_relaxed);
   s.chunks = g_wl.chunks.load(std::memory_order_relaxed);
-  s.steals = g_wl.steals.load(std::memory_order_relaxed);
   s.inline_regions = g_wl.inline_regions.load(std::memory_order_relaxed);
   return s;
 }
@@ -102,67 +34,19 @@ void for_each_index(std::span<const std::uint32_t> items,
   std::int64_t grain = m / 1024;
   grain = std::clamp<std::int64_t>(grain, 32, 8192);
   const std::int64_t chunks = (m + grain - 1) / grain;
-  const int p_count =
-      static_cast<int>(std::min<std::int64_t>(thread_count(), chunks));
-  if (p_count <= 1 || detail::in_parallel()) {
+  if (chunks <= 1 || thread_count() <= 1 || detail::in_parallel()) {
     g_wl.inline_regions.fetch_add(1, std::memory_order_relaxed);
     for (std::int64_t i = 0; i < m; ++i) fn(items[static_cast<std::size_t>(i)]);
     return;
   }
   g_wl.regions.fetch_add(1, std::memory_order_relaxed);
-
-  // Seed each participant with a contiguous block of chunks.
-  std::vector<ChunkQueue> queues(static_cast<std::size_t>(p_count));
-  for (int p = 0; p < p_count; ++p) {
-    queues[static_cast<std::size_t>(p)].next.store(
-        chunks * p / p_count, std::memory_order_relaxed);
-    queues[static_cast<std::size_t>(p)].hi = chunks * (p + 1) / p_count;
-  }
-
-  const auto run_chunk = [&](std::int64_t c) {
+  g_wl.chunks.fetch_add(static_cast<std::uint64_t>(chunks),
+                        std::memory_order_relaxed);
+  detail::run_chunks(chunks, [&](std::int64_t c) {
     const std::int64_t lo = c * grain;
     const std::int64_t hi = std::min(m, lo + grain);
     for (std::int64_t i = lo; i < hi; ++i)
       fn(items[static_cast<std::size_t>(i)]);
-  };
-
-  detail::run_chunks(p_count, [&](std::int64_t part) {
-    const int p = static_cast<int>(part);
-    std::uint64_t rng =
-        0x853c49e6748fea9bull ^
-        (static_cast<std::uint64_t>(p + 1) * 0x2545f4914f6cdd1dull);
-    std::uint64_t ran = 0, stolen = 0;
-    // Drain the own queue first (locality), then steal.
-    auto& own = queues[static_cast<std::size_t>(p)];
-    for (std::int64_t c; (c = claim(own)) >= 0;) {
-      run_chunk(c);
-      ++ran;
-    }
-    while (true) {
-      std::int64_t c = -1;
-      int victim = -1;
-      // Randomized victim probes...
-      for (int probe = 0; probe < p_count && c < 0; ++probe) {
-        const int v = static_cast<int>(next_rand(rng) %
-                                       static_cast<std::uint64_t>(p_count));
-        c = claim(queues[static_cast<std::size_t>(v)]);
-        if (c >= 0) victim = v;
-      }
-      // ...then an exact sweep: queues only drain, so a sweep that finds
-      // every queue empty proves no chunk is left to claim.
-      for (int v = 0; v < p_count && c < 0; ++v) {
-        c = claim(queues[static_cast<std::size_t>(v)]);
-        if (c >= 0) victim = v;
-      }
-      if (c < 0) break;
-      run_chunk(c);
-      ++ran;
-      // A claim from the participant's own queue (possible in both the
-      // randomized probes and the sweep) is not a steal.
-      if (victim != p) ++stolen;
-    }
-    g_wl.chunks.fetch_add(ran, std::memory_order_relaxed);
-    g_wl.steals.fetch_add(stolen, std::memory_order_relaxed);
   });
 }
 

@@ -102,6 +102,24 @@ TEST(Interner, WideNodesSpillToHeapFramedKeys) {
   EXPECT_EQ(interner.spelling(wide).size(), 1 + 8 + 4 * children.size());
 }
 
+// Growth re-places the old table's slot words by their own tags: after
+// many doublings every key must still probe to its id, and ids stay
+// dense in insertion order.
+TEST(Interner, GrowthKeepsEveryKeyReachable) {
+  TypeInterner interner;
+  constexpr TypeId kKeys = 100000;
+  for (TypeId k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(interner.intern("grow:" + std::to_string(k)), 2 * k);
+    ASSERT_EQ(interner.intern_node(7, &k, 1), 2 * k + 1);
+  }
+  EXPECT_EQ(interner.size(), 2u * kKeys);
+  for (TypeId k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(interner.try_intern("grow:" + std::to_string(k)), 2 * k);
+    ASSERT_EQ(interner.try_intern_node(7, &k, 1), 2 * k + 1);
+  }
+  EXPECT_EQ(interner.try_intern("grow:-1"), core::kNoType);
+}
+
 TEST(Interner, SpellingBoundsCheckThrows) {
   TypeInterner interner;
   EXPECT_THROW(interner.spelling(0), std::out_of_range);
@@ -109,40 +127,6 @@ TEST(Interner, SpellingBoundsCheckThrows) {
   EXPECT_NO_THROW(interner.spelling(0));
   EXPECT_THROW(interner.spelling(1), std::out_of_range);
   EXPECT_THROW(interner.spelling(core::kNoType), std::out_of_range);
-}
-
-// Strict LAPX_INTERN_SHARDS parser: parse_env_int rules (full consumption,
-// no partial writes) plus the power-of-two constraint sharding needs.
-TEST(ParseInternShards, AcceptsPowersOfTwoInRange) {
-  int v = -1;
-  EXPECT_TRUE(core::detail::parse_intern_shards("1", &v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(core::detail::parse_intern_shards("64", &v));
-  EXPECT_EQ(v, 64);
-  EXPECT_TRUE(core::detail::parse_intern_shards("1024", &v));
-  EXPECT_EQ(v, 1024);
-}
-
-TEST(ParseInternShards, RejectsJunkWithoutWriting) {
-  const auto rejected = [](const char* s) {
-    int v = 12345;  // sentinel: must be untouched on failure
-    const bool ok = core::detail::parse_intern_shards(s, &v);
-    EXPECT_EQ(v, 12345) << "parse_intern_shards wrote on failure for \"" << s
-                        << "\"";
-    return ok;
-  };
-  EXPECT_FALSE(rejected("48"));      // not a power of two
-  EXPECT_FALSE(rejected("0"));       // below range
-  EXPECT_FALSE(rejected("2048"));    // above range
-  EXPECT_FALSE(rejected("-64"));     // negative
-  EXPECT_FALSE(rejected("64x"));     // trailing junk
-  EXPECT_FALSE(rejected("x64"));     // leading junk
-  EXPECT_FALSE(rejected(" 64"));     // leading space
-  EXPECT_FALSE(rejected("64 "));     // trailing space
-  EXPECT_FALSE(rejected(""));        // empty
-  EXPECT_FALSE(rejected(nullptr));   // unset
-  EXPECT_FALSE(rejected("0x40"));    // no hex
-  EXPECT_FALSE(rejected("6.4"));     // not an integer
 }
 
 // The central contract: within one interner, equal TypeId <=> equal
@@ -346,12 +330,10 @@ TEST(Determinism, NestedParallelForRunsInline) {
 // equal ids on every thread, ids are dense in [0, size), and every id maps
 // back to the key that produced it.  Runs under TSan in CI.
 
-class InternerChurn : public ::testing::TestWithParam<int> {};
-
-TEST_P(InternerChurn, OverlappingInternsStayConsistent) {
+TEST(InternerChurn, OverlappingInternsStayConsistent) {
   constexpr int kThreads = 8;
   constexpr int kUniverse = 512;  // distinct flat keys; every thread sees all
-  TypeInterner interner(GetParam());
+  TypeInterner interner;
   std::vector<std::vector<TypeId>> flat_ids(
       kThreads, std::vector<TypeId>(kUniverse, core::kNoType));
   std::vector<std::vector<TypeId>> node_ids(
@@ -406,19 +388,14 @@ TEST_P(InternerChurn, OverlappingInternsStayConsistent) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, InternerChurn,
-                         ::testing::Values(1, 4, 64));
-
 // --- the determinism oracle of the two-phase batch contract ---
 //
-// Refine TypeIds must be byte-identical across every LAPX_THREADS x
-// LAPX_INTERN_SHARDS combination: sharding never changes which id a key
-// gets, and Phase B interns novel types serially in canonical order
-// whatever the worker count.  Compares the full id tables AND the
-// interners' allocation order (id -> spelling) against the 1-thread,
-// 1-shard reference.
+// Refine TypeIds must be byte-identical at every LAPX_THREADS: Phase B
+// interns novel types serially in canonical order whatever the worker
+// count.  Compares the full id tables AND the interners' allocation order
+// (id -> spelling) against the 1-thread reference.
 
-TEST(Determinism, RefineIdsIndependentOfThreadsAndShards) {
+TEST(Determinism, RefineIdsIndependentOfThreads) {
   ThreadCountGuard guard;
   std::mt19937_64 rng(91);
   const Graph g = random_graph(60, 0.08, rng);
@@ -431,9 +408,9 @@ TEST(Determinism, RefineIdsIndependentOfThreadsAndShards) {
     std::vector<std::vector<TypeId>> roots;
     std::vector<std::string> spellings;
   };
-  const auto run = [&](int threads, int shards) {
+  const auto run = [&](int threads) {
     runtime::set_thread_count(threads);
-    TypeInterner interner(shards);
+    TypeInterner interner;
     core::RefineState refiner(ld, interner);
     Run out;
     for (int r = 0; r <= kRadius; ++r) out.roots.push_back(refiner.types_at(r));
@@ -443,15 +420,11 @@ TEST(Determinism, RefineIdsIndependentOfThreadsAndShards) {
     return out;
   };
 
-  const Run reference = run(1, 1);
+  const Run reference = run(1);
   for (const int threads : {1, 8, 16}) {
-    for (const int shards : {1, 64}) {
-      const Run got = run(threads, shards);
-      EXPECT_EQ(got.roots, reference.roots)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.spellings, reference.spellings)
-          << "threads=" << threads << " shards=" << shards;
-    }
+    const Run got = run(threads);
+    EXPECT_EQ(got.roots, reference.roots) << "threads=" << threads;
+    EXPECT_EQ(got.spellings, reference.spellings) << "threads=" << threads;
   }
 }
 

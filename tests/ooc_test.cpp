@@ -1,10 +1,11 @@
 // LAPXOOC1 out-of-core graphs (graph/ooc.hpp): round-trip fidelity on the
 // experiment families, fail-closed validation on every corruption we can
 // craft (truncation, bad magic, checksum mismatches, foreign versions, a
-// file shorter than its own header claims), TypeId-identical streaming
-// refinement under an eviction-forcing residency budget, and the service
-// `open` op (byte parity with the in-memory path, the mutate rejection,
-// and the materialization cap).
+// file shorter than its own header claims, a well-checksummed adjacency
+// that is not a valid L-digraph, seeded generated damage), TypeId-identical
+// streaming refinement under an eviction-forcing residency budget, and the
+// service `open` op (byte parity with the in-memory path, the mutate
+// rejection, and the materialization cap).
 
 #include <gtest/gtest.h>
 #include <dirent.h>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -69,6 +71,17 @@ void write_file(const std::string& path,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+// Recomputes the payload checksum (byte 56) and then the header checksum
+// (byte 64), so crafted payload bytes reach the structural checks.
+void reseal(std::vector<unsigned char>& bytes) {
+  if (bytes.size() < 128) return;
+  const std::uint64_t payload =
+      lapx::graph::fnv1a64(bytes.data() + 128, bytes.size() - 128);
+  std::memcpy(bytes.data() + 56, &payload, 8);
+  const std::uint64_t header = lapx::graph::fnv1a64(bytes.data(), 64);
+  std::memcpy(bytes.data() + 64, &header, 8);
 }
 
 LDigraph lifted_torus_ld(int layers, std::uint64_t seed) {
@@ -218,6 +231,107 @@ TEST(OocFormat, TruncatedPayloadFailsClosed) {
   EXPECT_THROW(OocGraph{path}, OocError);
 }
 
+TEST(OocFormat, RepeatedOutLabelFailsClosed) {
+  // Vertex 0's second out-arc takes the label of its first, with both
+  // checksums recomputed: every range check passes, but LDigraph::add_arc
+  // would reject the adjacency, so open must.
+  TempDir dir;
+  const std::string path = dir.path + "/dup.lapxooc";
+  lapx::graph::write_ooc_graph(
+      path, lapx::graph::to_ldigraph(lapx::graph::torus({3, 3})));
+  auto bytes = read_file(path);
+  const std::size_t out_arcs = 128 + 2 * (9 + 1) * 8;  // n = 9
+  std::memcpy(bytes.data() + out_arcs + 8 + 4, bytes.data() + out_arcs + 4, 4);
+  reseal(bytes);
+  write_file(path, bytes);
+  EXPECT_THROW(OocGraph{path}, OocError);
+}
+
+// Generated inputs: seeded bit flips and length-field overwrites of a
+// small lift's file, ~1000 with both checksums recomputed (so they reach
+// the structural checks) and ~200 without.  Each either fails at open with
+// OocError, or opens and then materializes, and streams radius-2 types
+// equal to the materialized graph's.
+TEST(OocFormat, GeneratedDamageFailsClosedOrDescribesOneGraph) {
+  TempDir dir;
+  const std::string path = dir.path + "/fuzz.lapxooc";
+  lapx::graph::write_ooc_graph(path, lifted_torus_ld(2, 3));
+  const std::vector<unsigned char> pristine = read_file(path);
+  std::uint64_t n = 0, m = 0;
+  std::memcpy(&n, pristine.data() + 16, 8);
+  std::memcpy(&m, pristine.data() + 24, 8);
+  std::mt19937_64 rng(20261017);
+  const auto pick = [&rng](std::uint64_t k) { return rng() % k; };
+  // A replacement for a count or offset: near the old value, one of the
+  // file's own counts, a 2^31 / 2^32 boundary, or a small random value.
+  const auto length_value = [&](std::uint64_t old) {
+    const std::uint64_t choices[] = {
+        0, old + 1, old - 1, n, m, 2 * m, std::uint64_t{1} << (31 + pick(2)),
+        pick(4 * m + 2)};
+    return choices[pick(8)];
+  };
+  int opened = 0;
+  for (int iter = 0; iter < 1200; ++iter) {
+    std::vector<unsigned char> bytes = pristine;
+    const std::size_t payload = bytes.size() - 128;
+    for (std::uint64_t k = 1 + pick(3); k > 0; --k) {
+      switch (pick(4)) {
+        case 0:  // flip one payload bit
+          bytes[128 + pick(payload)] ^=
+              static_cast<unsigned char>(1u << pick(8));
+          break;
+        case 1: {  // overwrite a 64-bit payload word (offsets, arcs, tags)
+          const std::size_t at = 128 + 8 * pick(payload / 8);
+          std::uint64_t w = 0;
+          std::memcpy(&w, bytes.data() + at, 8);
+          w = length_value(w);
+          std::memcpy(bytes.data() + at, &w, 8);
+          break;
+        }
+        case 2: {  // overwrite a 32-bit payload word (step segments)
+          const std::size_t at = 128 + 4 * pick(payload / 4);
+          std::uint32_t w = 0;
+          std::memcpy(&w, bytes.data() + at, 4);
+          w = static_cast<std::uint32_t>(length_value(w));
+          std::memcpy(bytes.data() + at, &w, 4);
+          break;
+        }
+        default: {  // overwrite a header count: n, m, alphabet, steps, bytes
+          static constexpr std::size_t kFields[] = {16, 24, 32, 40, 48};
+          const std::size_t at = kFields[pick(5)];
+          const std::size_t width = at == 32 ? 4 : 8;
+          std::uint64_t w = 0;
+          std::memcpy(&w, bytes.data() + at, width);
+          w = length_value(w);
+          std::memcpy(bytes.data() + at, &w, width);
+        }
+      }
+    }
+    if (iter < 1000) reseal(bytes);
+    // Same length every time: overwrite in place, since truncating a file
+    // costs far more than opening it on some filesystems.
+    std::fstream(path, std::ios::binary | std::ios::in | std::ios::out)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    std::unique_ptr<OocGraph> g;
+    try {
+      g = std::make_unique<OocGraph>(path);
+    } catch (const OocError&) {
+      continue;
+    }
+    ++opened;
+    LDigraph ld;
+    ASSERT_NO_THROW(ld = g->materialize()) << "iteration " << iter;
+    TypeInterner interner;
+    RefineState stream(*g, interner);
+    RefineState mem(ld, interner);
+    EXPECT_EQ(stream.types_at(2), mem.types_at(2)) << "iteration " << iter;
+  }
+  // Some mutations are benign (a bit flip in padding, a larger alphabet),
+  // so the opened branch runs too.
+  EXPECT_GT(opened, 0);
+}
+
 // ------------------------------------------------ streaming refinement --
 
 TEST(OocRefine, StreamingMatchesInMemoryUnderEvictionPressure) {
@@ -346,6 +460,30 @@ TEST(OocService, OpenMatchesInMemoryGenerateByteForByte) {
     };
     EXPECT_EQ(req("ooc"), req("mem")) << op;
   }
+}
+
+TEST(OocService, OpenOfInvalidDigraphIsBadRequest) {
+  // The repeated-label file must never bind a session: once bound, views
+  // streamed the step segments while analyze and PO runs failed to
+  // materialize, answering "internal".
+  TempDir dir;
+  const std::string path = dir.path + "/dup.lapxooc";
+  lapx::graph::write_ooc_graph(
+      path, lapx::graph::to_ldigraph(lapx::graph::torus({3, 3})));
+  auto bytes = read_file(path);
+  const std::size_t out_arcs = 128 + 2 * (9 + 1) * 8;
+  std::memcpy(bytes.data() + out_arcs + 8 + 4, bytes.data() + out_arcs + 4, 4);
+  reseal(bytes);
+  write_file(path, bytes);
+  lapx::service::Service svc;
+  const std::string open =
+      svc.handle(R"({"op":"open","name":"g","path":")" + path + R"("})");
+  EXPECT_NE(open.find("\"code\":\"bad_request\""), std::string::npos)
+      << open;
+  const std::string views =
+      svc.handle(R"({"op":"views","graph":"g","radius":2})");
+  EXPECT_NE(views.find("\"code\":\"not_found\""), std::string::npos)
+      << views;
 }
 
 TEST(OocService, OpenMissingOrCorruptFileIsBadRequest) {

@@ -643,10 +643,10 @@ TEST(RefineDelta, PortRenumberingAfterMaxDegreeChange) {
 }
 
 TEST(RefineDelta, ThreadCountIndependentTypeIds) {
-  // Ids a delta replay mints must not depend on LAPX_THREADS or
-  // LAPX_INTERN_SHARDS, exactly like a from-scratch refine's: every
-  // RandomizedRewiresMatchScratch family, a forest (where retirement
-  // engages), and the max-degree edit that relabels every arc.
+  // Ids a delta replay mints must not depend on LAPX_THREADS, exactly
+  // like a from-scratch refine's: every RandomizedRewiresMatchScratch
+  // family, a forest (where retirement engages), and the max-degree edit
+  // that relabels every arc.
   std::mt19937_64 setup(3);
   std::vector<LDigraph> rewired;
   rewired.push_back(directed_torus({6, 6}));
@@ -678,8 +678,8 @@ TEST(RefineDelta, ThreadCountIndependentTypeIds) {
     edits.emplace_back(lapx::graph::to_ldigraph(g),
                        lapx::graph::to_ldigraph(after));
   }
-  const auto run = [](const std::pair<LDigraph, LDigraph>& edit, int shards) {
-    TypeInterner interner(shards);
+  const auto run = [](const std::pair<LDigraph, LDigraph>& edit) {
+    TypeInterner interner;
     RefineState state(edit.first, interner, /*keep_rounds=*/true);
     state.types_at(3);
     state.refine_delta(edit.second);
@@ -690,12 +690,10 @@ TEST(RefineDelta, ThreadCountIndependentTypeIds) {
   const ThreadGuard guard;
   for (std::size_t e = 0; e < edits.size(); ++e) {
     lapx::runtime::set_thread_count(1);
-    const auto ref = run(edits[e], 1);
+    const auto ref = run(edits[e]);
     for (int threads : {1, 8, 16}) {
       lapx::runtime::set_thread_count(threads);
-      for (int shards : {1, 64})
-        EXPECT_EQ(run(edits[e], shards), ref)
-            << "edit " << e << " threads=" << threads << " shards=" << shards;
+      EXPECT_EQ(run(edits[e]), ref) << "edit " << e << " threads=" << threads;
     }
   }
 }

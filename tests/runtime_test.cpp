@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -231,11 +233,11 @@ TEST(ParseEnvInt, RejectsJunkWithoutWriting) {
 }
 
 // Back-to-back small jobs at 8 threads: a worker's last reads of job N
-// (the chunk count, the arrival tree, the caller's function object) must
-// happen-before job N+1's coordinator rewrites them -- whether that is the
-// same caller or another one that won the pool.  TSan (the sanitizer
-// ctest leg) checks the ordering; the sums check every chunk ran exactly
-// once.  Sizes cycle so consecutive jobs publish different chunk counts.
+// (the chunk count, the caller's function object) must happen-before job
+// N+1's coordinator rewrites them -- whether that is the same caller or
+// another one that won the pool.  TSan (the sanitizer ctest leg) checks
+// the ordering; the sums check every chunk ran exactly once.  Sizes cycle
+// so consecutive jobs publish different chunk counts.
 void hammer_small_jobs(int jobs, std::int64_t salt, std::atomic<int>* wrong) {
   for (int j = 0; j < jobs; ++j) {
     const std::int64_t n = 32 + (j % 9) * 29;  // 32..264 -> 32..256 chunks
@@ -268,6 +270,44 @@ TEST(PoolStress, BackToBackSmallJobsTwoRacingCallers) {
   other.join();
   set_thread_count(0);
   EXPECT_EQ(wrong.load(), 0);
+}
+
+// parallel_reduce<bool> at 8 threads over 256 one-element chunks: chunk
+// partials written from different threads must never share a word (a
+// std::vector<bool> would pack 64 of them into one), or one chunk's false
+// can be lost under a neighbour's read-modify-write.  TSan flags the
+// shared word on any run; the result check catches a lost write.
+TEST(PoolStress, BoolReducePartialsNeverShareAWord) {
+  set_thread_count(8);
+  int wrong = 0;
+  for (int round = 0; round < 20; ++round)
+    for (std::int64_t p = 0; p < 256; ++p) {
+      const bool all = parallel_reduce(
+          256, true, [&](std::int64_t i) { return i != p; },
+          [](bool a, bool b) { return a && b; });
+      if (all) ++wrong;
+    }
+  set_thread_count(0);
+  EXPECT_EQ(wrong, 0);
+}
+
+// The pool never shrinks, so after a job at 8 threads seven workers stay
+// alive; a job at thread_count() 2 must still run on at most 2 threads.
+// Each chunk sleeps, so any surplus worker that joined would win some.
+TEST(PoolStress, LoweredThreadCountCapsParticipants) {
+  set_thread_count(8);
+  parallel_for(256, [](std::int64_t) {});
+  set_thread_count(2);
+  std::vector<std::thread::id> ran(256);
+  parallel_for(256, [&](std::int64_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    ran[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+  });
+  set_thread_count(0);
+  std::sort(ran.begin(), ran.end());
+  const auto distinct = std::unique(ran.begin(), ran.end()) - ran.begin();
+  EXPECT_LE(distinct, 2) << "thread_count()=2 but the job ran on "
+                         << distinct << " threads";
 }
 
 TEST(RunPoViaMessages, ReconstructedViewsAreExact) {

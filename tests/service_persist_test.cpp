@@ -372,7 +372,7 @@ TEST(PersistReplay, GeneratedDamageLoadsAPrefix) {
   std::string journal, snapshot;
   {
     TempDir dir;
-    TypeInterner a(1);
+    TypeInterner a;
     CachePersist persist(dir.path, a);
     std::vector<std::pair<TypeId, std::string>> entries;
     for (int i = 0; i < 7; ++i) {
@@ -412,7 +412,7 @@ TEST(PersistReplay, GeneratedDamageLoadsAPrefix) {
   // Loads through a fresh interner; with `then_append`, the same
   // CachePersist journals `extra` right after its load.
   auto load_pairs = [&](const std::string& dir_path, bool then_append) {
-    TypeInterner fresh(1);
+    TypeInterner fresh;
     CachePersist persist(dir_path, fresh);
     Pairs out;
     for (const auto& [fp, payload] : persist.load())

@@ -33,6 +33,7 @@
 #include "lapx/problems/problem.hpp"
 #include "lapx/runtime/parallel.hpp"
 #include "lapx/service/client.hpp"
+#include "lapx/service/handlers.hpp"
 #include "lapx/service/json.hpp"
 #include "lapx/service/ordering.hpp"
 #include "lapx/service/protocol.hpp"
@@ -247,6 +248,77 @@ TEST(Json, MutatedRequestLinesParseOrThrowAndGetOneResponse) {
     const Json parsed = Json::parse(response);
     ASSERT_TRUE(parsed.find("ok") != nullptr && parsed.find("ok")->is_bool())
         << line << " -> " << response;
+  }
+}
+
+// Generated inputs for the edge-list reader, which `upload` feeds with
+// untrusted bytes: seeded byte flips, deletions, insertions, truncations
+// and splices of real edge lists.  The reader either throws
+// std::invalid_argument or returns a graph whose edge list re-parses to an
+// equal graph, and every text sent as an upload gets exactly one response
+// line.
+TEST(EdgeList, MutatedTextsParseOrThrowAndUploadGetsOneResponse) {
+  const std::vector<std::string> fixtures = {
+      lapx::graph::to_edge_list(lapx::graph::torus({3, 4})),
+      lapx::graph::to_edge_list(lapx::graph::lifted_torus(3, 3, 2, 7)),
+      lapx::graph::to_edge_list(lapx::graph::petersen()),
+      "# two triangles\n6 6\n0 1\n1 2 # inline\n2 0\n\n  # second\n"
+      "3 4\n4 5\n5 3\n",
+      // At the limits: m = n(n-1)/2, the largest vertex id, no edges.
+      "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+      "3 2\n2 0\n2 1\n",
+  };
+  const std::string alphabet = "0123456789 #-\n";
+  lapx::graph::EdgeListLimits limits;
+  limits.max_vertices = kMaxServiceVertices;
+  limits.max_edges = kMaxServiceEdges;
+  std::mt19937_64 rng(20261018);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string text = fixtures[pick(fixtures.size())];
+    for (std::size_t m = 1 + pick(3); m > 0 && !text.empty(); --m) {
+      const std::size_t at = pick(text.size());
+      switch (pick(5)) {
+        case 0:  // flip one bit
+          text[at] = static_cast<char>(text[at] ^ (1 << pick(8)));
+          break;
+        case 1:  // delete a short run
+          text.erase(at, 1 + pick(4));
+          break;
+        case 2:  // insert from the edge-list alphabet
+          text.insert(at, 1, alphabet[pick(alphabet.size())]);
+          break;
+        case 3:  // truncate
+          text.resize(at);
+          break;
+        default: {  // splice: this prefix, another text's suffix
+          const std::string& other = fixtures[pick(fixtures.size())];
+          text = text.substr(0, at) + other.substr(pick(other.size()));
+        }
+      }
+    }
+    try {
+      const lapx::graph::Graph g =
+          lapx::graph::graph_from_edge_list(text, limits);
+      EXPECT_TRUE(lapx::graph::graph_from_edge_list(
+                      lapx::graph::to_edge_list(g), limits) == g)
+          << text;
+    } catch (const std::invalid_argument&) {
+    } catch (...) {
+      ADD_FAILURE() << "reader threw a non-invalid_argument on: " << text;
+    }
+    Json req = Json::object();
+    req.set("op", Json::string("upload"));
+    req.set("name", Json::string("u"));
+    req.set("edges", Json::string(text));
+    Service svc;
+    const std::string response = svc.handle(req.dump());
+    EXPECT_EQ(response.find('\n'), std::string::npos) << text;
+    const Json parsed = Json::parse(response);
+    ASSERT_TRUE(parsed.find("ok") != nullptr && parsed.find("ok")->is_bool())
+        << text << " -> " << response;
   }
 }
 
