@@ -4,16 +4,14 @@
 // The lower-bound experiments scale with the lift order, and the instance
 // eventually outgrows RAM.  The ooc format (graph/ooc.hpp) persists the
 // adjacency AND the precomputed step CSR, so RefineState can run the
-// universal-cover recurrence straight off the mapping while an LRU chunk
-// manager keeps tracked residency under a configured budget.  This bench
-// writes a lift whose file is >= 2x the budget, streams refinement over it
-// at 1 and 8 threads, and gates on what the design promises:
+// universal-cover recurrence straight off the read-only mapping; the
+// kernel's page cache decides which of its clean pages stay resident.
+// This bench writes a lift, streams refinement over it at 1 and 8
+// threads, and gates on what the design promises:
 //
 //   * TypeIds byte-identical to the in-memory engine (same interner) at
 //     every radius and thread count -- the format IS the engine's layout;
-//   * the budget binds: evictions occurred and tracked residency stayed
-//     at or under budget, yet identity still held (eviction only drops
-//     pages; a later touch refaults them from the file);
+//   * worklist and dense scheduling agree id-for-id on the streaming path;
 //   * distinct-type counts (deterministic paper-facing quantities) match.
 //
 // Throughput (write, open+validate, stream vs in-memory refine) is
@@ -50,7 +48,6 @@ using lapx::graph::OocGraph;
 
 constexpr int kRadius = 3;
 constexpr int kLayers = 7000;  // 3x3 torus lift: n = 63000, 252000 steps
-constexpr std::size_t kBudgetBytes = std::size_t{4} << 20;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -60,9 +57,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 void print_tables() {
   print_header(
       "E20  out-of-core refinement: mmap'd LAPXOOC1 vs in-memory",
-      "streaming the universal-cover recurrence over an on-disk step CSR "
-      "under a residency budget < file/2 yields byte-identical TypeIds at "
-      "1 and 8 threads");
+      "streaming the universal-cover recurrence over an mmap'd on-disk step "
+      "CSR yields byte-identical TypeIds at 1 and 8 threads");
 
   phase("build-instance");
   std::mt19937_64 rng(2012);
@@ -79,10 +75,8 @@ void print_tables() {
   const double write_s = seconds_since(t0);
 
   phase("open-validate");
-  OocGraph::Options opt;
-  opt.budget_bytes = kBudgetBytes;
   t0 = std::chrono::steady_clock::now();
-  const OocGraph g(path, opt);
+  const OocGraph g(path);
   const double open_s = seconds_since(t0);
 
   // stat the file through the mapping size the reader validated.
@@ -91,16 +85,12 @@ void print_tables() {
                           (static_cast<std::size_t>(g.num_vertices()) + 1) *
                               20 + 128) /
       (1 << 20);
-  const double budget_mb = static_cast<double>(kBudgetBytes) / (1 << 20);
-  std::printf("instance: lift %dx(3x3), n=%d, arcs=%zu, file %.1f MiB, "
-              "budget %.1f MiB (write %.2fs, open+validate %.2fs)\n\n",
-              kLayers, g.num_vertices(), g.num_arcs(), file_mb, budget_mb,
-              write_s, open_s);
-  check(file_mb >= 2.0 * budget_mb,
-        "instance file >= 2x the residency budget");
+  std::printf("instance: lift %dx(3x3), n=%d, arcs=%zu, file %.1f MiB "
+              "(write %.2fs, open+validate %.2fs)\n\n",
+              kLayers, g.num_vertices(), g.num_arcs(), file_mb, write_s,
+              open_s);
 
-  print_row({"threads", "in-memory s", "streaming s", "ratio", "evictions",
-             "resident MiB"});
+  print_row({"threads", "in-memory s", "streaming s", "ratio"});
   bool ids_identical = true;
   std::size_t distinct = 0;
   const int old_threads = lapx::runtime::thread_count();
@@ -125,11 +115,8 @@ void print_tables() {
     ids_identical = ids_identical && stream_ids == mem_ids;
     distinct = mem.distinct_at(kRadius);
 
-    const auto res = g.residency();
     print_row({std::to_string(threads), fmt(mem_s, 3), fmt(stream_s, 3),
-               fmt(mem_s > 0 ? stream_s / mem_s : 0.0, 2) + "x",
-               std::to_string(res.evictions),
-               fmt(static_cast<double>(res.resident_bytes) / (1 << 20), 2)});
+               fmt(mem_s > 0 ? stream_s / mem_s : 0.0, 2) + "x"});
   }
   lapx::runtime::set_thread_count(old_threads);
   std::printf("\n");
@@ -138,9 +125,9 @@ void print_tables() {
         "streaming TypeIds byte-identical to in-memory at radius 0.." +
             std::to_string(kRadius) + ", threads 1 and 8");
   // Scheduling parity on the STREAMING path: the worklist's active-vertex
-  // retirement must not change a single raw TypeId even when entry states
-  // stream from the mmap'd file under eviction pressure.  Fresh interner
-  // per run; equality is id-for-id, not just as partitions.
+  // retirement must not change a single raw TypeId when entry states
+  // stream from the mmap'd file.  Fresh interner per run; equality is
+  // id-for-id, not just as partitions.
   phase("refine-streaming-sched-parity");
   TypeInterner li;
   RefineState legacy_sched(g, li);
@@ -153,18 +140,12 @@ void print_tables() {
         "worklist and dense scheduling agree id-for-id on the streaming "
         "path");
 
-  const auto res = g.residency();
-  check(res.evictions > 0, "residency budget forced evictions mid-round");
-  check(res.resident_bytes <= res.budget_bytes,
-        "tracked residency ended at or under the budget");
 
   // Deterministic paper-facing quantities for the regression gate; the
   // timings above stay in phases (informational).
   value("n", static_cast<double>(g.num_vertices()));
   value("arcs", static_cast<double>(g.num_arcs()));
   value("distinct_r3", static_cast<double>(distinct));
-  value("budget_over_file",
-        static_cast<double>(kBudgetBytes) / (file_mb * (1 << 20)));
   ::unlink(path.c_str());
   std::printf("\n");
 }
@@ -178,9 +159,7 @@ void BM_StreamingRefine(benchmark::State& state) {
   const std::string path =
       "/tmp/lapx-bm-ooc." + std::to_string(::getpid()) + ".lapxooc";
   lapx::graph::write_ooc_graph(path, ld);
-  OocGraph::Options opt;
-  opt.budget_bytes = std::size_t{256} << 10;
-  const OocGraph g(path, opt);
+  const OocGraph g(path);
   TypeInterner interner;
   RefineState(ld, interner).types_at(kRadius);  // warm the interner once
   for (auto _ : state) {

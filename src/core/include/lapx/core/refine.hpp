@@ -83,8 +83,8 @@ class RefineState {
 
   /// Streaming mode: rounds iterate the ooc file's mmap'd step segments
   /// instead of in-RAM step arrays -- the graph never materializes, and
-  /// every step read goes through the residency manager, so a
-  /// budget-capped OocGraph keeps the working set bounded.  TypeIds are
+  /// the kernel's page cache decides which file pages stay resident
+  /// (they are clean, so it reclaims them under pressure).  TypeIds are
   /// identical to the in-memory constructor against the same interner
   /// (the on-disk step CSR is bit-for-bit what build_steps produces).
   /// Rounds are not kept, so refine_delta is unavailable; `g` must
@@ -217,9 +217,6 @@ class RefineState {
   std::span<const std::uint64_t> tag_span() const {
     return ooc_ ? ooc_->step_edge_tag()
                 : std::span<const std::uint64_t>(step_edge_tag_);
-  }
-  void touch_steps(std::uint32_t lo, std::uint32_t hi) const {
-    if (ooc_) ooc_->touch_steps(lo, hi);
   }
 
   const LDigraph* g_ = nullptr;

@@ -315,7 +315,6 @@ std::size_t RefineState::run_round(int radius, const TypeId* in, TypeId* out,
   if (need_states || need_roots) {
     const auto resolve_span = [&](Vertex v) {
       const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
-      touch_steps(lo, hi);
       std::uint32_t unresolved = 0, last = 0;
       std::uint32_t changed = 0, last_changed = 0;
       bool probed = false;
@@ -444,7 +443,6 @@ std::size_t RefineState::run_round(int radius, const TypeId* in, TypeId* out,
   // always made at a first occurrence.
   const auto intern_body = [&](Vertex v) {
     const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
-    touch_steps(lo, hi);
     for (std::uint32_t j = lo; j < hi; ++j) {
       const TypeId sub = in[step_succ[j]];
       edge_ids_[j] = batch_intern(step_edge_tag[j], &sub, 1);
@@ -457,7 +455,6 @@ std::size_t RefineState::run_round(int radius, const TypeId* in, TypeId* out,
   // excluded, from a class representative.
   std::vector<TypeId> tmp_edges;
   const auto intern_rep = [&](Vertex v, std::uint32_t skip) {
-    touch_steps(step_off[v], step_off[v + 1]);
     tmp_edges.clear();
     for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j) {
       if (j == skip) continue;
@@ -567,7 +564,6 @@ void RefineState::schedule(std::span<const std::uint32_t> seed) {
   };
   for (const std::uint32_t v : seed) mark(v);
   for (const std::uint32_t v : changed_) {
-    touch_steps(step_off[v], step_off[v + 1]);
     for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j)
       mark(step_vertex[step_succ[j]]);
   }

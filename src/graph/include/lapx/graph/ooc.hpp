@@ -1,7 +1,6 @@
 #pragma once
 // Out-of-core graphs: a binary, mmap-able on-disk CSR format ("LAPXOOC1")
-// plus a page-granular LRU residency manager in the spirit of katana's
-// OCFileGraph/OCGraph split.
+// and a validated, read-only mapping of it.
 //
 // Layout (little-endian, 128-byte header, 8-byte-aligned segments):
 //
@@ -40,21 +39,14 @@
 // the target name.  The reader validates magic, version, both checksums,
 // the claimed sizes against the real file size (a short mmap fails closed,
 // never faults), and every offset/index invariant before handing out
-// spans.  OocGraph::touch_steps is the residency hook: callers report the
-// step ranges they are about to walk, and once tracked residency exceeds
-// the configured budget the least-recently-used chunks are dropped with
-// madvise(MADV_DONTNEED) -- the mapping is read-only MAP_PRIVATE, so a
-// later touch simply refaults the bytes from the file.
+// spans.  The mapping is read-only MAP_PRIVATE, so its pages are clean
+// page-cache pages: the kernel faults them in on first touch and reclaims
+// them under memory pressure, whether mapped or not.
 
-#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lapx/graph/digraph.hpp"
@@ -66,13 +58,6 @@ class OocError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-namespace testing {
-/// Fault-injection seam for the residency manager: while > 0, each
-/// madvise(MADV_DONTNEED) inside OocGraph decrements the counter and
-/// behaves as if the kernel refused the call.  Test-only; leave at 0.
-extern std::atomic<int> ooc_fail_madvise;
-}  // namespace testing
 
 /// The step-segment edge tag base.  graph/ cannot see core/interner.hpp,
 /// so the value is duplicated here; core/refine.cpp static_asserts it
@@ -106,37 +91,18 @@ OocStepCsr build_step_csr(const LDigraph& g);
 /// exceeds the format's 2^32-step bound.
 void write_ooc_graph(const std::string& path, const LDigraph& g);
 
-/// A validated, memory-mapped LAPXOOC1 file with LRU chunk residency.
-/// All accessors are const and thread-safe; the residency manager
-/// serializes its own bookkeeping internally.
+/// A validated, memory-mapped LAPXOOC1 file.  All accessors are const
+/// and thread-safe: the mapping is read-only and never changes.
 class OocGraph {
  public:
-  struct Options {
-    /// Tracked-residency budget in bytes; 0 = unlimited (never evict).
-    std::size_t budget_bytes = 0;
-  };
-
-  struct Residency {
-    std::uint64_t budget_bytes = 0;
-    std::uint64_t resident_bytes = 0;  ///< tracked (touched, unevicted)
-    std::uint64_t touches = 0;         ///< touch_steps chunk touches
-    std::uint64_t evictions = 0;       ///< chunks dropped via madvise
-    // madvise(MADV_DONTNEED) can fail (locked pages, hardened kernels);
-    // an eviction whose madvise failed still leaves the pages physically
-    // resident.  Both are counted so the accounting stays honest: the true
-    // physical footprint is bounded by resident_bytes + unreleased_bytes.
-    std::uint64_t madvise_failures = 0;  ///< madvise calls the kernel refused
-    std::uint64_t unreleased_bytes = 0;  ///< eviction bytes not actually freed
-  };
-
   /// Opens and fully validates `path`; throws OocError on any mismatch
-  /// (missing file, bad magic/version/endian tag, checksum mismatch, file
-  /// shorter than the header claims, corrupt offsets/indices, an adjacency
+  /// (missing file, not a regular file -- a FIFO is refused, never waited
+  /// on -- bad magic/version/endian tag, checksum mismatch, file shorter
+  /// than the header claims, corrupt offsets/indices, an adjacency
   /// LDigraph::add_arc would reject, in_arcs that are not the transpose of
   /// out_arcs, or step segments build_step_csr would not derive).  An
   /// opened file therefore always materializes.
-  OocGraph(const std::string& path, Options opt);
-  explicit OocGraph(const std::string& path) : OocGraph(path, Options{}) {}
+  explicit OocGraph(const std::string& path);
   ~OocGraph();
   OocGraph(const OocGraph&) = delete;
   OocGraph& operator=(const OocGraph&) = delete;
@@ -178,16 +144,6 @@ class OocGraph {
     return {step_tag_, steps_};
   }
 
-  /// Residency hook: records that the step range [lo, hi) of every step
-  /// segment is about to be read, refreshing the owning chunks' LRU
-  /// position and evicting the least-recently-used chunks once the budget
-  /// is exceeded.  Best-effort accounting (untracked reads -- validation,
-  /// parallel fills -- are invisible to it); correctness never depends on
-  /// it, only peak RSS does.
-  void touch_steps(std::uint32_t lo, std::uint32_t hi) const;
-
-  Residency residency() const;
-
   /// Reconstructs the LDigraph from the adjacency segments (round-trip
   /// verification and under-cap service materialization).
   LDigraph materialize() const;
@@ -196,14 +152,8 @@ class OocGraph {
   /// Why the mapped segments are not what write_ooc_graph emits for some
   /// LDigraph, or nullptr.  Checked vertex by vertex, never materializing.
   const char* structure_error() const;
-  void touch_range_locked(std::size_t byte_off, std::size_t bytes) const;
-  /// madvise(MADV_DONTNEED) on [byte_off, byte_off + bytes) with the
-  /// result checked: a refusal is counted (madvise_failures /
-  /// unreleased_bytes) and warned about once per process.
-  bool drop_pages(std::size_t byte_off, std::size_t bytes) const;
 
   std::string path_;
-  Options opt_;
   int fd_ = -1;
   unsigned char* map_ = nullptr;  // whole file
   std::size_t map_bytes_ = 0;
@@ -221,13 +171,6 @@ class OocGraph {
   const std::uint32_t* step_succ_ = nullptr;
   const std::uint32_t* step_nbr_ = nullptr;
   const std::uint32_t* step_move_ = nullptr;
-
-  // Chunked LRU residency over the mapped payload.
-  mutable std::mutex residency_mu_;
-  mutable std::list<std::size_t> lru_;  // front = most recent chunk index
-  mutable std::unordered_map<std::size_t, std::list<std::size_t>::iterator>
-      resident_;
-  mutable Residency stats_;
 };
 
 }  // namespace lapx::graph

@@ -6,35 +6,20 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <utility>
 
 namespace lapx::graph {
 
-namespace testing {
-std::atomic<int> ooc_fail_madvise{0};
-}  // namespace testing
-
 namespace {
-
-// One warning per process: eviction failures repeat (same kernel, same
-// mapping), so the first carries all the signal and the rest would spam
-// every round of a streaming refinement.
-std::atomic<bool> g_madvise_warned{false};
 
 constexpr char kMagic[8] = {'L', 'A', 'P', 'X', 'O', 'O', 'C', '1'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kHeaderBytes = 128;
 constexpr std::uint32_t kEndianTag = 0x0a0b0c0d;
-// Residency granularity: 64 pages.  Coarse enough that per-vertex touches
-// amortize to one map lookup, fine enough that a few-MiB budget still has
-// dozens of eviction candidates.
-constexpr std::size_t kChunkBytes = std::size_t{256} << 10;
 
 struct Header {
   char magic[8];
@@ -234,9 +219,10 @@ void write_ooc_graph(const std::string& path, const LDigraph& g) {
   }
 }
 
-OocGraph::OocGraph(const std::string& path, Options opt)
-    : path_(path), opt_(opt) {
-  fd_ = ::open(path.c_str(), O_RDONLY);
+OocGraph::OocGraph(const std::string& path) : path_(path) {
+  // O_NONBLOCK: a FIFO must be refused below, not waited on until some
+  // writer opens it.  It changes nothing for a regular file.
+  fd_ = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
   if (fd_ < 0) fail_errno(path, "open");
   struct stat st {};
   if (::fstat(fd_, &st) != 0) {
@@ -251,6 +237,7 @@ OocGraph::OocGraph(const std::string& path, Options opt)
     map_ = nullptr;
     fail(path, why);
   };
+  if (!S_ISREG(st.st_mode)) cleanup_fail("not a regular file");
   if (file_bytes < kHeaderBytes) cleanup_fail("file shorter than the header");
   map_bytes_ = file_bytes;
   void* map = ::mmap(nullptr, map_bytes_, PROT_READ, MAP_PRIVATE, fd_, 0);
@@ -347,16 +334,6 @@ OocGraph::OocGraph(const std::string& path, Options opt)
       cleanup_fail("arc endpoint or label out of range");
   }
   if (const char* why = structure_error()) cleanup_fail(why);
-
-  stats_.budget_bytes = opt_.budget_bytes;
-  if (opt_.budget_bytes > 0) {
-    // Validation walked the whole mapping; start the tracked-residency
-    // clock from zero so the budget means what it says.  A refused
-    // madvise here only delays the drop (the validation pages are cold
-    // and will be evicted by normal memory pressure), but it is counted
-    // so residency() never silently claims a clean start.
-    drop_pages(0, map_bytes_);
-  }
 }
 
 const char* OocGraph::structure_error() const {
@@ -429,82 +406,9 @@ const char* OocGraph::structure_error() const {
   return nullptr;
 }
 
-bool OocGraph::drop_pages(std::size_t byte_off, std::size_t bytes) const {
-  int rc;
-  int fail = testing::ooc_fail_madvise.load(std::memory_order_relaxed);
-  while (fail > 0 && !testing::ooc_fail_madvise.compare_exchange_weak(
-                         fail, fail - 1, std::memory_order_relaxed)) {
-  }
-  if (fail > 0) {
-    errno = EINVAL;  // simulate a kernel refusal
-    rc = -1;
-  } else {
-    rc = ::madvise(map_ + byte_off, bytes, MADV_DONTNEED);
-  }
-  if (rc == 0) return true;
-  ++stats_.madvise_failures;
-  stats_.unreleased_bytes += bytes;
-  if (!g_madvise_warned.exchange(true, std::memory_order_relaxed))
-    std::fprintf(stderr,
-                 "lapx-ooc: madvise(MADV_DONTNEED) failed (%s); evicted "
-                 "pages stay physically resident -- the residency budget "
-                 "undercounts by Residency::unreleased_bytes\n",
-                 std::strerror(errno));
-  return false;
-}
-
 OocGraph::~OocGraph() {
   if (map_ != nullptr) ::munmap(map_, map_bytes_);
   if (fd_ >= 0) ::close(fd_);
-}
-
-void OocGraph::touch_range_locked(std::size_t byte_off,
-                                  std::size_t bytes) const {
-  if (bytes == 0) return;
-  const std::size_t first = byte_off / kChunkBytes;
-  const std::size_t last = (byte_off + bytes - 1) / kChunkBytes;
-  for (std::size_t c = first; c <= last; ++c) {
-    ++stats_.touches;
-    if (const auto it = resident_.find(c); it != resident_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      continue;
-    }
-    lru_.push_front(c);
-    resident_[c] = lru_.begin();
-    stats_.resident_bytes += kChunkBytes;
-    while (stats_.resident_bytes > opt_.budget_bytes && lru_.size() > 1) {
-      const std::size_t victim = lru_.back();
-      lru_.pop_back();
-      resident_.erase(victim);
-      stats_.resident_bytes -= kChunkBytes;
-      ++stats_.evictions;
-      const std::size_t off = victim * kChunkBytes;
-      drop_pages(off, std::min(kChunkBytes, map_bytes_ - off));
-    }
-  }
-}
-
-void OocGraph::touch_steps(std::uint32_t lo, std::uint32_t hi) const {
-  if (opt_.budget_bytes == 0 || hi <= lo) return;
-  const std::size_t count = hi - lo;
-  std::lock_guard<std::mutex> lock(residency_mu_);
-  const auto seg = [&](const void* base, std::size_t elem_bytes) {
-    const std::size_t off =
-        static_cast<std::size_t>(static_cast<const unsigned char*>(base) -
-                                 map_) +
-        static_cast<std::size_t>(lo) * elem_bytes;
-    touch_range_locked(off, count * elem_bytes);
-  };
-  seg(step_tag_, 8);
-  seg(step_vertex_, 4);
-  seg(step_succ_, 4);
-  seg(step_nbr_, 4);
-  seg(step_move_, 4);
-}
-
-OocGraph::Residency OocGraph::residency() const {
-  std::lock_guard<std::mutex> lock(residency_mu_);
-  return stats_;
 }
 
 LDigraph OocGraph::materialize() const {

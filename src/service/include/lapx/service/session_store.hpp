@@ -65,9 +65,10 @@ namespace lapx::service {
 /// Two backings share the interface: in-memory (put/generate/upload) and
 /// out-of-core (open_ooc) -- the latter keeps the graph in its mmap'd
 /// LAPXOOC1 file, streams view-type refinement over the file's step
-/// segments under the store's residency budget, and only materializes an
-/// in-RAM Graph/LDigraph when a handler demands the full adjacency AND
-/// the instance is under the materialization cap (else kTooLarge).
+/// segments (the page cache keeps what stays resident), and only
+/// materializes an in-RAM Graph/LDigraph when a handler demands the full
+/// adjacency AND the instance is under the materialization cap (else
+/// kTooLarge).
 class GraphEntry {
  public:
   /// `text` is g's canonical edge-list text; only its two hashes are kept.
@@ -155,9 +156,6 @@ class SessionStore {
  public:
   struct Options {
     std::size_t max_graphs = 64;
-    /// Residency budget handed to every OocGraph this store opens
-    /// (serve --ooc-budget-mb); 0 = unlimited.
-    std::size_t ooc_budget_bytes = std::size_t{256} << 20;
     /// Largest ooc graph graph()/ldigraph() will materialize in RAM;
     /// larger instances answer adjacency-hungry ops with kTooLarge.
     graph::Vertex ooc_materialize_max_vertices = 1 << 20;
@@ -179,9 +177,9 @@ class SessionStore {
   std::shared_ptr<const GraphEntry> put(const std::string& name,
                                         graph::Graph g);
 
-  /// Binds `name` to a LAPXOOC1 file opened under the store's residency
-  /// budget (same epoch/LRU semantics as put).  Throws graph::OocError
-  /// when the file is missing or fails validation.
+  /// Binds `name` to a LAPXOOC1 file (same epoch/LRU semantics as put).
+  /// Throws graph::OocError when the file is missing, not a regular
+  /// file, or fails validation.
   std::shared_ptr<const GraphEntry> open_ooc(const std::string& name,
                                              const std::string& path);
 

@@ -83,10 +83,10 @@ const graph::LDigraph& GraphEntry::ldigraph() const {
 std::vector<core::TypeId> GraphEntry::view_types(int r) const {
   std::lock_guard<std::mutex> lock(refine_mu_);
   if (!refine_) {
-    // Ooc backing streams rounds over the file's step segments under the
-    // residency budget; rounds are not kept (ooc sessions cannot mutate,
-    // so there is nothing to delta-fork).  TypeIds are identical either
-    // way -- same interner, same step CSR.
+    // Ooc backing streams rounds over the file's mmap'd step segments;
+    // rounds are not kept (ooc sessions cannot mutate, so there is nothing
+    // to delta-fork).  TypeIds are identical either way -- same interner,
+    // same step CSR.
     if (ooc_)
       refine_ = std::make_unique<core::RefineState>(
           *ooc_, core::TypeInterner::global());
@@ -132,9 +132,7 @@ std::shared_ptr<const GraphEntry> SessionStore::put(const std::string& name,
 
 std::shared_ptr<const GraphEntry> SessionStore::open_ooc(
     const std::string& name, const std::string& path) {
-  graph::OocGraph::Options gopt;
-  gopt.budget_bytes = opt_.ooc_budget_bytes;
-  auto ooc = std::make_unique<graph::OocGraph>(path, gopt);  // throws OocError
+  auto ooc = std::make_unique<graph::OocGraph>(path);  // throws OocError
   // Content identity: the file's payload checksum, stable across restarts
   // and namespaced so it can never collide with an edge-list digest.
   std::string hex = hex16(ooc->payload_checksum());

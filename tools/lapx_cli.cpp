@@ -74,8 +74,7 @@ int usage() {
       "             edge list; writes the mmap-able LAPXOOC1 CSR format)\n"
       "       serve [--socket PATH | --tcp PORT] [--threads N]\n"
       "             [--executors N] [--cache-entries N] [--cache-bytes N]\n"
-      "             [--cache-dir DIR] [--queue-depth N] [--max-graphs N]\n"
-      "             [--ooc-budget-mb N] |\n"
+      "             [--cache-dir DIR] [--queue-depth N] [--max-graphs N] |\n"
       "       call [--pipeline] <endpoint> [json-request]\n"
       "endpoints: unix:PATH | tcp:PORT | a /path | a bare port\n"
       "wire ops: ping | generate | upload | open | mutate | drop | list |\n"
@@ -88,8 +87,7 @@ int usage() {
       "           open binds a LAPXOOC1 file: {\"op\":\"open\",\"name\":N,\n"
       "           \"path\":P} -- queries stream over the mmap'd file)\n"
       "env: LAPXD_EXECUTORS sets the serve executor default,\n"
-      "     LAPXD_CACHE_DIR the result-cache persistence dir,\n"
-      "     LAPXD_OOC_BUDGET_MB the out-of-core residency budget\n");
+      "     LAPXD_CACHE_DIR the result-cache persistence dir\n");
   return kExitUsage;
 }
 
@@ -343,7 +341,7 @@ int cmd_serve(int argc, char** argv) {
   // executors, "banana" ran 0 and was ignored without a trace); malformed
   // values now warn on stderr and fall back to the documented default so a
   // typo'd deployment is visible in the service log instead of quietly
-  // changing topology.  --executors / --ooc-budget-mb override.
+  // changing topology.  --executors overrides.
   auto env_int = [](const char* name, long long lo, long long hi,
                     long long* out) {
     const char* env = std::getenv(name);
@@ -360,9 +358,6 @@ int cmd_serve(int argc, char** argv) {
     sopt.scheduler.executors = static_cast<int>(env_v);
   // LAPXD_CACHE_DIR seeds the persistence dir; --cache-dir overrides it.
   if (const char* env = std::getenv("LAPXD_CACHE_DIR")) sopt.cache_dir = env;
-  // 0 means unlimited (never evict).
-  if (env_int("LAPXD_OOC_BUDGET_MB", 0, 1LL << 40, &env_v))
-    sopt.store.ooc_budget_bytes = static_cast<std::size_t>(env_v) << 20;
   auto int_flag = [&](const char* value) {
     return int_arg(value, "flag value", 0,
                    std::numeric_limits<long long>::max());
@@ -392,9 +387,6 @@ int cmd_serve(int argc, char** argv) {
       sopt.scheduler.queue_capacity = static_cast<std::size_t>(int_flag(value));
     } else if (flag == "--max-graphs") {
       sopt.store.max_graphs = static_cast<std::size_t>(int_flag(value));
-    } else if (flag == "--ooc-budget-mb") {
-      sopt.store.ooc_budget_bytes =
-          static_cast<std::size_t>(int_flag(value)) << 20;
     } else {
       throw std::invalid_argument("unknown flag: " + flag);
     }
