@@ -20,10 +20,15 @@
 // requeries at 1 and 4 scheduler executors: the transcripts must be
 // byte-identical -- mutations are admin ops resolved inline at submission
 // order, so executor width must stay invisible in the bytes.
+//
+// The third table (E18c) times a session write stage by stage, as
+// SessionStore::mutate and the `homogeneity` handler run it, on a lifted
+// torus at n = 9 000 and 90 000: which stages still scale with n.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -31,11 +36,17 @@
 #include "bench_common.hpp"
 #include "lapx/core/refine.hpp"
 #include "lapx/graph/generators.hpp"
+#include "lapx/graph/io.hpp"
 #include "lapx/graph/lift.hpp"
+#include "lapx/graph/mutation.hpp"
+#include "lapx/graph/ooc.hpp"
 #include "lapx/graph/port_numbering.hpp"
+#include "lapx/order/homogeneity.hpp"
 #include "lapx/runtime/parallel.hpp"
+#include "lapx/service/blake2b.hpp"
 #include "lapx/service/ordering.hpp"
 #include "lapx/service/service.hpp"
+#include "lapx/service/session_store.hpp"
 
 namespace {
 
@@ -48,6 +59,8 @@ using lapx::bench::value;
 using lapx::core::RefineState;
 using lapx::core::TypeInterner;
 using lapx::graph::Arc;
+using lapx::graph::EdgeEdit;
+using lapx::graph::Graph;
 using lapx::graph::LDigraph;
 using lapx::service::ResponseSequencer;
 using lapx::service::Service;
@@ -253,9 +266,178 @@ void print_transcript_table() {
   std::printf("\n");
 }
 
+// ---------------------------------------------------------------------------
+// E18c: the write path, stage by stage.
+
+// A degree-preserving 2-switch: remove (a,b), (c,d); add (a,c), (b,d).
+// Every degree stays, so the port alphabet does too.
+std::vector<EdgeEdit> two_switch(const Graph& g, std::mt19937_64& rng) {
+  const auto& edges = g.edges();
+  for (;;) {
+    auto [a, b] = edges[rng() % edges.size()];
+    auto [c, d] = edges[rng() % edges.size()];
+    if (rng() & 1) std::swap(a, b);
+    if (rng() & 1) std::swap(c, d);
+    if (a == c || a == d || b == c || b == d) continue;
+    if (g.has_edge(a, c) || g.has_edge(b, d)) continue;
+    return {{EdgeEdit::Kind::kRemove, a, b},
+            {EdgeEdit::Kind::kRemove, c, d},
+            {EdgeEdit::Kind::kAdd, a, c},
+            {EdgeEdit::Kind::kAdd, b, d}};
+  }
+}
+
+std::string hex16(std::uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+bool same_digraph(const LDigraph& a, const LDigraph& b) {
+  if (a.num_vertices() != b.num_vertices() ||
+      a.alphabet_size() != b.alphabet_size() || a.arcs() != b.arcs())
+    return false;
+  for (lapx::graph::Vertex v = 0; v < a.num_vertices(); ++v)
+    if (!std::ranges::equal(a.out_arcs(v), b.out_arcs(v)) ||
+        !std::ranges::equal(a.in_arcs(v), b.in_arcs(v)))
+      return false;
+  return true;
+}
+
+// The stages of one write, in the order SessionStore::mutate runs them,
+// then the homogeneity r=1 requery; medians in ms over the edits.
+enum Stage { kCopy, kHash, kLDigraph, kFork, kDelta, kHomogeneity, kStages };
+constexpr const char* kStageNames[kStages] = {
+    "copy", "hash", "ldigraph", "fork", "delta", "homogeneity"};
+
+struct WritePathResult {
+  lapx::graph::Vertex n = 0;
+  std::size_t arcs = 0;
+  int edits = 0;
+  double median_ms[kStages] = {};
+  bool ldigraph_matches_general = false;
+  bool delta_matches_scratch = false;
+  bool hashes_match_store = true;
+};
+
+WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
+  constexpr int kRadius = 3;
+  const std::string size = std::to_string(9 * layers);
+  phase("write-" + size + "-setup");
+  WritePathResult out;
+  Graph g = lapx::graph::lifted_torus(3, 3, layers, 7);
+  out.n = g.num_vertices();
+  out.edits = edits;
+  TypeInterner interner;
+  auto ld = std::make_unique<LDigraph>(lapx::graph::to_ldigraph(g));
+  out.arcs = ld->num_arcs();
+  RefineState state(*ld, interner, /*keep_rounds=*/true);
+  state.types_at(kRadius);  // the session's materialized refinement
+  // The store serves the content-hash check: its entries stay lazy (no
+  // refinement), so mutate costs it only the copy, edits and hashes.
+  lapx::service::SessionStore store;
+  store.put("g", g);
+  const lapx::order::Keys keys = lapx::order::identity_keys(out.n);
+  std::mt19937_64 rng(seed);
+  std::vector<double> ms[kStages];
+  auto timed = [&](Stage stage, auto&& body) {
+    phase("write-" + size + "-" + kStageNames[stage]);
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    ms[stage].push_back(seconds_since(t0) * 1e3);
+  };
+  for (int e = 0; e < edits; ++e) {
+    const std::vector<EdgeEdit> batch = two_switch(g, rng);
+    Graph next;
+    timed(kCopy, [&] { next = g; });
+    lapx::graph::apply_edits(next, batch);
+    std::string text, fnv, blake;
+    timed(kHash, [&] {
+      text = lapx::graph::to_edge_list(next);
+      fnv = hex16(lapx::graph::fnv1a64(text.data(), text.size()));
+      blake = lapx::service::blake2b_256_hex(text);
+    });
+    std::unique_ptr<LDigraph> next_ld;
+    timed(kLDigraph, [&] {
+      next_ld = std::make_unique<LDigraph>(lapx::graph::to_ldigraph(next));
+    });
+    std::unique_ptr<RefineState> forked;
+    timed(kFork, [&] { forked = std::make_unique<RefineState>(state); });
+    timed(kDelta, [&] { forked->refine_delta(*next_ld); });
+    timed(kHomogeneity, [&] {
+      benchmark::DoNotOptimize(lapx::order::measure_homogeneity(next, keys, 1));
+    });
+    phase("write-" + size + "-checks");
+    const auto entry = store.mutate("g", batch);
+    out.hashes_match_store = out.hashes_match_store && entry &&
+                             entry->content_hex() == fnv &&
+                             entry->content_id() == blake;
+    state = std::move(*forked);
+    ld = std::move(next_ld);
+    g = std::move(next);
+  }
+  phase("write-" + size + "-checks");
+  out.ldigraph_matches_general = same_digraph(
+      *ld, lapx::graph::to_ldigraph(
+               g, lapx::graph::PortNumbering::default_for(g),
+               lapx::graph::Orientation::default_for(g), g.max_degree()));
+  out.delta_matches_scratch =
+      state.types_at(kRadius) == RefineState(*ld, interner).types_at(kRadius);
+  for (int s = 0; s < kStages; ++s) out.median_ms[s] = median_of(ms[s]);
+  return out;
+}
+
+void print_write_path_table() {
+  print_header("E18c write path, stage by stage: copy, content hash, "
+               "to_ldigraph, fork, delta, homogeneity r=1",
+               "a view changes only within radius r of an edit, so only the "
+               "content hash (FNV-1a and BLAKE2b over the whole text) must "
+               "scale with n; the other stages are O(n) today");
+  constexpr int kEdits = 20;
+  print_row({"n", "arcs", "copy ms", "hash ms", "to_ldigraph ms", "fork ms",
+             "delta ms", "homog. r=1 ms"});
+  std::vector<WritePathResult> results;
+  for (const int layers : {1000, 10000}) {
+    const WritePathResult& r =
+        results.emplace_back(run_write_path(layers, kEdits, 2012 + layers));
+    std::vector<std::string> row{std::to_string(r.n), std::to_string(r.arcs)};
+    for (double m : r.median_ms) row.push_back(fmt(m, 3));
+    print_row(row);
+  }
+  // Information only until a write stops being O(n); then the ratio gets
+  // a <= 2x gate.
+  auto non_hash = [](const WritePathResult& r) {
+    double sum = 0;
+    for (int s = 0; s < kStages; ++s)
+      if (s != kHash) sum += r.median_ms[s];
+    return sum;
+  };
+  std::printf("non-hash stages, 90000 / 9000: %.1fx (%.3f / %.3f ms)\n\n",
+              non_hash(results[1]) / non_hash(results[0]),
+              non_hash(results[1]), non_hash(results[0]));
+  for (const WritePathResult& r : results) {
+    const std::string n = std::to_string(r.n);
+    check(r.ldigraph_matches_general,
+          "to_ldigraph(g) equals the general path after the edits (n=" + n +
+              ")");
+    check(r.delta_matches_scratch,
+          "delta-forked TypeIds equal a from-scratch refine after the last "
+          "edit (n=" + n + ", r=3)");
+    check(r.hashes_match_store,
+          "mutate's content_hex and content_id are the hashes of "
+          "to_edge_list of the edited graph (n=" + n + ")");
+    value("write_" + n + "_n", static_cast<double>(r.n));
+    value("write_" + n + "_arcs", static_cast<double>(r.arcs));
+    value("write_" + n + "_edits", static_cast<double>(r.edits));
+  }
+  std::printf("\n");
+}
+
 void print_tables() {
   print_edit_table();
   print_transcript_table();
+  print_write_path_table();
 }
 
 void BM_DeltaRequery(benchmark::State& state) {

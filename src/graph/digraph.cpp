@@ -13,25 +13,85 @@ LDigraph::LDigraph(Vertex n, Label alphabet_size)
   if (alphabet_size < 0) throw std::invalid_argument("negative alphabet size");
 }
 
-void LDigraph::add_arc(Vertex u, Vertex v, Label label) {
+namespace {
+
+[[noreturn]] void throw_duplicate_label(const char* side, Label label,
+                                        Vertex v) {
+  throw std::invalid_argument(std::string("duplicate ") + side + " label " +
+                              std::to_string(label) + " at " +
+                              std::to_string(v));
+}
+
+[[noreturn]] void throw_parallel_arc(Vertex u, Vertex v) {
+  throw std::invalid_argument("parallel arc (" + std::to_string(u) + "," +
+                              std::to_string(v) + ")");
+}
+
+}  // namespace
+
+void LDigraph::check_arc(Vertex u, Vertex v, Label label) const {
   check_vertex(u);
   check_vertex(v);
   if (u == v) throw std::invalid_argument("self-loop at " + std::to_string(u));
   if (label < 0 || label >= alphabet_)
     throw std::invalid_argument("label out of range: " + std::to_string(label));
+}
+
+LDigraph LDigraph::from_arcs(Vertex n, Label alphabet_size,
+                             std::vector<Arc> arcs) {
+  LDigraph d(n, alphabet_size);
+  const auto size = static_cast<std::size_t>(n);
+  std::vector<std::uint32_t> out_deg(size), in_deg(size);
+  for (const Arc& a : arcs) {
+    d.check_arc(a.from, a.to, a.label);
+    ++out_deg[static_cast<std::size_t>(a.from)];
+    ++in_deg[static_cast<std::size_t>(a.to)];
+  }
+  for (std::size_t v = 0; v < size; ++v) {
+    d.out_[v].reserve(out_deg[v]);
+    d.in_[v].reserve(in_deg[v]);
+  }
+  for (const Arc& a : arcs) {
+    d.out_[static_cast<std::size_t>(a.from)].emplace_back(a.label, a.to);
+    d.in_[static_cast<std::size_t>(a.to)].emplace_back(a.label, a.from);
+  }
+  // Sorted by label, a repeated label on either side is adjacent; and
+  // tail_of[w] == v marks w as an out-neighbour of v, so a second arc
+  // v -> w is found in O(1).
+  std::vector<Vertex> tail_of(size, -1);
+  const auto by_label = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  for (Vertex v = 0; v < n; ++v) {
+    auto& out = d.out_[static_cast<std::size_t>(v)];
+    std::sort(out.begin(), out.end(), by_label);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const auto [label, w] = out[i];
+      if (i > 0 && out[i - 1].first == label)
+        throw_duplicate_label("outgoing", label, v);
+      if (tail_of[static_cast<std::size_t>(w)] == v) throw_parallel_arc(v, w);
+      tail_of[static_cast<std::size_t>(w)] = v;
+    }
+    auto& in = d.in_[static_cast<std::size_t>(v)];
+    std::sort(in.begin(), in.end(), by_label);
+    for (std::size_t i = 1; i < in.size(); ++i)
+      if (in[i - 1].first == in[i].first)
+        throw_duplicate_label("incoming", in[i].first, v);
+  }
+  d.num_arcs_ = arcs.size();
+  d.arc_list_ = std::move(arcs);
+  return d;
+}
+
+void LDigraph::add_arc(Vertex u, Vertex v, Label label) {
+  check_arc(u, v, label);
   if (out_neighbor(u, label).has_value())
-    throw std::invalid_argument("duplicate outgoing label " +
-                                std::to_string(label) + " at " +
-                                std::to_string(u));
+    throw_duplicate_label("outgoing", label, u);
   if (in_neighbor(v, label).has_value())
-    throw std::invalid_argument("duplicate incoming label " +
-                                std::to_string(label) + " at " +
-                                std::to_string(v));
+    throw_duplicate_label("incoming", label, v);
   for (const auto& [l, w] : out_[u]) {
     (void)l;
-    if (w == v)
-      throw std::invalid_argument("parallel arc (" + std::to_string(u) + "," +
-                                  std::to_string(v) + ")");
+    if (w == v) throw_parallel_arc(u, v);
   }
   auto insert_sorted = [](std::vector<std::pair<Label, Vertex>>& vec, Label l,
                           Vertex w) {

@@ -48,6 +48,13 @@ class LDigraph {
 
   LDigraph(Vertex n, Label alphabet_size);
 
+  /// Builds the digraph that add_arc over `arcs`, in order, would build,
+  /// in one pass with each adjacency list reserved exactly: arcs() keeps
+  /// the given order.  Throws std::invalid_argument exactly when one of
+  /// those add_arc calls would throw.  O(n + m log deg).
+  static LDigraph from_arcs(Vertex n, Label alphabet_size,
+                            std::vector<Arc> arcs);
+
   /// Adds arc (u, v) with the given label.  Throws if the arc would violate
   /// properness, create a self-loop, duplicate an existing (u, v) arc, or use
   /// an out-of-range label.
@@ -109,6 +116,8 @@ class LDigraph {
     if (v < 0 || v >= num_vertices())
       throw std::invalid_argument("vertex out of range: " + std::to_string(v));
   }
+  // The checks of one arc on its own: endpoints, self-loop, label range.
+  void check_arc(Vertex u, Vertex v, Label label) const;
 
   Label alphabet_ = 0;
   std::size_t num_arcs_ = 0;

@@ -56,8 +56,9 @@ inline std::pair<int, int> decode_port_label(Label l, int delta) {
 }
 
 /// Builds the proper L-digraph induced by (g, pn, orient); see Figure 4 of
-/// the paper.  `delta` must be >= max_degree(g) and fixes the alphabet size
-/// delta^2 so that graphs of one family share one alphabet.
+/// the paper.  `delta` must be >= max_degree(g) and <= kMaxGraphDegree, and
+/// fixes the alphabet size delta^2 so that graphs of one family share one
+/// alphabet.
 LDigraph to_ldigraph(const Graph& g, const PortNumbering& pn,
                      const Orientation& orient, int delta);
 

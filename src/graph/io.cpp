@@ -1,5 +1,6 @@
 #include "lapx/graph/io.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -30,14 +31,25 @@ void reject_trailing_garbage(std::istringstream& row, const char* what) {
 }  // namespace
 
 void write_edge_list(std::ostream& os, const Graph& g) {
-  os << g.num_vertices() << " " << g.num_edges() << "\n";
-  for (const auto& [u, v] : g.edges()) os << u << " " << v << "\n";
+  os << to_edge_list(g);
 }
 
 std::string to_edge_list(const Graph& g) {
-  std::ostringstream os;
-  write_edge_list(os, g);
-  return os.str();
+  // One buffer, sized once and trimmed: a line is two decimal fields of at
+  // most 11 characters each plus a space and a newline.
+  std::string text(24 * (g.num_edges() + 1), '\0');
+  char* p = text.data();
+  char* const end = p + text.size();
+  auto line = [&](auto a, auto b) {
+    p = std::to_chars(p, end, a).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, b).ptr;
+    *p++ = '\n';
+  };
+  line(g.num_vertices(), g.num_edges());
+  for (const auto& [u, v] : g.edges()) line(u, v);
+  text.resize(static_cast<std::size_t>(p - text.data()));
+  return text;
 }
 
 Graph read_edge_list(std::istream& is, const EdgeListLimits& limits) {

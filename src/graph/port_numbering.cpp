@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace lapx::graph {
 
@@ -53,20 +55,44 @@ LDigraph to_ldigraph(const Graph& g, const PortNumbering& pn,
                      const Orientation& orient, int delta) {
   if (delta < g.max_degree())
     throw std::invalid_argument("delta below max degree");
+  // Above the cap, delta * delta would overflow int.
+  if (delta > kMaxGraphDegree)
+    throw std::invalid_argument("delta " + std::to_string(delta) +
+                                " above the degree cap " +
+                                std::to_string(kMaxGraphDegree));
   if (!pn.valid_for(g)) throw std::invalid_argument("invalid port numbering");
-  LDigraph d(g.num_vertices(), static_cast<Label>(delta * delta));
+  std::vector<Arc> arcs;
+  arcs.reserve(g.num_edges());
   for (EdgeId e = 0; e < static_cast<EdgeId>(g.num_edges()); ++e) {
     auto [tail, head] = orient.directed(g, e);
     const int i = pn.port_of(tail, head);
     const int j = pn.port_of(head, tail);
-    d.add_arc(tail, head, encode_port_label(i, j, delta));
+    arcs.push_back({tail, head, encode_port_label(i, j, delta)});
   }
-  return d;
+  return LDigraph::from_arcs(g.num_vertices(),
+                             static_cast<Label>(delta * delta),
+                             std::move(arcs));
 }
 
 LDigraph to_ldigraph(const Graph& g) {
-  return to_ldigraph(g, PortNumbering::default_for(g),
-                     Orientation::default_for(g), g.max_degree());
+  // Default ports are the sorted adjacency lists, and the default
+  // orientation points each edge (u, v), u < v, from u to v: so a port is
+  // a position in neighbors(), and no PortNumbering is built or validated.
+  const int delta = g.max_degree();
+  std::vector<Arc> arcs;
+  arcs.reserve(g.num_edges());
+  for (const auto& [u, v] : g.edges()) {
+    const auto nu = g.neighbors(u);
+    const auto nv = g.neighbors(v);
+    const auto i = std::lower_bound(nu.begin(), nu.end(), v) - nu.begin();
+    const auto j = std::lower_bound(nv.begin(), nv.end(), u) - nv.begin();
+    arcs.push_back({u, v,
+                    encode_port_label(static_cast<int>(i),
+                                      static_cast<int>(j), delta)});
+  }
+  return LDigraph::from_arcs(g.num_vertices(),
+                             static_cast<Label>(delta * delta),
+                             std::move(arcs));
 }
 
 PortNumbering ports_from_edge_coloring(const Graph& g,

@@ -1,11 +1,14 @@
 #include "lapx/order/homogeneity.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
-#include "lapx/graph/properties.hpp"
 #include "lapx/runtime/parallel.hpp"
 
 namespace lapx::order {
@@ -32,65 +35,48 @@ Keys identity_keys(Vertex n) {
 
 namespace {
 
-// Ball vertices sorted by key, plus a position index old-vertex -> index.
-// The index is a vertex-sorted vector probed by binary search: balls are
-// small, so lower_bound beats a hash map and allocates one flat block.
-struct SortedBall {
-  std::vector<Vertex> vertices;                  // sorted by key ascending
-  std::vector<std::pair<Vertex, int>> position;  // sorted by vertex id
-  int root_pos = -1;
+// One edge (Graph, label 0) or arc of an ordered ball, over the key-rank
+// positions of its endpoints.
+struct BallEdge {
+  int a = 0;
+  int b = 0;
+  Label label = 0;
 
-  int find(Vertex w) const {
-    const auto it = std::lower_bound(
-        position.begin(), position.end(), w,
-        [](const std::pair<Vertex, int>& p, Vertex v) { return p.first < v; });
-    return it != position.end() && it->first == w ? it->second : -1;
-  }
+  auto operator<=>(const BallEdge&) const = default;
 };
 
-SortedBall sorted_ball(const std::vector<Vertex>& ball_vertices,
-                       const Keys& keys, Vertex root) {
-  SortedBall sb;
-  sb.vertices = ball_vertices;
-  std::sort(sb.vertices.begin(), sb.vertices.end(),
-            [&](Vertex a, Vertex b) { return keys.at(a) < keys.at(b); });
-  sb.position.reserve(sb.vertices.size());
-  for (std::size_t i = 0; i < sb.vertices.size(); ++i)
-    sb.position.emplace_back(sb.vertices[i], static_cast<int>(i));
-  std::sort(sb.position.begin(), sb.position.end());
-  sb.root_pos = sb.find(root);
-  return sb;
-}
-
-// Reusable per-thread BFS scratch with epoch-stamped visited marks: bulk
-// typing (measure_homogeneity, materialize_homogeneous) calls the ball
-// extractor once per vertex, and a fresh O(n) dist vector per call turned
-// those sweeps quadratic on ~3e5-vertex Cayley graphs.  The stamp array is
-// only ever grown; a bumped epoch invalidates all marks at once.
+// Per-thread scratch of ordered-ball typing.  Bulk typing
+// (measure_homogeneity, materialize_homogeneous) builds one ball per
+// vertex, so no ball allocates: the per-vertex arrays are epoch-stamped --
+// a bumped epoch clears every mark at once -- and only ever grow, to
+// 12 bytes per vertex of the largest graph the thread has typed.
 struct BallScratch {
-  std::vector<std::uint32_t> stamp;
-  std::vector<int> dist;
-  std::vector<Vertex> queue;
+  std::vector<std::uint32_t> stamp;  // == epoch: the vertex is in the ball
+  std::vector<int> dist;             // BFS distance from the root
+  std::vector<int> pos;              // index into `members`
   std::uint32_t epoch = 0;
+  std::vector<Vertex> queue;  // BFS order
+  std::vector<std::pair<std::int64_t, Vertex>> members;  // (key, vertex)
+  std::vector<BallEdge> edges;                           // sorted
 
   void begin(std::size_t n) {
     if (stamp.size() < n) {
       stamp.resize(n, 0);
       dist.resize(n, 0);
+      pos.resize(n, 0);
     }
     if (++epoch == 0) {  // wrapped: every stale stamp looks fresh again
       std::fill(stamp.begin(), stamp.end(), 0);
       epoch = 1;
     }
     queue.clear();
+    members.clear();
+    edges.clear();
   }
-  bool seen(Vertex v) const {
-    return stamp[static_cast<std::size_t>(v)] == epoch;
+  bool in_ball(Vertex w) const {
+    return stamp[static_cast<std::size_t>(w)] == epoch;
   }
-  void mark(Vertex v, int d) {
-    stamp[static_cast<std::size_t>(v)] = epoch;
-    dist[static_cast<std::size_t>(v)] = d;
-  }
+  int root_pos() const { return pos[static_cast<std::size_t>(queue[0])]; }
 };
 
 BallScratch& ball_scratch() {
@@ -98,67 +84,70 @@ BallScratch& ball_scratch() {
   return scratch;
 }
 
-// Ball in the underlying graph of an L-digraph (arcs traversed both ways).
-std::vector<Vertex> digraph_ball(const LDigraph& d, Vertex v, int r) {
-  if (v < 0 || v >= d.num_vertices())
-    throw std::out_of_range("digraph_ball: root out of range");
+// Neighbours in the underlying graph: an L-digraph ball follows arcs both
+// ways.
+template <typename F>
+void for_each_neighbor(const Graph& g, Vertex u, F&& f) {
+  for (Vertex w : g.neighbors(u)) f(w);
+}
+template <typename F>
+void for_each_neighbor(const LDigraph& d, Vertex u, F&& f) {
+  for (const auto& arc : d.out_arcs(u)) f(arc.second);
+  for (const auto& arc : d.in_arcs(u)) f(arc.second);
+}
+
+// The edges of the ball that leave member i, each listed once.
+void collect_edges(const Graph& g, int i, BallScratch& s) {
+  for (Vertex w : g.neighbors(s.members[static_cast<std::size_t>(i)].second))
+    if (s.in_ball(w)) {
+      const int j = s.pos[static_cast<std::size_t>(w)];
+      if (i < j) s.edges.push_back({i, j, 0});
+    }
+}
+void collect_edges(const LDigraph& d, int i, BallScratch& s) {
+  for (const auto& [l, w] :
+       d.out_arcs(s.members[static_cast<std::size_t>(i)].second))
+    if (s.in_ball(w))
+      s.edges.push_back({i, s.pos[static_cast<std::size_t>(w)], l});
+}
+
+// The canonical content of the ordered radius-r ball of v, left in the
+// thread's scratch: its members sorted by (key, vertex), the root's
+// position among them, and the sorted edge or arc list over positions.
+// The text spellings and the interned binary key render exactly this
+// tuple (size, root position, edges), so they induce the same equivalence.
+template <typename GraphT>
+const BallScratch& ordered_ball(const GraphT& g, const Keys& keys, Vertex v,
+                                int r) {
+  if (v < 0 || v >= g.num_vertices())
+    throw std::out_of_range("ordered ball: root out of range");
   BallScratch& s = ball_scratch();
-  s.begin(static_cast<std::size_t>(d.num_vertices()));
-  s.mark(v, 0);
+  s.begin(static_cast<std::size_t>(g.num_vertices()));
+  s.stamp[static_cast<std::size_t>(v)] = s.epoch;
+  s.dist[static_cast<std::size_t>(v)] = 0;
   s.queue.push_back(v);
-  std::vector<Vertex> members{v};
   for (std::size_t head = 0; head < s.queue.size(); ++head) {
     const Vertex u = s.queue[head];
     if (s.dist[static_cast<std::size_t>(u)] == r) continue;
     const int next = s.dist[static_cast<std::size_t>(u)] + 1;
-    auto visit = [&](Vertex w) {
-      if (!s.seen(w)) {
-        s.mark(w, next);
+    for_each_neighbor(g, u, [&](Vertex w) {
+      if (!s.in_ball(w)) {
+        s.stamp[static_cast<std::size_t>(w)] = s.epoch;
+        s.dist[static_cast<std::size_t>(w)] = next;
         s.queue.push_back(w);
-        members.push_back(w);
       }
-    };
-    for (const auto& [l, w] : d.out_arcs(u)) {
-      (void)l;
-      visit(w);
-    }
-    for (const auto& [l, w] : d.in_arcs(u)) {
-      (void)l;
-      visit(w);
-    }
+    });
   }
-  return members;
-}
-
-// The canonical content of an ordered ball: (size, root position, sorted
-// edge/arc list over key-rank positions).  Both the text spelling and the
-// interned binary key render exactly this tuple, so they induce the same
-// equivalence.
-std::vector<std::pair<int, int>> collect_edges(const Graph& g,
-                                               const SortedBall& sb) {
-  std::vector<std::pair<int, int>> edges;
-  for (std::size_t i = 0; i < sb.vertices.size(); ++i) {
-    for (Vertex w : g.neighbors(sb.vertices[i])) {
-      const int pos = sb.find(w);
-      if (pos >= 0 && static_cast<int>(i) < pos)
-        edges.emplace_back(static_cast<int>(i), pos);
-    }
+  for (Vertex w : s.queue) s.members.emplace_back(keys.at(w), w);
+  std::sort(s.members.begin(), s.members.end());
+  const int size = static_cast<int>(s.members.size());
+  for (int i = 0; i < size; ++i) {
+    const Vertex w = s.members[static_cast<std::size_t>(i)].second;
+    s.pos[static_cast<std::size_t>(w)] = i;
   }
-  std::sort(edges.begin(), edges.end());
-  return edges;
-}
-
-std::vector<std::tuple<int, int, Label>> collect_arcs(const LDigraph& d,
-                                                      const SortedBall& sb) {
-  std::vector<std::tuple<int, int, Label>> arcs;
-  for (std::size_t i = 0; i < sb.vertices.size(); ++i) {
-    for (const auto& [l, w] : d.out_arcs(sb.vertices[i])) {
-      const int pos = sb.find(w);
-      if (pos >= 0) arcs.emplace_back(static_cast<int>(i), pos, l);
-    }
-  }
-  std::sort(arcs.begin(), arcs.end());
-  return arcs;
+  for (int i = 0; i < size; ++i) collect_edges(g, i, s);
+  std::sort(s.edges.begin(), s.edges.end());
+  return s;
 }
 
 void append_u32(std::string& key, std::uint32_t x) {
@@ -166,37 +155,37 @@ void append_u32(std::string& key, std::uint32_t x) {
     key.push_back(static_cast<char>((x >> (8 * b)) & 0xFF));
 }
 
-// The interner key of ordered_ball_type_id, written into `key`.
-void ordered_ball_key(const Graph& g, const Keys& keys, Vertex v, int r,
+// The interner key of ordered_ball_type_id, written into `key`: a domain
+// byte, then the canonical tuple as little-endian u32s.
+template <typename GraphT>
+void ordered_ball_key(const GraphT& g, const Keys& keys, Vertex v, int r,
                       std::string& key) {
-  const auto members = graph::ball(g, v, r);
-  const auto sb = sorted_ball(members, keys, v);
-  const auto edges = collect_edges(g, sb);
+  constexpr bool kArcs = std::is_same_v<GraphT, LDigraph>;
+  const BallScratch& s = ordered_ball(g, keys, v, r);
   key.clear();
-  key.reserve(1 + 8 + 8 * edges.size());
-  key.push_back('\x02');  // domain byte: ordered graph ball
-  append_u32(key, static_cast<std::uint32_t>(sb.vertices.size()));
-  append_u32(key, static_cast<std::uint32_t>(sb.root_pos));
-  for (const auto& [a, b] : edges) {
-    append_u32(key, static_cast<std::uint32_t>(a));
-    append_u32(key, static_cast<std::uint32_t>(b));
+  key.reserve(1 + 8 + (kArcs ? 12 : 8) * s.edges.size());
+  key.push_back(kArcs ? '\x03' : '\x02');  // L-digraph ball : graph ball
+  append_u32(key, static_cast<std::uint32_t>(s.members.size()));
+  append_u32(key, static_cast<std::uint32_t>(s.root_pos()));
+  for (const BallEdge& e : s.edges) {
+    append_u32(key, static_cast<std::uint32_t>(e.a));
+    append_u32(key, static_cast<std::uint32_t>(e.b));
+    if (kArcs) append_u32(key, static_cast<std::uint32_t>(e.label));
   }
 }
 
-void ordered_ball_key(const LDigraph& d, const Keys& keys, Vertex v, int r,
-                      std::string& key) {
-  const auto members = digraph_ball(d, v, r);
-  const auto sb = sorted_ball(members, keys, v);
-  const auto arcs = collect_arcs(d, sb);
-  key.clear();
-  key.reserve(1 + 8 + 12 * arcs.size());
-  key.push_back('\x03');  // domain byte: ordered L-digraph ball
-  append_u32(key, static_cast<std::uint32_t>(sb.vertices.size()));
-  append_u32(key, static_cast<std::uint32_t>(sb.root_pos));
-  for (const auto& [a, b, l] : arcs) {
-    append_u32(key, static_cast<std::uint32_t>(a));
-    append_u32(key, static_cast<std::uint32_t>(b));
-    append_u32(key, static_cast<std::uint32_t>(l));
+std::string spelling_head(const BallScratch& s) {
+  return "b=" + std::to_string(s.members.size()) +
+         ";root=" + std::to_string(s.root_pos());
+}
+
+void append_edges(std::string& out, const BallScratch& s) {
+  out += ";e:";
+  for (const BallEdge& e : s.edges) {
+    out += std::to_string(e.a);
+    out += '-';
+    out += std::to_string(e.b);
+    out += ',';
   }
 }
 
@@ -204,31 +193,22 @@ void ordered_ball_key(const LDigraph& d, const Keys& keys, Vertex v, int r,
 
 std::string ordered_ball_type(const Graph& g, const Keys& keys, Vertex v,
                               int r) {
-  const auto members = graph::ball(g, v, r);
-  const auto sb = sorted_ball(members, keys, v);
-  std::string out = "b=" + std::to_string(sb.vertices.size()) +
-                    ";root=" + std::to_string(sb.root_pos) + ";e:";
-  for (const auto& [a, b] : collect_edges(g, sb)) {
-    out += std::to_string(a);
-    out += '-';
-    out += std::to_string(b);
-    out += ',';
-  }
+  const BallScratch& s = ordered_ball(g, keys, v, r);
+  std::string out = spelling_head(s);
+  append_edges(out, s);
   return out;
 }
 
 std::string ordered_ball_type(const LDigraph& d, const Keys& keys, Vertex v,
                               int r) {
-  const auto members = digraph_ball(d, v, r);
-  const auto sb = sorted_ball(members, keys, v);
-  std::string out = "b=" + std::to_string(sb.vertices.size()) +
-                    ";root=" + std::to_string(sb.root_pos) + ";a:";
-  for (const auto& [a, b, l] : collect_arcs(d, sb)) {
-    out += std::to_string(a);
+  const BallScratch& s = ordered_ball(d, keys, v, r);
+  std::string out = spelling_head(s) + ";a:";
+  for (const BallEdge& e : s.edges) {
+    out += std::to_string(e.a);
     out += '>';
-    out += std::to_string(b);
+    out += std::to_string(e.b);
     out += '#';
-    out += std::to_string(l);
+    out += std::to_string(e.label);
     out += ',';
   }
   return out;
@@ -238,21 +218,13 @@ std::string unordered_ball_type_with_ids(const Graph& g, const Keys& ids,
                                          Vertex v, int r) {
   // With unique identifiers the canonical form keeps the actual id values:
   // two ID-neighbourhoods are "isomorphic" only if identical.
-  const auto members = graph::ball(g, v, r);
-  const auto sb = sorted_ball(members, ids, v);
-  std::string out = "b=" + std::to_string(sb.vertices.size()) +
-                    ";root=" + std::to_string(sb.root_pos) + ";ids:";
-  for (Vertex w : sb.vertices) {
-    out += std::to_string(ids.at(w));
+  const BallScratch& s = ordered_ball(g, ids, v, r);
+  std::string out = spelling_head(s) + ";ids:";
+  for (const auto& [id, w] : s.members) {
+    out += std::to_string(id);
     out += ',';
   }
-  out += ";e:";
-  for (const auto& [a, b] : collect_edges(g, sb)) {
-    out += std::to_string(a);
-    out += '-';
-    out += std::to_string(b);
-    out += ',';
-  }
+  append_edges(out, s);
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "graph_corpus.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/io.hpp"
 
@@ -92,6 +93,20 @@ TEST(EdgeListErrors, RoundTripStillWorks) {
   EXPECT_EQ(h.num_vertices(), g.num_vertices());
   EXPECT_EQ(h.num_edges(), g.num_edges());
   for (const auto& [u, v] : g.edges()) EXPECT_TRUE(h.has_edge(u, v));
+}
+
+TEST(EdgeList, TextMatchesReferenceFormatter) {
+  // to_edge_list formats with to_chars into one buffer; a stream writer is
+  // its byte-for-byte oracle, and the text parses back to the same graph,
+  // edge ids included.
+  for (const Graph& g : corpus::builder_graphs(11, 50)) {
+    std::ostringstream os;
+    os << g.num_vertices() << " " << g.num_edges() << "\n";
+    for (const auto& [u, v] : g.edges()) os << u << " " << v << "\n";
+    const std::string text = to_edge_list(g);
+    ASSERT_EQ(text, os.str()) << g.summary();
+    EXPECT_TRUE(parse(text) == g) << g.summary();
+  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
+#include "graph_corpus.hpp"
 #include "lapx/graph/digraph.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/graph.hpp"
@@ -186,6 +189,107 @@ TEST(PortNumbering, DirectedTorusMatchesTorus) {
   const LDigraph d = directed_torus({4, 4});
   EXPECT_TRUE(d.is_k_in_k_out_regular(2));
   EXPECT_EQ(d.underlying_graph().num_edges(), torus({4, 4}).num_edges());
+}
+
+void expect_same_digraph(const LDigraph& a, const LDigraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  EXPECT_EQ(a.alphabet_size(), b.alphabet_size());
+  EXPECT_EQ(a.num_arcs(), b.num_arcs());
+  EXPECT_TRUE(a.arcs() == b.arcs());
+  for (Vertex v = 0; v < a.num_vertices(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(a.out_arcs(v), b.out_arcs(v))) << v;
+    EXPECT_TRUE(std::ranges::equal(a.in_arcs(v), b.in_arcs(v))) << v;
+  }
+}
+
+TEST(LDigraph, FromArcsMatchesSequentialAddArc) {
+  // Sequential add_arc is the oracle.  Each case draws a proper arc list
+  // and, in every other case, inserts one arc that may break it: a
+  // self-loop, an out-of-range endpoint or label, a repeated out or in
+  // label, or a parallel arc.  from_arcs must throw iff some add_arc does,
+  // and otherwise build the same digraph.
+  std::mt19937_64 rng(21);
+  int accepted = 0, rejected = 0;
+  for (int trial = 0; trial < 420; ++trial) {
+    const auto n = static_cast<Vertex>(1 + rng() % 12);
+    const auto alphabet = static_cast<Label>(1 + rng() % 6);
+    auto vertex = [&] { return static_cast<Vertex>(rng() % n); };
+    auto label = [&] { return static_cast<Label>(rng() % alphabet); };
+    std::vector<Arc> arcs;
+    LDigraph proper(n, alphabet);
+    for (int k = 0; k < 3 * n; ++k) {
+      const Arc a{vertex(), vertex(), label()};
+      try {
+        proper.add_arc(a.from, a.to, a.label);
+        arcs.push_back(a);
+      } catch (const std::invalid_argument&) {
+      }
+    }
+    const Arc base = arcs.empty() ? Arc{0, 0, 0} : arcs[rng() % arcs.size()];
+    Arc extra{vertex(), vertex(), label()};
+    const int defect = trial % 2 ? 1 + trial / 2 % 6 : 0;
+    switch (defect) {
+      case 0: break;
+      case 1: extra.to = extra.from; break;
+      case 2: (rng() % 2 ? extra.from : extra.to) = rng() % 2 ? n : -1; break;
+      case 3: extra.label = rng() % 2 ? alphabet : -1; break;
+      case 4: extra.from = base.from, extra.label = base.label; break;
+      case 5: extra.to = base.to, extra.label = base.label; break;
+      case 6: extra.from = base.from, extra.to = base.to; break;
+    }
+    if (defect != 0)
+      arcs.insert(arcs.begin() + static_cast<std::ptrdiff_t>(
+                                     rng() % (arcs.size() + 1)),
+                  extra);
+    LDigraph sequential(n, alphabet);
+    bool sequential_ok = true;
+    try {
+      for (const Arc& a : arcs) sequential.add_arc(a.from, a.to, a.label);
+    } catch (const std::invalid_argument&) {
+      sequential_ok = false;
+    }
+    LDigraph bulk;
+    bool bulk_ok = true;
+    try {
+      bulk = LDigraph::from_arcs(n, alphabet, arcs);
+    } catch (const std::invalid_argument&) {
+      bulk_ok = false;
+    }
+    ASSERT_EQ(bulk_ok, sequential_ok) << "trial " << trial;
+    if (!sequential_ok) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    expect_same_digraph(bulk, sequential);
+  }
+  EXPECT_GT(accepted, 150);
+  EXPECT_GT(rejected, 150);
+}
+
+TEST(PortNumbering, DefaultOverloadMatchesGeneralPath) {
+  // The default overload reads ports straight off the sorted adjacency;
+  // the general path, with default ports and orientation, is its oracle.
+  for (const Graph& g : corpus::builder_graphs(7, 50)) {
+    SCOPED_TRACE(g.summary());
+    expect_same_digraph(
+        to_ldigraph(g),
+        to_ldigraph(g, PortNumbering::default_for(g),
+                    Orientation::default_for(g), g.max_degree()));
+  }
+}
+
+TEST(PortNumbering, DeltaAboveDegreeCapThrows) {
+  // delta * delta is an int: above kMaxGraphDegree it would overflow.
+  const Graph g = path(3);
+  const auto pn = PortNumbering::default_for(g);
+  const auto orient = Orientation::default_for(g);
+  EXPECT_THROW(to_ldigraph(g, pn, orient, kMaxGraphDegree + 1),
+               std::invalid_argument);
+  EXPECT_THROW(to_ldigraph(g, pn, orient, 70000), std::invalid_argument);
+  const LDigraph d = to_ldigraph(g, pn, orient, kMaxGraphDegree);
+  EXPECT_EQ(d.alphabet_size(), 2147395600);
+  EXPECT_EQ(d.num_arcs(), 2u);
 }
 
 TEST(Lift, DisjointCopiesIsCoveringMap) {

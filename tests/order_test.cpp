@@ -4,14 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <random>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "lapx/core/interner.hpp"
 #include "lapx/graph/generators.hpp"
+#include "lapx/graph/lift.hpp"
 #include "lapx/graph/port_numbering.hpp"
+#include "lapx/graph/properties.hpp"
 #include "lapx/order/homogeneity.hpp"
 #include "lapx/runtime/parallel.hpp"
 
@@ -151,6 +156,146 @@ TEST(Order, IsHomogeneousThreshold) {
   const Graph g = cycle(20);
   EXPECT_TRUE(is_homogeneous(g, identity_keys(20), 0.8, 1));
   EXPECT_FALSE(is_homogeneous(g, identity_keys(20), 0.95, 1));
+}
+
+// The naive reference of ordered-ball typing: graph::ball, a std::map from
+// vertex to key rank, and the canonical tuple (size, root position, sorted
+// edge or arc list over ranks), with labels 0 on a plain graph.
+struct RefBall {
+  int size = 0;
+  int root = 0;
+  std::vector<std::tuple<int, int, int>> edges;
+
+  auto operator<=>(const RefBall&) const = default;
+};
+
+template <typename GraphT>
+RefBall reference_ball(const GraphT& g, const Keys& keys,
+                       lapx::graph::Vertex v, int r) {
+  constexpr bool kArcs = std::is_same_v<GraphT, lapx::graph::LDigraph>;
+  std::vector<lapx::graph::Vertex> members;
+  if constexpr (kArcs)
+    members = lapx::graph::ball(g.underlying_graph(), v, r);
+  else
+    members = lapx::graph::ball(g, v, r);
+  std::map<std::int64_t, lapx::graph::Vertex> by_key;
+  for (lapx::graph::Vertex w : members) by_key.emplace(keys[w], w);
+  std::map<lapx::graph::Vertex, int> rank;
+  for (const auto& [key, w] : by_key)
+    rank.emplace(w, static_cast<int>(rank.size()));
+  RefBall ref{static_cast<int>(members.size()), rank.at(v), {}};
+  for (const auto& [w, i] : rank) {
+    if constexpr (kArcs) {
+      for (const auto& [l, x] : g.out_arcs(w))
+        if (rank.count(x)) ref.edges.emplace_back(i, rank.at(x), l);
+    } else {
+      for (lapx::graph::Vertex x : g.neighbors(w))
+        if (rank.count(x) && i < rank.at(x))
+          ref.edges.emplace_back(i, rank.at(x), 0);
+    }
+  }
+  std::sort(ref.edges.begin(), ref.edges.end());
+  return ref;
+}
+
+// The spelling of a reference tuple: "b=<size>;root=<pos>", then `middle`,
+// then the edge (a-b) or arc (a>b#label) list.
+std::string reference_spelling(const RefBall& ref, bool arcs,
+                               const std::string& middle = "") {
+  std::string out = "b=" + std::to_string(ref.size) + ";root=" +
+                    std::to_string(ref.root) + middle + (arcs ? ";a:" : ";e:");
+  for (const auto& [a, b, l] : ref.edges)
+    out += std::to_string(a) + (arcs ? ">" : "-") + std::to_string(b) +
+           (arcs ? "#" + std::to_string(l) : "") + ",";
+  return out;
+}
+
+// ordered_ball_type_ids must partition the vertices exactly as the
+// reference tuples do, and ordered_ball_type must spell each tuple.
+template <typename GraphT>
+void expect_matches_reference(const GraphT& g, const Keys& keys, int r,
+                              bool spellings) {
+  constexpr bool kArcs = std::is_same_v<GraphT, lapx::graph::LDigraph>;
+  lapx::core::TypeInterner interner;
+  const auto ids = ordered_ball_type_ids(g, keys, r, interner);
+  std::map<RefBall, lapx::core::TypeId> id_of;
+  std::map<lapx::core::TypeId, RefBall> ball_of;
+  for (lapx::graph::Vertex v = 0; v < g.num_vertices(); ++v) {
+    const RefBall ref = reference_ball(g, keys, v, r);
+    ASSERT_EQ(id_of.emplace(ref, ids[v]).first->second, ids[v])
+        << "vertex " << v << " r=" << r;
+    ASSERT_TRUE(ball_of.emplace(ids[v], ref).first->second == ref)
+        << "vertex " << v << " r=" << r;
+    if (!spellings) continue;
+    ASSERT_EQ(ordered_ball_type(g, keys, v, r), reference_spelling(ref, kArcs))
+        << "vertex " << v << " r=" << r;
+    if constexpr (!kArcs) {
+      std::vector<std::int64_t> ball_keys;
+      for (lapx::graph::Vertex w : lapx::graph::ball(g, v, r))
+        ball_keys.push_back(keys[w]);
+      std::sort(ball_keys.begin(), ball_keys.end());
+      std::string ids = ";ids:";
+      for (std::int64_t k : ball_keys) ids += std::to_string(k) + ",";
+      ASSERT_EQ(unordered_ball_type_with_ids(g, keys, v, r),
+                reference_spelling(ref, false, ids));
+    }
+  }
+}
+
+TEST(Order, BallTypesMatchNaiveReference) {
+  std::mt19937_64 rng(17);
+  auto random_keys = [&](lapx::graph::Vertex n) {
+    // Distinct, sparse and partly negative, in random vertex order.
+    Keys keys(static_cast<std::size_t>(n));
+    std::int64_t next = -static_cast<std::int64_t>(rng() % 1000);
+    for (auto& k : keys) k = next += 1 + static_cast<std::int64_t>(rng() % 9);
+    std::shuffle(keys.begin(), keys.end(), rng);
+    return keys;
+  };
+  const int old_threads = lapx::runtime::thread_count();
+  for (int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    for (int round = 0; round < 6; ++round) {
+      const auto n = static_cast<lapx::graph::Vertex>(20 + rng() % 60);
+      const Graph g = lapx::graph::random_bounded_degree(
+          n, static_cast<std::size_t>(n), 4, rng);
+      const Graph regular = lapx::graph::random_regular(n + n % 2, 3, rng);
+      const lapx::graph::LDigraph lift =
+          lapx::graph::random_lift(lapx::graph::directed_torus({3, 3}),
+                                   2 + static_cast<int>(rng() % 5), rng)
+              .graph;
+      const lapx::graph::LDigraph ported = lapx::graph::to_ldigraph(regular);
+      for (int r = 0; r <= 3; ++r) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " round " +
+                     std::to_string(round) + " r=" + std::to_string(r));
+        for (const bool identity : {true, false}) {
+          auto keys_for = [&](lapx::graph::Vertex size) {
+            return identity ? identity_keys(size) : random_keys(size);
+          };
+          expect_matches_reference(g, keys_for(g.num_vertices()), r, true);
+          expect_matches_reference(regular, keys_for(regular.num_vertices()),
+                                   r, true);
+          expect_matches_reference(lift, keys_for(lift.num_vertices()), r,
+                                   true);
+          expect_matches_reference(ported, keys_for(ported.num_vertices()), r,
+                                   true);
+        }
+      }
+    }
+    // Large, then tiny, then large again on the same threads: a stale stamp
+    // or position left by a bigger graph would show in the small one, and
+    // the small one's in the second large pass.
+    const Graph big = lapx::graph::random_regular(20000, 3, rng);
+    const Keys big_keys = random_keys(big.num_vertices());
+    const Graph tiny = cycle(10);
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " big/tiny pass " +
+                   std::to_string(pass));
+      expect_matches_reference(big, big_keys, 2, false);
+      expect_matches_reference(tiny, random_keys(10), 3, true);
+    }
+  }
+  lapx::runtime::set_thread_count(old_threads);
 }
 
 TEST(Order, HomogeneityInterningIsScheduleIndependent) {
