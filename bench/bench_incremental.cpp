@@ -23,12 +23,16 @@
 //
 // The third table (E18c) times a session write stage by stage, as
 // SessionStore::mutate and the `homogeneity` handler run it, on a lifted
-// torus at n = 9 000 and 90 000: which stages still scale with n.
+// torus at n = 9 000 and 90 000: which stages still scale with n.  Its
+// last two columns are the homogeneity r=1 requery from scratch and from
+// the session's forked ordered-ball classes, re-typed on the edit's ball
+// frontier only; the fork must report the same and be >= 5x faster.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -306,10 +310,22 @@ bool same_digraph(const LDigraph& a, const LDigraph& b) {
 }
 
 // The stages of one write, in the order SessionStore::mutate runs them,
-// then the homogeneity r=1 requery; medians in ms over the edits.
-enum Stage { kCopy, kHash, kLDigraph, kFork, kDelta, kHomogeneity, kStages };
+// then the homogeneity r=1 requery, from scratch and from the forked
+// classes (copy, ball frontier, re-type, report); medians in ms over the
+// edits.
+enum Stage {
+  kCopy,
+  kHash,
+  kLDigraph,
+  kFork,
+  kDelta,
+  kHomogeneity,
+  kHomogeneityFork,
+  kStages
+};
 constexpr const char* kStageNames[kStages] = {
-    "copy", "hash", "ldigraph", "fork", "delta", "homogeneity"};
+    "copy", "hash", "ldigraph", "fork", "delta", "homogeneity",
+    "homogeneity-fork"};
 
 struct WritePathResult {
   lapx::graph::Vertex n = 0;
@@ -319,6 +335,7 @@ struct WritePathResult {
   bool ldigraph_matches_general = false;
   bool delta_matches_scratch = false;
   bool hashes_match_store = true;
+  bool homogeneity_fork_matches = true;
 };
 
 WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
@@ -339,6 +356,8 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
   lapx::service::SessionStore store;
   store.put("g", g);
   const lapx::order::Keys keys = lapx::order::identity_keys(out.n);
+  // The session's homogeneity r=1 classes, forked along with the state.
+  lapx::order::OrderedBallClasses classes(g, keys, 1, interner);
   std::mt19937_64 rng(seed);
   std::vector<double> ms[kStages];
   auto timed = [&](Stage stage, auto&& body) {
@@ -365,15 +384,30 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
     std::unique_ptr<RefineState> forked;
     timed(kFork, [&] { forked = std::make_unique<RefineState>(state); });
     timed(kDelta, [&] { forked->refine_delta(*next_ld); });
+    lapx::order::HomogeneityReport scratch, forked_report;
     timed(kHomogeneity, [&] {
-      benchmark::DoNotOptimize(lapx::order::measure_homogeneity(next, keys, 1));
+      scratch = lapx::order::measure_homogeneity(next, keys, 1);
     });
+    // As GraphEntry::fork_homogeneity_from and the handler run it.
+    std::optional<lapx::order::OrderedBallClasses> forked_classes;
+    timed(kHomogeneityFork, [&] {
+      forked_classes.emplace(classes);
+      forked_classes->retype(next, lapx::order::identity_keys(out.n),
+                             lapx::graph::ball_frontier(next, batch, 1));
+      forked_report = forked_classes->report();
+    });
+    out.homogeneity_fork_matches =
+        out.homogeneity_fork_matches &&
+        forked_report.largest_class == scratch.largest_class &&
+        forked_report.distinct_types == scratch.distinct_types &&
+        forked_report.fraction == scratch.fraction;
     phase("write-" + size + "-checks");
     const auto entry = store.mutate("g", batch);
     out.hashes_match_store = out.hashes_match_store && entry &&
                              entry->content_hex() == fnv &&
                              entry->content_id() == blake;
     state = std::move(*forked);
+    classes = std::move(*forked_classes);
     ld = std::move(next_ld);
     g = std::move(next);
   }
@@ -390,13 +424,15 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
 
 void print_write_path_table() {
   print_header("E18c write path, stage by stage: copy, content hash, "
-               "to_ldigraph, fork, delta, homogeneity r=1",
+               "to_ldigraph, fork, delta, homogeneity r=1 from scratch and "
+               "forked",
                "a view changes only within radius r of an edit, so only the "
                "content hash (FNV-1a and BLAKE2b over the whole text) must "
-               "scale with n; the other stages are O(n) today");
+               "scale with n; the other stages are O(n) today, except the "
+               "forked homogeneity, which re-types the ball frontier only");
   constexpr int kEdits = 20;
   print_row({"n", "arcs", "copy ms", "hash ms", "to_ldigraph ms", "fork ms",
-             "delta ms", "homog. r=1 ms"});
+             "delta ms", "homog. r=1 ms", "homog. fork ms"});
   std::vector<WritePathResult> results;
   for (const int layers : {1000, 10000}) {
     const WritePathResult& r =
@@ -410,7 +446,7 @@ void print_write_path_table() {
   auto non_hash = [](const WritePathResult& r) {
     double sum = 0;
     for (int s = 0; s < kStages; ++s)
-      if (s != kHash) sum += r.median_ms[s];
+      if (s != kHash && s != kHomogeneityFork) sum += r.median_ms[s];
     return sum;
   };
   std::printf("non-hash stages, 90000 / 9000: %.1fx (%.3f / %.3f ms)\n\n",
@@ -427,6 +463,12 @@ void print_write_path_table() {
     check(r.hashes_match_store,
           "mutate's content_hex and content_id are the hashes of "
           "to_edge_list of the edited graph (n=" + n + ")");
+    check(r.homogeneity_fork_matches,
+          "forked homogeneity r=1 report equals from-scratch after every "
+          "edit (n=" + n + ")");
+    check(r.median_ms[kHomogeneityFork] * 5 <= r.median_ms[kHomogeneity],
+          "single-edit homogeneity requery >= 5x faster than from scratch "
+          "(n=" + n + ")");
     value("write_" + n + "_n", static_cast<double>(r.n));
     value("write_" + n + "_arcs", static_cast<double>(r.arcs));
     value("write_" + n + "_edits", static_cast<double>(r.edits));

@@ -13,10 +13,12 @@
 // degree, so an edit batch that changes max_degree relabels arcs
 // everywhere; affected_frontier detects that and reports every vertex.
 //
-// affected_frontier runs its BFS over the union of the old and the new
+// Both frontiers run their BFS over the union of the old and the new
 // adjacency (a removed edge still transports "this arc disappeared from
-// your view" outwards), which is why it takes the post-edit graph plus the
-// edit list rather than the graph alone.
+// your view" outwards), which is why they take the post-edit graph plus
+// the edit list rather than the graph alone.  ball_frontier is that BFS
+// alone: a plain Graph ball carries no port labels, so the ordered balls
+// of order/homogeneity need no alphabet fallback.
 
 #include <span>
 #include <vector>
@@ -48,5 +50,15 @@ void apply_edits(Graph& g, std::span<const EdgeEdit> edits);
 /// changed the maximum degree (the port-label alphabet shifts globally).
 std::vector<Vertex> affected_frontier(const Graph& g,
                                       std::span<const EdgeEdit> edits, int r);
+
+/// The vertices within distance r of an edit endpoint in the union of the
+/// old and the new adjacency, sorted ascending: a superset of those whose
+/// radius-r ball in `g`, the POST-edit graph -- its members or the edges
+/// among them -- differs from the pre-edit one.  affected_frontier is this
+/// set unless the batch changed the maximum degree.  Throws
+/// std::invalid_argument for r < 0 and MutationError for an endpoint out
+/// of range.
+std::vector<Vertex> ball_frontier(const Graph& g,
+                                  std::span<const EdgeEdit> edits, int r);
 
 }  // namespace lapx::graph

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace lapx::graph {
 
@@ -19,11 +20,6 @@ std::vector<Vertex> affected_frontier(const Graph& g,
                                       std::span<const EdgeEdit> edits, int r) {
   const Vertex n = g.num_vertices();
   if (r < 0) throw std::invalid_argument("negative radius");
-  auto everything = [n] {
-    std::vector<Vertex> all(static_cast<std::size_t>(n));
-    for (Vertex v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
-    return all;
-  };
 
   // Reconstruct the pre-edit degrees from the post-edit graph: an add
   // raised both endpoint degrees by one, a remove lowered them.  If the
@@ -42,18 +38,33 @@ std::vector<Vertex> affected_frontier(const Graph& g,
   const int new_max = g.max_degree();
   int old_max = 0;
   for (int d : old_degree) old_max = std::max(old_max, d);
-  if (old_max != new_max) return everything();
+  if (old_max != new_max) {
+    std::vector<Vertex> all(static_cast<std::size_t>(n));
+    for (Vertex v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
+    return all;
+  }
+  return ball_frontier(g, edits, r);
+}
 
+std::vector<Vertex> ball_frontier(const Graph& g,
+                                  std::span<const EdgeEdit> edits, int r) {
+  const Vertex n = g.num_vertices();
+  if (r < 0) throw std::invalid_argument("negative radius");
   // BFS to depth r from every edit endpoint over the union adjacency:
   // g's neighbors plus the endpoints of removed edges (the old graph had
   // those edges, and information about their disappearance travels along
-  // them).  Removed-edge adjacency is tiny, so it rides in a side list.
-  std::vector<std::vector<Vertex>> removed(static_cast<std::size_t>(n));
-  for (const EdgeEdit& e : edits)
+  // them).  Removed-edge adjacency is tiny, so it rides in a sorted side
+  // list of (endpoint, other endpoint) pairs.
+  std::vector<std::pair<Vertex, Vertex>> removed;
+  for (const EdgeEdit& e : edits) {
+    if (e.u < 0 || e.u >= n || e.v < 0 || e.v >= n)
+      throw MutationError("edit endpoint out of range");
     if (e.kind == EdgeEdit::Kind::kRemove) {
-      removed[static_cast<std::size_t>(e.u)].push_back(e.v);
-      removed[static_cast<std::size_t>(e.v)].push_back(e.u);
+      removed.emplace_back(e.u, e.v);
+      removed.emplace_back(e.v, e.u);
     }
+  }
+  std::sort(removed.begin(), removed.end());
   std::vector<int> depth(static_cast<std::size_t>(n), -1);
   std::vector<Vertex> queue;
   for (const EdgeEdit& e : edits)
@@ -73,7 +84,10 @@ std::vector<Vertex> affected_frontier(const Graph& g,
       }
     };
     for (Vertex w : g.neighbors(v)) visit(w);
-    for (Vertex w : removed[static_cast<std::size_t>(v)]) visit(w);
+    for (auto it = std::lower_bound(removed.begin(), removed.end(),
+                                    std::pair<Vertex, Vertex>{v, -1});
+         it != removed.end() && it->first == v; ++it)
+      visit(it->second);
   }
   std::sort(queue.begin(), queue.end());
   return queue;

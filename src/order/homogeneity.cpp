@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "lapx/runtime/parallel.hpp"
@@ -84,6 +85,12 @@ BallScratch& ball_scratch() {
   return scratch;
 }
 
+// A ball BFS stops at depth r, which a negative r never reaches: it would
+// type the whole component.
+void check_radius(int r) {
+  if (r < 0) throw std::invalid_argument("ordered ball: negative radius");
+}
+
 // Neighbours in the underlying graph: an L-digraph ball follows arcs both
 // ways.
 template <typename F>
@@ -119,6 +126,7 @@ void collect_edges(const LDigraph& d, int i, BallScratch& s) {
 template <typename GraphT>
 const BallScratch& ordered_ball(const GraphT& g, const Keys& keys, Vertex v,
                                 int r) {
+  check_radius(r);
   if (v < 0 || v >= g.num_vertices())
     throw std::out_of_range("ordered ball: root out of range");
   BallScratch& s = ball_scratch();
@@ -246,26 +254,34 @@ core::TypeId ordered_ball_type_id(const LDigraph& d, const Keys& keys,
 namespace {
 
 template <typename GraphT>
-std::vector<core::TypeId> type_ids(const GraphT& g, const Keys& keys, int r,
-                                   core::TypeInterner& interner) {
-  const Vertex n = g.num_vertices();
-  if (static_cast<Vertex>(keys.size()) != n)
+void check_args(const GraphT& g, const Keys& keys, int r) {
+  check_radius(r);
+  if (static_cast<Vertex>(keys.size()) != g.num_vertices())
     throw std::invalid_argument("keys size mismatch");
-  // The interner's two-phase pattern: parallel lock-free probes fill
-  // per-vertex slots, and each block of consecutive vertices keeps the
-  // keys of its misses; a serial pass then interns the misses block by
-  // block, so fresh ids land in vertex order whatever the thread schedule.
-  std::vector<core::TypeId> ids(static_cast<std::size_t>(n));
-  const Vertex block = n / 256 + 1;  // at most 256 blocks
-  const Vertex blocks = (n + block - 1) / block;
+}
+
+// The typing kernel: writes ids[vertex_at(i)] for i in [0, count), the
+// vertices in ascending order.  The interner's two-phase pattern: parallel
+// lock-free probes fill per-vertex slots, and each block of consecutive
+// vertices keeps the keys of its misses; a serial pass then interns the
+// misses block by block, so fresh ids land in vertex order whatever the
+// thread schedule.  A whole-graph pass and a frontier re-type are the same
+// loop over different lists.
+template <typename GraphT, typename VertexAt>
+void type_vertices(const GraphT& g, const Keys& keys, int r,
+                   core::TypeInterner& interner, Vertex count,
+                   VertexAt vertex_at, std::vector<core::TypeId>& ids) {
+  const Vertex block = count / 256 + 1;  // at most 256 blocks
+  const Vertex blocks = (count + block - 1) / block;
   std::vector<std::vector<std::pair<Vertex, std::string>>> missed(
       static_cast<std::size_t>(blocks));
   runtime::parallel_for(blocks, [&](std::int64_t b) {
     // Reused per thread: the interner never retains the caller's buffer.
     thread_local std::string key;
     const Vertex lo = static_cast<Vertex>(b) * block;
-    const Vertex hi = std::min(n, lo + block);
-    for (Vertex v = lo; v < hi; ++v) {
+    const Vertex hi = std::min(count, lo + block);
+    for (Vertex i = lo; i < hi; ++i) {
+      const Vertex v = vertex_at(i);
       ordered_ball_key(g, keys, v, r, key);
       core::TypeId& id = ids[static_cast<std::size_t>(v)];
       id = interner.try_intern(key);
@@ -276,22 +292,35 @@ std::vector<core::TypeId> type_ids(const GraphT& g, const Keys& keys, int r,
   for (const auto& misses : missed)
     for (const auto& [v, key] : misses)
       ids[static_cast<std::size_t>(v)] = interner.intern(key);
+}
+
+template <typename GraphT>
+std::vector<core::TypeId> type_ids(const GraphT& g, const Keys& keys, int r,
+                                   core::TypeInterner& interner) {
+  check_args(g, keys, r);
+  const Vertex n = g.num_vertices();
+  std::vector<core::TypeId> ids(static_cast<std::size_t>(n));
+  type_vertices(g, keys, r, interner, n, [](Vertex v) { return v; }, ids);
   return ids;
 }
 
-HomogeneityReport measure(std::vector<core::TypeId> ids) {
+std::unordered_map<core::TypeId, std::size_t> count_classes(
+    const std::vector<core::TypeId>& ids) {
+  std::unordered_map<core::TypeId, std::size_t> counts;
+  for (const core::TypeId id : ids) ++counts[id];
+  return counts;
+}
+
+HomogeneityReport report_of(
+    const std::unordered_map<core::TypeId, std::size_t>& counts,
+    std::size_t n) {
   HomogeneityReport report;
-  std::sort(ids.begin(), ids.end());
-  for (std::size_t i = 0; i < ids.size();) {
-    std::size_t j = i;
-    while (j < ids.size() && ids[j] == ids[i]) ++j;
-    ++report.distinct_types;
-    report.largest_class = std::max(report.largest_class, j - i);
-    i = j;
-  }
-  if (!ids.empty())
+  report.distinct_types = counts.size();
+  for (const auto& [id, size] : counts)
+    report.largest_class = std::max(report.largest_class, size);
+  if (n > 0)
     report.fraction = static_cast<double>(report.largest_class) /
-                      static_cast<double>(ids.size());
+                      static_cast<double>(n);
   return report;
 }
 
@@ -311,12 +340,45 @@ std::vector<core::TypeId> ordered_ball_type_ids(const LDigraph& d,
 
 HomogeneityReport measure_homogeneity(const Graph& g, const Keys& keys, int r,
                                       core::TypeInterner& interner) {
-  return measure(ordered_ball_type_ids(g, keys, r, interner));
+  return report_of(count_classes(type_ids(g, keys, r, interner)),
+                   static_cast<std::size_t>(g.num_vertices()));
 }
 
 HomogeneityReport measure_homogeneity(const LDigraph& d, const Keys& keys,
                                       int r, core::TypeInterner& interner) {
-  return measure(ordered_ball_type_ids(d, keys, r, interner));
+  return report_of(count_classes(type_ids(d, keys, r, interner)),
+                   static_cast<std::size_t>(d.num_vertices()));
+}
+
+OrderedBallClasses::OrderedBallClasses(const Graph& g, const Keys& keys,
+                                       int r, core::TypeInterner& interner)
+    : r_(r),
+      interner_(&interner),
+      ids_(type_ids(g, keys, r, interner)),
+      counts_(count_classes(ids_)) {}
+
+HomogeneityReport OrderedBallClasses::report() const {
+  return report_of(counts_, ids_.size());
+}
+
+void OrderedBallClasses::retype(const Graph& g, const Keys& keys,
+                                std::span<const Vertex> frontier) {
+  check_args(g, keys, r_);
+  if (static_cast<std::size_t>(g.num_vertices()) != ids_.size())
+    throw std::invalid_argument("retype: vertex count changed");
+  for (std::size_t i = 0; i < frontier.size(); ++i)
+    if (frontier[i] < 0 || frontier[i] >= g.num_vertices() ||
+        (i > 0 && frontier[i] <= frontier[i - 1]))
+      throw std::invalid_argument(
+          "retype: frontier is not ascending vertices of the graph");
+  for (const Vertex v : frontier) {
+    const auto it = counts_.find(ids_[static_cast<std::size_t>(v)]);
+    if (--it->second == 0) counts_.erase(it);
+  }
+  type_vertices(
+      g, keys, r_, *interner_, static_cast<Vertex>(frontier.size()),
+      [&](Vertex i) { return frontier[static_cast<std::size_t>(i)]; }, ids_);
+  for (const Vertex v : frontier) ++counts_[ids_[static_cast<std::size_t>(v)]];
 }
 
 bool is_homogeneous(const Graph& g, const Keys& keys, double alpha, int r) {

@@ -17,9 +17,17 @@
 // (G, <) is (alpha, r)-homogeneous when at least an alpha fraction of its
 // vertices share one neighbourhood isomorphism type -- the associated
 // homogeneity type.
+//
+// By the same locality, an edge edit changes only the ordered balls within
+// distance r of its endpoints (graph::ball_frontier), so OrderedBallClasses
+// keeps every vertex's ball type and the class sizes, and re-types just
+// that frontier after an edit.  Every entry point taking a radius throws
+// std::invalid_argument for r < 0: a ball BFS never stops there.
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "lapx/core/interner.hpp"
@@ -98,6 +106,42 @@ HomogeneityReport measure_homogeneity(
 HomogeneityReport measure_homogeneity(
     const LDigraph& d, const Keys& keys, int r,
     core::TypeInterner& interner = core::TypeInterner::global());
+
+/// The ordered radius-r ball type of every vertex of a plain graph, and
+/// the class sizes: the per-radius state a session keeps so an edge edit
+/// re-types only the edit's ball frontier instead of all n balls.  Built
+/// and re-typed by the kernel of ordered_ball_type_ids, so ids() equals
+/// ordered_ball_type_ids(g, keys, r, interner) id for id and report()
+/// equals measure_homogeneity.  Copyable: a copy forks the state.  Not
+/// thread-safe; the keys must be the same on every call, and `interner`
+/// must outlive the state and its copies.
+class OrderedBallClasses {
+ public:
+  /// Types every vertex.  Throws std::invalid_argument for r < 0 or when
+  /// `keys` does not hold one key per vertex.
+  OrderedBallClasses(
+      const Graph& g, const Keys& keys, int r,
+      core::TypeInterner& interner = core::TypeInterner::global());
+
+  const std::vector<core::TypeId>& ids() const { return ids_; }
+  HomogeneityReport report() const;
+
+  /// Re-types the `frontier` vertices (strictly ascending) in g, the
+  /// edited graph on the same vertex set, and patches the class sizes.
+  /// Fresh ids are interned serially in vertex order, so they do not
+  /// depend on LAPX_THREADS.  Every vertex whose ball differs from the one
+  /// last typed must be in the frontier (graph::ball_frontier of the edit
+  /// batch at the state's radius).  Throws std::invalid_argument when the
+  /// vertex count changed or the frontier is not ascending vertices of g.
+  void retype(const Graph& g, const Keys& keys,
+              std::span<const Vertex> frontier);
+
+ private:
+  int r_;
+  core::TypeInterner* interner_;
+  std::vector<core::TypeId> ids_;
+  std::unordered_map<core::TypeId, std::size_t> counts_;  // id -> class size
+};
 
 /// True if (g, keys) is (alpha, r)-homogeneous.
 bool is_homogeneous(const Graph& g, const Keys& keys, double alpha, int r);

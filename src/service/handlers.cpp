@@ -88,10 +88,11 @@ Json handle_analyze(const GraphEntry& entry) {
 }
 
 Json handle_homogeneity(const Request& req, const GraphEntry& entry) {
-  const Graph& g = entry.graph();
+  entry.graph();  // first: an over-cap ooc entry answers kTooLarge
   const int r = static_cast<int>(int_field(req, "radius", 1, 0, kMaxRadius));
-  const auto keys = order::identity_keys(g.num_vertices());
-  const auto report = order::measure_homogeneity(g, keys, r);
+  // The entry's ordered-ball classes: typed once per radius, and re-typed
+  // only on the edit frontier when mutate forks them.
+  const auto report = entry.homogeneity(r);
   Json out = Json::object();
   out.set("radius", Json::integer(r));
   out.set("fraction", Json::number(report.fraction));

@@ -3,10 +3,12 @@
 //
 // A resident service answers many queries against the same instances, so
 // graphs live here once, together with the expensive artifacts derived
-// from them (the default port-numbered L-digraph and, lazily, the
-// whole-graph RefineState that `views` and the PO algorithms of `run`
-// classify vertices with; anything a future request type needs can join
-// GraphEntry).  Entries are handed out as shared_ptr<const GraphEntry>:
+// from them, each built on first use: the default port-numbered
+// L-digraph, the whole-graph RefineState that `views` and the PO
+// algorithms of `run` classify vertices with, and one
+// order::OrderedBallClasses per radius that `homogeneity` has asked for
+// (anything a future request type needs can join GraphEntry).  Entries
+// are handed out as shared_ptr<const GraphEntry>:
 // the shared_ptr count IS the reference count, so eviction, replacement,
 // or mutation never invalidates an in-flight request -- the superseded
 // entry simply dies when its last request drops it, and the store drops
@@ -27,7 +29,11 @@
 // the binding untouched) and installs the result as the next epoch.  If
 // the old epoch had a materialized RefineState, the new entry forks it
 // and delta-refines only the edit frontier (core::RefineState::
-// refine_delta) instead of re-refining the whole graph.
+// refine_delta) instead of re-refining the whole graph.  Likewise every
+// radius of ordered-ball classes the old epoch holds is forked and
+// re-typed on the edit's ball frontier only (graph::ball_frontier); a
+// radius whose frontier spans every vertex is dropped instead, so the
+// fork never costs more than the from-scratch pass a later query pays.
 //
 // Eviction: the store holds at most `max_graphs` named entries; inserting
 // beyond that evicts the least-recently-used name.  `content_id` is the
@@ -39,6 +45,7 @@
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -54,6 +61,7 @@
 #include "lapx/graph/graph.hpp"
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/ooc.hpp"
+#include "lapx/order/homogeneity.hpp"
 #include "lapx/service/protocol.hpp"
 
 namespace lapx::service {
@@ -129,6 +137,21 @@ class GraphEntry {
   /// entry is visible to other threads.
   void fork_refine_from(const GraphEntry& prev) const;
 
+  /// The radius-r homogeneity of the graph under the identity order --
+  /// equal to order::measure_homogeneity(graph(), identity_keys(n), r) --
+  /// read from the entry's radius-r OrderedBallClasses, built on first use
+  /// or delta-forked by mutate.  Ooc backing: materializes graph() first
+  /// (kTooLarge above the cap).  Throws std::invalid_argument for r < 0.
+  order::HomogeneityReport homogeneity(int r) const;
+
+  /// Pre-publication hook used by SessionStore::mutate, beside
+  /// fork_refine_from: forks every radius of ordered-ball classes `prev`
+  /// holds and re-types only graph::ball_frontier(graph(), edits, r); a
+  /// radius whose frontier is every vertex is dropped (a later query
+  /// rebuilds it).  `edits` turned prev's graph into this entry's.
+  void fork_homogeneity_from(const GraphEntry& prev,
+                             std::span<const graph::EdgeEdit> edits) const;
+
  private:
   graph::Graph graph_;  // empty for ooc entries until materialized
   // Declared before refine_ (destroyed after it): the streaming
@@ -145,6 +168,8 @@ class GraphEntry {
   mutable std::unique_ptr<graph::Graph> mat_graph_;  // ooc materialization
   mutable std::mutex refine_mu_;
   mutable std::unique_ptr<core::RefineState> refine_;
+  mutable std::mutex homogeneity_mu_;
+  mutable std::map<int, order::OrderedBallClasses> homogeneity_;  // by radius
   // Held by SessionStore::mutate while it derives the next epoch from
   // this one: mutations of one session serialize, other sessions' run
   // concurrently.

@@ -116,6 +116,43 @@ void GraphEntry::fork_refine_from(const GraphEntry& prev) const {
   refine_ = std::move(forked);
 }
 
+order::HomogeneityReport GraphEntry::homogeneity(int r) const {
+  const graph::Graph& g = graph();
+  std::lock_guard<std::mutex> lock(homogeneity_mu_);
+  auto it = homogeneity_.find(r);
+  if (it == homogeneity_.end())
+    it = homogeneity_
+             .emplace(r, order::OrderedBallClasses(
+                             g, order::identity_keys(g.num_vertices()), r))
+             .first;
+  return it->second.report();
+}
+
+void GraphEntry::fork_homogeneity_from(
+    const GraphEntry& prev, std::span<const graph::EdgeEdit> edits) const {
+  // Pre-publication, as fork_refine_from: prev's lock, then ours.
+  std::map<int, order::OrderedBallClasses> forked;
+  {
+    std::lock_guard<std::mutex> plock(prev.homogeneity_mu_);
+    forked = prev.homogeneity_;
+  }
+  if (forked.empty()) return;  // nothing typed yet; stay lazy
+  const graph::Graph& g = graph();
+  const order::Keys keys = order::identity_keys(g.num_vertices());
+  for (auto it = forked.begin(); it != forked.end();) {
+    const std::vector<graph::Vertex> frontier =
+        graph::ball_frontier(g, edits, it->first);
+    if (frontier.size() == static_cast<std::size_t>(g.num_vertices())) {
+      it = forked.erase(it);
+      continue;
+    }
+    it->second.retype(g, keys, frontier);
+    ++it;
+  }
+  std::lock_guard<std::mutex> lock(homogeneity_mu_);
+  homogeneity_ = std::move(forked);
+}
+
 SessionStore::SessionStore(Options opt) : opt_(opt) {
   if (opt_.max_graphs == 0) opt_.max_graphs = 1;
 }
@@ -200,6 +237,7 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
     auto entry = std::make_shared<const GraphEntry>(std::move(g), text,
                                                     old->epoch() + 1);
     entry->fork_refine_from(*old);
+    entry->fork_homogeneity_from(*old, edits);
     std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(name);

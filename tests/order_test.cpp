@@ -15,10 +15,12 @@
 #include "lapx/core/interner.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/lift.hpp"
+#include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/graph/properties.hpp"
 #include "lapx/order/homogeneity.hpp"
 #include "lapx/runtime/parallel.hpp"
+#include "graph_corpus.hpp"
 
 namespace {
 
@@ -327,6 +329,135 @@ TEST(Order, HomogeneityInterningIsScheduleIndependent) {
     EXPECT_EQ(spellings[2], spellings[0]) << "8 threads vs 1, " << digraph;
   }
   lapx::runtime::set_thread_count(old_threads);
+}
+
+TEST(Order, NegativeRadiusThrows) {
+  // A ball BFS stops at dist == r, which r < 0 never meets: unchecked, it
+  // typed the whole component (on cycle(12), the r = 11 spelling).  Every
+  // entry point taking a radius rejects it, on the empty graph as well.
+  const Graph c = cycle(12);
+  const Keys keys = identity_keys(12);
+  const lapx::graph::LDigraph d = lapx::graph::directed_torus({3, 3});
+  const Keys dkeys = identity_keys(9);
+  const Graph empty(0);
+  const Keys none;
+  lapx::core::TypeInterner interner;
+  const std::size_t interned = interner.size();
+  using std::invalid_argument;
+  EXPECT_THROW(ordered_ball_type(c, keys, 0, -1), invalid_argument);
+  EXPECT_THROW(ordered_ball_type(d, dkeys, 0, -1), invalid_argument);
+  EXPECT_THROW(unordered_ball_type_with_ids(c, keys, 0, -1), invalid_argument);
+  EXPECT_THROW(ordered_ball_type_id(c, keys, 0, -1, interner),
+               invalid_argument);
+  EXPECT_THROW(ordered_ball_type_id(d, dkeys, 0, -1, interner),
+               invalid_argument);
+  EXPECT_THROW(ordered_ball_type_ids(c, keys, -1, interner), invalid_argument);
+  EXPECT_THROW(ordered_ball_type_ids(d, dkeys, -1, interner),
+               invalid_argument);
+  EXPECT_THROW(measure_homogeneity(c, keys, -1, interner), invalid_argument);
+  EXPECT_THROW(measure_homogeneity(d, dkeys, -1, interner), invalid_argument);
+  EXPECT_THROW(is_homogeneous(c, keys, 0.5, -1), invalid_argument);
+  EXPECT_THROW(OrderedBallClasses(c, keys, -1, interner), invalid_argument);
+  EXPECT_THROW(ordered_ball_type(empty, none, 0, -1), invalid_argument);
+  EXPECT_THROW(ordered_ball_type_ids(empty, none, -1, interner),
+               invalid_argument);
+  EXPECT_THROW(measure_homogeneity(empty, none, -1, interner),
+               invalid_argument);
+  EXPECT_THROW(OrderedBallClasses(empty, none, -1, interner),
+               invalid_argument);
+  EXPECT_EQ(interner.size(), interned);  // nothing was typed
+  // r = 0 stays valid everywhere, the empty graph included.
+  EXPECT_EQ(measure_homogeneity(empty, none, 0, interner).distinct_types, 0u);
+  EXPECT_EQ(OrderedBallClasses(empty, none, 0, interner).report().fraction,
+            0.0);
+  EXPECT_EQ(measure_homogeneity(c, keys, 0, interner).distinct_types, 1u);
+}
+
+TEST(Order, BallClassesRetypeRejectsBadFrontiers) {
+  const Graph c = cycle(6);
+  const Keys keys = identity_keys(6);
+  OrderedBallClasses classes(c, keys, 1);
+  const std::vector<lapx::graph::Vertex> unsorted{2, 1}, repeated{1, 1},
+      outside{6};
+  using std::invalid_argument;
+  EXPECT_THROW(classes.retype(c, keys, unsorted), invalid_argument);
+  EXPECT_THROW(classes.retype(c, keys, repeated), invalid_argument);
+  EXPECT_THROW(classes.retype(c, keys, outside), invalid_argument);
+  EXPECT_THROW(classes.retype(cycle(7), identity_keys(7), {}),
+               invalid_argument);
+  EXPECT_THROW(classes.retype(c, identity_keys(5), {}), invalid_argument);
+  // A rejected call leaves the state as it was.
+  EXPECT_EQ(classes.ids(), ordered_ball_type_ids(c, keys, 1));
+  EXPECT_EQ(classes.report().largest_class, 4u);  // the seam's 2 differ
+}
+
+TEST(Order, ForkedBallClassesMatchFromScratch) {
+  // OrderedBallClasses re-typed on graph::ball_frontier after each seeded
+  // edit batch must agree with a from-scratch typing of the edited graph:
+  // ids id for id and the report field for field; and the frontier must
+  // hold every vertex whose ordered_ball_type spelling changed.  The
+  // batches include 2-switches, isolated vertices and maximum-degree
+  // changes; the larger graphs give frontiers the pool splits.
+  std::mt19937_64 rng(29);
+  std::vector<Graph> graphs = lapx::graph::corpus::builder_graphs(29, 3);
+  graphs.push_back(lapx::graph::lifted_torus(3, 3, 40, 11));
+  graphs.push_back(lapx::graph::random_regular(400, 3, rng));
+  std::size_t changed = 0, frontier = 0, typed = 0, degree_moves = 0;
+  const int old_threads = lapx::runtime::thread_count();
+  for (int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      for (const bool identity : {true, false}) {
+        Graph g = graphs[gi];
+        const auto n = g.num_vertices();
+        Keys keys = identity_keys(n);
+        if (!identity) {
+          for (auto& k : keys) k = 3 * k - 50;
+          std::shuffle(keys.begin(), keys.end(), rng);
+        }
+        lapx::core::TypeInterner interner;
+        std::vector<OrderedBallClasses> states;
+        for (int r = 0; r <= 3; ++r) states.emplace_back(g, keys, r, interner);
+        for (int step = 0; step < 8; ++step) {
+          const auto batch = lapx::graph::corpus::random_edit_batch(g, rng);
+          if (batch.empty()) continue;
+          Graph after = g;
+          lapx::graph::apply_edits(after, batch);
+          if (after.max_degree() != g.max_degree()) ++degree_moves;
+          for (int r = 0; r <= 3; ++r) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + " graph " +
+                         std::to_string(gi) + " step " + std::to_string(step) +
+                         " r=" + std::to_string(r));
+            const auto ball = lapx::graph::ball_frontier(after, batch, r);
+            OrderedBallClasses& state = states[static_cast<std::size_t>(r)];
+            state.retype(after, keys, ball);
+            ASSERT_EQ(state.ids(),
+                      ordered_ball_type_ids(after, keys, r, interner));
+            const HomogeneityReport got = state.report();
+            const HomogeneityReport want =
+                measure_homogeneity(after, keys, r, interner);
+            EXPECT_EQ(got.largest_class, want.largest_class);
+            EXPECT_EQ(got.distinct_types, want.distinct_types);
+            EXPECT_EQ(got.fraction, want.fraction);
+            for (lapx::graph::Vertex v = 0; v < n; ++v)
+              if (ordered_ball_type(g, keys, v, r) !=
+                  ordered_ball_type(after, keys, v, r)) {
+                ++changed;
+                ASSERT_TRUE(std::binary_search(ball.begin(), ball.end(), v))
+                    << "vertex " << v << " changed outside the frontier";
+              }
+            frontier += ball.size();
+            typed += static_cast<std::size_t>(n);
+          }
+          g = std::move(after);
+        }
+      }
+    }
+  }
+  lapx::runtime::set_thread_count(old_threads);
+  EXPECT_GT(changed, 0u);
+  EXPECT_GT(degree_moves, 0u);
+  EXPECT_LT(frontier, typed / 4);  // frontiers stay local on the big graphs
 }
 
 }  // namespace

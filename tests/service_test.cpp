@@ -28,6 +28,7 @@
 #include "lapx/core/refine.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/io.hpp"
+#include "lapx/graph/mutation.hpp"
 #include "lapx/graph/ooc.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/problems/problem.hpp"
@@ -42,6 +43,7 @@
 #include "lapx/service/server.hpp"
 #include "lapx/service/service.hpp"
 #include "lapx/service/session_store.hpp"
+#include "graph_corpus.hpp"
 
 namespace {
 
@@ -1143,6 +1145,162 @@ TEST(Service, PoRunsOnTheSessionStateMatchOneShotRunners) {
   }
   lapx::runtime::set_thread_count(0);
   ::rmdir(dir.c_str());
+}
+
+// ------------------------------------------ mutate vs fresh upload (step 0) --
+
+std::string mutate_request(const std::string& name,
+                           const std::vector<lapx::graph::EdgeEdit>& batch) {
+  std::string req = R"({"op":"mutate","name":")" + name + R"(","edits":[)";
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const bool add = batch[i].kind == lapx::graph::EdgeEdit::Kind::kAdd;
+    req += std::string(i > 0 ? "," : "") + R"({"op":")" +
+           (add ? "add" : "remove") + R"(","u":)" +
+           std::to_string(batch[i].u) + R"(,"v":)" +
+           std::to_string(batch[i].v) + "}";
+  }
+  return req + "]}";
+}
+
+std::string upload_request(const std::string& name,
+                           const lapx::graph::Graph& g) {
+  Json up = Json::object();
+  up.set("op", Json::string("upload"));
+  up.set("name", Json::string(name));
+  up.set("edges", Json::string(lapx::graph::to_edge_list(g)));
+  return up.dump();
+}
+
+// Every response that depends on the session's graph: views and
+// homogeneity at r = 0..2, the three PO runs, and the session's
+// session_info item, its epoch zeroed unless `with_epoch`.  The cache is
+// cleared before each query, so the handler reads the entry's own --
+// possibly delta-forked -- state instead of replaying bytes.
+std::vector<std::string> session_responses(Service& svc,
+                                           const std::string& name,
+                                           bool with_epoch) {
+  std::vector<std::string> out;
+  auto query = [&](const std::string& req) {
+    svc.clear_cache();
+    out.push_back(svc.handle(req));
+  };
+  for (int r = 0; r <= 2; ++r) {
+    const std::string tail =
+        R"(","graph":")" + name + R"(","radius":)" + std::to_string(r) + "}";
+    query(R"({"op":"views)" + tail);
+    query(R"({"op":"homogeneity)" + tail);
+  }
+  for (const char* alg : {"eds-mark-first", "edge-cover", "take-all-ds"})
+    query(R"({"op":"run","graph":")" + name + R"(","algorithm":")" + alg +
+          R"("})");
+  const Json info = Json::parse(svc.handle(R"({"op":"session_info"})"));
+  for (const Json& item : info.find("result")->find("sessions")->items())
+    if (item.find("graph")->as_string() == name) {
+      Json copy = item;
+      if (!with_epoch) copy.set("epoch", Json::integer(0));
+      out.push_back(copy.dump());
+    }
+  return out;
+}
+
+TEST(Service, MutateDifferentialMatchesFreshUpload) {
+  // A mutated session must answer every query exactly as a fresh session
+  // uploaded with the same edge list: seeded lifts and regular graphs
+  // with n > 64 (so `run` does no exact search), random edit batches
+  // (2-switches, single adds and removes, isolated vertices, maximum-
+  // degree changes), the entry's states forked when queried before the
+  // mutate and built lazily when not.  A rejected batch leaves the epoch,
+  // the content and every response byte-identical.
+  const int old_threads = lapx::runtime::thread_count();
+  int accepted = 0, rejected = 0, primed = 0, lazy = 0, degree_moves = 0;
+  for (const int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    std::mt19937_64 rng(41 + static_cast<std::uint64_t>(threads));
+    for (int session = 0; session < 4; ++session) {
+      Service svc, ref;
+      const std::string seed = std::to_string(rng() % 1000);
+      const std::string size = std::to_string(
+          session % 2 == 0 ? 8 + rng() % 5 : 66 + 2 * (rng() % 20));
+      const std::string args =
+          session % 2 == 0
+              ? R"("lift","args":[3,3,)" + size + "," + seed + "]"
+              : R"("regular","args":[)" + size + "," +
+                    std::to_string(3 + rng() % 2) + "," + seed + "]";
+      ASSERT_NE(svc.handle(R"({"op":"generate","name":"s","family":)" + args +
+                           "}")
+                    .find("\"ok\":true"),
+                std::string::npos);
+      lapx::graph::Graph g = svc.store().get("s")->graph();
+      ASSERT_GT(g.num_vertices(), 64);
+      bool states = false;  // does the bound entry hold queried states?
+      for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " session " +
+                     std::to_string(session) + " step " +
+                     std::to_string(step));
+        if (rng() % 2 == 0) {
+          // Prime: the next mutate forks these states.
+          svc.clear_cache();
+          for (int r = 0; r <= 2; ++r)
+            svc.handle(R"({"op":"homogeneity","graph":"s","radius":)" +
+                       std::to_string(r) + "}");
+          svc.handle(R"({"op":"views","graph":"s","radius":2})");
+          states = true;
+        }
+        if (rng() % 4 == 0) {
+          // Invalid batches, some behind a valid prefix: a missing remove,
+          // a duplicate add, a self-loop, an out-of-range endpoint.
+          const auto n = g.num_vertices();
+          const auto [a, b] = g.edge(0);
+          lapx::graph::Vertex x = 0;
+          while (g.has_edge(0, x) || x == 0) ++x;
+          using Kind = lapx::graph::EdgeEdit::Kind;
+          const std::vector<std::vector<lapx::graph::EdgeEdit>> bad = {
+              {{Kind::kRemove, a, b}, {Kind::kRemove, 0, x}},
+              {{Kind::kAdd, a, b}},
+              {{Kind::kRemove, a, b}, {Kind::kAdd, x, x}},
+              {{Kind::kAdd, 0, n}}};
+          const auto before = session_responses(svc, "s", true);
+          for (const auto& batch : bad) {
+            const std::string resp = svc.handle(mutate_request("s", batch));
+            EXPECT_NE(resp.find("\"code\":\"bad_request\""),
+                      std::string::npos)
+                << resp;
+            ++rejected;
+          }
+          EXPECT_EQ(session_responses(svc, "s", true), before);
+          states = true;  // session_responses queried everything
+          continue;
+        }
+        const auto batch = lapx::graph::corpus::random_edit_batch(g, rng);
+        if (batch.empty()) continue;
+        const std::string resp = svc.handle(mutate_request("s", batch));
+        ASSERT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+        ++accepted;
+        ++(states ? primed : lazy);
+        const int old_max = g.max_degree();
+        lapx::graph::apply_edits(g, batch);
+        if (g.max_degree() != old_max) ++degree_moves;
+        ASSERT_NE(ref.handle(upload_request("s", g)).find("\"ok\":true"),
+                  std::string::npos);
+        EXPECT_EQ(session_responses(svc, "s", false),
+                  session_responses(ref, "s", false));
+        states = true;
+        if (rng() % 3 == 0) {
+          // Rebind to the same edges: a fresh entry with nothing typed,
+          // so unless the next step primes it, the next mutate leaves
+          // every state to the lazy path.
+          svc.handle(upload_request("s", g));
+          states = false;
+        }
+      }
+    }
+  }
+  lapx::runtime::set_thread_count(old_threads);
+  EXPECT_GT(accepted, 40);
+  EXPECT_GT(rejected, 8);
+  EXPECT_GT(primed, 10);
+  EXPECT_GT(lazy, 3);
+  EXPECT_GT(degree_moves, 2);
 }
 
 // ------------------------------------------------------- socket round trip --

@@ -4,7 +4,9 @@
 // racing readers of other names -- the store-side half of the
 // incremental-session design (DESIGN.md "Round kernel") -- plus content
 // identity: the pinned hashes, the BLAKE2b vectors behind content_id, and
-// an interner left untouched by put and mutate.
+// an interner left untouched by put and mutate.  Forked artifacts (the
+// RefineState and the per-radius ordered-ball classes) must equal a
+// from-scratch pass over the mutated graph.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +25,7 @@
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
+#include "lapx/order/homogeneity.hpp"
 #include "lapx/service/blake2b.hpp"
 #include "lapx/service/session_store.hpp"
 
@@ -182,6 +186,45 @@ TEST(SessionStore, MutateForksRefineStateWithExactIds) {
                 lapx::graph::to_ldigraph(v1->graph()), 3));
 }
 
+void expect_same_report(const lapx::order::HomogeneityReport& got,
+                        const lapx::order::HomogeneityReport& want) {
+  EXPECT_EQ(got.largest_class, want.largest_class);
+  EXPECT_EQ(got.distinct_types, want.distinct_types);
+  EXPECT_EQ(got.fraction, want.fraction);
+}
+
+lapx::order::HomogeneityReport scratch_homogeneity(const lapx::graph::Graph& g,
+                                                   int r) {
+  return lapx::order::measure_homogeneity(
+      g, lapx::order::identity_keys(g.num_vertices()), r);
+}
+
+TEST(SessionStore, MutateForksHomogeneityWithExactReports) {
+  // Every radius the old epoch typed is forked and re-typed on the edit's
+  // ball frontier; a radius whose frontier spans the graph (r = 3 on the
+  // 8-cycle) is dropped and rebuilt on the next query, and r = 0, never
+  // typed, is built then too.  Either way the report equals a
+  // from-scratch measure_homogeneity of the mutated graph.
+  for (const lapx::graph::Graph& g :
+       {lapx::graph::lifted_torus(3, 3, 40, 5), lapx::graph::cycle(8)}) {
+    SessionStore store;
+    const auto v1 = store.put("g", g);
+    for (int r = 1; r <= 3; ++r)
+      expect_same_report(v1->homogeneity(r), scratch_homogeneity(g, r));
+    const auto [u, v] = g.edge(0);
+    const std::vector<EdgeEdit> cut{{EdgeEdit::Kind::kRemove, u, v}};
+    const auto v2 = store.mutate("g", cut);
+    ASSERT_NE(v2, nullptr);
+    const lapx::graph::Graph& after = v2->graph();
+    EXPECT_EQ(after.num_edges(), g.num_edges() - 1);
+    for (int r = 0; r <= 3; ++r)
+      expect_same_report(v2->homogeneity(r), scratch_homogeneity(after, r));
+    // The old epoch still answers for the old graph.
+    expect_same_report(v1->homogeneity(2), scratch_homogeneity(g, 2));
+    EXPECT_THROW(v2->homogeneity(-1), std::invalid_argument);
+  }
+}
+
 TEST(SessionStore, MutateAbsentNameAndBadEdit) {
   SessionStore store;
   std::vector<EdgeEdit> cut{{EdgeEdit::Kind::kRemove, 0, 1}};
@@ -203,7 +246,11 @@ TEST(SessionStore, ConcurrentGetAndMutatePinEpochs) {
   // created with), epochs must be strictly increasing per mutate, and
   // pinned entries must stay valid arbitrarily long after replacement.
   SessionStore store;
-  store.put("g", lapx::graph::torus({4, 4}));
+  store.put("g", lapx::graph::torus({4, 4}))->homogeneity(1);
+  lapx::graph::Graph cut_graph = lapx::graph::torus({4, 4});
+  cut_graph.remove_edge(0, 1);
+  const auto healed_report = scratch_homogeneity(lapx::graph::torus({4, 4}), 1);
+  const auto cut_report = scratch_homogeneity(cut_graph, 1);
   constexpr int kMutations = 40;
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -237,6 +284,9 @@ TEST(SessionStore, ConcurrentGetAndMutatePinEpochs) {
         const std::size_t m = e->graph().num_edges();
         EXPECT_EQ(m, e->epoch() % 2 == 0 ? 31u : 32u);
         EXPECT_EQ(e->view_types(1).size(), 16u);
+        // Homogeneity reads the classes the writer forks from this epoch.
+        expect_same_report(e->homogeneity(1),
+                           e->epoch() % 2 == 0 ? cut_report : healed_report);
       }
       // The first pinned epoch is still fully usable after ~kMutations
       // replacements.
