@@ -18,7 +18,6 @@
 //  the paper's tight 3.5 needs Suomela's [2010] specific worst-case family,
 //  which is out of scope here -- see EXPERIMENTS.md.
 
-#include <numeric>
 #include <random>
 
 #include "bench_common.hpp"
@@ -30,6 +29,7 @@
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/graph/properties.hpp"
 #include "lapx/group/homogeneous.hpp"
+#include "lapx/order/homogeneity.hpp"
 #include "lapx/problems/exact.hpp"
 #include "lapx/problems/matching.hpp"
 #include "lapx/problems/problem.hpp"
@@ -37,12 +37,7 @@
 namespace {
 
 using namespace lapx;
-
-order::Keys identity_keys(int n) {
-  order::Keys keys(n);
-  std::iota(keys.begin(), keys.end(), 0);
-  return keys;
-}
+using order::identity_keys;
 
 void upper_bound_table() {
   std::printf("Upper bound: PO mark-first-edge on Delta'-regular graphs:\n");

@@ -5,7 +5,6 @@
 // subtrees of tau*.
 
 #include <cmath>
-#include <numeric>
 #include <random>
 #include <set>
 #include <unordered_map>
@@ -22,12 +21,7 @@
 namespace {
 
 using namespace lapx;
-
-order::Keys identity_keys(int n) {
-  order::Keys keys(n);
-  std::iota(keys.begin(), keys.end(), 0);
-  return keys;
-}
+using order::identity_keys;
 
 // Fraction of lift nodes whose ordered ball embeds into tau*: measured as
 // "ordered ball type equals the type of the corresponding tau* subtree",

@@ -89,6 +89,17 @@ struct EditTrialResult {
   int edits = 0;
 };
 
+// Rebuilds `g` in place with `arc` cut from its arc list, or appended to
+// it when healing -- the order a remove-then-re-add edit leaves behind.
+void toggle_arc(LDigraph& g, const Arc& arc, bool healing) {
+  std::vector<Arc> arcs = g.arcs();
+  if (healing)
+    arcs.push_back(arc);
+  else
+    std::erase(arcs, arc);
+  g = LDigraph::from_arcs(g.num_vertices(), g.alphabet_size(), std::move(arcs));
+}
+
 // Alternating cut/heal single-arc edits: each timed step removes (or
 // re-adds) one deterministically chosen arc, delta-refines the persistent
 // state, and races a from-scratch refinement of the same graph over the
@@ -108,13 +119,9 @@ EditTrialResult run_edit_trial(LDigraph g, int radius, int pairs,
   std::vector<double> delta_times, full_times;
   for (int p = 0; p < pairs + 1; ++p) {
     const bool warmup = p == 0;
-    const auto& arcs = g.arcs();
-    const Arc cut = arcs[rng() % arcs.size()];
+    const Arc cut = g.arcs()[rng() % g.arcs().size()];
     for (const bool healing : {false, true}) {
-      if (healing)
-        g.add_arc(cut.from, cut.to, cut.label);
-      else
-        g.remove_arc(cut.from, cut.to);
+      toggle_arc(g, cut, healing);
 
       phase("delta-requery");
       auto t0 = std::chrono::steady_clock::now();
@@ -493,10 +500,7 @@ void BM_DeltaRequery(benchmark::State& state) {
   const Arc cut = g.arcs()[rng() % g.arcs().size()];
   bool present = true;
   for (auto _ : state) {
-    if (present)
-      g.remove_arc(cut.from, cut.to);
-    else
-      g.add_arc(cut.from, cut.to, cut.label);
+    toggle_arc(g, cut, !present);
     present = !present;
     st.refine_delta(g);
     benchmark::DoNotOptimize(st.types_at(3));

@@ -8,7 +8,6 @@
 //    eps -> 0 -- the chain of inequalities of Section 4.1, measured.
 
 #include <cmath>
-#include <numeric>
 #include <random>
 
 #include "bench_common.hpp"
@@ -17,18 +16,14 @@
 #include "lapx/core/simulate.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/group/homogeneous.hpp"
+#include "lapx/order/homogeneity.hpp"
 #include "lapx/problems/exact.hpp"
 #include "lapx/problems/problem.hpp"
 
 namespace {
 
 using namespace lapx;
-
-order::Keys identity_keys(int n) {
-  order::Keys keys(n);
-  std::iota(keys.begin(), keys.end(), 0);
-  return keys;
-}
+using order::identity_keys;
 
 void print_wreath_sampled();
 

@@ -103,22 +103,23 @@ void print_tables() {
                    6});
   {
     // Directed path: boundary effects give ~2r+1 type classes.
-    graph::LDigraph path(4096, 1);
-    for (graph::Vertex v = 0; v + 1 < path.num_vertices(); ++v)
-      path.add_arc(v, v + 1, 0);
-    cases.push_back({"path 4096, r=8", std::move(path), 8});
+    std::vector<graph::Arc> path;
+    for (graph::Vertex v = 0; v + 1 < 4096; ++v) path.push_back({v, v + 1, 0});
+    cases.push_back(
+        {"path 4096, r=8", graph::LDigraph::from_arcs(4096, 1, path), 8});
   }
   {
     // Irregular two-label graph: path plus an affine-permutation chord
     // layer (proper by bijectivity; 4v = -1 and 4v = -2 have no solutions
     // mod 2048, so no self-loops or parallel (u,v) pairs).  The path
     // boundary spread through the chords yields many type classes.
-    graph::LDigraph chords(2048, 2);
-    for (graph::Vertex v = 0; v + 1 < chords.num_vertices(); ++v)
-      chords.add_arc(v, v + 1, 0);
-    for (graph::Vertex v = 0; v < chords.num_vertices(); ++v)
-      chords.add_arc(v, (5 * v + 2) % chords.num_vertices(), 1);
-    cases.push_back({"path+chords 2048, r=4", std::move(chords), 4});
+    std::vector<graph::Arc> chords;
+    for (graph::Vertex v = 0; v + 1 < 2048; ++v)
+      chords.push_back({v, v + 1, 0});
+    for (graph::Vertex v = 0; v < 2048; ++v)
+      chords.push_back({v, (5 * v + 2) % 2048, 1});
+    cases.push_back({"path+chords 2048, r=4",
+                     graph::LDigraph::from_arcs(2048, 2, chords), 4});
   }
 
   bench::print_row({"graph", "n", "r", "distinct", "partition equal"});
@@ -167,20 +168,20 @@ void print_tables() {
 graph::LDigraph stabilizing_forest() {
   constexpr graph::Vertex kChains = 2, kChainLen = 3000;
   constexpr graph::Vertex kTrees = 1800, kTreeSize = 12;
-  graph::LDigraph g(kChains * kChainLen + kTrees * kTreeSize, 2);
+  std::vector<graph::Arc> arcs;
   graph::Vertex next = 0;
   for (graph::Vertex c = 0; c < kChains; ++c) {
     for (graph::Vertex v = 0; v + 1 < kChainLen; ++v)
-      g.add_arc(next + v, next + v + 1, 0);
+      arcs.push_back({next + v, next + v + 1, 0});
     next += kChainLen;
   }
   for (graph::Vertex t = 0; t < kTrees; ++t) {
     // Complete-ish binary tree: child 2p+1 on port 1, child 2p+2 on port 0.
     for (graph::Vertex v = 1; v < kTreeSize; ++v)
-      g.add_arc(next + (v - 1) / 2, next + v, v % 2);
+      arcs.push_back({next + (v - 1) / 2, next + v, v % 2});
     next += kTreeSize;
   }
-  return g;
+  return graph::LDigraph::from_arcs(next, 2, std::move(arcs));
 }
 
 void print_worklist_table() {

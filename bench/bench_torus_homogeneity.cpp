@@ -4,7 +4,6 @@
 // fraction follows the (m - 2r)^d / m^d law.
 
 #include <cmath>
-#include <numeric>
 
 #include "bench_common.hpp"
 #include "lapx/graph/generators.hpp"
@@ -13,12 +12,7 @@
 namespace {
 
 using namespace lapx;
-
-order::Keys identity_keys(int n) {
-  order::Keys keys(n);
-  std::iota(keys.begin(), keys.end(), 0);
-  return keys;
-}
+using order::identity_keys;
 
 void print_tables() {
   bench::print_header(

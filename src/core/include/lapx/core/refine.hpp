@@ -82,13 +82,13 @@ class RefineState {
                        bool keep_rounds = false);
 
   /// Streaming mode: rounds iterate the ooc file's mmap'd step segments
-  /// instead of in-RAM step arrays -- the graph never materializes, and
-  /// the kernel's page cache decides which file pages stay resident
+  /// instead of an in-RAM graph::StepCsr -- the graph never materializes,
+  /// and the kernel's page cache decides which file pages stay resident
   /// (they are clean, so it reclaims them under pressure).  TypeIds are
   /// identical to the in-memory constructor against the same interner
-  /// (the on-disk step CSR is bit-for-bit what build_steps produces).
-  /// Rounds are not kept, so refine_delta is unavailable; `g` must
-  /// outlive the state.
+  /// (the writer persists the StepCsr the in-memory constructor builds,
+  /// through the same layout and fill).  Rounds are not kept, so
+  /// refine_delta is unavailable; `g` must outlive the state.
   explicit RefineState(const graph::OocGraph& g,
                        TypeInterner& interner = TypeInterner::global());
 
@@ -180,8 +180,6 @@ class RefineState {
     std::size_t size_ = 0;
   };
 
-  void build_steps();  // CSR over *g_'s non-backtracking steps
-  void fill_vertex_steps(graph::Vertex v);  // one vertex's span of the CSR
   void init_round0();  // (re)start at radius 0: constructors, refine_delta
   void advance();      // one forward round: radius() + 1
   // The round kernel: rewrites the active spans of `out` (T_radius) from
@@ -200,23 +198,23 @@ class RefineState {
   template <typename F>
   void for_active(const F& f) const;
 
-  // The step CSR the rounds iterate: the owned vectors below, or (in
-  // streaming mode) the ooc file's mmap'd segments.  advance() takes these
-  // spans as locals, so both modes share one code path.
+  // The step CSR the rounds iterate: steps_, or (in streaming mode) the
+  // ooc file's mmap'd segments.  advance() takes these spans as locals, so
+  // both modes share one code path.
   std::span<const std::uint32_t> off_span() const {
-    return ooc_ ? ooc_->step_off() : std::span<const std::uint32_t>(step_off_);
+    return ooc_ ? ooc_->step_off() : std::span<const std::uint32_t>(steps_.off);
   }
   std::span<const std::uint32_t> vertex_span() const {
     return ooc_ ? ooc_->step_vertex()
-                : std::span<const std::uint32_t>(step_vertex_);
+                : std::span<const std::uint32_t>(steps_.vertex);
   }
   std::span<const std::uint32_t> succ_span() const {
     return ooc_ ? ooc_->step_succ()
-                : std::span<const std::uint32_t>(step_succ_);
+                : std::span<const std::uint32_t>(steps_.succ);
   }
   std::span<const std::uint64_t> tag_span() const {
     return ooc_ ? ooc_->step_edge_tag()
-                : std::span<const std::uint64_t>(step_edge_tag_);
+                : std::span<const std::uint64_t>(steps_.tag);
   }
 
   const LDigraph* g_ = nullptr;
@@ -225,14 +223,8 @@ class RefineState {
   TypeInterner* interner_;
   bool keep_rounds_ = false;
 
-  // Flattened non-backtracking steps, grouped by vertex, sorted by
-  // (outgoing, label) within a vertex: in-arcs (label order) then out-arcs.
-  std::vector<std::uint32_t> step_off_;       // per vertex; size n+1
-  std::vector<std::uint32_t> step_vertex_;    // owning vertex of each step
-  std::vector<std::uint32_t> step_succ_;      // state index the step leads to
-  std::vector<std::uint32_t> step_nbr_;       // neighbor vertex of each step
-  std::vector<std::uint64_t> step_edge_tag_;  // kViewEdge | move payload
-  std::vector<std::uint32_t> step_move_bits_; // outgoing<<31 | label
+  // The non-backtracking steps of *g_ (empty in streaming mode).
+  graph::StepCsr steps_;
 
   // State types of the previous / current round (indexed by step).
   std::vector<TypeId> t_prev_, t_cur_;
@@ -240,7 +232,7 @@ class RefineState {
   // (kNoType where the probe missed; Phase B interns those serially).
   std::vector<TypeId> edge_ids_;
   // Edge memo: when edge_ids_[j] != kNoType it is the id of the node
-  // (step_edge_tag_[j], edge_sub_[j]).  TypeIds are permanent, so the pair
+  // (steps_.tag[j], edge_sub_[j]).  TypeIds are permanent, so the pair
   // stays valid across rounds; Phase A re-probes step j only when the
   // successor state differs from edge_sub_[j].  Rebuilds that change what
   // step j means (init_round0, refine_delta) reset the memo to kNoType.
@@ -304,9 +296,7 @@ class RefineState {
   // generation.  Swapped, never freed -- a steady-state session alternates
   // between two generations of buffers, so a delta pass allocates nothing
   // after the first call.
-  std::vector<std::uint32_t> scratch_off_, scratch_vertex_, scratch_succ_,
-      scratch_nbr_, scratch_move_;
-  std::vector<std::uint64_t> scratch_tag_;
+  graph::StepCsr scratch_steps_;
   std::vector<std::vector<TypeId>> scratch_rounds_;
 };
 

@@ -23,26 +23,12 @@ constexpr std::size_t kDistinctUnknown = static_cast<std::size_t>(-1);
 // always counts as changed; as a skipped step, none.
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
-// Index of the step (v, move{outgoing, label}) inside its vertex's span.
-std::uint32_t step_index_of(const graph::LDigraph& g, graph::Vertex v,
-                            bool outgoing, graph::Label label,
-                            std::uint32_t base) {
-  const auto arcs = outgoing ? g.out_arcs(v) : g.in_arcs(v);
-  const auto it = std::lower_bound(
-      arcs.begin(), arcs.end(), label,
-      [](const std::pair<graph::Label, graph::Vertex>& a, graph::Label l) {
-        return a.first < l;
-      });
-  const auto pos = static_cast<std::uint32_t>(it - arcs.begin());
-  return base + (outgoing ? static_cast<std::uint32_t>(g.in_degree(v)) : 0u) +
-         pos;
-}
-
 }  // namespace
 
-// The ooc writer persists edge tags computed in graph/ (which cannot see
-// this header); the duplicated constant must stay bit-identical or
-// streaming TypeIds would diverge from in-memory ones.
+// StepCsr::fill computes the step edge tags in graph/ (which cannot see
+// this header), for the in-memory rounds and the ooc writer alike; the
+// duplicated constant must stay bit-identical or no TypeId would match
+// the ViewTree path's.
 static_assert(graph::kOocViewEdgeTag == type_tag::kViewEdge,
               "graph/ooc edge tag must equal type_tag::kViewEdge");
 
@@ -132,57 +118,16 @@ void RefineState::IdMap::erase(TypeId key) {
   --size_;
 }
 
-void RefineState::build_steps() {
-  const LDigraph& g = *g_;
-  const Vertex n = g.num_vertices();
-  step_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Vertex v = 0; v < n; ++v)
-    step_off_[static_cast<std::size_t>(v) + 1] =
-        step_off_[v] + static_cast<std::uint32_t>(g.degree(v));
-  const std::size_t steps = step_off_[n];
-  step_vertex_.resize(steps);
-  step_succ_.resize(steps);
-  step_nbr_.resize(steps);
-  step_edge_tag_.resize(steps);
-  step_move_bits_.resize(steps);
-  runtime::parallel_for(
-      n, [&](std::int64_t vi) { fill_vertex_steps(static_cast<Vertex>(vi)); });
-}
-
-void RefineState::fill_vertex_steps(graph::Vertex v) {
-  const LDigraph& g = *g_;
-  std::uint32_t s = step_off_[v];
-  // In-arc steps first (outgoing == false), then out-arc steps: both span
-  // lists are sorted by label, so the steps land in (outgoing, label)
-  // order -- the order view() emits children in.
-  for (const auto& [l, w] : g.in_arcs(v)) {
-    step_vertex_[s] = static_cast<std::uint32_t>(v);
-    // Following the in-arc backwards arrives at w via move {false, l};
-    // the state it realizes excludes the inverse step {true, l} at w.
-    step_succ_[s] = step_index_of(g, w, true, l, step_off_[w]);
-    step_nbr_[s] = static_cast<std::uint32_t>(w);
-    step_edge_tag_[s] = type_tag::kViewEdge | static_cast<std::uint32_t>(l);
-    step_move_bits_[s] = static_cast<std::uint32_t>(l);
-    ++s;
-  }
-  for (const auto& [l, w] : g.out_arcs(v)) {
-    step_vertex_[s] = static_cast<std::uint32_t>(v);
-    step_succ_[s] = step_index_of(g, w, false, l, step_off_[w]);
-    step_nbr_[s] = static_cast<std::uint32_t>(w);
-    step_edge_tag_[s] = type_tag::kViewEdge | (std::uint64_t{1} << 32) |
-                        static_cast<std::uint32_t>(l);
-    step_move_bits_[s] = 0x80000000u | static_cast<std::uint32_t>(l);
-    ++s;
-  }
-}
-
 RefineState::RefineState(const LDigraph& g, TypeInterner& interner,
                          bool keep_rounds)
     : g_(&g),
       n_(g.num_vertices()),
       interner_(&interner),
       keep_rounds_(keep_rounds) {
-  build_steps();
+  steps_.layout(g);
+  runtime::parallel_for(g.num_vertices(), [&](std::int64_t v) {
+    steps_.fill(g, static_cast<Vertex>(v));
+  });
   init_round0();
 }
 
@@ -601,7 +546,7 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
     throw std::logic_error(
         "refine_delta requires a RefineState built with keep_rounds");
   const int max_r = radius();  // >= 0 always (radius 0 exists from birth)
-  const auto old_n = static_cast<Vertex>(step_off_.size()) - 1;
+  const auto old_n = static_cast<Vertex>(steps_.off.size()) - 1;
   DeltaStats stats;
   stats.rounds = max_r;
   stats.total_vertices = static_cast<std::size_t>(g.num_vertices());
@@ -619,22 +564,17 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   // Retire the old CSR and tables into member scratch.  Swapping (rather
   // than freeing) matters: the large-lift tables are mmap-sized, and a
   // malloc/munmap cycle per edit costs as much as the refinement itself.
-  // The new CSR is PATCHED, not rebuilt: a delta pass must not pay
-  // build_steps' full O(steps) label-scan cost for an edit that touched a
+  // The new CSR is PATCHED, not rebuilt: a delta pass must not pay a full
+  // O(steps) fill, with its label scans, for an edit that touched a
   // handful of vertices.
-  scratch_off_.swap(step_off_);
-  scratch_vertex_.swap(step_vertex_);
-  scratch_succ_.swap(step_succ_);
-  scratch_nbr_.swap(step_nbr_);
-  scratch_move_.swap(step_move_bits_);
-  scratch_tag_.swap(step_edge_tag_);
+  std::swap(scratch_steps_, steps_);
   scratch_rounds_.swap(round_states_);
-  const std::vector<std::uint32_t>& old_off = scratch_off_;
-  const std::vector<std::uint32_t>& old_vertex = scratch_vertex_;
-  const std::vector<std::uint32_t>& old_succ = scratch_succ_;
-  const std::vector<std::uint32_t>& old_nbr = scratch_nbr_;
-  const std::vector<std::uint32_t>& old_move = scratch_move_;
-  const std::vector<std::uint64_t>& old_tag = scratch_tag_;
+  const std::vector<std::uint32_t>& old_off = scratch_steps_.off;
+  const std::vector<std::uint32_t>& old_vertex = scratch_steps_.vertex;
+  const std::vector<std::uint32_t>& old_succ = scratch_steps_.succ;
+  const std::vector<std::uint32_t>& old_nbr = scratch_steps_.nbr;
+  const std::vector<std::uint32_t>& old_move = scratch_steps_.move_bits;
+  const std::vector<std::uint64_t>& old_tag = scratch_steps_.tag;
   std::vector<std::vector<TypeId>>& old_rounds = scratch_rounds_;
   // round_states_ now holds the husks from two generations ago -- their
   // capacity seeds this generation's tables.
@@ -651,16 +591,14 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   g_ = &g;
   n_ = g.num_vertices();
   const Vertex n = n_;
-  step_off_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Vertex v = 0; v < n; ++v)
-    step_off_[static_cast<std::size_t>(v) + 1] =
-        step_off_[v] + static_cast<std::uint32_t>(g.degree(v));
-  const std::size_t steps = step_off_[static_cast<std::size_t>(n)];
+  steps_.layout(g);
+  const std::vector<std::uint32_t>& step_off = steps_.off;
+  const std::size_t steps = step_off[static_cast<std::size_t>(n)];
 
   // Seed: a vertex is dirty when its incident-step SIGNATURE changed --
   // the per-span sequence of (move bits, successor vertex) pairs, compared
   // straight off the adjacency in the same (outgoing, label) enumeration
-  // order fill_vertex_steps uses.  T_1 is a pure function of the
+  // order StepCsr::fill uses.  T_1 is a pure function of the
   // signature, and the signature also pins the identity of every successor
   // state, so a clean vertex's old table values transplant verbatim.
   // Serial on purpose: the whole scan is ~one pass over the adjacency, and
@@ -678,7 +616,7 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
     std::uint32_t k = v < old_n ? old_off[v] : 0;
     const bool same =
         v < old_n &&
-        step_off_[v + 1] - step_off_[v] == old_off[v + 1] - old_off[v] &&
+        step_off[v + 1] - step_off[v] == old_off[v + 1] - old_off[v] &&
         same_arcs(g.in_arcs(v), 0, k) &&
         same_arcs(g.out_arcs(v), 0x80000000u, k);
     if (!same) dirty.push_back(static_cast<std::uint32_t>(v));
@@ -694,19 +632,14 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
       const Vertex stop =
           di < dirty.size() ? static_cast<Vertex>(dirty[di]) : n;
       if (run_start < stop)  // all clean => every vertex < old_n
-        f(step_off_[run_start], old_off[run_start],
-          step_off_[stop] - step_off_[run_start]);
+        f(step_off[run_start], old_off[run_start],
+          step_off[stop] - step_off[run_start]);
       if (di < dirty.size()) run_start = static_cast<Vertex>(dirty[di]) + 1;
     }
   };
 
   // Patch the CSR.  Dirty spans refill from scratch; clean spans block-copy.
-  step_vertex_.resize(steps);
-  step_succ_.resize(steps);
-  step_nbr_.resize(steps);
-  step_edge_tag_.resize(steps);
-  step_move_bits_.resize(steps);
-  for (const std::uint32_t v : dirty) fill_vertex_steps(static_cast<Vertex>(v));
+  for (const std::uint32_t v : dirty) steps_.fill(g, static_cast<Vertex>(v));
 
   // Kept values: a clean span, or a dirty one whose step layout (its move
   // sequence) survived the edit, keeps its old tables at old_at[v]; any
@@ -715,10 +648,11 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   std::copy(old_off.begin(), old_off.begin() + std::min(n, old_n),
             old_at.begin());
   for (const std::uint32_t v : dirty) {
-    const std::uint32_t lo = step_off_[v], hi = step_off_[v + 1];
+    const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
     if (v >= static_cast<std::uint32_t>(old_n) ||
         hi - lo != old_off[v + 1] - old_off[v] ||
-        !std::equal(step_move_bits_.begin() + lo, step_move_bits_.begin() + hi,
+        !std::equal(steps_.move_bits.begin() + lo,
+                    steps_.move_bits.begin() + hi,
                     old_move.begin() + old_off[v]))
       old_at[v] = kNone;
   }
@@ -726,19 +660,18 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   // delta -- unless the target's layout changed and may have reordered its
   // span, which costs one label scan.
   clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
-    std::copy_n(old_vertex.begin() + olo, len, step_vertex_.begin() + lo);
-    std::copy_n(old_nbr.begin() + olo, len, step_nbr_.begin() + lo);
-    std::copy_n(old_move.begin() + olo, len, step_move_bits_.begin() + lo);
-    std::copy_n(old_tag.begin() + olo, len, step_edge_tag_.begin() + lo);
+    std::copy_n(old_vertex.begin() + olo, len, steps_.vertex.begin() + lo);
+    std::copy_n(old_nbr.begin() + olo, len, steps_.nbr.begin() + lo);
+    std::copy_n(old_move.begin() + olo, len, steps_.move_bits.begin() + lo);
+    std::copy_n(old_tag.begin() + olo, len, steps_.tag.begin() + lo);
     for (std::uint32_t j = 0; j < len; ++j) {
       const auto w = static_cast<Vertex>(old_nbr[olo + j]);
       const std::uint32_t mb = old_move[olo + j];
-      step_succ_[lo + j] =
+      const auto label = static_cast<graph::Label>(mb & 0x7fffffffu);
+      steps_.succ[lo + j] =
           old_at[static_cast<std::size_t>(w)] == kNone
-              ? step_index_of(g, w, (mb & 0x80000000u) == 0,
-                              static_cast<graph::Label>(mb & 0x7fffffffu),
-                              step_off_[w])
-              : old_succ[olo + j] - old_off[w] + step_off_[w];
+              ? steps_.step_index_of(g, w, (mb & 0x80000000u) == 0, label)
+              : old_succ[olo + j] - old_off[w] + step_off[w];
     }
   });
 
@@ -746,7 +679,7 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   // generation whole; otherwise its clean spans block-copy.  Dirty spans
   // are stale either way, but dirty vertices are active in every round:
   // the kernel rewrites them.
-  const bool same_layout = old_off == step_off_;
+  const bool same_layout = old_off == step_off;
   const auto transplant =
       [&](std::vector<TypeId>& old_t) -> std::vector<TypeId> {
     if (same_layout) return std::move(old_t);
@@ -787,7 +720,7 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
           at == kNone ? kNone : static_cast<std::uint32_t>(kept.size());
       if (at != kNone)
         kept.insert(kept.end(), old_t.begin() + at,
-                    old_t.begin() + at + (step_off_[v + 1] - step_off_[v]));
+                    old_t.begin() + at + (step_off[v + 1] - step_off[v]));
     });
     std::vector<TypeId> t = transplant(old_t);
     std::vector<TypeId>& roots = old_roots[static_cast<std::size_t>(i)];

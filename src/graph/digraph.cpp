@@ -1,16 +1,18 @@
 #include "lapx/graph/digraph.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <sstream>
 
 namespace lapx::graph {
 
 LDigraph::LDigraph(Vertex n, Label alphabet_size)
-    : alphabet_(alphabet_size),
-      out_(static_cast<std::size_t>(n)),
-      in_(static_cast<std::size_t>(n)) {
+    : n_(n), alphabet_(alphabet_size) {
   if (n < 0) throw std::invalid_argument("negative vertex count");
   if (alphabet_size < 0) throw std::invalid_argument("negative alphabet size");
+  out_off_.assign(static_cast<std::size_t>(n) + 1, 0);
+  in_off_ = out_off_;
 }
 
 namespace {
@@ -27,7 +29,37 @@ namespace {
                               std::to_string(v) + ")");
 }
 
+// Counting sort of the arcs by tail (the out-runs) or by head (the
+// in-runs): off (n + 1 zeros on entry) receives each vertex's run bounds,
+// and the runs hold (label, other endpoint), each sorted by label.
+std::vector<std::pair<Label, Vertex>> bucket(const std::vector<Arc>& arcs,
+                                             bool by_tail,
+                                             std::vector<std::uint32_t>& off) {
+  const auto key = [by_tail](const Arc& a) {
+    return static_cast<std::size_t>(by_tail ? a.from : a.to);
+  };
+  for (const Arc& a : arcs) ++off[key(a) + 1];
+  std::partial_sum(off.begin(), off.end(), off.begin());
+  std::vector<std::pair<Label, Vertex>> runs(arcs.size());
+  // Placing advances off[v] from v's start to its end; shifting by one
+  // slot then turns the ends back into starts.
+  for (const Arc& a : arcs)
+    runs[off[key(a)]++] = {a.label, by_tail ? a.to : a.from};
+  std::copy_backward(off.begin(), off.end() - 1, off.end());
+  off[0] = 0;
+  const auto by_label = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  for (std::size_t v = 0; v + 1 < off.size(); ++v)
+    std::sort(runs.begin() + off[v], runs.begin() + off[v + 1], by_label);
+  return runs;
+}
+
 }  // namespace
+
+void LDigraph::throw_out_of_range(Vertex v) {
+  throw std::out_of_range("vertex out of range: " + std::to_string(v));
+}
 
 void LDigraph::check_arc(Vertex u, Vertex v, Label label) const {
   check_vertex(u);
@@ -40,31 +72,17 @@ void LDigraph::check_arc(Vertex u, Vertex v, Label label) const {
 LDigraph LDigraph::from_arcs(Vertex n, Label alphabet_size,
                              std::vector<Arc> arcs) {
   LDigraph d(n, alphabet_size);
-  const auto size = static_cast<std::size_t>(n);
-  std::vector<std::uint32_t> out_deg(size), in_deg(size);
-  for (const Arc& a : arcs) {
-    d.check_arc(a.from, a.to, a.label);
-    ++out_deg[static_cast<std::size_t>(a.from)];
-    ++in_deg[static_cast<std::size_t>(a.to)];
-  }
-  for (std::size_t v = 0; v < size; ++v) {
-    d.out_[v].reserve(out_deg[v]);
-    d.in_[v].reserve(in_deg[v]);
-  }
-  for (const Arc& a : arcs) {
-    d.out_[static_cast<std::size_t>(a.from)].emplace_back(a.label, a.to);
-    d.in_[static_cast<std::size_t>(a.to)].emplace_back(a.label, a.from);
-  }
+  if (arcs.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("more arcs than 32-bit offsets address");
+  for (const Arc& a : arcs) d.check_arc(a.from, a.to, a.label);
+  d.out_ = bucket(arcs, /*by_tail=*/true, d.out_off_);
+  d.in_ = bucket(arcs, /*by_tail=*/false, d.in_off_);
   // Sorted by label, a repeated label on either side is adjacent; and
   // tail_of[w] == v marks w as an out-neighbour of v, so a second arc
   // v -> w is found in O(1).
-  std::vector<Vertex> tail_of(size, -1);
-  const auto by_label = [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  };
+  std::vector<Vertex> tail_of(static_cast<std::size_t>(n), -1);
   for (Vertex v = 0; v < n; ++v) {
-    auto& out = d.out_[static_cast<std::size_t>(v)];
-    std::sort(out.begin(), out.end(), by_label);
+    const auto out = d.out_arcs(v);
     for (std::size_t i = 0; i < out.size(); ++i) {
       const auto [label, w] = out[i];
       if (i > 0 && out[i - 1].first == label)
@@ -72,77 +90,25 @@ LDigraph LDigraph::from_arcs(Vertex n, Label alphabet_size,
       if (tail_of[static_cast<std::size_t>(w)] == v) throw_parallel_arc(v, w);
       tail_of[static_cast<std::size_t>(w)] = v;
     }
-    auto& in = d.in_[static_cast<std::size_t>(v)];
-    std::sort(in.begin(), in.end(), by_label);
+    const auto in = d.in_arcs(v);
     for (std::size_t i = 1; i < in.size(); ++i)
       if (in[i - 1].first == in[i].first)
         throw_duplicate_label("incoming", in[i].first, v);
   }
-  d.num_arcs_ = arcs.size();
-  d.arc_list_ = std::move(arcs);
+  d.arcs_ = std::move(arcs);
   return d;
-}
-
-void LDigraph::add_arc(Vertex u, Vertex v, Label label) {
-  check_arc(u, v, label);
-  if (out_neighbor(u, label).has_value())
-    throw_duplicate_label("outgoing", label, u);
-  if (in_neighbor(v, label).has_value())
-    throw_duplicate_label("incoming", label, v);
-  for (const auto& [l, w] : out_[u]) {
-    (void)l;
-    if (w == v) throw_parallel_arc(u, v);
-  }
-  auto insert_sorted = [](std::vector<std::pair<Label, Vertex>>& vec, Label l,
-                          Vertex w) {
-    auto it = std::lower_bound(
-        vec.begin(), vec.end(), std::pair<Label, Vertex>{l, w},
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    vec.insert(it, {l, w});
-  };
-  insert_sorted(out_[u], label, v);
-  insert_sorted(in_[v], label, u);
-  arc_list_.push_back(Arc{u, v, label});
-  ++num_arcs_;
-}
-
-Label LDigraph::remove_arc(Vertex u, Vertex v) {
-  check_vertex(u);
-  check_vertex(v);
-  auto& out = out_[u];
-  const auto it = std::find_if(out.begin(), out.end(),
-                               [v](const auto& p) { return p.second == v; });
-  if (it == out.end())
-    throw MutationError("no arc (" + std::to_string(u) + "," +
-                        std::to_string(v) + ")");
-  const Label label = it->first;
-  out.erase(it);
-  auto& in = in_[v];
-  in.erase(std::find_if(in.begin(), in.end(), [label](const auto& p) {
-    return p.first == label;
-  }));
-  arc_list_.erase(std::find(arc_list_.begin(), arc_list_.end(),
-                            Arc{u, v, label}));
-  --num_arcs_;
-  return label;
-}
-
-void LDigraph::add_vertices(Vertex count) {
-  if (count < 0) throw MutationError("negative vertex count");
-  out_.resize(out_.size() + static_cast<std::size_t>(count));
-  in_.resize(in_.size() + static_cast<std::size_t>(count));
 }
 
 std::optional<Vertex> LDigraph::out_neighbor(Vertex v, Label l) const {
   check_vertex(v);
-  for (const auto& [label, w] : out_[v])
+  for (const auto& [label, w] : out_arcs(v))
     if (label == l) return w;
   return std::nullopt;
 }
 
 std::optional<Vertex> LDigraph::in_neighbor(Vertex v, Label l) const {
   check_vertex(v);
-  for (const auto& [label, w] : in_[v])
+  for (const auto& [label, w] : in_arcs(v))
     if (label == l) return w;
   return std::nullopt;
 }
@@ -155,7 +121,7 @@ bool LDigraph::is_k_in_k_out_regular(int k) const {
 
 Graph LDigraph::underlying_graph() const {
   Graph g(num_vertices());
-  for (const Arc& a : arc_list_) {
+  for (const Arc& a : arcs_) {
     if (!g.has_edge(a.from, a.to)) g.add_edge(a.from, a.to);
   }
   return g;

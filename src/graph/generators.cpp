@@ -281,25 +281,28 @@ Graph lifted_torus(int a, int b, int layers, std::uint64_t seed) {
 
 LDigraph directed_cycle(Vertex n) {
   if (n < 3) throw std::invalid_argument("directed_cycle needs n >= 3");
-  LDigraph d(n, 1);
-  for (Vertex i = 0; i < n; ++i) d.add_arc(i, (i + 1) % n, 0);
-  return d;
+  std::vector<Arc> arcs;
+  arcs.reserve(static_cast<std::size_t>(n));
+  for (Vertex i = 0; i < n; ++i) arcs.push_back({i, (i + 1) % n, 0});
+  return LDigraph::from_arcs(n, 1, std::move(arcs));
 }
 
 LDigraph directed_torus(const std::vector<int>& dims) {
   const auto n = torus_size(dims);
-  LDigraph d(static_cast<Vertex>(n), static_cast<Label>(dims.size()));
+  std::vector<Arc> arcs;
+  arcs.reserve(static_cast<std::size_t>(n) * dims.size());
   for (std::int64_t x = 0; x < n; ++x) {
     auto coords = mixed_radix_decode(x, dims);
     for (std::size_t i = 0; i < dims.size(); ++i) {
       auto next = coords;
       next[i] = (next[i] + 1) % dims[i];
       const auto y = mixed_radix_encode(next, dims);
-      d.add_arc(static_cast<Vertex>(x), static_cast<Vertex>(y),
-                static_cast<Label>(i));
+      arcs.push_back({static_cast<Vertex>(x), static_cast<Vertex>(y),
+                      static_cast<Label>(i)});
     }
   }
-  return d;
+  return LDigraph::from_arcs(static_cast<Vertex>(n),
+                             static_cast<Label>(dims.size()), std::move(arcs));
 }
 
 }  // namespace lapx::graph

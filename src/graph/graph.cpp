@@ -5,9 +5,10 @@
 
 namespace lapx::graph {
 
-Graph::Graph(Vertex n)
-    : adj_(static_cast<std::size_t>(n)), incident_(static_cast<std::size_t>(n)) {
+Graph::Graph(Vertex n) {
   if (n < 0) throw std::invalid_argument("negative vertex count");
+  adj_.resize(static_cast<std::size_t>(n));
+  incident_.resize(static_cast<std::size_t>(n));
 }
 
 Graph Graph::from_edges(Vertex n, const std::vector<Edge>& edges) {

@@ -8,7 +8,8 @@
 // label with an edge of the opposite direction at the same node.)
 //
 // Labels are represented as integers 0..alphabet_size()-1.  Properness is
-// enforced on insertion.
+// checked when the digraph is built: LDigraph::from_arcs is its one
+// construction path, and a built digraph is immutable.
 
 #include <cstdint>
 #include <optional>
@@ -42,36 +43,32 @@ struct Arc {
 /// Parallel arcs in the same direction are rejected: a pair (u,v) may carry
 /// at most one arc, which together with properness keeps the underlying
 /// structure a graph rather than a multigraph.
+///
+/// Storage is a CSR per direction (Galois' LC_InOut_Graph shape): offsets
+/// plus packed label-sorted (label, endpoint) runs for the out- and the
+/// in-arcs, and the arc list in the order it was given.  That order is
+/// observable -- random_lift draws one permutation per arc in arcs()
+/// order, and underlying_graph() numbers edges in it -- so it is kept
+/// rather than derived from the CSR.
 class LDigraph {
  public:
   LDigraph() = default;
 
+  /// n isolated vertices.  Throws std::invalid_argument on a negative
+  /// vertex count or alphabet size.
   LDigraph(Vertex n, Label alphabet_size);
 
-  /// Builds the digraph that add_arc over `arcs`, in order, would build,
-  /// in one pass with each adjacency list reserved exactly: arcs() keeps
-  /// the given order.  Throws std::invalid_argument exactly when one of
-  /// those add_arc calls would throw.  O(n + m log deg).
+  /// The digraph with exactly `arcs`, which arcs() keeps in the given
+  /// order: count, prefix-sum, place, then sort each vertex's runs by
+  /// label.  Throws std::invalid_argument unless the arcs form a proper
+  /// L-digraph: no endpoint or label out of range, no self-loop, no label
+  /// repeated on either side of a vertex, and at most one arc per (u, v).
+  /// O(n + m log deg).
   static LDigraph from_arcs(Vertex n, Label alphabet_size,
                             std::vector<Arc> arcs);
 
-  /// Adds arc (u, v) with the given label.  Throws if the arc would violate
-  /// properness, create a self-loop, duplicate an existing (u, v) arc, or use
-  /// an out-of-range label.
-  void add_arc(Vertex u, Vertex v, Label label);
-
-  /// Removes the (unique) arc u -> v and returns the label it carried.
-  /// Throws MutationError if no such arc exists.  O(deg) for the adjacency
-  /// update plus O(|arcs|) to keep the insertion-order arc list compact.
-  Label remove_arc(Vertex u, Vertex v);
-
-  /// Appends `count` isolated vertices (ids num_vertices()..+count-1);
-  /// existing vertices, arcs, and labels are untouched.  This is the
-  /// in-place growth primitive grow_lift (lift.hpp) builds on.
-  void add_vertices(Vertex count);
-
-  Vertex num_vertices() const { return static_cast<Vertex>(out_.size()); }
-  std::size_t num_arcs() const { return num_arcs_; }
+  Vertex num_vertices() const { return n_; }
+  std::size_t num_arcs() const { return arcs_.size(); }
   Label alphabet_size() const { return alphabet_; }
 
   /// Target of the outgoing arc of v labelled l, if any.
@@ -80,18 +77,22 @@ class LDigraph {
   /// Source of the incoming arc of v labelled l, if any.
   std::optional<Vertex> in_neighbor(Vertex v, Label l) const;
 
-  /// Outgoing arcs of v as (label, target), sorted by label.
+  /// Outgoing arcs of v as (label, target), sorted by label.  Throws
+  /// std::out_of_range when v is not a vertex.
   std::span<const std::pair<Label, Vertex>> out_arcs(Vertex v) const {
-    return {out_.at(v).data(), out_.at(v).size()};
+    return run(out_off_, out_, v);
   }
 
-  /// Incoming arcs of v as (label, source), sorted by label.
+  /// Incoming arcs of v as (label, source), sorted by label.  Throws
+  /// std::out_of_range when v is not a vertex.
   std::span<const std::pair<Label, Vertex>> in_arcs(Vertex v) const {
-    return {in_.at(v).data(), in_.at(v).size()};
+    return run(in_off_, in_, v);
   }
 
-  int out_degree(Vertex v) const { return static_cast<int>(out_.at(v).size()); }
-  int in_degree(Vertex v) const { return static_cast<int>(in_.at(v).size()); }
+  int out_degree(Vertex v) const {
+    return static_cast<int>(out_arcs(v).size());
+  }
+  int in_degree(Vertex v) const { return static_cast<int>(in_arcs(v).size()); }
 
   /// Total degree in the underlying graph sense (assuming no antiparallel
   /// arc pairs): out_degree + in_degree.
@@ -102,8 +103,8 @@ class LDigraph {
   /// ways at every node when k = |L|).
   bool is_k_in_k_out_regular(int k) const;
 
-  /// All arcs in insertion order.
-  const std::vector<Arc>& arcs() const { return arc_list_; }
+  /// All arcs, in the order from_arcs was given them.
+  const std::vector<Arc>& arcs() const { return arcs_; }
 
   /// Forgets directions and labels.  Antiparallel arc pairs collapse to a
   /// single undirected edge.
@@ -112,6 +113,17 @@ class LDigraph {
   std::string summary() const;
 
  private:
+  using Runs = std::vector<std::pair<Label, Vertex>>;
+
+  std::span<const std::pair<Label, Vertex>> run(
+      const std::vector<std::uint32_t>& off, const Runs& runs,
+      Vertex v) const {
+    if (v < 0 || v >= n_) throw_out_of_range(v);
+    const auto i = static_cast<std::size_t>(v);
+    return {runs.data() + off[i], runs.data() + off[i + 1]};
+  }
+  // Out of line, so the accessors above stay small enough to inline.
+  [[noreturn]] static void throw_out_of_range(Vertex v);
   void check_vertex(Vertex v) const {
     if (v < 0 || v >= num_vertices())
       throw std::invalid_argument("vertex out of range: " + std::to_string(v));
@@ -119,12 +131,14 @@ class LDigraph {
   // The checks of one arc on its own: endpoints, self-loop, label range.
   void check_arc(Vertex u, Vertex v, Label label) const;
 
+  Vertex n_ = 0;
   Label alphabet_ = 0;
-  std::size_t num_arcs_ = 0;
-  // Sorted by label; properness makes labels unique per side per vertex.
-  std::vector<std::vector<std::pair<Label, Vertex>>> out_;
-  std::vector<std::vector<std::pair<Label, Vertex>>> in_;
-  std::vector<Arc> arc_list_;
+  // v's out-arcs are out_[out_off_[v] .. out_off_[v + 1]), sorted by
+  // label; properness makes labels unique per side per vertex.  Likewise
+  // in_ and in_off_.  Both offset arrays have n_ + 1 entries once built.
+  std::vector<std::uint32_t> out_off_, in_off_;
+  Runs out_, in_;
+  std::vector<Arc> arcs_;
 };
 
 }  // namespace lapx::graph

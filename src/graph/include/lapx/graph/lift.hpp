@@ -58,15 +58,17 @@ Lift voltage_lift(const LDigraph& G, int l,
 /// l-lift with independent uniformly random permutation voltages.
 Lift random_lift(const LDigraph& G, int l, std::mt19937_64& rng);
 
-/// Grows `lift` IN PLACE by `extra` new fibre layers over the same base:
-/// appends extra * |V(G)| vertices and wires them as a fresh random
-/// extra-lift of G (random voltages among the new layers only), extending
-/// phi accordingly.  The old vertices, their arcs, and therefore their
-/// views are untouched -- the result is the disjoint union of the old lift
-/// and a new one, still a covering of G -- which is exactly the shape the
-/// incremental refinement path wants: the edit frontier is the new fibre.
-/// New vertex (g, j) for layer j gets index old_n + g * extra + (j - l).
-/// Returns the index of the first new vertex.
+/// Grows `lift` by `extra` new fibre layers over the same base: rebuilds
+/// lift.graph (the same object, through LDigraph::from_arcs) with
+/// extra * |V(G)| more vertices wired as a fresh random extra-lift of G
+/// (random voltages among the new layers only), after the old arcs in
+/// their old order, and extends phi accordingly.  The old vertices, their
+/// arcs, and therefore their views are untouched -- the result is the
+/// disjoint union of the old lift and a new one, still a covering of G --
+/// which is exactly the shape the incremental refinement path wants: the
+/// edit frontier is the new fibre.  New vertex (g, j) for layer j gets
+/// index old_n + g * extra + (j - l).  Returns the index of the first new
+/// vertex.
 Vertex grow_lift(Lift& lift, const LDigraph& G, int extra,
                  std::mt19937_64& rng);
 

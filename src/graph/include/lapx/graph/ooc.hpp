@@ -1,6 +1,7 @@
 #pragma once
 // Out-of-core graphs: a binary, mmap-able on-disk CSR format ("LAPXOOC1")
-// and a validated, read-only mapping of it.
+// and a validated, read-only mapping of it; and the flat step CSR that
+// format persists, which core::RefineState also builds in RAM.
 //
 // Layout (little-endian, 128-byte header, 8-byte-aligned segments):
 //
@@ -25,9 +26,9 @@
 //   u64 out_arcs[m]    -- label << 32 | target,  grouped by source, sorted
 //   u64 in_arcs[m]     -- label << 32 | source,  grouped by target, sorted
 //
-// The *step* segments are the refinement accelerator: the exact flat step
-// CSR core::RefineState builds in RAM (fill_vertex_steps), precomputed at
-// conversion time so streaming refinement never touches the adjacency:
+// The *step* segments are the refinement accelerator: the StepCsr below,
+// which core::RefineState builds in RAM, precomputed at conversion time so
+// streaming refinement never touches the adjacency:
 //
 //   u64 step_tag[steps]                      -- kOocViewEdgeTag | move
 //   u32 step_off[n+1]  (padded to 8 bytes)
@@ -59,31 +60,47 @@ class OocError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The step-segment edge tag base.  graph/ cannot see core/interner.hpp,
-/// so the value is duplicated here; core/refine.cpp static_asserts it
-/// equals type_tag::kViewEdge, keeping the on-disk tags bit-identical to
-/// the in-memory engine's.
+/// The step CSR's edge tag base.  graph/ cannot see core/interner.hpp, so
+/// the value is duplicated here; core/refine.cpp static_asserts it equals
+/// type_tag::kViewEdge, keeping the tags bit-identical to the ones the
+/// ViewTree path interns.
 inline constexpr std::uint64_t kOocViewEdgeTag = std::uint64_t{2} << 56;
 
 /// FNV-1a 64 (the repo-wide content hash; seed/prime per the reference).
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                       std::uint64_t seed = 1469598103934665603ull);
 
-/// The flat non-backtracking step CSR of `g`, in exactly the layout
-/// core::RefineState::build_steps produces: per vertex, in-arc steps in
-/// label order then out-arc steps in label order; succ indexes the step a
-/// move leads to; tag = kOocViewEdgeTag | (outgoing << 32) | label;
-/// move_bits = (outgoing ? 0x80000000 : 0) | label.  Serial and
-/// deterministic -- this is what the writer persists.
-struct OocStepCsr {
+/// The flat non-backtracking step CSR of an LDigraph: per vertex, in-arc
+/// steps in label order then out-arc steps in label order (the order
+/// view() emits children in); succ indexes the step a move leads to; tag =
+/// kOocViewEdgeTag | (outgoing << 32) | label; move_bits = (outgoing ?
+/// 0x80000000 : 0) | label.  core::RefineState owns one (filled in
+/// parallel, refilled at the dirty vertices of a delta) and
+/// write_ooc_graph persists one, so both share this layout and fill.
+struct StepCsr {
   std::vector<std::uint32_t> off;        // n + 1
   std::vector<std::uint32_t> vertex;     // steps
   std::vector<std::uint32_t> succ;       // steps
   std::vector<std::uint32_t> nbr;        // steps
   std::vector<std::uint32_t> move_bits;  // steps
   std::vector<std::uint64_t> tag;        // steps
+
+  /// Sets off from g's degrees and sizes every step array to their total;
+  /// the spans' contents are fill's to write.  Throws OocError past 2^32
+  /// steps.
+  void layout(const LDigraph& g);
+
+  /// Writes v's span; off must be laid out for g.  Spans are disjoint, so
+  /// distinct vertices may be filled concurrently.
+  void fill(const LDigraph& g, Vertex v);
+
+  /// Index of the step (v, move{outgoing, label}) inside v's span.
+  std::uint32_t step_index_of(const LDigraph& g, Vertex v, bool outgoing,
+                              Label label) const;
 };
-OocStepCsr build_step_csr(const LDigraph& g);
+
+/// layout(g), then fill of every vertex in order: what the writer persists.
+StepCsr build_step_csr(const LDigraph& g);
 
 /// Serializes `g` to `path` in the LAPXOOC1 format: writes to a temp file
 /// in the same directory, fsyncs, renames over `path`, fsyncs the
@@ -99,8 +116,8 @@ class OocGraph {
   /// (missing file, not a regular file -- a FIFO is refused, never waited
   /// on -- bad magic/version/endian tag, checksum mismatch, file shorter
   /// than the header claims, corrupt offsets/indices, an adjacency
-  /// LDigraph::add_arc would reject, in_arcs that are not the transpose of
-  /// out_arcs, or step segments build_step_csr would not derive).  An
+  /// LDigraph::from_arcs would reject, in_arcs that are not the transpose
+  /// of out_arcs, or step segments build_step_csr would not derive).  An
   /// opened file therefore always materializes.
   explicit OocGraph(const std::string& path);
   ~OocGraph();

@@ -98,10 +98,12 @@ std::vector<int> fibre_sizes(const std::vector<Vertex>& phi, Vertex base_n) {
 Lift voltage_lift(const LDigraph& G, int l,
                   const std::function<std::vector<int>(const Arc&)>& voltage) {
   if (l < 1) throw std::invalid_argument("lift degree must be >= 1");
-  Lift lift{LDigraph(G.num_vertices() * l, G.alphabet_size()), {}};
+  Lift lift;
   lift.phi.resize(static_cast<std::size_t>(G.num_vertices()) * l);
   for (Vertex g = 0; g < G.num_vertices(); ++g)
     for (int i = 0; i < l; ++i) lift.phi[g * l + i] = g;
+  std::vector<Arc> arcs;
+  arcs.reserve(G.num_arcs() * l);
   for (const Arc& a : G.arcs()) {
     const std::vector<int> sigma = voltage(a);
     // Validate the permutation.
@@ -111,8 +113,10 @@ Lift voltage_lift(const LDigraph& G, int l,
       if (check[static_cast<std::size_t>(i)] != i)
         throw std::invalid_argument("voltage is not a permutation");
     for (int i = 0; i < l; ++i)
-      lift.graph.add_arc(a.from * l + i, a.to * l + sigma[i], a.label);
+      arcs.push_back({a.from * l + i, a.to * l + sigma[i], a.label});
   }
+  lift.graph = LDigraph::from_arcs(G.num_vertices() * l, G.alphabet_size(),
+                                   std::move(arcs));
   return lift;
 }
 
@@ -137,21 +141,25 @@ Vertex grow_lift(Lift& lift, const LDigraph& G, int extra,
   if (lift.graph.alphabet_size() != G.alphabet_size())
     throw std::invalid_argument("lift alphabet mismatch");
   const Vertex first = lift.graph.num_vertices();
-  lift.graph.add_vertices(base_n * extra);
   lift.phi.resize(static_cast<std::size_t>(first) +
                   static_cast<std::size_t>(base_n) * extra);
   for (Vertex g = 0; g < base_n; ++g)
     for (int i = 0; i < extra; ++i)
       lift.phi[static_cast<std::size_t>(first) + g * extra + i] = g;
+  std::vector<Arc> arcs;
+  arcs.reserve(lift.graph.num_arcs() + G.num_arcs() * extra);
+  arcs.insert(arcs.end(), lift.graph.arcs().begin(), lift.graph.arcs().end());
   std::vector<int> sigma(static_cast<std::size_t>(extra));
   for (const Arc& a : G.arcs()) {
     std::iota(sigma.begin(), sigma.end(), 0);
     std::shuffle(sigma.begin(), sigma.end(), rng);
     for (int i = 0; i < extra; ++i)
-      lift.graph.add_arc(first + a.from * extra + i,
-                         first + a.to * extra + sigma[static_cast<std::size_t>(i)],
-                         a.label);
+      arcs.push_back({first + a.from * extra + i,
+                      first + a.to * extra + sigma[static_cast<std::size_t>(i)],
+                      a.label});
   }
+  lift.graph = LDigraph::from_arcs(first + base_n * extra, G.alphabet_size(),
+                                   std::move(arcs));
   return first;
 }
 
@@ -209,8 +217,7 @@ ProductLift product_lift(const LDigraph& H, const LDigraph& G) {
         throw std::invalid_argument(
             "template H is not complete on label " + std::to_string(l));
   const Vertex ng = G.num_vertices();
-  ProductLift result{
-      LDigraph(H.num_vertices() * ng, G.alphabet_size()), {}, {}};
+  ProductLift result;
   result.phi.resize(static_cast<std::size_t>(H.num_vertices()) * ng);
   result.phi_h.resize(result.phi.size());
   for (Vertex h = 0; h < H.num_vertices(); ++h)
@@ -218,13 +225,17 @@ ProductLift product_lift(const LDigraph& H, const LDigraph& G) {
       result.phi[h * ng + g] = g;
       result.phi_h[h * ng + g] = h;
     }
+  std::vector<Arc> arcs;
+  arcs.reserve(G.num_arcs() * H.num_vertices());
   for (const Arc& a : G.arcs()) {
     for (Vertex h = 0; h < H.num_vertices(); ++h) {
       const auto h2 = H.out_neighbor(h, a.label);
       // completeness was checked above
-      result.graph.add_arc(h * ng + a.from, *h2 * ng + a.to, a.label);
+      arcs.push_back({h * ng + a.from, *h2 * ng + a.to, a.label});
     }
   }
+  result.graph = LDigraph::from_arcs(H.num_vertices() * ng, G.alphabet_size(),
+                                     std::move(arcs));
   return result;
 }
 

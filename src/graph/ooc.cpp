@@ -63,20 +63,6 @@ void full_write(int fd, const void* data, std::size_t bytes,
   }
 }
 
-// Index of the step (v, move{outgoing, label}) inside v's span -- the
-// serial twin of core/refine.cpp's step_index_of, kept in lockstep so the
-// persisted succ indices match what the in-memory engine computes.
-std::uint32_t step_index_of(const LDigraph& g, Vertex v, bool outgoing,
-                            Label label, std::uint32_t base) {
-  const auto arcs = outgoing ? g.out_arcs(v) : g.in_arcs(v);
-  const auto it = std::lower_bound(
-      arcs.begin(), arcs.end(), label,
-      [](const std::pair<Label, Vertex>& a, Label l) { return a.first < l; });
-  const auto pos = static_cast<std::uint32_t>(it - arcs.begin());
-  return base + (outgoing ? static_cast<std::uint32_t>(g.in_degree(v)) : 0u) +
-         pos;
-}
-
 }  // namespace
 
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
@@ -90,51 +76,67 @@ std::uint64_t fnv1a64(const void* data, std::size_t bytes,
   return h;
 }
 
-OocStepCsr build_step_csr(const LDigraph& g) {
+void StepCsr::layout(const LDigraph& g) {
   const Vertex n = g.num_vertices();
-  OocStepCsr csr;
-  csr.off.assign(static_cast<std::size_t>(n) + 1, 0);
+  off.assign(static_cast<std::size_t>(n) + 1, 0);
   std::uint64_t total = 0;
   for (Vertex v = 0; v < n; ++v) {
     total += static_cast<std::uint64_t>(g.degree(v));
     if (total > std::numeric_limits<std::uint32_t>::max())
-      throw OocError("graph exceeds the 2^32-step bound of the ooc format");
-    csr.off[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::uint32_t>(total);
+      throw OocError("graph exceeds the 2^32-step bound of the step CSR");
+    off[static_cast<std::size_t>(v) + 1] = static_cast<std::uint32_t>(total);
   }
   const auto steps = static_cast<std::size_t>(total);
-  csr.vertex.resize(steps);
-  csr.succ.resize(steps);
-  csr.nbr.resize(steps);
-  csr.move_bits.resize(steps);
-  csr.tag.resize(steps);
-  for (Vertex v = 0; v < n; ++v) {
-    std::uint32_t s = csr.off[static_cast<std::size_t>(v)];
-    for (const auto& [l, w] : g.in_arcs(v)) {
-      csr.vertex[s] = static_cast<std::uint32_t>(v);
-      csr.succ[s] = step_index_of(g, w, true, l,
-                                  csr.off[static_cast<std::size_t>(w)]);
-      csr.nbr[s] = static_cast<std::uint32_t>(w);
-      csr.tag[s] = kOocViewEdgeTag | static_cast<std::uint32_t>(l);
-      csr.move_bits[s] = static_cast<std::uint32_t>(l);
-      ++s;
-    }
-    for (const auto& [l, w] : g.out_arcs(v)) {
-      csr.vertex[s] = static_cast<std::uint32_t>(v);
-      csr.succ[s] = step_index_of(g, w, false, l,
-                                  csr.off[static_cast<std::size_t>(w)]);
-      csr.nbr[s] = static_cast<std::uint32_t>(w);
-      csr.tag[s] = kOocViewEdgeTag | (std::uint64_t{1} << 32) |
-                   static_cast<std::uint32_t>(l);
-      csr.move_bits[s] = 0x80000000u | static_cast<std::uint32_t>(l);
-      ++s;
-    }
+  vertex.resize(steps);
+  succ.resize(steps);
+  nbr.resize(steps);
+  move_bits.resize(steps);
+  tag.resize(steps);
+}
+
+std::uint32_t StepCsr::step_index_of(const LDigraph& g, Vertex v, bool outgoing,
+                                     Label label) const {
+  const auto arcs = outgoing ? g.out_arcs(v) : g.in_arcs(v);
+  const auto it = std::lower_bound(
+      arcs.begin(), arcs.end(), label,
+      [](const std::pair<Label, Vertex>& a, Label l) { return a.first < l; });
+  const auto pos = static_cast<std::uint32_t>(it - arcs.begin());
+  return off[static_cast<std::size_t>(v)] +
+         (outgoing ? static_cast<std::uint32_t>(g.in_degree(v)) : 0u) + pos;
+}
+
+void StepCsr::fill(const LDigraph& g, Vertex v) {
+  std::uint32_t s = off[static_cast<std::size_t>(v)];
+  for (const auto& [l, w] : g.in_arcs(v)) {
+    vertex[s] = static_cast<std::uint32_t>(v);
+    // Following the in-arc backwards arrives at w via move {false, l};
+    // the state it realizes excludes the inverse step {true, l} at w.
+    succ[s] = step_index_of(g, w, true, l);
+    nbr[s] = static_cast<std::uint32_t>(w);
+    tag[s] = kOocViewEdgeTag | static_cast<std::uint32_t>(l);
+    move_bits[s] = static_cast<std::uint32_t>(l);
+    ++s;
   }
+  for (const auto& [l, w] : g.out_arcs(v)) {
+    vertex[s] = static_cast<std::uint32_t>(v);
+    succ[s] = step_index_of(g, w, false, l);
+    nbr[s] = static_cast<std::uint32_t>(w);
+    tag[s] = kOocViewEdgeTag | (std::uint64_t{1} << 32) |
+             static_cast<std::uint32_t>(l);
+    move_bits[s] = 0x80000000u | static_cast<std::uint32_t>(l);
+    ++s;
+  }
+}
+
+StepCsr build_step_csr(const LDigraph& g) {
+  StepCsr csr;
+  csr.layout(g);
+  for (Vertex v = 0; v < g.num_vertices(); ++v) csr.fill(g, v);
   return csr;
 }
 
 void write_ooc_graph(const std::string& path, const LDigraph& g) {
-  const OocStepCsr csr = build_step_csr(g);
+  const StepCsr csr = build_step_csr(g);
   const auto n = static_cast<std::size_t>(g.num_vertices());
   const std::size_t m = g.num_arcs();
   const std::size_t steps = csr.tag.size();
@@ -349,7 +351,7 @@ const char* OocGraph::structure_error() const {
     return static_cast<std::uint64_t>(
         std::lower_bound(r.begin(), r.end(), label << 32) - r.begin());
   };
-  // What LDigraph::add_arc rejects: a repeated label on either side of a
+  // What LDigraph::from_arcs rejects: a repeated label on either side of a
   // vertex, a self-loop, or two arcs to the same target.
   std::vector<std::uint64_t> targets;
   for (std::size_t v = 0; v < n_; ++v) {
@@ -412,13 +414,15 @@ OocGraph::~OocGraph() {
 }
 
 LDigraph OocGraph::materialize() const {
-  LDigraph g(static_cast<Vertex>(n_), static_cast<Label>(alphabet_));
+  std::vector<Arc> arcs;
+  arcs.reserve(m_);
   for (std::size_t v = 0; v < n_; ++v)
     for (std::uint64_t a = out_off_[v]; a < out_off_[v + 1]; ++a)
-      g.add_arc(static_cast<Vertex>(v),
-                static_cast<Vertex>(out_arcs_[a] & 0xffffffffu),
-                static_cast<Label>(out_arcs_[a] >> 32));
-  return g;
+      arcs.push_back({static_cast<Vertex>(v),
+                      static_cast<Vertex>(out_arcs_[a] & 0xffffffffu),
+                      static_cast<Label>(out_arcs_[a] >> 32)});
+  return LDigraph::from_arcs(static_cast<Vertex>(n_),
+                             static_cast<Label>(alphabet_), std::move(arcs));
 }
 
 }  // namespace lapx::graph

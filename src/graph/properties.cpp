@@ -238,9 +238,12 @@ std::pair<LDigraph, std::vector<Vertex>> component_of(const LDigraph& d,
   index.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i)
     index[members[i]] = static_cast<Vertex>(i);
-  LDigraph sub(static_cast<Vertex>(members.size()), d.alphabet_size());
+  std::vector<Arc> arcs;
   for (const Arc& a : d.arcs())
-    if (in_comp[a.from]) sub.add_arc(index.at(a.from), index.at(a.to), a.label);
+    if (in_comp[a.from])
+      arcs.push_back({index.at(a.from), index.at(a.to), a.label});
+  LDigraph sub = LDigraph::from_arcs(static_cast<Vertex>(members.size()),
+                                     d.alphabet_size(), std::move(arcs));
   return {std::move(sub), members};
 }
 

@@ -22,19 +22,19 @@ CayleyGraph materialize_cayley(const WreathGroup& group,
     if (!seen.insert(s).second)
       throw std::invalid_argument("duplicate generator");
   }
-  CayleyGraph cg{group, generators,
-                 graph::LDigraph(static_cast<graph::Vertex>(n),
-                                 static_cast<graph::Label>(generators.size()))};
+  const auto k = static_cast<graph::Label>(generators.size());
+  std::vector<graph::Arc> arcs;
   for (std::int64_t i = 0; i < n; ++i) {
     const Elem g = group.decode(i);
-    for (std::size_t si = 0; si < generators.size(); ++si) {
+    for (graph::Label si = 0; si < k; ++si) {
       const Elem h = group.multiply(g, generators[si]);
-      cg.digraph.add_arc(static_cast<graph::Vertex>(i),
-                         static_cast<graph::Vertex>(group.encode(h)),
-                         static_cast<graph::Label>(si));
+      arcs.push_back({static_cast<graph::Vertex>(i),
+                      static_cast<graph::Vertex>(group.encode(h)), si});
     }
   }
-  return cg;
+  return {group, generators,
+          graph::LDigraph::from_arcs(static_cast<graph::Vertex>(n), k,
+                                     std::move(arcs))};
 }
 
 namespace {

@@ -58,18 +58,18 @@ std::tuple<graph::LDigraph, order::Keys, graph::Vertex> ball_by_arithmetic(
   index.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i)
     index[members[i]] = static_cast<int>(i);
-  graph::LDigraph mini(static_cast<graph::Vertex>(members.size()),
-                       static_cast<graph::Label>(gens.size()));
+  const auto k = static_cast<graph::Label>(gens.size());
+  std::vector<graph::Arc> arcs;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    for (std::size_t si = 0; si < gens.size(); ++si) {
+    for (graph::Label si = 0; si < k; ++si) {
       const Elem h = group.multiply(members[i], gens[si]);
       auto it = index.find(h);
       if (it != index.end())
-        mini.add_arc(static_cast<graph::Vertex>(i),
-                     static_cast<graph::Vertex>(it->second),
-                     static_cast<graph::Label>(si));
+        arcs.push_back({static_cast<graph::Vertex>(i), it->second, si});
     }
   }
+  auto mini = graph::LDigraph::from_arcs(
+      static_cast<graph::Vertex>(members.size()), k, std::move(arcs));
   // Cone-order ranks.
   std::vector<int> order_idx(members.size());
   std::iota(order_idx.begin(), order_idx.end(), 0);

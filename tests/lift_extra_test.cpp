@@ -27,9 +27,7 @@ TEST(ConnectedLift, ProducesConnectedCoveringMaps) {
 }
 
 TEST(ConnectedLift, RejectsTrees) {
-  LDigraph tree(3, 2);
-  tree.add_arc(0, 1, 0);
-  tree.add_arc(0, 2, 1);
+  const LDigraph tree = LDigraph::from_arcs(3, 2, {{0, 1, 0}, {0, 2, 1}});
   EXPECT_THROW(connected_lift(tree, 2), std::invalid_argument);
 }
 

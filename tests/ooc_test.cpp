@@ -41,7 +41,7 @@ using lapx::core::TypeInterner;
 using lapx::graph::LDigraph;
 using lapx::graph::OocError;
 using lapx::graph::OocGraph;
-using lapx::graph::OocStepCsr;
+using lapx::graph::StepCsr;
 using lapx::graph::Vertex;
 
 struct TempDir {
@@ -113,7 +113,7 @@ void expect_round_trip(const LDigraph& ld, const std::string& path) {
     ASSERT_TRUE(std::equal(a_in.begin(), a_in.end(), b_in.begin(), b_in.end()))
         << "in-arcs differ at vertex " << v;
   }
-  const OocStepCsr csr = lapx::graph::build_step_csr(ld);
+  const StepCsr csr = lapx::graph::build_step_csr(ld);
   const auto span_eq = [](auto span, const auto& vec) {
     return span.size() == vec.size() &&
            std::equal(span.begin(), span.end(), vec.begin());
@@ -236,8 +236,8 @@ TEST(OocFormat, TruncatedPayloadFailsClosed) {
 
 TEST(OocFormat, RepeatedOutLabelFailsClosed) {
   // Vertex 0's second out-arc takes the label of its first, with both
-  // checksums recomputed: every range check passes, but LDigraph::add_arc
-  // would reject the adjacency, so open must.
+  // checksums recomputed: every range check passes, but
+  // LDigraph::from_arcs would reject the adjacency, so open must.
   TempDir dir;
   const std::string path = dir.path + "/dup.lapxooc";
   lapx::graph::write_ooc_graph(

@@ -106,8 +106,9 @@ TEST(Order, DigraphTypesSeeLabelsAndDirections) {
   // The L-digraph type distinguishes structures the plain type cannot:
   // reversing every arc of a directed cycle flips in/out at each node.
   const auto fwd = directed_cycle(8);
-  lapx::graph::LDigraph bwd(8, 1);
-  for (int i = 0; i < 8; ++i) bwd.add_arc((i + 1) % 8, i, 0);
+  std::vector<lapx::graph::Arc> reversed;
+  for (int i = 0; i < 8; ++i) reversed.push_back({(i + 1) % 8, i, 0});
+  const auto bwd = lapx::graph::LDigraph::from_arcs(8, 1, reversed);
   const Keys keys = identity_keys(8);
   // Node 3 is an inner node in both; its plain ordered ball type matches,
   // but the digraph types differ.

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 namespace {
 
 using namespace lapx::core;
+using lapx::graph::Arc;
 using lapx::graph::directed_cycle;
 using lapx::graph::directed_torus;
 using lapx::graph::LDigraph;
@@ -76,23 +78,16 @@ TEST(Refine, HighGirthConstruction) {
 TEST(Refine, OneRegularMatching) {
   // Self-loop-free 1-regular digraph (a perfect matching of arcs): every
   // state has zero children, and root types split by arc direction.
-  LDigraph g(6, 1);
-  g.add_arc(0, 1, 0);
-  g.add_arc(2, 3, 0);
-  g.add_arc(5, 4, 0);
+  const LDigraph g =
+      LDigraph::from_arcs(6, 1, {{0, 1, 0}, {2, 3, 0}, {5, 4, 0}});
   expect_engine_matches_legacy(g, 3);
 }
 
 TEST(Refine, DisconnectedMixedComponents) {
   // A cycle, an isolated vertex, and a path-ish fragment in one graph.
-  LDigraph g(8, 2);
-  g.add_arc(0, 1, 0);
-  g.add_arc(1, 2, 0);
-  g.add_arc(2, 0, 0);
-  // vertex 3 isolated
-  g.add_arc(4, 5, 1);
-  g.add_arc(5, 6, 0);
-  g.add_arc(7, 5, 0);
+  // Vertex 3 is isolated.
+  const LDigraph g = LDigraph::from_arcs(
+      8, 2, {{0, 1, 0}, {1, 2, 0}, {2, 0, 0}, {4, 5, 1}, {5, 6, 0}, {7, 5, 0}});
   expect_engine_matches_legacy(g, 4);
 }
 
@@ -194,9 +189,7 @@ TEST(Refine, CompleteViewTypeId) {
     }
   }
   // On an irregular graph no view is complete.
-  LDigraph path(3, 1);
-  path.add_arc(0, 1, 0);
-  path.add_arc(1, 2, 0);
+  const LDigraph path = LDigraph::from_arcs(3, 1, {{0, 1, 0}, {1, 2, 0}});
   TypeInterner interner2;
   const TypeId complete = complete_view_type_id(1, 2, interner2);
   for (Vertex v = 0; v < 3; ++v)
@@ -241,32 +234,38 @@ void expect_delta_matches_scratch(RefineState& state, const LDigraph& g,
 
 // Removes two random same-label arcs and re-adds them crosswise -- a
 // degree-preserving rewiring whose only signature change is the successor
-// vertex, the subtlest kind of edit.  Falls back to remove+readd when no
-// legal cross pair exists.
+// vertex, the subtlest kind of edit -- and rebuilds `g` in place with
+// from_arcs.  The arc list changes as a remove-then-append would change
+// it: removed arcs leave, added ones go to the end.
 void random_rewire(LDigraph& g, std::mt19937_64& rng) {
   ASSERT_GT(g.arcs().size(), 1u);
+  std::vector<Arc> arcs = g.arcs();
   for (int attempt = 0; attempt < 64; ++attempt) {
-    std::uniform_int_distribution<std::size_t> pick(0, g.arcs().size() - 1);
-    const auto a = g.arcs()[pick(rng)];
-    const auto b = g.arcs()[pick(rng)];
+    std::uniform_int_distribution<std::size_t> pick(0, arcs.size() - 1);
+    const Arc a = arcs[pick(rng)];
+    const Arc b = arcs[pick(rng)];
     if (a.label != b.label) continue;
     if (a.from == b.from || a.to == b.to) continue;
     if (a.from == b.to || b.from == a.to) continue;  // would self-loop
-    g.remove_arc(a.from, a.to);
-    g.remove_arc(b.from, b.to);
+    std::erase(arcs, a);
+    std::erase(arcs, b);
     // The cross arcs cannot collide: the labels at all four endpoints were
     // just freed, and parallel arcs would have required a.from -> b.to
-    // under another label -- retry in that rare case.
-    bool parallel = false;
-    for (const auto& [l, w] : g.out_arcs(a.from)) parallel |= w == b.to;
-    for (const auto& [l, w] : g.out_arcs(b.from)) parallel |= w == a.to;
+    // under another label -- put a and b back (at the end) and retry in
+    // that rare case.
+    const bool parallel = std::ranges::any_of(arcs, [&](const Arc& c) {
+      return (c.from == a.from && c.to == b.to) ||
+             (c.from == b.from && c.to == a.to);
+    });
     if (parallel) {
-      g.add_arc(a.from, a.to, a.label);
-      g.add_arc(b.from, b.to, b.label);
+      arcs.push_back(a);
+      arcs.push_back(b);
       continue;
     }
-    g.add_arc(a.from, b.to, a.label);
-    g.add_arc(b.from, a.to, b.label);
+    arcs.push_back({a.from, b.to, a.label});
+    arcs.push_back({b.from, a.to, b.label});
+    g = LDigraph::from_arcs(g.num_vertices(), g.alphabet_size(),
+                            std::move(arcs));
     return;
   }
   FAIL() << "no legal rewire found";
@@ -332,13 +331,16 @@ TEST(RefineDelta, RemoveThenReaddRoundTrips) {
   TypeInterner interner;
   RefineState state(g0, interner, /*keep_rounds=*/true);
   const std::vector<TypeId> before = state.types_at(3);
-  LDigraph g1 = g0;
-  const auto a = g1.arcs().front();
-  g1.remove_arc(a.from, a.to);
+  const Arc a = g0.arcs().front();
+  const LDigraph g1 = LDigraph::from_arcs(
+      g0.num_vertices(), g0.alphabet_size(),
+      std::vector<Arc>(g0.arcs().begin() + 1, g0.arcs().end()));
   state.refine_delta(g1);
   expect_delta_matches_scratch(state, g1, 3, interner);
-  LDigraph g2 = g1;
-  g2.add_arc(a.from, a.to, a.label);
+  std::vector<Arc> readded = g1.arcs();
+  readded.push_back(a);
+  const LDigraph g2 =
+      LDigraph::from_arcs(g1.num_vertices(), g1.alphabet_size(), readded);
   state.refine_delta(g2);
   EXPECT_EQ(state.types_at(3), before);
 }
@@ -350,9 +352,10 @@ TEST(RefineDelta, GrowLiftTouchesOnlyNewFibres) {
   TypeInterner interner;
   RefineState state(lift.graph, interner, /*keep_rounds=*/true);
   const std::vector<TypeId> before = state.types_at(3);
-  // grow_lift mutates lift.graph in place; the state still holds a pointer
-  // to it, but refine_delta never dereferences the stale graph -- it only
-  // replays its own saved tables -- so passing the grown graph is legal.
+  // grow_lift rebuilds lift.graph into the same object; the state still
+  // holds a pointer to it, but refine_delta never dereferences the stale
+  // graph -- it only replays its own saved tables -- so passing the grown
+  // graph is legal.
   const Vertex first = lapx::graph::grow_lift(lift, base, 2, rng);
   EXPECT_EQ(first, static_cast<Vertex>(before.size()));
   const auto stats = state.refine_delta(lift.graph);
@@ -456,7 +459,7 @@ struct ThreadGuard {
 // where vertex retirement actually engages (tori go globally stable instead,
 // which the per-class fast path already short-circuits).
 LDigraph random_forest(Vertex n, int labels, std::mt19937_64& rng) {
-  LDigraph g(n, labels);
+  std::vector<Arc> arcs;
   std::vector<int> out(static_cast<std::size_t>(n), 0);  // next free port
   for (Vertex v = 1; v < n; ++v) {
     // Skew parents toward recent vertices for some depth; every ~16th
@@ -466,11 +469,11 @@ LDigraph random_forest(Vertex n, int labels, std::mt19937_64& rng) {
     for (int attempt = 0; attempt < 32; ++attempt) {
       const Vertex p = parent(rng);
       if (out[static_cast<std::size_t>(p)] >= labels) continue;  // ports full
-      g.add_arc(p, v, out[static_cast<std::size_t>(p)]++);
+      arcs.push_back({p, v, out[static_cast<std::size_t>(p)]++});
       break;
     }
   }
-  return g;
+  return LDigraph::from_arcs(n, labels, std::move(arcs));
 }
 
 std::vector<LDigraph> worklist_families() {
@@ -605,13 +608,17 @@ TEST(RefineDelta, RelabelledSpansMatchScratch) {
   state.types_at(4);
   for (int edit = 0; edit < 12; ++edit) {
     LDigraph next = g;
-    const auto a = next.arcs()[rng() % next.arcs().size()];
+    const Arc a = next.arcs()[rng() % next.arcs().size()];
     for (lapx::graph::Label l = 0; l < next.alphabet_size(); ++l) {
       if (l == a.label || next.out_neighbor(a.from, l) ||
           next.in_neighbor(a.to, l))
         continue;
-      next.remove_arc(a.from, a.to);
-      next.add_arc(a.from, a.to, l);
+      // Remove a, then append it relabelled.
+      std::vector<Arc> arcs = next.arcs();
+      std::erase(arcs, a);
+      arcs.push_back({a.from, a.to, l});
+      next = LDigraph::from_arcs(next.num_vertices(), next.alphabet_size(),
+                                 std::move(arcs));
       break;
     }
     state.refine_delta(next);

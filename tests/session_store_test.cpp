@@ -121,6 +121,13 @@ TEST(SessionStore, ContentHexIsPinned) {
   EXPECT_EQ(entry->content_hex(), "91873099f584ee33");
   EXPECT_EQ(entry->content_id(),
             "ebebcf178b5e846031498d57ae801aa11cae0b05e663540a579cba4728cdde09");
+  // A lift also pins LDigraph::arcs() order: random_lift draws one
+  // permutation per base arc in that order, and underlying_graph() numbers
+  // the lifted edges in it.
+  const auto lift = store.put("lift", lapx::graph::lifted_torus(3, 3, 40, 7));
+  EXPECT_EQ(lift->content_hex(), "4b859612796eafaf");
+  EXPECT_EQ(lift->content_id(),
+            "287ad27d0ffa665faf70ff4572df7e9c27c74f28a688429f0764b4058523edf7");
 }
 
 TEST(SessionStore, PutAndMutateAddNoInternerIds) {

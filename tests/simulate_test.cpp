@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <random>
 
 #include "lapx/algorithms/oi.hpp"
@@ -14,6 +13,7 @@
 #include "lapx/graph/lift.hpp"
 #include "lapx/graph/properties.hpp"
 #include "lapx/group/homogeneous.hpp"
+#include "lapx/order/homogeneity.hpp"
 #include "lapx/problems/exact.hpp"
 #include "lapx/problems/problem.hpp"
 
@@ -24,12 +24,7 @@ using lapx::graph::directed_cycle;
 using lapx::graph::directed_torus;
 using lapx::graph::LDigraph;
 using lapx::order::Keys;
-
-Keys identity_keys(int n) {
-  Keys keys(n);
-  std::iota(keys.begin(), keys.end(), 0);
-  return keys;
-}
+using lapx::order::identity_keys;
 
 TEST(TStar, SizeMatchesCompleteTree) {
   EXPECT_EQ(TStarOrder::abelian(1, 3).size(), complete_tree_size(1, 3));

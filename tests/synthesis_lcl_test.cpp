@@ -63,12 +63,12 @@ TEST(Synthesis, MixedOrientationsEnlargeTheSpace) {
   // An alternating-orientation cycle has several view types; the
   // synthesizer explores the larger space and can only do better.
   std::vector<graph::LDigraph> instances{graph::directed_cycle(12)};
-  graph::LDigraph alternating(12, 2);
+  std::vector<graph::Arc> arcs;
   for (int i = 0; i < 12; i += 2) {
-    alternating.add_arc(i, (i + 1) % 12, 0);
-    alternating.add_arc((i + 2) % 12, (i + 1) % 12, 1);
+    arcs.push_back({i, (i + 1) % 12, 0});
+    arcs.push_back({(i + 2) % 12, (i + 1) % 12, 1});
   }
-  instances.push_back(alternating);
+  instances.push_back(graph::LDigraph::from_arcs(12, 2, arcs));
   const auto mixed = core::synthesize_po_vertex(problems::vertex_cover(),
                                                 instances, 1);
   EXPECT_GE(mixed.view_types.size(), 3u);

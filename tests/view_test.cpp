@@ -99,14 +99,9 @@ TEST(View, LiftInvariance) {
 TEST(View, DistinguishesOrientationPatterns) {
   // Two cycles with different orientation patterns have different views.
   const LDigraph consistent = directed_cycle(6);
-  LDigraph alternating(6, 2);
   // Arcs 0->1, 2->1, 2->3, 4->3, 4->5, 0->5: alternating orientation.
-  alternating.add_arc(0, 1, 0);
-  alternating.add_arc(2, 1, 1);
-  alternating.add_arc(2, 3, 0);
-  alternating.add_arc(4, 3, 1);
-  alternating.add_arc(4, 5, 0);
-  alternating.add_arc(0, 5, 1);
+  const LDigraph alternating = LDigraph::from_arcs(
+      6, 2, {{0, 1, 0}, {2, 1, 1}, {2, 3, 0}, {4, 3, 1}, {4, 5, 0}, {0, 5, 1}});
   EXPECT_NE(view_type(view(consistent, 0, 2)),
             view_type(view(alternating, 0, 2)));
 }

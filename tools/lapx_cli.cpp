@@ -309,7 +309,7 @@ int cmd_graph_convert(int argc, char** argv) {
             "graph-convert: round-trip adjacency mismatch at vertex " +
             std::to_string(v));
     }
-    const graph::OocStepCsr steps = graph::build_step_csr(ld);
+    const graph::StepCsr steps = graph::build_step_csr(ld);
     auto span_eq = [](auto span, const auto& vec) {
       return span.size() == vec.size() &&
              std::equal(span.begin(), span.end(), vec.begin());
