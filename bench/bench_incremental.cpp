@@ -106,9 +106,9 @@ void toggle_arc(LDigraph& g, const Arc& arc, bool healing) {
 // same (warm) interner.  Warmth is symmetric: both paths see an interner
 // that already holds every type of the unedited graph, so the ratio
 // isolates the frontier restriction rather than hash-table cold-start.
-// The first cut/heal pair is an untimed warm-up (it populates the delta
-// path's reusable scratch generations) and the timed edits are summarized
-// by their medians, so one scheduler hiccup cannot flip the gated ratio.
+// The first cut/heal pair is an untimed warm-up (it faults in the pages
+// of the derived state's tables) and the timed edits are summarized by
+// their medians, so one scheduler hiccup cannot flip the gated ratio.
 EditTrialResult run_edit_trial(LDigraph g, int radius, int pairs,
                                std::uint64_t seed) {
   EditTrialResult out;
@@ -316,23 +316,21 @@ bool same_digraph(const LDigraph& a, const LDigraph& b) {
   return true;
 }
 
-// The stages of one write, in the order SessionStore::mutate runs them,
-// then the homogeneity r=1 requery, from scratch and from the forked
-// classes (copy, ball frontier, re-type, report); medians in ms over the
-// edits.
+// The stages of one write, in the order SessionStore::mutate runs them
+// (derive: the child RefineState from its parent's), then the homogeneity
+// r=1 requery, from scratch and from the forked classes (copy, ball
+// frontier, re-type, report); medians in ms over the edits.
 enum Stage {
   kCopy,
   kHash,
   kLDigraph,
-  kFork,
-  kDelta,
+  kDerive,
   kHomogeneity,
   kHomogeneityFork,
   kStages
 };
 constexpr const char* kStageNames[kStages] = {
-    "copy", "hash", "ldigraph", "fork", "delta", "homogeneity",
-    "homogeneity-fork"};
+    "copy", "hash", "ldigraph", "derive", "homogeneity", "homogeneity-fork"};
 
 struct WritePathResult {
   lapx::graph::Vertex n = 0;
@@ -388,9 +386,10 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
     timed(kLDigraph, [&] {
       next_ld = std::make_unique<LDigraph>(lapx::graph::to_ldigraph(next));
     });
-    std::unique_ptr<RefineState> forked;
-    timed(kFork, [&] { forked = std::make_unique<RefineState>(state); });
-    timed(kDelta, [&] { forked->refine_delta(*next_ld); });
+    std::unique_ptr<RefineState> derived;
+    timed(kDerive, [&] {
+      derived = std::make_unique<RefineState>(state, *next_ld);
+    });
     lapx::order::HomogeneityReport scratch, forked_report;
     timed(kHomogeneity, [&] {
       scratch = lapx::order::measure_homogeneity(next, keys, 1);
@@ -413,7 +412,7 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
     out.hashes_match_store = out.hashes_match_store && entry &&
                              entry->content_hex() == fnv &&
                              entry->content_id() == blake;
-    state = std::move(*forked);
+    state = std::move(*derived);
     classes = std::move(*forked_classes);
     ld = std::move(next_ld);
     g = std::move(next);
@@ -431,15 +430,15 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
 
 void print_write_path_table() {
   print_header("E18c write path, stage by stage: copy, content hash, "
-               "to_ldigraph, fork, delta, homogeneity r=1 from scratch and "
+               "to_ldigraph, derive, homogeneity r=1 from scratch and "
                "forked",
                "a view changes only within radius r of an edit, so only the "
                "content hash (FNV-1a and BLAKE2b over the whole text) must "
                "scale with n; the other stages are O(n) today, except the "
                "forked homogeneity, which re-types the ball frontier only");
   constexpr int kEdits = 20;
-  print_row({"n", "arcs", "copy ms", "hash ms", "to_ldigraph ms", "fork ms",
-             "delta ms", "homog. r=1 ms", "homog. fork ms"});
+  print_row({"n", "arcs", "copy ms", "hash ms", "to_ldigraph ms",
+             "derive ms", "homog. r=1 ms", "homog. fork ms"});
   std::vector<WritePathResult> results;
   for (const int layers : {1000, 10000}) {
     const WritePathResult& r =

@@ -30,11 +30,12 @@
 // vertex none of whose neighbours changed last round reproduces its tuples
 // bitwise) and the next round's active set is the neighbours of the
 // vertices that changed; the first round, and every round with all
-// vertices active, is the full recurrence.  A delta (refine_delta) is the
-// same rounds 1..r replayed against the tables kept before a graph edit:
-// the active set starts at the dirty (signature-changed) vertices and adds
-// each round the neighbours of any vertex whose T_i differs from the kept
-// one, so the frontier stops where types stop changing.
+// vertices active, is the full recurrence.  Deriving the state of an
+// edited graph from its parent's is the same rounds 1..r replayed against
+// the parent's kept tables: the active set starts at the dirty
+// (signature-changed) vertices and adds each round the neighbours of any
+// vertex whose T_i differs from the parent's, so the frontier stops where
+// types stop changing.
 //
 // Determinism: each round runs the interner's two-phase batch pattern.
 // Phase A resolves the active spans' edge nodes, root bodies and state
@@ -44,7 +45,7 @@
 // only types already present, and a retired span's tuples were interned
 // when it was last active, so fresh TypeIds land in the order a fully
 // serial pass would produce -- they depend only on the graph (and, for a
-// delta, on the kept state), never on LAPX_THREADS.
+// derived state, on the parent), never on LAPX_THREADS.
 // Round-local deduplication rides on the ids themselves (the interner is
 // injective on the serialized tuple), via open-addressed id maps sized by
 // the ids a round holds, never by the interner.
@@ -72,11 +73,22 @@ namespace lapx::core {
 
 /// Persistent whole-graph view typing: advances radius by radius, keeping
 /// the root types of every radius computed so far, and (with keep_rounds)
-/// every round's edge-state table so the refinement survives graph edits
-/// via refine_delta.  Copyable; a copy forks the state (session epochs
-/// clone it, then refine_delta the clone against the mutated graph).
+/// every round's edge-state table, from which a state for an edited graph
+/// is derived (session epochs derive each successor from their own state).
 class RefineState {
  public:
+  /// What one derivation did (instrumentation; not part of any
+  /// deterministic response -- frontier sizes depend on the computed
+  /// radius, which depends on query history).
+  struct DeltaStats {
+    std::size_t dirty_vertices = 0;  ///< signature-changed seed set
+    /// Active set of the last replayed round (0 when none replays).
+    std::size_t frontier_vertices = 0;
+    std::size_t total_vertices = 0;
+    int rounds = 0;             ///< rounds replayed (the parent's radius)
+    bool full_rebuild = false;  ///< shrunk graph: state rebuilt from scratch
+  };
+
   explicit RefineState(const LDigraph& g,
                        TypeInterner& interner = TypeInterner::global(),
                        bool keep_rounds = false);
@@ -87,16 +99,34 @@ class RefineState {
   /// (they are clean, so it reclaims them under pressure).  TypeIds are
   /// identical to the in-memory constructor against the same interner
   /// (the writer persists the StepCsr the in-memory constructor builds,
-  /// through the same layout and fill).  Rounds are not kept, so
-  /// refine_delta is unavailable; `g` must outlive the state.
+  /// through the same layout and fill).  Rounds are not kept, so nothing
+  /// derives from it; `g` must outlive the state.
   explicit RefineState(const graph::OocGraph& g,
                        TypeInterner& interner = TypeInterner::global());
+
+  /// Derives the state of `g`, an edit of the parent's graph, from
+  /// `parent` (which must keep rounds; the child keeps them too).  Clean
+  /// step spans (incident-arc signature unchanged) copy from the parent's
+  /// CSR and kept tables, dirty ones refill from `g`, and rounds
+  /// 1..parent.radius() replay through the round kernel against the
+  /// parent's tables: round i recomputes the dirty vertices and the
+  /// neighbours of every vertex whose round-(i-1) states differ from the
+  /// parent's.  types_at(r) for every r <= parent.radius() then equals
+  /// RefineState(g).types_at(r) -- identical TypeIds, same interner.
+  /// Neither writes the parent nor reads the parent's graph, so the
+  /// parent's graph may already be gone.  Vertex ids must be stable
+  /// across the edit (append-only growth is fine; a shrink refines `g`
+  /// from scratch).  Throws std::logic_error when the parent keeps no
+  /// rounds.
+  RefineState(const RefineState& parent, const LDigraph& g,
+              DeltaStats* stats = nullptr);
 
   /// types[v] == view_type_id(view(g, v, radius)) for every vertex v.
   /// Advances the refinement as needed; earlier radii stay cached.
   const std::vector<TypeId>& types_at(int radius);
 
-  /// Number of distinct radius-`radius` root types (advances as needed).
+  /// Number of distinct radius-`radius` root types (advances as needed;
+  /// sorts a copy of types_at(radius) on every call).
   std::size_t distinct_at(int radius);
 
   /// Largest radius computed so far (-1 before the first types_at call).
@@ -108,32 +138,11 @@ class RefineState {
   /// True once the state partition stopped splitting.
   bool stable() const { return states_stable_; }
 
-  /// True when per-round tables are retained, i.e. refine_delta is legal.
+  /// True when per-round tables are retained, i.e. a state may derive
+  /// from this one.
   bool keeps_rounds() const { return keep_rounds_; }
 
-  /// What one refine_delta pass did (instrumentation; not part of any
-  /// deterministic response -- frontier sizes depend on the computed
-  /// radius, which depends on query history).
-  struct DeltaStats {
-    std::size_t dirty_vertices = 0;  ///< signature-changed seed set
-    /// Active set of the last replayed round (0 when none replays).
-    std::size_t frontier_vertices = 0;
-    std::size_t total_vertices = 0;
-    int rounds = 0;             ///< rounds replayed (the computed radius)
-    bool full_rebuild = false;  ///< shrunk graph: state rebuilt from scratch
-  };
-
-  /// Re-binds the state to `g` (the edited graph) and replays rounds
-  /// 1..radius() through the round kernel against the kept tables: round
-  /// i recomputes the dirty vertices (incident-arc signature changed) and
-  /// the neighbours of every vertex whose round-(i-1) states differ from
-  /// the kept ones; every other span keeps its kept value.  After the
-  /// call, types_at(r) for every previously computed r equals what a
-  /// from-scratch RefineState(g).types_at(r) would return -- identical
-  /// TypeIds, same interner.  Requires keep_rounds; `g` must
-  /// outlive the state (or the next refine_delta).  Vertex ids must be
-  /// stable across the edit (append-only growth is fine; shrinking falls
-  /// back to a full rebuild).
+  /// In place: *this = RefineState(*this, g, &stats).
   DeltaStats refine_delta(const LDigraph& g);
 
  private:
@@ -180,18 +189,16 @@ class RefineState {
     std::size_t size_ = 0;
   };
 
-  void init_round0();  // (re)start at radius 0: constructors, refine_delta
+  void init_round0();  // start at radius 0 (every constructor)
   void advance();      // one forward round: radius() + 1
   // The round kernel: rewrites the active spans of `out` (T_radius) from
   // `in` (T_{radius-1}) and their roots in `roots`, and lists in changed_
   // the active vertices whose span differs from the kept values
   // base[base_off[v] + k] (kNone: none kept).  A forward round types
-  // every root and returns the distinct count; a replay (refine_delta)
-  // types only the active roots.
-  std::size_t run_round(int radius, const TypeId* in, TypeId* out,
-                        const TypeId* base,
-                        std::span<const std::uint32_t> base_off,
-                        std::vector<TypeId>& roots, bool replay);
+  // every root; a replay (a derivation) types only the active roots.
+  void run_round(int radius, const TypeId* in, TypeId* out, const TypeId* base,
+                 std::span<const std::uint32_t> base_off,
+                 std::vector<TypeId>& roots, bool replay);
   // The next round's active set: `seed` plus the neighbours of changed_.
   void schedule(std::span<const std::uint32_t> seed);
   // f(v) for every active vertex v, in ascending order.
@@ -217,13 +224,12 @@ class RefineState {
                 : std::span<const std::uint64_t>(steps_.tag);
   }
 
-  const LDigraph* g_ = nullptr;
   const graph::OocGraph* ooc_ = nullptr;  // streaming mode; else nullptr
   graph::Vertex n_ = 0;                   // vertex count of the bound graph
   TypeInterner* interner_;
   bool keep_rounds_ = false;
 
-  // The non-backtracking steps of *g_ (empty in streaming mode).
+  // The non-backtracking steps of the graph (empty in streaming mode).
   graph::StepCsr steps_;
 
   // State types of the previous / current round (indexed by step).
@@ -234,8 +240,8 @@ class RefineState {
   // Edge memo: when edge_ids_[j] != kNoType it is the id of the node
   // (steps_.tag[j], edge_sub_[j]).  TypeIds are permanent, so the pair
   // stays valid across rounds; Phase A re-probes step j only when the
-  // successor state differs from edge_sub_[j].  Rebuilds that change what
-  // step j means (init_round0, refine_delta) reset the memo to kNoType.
+  // successor state differs from edge_sub_[j].  init_round0 starts the
+  // memo at kNoType.
   std::vector<TypeId> edge_sub_;
 
   // Phase B scratch: round-local dedup of serially interned nodes.  The
@@ -264,14 +270,13 @@ class RefineState {
   bool roots_stable_ = false;
 
   std::vector<std::vector<TypeId>> roots_;  // per radius, per vertex
-  std::vector<std::size_t> root_distinct_;  // per radius
 
   // Only with keep_rounds: round_states_[i][s] = T_i[s], i = 0..radius().
   std::vector<std::vector<TypeId>> round_states_;
 
   // Round scheduling.  active_ lists the next round's vertices in
   // ascending order unless all_active_, which holds while the tracking is
-  // unseeded (round 1, after refine_delta) and once the partition is
+  // unseeded (round 1, after a derivation) and once the partition is
   // stable.  all_active_only_ keeps every round all-active: the dense
   // reference the retirement is checked against (RefineTestPeer).
   std::vector<std::uint32_t> active_;
@@ -281,7 +286,7 @@ class RefineState {
   bool all_active_ = true;
   bool all_active_only_ = false;
 
-  // Round-local id maps, empty between rounds (so a fork copies nothing
+  // Round-local id maps, empty between rounds (so a copy carries nothing
   // of them): the root pass maps each distinct body id to its class, and
   // the stable labelling maps each state id to its class.
   IdMap body_map_;
@@ -291,13 +296,6 @@ class RefineState {
   // full round recounts it; a partial round patches it at changed steps,
   // O(active) instead of O(steps).  Empty whenever the next round is full.
   IdMap state_count_;
-
-  // refine_delta scratch: the retired CSR + round tables of the previous
-  // generation.  Swapped, never freed -- a steady-state session alternates
-  // between two generations of buffers, so a delta pass allocates nothing
-  // after the first call.
-  graph::StepCsr scratch_steps_;
-  std::vector<std::vector<TypeId>> scratch_rounds_;
 };
 
 /// Test-only peer: while on, every round of `state` runs with all

@@ -13,11 +13,6 @@ namespace lapx::core {
 
 namespace {
 
-// root_distinct_ sentinel: refine_delta defers the per-round distinct-root
-// count to the first distinct_at call (counting is O(n log n), the delta
-// itself only O(frontier)).
-constexpr std::size_t kDistinctUnknown = static_cast<std::size_t>(-1);
-
 // "None" for a step index or offset: in base_off, a span with no kept
 // counterpart (its step layout changed, or it is new), which therefore
 // always counts as changed; as a skipped step, none.
@@ -120,10 +115,7 @@ void RefineState::IdMap::erase(TypeId key) {
 
 RefineState::RefineState(const LDigraph& g, TypeInterner& interner,
                          bool keep_rounds)
-    : g_(&g),
-      n_(g.num_vertices()),
-      interner_(&interner),
-      keep_rounds_(keep_rounds) {
+    : n_(g.num_vertices()), interner_(&interner), keep_rounds_(keep_rounds) {
   steps_.layout(g);
   runtime::parallel_for(g.num_vertices(), [&](std::int64_t v) {
     steps_.fill(g, static_cast<Vertex>(v));
@@ -141,8 +133,7 @@ RefineState::RefineState(const graph::OocGraph& g, TypeInterner& interner)
 void RefineState::init_round0() {
   const std::size_t steps = off_span()[static_cast<std::size_t>(n_)];
 
-  // Round 0: every state is the empty node -- one class.  The partition
-  // and the edge memo start over (refine_delta restarts here too).
+  // Round 0: every state is the empty node -- one class.
   const TypeId empty = interner_->intern_node(type_tag::kViewNode, nullptr, 0);
   t_prev_.assign(steps, empty);
   t_cur_.resize(steps);
@@ -158,7 +149,6 @@ void RefineState::init_round0() {
       interner_->intern_node(type_tag::kViewRoot | 0u, &empty, 1);
   roots_.resize(1);
   roots_[0].assign(static_cast<std::size_t>(n_), root0);
-  root_distinct_.assign(1, n_ ? 1 : 0);
   root_class_.resize(static_cast<std::size_t>(n_));
   all_active_ = true;  // the tracking seeds itself on the first round
   if (keep_rounds_) round_states_.assign(1, t_prev_);
@@ -169,9 +159,8 @@ void RefineState::advance() {
   // Retired spans carry last round's values; the kernel rewrites the rest.
   if (!all_active_) std::copy(t_prev_.begin(), t_prev_.end(), t_cur_.begin());
   std::vector<TypeId> roots(static_cast<std::size_t>(n_));
-  root_distinct_.push_back(run_round(radius() + 1, t_prev_.data(),
-                                     t_cur_.data(), t_prev_.data(),
-                                     off_span(), roots, /*replay=*/false));
+  run_round(radius() + 1, t_prev_.data(), t_cur_.data(), t_prev_.data(),
+            off_span(), roots, /*replay=*/false);
   roots_.push_back(std::move(roots));
 
   if (!states_were_stable) {
@@ -228,10 +217,10 @@ void RefineState::for_active(const F& f) const {
   }
 }
 
-std::size_t RefineState::run_round(int radius, const TypeId* in, TypeId* out,
-                                   const TypeId* base,
-                                   std::span<const std::uint32_t> base_off,
-                                   std::vector<TypeId>& roots, bool replay) {
+void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
+                            const TypeId* base,
+                            std::span<const std::uint32_t> base_off,
+                            std::vector<TypeId>& roots, bool replay) {
   TypeInterner& interner = *interner_;
   const Vertex n = n_;
   // One code path for both modes: locals over the owned vectors or over
@@ -490,7 +479,6 @@ std::size_t RefineState::run_round(int radius, const TypeId* in, TypeId* out,
       if (changed) changed_.push_back(static_cast<std::uint32_t>(v));
     });
   }
-  return class_type.size();
 }
 
 void RefineState::schedule(std::span<const std::uint32_t> seed) {
@@ -527,69 +515,35 @@ const std::vector<TypeId>& RefineState::types_at(int radius) {
 }
 
 std::size_t RefineState::distinct_at(int radius) {
-  types_at(radius);
-  std::size_t& d = root_distinct_[static_cast<std::size_t>(radius)];
-  if (d == kDistinctUnknown) {
-    // Deferred by refine_delta: counting costs O(n log n) per round while a
-    // delta pass touches only the frontier, so the count is reconstructed
-    // here on first demand.
-    std::vector<TypeId> sorted(roots_[static_cast<std::size_t>(radius)]);
-    std::sort(sorted.begin(), sorted.end());
-    d = static_cast<std::size_t>(
-        std::unique(sorted.begin(), sorted.end()) - sorted.begin());
-  }
-  return d;
+  std::vector<TypeId> sorted(types_at(radius));
+  std::sort(sorted.begin(), sorted.end());
+  return static_cast<std::size_t>(
+      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
 }
 
-RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
-  if (!keep_rounds_)
+RefineState::RefineState(const RefineState& parent, const LDigraph& g,
+                         DeltaStats* stats)
+    : n_(g.num_vertices()), interner_(parent.interner_), keep_rounds_(true) {
+  if (!parent.keep_rounds_)
     throw std::logic_error(
-        "refine_delta requires a RefineState built with keep_rounds");
-  const int max_r = radius();  // >= 0 always (radius 0 exists from birth)
-  const auto old_n = static_cast<Vertex>(steps_.off.size()) - 1;
-  DeltaStats stats;
-  stats.rounds = max_r;
-  stats.total_vertices = static_cast<std::size_t>(g.num_vertices());
-  if (g.num_vertices() < old_n) {
-    // Vertex removal shifts ids; nothing transplants.  Rebuild wholesale.
-    RefineState fresh(g, *interner_, /*keep_rounds=*/true);
-    fresh.types_at(max_r);
-    *this = std::move(fresh);
-    stats.full_rebuild = true;
-    stats.dirty_vertices = stats.total_vertices;
-    stats.frontier_vertices = stats.total_vertices;
-    return stats;
+        "deriving a RefineState requires a parent built with keep_rounds");
+  const int max_r = parent.radius();  // >= 0 always (radius 0 from birth)
+  const Vertex old_n = parent.n_;
+  DeltaStats local;
+  DeltaStats& st = stats ? *stats : local;
+  st = DeltaStats{};
+  st.rounds = max_r;
+  st.total_vertices = static_cast<std::size_t>(n_);
+  if (n_ < old_n) {
+    // Vertex removal shifts ids; nothing carries over.  Refine from scratch.
+    *this = RefineState(g, *interner_, /*keep_rounds=*/true);
+    types_at(max_r);
+    st.full_rebuild = true;
+    st.dirty_vertices = st.frontier_vertices = st.total_vertices;
+    return;
   }
 
-  // Retire the old CSR and tables into member scratch.  Swapping (rather
-  // than freeing) matters: the large-lift tables are mmap-sized, and a
-  // malloc/munmap cycle per edit costs as much as the refinement itself.
-  // The new CSR is PATCHED, not rebuilt: a delta pass must not pay a full
-  // O(steps) fill, with its label scans, for an edit that touched a
-  // handful of vertices.
-  std::swap(scratch_steps_, steps_);
-  scratch_rounds_.swap(round_states_);
-  const std::vector<std::uint32_t>& old_off = scratch_steps_.off;
-  const std::vector<std::uint32_t>& old_vertex = scratch_steps_.vertex;
-  const std::vector<std::uint32_t>& old_succ = scratch_steps_.succ;
-  const std::vector<std::uint32_t>& old_nbr = scratch_steps_.nbr;
-  const std::vector<std::uint32_t>& old_move = scratch_steps_.move_bits;
-  const std::vector<std::uint64_t>& old_tag = scratch_steps_.tag;
-  std::vector<std::vector<TypeId>>& old_rounds = scratch_rounds_;
-  // round_states_ now holds the husks from two generations ago -- their
-  // capacity seeds this generation's tables.
-  std::vector<std::vector<TypeId>> spare = std::move(round_states_);
-  round_states_.clear();
-  auto take_spare = [&spare]() {
-    std::vector<TypeId> buf;
-    if (!spare.empty()) {
-      buf = std::move(spare.back());
-      spare.pop_back();
-    }
-    return buf;
-  };
-  g_ = &g;
-  n_ = g.num_vertices();
+  const graph::StepCsr& old = parent.steps_;
   const Vertex n = n_;
   steps_.layout(g);
   const std::vector<std::uint32_t>& step_off = steps_.off;
@@ -598,148 +552,121 @@ RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   // Seed: a vertex is dirty when its incident-step SIGNATURE changed --
   // the per-span sequence of (move bits, successor vertex) pairs, compared
   // straight off the adjacency in the same (outgoing, label) enumeration
-  // order StepCsr::fill uses.  T_1 is a pure function of the
-  // signature, and the signature also pins the identity of every successor
-  // state, so a clean vertex's old table values transplant verbatim.
-  // Serial on purpose: the whole scan is ~one pass over the adjacency, and
-  // the pool's wake/barrier costs more than the scan itself at this size.
+  // order StepCsr::fill uses.  T_1 is a pure function of the signature,
+  // and the signature also pins the identity of every successor state, so
+  // a clean vertex's parent table values carry over verbatim.  Serial on
+  // purpose: the whole scan is ~one pass over the adjacency, and the
+  // pool's wake/barrier costs more than the scan itself at this size.
   std::vector<std::uint32_t> dirty;
   const auto same_arcs = [&](const auto& arcs, std::uint32_t out_bit,
                              std::uint32_t& k) {
     for (const auto& [l, w] : arcs)
-      if (old_move[k] != (out_bit | static_cast<std::uint32_t>(l)) ||
-          old_nbr[k++] != static_cast<std::uint32_t>(w))
+      if (old.move_bits[k] != (out_bit | static_cast<std::uint32_t>(l)) ||
+          old.nbr[k++] != static_cast<std::uint32_t>(w))
         return false;
     return true;
   };
   for (Vertex v = 0; v < n; ++v) {
-    std::uint32_t k = v < old_n ? old_off[v] : 0;
+    std::uint32_t k = v < old_n ? old.off[v] : 0;
     const bool same =
         v < old_n &&
-        step_off[v + 1] - step_off[v] == old_off[v + 1] - old_off[v] &&
+        step_off[v + 1] - step_off[v] == old.off[v + 1] - old.off[v] &&
         same_arcs(g.in_arcs(v), 0, k) &&
         same_arcs(g.out_arcs(v), 0x80000000u, k);
     if (!same) dirty.push_back(static_cast<std::uint32_t>(v));
   }
-  stats.dirty_vertices = dirty.size();
+  st.dirty_vertices = dirty.size();
 
-  // Clean spans move in block copies: within a run of clean vertices the
-  // old-vs-new offset delta is constant, because degrees change only at
-  // signature-changed vertices.  f(lo, old_lo, len) per maximal run.
+  // Clean spans copy in blocks: within a run of clean vertices the
+  // parent-vs-child offset delta is constant, because degrees change only
+  // at signature-changed vertices.  f(lo, old_lo, len) per maximal run.
   const auto clean_runs = [&](const auto& f) {
     Vertex run_start = 0;
     for (std::size_t di = 0; di <= dirty.size(); ++di) {
       const Vertex stop =
           di < dirty.size() ? static_cast<Vertex>(dirty[di]) : n;
       if (run_start < stop)  // all clean => every vertex < old_n
-        f(step_off[run_start], old_off[run_start],
+        f(step_off[run_start], old.off[run_start],
           step_off[stop] - step_off[run_start]);
       if (di < dirty.size()) run_start = static_cast<Vertex>(dirty[di]) + 1;
     }
   };
 
-  // Patch the CSR.  Dirty spans refill from scratch; clean spans block-copy.
+  // The CSR: dirty spans fill from g, clean spans copy from the parent.
   for (const std::uint32_t v : dirty) steps_.fill(g, static_cast<Vertex>(v));
-
   // Kept values: a clean span, or a dirty one whose step layout (its move
-  // sequence) survived the edit, keeps its old tables at old_at[v]; any
+  // sequence) survived the edit, has the parent's tables at old_at[v]; any
   // other span has none (kNone) and counts as changed every round.
   std::vector<std::uint32_t> old_at(static_cast<std::size_t>(n), kNone);
-  std::copy(old_off.begin(), old_off.begin() + std::min(n, old_n),
-            old_at.begin());
+  std::copy(old.off.begin(), old.off.begin() + old_n, old_at.begin());
   for (const std::uint32_t v : dirty) {
     const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
     if (v >= static_cast<std::uint32_t>(old_n) ||
-        hi - lo != old_off[v + 1] - old_off[v] ||
+        hi - lo != old.off[v + 1] - old.off[v] ||
         !std::equal(steps_.move_bits.begin() + lo,
                     steps_.move_bits.begin() + hi,
-                    old_move.begin() + old_off[v]))
+                    old.move_bits.begin() + old.off[v]))
       old_at[v] = kNone;
   }
   // A clean step's successor index shifts by its target span's offset
   // delta -- unless the target's layout changed and may have reordered its
   // span, which costs one label scan.
   clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
-    std::copy_n(old_vertex.begin() + olo, len, steps_.vertex.begin() + lo);
-    std::copy_n(old_nbr.begin() + olo, len, steps_.nbr.begin() + lo);
-    std::copy_n(old_move.begin() + olo, len, steps_.move_bits.begin() + lo);
-    std::copy_n(old_tag.begin() + olo, len, steps_.tag.begin() + lo);
+    std::copy_n(old.vertex.begin() + olo, len, steps_.vertex.begin() + lo);
+    std::copy_n(old.nbr.begin() + olo, len, steps_.nbr.begin() + lo);
+    std::copy_n(old.move_bits.begin() + olo, len,
+                steps_.move_bits.begin() + lo);
+    std::copy_n(old.tag.begin() + olo, len, steps_.tag.begin() + lo);
     for (std::uint32_t j = 0; j < len; ++j) {
-      const auto w = static_cast<Vertex>(old_nbr[olo + j]);
-      const std::uint32_t mb = old_move[olo + j];
+      const auto w = static_cast<Vertex>(old.nbr[olo + j]);
+      const std::uint32_t mb = old.move_bits[olo + j];
       const auto label = static_cast<graph::Label>(mb & 0x7fffffffu);
       steps_.succ[lo + j] =
           old_at[static_cast<std::size_t>(w)] == kNone
               ? steps_.step_index_of(g, w, (mb & 0x80000000u) == 0, label)
-              : old_succ[olo + j] - old_off[w] + step_off[w];
+              : old.succ[olo + j] - old.off[w] + step_off[w];
     }
   });
 
-  // A kept table whose span sizes all survived moves into the new
-  // generation whole; otherwise its clean spans block-copy.  Dirty spans
-  // are stale either way, but dirty vertices are active in every round:
-  // the kernel rewrites them.
-  const bool same_layout = old_off == step_off;
-  const auto transplant =
-      [&](std::vector<TypeId>& old_t) -> std::vector<TypeId> {
-    if (same_layout) return std::move(old_t);
-    std::vector<TypeId> t = take_spare();
-    t.resize(steps);
-    clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
-      std::copy_n(old_t.begin() + olo, len, t.begin() + lo);
-    });
-    return t;
-  };
-
-  // Restart at round 0 (the partitions may have split or merged, and the
-  // delta relabelled steps under the edge memo), reusing the old buffers.
-  std::vector<std::vector<TypeId>> old_roots;
-  old_roots.swap(roots_);
-  roots_.push_back(std::move(old_roots[0]));
-  round_states_.push_back(take_spare());
+  // Rounds 1..max_r through the kernel.  Each table starts from the
+  // parent's clean spans; its dirty spans are stale, but dirty vertices
+  // are active in every round, so the kernel rewrites them.  Round 1
+  // recomputes the dirty vertices (T_0 is uniform, so nothing else can
+  // differ); each later round adds the neighbours of every vertex whose
+  // states differ from the parent's.  Phase B interns in ascending vertex
+  // order, so fresh ids are thread-count-independent, and hash-consing
+  // makes them the ids a from-scratch refine finds.
   init_round0();
-
-  // Rounds 1..max_r through the kernel.  Round 1 recomputes the dirty
-  // vertices (T_0 is uniform, so nothing else can differ); each later
-  // round adds the neighbours of every vertex whose states differ from
-  // the kept ones.  Phase B interns in ascending vertex order, so fresh
-  // ids are thread-count-independent, and hash-consing makes them the
-  // ids a from-scratch refine finds.
-  // The kernel compares each active span with its kept values, which the
-  // transplant moves or overwrites: stash them first, O(active) per round.
-  std::vector<TypeId> kept;
-  std::vector<std::uint32_t> kept_off(static_cast<std::size_t>(n), kNone);
   active_ = dirty;
   all_active_ = active_.size() == static_cast<std::size_t>(n);
   for (int i = 1; i <= max_r; ++i) {
-    std::vector<TypeId>& old_t = old_rounds[static_cast<std::size_t>(i)];
-    kept.clear();
-    for_active([&](Vertex v) {
-      const std::uint32_t at = old_at[static_cast<std::size_t>(v)];
-      kept_off[static_cast<std::size_t>(v)] =
-          at == kNone ? kNone : static_cast<std::uint32_t>(kept.size());
-      if (at != kNone)
-        kept.insert(kept.end(), old_t.begin() + at,
-                    old_t.begin() + at + (step_off[v + 1] - step_off[v]));
+    const std::vector<TypeId>& kept =
+        parent.round_states_[static_cast<std::size_t>(i)];
+    std::vector<TypeId> t(steps);
+    clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
+      std::copy_n(kept.begin() + olo, len, t.begin() + lo);
     });
-    std::vector<TypeId> t = transplant(old_t);
-    std::vector<TypeId>& roots = old_roots[static_cast<std::size_t>(i)];
+    std::vector<TypeId> roots = parent.roots_[static_cast<std::size_t>(i)];
     roots.resize(static_cast<std::size_t>(n));
-    run_round(i, round_states_.back().data(), t.data(), kept.data(),
-              kept_off, roots, /*replay=*/true);
+    run_round(i, round_states_.back().data(), t.data(), kept.data(), old_at,
+              roots, /*replay=*/true);
     round_states_.push_back(std::move(t));
     roots_.push_back(std::move(roots));
-    root_distinct_.push_back(kDistinctUnknown);
-    stats.frontier_vertices =
+    st.frontier_vertices =
         all_active_ ? static_cast<std::size_t>(n) : active_.size();
     if (i < max_r) schedule(dirty);
   }
 
-  // Re-arm the forward rounds on the last replayed round.  The tracking
-  // compared against kept tables and root_body_ mixes rounds, so the next
-  // advance() runs all-active, which re-seeds it.
+  // Arm the forward rounds on the last replayed round.  The tracking
+  // compared against the parent's tables and root_body_ mixes rounds, so
+  // the next advance() runs all-active, which re-seeds it.
   t_prev_ = round_states_.back();
   all_active_ = true;
+}
+
+RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
+  DeltaStats stats;
+  *this = RefineState(*this, g, &stats);
   return stats;
 }
 

@@ -184,6 +184,7 @@ std::vector<Knowledge> gather_full_information(const graph::Graph& g,
                                                const graph::PortNumbering& pn,
                                                const graph::Orientation& orient,
                                                int rounds) {
+  if (!pn.valid_for(g)) throw std::invalid_argument("invalid port numbering");
   const graph::Vertex n = g.num_vertices();
   // Port topology: for (v, p), the neighbour and its return port.
   std::vector<std::vector<std::pair<graph::Vertex, int>>> link(n);

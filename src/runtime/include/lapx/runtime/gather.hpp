@@ -117,6 +117,8 @@ class FullInfoProgram : public NodeProgram {
 };
 
 /// Runs the protocol for `rounds` rounds and returns each node's knowledge.
+/// Throws std::invalid_argument("invalid port numbering") unless
+/// pn.valid_for(g).
 std::vector<Knowledge> gather_full_information(const graph::Graph& g,
                                                const graph::PortNumbering& pn,
                                                const graph::Orientation& orient,
@@ -147,6 +149,8 @@ core::TypeId knowledge_view_type_id(
 /// the full-information protocol, then the algorithm applied to each node's
 /// reconstructed view.  Provably equal to core::run_po on the corresponding
 /// L-digraph (tested as such) -- the operational semantics of Section 2.
+/// Throws std::invalid_argument for an invalid port numbering, as
+/// gather_full_information does.
 std::vector<bool> run_po_via_messages(const graph::Graph& g,
                                       const graph::PortNumbering& pn,
                                       const graph::Orientation& orient,

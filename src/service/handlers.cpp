@@ -184,8 +184,8 @@ Json handle_run(const Request& req, const GraphEntry& entry) {
   const auto keys = order::identity_keys(g.num_vertices());
   // A PO algorithm is a function of the view type (core/model.hpp), so it
   // runs on the epoch's own view classes -- the entry's RefineState, shared
-  // with `views` and delta-forked by `mutate` -- and marks edges by the
-  // ids of g, which are those of ldigraph().underlying_graph().
+  // with `views`, from which `mutate` derives the next epoch's -- and marks
+  // edges by the ids of g, which are those of ldigraph().underlying_graph().
   auto po_edges = [&](const core::EdgePoAlgorithm& algo, int radius) {
     return problems::edge_solution(core::run_po_edges(
         entry.ldigraph(), g, entry.view_types(radius), algo, radius));

@@ -37,7 +37,10 @@
 // Lines are capped (max_line_bytes) so a hostile peer cannot buffer
 // unbounded garbage; an overlong line terminates that connection after
 // every in-flight response has been emitted plus one final `too_large`
-// error line, so a client can tell protocol rejection from a crash.
+// error line, so a client can tell protocol rejection from a crash.  The
+// connection then half-closes and discards input (up to a fixed cap)
+// until the peer closes, so the kernel has no unread input to answer with
+// a reset that could drop the farewell.
 
 #include <atomic>
 #include <memory>
@@ -107,7 +110,8 @@ class Server {
   /// they resolve.  Runs until the peer closes, the server stops, a line
   /// is an acknowledged `shutdown`, or a line exceeds max_line_bytes
   /// (answered with one final `too_large` error); then emits everything
-  /// still in flight and closes `fd`.
+  /// still in flight and closes `fd` (after the too_large half-close and
+  /// drain).
   void serve_connection(int fd);
   void reap_finished();
   void join_all();

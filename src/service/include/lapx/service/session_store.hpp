@@ -27,9 +27,9 @@
 // Mutation: `mutate` applies a batch of edge edits to a copy of the
 // bound graph (atomic: a bad edit throws graph::MutationError and leaves
 // the binding untouched) and installs the result as the next epoch.  If
-// the old epoch had a materialized RefineState, the new entry forks it
-// and delta-refines only the edit frontier (core::RefineState::
-// refine_delta) instead of re-refining the whole graph.  Likewise every
+// the old epoch had a materialized RefineState, the new entry derives its
+// own from it, re-refining only the edit frontier (core::RefineState's
+// derivation constructor) instead of the whole graph.  Likewise every
 // radius of ordered-ball classes the old epoch holds is forked and
 // re-typed on the edit's ball frontier only (graph::ball_frontier); a
 // radius whose frontier spans every vertex is dropped instead, so the
@@ -122,25 +122,26 @@ class GraphEntry {
 
   /// Radius-r view types of every vertex against the global interner --
   /// identical ids to core::bulk_view_type_ids(ldigraph(), r), whether the
-  /// state was built here, delta-forked by mutate, or streams an ooc
-  /// file.  `views` and the PO algorithms of `run` share it: built on
-  /// first use by either, kept (with per-round tables) for deeper radii
-  /// and for delta-forking by mutate.
+  /// state was built here, derived by mutate, or streams an ooc file.
+  /// `views` and the PO algorithms of `run` share it: built on first use
+  /// by either, kept (with per-round tables) for deeper radii and for the
+  /// next epoch to derive from.
   std::vector<core::TypeId> view_types(int r) const;
 
   /// True when the refinement state has been materialized (stats only).
   bool has_refine_state() const;
 
   /// Pre-publication hook used by SessionStore::mutate: if `prev` has a
-  /// materialized RefineState, fork it and re-refine only the edit
-  /// frontier against this entry's graph.  Must be called before the
-  /// entry is visible to other threads.
+  /// materialized RefineState, derive this entry's from it, re-refining
+  /// only the edit frontier against this entry's graph.  Holds prev's
+  /// refinement lock while it derives.  Must be called before the entry
+  /// is visible to other threads.
   void fork_refine_from(const GraphEntry& prev) const;
 
   /// The radius-r homogeneity of the graph under the identity order --
   /// equal to order::measure_homogeneity(graph(), identity_keys(n), r) --
   /// read from the entry's radius-r OrderedBallClasses, built on first use
-  /// or delta-forked by mutate.  Ooc backing: materializes graph() first
+  /// or forked by mutate.  Ooc backing: materializes graph() first
   /// (kTooLarge above the cap).  Throws std::invalid_argument for r < 0.
   order::HomogeneityReport homogeneity(int r) const;
 
@@ -212,10 +213,10 @@ class SessionStore {
   std::shared_ptr<const GraphEntry> get(const std::string& name);
 
   /// Applies `edits` to a copy of the graph bound to `name` and installs
-  /// the result as the next epoch, delta-forking the refinement state
-  /// when one is materialized.  Returns the new entry, or nullptr when
-  /// the name is absent.  Throws graph::MutationError on an invalid edit
-  /// (the binding is left untouched).  Mutations of one name are
+  /// the result as the next epoch, deriving its refinement state from the
+  /// old epoch's when one is materialized.  Returns the new entry, or
+  /// nullptr when the name is absent.  Throws graph::MutationError on an
+  /// invalid edit (the binding is left untouched).  Mutations of one name are
   /// serialized, so its epochs are strictly increasing; mutations of
   /// different names run concurrently.
   std::shared_ptr<const GraphEntry> mutate(

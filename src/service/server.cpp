@@ -25,6 +25,10 @@ namespace lapx::service {
 
 namespace {
 
+// What a connection closing on a `too_large` line still reads and
+// discards after its farewell, at most.
+constexpr std::size_t kFarewellDrainBytes = std::size_t{1} << 20;
+
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -329,6 +333,25 @@ void Server::serve_connection(int fd) {
     outbox += '\n';
   }
   if (!outbox.empty()) send_all(fd, outbox);
+  if (too_large) {
+    // The peer may still be sending its line.  Closing a socket with
+    // unread input resets the connection, and the reset can discard the
+    // farewell before the peer reads it, so half-close instead and
+    // discard input until the peer closes, the server stops, or
+    // kFarewellDrainBytes pass.
+    ::shutdown(fd, SHUT_WR);
+    for (std::size_t drained = 0; drained < kFarewellDrainBytes;) {
+      pollfd pfds[2] = {{fd, POLLIN, 0}, {stop_fd_->fd(), POLLIN, 0}};
+      if (::poll(pfds, 2, /*timeout_ms=*/-1) < 0) {
+        if (errno == EINTR) continue;
+        break;
+      }
+      if (pfds[1].revents != 0) break;  // stopping
+      const ssize_t k = recv_retry(fd, chunk, sizeof chunk);
+      if (k <= 0) break;
+      drained += static_cast<std::size_t>(k);
+    }
+  }
   ::close(fd);
 }
 

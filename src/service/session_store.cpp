@@ -84,8 +84,8 @@ std::vector<core::TypeId> GraphEntry::view_types(int r) const {
   std::lock_guard<std::mutex> lock(refine_mu_);
   if (!refine_) {
     // Ooc backing streams rounds over the file's mmap'd step segments;
-    // rounds are not kept (ooc sessions cannot mutate, so there is nothing
-    // to delta-fork).  TypeIds are identical either way -- same interner,
+    // rounds are not kept (ooc sessions cannot mutate, so no epoch derives
+    // from them).  TypeIds are identical either way -- same interner,
     // same step CSR.
     if (ooc_)
       refine_ = std::make_unique<core::RefineState>(
@@ -103,17 +103,17 @@ bool GraphEntry::has_refine_state() const {
 }
 
 void GraphEntry::fork_refine_from(const GraphEntry& prev) const {
-  // Pre-publication: this entry is not yet visible, so taking prev's lock
-  // then ours cannot cycle with any other lock order.
-  std::unique_ptr<core::RefineState> forked;
+  // The derivation reads prev's kept tables, so it runs under prev's lock
+  // (a concurrent query may not advance prev meanwhile); the child is
+  // installed under ours, and the two locks are never held together.
+  std::unique_ptr<core::RefineState> derived;
   {
     std::lock_guard<std::mutex> plock(prev.refine_mu_);
     if (!prev.refine_) return;  // nothing materialized; stay lazy
-    forked = std::make_unique<core::RefineState>(*prev.refine_);
+    derived = std::make_unique<core::RefineState>(*prev.refine_, ldigraph());
   }
-  forked->refine_delta(ldigraph());
   std::lock_guard<std::mutex> lock(refine_mu_);
-  refine_ = std::move(forked);
+  refine_ = std::move(derived);
 }
 
 order::HomogeneityReport GraphEntry::homogeneity(int r) const {
@@ -130,7 +130,8 @@ order::HomogeneityReport GraphEntry::homogeneity(int r) const {
 
 void GraphEntry::fork_homogeneity_from(
     const GraphEntry& prev, std::span<const graph::EdgeEdit> edits) const {
-  // Pre-publication, as fork_refine_from: prev's lock, then ours.
+  // Pre-publication: this entry is not yet visible, so taking prev's lock
+  // then ours cannot cycle with any other lock order.
   std::map<int, order::OrderedBallClasses> forked;
   {
     std::lock_guard<std::mutex> plock(prev.homogeneity_mu_);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -214,9 +215,10 @@ TEST(Refine, StabilityFastPathStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental delta-refinement: after refine_delta(g') the state must be
+// Incremental delta-refinement: a state derived for g' from its parent
+// (RefineState(parent, g'), or refine_delta(g') in place) must be
 // indistinguishable -- exact TypeIds, same interner -- from a from-scratch
-// RefineState(g') at every previously computed radius.
+// RefineState(g') at every radius the parent computed.
 
 // Compares the delta'd state against a scratch refinement in the SAME
 // interner (hash-consing makes TypeId equality equivalent to structural
@@ -352,10 +354,9 @@ TEST(RefineDelta, GrowLiftTouchesOnlyNewFibres) {
   TypeInterner interner;
   RefineState state(lift.graph, interner, /*keep_rounds=*/true);
   const std::vector<TypeId> before = state.types_at(3);
-  // grow_lift rebuilds lift.graph into the same object; the state still
-  // holds a pointer to it, but refine_delta never dereferences the stale
-  // graph -- it only replays its own saved tables -- so passing the grown
-  // graph is legal.
+  // grow_lift rebuilds lift.graph into the same object; a derivation never
+  // reads the parent's graph -- only its step CSR and kept tables -- so
+  // passing the grown graph is legal.
   const Vertex first = lapx::graph::grow_lift(lift, base, 2, rng);
   EXPECT_EQ(first, static_cast<Vertex>(before.size()));
   const auto stats = state.refine_delta(lift.graph);
@@ -594,6 +595,45 @@ TEST(RefineWorklist, DeltaRefinementOnWorklistPath) {
   const auto stats = state.refine_delta(next);
   EXPECT_FALSE(stats.full_rebuild);
   expect_delta_matches_scratch(state, next, 4, interner);
+}
+
+TEST(RefineDelta, DerivingLeavesTheParentIntact) {
+  // A child reads its parent's CSR and kept tables and writes neither,
+  // and never reads the parent's graph (freed here before the
+  // derivation): the parent keeps its radius and the ids of every
+  // computed radius, then still advances one radius in step with a
+  // scratch refine, and the child matches a scratch refine of g', at 1
+  // and 8 threads.
+  const ThreadGuard guard;
+  std::mt19937_64 setup(43);
+  const LDigraph g =
+      lapx::graph::random_lift(directed_torus({3, 4}), 4, setup).graph;
+  LDigraph next = g;
+  std::mt19937_64 rng(7);
+  random_rewire(next, rng);
+  const int max_r = 3;
+  for (const int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    TypeInterner interner;
+    auto parent_graph = std::make_unique<LDigraph>(g);
+    RefineState parent(*parent_graph, interner, /*keep_rounds=*/true);
+    std::vector<std::vector<TypeId>> before;
+    for (int r = 0; r <= max_r; ++r) before.push_back(parent.types_at(r));
+    parent_graph.reset();
+    RefineState::DeltaStats stats;
+    RefineState child(parent, next, &stats);
+    EXPECT_FALSE(stats.full_rebuild);
+    EXPECT_GT(stats.dirty_vertices, 0u);
+    EXPECT_EQ(stats.rounds, max_r);
+    ASSERT_EQ(parent.radius(), max_r) << "threads=" << threads;
+    for (int r = 0; r <= max_r; ++r)
+      EXPECT_EQ(parent.types_at(r), before[static_cast<std::size_t>(r)])
+          << "threads=" << threads << " radius=" << r;
+    RefineState scratch(g, interner);
+    EXPECT_EQ(parent.types_at(max_r + 1), scratch.types_at(max_r + 1))
+        << "threads=" << threads;
+    expect_delta_matches_scratch(child, next, max_r, interner);
+  }
 }
 
 TEST(RefineDelta, RelabelledSpansMatchScratch) {

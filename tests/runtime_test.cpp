@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,27 @@ TEST(RunPoViaMessages, EqualsOracleEvaluation) {
                 lapx::core::run_po(ld, algo, r))
           << "which=" << which << " r=" << r;
     }
+  }
+}
+
+// The gather entry points validate the port numbering as run_synchronous
+// does: a duplicated port and a port naming a non-neighbour throw
+// invalid_argument instead of gathering garbage or escaping as
+// std::out_of_range.
+TEST(RunPoViaMessages, RejectsInvalidPortNumberings) {
+  const Graph g = lapx::graph::cycle(6);
+  const auto orient = Orientation::default_for(g);
+  const lapx::core::VertexPoAlgorithm algo =
+      [](const lapx::core::ViewTree&) { return 0; };
+  PortNumbering duplicated = PortNumbering::default_for(g);
+  duplicated.ports[0][1] = duplicated.ports[0][0];
+  PortNumbering non_neighbour = PortNumbering::default_for(g);
+  non_neighbour.ports[0][1] = 3;  // vertex 0's neighbours in C6 are 1 and 5
+  for (const PortNumbering* pn : {&duplicated, &non_neighbour}) {
+    EXPECT_THROW(gather_full_information(g, *pn, orient, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(run_po_via_messages(g, *pn, orient, algo, 1, 2),
+                 std::invalid_argument);
   }
 }
 

@@ -252,6 +252,8 @@ TEST(SessionStore, ConcurrentGetAndMutatePinEpochs) {
   // reader must see an internally consistent epoch (the n/m the epoch was
   // created with), epochs must be strictly increasing per mutate, and
   // pinned entries must stay valid arbitrarily long after replacement.
+  // Readers also advance the epochs' refinement while the writer derives
+  // each successor from them.
   SessionStore store;
   store.put("g", lapx::graph::torus({4, 4}))->homogeneity(1);
   lapx::graph::Graph cut_graph = lapx::graph::torus({4, 4});
@@ -291,6 +293,12 @@ TEST(SessionStore, ConcurrentGetAndMutatePinEpochs) {
         const std::size_t m = e->graph().num_edges();
         EXPECT_EQ(m, e->epoch() % 2 == 0 ? 31u : 32u);
         EXPECT_EQ(e->view_types(1).size(), 16u);
+        // One radius past what this epoch can hold (its parent was asked
+        // for at most radius epoch()): the query advances the epoch while
+        // the writer may be deriving the next one from it.
+        const int deeper = static_cast<int>(e->epoch()) + 1;
+        EXPECT_EQ(e->view_types(deeper),
+                  lapx::core::bulk_view_type_ids(e->ldigraph(), deeper));
         // Homogeneity reads the classes the writer forks from this epoch.
         expect_same_report(e->homogeneity(1),
                            e->epoch() % 2 == 0 ? cut_report : healed_report);
