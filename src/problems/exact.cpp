@@ -22,8 +22,7 @@ using graph::Vertex;
 class VertexCoverSolver {
  public:
   explicit VertexCoverSolver(const Graph& g)
-      : g_(g), in_cover_(g.num_vertices(), false),
-        removed_(g.num_vertices(), false) {}
+      : g_(g), removed_(g.num_vertices(), false) {}
 
   std::size_t solve() {
     best_ = static_cast<std::size_t>(g_.num_vertices());
@@ -51,16 +50,12 @@ class VertexCoverSolver {
   }
 
   void take(Vertex v, std::vector<Vertex>& trail) {
-    in_cover_[v] = true;
     removed_[v] = true;
     trail.push_back(v);
   }
 
   void untake(const std::vector<Vertex>& trail) {
-    for (Vertex v : trail) {
-      in_cover_[v] = false;
-      removed_[v] = false;
-    }
+    for (Vertex v : trail) removed_[v] = false;
   }
 
   void branch(std::size_t current) {
@@ -102,7 +97,7 @@ class VertexCoverSolver {
   }
 
   const Graph& g_;
-  std::vector<bool> in_cover_, removed_;
+  std::vector<bool> removed_;
   std::size_t best_ = 0;
 };
 
@@ -280,9 +275,11 @@ std::size_t max_matching_size(const Graph& g) {
 }
 
 std::size_t min_edge_cover_size(const Graph& g) {
-  if (g.min_degree() == 0 && g.num_vertices() > 0)
-    throw std::invalid_argument("edge cover undefined with isolated vertices");
-  return static_cast<std::size_t>(g.num_vertices()) - max_matching_size(g);
+  // Gallai on the vertices that have edges: edge_cover() leaves isolated
+  // vertices uncovered (its checkers accept them vacuously).
+  std::size_t covered = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) covered += g.degree(v) > 0;
+  return covered - max_matching_size(g);
 }
 
 std::size_t min_dominating_set_size(const Graph& g) {

@@ -4,7 +4,7 @@
 // Exact values use branch-and-bound (exponential; intended for instances up
 // to a few dozen vertices) plus polynomial identities where available:
 //   max independent set = n - min vertex cover      (Gallai)
-//   min edge cover      = n - nu(G)                 (Gallai; no isolated v)
+//   min edge cover      = n - i(G) - nu(G)          (Gallai; i = # isolated)
 //   nu(G) via blossom (polynomial).
 //
 // For large instances, certified [lower, upper] bounds are provided; the
@@ -27,7 +27,9 @@ std::size_t max_independent_set_size(const graph::Graph& g);
 /// Exact maximum matching size (blossom; polynomial).
 std::size_t max_matching_size(const graph::Graph& g);
 
-/// Exact minimum edge cover size (= n - nu; throws on isolated vertices).
+/// Exact minimum edge cover size: n - (isolated vertices) - nu.  Isolated
+/// vertices need no cover (edge_cover() accepts them vacuously), so an
+/// edgeless graph has optimum 0.
 std::size_t min_edge_cover_size(const graph::Graph& g);
 
 /// Exact minimum dominating set size (branch and bound).
@@ -45,8 +47,9 @@ struct Bounds {
   std::size_t upper = 0;
 };
 
-/// EDS: lower = max(ceil(nu/2), distance-2 edge packing), upper = any
-/// maximal matching (a maximal matching is an edge dominating set).
+/// EDS: lower = ceil(nu/2) (one EDS edge dominates at most two edges of a
+/// matching), upper = a greedy maximal matching (a maximal matching is an
+/// edge dominating set).
 Bounds eds_bounds(const graph::Graph& g);
 
 /// Dominating set: lower = ceil(n / (Delta + 1)), upper = greedy.

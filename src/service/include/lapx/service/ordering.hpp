@@ -18,7 +18,7 @@
 // One sequencer per connection (or per in-process request stream); it is
 // deliberately NOT thread-safe -- a connection is a single logical stream
 // and gains nothing from concurrent draining.  Flow control: callers cap
-// in_flight() (e.g. Server::Options::max_pipeline) by blocking on
+// in_flight() (the server at a fixed pipeline depth) by blocking on
 // drain_one() before submitting more, which keeps any one connection from
 // monopolizing the scheduler queue.
 
@@ -33,7 +33,7 @@ namespace lapx::service {
 class ResponseSequencer {
  public:
   /// Takes ownership of the next in-flight response.  Must be called in
-  /// submission order (Pending sequence numbers strictly increase).
+  /// submission order: responses leave in the order they entered.
   void enqueue(Service::Pending pending);
 
   /// Number of responses not yet emitted.

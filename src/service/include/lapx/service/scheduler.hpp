@@ -20,10 +20,10 @@
 // runtime/parallel (which parallelizes inside each request via
 // parallel_for), so per-request work is never interleaved and responses
 // stay deterministic.  With executors > 1 independent requests compute
-// concurrently and may COMPLETE out of order; every submission therefore
-// carries a monotonic sequence number, and the response-ordering layer
-// (service/ordering.hpp) merges completions back into submission order so
-// parallelism is observationally invisible to any single connection.
+// concurrently and may COMPLETE out of order; the response-ordering layer
+// (service/ordering.hpp) releases each connection's responses in the order
+// it enqueued them, so parallelism is observationally invisible to any
+// single connection.
 //
 // Shutdown contract: every accepted job resolves.  Executors that observe
 // `stopping_` drain the queue, resolving still-queued jobs as kBusy,
@@ -92,12 +92,8 @@ class BatchScheduler {
   /// be cheap and must not throw.
   using Notify = std::function<void()>;
 
-  /// One accepted submit(): the per-job sequence number plus the future.
-  /// Sequence numbers are monotonic in submission order across the whole
-  /// scheduler (every call gets one, including coalesced joins and busy
-  /// rejections), so "sorted by seq" == "submission order".
+  /// One submit()'s outcome, always valid (see submit()).
   struct Submission {
-    std::uint64_t seq = 0;
     std::shared_future<Outcome> future;
   };
 
@@ -122,7 +118,6 @@ class BatchScheduler {
 
  private:
   struct Job {
-    std::uint64_t seq = 0;  ///< sequence of the submission that created it
     core::TypeId fingerprint = core::kNoType;
     Work work;
     std::promise<Outcome> promise;
@@ -148,7 +143,6 @@ class BatchScheduler {
   // Queued or running jobs by fingerprint, for coalescing.
   std::unordered_map<core::TypeId, std::shared_ptr<Job>> inflight_;
   Stats stats_;
-  std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> executors_;
 };

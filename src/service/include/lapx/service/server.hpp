@@ -8,7 +8,7 @@
 // are PIPELINED: a client may send many request lines without waiting;
 // query compute runs on the scheduler's executors while the connection
 // thread keeps reading, and a ResponseSequencer emits responses strictly
-// in submission order (at most max_pipeline in flight per connection).
+// in submission order (at most 64 in flight per connection).
 // The response transcript is therefore byte-identical to a synchronous
 // request/response loop at any executor count.
 //
@@ -64,11 +64,6 @@ class Server {
   struct Options {
     Endpoint endpoint;
     std::size_t max_line_bytes = std::size_t{1} << 24;  ///< 16 MiB
-    int listen_backlog = 64;
-    /// Per-connection reorder-buffer depth: reading pauses (blocking on
-    /// the oldest in-flight response) once this many responses are
-    /// pending, so one pipelining client cannot flood the scheduler queue.
-    std::size_t max_pipeline = 64;
   };
 
   /// Binds and listens; throws std::runtime_error on socket failures

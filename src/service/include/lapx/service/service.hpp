@@ -33,11 +33,11 @@
 //   submit(line)  -- pipelined: everything order-sensitive (parsing,
 //     admin mutation, entry resolution, fingerprinting, cache probe) runs
 //     inline in submission order; only the PURE compute of a query miss is
-//     deferred to the scheduler.  The returned Pending carries a monotonic
-//     sequence number; a ResponseSequencer (service/ordering.hpp) merges
-//     out-of-order completions back into submission order.  Pipelined
-//     submission is therefore observationally identical to a synchronous
-//     loop -- byte for byte -- at any executor count.
+//     deferred to the scheduler.  A ResponseSequencer (service/ordering.hpp)
+//     emits the returned Pendings in the order they were submitted, however
+//     their computations complete.  Pipelined submission is therefore
+//     observationally identical to a synchronous loop -- byte for byte --
+//     at any executor count.
 //
 // Determinism invariant: for every request except `stats` and `list`
 // (whose results reflect service state, not graph content), the response
@@ -91,9 +91,6 @@ class Service {
    public:
     Pending() = default;
 
-    /// Submission sequence number (monotonic across the service).
-    std::uint64_t sequence() const { return seq_; }
-
     /// Non-blocking: true once get() would not wait.
     bool ready() const {
       return resolved_ ||
@@ -106,7 +103,6 @@ class Service {
 
    private:
     friend class Service;
-    std::uint64_t seq_ = 0;
     std::optional<std::int64_t> id_;
     std::shared_future<Outcome> future_;
     std::string response_;
@@ -166,7 +162,6 @@ class Service {
   // touch the cache and pin store entries) all finish before either dies.
   BatchScheduler scheduler_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> submit_seq_{0};
 };
 
 }  // namespace lapx::service

@@ -41,10 +41,9 @@ BatchScheduler::Submission BatchScheduler::submit(core::TypeId fingerprint,
                                                   Notify on_ready) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.submitted;
-  const std::uint64_t seq = ++next_seq_;
   if (stopping_) {
     ++stats_.rejected_busy;
-    return {seq, resolved(Outcome{Outcome::Status::kBusy, "shutting down"})};
+    return {resolved(Outcome{Outcome::Status::kBusy, "shutting down"})};
   }
   if (fingerprint != core::kNoType) {
     if (const auto it = inflight_.find(fingerprint); it != inflight_.end()) {
@@ -52,15 +51,14 @@ BatchScheduler::Submission BatchScheduler::submit(core::TypeId fingerprint,
       // Still in inflight_, so not yet detached: the waiter is notified
       // with everyone else when the job resolves.
       if (on_ready) it->second->waiters.push_back(std::move(on_ready));
-      return {seq, it->second->future};
+      return {it->second->future};
     }
   }
   if (queue_.size() >= opt_.queue_capacity) {
     ++stats_.rejected_busy;
-    return {seq, resolved(Outcome{Outcome::Status::kBusy, "queue full"})};
+    return {resolved(Outcome{Outcome::Status::kBusy, "queue full"})};
   }
   auto job = std::make_shared<Job>();
-  job->seq = seq;
   job->fingerprint = fingerprint;
   job->work = std::move(work);
   job->future = job->promise.get_future().share();
@@ -73,7 +71,7 @@ BatchScheduler::Submission BatchScheduler::submit(core::TypeId fingerprint,
   queue_.push_back(job);
   if (fingerprint != core::kNoType) inflight_[fingerprint] = job;
   cv_.notify_one();
-  return {seq, job->future};
+  return {job->future};
 }
 
 BatchScheduler::Stats BatchScheduler::stats() const {

@@ -29,6 +29,14 @@ namespace {
 // discards after its farewell, at most.
 constexpr std::size_t kFarewellDrainBytes = std::size_t{1} << 20;
 
+// listen(2)'s queue of connections not yet accepted.
+constexpr int kListenBacklog = 64;
+
+// Per-connection reorder-buffer depth: reading pauses (blocking on the
+// oldest in-flight response) once this many responses are pending, so one
+// pipelining client cannot flood the scheduler queue.
+constexpr std::size_t kMaxPipeline = 64;
+
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -75,7 +83,7 @@ class Server::ListenSocket {
   /// Unix-domain paths are unlinked before binding (rebinding a path a
   /// dead process left behind must succeed).  tcp_port 0 binds an
   /// ephemeral port, reported by bound_tcp_port().
-  ListenSocket(const Endpoint& endpoint, int backlog);
+  explicit ListenSocket(const Endpoint& endpoint);
   ~ListenSocket();
 
   ListenSocket(const ListenSocket&) = delete;
@@ -110,7 +118,7 @@ class Server::EventFd {
   int fd_ = -1;
 };
 
-Server::ListenSocket::ListenSocket(const Endpoint& endpoint, int backlog) {
+Server::ListenSocket::ListenSocket(const Endpoint& endpoint) {
   if (!endpoint.unix_path.empty()) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -151,7 +159,7 @@ Server::ListenSocket::ListenSocket(const Endpoint& endpoint, int backlog) {
     if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
       bound_port_ = ntohs(bound.sin_port);
   }
-  if (::listen(fd_, backlog) < 0) {
+  if (::listen(fd_, kListenBacklog) < 0) {
     const int saved = errno;
     ::close(fd_);
     fd_ = -1;
@@ -190,8 +198,7 @@ void Server::EventFd::clear() {
 Server::Server(Service& service, Options opt)
     : service_(service),
       opt_(std::move(opt)),
-      listener_(std::make_unique<ListenSocket>(opt_.endpoint,
-                                               opt_.listen_backlog)),
+      listener_(std::make_unique<ListenSocket>(opt_.endpoint)),
       stop_fd_(std::make_unique<EventFd>()) {}
 
 Server::~Server() {
@@ -306,7 +313,7 @@ void Server::serve_connection(int fd) {
         stop();
         break;
       }
-      while (sequencer.in_flight() >= opt_.max_pipeline) {
+      while (sequencer.in_flight() >= kMaxPipeline) {
         outbox.clear();
         if (!sequencer.drain_one(outbox)) break;
         send_all(fd, outbox);

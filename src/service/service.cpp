@@ -107,7 +107,6 @@ std::string Service::handle(const std::string& line) {
 Service::Pending Service::submit(const std::string& line,
                                  const BatchScheduler::Notify& on_ready) {
   Pending out;
-  out.seq_ = submit_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto resolve = [&out](std::string response) {
     out.response_ = std::move(response);
     out.resolved_ = true;

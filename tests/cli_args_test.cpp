@@ -94,6 +94,24 @@ TEST(CliArgs, StdinCommandsRejectMalformedRadii) {
   check("run local-min-is 2x");
 }
 
+TEST(CliArgs, RadiusAboveEightIsLapxdsBadRequest) {
+  // The stdin queries answer through lapxd's handlers, so they inherit its
+  // radius bound and its message, and a bad_request exits 3.
+  const std::string graph_file = ::testing::TempDir() + "cli_args_r.txt";
+  ASSERT_EQ(
+      run("( " + cli() + " generate cycle 6 >" + graph_file + " )").exit_code,
+      0);
+  for (const char* args : {"homogeneity 9", "run eds-greedy 9"}) {
+    const RunResult r = run(cli() + " " + args + " <" + graph_file);
+    EXPECT_EQ(r.exit_code, 3) << args << "\nstderr:\n" << r.err;
+    EXPECT_NE(r.err.find("error: field \"radius\" out of range [0, 8]"),
+              std::string::npos)
+        << args << "\nstderr:\n"
+        << r.err;
+    EXPECT_NE(r.err.find("usage:"), std::string::npos) << args;
+  }
+}
+
 TEST(CliArgs, GraphConvertFlagValues) {
   expect_bad_arg("graph-convert /tmp/x.lapxooc --family cycle 4 --lift 0");
   expect_bad_arg("graph-convert /tmp/x.lapxooc --family cycle 4 --lift up");

@@ -590,19 +590,6 @@ TEST(BatchScheduler, CoalescesIdenticalFingerprints) {
   EXPECT_EQ(sched.stats().coalesced, 1u);
 }
 
-TEST(BatchScheduler, SequenceNumbersAreMonotonicPerSubmission) {
-  BatchScheduler sched;
-  std::uint64_t last = 0;
-  for (int i = 0; i < 5; ++i) {
-    auto sub = sched.submit(kNoType, [] {
-      return Outcome{Outcome::Status::kOk, "x"};
-    });
-    EXPECT_GT(sub.seq, last);
-    last = sub.seq;
-    sub.future.wait();
-  }
-}
-
 TEST(BatchScheduler, ShutdownResolvesEveryAcceptedJob) {
   // Regression for the shutdown drop: jobs still queued when stop is
   // observed must resolve (as kBusy), never hang their waiters -- with
@@ -640,10 +627,11 @@ TEST(BatchScheduler, ShutdownResolvesEveryAcceptedJob) {
   }  // ~BatchScheduler: must resolve everything above
   releaser.join();
   std::uint64_t completed = 0, busy = 0;
-  for (auto& sub : subs) {
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    const BatchScheduler::Submission& sub = subs[i];
     ASSERT_EQ(sub.future.wait_for(std::chrono::seconds(10)),
               std::future_status::ready)
-        << "job " << sub.seq << " hung across shutdown";
+        << "job " << i << " hung across shutdown";
     const Outcome out = sub.future.get();
     EXPECT_TRUE(out.status == Outcome::Status::kOk ||
                 out.status == Outcome::Status::kBusy);
@@ -810,6 +798,23 @@ TEST(Service, ErrorEnvelopes) {
       svc.handle(R"({"op":"optimum","graph":"big","problem":"vc"})")
           .find("\"code\":\"too_large\""),
       std::string::npos);
+}
+
+TEST(Service, EdgeCoverLeavesIsolatedVerticesUncovered) {
+  // edge_cover()'s checkers accept an isolated vertex vacuously, so its
+  // optimum covers only vertices 0 and 1: one edge.
+  Service svc;
+  ASSERT_NE(svc.handle(R"({"op":"upload","name":"g","edges":"3 1\n0 1\n"})")
+                .find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_EQ(
+      svc.handle(R"({"id":1,"op":"optimum","graph":"g","problem":"ec"})"),
+      R"({"id":1,"ok":true,"result":{"problem":"minimum edge cover","opt":1}})");
+  EXPECT_EQ(
+      svc.handle(R"({"id":2,"op":"run","graph":"g","algorithm":"edge-cover"})"),
+      R"({"id":2,"ok":true,"result":{"problem":"minimum edge cover",)"
+      R"("algorithm":"edge-cover","model":"PO","size":1,"feasible":true,)"
+      R"("opt":1,"ratio":1.0}})");
 }
 
 TEST(Service, CacheIsContentAddressedAcrossNames) {
@@ -1010,12 +1015,8 @@ TEST(Service, PipelinedSubmitMatchesSynchronousTranscript) {
   for (const auto& s : setup) pipelined.handle(s);
   ResponseSequencer sequencer;
   std::string pipelined_bytes;
-  std::uint64_t last_seq = 0;
   for (const auto& r : reqs) {
-    Service::Pending p = pipelined.submit(r);
-    EXPECT_GT(p.sequence(), last_seq);
-    last_seq = p.sequence();
-    sequencer.enqueue(std::move(p));
+    sequencer.enqueue(pipelined.submit(r));
     sequencer.drain_ready(pipelined_bytes);
   }
   sequencer.drain_all(pipelined_bytes);

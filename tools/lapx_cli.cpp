@@ -2,8 +2,8 @@
 //
 //   lapx_cli generate <family> [args...]     print a graph as an edge list
 //   lapx_cli analyze                         structural report (stdin)
-//   lapx_cli homogeneity <r>                 ordered-homogeneity report
-//   lapx_cli optimum <problem>               exact optimum (small graphs)
+//   lapx_cli homogeneity [r]                 ordered-homogeneity report
+//   lapx_cli optimum <problem>               exact optimum (n <= 64)
 //   lapx_cli run <algorithm> [r]             run a local algorithm
 //   lapx_cli fractional                      nu, nu_f, tau_f, tau report
 //   lapx_cli dot                             Graphviz DOT of stdin graph
@@ -11,16 +11,26 @@
 //   lapx_cli serve [options]                 run the lapxd query service
 //   lapx_cli call <endpoint> [json]          send request(s) to lapxd
 //
+// The five stdin queries (analyze ... fractional) are lapxd's query ops:
+// each builds the request the daemon would receive, answers it with the
+// daemon's own handler (service::handle_query) and prints the `result`
+// object as one JSON line -- the bytes lapxd answers under "result" after
+// an `upload` of the same edge list.  So the CLI inherits the daemon's
+// bounds: radii lie in [0, 8], and `generate` and `graph-convert --family`
+// build through lapxd's `generate` family table and size caps.
+//
 // Graphs are read from stdin in the edge-list format of lapx/graph/io.hpp.
 // Families: cycle N | path N | complete N | torus A B | hypercube D |
-//           petersen | gp N K | grid R C | regular N D SEED |
+//           petersen | gp N K | grid R C | regular N D [SEED] |
 //           lift A B LAYERS [SEED]  (random LAYERS-lift of torus A B)
 // Problems: vc | ec | mm | is | ds | eds
-// Algorithms: eds-mark-first | edge-cover | local-min-is | vc-non-min |
-//             eds-greedy
+// Algorithms: eds-mark-first | edge-cover | take-all-ds (PO),
+//             local-min-is | vc-non-min | eds-greedy (OI),
+//             even-min-is | ds-even-pref (ID)
 //
-// Exit codes: 0 success, 1 runtime failure, 2 usage (missing/unknown
-// subcommand), 3 bad argument or malformed input (prints the usage block),
+// Exit codes: 0 success, 1 runtime failure (a query answered too_large or
+// internal), 2 usage (missing/unknown subcommand), 3 bad argument or
+// malformed input, a bad_request included (prints the usage block),
 // 4 service error (`call` reached the daemon but at least one response
 // line had "ok":false).  Malformed LAPXD_* environment values never abort:
 // they warn on stderr and fall back to the documented default.
@@ -31,32 +41,24 @@
 #include <cstring>
 #include <iostream>
 #include <limits>
-#include <numeric>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "lapx/algorithms/oi.hpp"
-#include "lapx/algorithms/po.hpp"
-#include "lapx/core/model.hpp"
-#include "lapx/graph/generators.hpp"
 #include "lapx/graph/io.hpp"
 #include "lapx/graph/lift.hpp"
 #include "lapx/graph/ooc.hpp"
 #include "lapx/graph/port_numbering.hpp"
-#include "lapx/graph/properties.hpp"
-#include "lapx/order/homogeneity.hpp"
-#include "lapx/problems/exact.hpp"
-#include "lapx/problems/fractional.hpp"
-#include "lapx/problems/problem.hpp"
 #include "lapx/runtime/parallel.hpp"
 #include "lapx/service/client.hpp"
+#include "lapx/service/handlers.hpp"
 #include "lapx/service/server.hpp"
 #include "lapx/service/service.hpp"
 
 namespace {
 
 using namespace lapx;
+using service::Json;
 
 constexpr int kExitRuntime = 1;       // failures while computing
 constexpr int kExitUsage = 2;         // missing/unknown subcommand
@@ -67,7 +69,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: lapx_cli generate <family> [args] | analyze | dot |\n"
-      "       homogeneity <r> | optimum <problem> | run <alg> [r] |\n"
+      "       homogeneity [r] | optimum <problem> | run <alg> [r] |\n"
       "       fractional |\n"
       "       graph-convert <out.lapxooc> [--family <fam> <args...>]\n"
       "             [--lift L] [--seed S] [--no-verify] (default: stdin\n"
@@ -76,6 +78,14 @@ int usage() {
       "             [--executors N] [--cache-entries N] [--cache-bytes N]\n"
       "             [--cache-dir DIR] [--queue-depth N] [--max-graphs N] |\n"
       "       call [--pipeline] <endpoint> [json-request]\n"
+      "stdin queries run lapxd's handlers and print the daemon's result\n"
+      "object as one JSON line; r in [0, 8], optimum needs n <= 64\n"
+      "problems: vc | ec | mm | is | ds | eds\n"
+      "algorithms: eds-mark-first | edge-cover | take-all-ds | local-min-is |\n"
+      "            vc-non-min | eds-greedy | even-min-is | ds-even-pref\n"
+      "families (lapxd's generate, same size caps): cycle N | path N |\n"
+      "          complete N | torus A B | hypercube D | petersen | gp N K |\n"
+      "          grid R C | regular N D [SEED] | lift A B LAYERS [SEED]\n"
       "endpoints: unix:PATH | tcp:PORT | a /path | a bare port\n"
       "wire ops: ping | generate | upload | open | mutate | drop | list |\n"
       "          session_info | stats | cache_save | cache_info |\n"
@@ -107,135 +117,50 @@ long long int_arg(const char* s, const std::string& what, long long lo,
   return v;
 }
 
-graph::Graph make_graph(int argc, char** argv) {
-  const std::string family = argv[0];
-  auto arg = [&](int i) {
-    if (i >= argc)
-      throw std::invalid_argument("family " + family +
-                                  " needs more arguments");
-    return static_cast<int>(
-        int_arg(argv[i], family + " argument " + std::to_string(i), 0,
-                1 << 30));
-  };
-  if (family == "cycle") return graph::cycle(arg(1));
-  if (family == "path") return graph::path(arg(1));
-  if (family == "complete") return graph::complete(arg(1));
-  if (family == "torus") return graph::torus({arg(1), arg(2)});
-  if (family == "hypercube") return graph::hypercube(arg(1));
-  if (family == "petersen") return graph::petersen();
-  if (family == "gp") return graph::generalized_petersen(arg(1), arg(2));
-  if (family == "grid") return graph::grid(arg(1), arg(2));
-  if (family == "regular") {
-    std::mt19937_64 rng(argc > 3 ? arg(3) : 1);
-    return graph::random_regular(arg(1), arg(2), rng);
+// A number the daemon range-checks itself: any integer passes here, so an
+// out-of-range value answers with lapxd's own bad_request message.
+Json request_int(const char* s, const std::string& what) {
+  long long v = 0;
+  if (!runtime::detail::parse_env_int(s, std::numeric_limits<long long>::min(),
+                                      std::numeric_limits<long long>::max(),
+                                      &v))
+    throw std::invalid_argument("bad " + what + ": \"" + s +
+                                "\" (expected an integer)");
+  return Json::integer(v);
+}
+
+// `family args...` as lapxd's `generate` request builds it.
+graph::Graph generated(int argc, char** argv) {
+  service::Request req;
+  req.op = "generate";
+  req.body = Json::object();
+  req.body.set("family", Json::string(argv[0]));
+  Json& args = req.body.set("args", Json::array());
+  for (int i = 1; i < argc; ++i)
+    args.push_back(request_int(
+        argv[i], std::string(argv[0]) + " argument " + std::to_string(i)));
+  return service::build_generated_graph(req);
+}
+
+// A stdin query: the `op` request with `fields`, answered by lapxd's handler
+// on an entry built the way `upload` builds one.
+int cmd_query(const std::string& op, Json fields) {
+  graph::Graph g = graph::read_edge_list(std::cin);
+  const std::string text = graph::to_edge_list(g);
+  const service::GraphEntry entry(std::move(g), text, /*epoch=*/1);
+  service::Request req;
+  req.op = op;
+  req.body = std::move(fields);
+  Json result;
+  try {
+    result = service::handle_query(req, entry);
+  } catch (const service::ServiceError&) {
+    throw;
+  } catch (const std::exception& e) {
+    // lapxd answers a handler's untyped failure as `internal`.
+    throw service::ServiceError(service::ErrorCode::kInternal, e.what());
   }
-  if (family == "lift")
-    return graph::lifted_torus(
-        arg(1), arg(2), arg(3),
-        argc > 4 ? static_cast<std::uint64_t>(int_arg(
-                       argv[4], "lift seed", 0,
-                       std::numeric_limits<long long>::max()))
-                 : 1);
-  throw std::invalid_argument("unknown family: " + family);
-}
-
-const problems::Problem& problem_by_name(const std::string& name) {
-  if (name == "vc") return problems::vertex_cover();
-  if (name == "ec") return problems::edge_cover();
-  if (name == "mm") return problems::maximum_matching();
-  if (name == "is") return problems::independent_set();
-  if (name == "ds") return problems::dominating_set();
-  if (name == "eds") return problems::edge_dominating_set();
-  throw std::invalid_argument("unknown problem: " + name);
-}
-
-int cmd_analyze(const graph::Graph& g) {
-  std::printf("%s\n", g.summary().c_str());
-  std::printf("girth:      %d\n", graph::girth(g));
-  std::printf("connected:  %s\n", graph::is_connected(g) ? "yes" : "no");
-  std::printf("bipartite:  %s\n", graph::is_bipartite(g) ? "yes" : "no");
-  std::printf("forest:     %s\n", graph::is_forest(g) ? "yes" : "no");
-  if (graph::is_connected(g) && g.num_vertices() <= 4096)
-    std::printf("diameter:   %d\n", graph::diameter(g));
-  return 0;
-}
-
-int cmd_homogeneity(const graph::Graph& g, int r) {
-  order::Keys keys(g.num_vertices());
-  std::iota(keys.begin(), keys.end(), 0);
-  const auto report = order::measure_homogeneity(g, keys, r);
-  std::printf("radius %d, identity order:\n", r);
-  std::printf("  largest type class: %.4f of %d vertices\n", report.fraction,
-              g.num_vertices());
-  std::printf("  distinct types:     %zu\n", report.distinct_types);
-  return 0;
-}
-
-int cmd_optimum(const graph::Graph& g, const std::string& name) {
-  const auto& p = problem_by_name(name);
-  if (g.num_vertices() > 64) {
-    std::fprintf(stderr, "instance too large for exact search\n");
-    return 1;
-  }
-  std::printf("%s: OPT = %zu\n", p.name.c_str(),
-              problems::exact_optimum(p, g));
-  return 0;
-}
-
-int cmd_fractional(const graph::Graph& g) {
-  if (g.num_vertices() > 2000) {
-    std::fprintf(stderr, "instance too large\n");
-    return 1;
-  }
-  const std::size_t nu2 = problems::fractional_matching_doubled(g);
-  std::printf("nu    (max matching):            %zu\n",
-              problems::max_matching_size(g));
-  std::printf("nu_f  (fractional matching):     %.1f\n", nu2 / 2.0);
-  std::printf("tau_f (fractional vertex cover): %.1f\n", nu2 / 2.0);
-  if (g.num_vertices() <= 64)
-    std::printf("tau   (min vertex cover):        %zu\n",
-                problems::min_vertex_cover_size(g));
-  return 0;
-}
-
-int cmd_run(const graph::Graph& g, const std::string& alg, int r) {
-  order::Keys keys(g.num_vertices());
-  std::iota(keys.begin(), keys.end(), 0);
-  const auto ld = graph::to_ldigraph(g);
-  problems::Solution sol;
-  const problems::Problem* p = nullptr;
-  if (alg == "eds-mark-first") {
-    sol = problems::edge_solution(
-        core::run_po_edges(ld, algorithms::eds_mark_first_po(), 1));
-    p = &problems::edge_dominating_set();
-  } else if (alg == "edge-cover") {
-    sol = problems::edge_solution(
-        core::run_po_edges(ld, algorithms::mark_first_edge_po(), 1));
-    p = &problems::edge_cover();
-  } else if (alg == "local-min-is") {
-    sol = problems::vertex_solution(
-        core::run_oi(g, keys, algorithms::local_min_is_oi(), 1));
-    p = &problems::independent_set();
-  } else if (alg == "vc-non-min") {
-    sol = problems::vertex_solution(
-        core::run_oi(g, keys, algorithms::non_local_min_vc_oi(), 1));
-    p = &problems::vertex_cover();
-  } else if (alg == "eds-greedy") {
-    sol = problems::edge_solution(core::run_oi_edges(
-        g, keys, algorithms::eds_greedy_fallback_oi(r > 0 ? r / 2 : 1),
-        r > 0 ? r : 2));
-    p = &problems::edge_dominating_set();
-  } else {
-    throw std::invalid_argument("unknown algorithm: " + alg);
-  }
-  std::printf("%s via %s:\n", p->name.c_str(), alg.c_str());
-  std::printf("  size:     %zu\n", sol.size());
-  std::printf("  feasible: %s\n", p->feasible(g, sol) ? "yes" : "no");
-  if (g.num_vertices() <= 64) {
-    const std::size_t opt = problems::exact_optimum(*p, g);
-    std::printf("  OPT:      %zu   ratio %.4f\n", opt,
-                problems::approximation_ratio(*p, sol.size(), opt));
-  }
+  std::printf("%s\n", result.dump().c_str());
   return 0;
 }
 
@@ -276,10 +201,9 @@ int cmd_graph_convert(int argc, char** argv) {
       throw std::invalid_argument("unknown flag: " + flag);
     }
   }
-  graph::Graph g =
-      family.empty()
-          ? graph::read_edge_list(std::cin)
-          : make_graph(static_cast<int>(family.size()), family.data());
+  graph::Graph g = family.empty() ? graph::read_edge_list(std::cin)
+                                  : generated(static_cast<int>(family.size()),
+                                              family.data());
   if (lift >= 1) {
     // Same composition as the service's "lift" generate family
     // (graph::lifted_torus): to_ldigraph -> random_lift -> underlying.
@@ -442,7 +366,7 @@ int cmd_call(int argc, char** argv) {
   if (argc >= 2) {
     print_response(client.call(argv[1]));
   } else if (pipeline) {
-    constexpr std::size_t kWindow = 32;  // < server max_pipeline
+    constexpr std::size_t kWindow = 32;  // < the server's 64-deep pipeline
     std::size_t in_flight = 0;
     std::string line;
     while (std::getline(std::cin, line)) {
@@ -486,33 +410,27 @@ int main(int argc, char** argv) {
     if (cmd == "graph-convert") return cmd_graph_convert(argc - 2, argv + 2);
     if (cmd == "generate") {
       if (argc < 3) return usage();
-      graph::write_edge_list(std::cout, make_graph(argc - 2, argv + 2));
+      graph::write_edge_list(std::cout, generated(argc - 2, argv + 2));
       return 0;
     }
-    const graph::Graph g = graph::read_edge_list(std::cin);
-    if (cmd == "analyze") return cmd_analyze(g);
     if (cmd == "dot") {
-      std::cout << graph::to_dot(g);
+      std::cout << graph::to_dot(graph::read_edge_list(std::cin));
       return 0;
     }
-    if (cmd == "homogeneity")
-      return cmd_homogeneity(
-          g, argc > 2 ? static_cast<int>(
-                            int_arg(argv[2], "homogeneity radius", 0, 1 << 20))
-                      : 1);
-    if (cmd == "fractional") return cmd_fractional(g);
-    if (cmd == "optimum") {
+    Json fields = Json::object();
+    if (cmd == "optimum" || cmd == "run") {
       if (argc < 3) return usage();
-      return cmd_optimum(g, argv[2]);
+      fields.set(cmd == "run" ? "algorithm" : "problem", Json::string(argv[2]));
     }
-    if (cmd == "run") {
-      if (argc < 3) return usage();
-      return cmd_run(
-          g, argv[2],
-          argc > 3
-              ? static_cast<int>(int_arg(argv[3], "run radius", 0, 1 << 20))
-              : 0);
-    }
+    const int radius_at = cmd == "homogeneity" ? 2 : cmd == "run" ? 3 : argc;
+    if (radius_at < argc)
+      fields.set("radius", request_int(argv[radius_at], "radius"));
+    return cmd_query(cmd, std::move(fields));
+  } catch (const service::ServiceError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    if (e.code() != service::ErrorCode::kBadRequest) return kExitRuntime;
+    usage();
+    return kExitBadArg;
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     usage();
@@ -525,5 +443,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitRuntime;
   }
-  return usage();
 }
