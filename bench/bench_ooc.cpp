@@ -3,9 +3,9 @@
 //
 // The lower-bound experiments scale with the lift order, and the instance
 // eventually outgrows RAM.  The ooc format (graph/ooc.hpp) persists the
-// adjacency AND the precomputed step CSR, so RefineState can run the
-// universal-cover recurrence straight off the read-only mapping; the
-// kernel's page cache decides which of its clean pages stay resident.
+// graph as its step CSR, so RefineState can run the universal-cover
+// recurrence straight off the read-only mapping; the kernel's page cache
+// decides which of its clean pages stay resident.
 // This bench writes a lift, streams refinement over it at 1 and 8
 // threads, and gates on what the design promises:
 //
@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <unistd.h>
@@ -79,12 +80,8 @@ void print_tables() {
   const OocGraph g(path);
   const double open_s = seconds_since(t0);
 
-  // stat the file through the mapping size the reader validated.
   const double file_mb =
-      static_cast<double>(g.num_steps() * 24 + g.num_arcs() * 16 +
-                          (static_cast<std::size_t>(g.num_vertices()) + 1) *
-                              20 + 128) /
-      (1 << 20);
+      static_cast<double>(std::filesystem::file_size(path)) / (1 << 20);
   std::printf("instance: lift %dx(3x3), n=%d, arcs=%zu, file %.1f MiB "
               "(write %.2fs, open+validate %.2fs)\n\n",
               kLayers, g.num_vertices(), g.num_arcs(), file_mb, write_s,

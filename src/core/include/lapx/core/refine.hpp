@@ -211,17 +211,16 @@ class RefineState {
   std::span<const std::uint32_t> off_span() const {
     return ooc_ ? ooc_->step_off() : std::span<const std::uint32_t>(steps_.off);
   }
-  std::span<const std::uint32_t> vertex_span() const {
-    return ooc_ ? ooc_->step_vertex()
-                : std::span<const std::uint32_t>(steps_.vertex);
-  }
   std::span<const std::uint32_t> succ_span() const {
     return ooc_ ? ooc_->step_succ()
                 : std::span<const std::uint32_t>(steps_.succ);
   }
-  std::span<const std::uint64_t> tag_span() const {
-    return ooc_ ? ooc_->step_edge_tag()
-                : std::span<const std::uint64_t>(steps_.tag);
+  std::span<const std::uint32_t> nbr_span() const {
+    return ooc_ ? ooc_->step_nbr() : std::span<const std::uint32_t>(steps_.nbr);
+  }
+  std::span<const std::uint32_t> move_span() const {
+    return ooc_ ? ooc_->step_move_bits()
+                : std::span<const std::uint32_t>(steps_.move_bits);
   }
 
   const graph::OocGraph* ooc_ = nullptr;  // streaming mode; else nullptr
@@ -238,7 +237,7 @@ class RefineState {
   // (kNoType where the probe missed; Phase B interns those serially).
   std::vector<TypeId> edge_ids_;
   // Edge memo: when edge_ids_[j] != kNoType it is the id of the node
-  // (steps_.tag[j], edge_sub_[j]).  TypeIds are permanent, so the pair
+  // (step j's edge tag, edge_sub_[j]).  TypeIds are permanent, so the pair
   // stays valid across rounds; Phase A re-probes step j only when the
   // successor state differs from edge_sub_[j].  init_round0 starts the
   // memo at kNoType.

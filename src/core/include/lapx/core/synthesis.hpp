@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "lapx/core/interner.hpp"
 #include "lapx/core/model.hpp"
 #include "lapx/problems/problem.hpp"
 
@@ -42,17 +43,20 @@ struct SynthesisResult {
 
 /// Synthesizes the optimal radius-r PO algorithm for a vertex-subset
 /// problem on the given instances.  Throws if the algorithm space exceeds
-/// `max_algorithms`.
+/// `max_algorithms`.  Views are typed with bulk_view_type_ids against
+/// `interner`, so its id order does not depend on LAPX_THREADS.
 SynthesisResult synthesize_po_vertex(
     const problems::Problem& problem,
     const std::vector<graph::LDigraph>& instances, int r,
-    std::size_t max_algorithms = std::size_t{1} << 22);
+    std::size_t max_algorithms = std::size_t{1} << 22,
+    TypeInterner& interner = TypeInterner::global());
 
 /// Edge-subset variant: a behaviour assigns each view type a bitmask over
 /// the root's incident arcs (children of the view root, canonical order).
 SynthesisResult synthesize_po_edges(
     const problems::Problem& problem,
     const std::vector<graph::LDigraph>& instances, int r,
-    std::size_t max_algorithms = std::size_t{1} << 22);
+    std::size_t max_algorithms = std::size_t{1} << 22,
+    TypeInterner& interner = TypeInterner::global());
 
 }  // namespace lapx::core

@@ -18,14 +18,15 @@ namespace {
 // always counts as changed; as a skipped step, none.
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
-}  // namespace
+// The edge tag of a step with move bits `move` (outgoing << 31 | label):
+// the (outgoing << 32 | label) payload the ViewTree path interns, so the
+// TypeIds coincide.
+std::uint64_t edge_tag(std::uint32_t move) {
+  return type_tag::kViewEdge | std::uint64_t{move >> 31} << 32 |
+         (move & 0x7fffffffu);
+}
 
-// StepCsr::fill computes the step edge tags in graph/ (which cannot see
-// this header), for the in-memory rounds and the ooc writer alike; the
-// duplicated constant must stay bit-identical or no TypeId would match
-// the ViewTree path's.
-static_assert(graph::kOocViewEdgeTag == type_tag::kViewEdge,
-              "graph/ooc edge tag must equal type_tag::kViewEdge");
+}  // namespace
 
 RefineState::IdMap::IdMap(const IdMap& other) {
   if (other.size_ == 0) return;
@@ -227,9 +228,9 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
   // the ooc file's mmap'd segments (never dangling -- the spans are
   // re-taken each round, and the owned vectors are not resized here).
   const std::span<const std::uint32_t> step_off = off_span();
-  const std::span<const std::uint32_t> step_vertex = vertex_span();
   const std::span<const std::uint32_t> step_succ = succ_span();
-  const std::span<const std::uint64_t> step_edge_tag = tag_span();
+  const std::span<const std::uint32_t> step_nbr = nbr_span();
+  const std::span<const std::uint32_t> step_move = move_span();
   const std::uint64_t root_tag =
       type_tag::kViewRoot | static_cast<std::uint32_t>(radius);
 
@@ -260,7 +261,7 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
           // visit (or the edge never resolved).  A memo hit needs no probe
           // at all -- the pair invariant says e is the id of (tag_j, sub).
           const TypeId got =
-              interner.try_intern_node(step_edge_tag[j], &sub, 1);
+              interner.try_intern_node(edge_tag(step_move[j]), &sub, 1);
           probed = true;
           if (got != e) {
             ++changed;
@@ -379,7 +380,7 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
     const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
     for (std::uint32_t j = lo; j < hi; ++j) {
       const TypeId sub = in[step_succ[j]];
-      edge_ids_[j] = batch_intern(step_edge_tag[j], &sub, 1);
+      edge_ids_[j] = batch_intern(edge_tag(step_move[j]), &sub, 1);
       edge_sub_[j] = sub;
     }
     return batch_intern(type_tag::kViewNode, edge_ids_.data() + lo, hi - lo);
@@ -393,7 +394,8 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
     for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j) {
       if (j == skip) continue;
       const TypeId sub = in[step_succ[j]];
-      tmp_edges.push_back(interner.intern_node(step_edge_tag[j], &sub, 1));
+      tmp_edges.push_back(
+          interner.intern_node(edge_tag(step_move[j]), &sub, 1));
     }
     return interner.intern_node(type_tag::kViewNode, tmp_edges.data(),
                                 tmp_edges.size());
@@ -449,8 +451,10 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
   changed_.clear();
   if (states_stable_) {
     std::vector<TypeId> state_type;
+    // A state's step s belongs to the neighbour of its inverse step.
     for (const std::uint32_t s : state_rep_)
-      state_type.push_back(intern_rep(static_cast<Vertex>(step_vertex[s]), s));
+      state_type.push_back(
+          intern_rep(static_cast<Vertex>(step_nbr[step_succ[s]]), s));
     runtime::parallel_for(
         static_cast<std::int64_t>(step_off[static_cast<std::size_t>(n)]),
         [&](std::int64_t s) {
@@ -487,8 +491,7 @@ void RefineState::schedule(std::span<const std::uint32_t> seed) {
   // neighbour of a vertex whose states changed.
   const Vertex n = n_;
   const std::span<const std::uint32_t> step_off = off_span();
-  const std::span<const std::uint32_t> step_vertex = vertex_span();
-  const std::span<const std::uint32_t> step_succ = succ_span();
+  const std::span<const std::uint32_t> step_nbr = nbr_span();
   // One bit per vertex: listing the set in ascending order reads n / 64
   // words, so it stays cheap when a delta round activates a few dozen.
   active_bits_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
@@ -498,7 +501,7 @@ void RefineState::schedule(std::span<const std::uint32_t> seed) {
   for (const std::uint32_t v : seed) mark(v);
   for (const std::uint32_t v : changed_) {
     for (std::uint32_t j = step_off[v]; j < step_off[v + 1]; ++j)
-      mark(step_vertex[step_succ[j]]);
+      mark(step_nbr[j]);
   }
   active_.clear();
   for (std::size_t w = 0; w < active_bits_.size(); ++w)
@@ -612,11 +615,9 @@ RefineState::RefineState(const RefineState& parent, const LDigraph& g,
   // delta -- unless the target's layout changed and may have reordered its
   // span, which costs one label scan.
   clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
-    std::copy_n(old.vertex.begin() + olo, len, steps_.vertex.begin() + lo);
     std::copy_n(old.nbr.begin() + olo, len, steps_.nbr.begin() + lo);
     std::copy_n(old.move_bits.begin() + olo, len,
                 steps_.move_bits.begin() + lo);
-    std::copy_n(old.tag.begin() + olo, len, steps_.tag.begin() + lo);
     for (std::uint32_t j = 0; j < len; ++j) {
       const auto w = static_cast<Vertex>(old.nbr[olo + j]);
       const std::uint32_t mb = old.move_bits[olo + j];
@@ -680,10 +681,9 @@ TypeId complete_view_type_id(int k, int r, TypeInterner& interner) {
   // Arrival moves of the complete tree, in step order: {false, 0..k-1} then
   // {true, 0..k-1}; move m and move (m + k) % 2k are inverses.
   const int moves = 2 * k;
-  const auto edge_tag = [](int m, int k) {
-    return type_tag::kViewEdge |
-           (m >= k ? (std::uint64_t{1} << 32) : std::uint64_t{0}) |
-           static_cast<std::uint32_t>(m % k);
+  const auto move_tag = [k](int m) {
+    return edge_tag((m >= k ? 0x80000000u : 0u) |
+                    static_cast<std::uint32_t>(m % k));
   };
   const TypeId empty = interner.intern_node(type_tag::kViewNode, nullptr, 0);
   std::vector<TypeId> prev(static_cast<std::size_t>(moves), empty), cur(prev);
@@ -694,7 +694,7 @@ TypeId complete_view_type_id(int k, int r, TypeInterner& interner) {
       for (int j = 0; j < moves; ++j) {
         if (j == (m + k) % moves) continue;
         const TypeId sub = prev[static_cast<std::size_t>(j)];
-        edges.push_back(interner.intern_node(edge_tag(j, k), &sub, 1));
+        edges.push_back(interner.intern_node(move_tag(j), &sub, 1));
       }
       cur[static_cast<std::size_t>(m)] =
           interner.intern_node(type_tag::kViewNode, edges.data(), edges.size());
@@ -705,7 +705,7 @@ TypeId complete_view_type_id(int k, int r, TypeInterner& interner) {
   if (r > 0)
     for (int j = 0; j < moves; ++j) {
       const TypeId sub = prev[static_cast<std::size_t>(j)];
-      edges.push_back(interner.intern_node(edge_tag(j, k), &sub, 1));
+      edges.push_back(interner.intern_node(move_tag(j), &sub, 1));
     }
   const TypeId body =
       interner.intern_node(type_tag::kViewNode, edges.data(), edges.size());

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "lapx/core/interner.hpp"
+#include "lapx/core/refine.hpp"
 #include "lapx/problems/exact.hpp"
 #include "lapx/runtime/parallel.hpp"
 
@@ -46,7 +47,8 @@ struct TypeIndex {
 
 std::vector<InstanceData> prepare(const Problem& problem,
                                   const std::vector<graph::LDigraph>& instances,
-                                  int r, TypeIndex& types) {
+                                  int r, TypeIndex& types,
+                                  TypeInterner& interner) {
   std::vector<InstanceData> data;
   data.reserve(instances.size());
   for (const auto& g : instances) {
@@ -57,12 +59,13 @@ std::vector<InstanceData> prepare(const Problem& problem,
     const graph::Vertex n = g.num_vertices();
     d.type_of_vertex.resize(n);
     d.views.resize(static_cast<std::size_t>(n));
-    std::vector<TypeId> ids(static_cast<std::size_t>(n));
+    // The views build in parallel (they intern nothing); their ids come
+    // from the refinement, which interns in a schedule-free order.
     runtime::parallel_for(n, [&](std::int64_t v) {
-      const auto i = static_cast<std::size_t>(v);
-      d.views[i] = view(g, static_cast<graph::Vertex>(v), r);
-      ids[i] = view_type_id(d.views[i]);
+      d.views[static_cast<std::size_t>(v)] =
+          view(g, static_cast<graph::Vertex>(v), r);
     });
+    const std::vector<TypeId> ids = bulk_view_type_ids(g, r, interner);
     for (graph::Vertex v = 0; v < n; ++v)
       d.type_of_vertex[v] =
           types.intern(ids[static_cast<std::size_t>(v)],
@@ -81,11 +84,11 @@ double evaluate_ratio(const Problem& problem, std::size_t size,
 
 SynthesisResult synthesize_po_vertex(
     const Problem& problem, const std::vector<graph::LDigraph>& instances,
-    int r, std::size_t max_algorithms) {
+    int r, std::size_t max_algorithms, TypeInterner& interner) {
   if (problem.kind != Kind::kVertexSubset)
     throw std::invalid_argument("vertex synthesis needs a vertex problem");
   TypeIndex types;
-  const auto data = prepare(problem, instances, r, types);
+  const auto data = prepare(problem, instances, r, types, interner);
   const std::size_t t = types.types.size();
   if (t >= 63 || (std::size_t{1} << t) > max_algorithms)
     throw std::invalid_argument("algorithm space too large: 2^" +
@@ -123,11 +126,11 @@ SynthesisResult synthesize_po_vertex(
 
 SynthesisResult synthesize_po_edges(
     const Problem& problem, const std::vector<graph::LDigraph>& instances,
-    int r, std::size_t max_algorithms) {
+    int r, std::size_t max_algorithms, TypeInterner& interner) {
   if (problem.kind != Kind::kEdgeSubset)
     throw std::invalid_argument("edge synthesis needs an edge problem");
   TypeIndex types;
-  const auto data = prepare(problem, instances, r, types);
+  const auto data = prepare(problem, instances, r, types, interner);
   const std::size_t t = types.types.size();
   // Per type, the output alphabet is 2^(children of the root); collect the
   // child counts (identical for all representatives of a type).

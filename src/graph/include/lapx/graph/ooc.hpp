@@ -1,12 +1,13 @@
 #pragma once
-// Out-of-core graphs: a binary, mmap-able on-disk CSR format ("LAPXOOC1")
-// and a validated, read-only mapping of it; and the flat step CSR that
-// format persists, which core::RefineState also builds in RAM.
+// Out-of-core graphs: a binary, mmap-able on-disk format ("LAPXOOC1",
+// version 2) holding an LDigraph's flat step CSR and nothing else, a
+// validated, read-only mapping of it, and the StepCsr itself, which
+// core::RefineState also builds in RAM.
 //
 // Layout (little-endian, 128-byte header, 8-byte-aligned segments):
 //
 //   [ 0)  char[8]  magic "LAPXOOC1"
-//   [ 8)  u32      version (1)
+//   [ 8)  u32      version (2)
 //   [12)  u32      header_bytes (128)
 //   [16)  u64      n      -- vertices
 //   [24)  u64      m      -- arcs
@@ -18,28 +19,18 @@
 //   [64)  u64      header checksum (FNV-1a 64 over bytes [0, 64))
 //   [72)  zeros to 128
 //
-// The payload carries two families of segments.  The *adjacency* segments
-// are the format proper -- 64-bit CSR offsets plus packed (label, endpoint)
-// arcs, enough to reconstruct the LDigraph exactly:
+// The payload is the StepCsr below, each segment padded to 8 bytes:
 //
-//   u64 out_off[n+1]   u64 in_off[n+1]
-//   u64 out_arcs[m]    -- label << 32 | target,  grouped by source, sorted
-//   u64 in_arcs[m]     -- label << 32 | source,  grouped by target, sorted
+//   u32 step_off[n+1]
+//   u32 step_succ[steps]   step_nbr[steps]   step_move[steps]
 //
-// The *step* segments are the refinement accelerator: the StepCsr below,
-// which core::RefineState builds in RAM, precomputed at conversion time so
-// streaming refinement never touches the adjacency:
-//
-//   u64 step_tag[steps]                      -- kOocViewEdgeTag | move
-//   u32 step_off[n+1]  (padded to 8 bytes)
-//   u32 step_vertex[steps]  step_succ[steps]  step_nbr[steps]
-//   u32 step_move[steps]    (each padded to 8 bytes)
+// A vertex's out-steps are its out-arcs, so the step CSR is the graph.
 //
 // The writer streams segments through one FNV pass into a temp file,
 // fsyncs, and renames into place -- a crash never leaves a torn file under
 // the target name.  The reader validates magic, version, both checksums,
 // the claimed sizes against the real file size (a short mmap fails closed,
-// never faults), and every offset/index invariant before handing out
+// never faults), and every invariant of the step CSR before handing out
 // spans.  The mapping is read-only MAP_PRIVATE, so its pages are clean
 // page-cache pages: the kernel faults them in on first touch and reclaims
 // them under memory pressure, whether mapped or not.
@@ -60,30 +51,23 @@ class OocError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The step CSR's edge tag base.  graph/ cannot see core/interner.hpp, so
-/// the value is duplicated here; core/refine.cpp static_asserts it equals
-/// type_tag::kViewEdge, keeping the tags bit-identical to the ones the
-/// ViewTree path interns.
-inline constexpr std::uint64_t kOocViewEdgeTag = std::uint64_t{2} << 56;
-
 /// FNV-1a 64 (the repo-wide content hash; seed/prime per the reference).
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                       std::uint64_t seed = 1469598103934665603ull);
 
 /// The flat non-backtracking step CSR of an LDigraph: per vertex, in-arc
 /// steps in label order then out-arc steps in label order (the order
-/// view() emits children in); succ indexes the step a move leads to; tag =
-/// kOocViewEdgeTag | (outgoing << 32) | label; move_bits = (outgoing ?
-/// 0x80000000 : 0) | label.  core::RefineState owns one (filled in
+/// view() emits children in); move_bits = (outgoing ? 0x80000000 : 0) |
+/// label, so the moves of a span strictly increase; nbr is the vertex a
+/// step reaches, and succ indexes the inverse step there, whose own
+/// neighbour is the step's owner.  core::RefineState owns one (filled in
 /// parallel, refilled at the dirty vertices of a delta) and
 /// write_ooc_graph persists one, so both share this layout and fill.
 struct StepCsr {
   std::vector<std::uint32_t> off;        // n + 1
-  std::vector<std::uint32_t> vertex;     // steps
   std::vector<std::uint32_t> succ;       // steps
   std::vector<std::uint32_t> nbr;        // steps
   std::vector<std::uint32_t> move_bits;  // steps
-  std::vector<std::uint64_t> tag;        // steps
 
   /// Sets off from g's degrees and sizes every step array to their total;
   /// the spans' contents are fill's to write.  Throws OocError past 2^32
@@ -102,10 +86,10 @@ struct StepCsr {
 /// layout(g), then fill of every vertex in order: what the writer persists.
 StepCsr build_step_csr(const LDigraph& g);
 
-/// Serializes `g` to `path` in the LAPXOOC1 format: writes to a temp file
-/// in the same directory, fsyncs, renames over `path`, fsyncs the
-/// directory.  Throws OocError on any I/O failure or when the graph
-/// exceeds the format's 2^32-step bound.
+/// Serializes `g`'s step CSR to `path`: writes to a temp file in the same
+/// directory, fsyncs, renames over `path`, fsyncs the directory.  Throws
+/// OocError on any I/O failure or when the graph exceeds the format's
+/// 2^32-step bound.
 void write_ooc_graph(const std::string& path, const LDigraph& g);
 
 /// A validated, memory-mapped LAPXOOC1 file.  All accessors are const
@@ -115,10 +99,8 @@ class OocGraph {
   /// Opens and fully validates `path`; throws OocError on any mismatch
   /// (missing file, not a regular file -- a FIFO is refused, never waited
   /// on -- bad magic/version/endian tag, checksum mismatch, file shorter
-  /// than the header claims, corrupt offsets/indices, an adjacency
-  /// LDigraph::from_arcs would reject, in_arcs that are not the transpose
-  /// of out_arcs, or step segments build_step_csr would not derive).  An
-  /// opened file therefore always materializes.
+  /// than the header claims, or a step CSR that build_step_csr derives
+  /// from no LDigraph).  An opened file therefore always materializes.
   explicit OocGraph(const std::string& path);
   ~OocGraph();
   OocGraph(const OocGraph&) = delete;
@@ -134,19 +116,9 @@ class OocGraph {
   /// the service surfaces as an ooc session's content id).
   std::uint64_t payload_checksum() const { return payload_checksum_; }
 
-  // Adjacency segments (64-bit CSR; one arc per undirected edge when the
-  // file came from a default port numbering).
-  std::span<const std::uint64_t> out_off() const { return {out_off_, n_ + 1}; }
-  std::span<const std::uint64_t> in_off() const { return {in_off_, n_ + 1}; }
-  std::span<const std::uint64_t> out_arcs() const { return {out_arcs_, m_}; }
-  std::span<const std::uint64_t> in_arcs() const { return {in_arcs_, m_}; }
-
-  // Step segments (the refinement engine's flat CSR, mmap'd).
+  // The step CSR, mmap'd.
   std::span<const std::uint32_t> step_off() const {
     return {step_off_, n_ + 1};
-  }
-  std::span<const std::uint32_t> step_vertex() const {
-    return {step_vertex_, steps_};
   }
   std::span<const std::uint32_t> step_succ() const {
     return {step_succ_, steps_};
@@ -157,17 +129,14 @@ class OocGraph {
   std::span<const std::uint32_t> step_move_bits() const {
     return {step_move_, steps_};
   }
-  std::span<const std::uint64_t> step_edge_tag() const {
-    return {step_tag_, steps_};
-  }
 
-  /// Reconstructs the LDigraph from the adjacency segments (round-trip
+  /// Reconstructs the LDigraph from each vertex's out-steps (round-trip
   /// verification and under-cap service materialization).
   LDigraph materialize() const;
 
  private:
-  /// Why the mapped segments are not what write_ooc_graph emits for some
-  /// LDigraph, or nullptr.  Checked vertex by vertex, never materializing.
+  /// Why the mapped step CSR is not build_step_csr of some LDigraph, or
+  /// nullptr.  Checked step by step, never materializing.
   const char* structure_error() const;
 
   std::string path_;
@@ -178,13 +147,7 @@ class OocGraph {
   std::uint32_t alphabet_ = 0;
   std::uint64_t payload_checksum_ = 0;
 
-  const std::uint64_t* out_off_ = nullptr;
-  const std::uint64_t* in_off_ = nullptr;
-  const std::uint64_t* out_arcs_ = nullptr;
-  const std::uint64_t* in_arcs_ = nullptr;
-  const std::uint64_t* step_tag_ = nullptr;
   const std::uint32_t* step_off_ = nullptr;
-  const std::uint32_t* step_vertex_ = nullptr;
   const std::uint32_t* step_succ_ = nullptr;
   const std::uint32_t* step_nbr_ = nullptr;
   const std::uint32_t* step_move_ = nullptr;

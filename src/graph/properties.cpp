@@ -11,26 +11,53 @@ namespace lapx::graph {
 
 namespace {
 
+// Epoch-stamped BFS scratch: bulk callers (ordered-ball typing, OI
+// simulations, girth) run one BFS per vertex, and a fresh O(n) dist vector
+// per BFS made those sweeps quadratic.  A bumped epoch invalidates every
+// mark at once; the arrays are only ever grown.
+struct BallScratch {
+  std::vector<std::uint32_t> stamp;
+  std::vector<int> dist;
+  std::vector<Vertex> queue;
+  std::uint32_t epoch = 0;
+
+  void begin(std::size_t n) {
+    if (stamp.size() < n) {
+      stamp.resize(n, 0);
+      dist.resize(n, 0);
+    }
+    if (++epoch == 0) {  // wrapped: every stale stamp looks fresh again
+      std::fill(stamp.begin(), stamp.end(), 0);
+      epoch = 1;
+    }
+    queue.clear();
+  }
+};
+
 // Shortest cycle through `source` is found by BFS recording parents; a
 // non-tree edge between branches closes a cycle of length
 // dist[u] + dist[v] + 1.  Taking the minimum over all sources is exact.
-int shortest_cycle_through(const Graph& g, Vertex source, int best_so_far) {
-  std::vector<int> dist(g.num_vertices(), -1);
-  std::vector<Vertex> parent(g.num_vertices(), -1);
-  std::deque<Vertex> queue{source};
-  dist[source] = 0;
+// parent[u] is read only for vertices this BFS reached, so it needs no
+// stamp of its own.
+int shortest_cycle_through(const Graph& g, Vertex source, int best_so_far,
+                           BallScratch& s, std::vector<Vertex>& parent) {
+  s.begin(static_cast<std::size_t>(g.num_vertices()));
+  s.stamp[source] = s.epoch;
+  s.dist[source] = 0;
+  parent[source] = -1;
+  s.queue.push_back(source);
   int best = best_so_far;
-  while (!queue.empty()) {
-    const Vertex u = queue.front();
-    queue.pop_front();
-    if (best > 0 && 2 * dist[u] >= best) break;  // cannot improve further
+  for (std::size_t head = 0; head < s.queue.size(); ++head) {
+    const Vertex u = s.queue[head];
+    if (best > 0 && 2 * s.dist[u] >= best) break;  // cannot improve further
     for (Vertex w : g.neighbors(u)) {
-      if (dist[w] == -1) {
-        dist[w] = dist[u] + 1;
+      if (s.stamp[w] != s.epoch) {
+        s.stamp[w] = s.epoch;
+        s.dist[w] = s.dist[u] + 1;
         parent[w] = u;
-        queue.push_back(w);
+        s.queue.push_back(w);
       } else if (w != parent[u]) {
-        const int cycle_len = dist[u] + dist[w] + 1;
+        const int cycle_len = s.dist[u] + s.dist[w] + 1;
         if (best < 0 || cycle_len < best) best = cycle_len;
       }
     }
@@ -41,9 +68,13 @@ int shortest_cycle_through(const Graph& g, Vertex source, int best_so_far) {
 }  // namespace
 
 int girth(const Graph& g) {
+  // A forest's BFS never closes a cycle, so it would never prune.
+  if (is_forest(g)) return kInfiniteGirth;
+  BallScratch s;
+  std::vector<Vertex> parent(static_cast<std::size_t>(g.num_vertices()));
   int best = kInfiniteGirth;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    best = shortest_cycle_through(g, v, best);
+    best = shortest_cycle_through(g, v, best, s, parent);
     if (best == 3) return 3;
   }
   return best;
@@ -76,33 +107,6 @@ std::vector<int> bfs_distances(const Graph& g, Vertex source) {
   }
   return dist;
 }
-
-namespace {
-
-// Per-thread epoch-stamped BFS scratch: bulk callers (ordered-ball typing,
-// OI simulations) extract one ball per vertex, and a fresh O(n) dist vector
-// per call made those sweeps quadratic.  A bumped epoch invalidates every
-// mark at once; the arrays are only ever grown.
-struct BallScratch {
-  std::vector<std::uint32_t> stamp;
-  std::vector<int> dist;
-  std::vector<Vertex> queue;
-  std::uint32_t epoch = 0;
-
-  void begin(std::size_t n) {
-    if (stamp.size() < n) {
-      stamp.resize(n, 0);
-      dist.resize(n, 0);
-    }
-    if (++epoch == 0) {  // wrapped: every stale stamp looks fresh again
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-    queue.clear();
-  }
-};
-
-}  // namespace
 
 std::vector<Vertex> ball(const Graph& g, Vertex v, int r) {
   if (v < 0 || v >= g.num_vertices())
@@ -156,7 +160,14 @@ bool is_connected(const Graph& g) {
   return std::all_of(comp.begin(), comp.end(), [](int c) { return c == 0; });
 }
 
-bool is_forest(const Graph& g) { return girth(g) == kInfiniteGirth; }
+bool is_forest(const Graph& g) {
+  // A forest with c components has exactly n - c edges; a cycle adds one.
+  const std::vector<int> comp = connected_components(g);
+  const int components =
+      comp.empty() ? 0 : 1 + *std::max_element(comp.begin(), comp.end());
+  return g.num_edges() + static_cast<std::size_t>(components) ==
+         static_cast<std::size_t>(g.num_vertices());
+}
 
 bool is_bipartite(const Graph& g) {
   std::vector<int> colour(g.num_vertices(), -1);

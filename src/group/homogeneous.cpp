@@ -91,12 +91,13 @@ std::string ball_type_by_arithmetic(const WreathGroup& group,
 }
 
 // Interned variant; equal id <=> equal ball_type_by_arithmetic string.
-core::TypeId ball_type_id_by_arithmetic(const WreathGroup& group,
-                                        const std::vector<Elem>& gens,
-                                        const Elem& center, int r, int level) {
+core::TypeId ball_type_id_by_arithmetic(
+    const WreathGroup& group, const std::vector<Elem>& gens,
+    const Elem& center, int r, int level,
+    core::TypeInterner& interner = core::TypeInterner::global()) {
   const auto [mini, keys, root] =
       ball_by_arithmetic(group, gens, center, r, level);
-  return order::ordered_ball_type_id(mini, keys, root, r);
+  return order::ordered_ball_type_id(mini, keys, root, r, interner);
 }
 
 }  // namespace
@@ -128,14 +129,16 @@ std::string local_type(const HomogeneousSpec& spec, const Elem& center) {
 }
 
 double sampled_homogeneity(const HomogeneousSpec& spec, int samples,
-                           std::mt19937_64& rng) {
+                           std::mt19937_64& rng,
+                           core::TypeInterner& interner) {
   if (spec.m <= 0) throw std::invalid_argument("spec.m not set");
   const WreathGroup h = spec.finite_group();
   const WreathGroup u = spec.infinite_group();
   const core::TypeId tau = ball_type_id_by_arithmetic(
-      u, spec.generators, u.identity(), spec.r, spec.level);
+      u, spec.generators, u.identity(), spec.r, spec.level, interner);
   // Draw all samples serially (the rng stream must not depend on the thread
-  // count), then classify them in parallel comparing interned TypeIds.
+  // count), then classify them in parallel by looking their keys up, never
+  // inserting: a sample is tau-typed iff its key resolves to tau.
   std::uniform_int_distribution<int> coord(0, spec.m - 1);
   std::vector<Elem> centers(static_cast<std::size_t>(samples),
                             Elem(static_cast<std::size_t>(h.dimension())));
@@ -144,9 +147,12 @@ double sampled_homogeneity(const HomogeneousSpec& spec, int samples,
   const int hits = runtime::parallel_reduce(
       samples, 0,
       [&](std::int64_t i) {
-        return ball_type_id_by_arithmetic(
-                   h, spec.generators, centers[static_cast<std::size_t>(i)],
-                   spec.r, spec.level) == tau
+        const auto [mini, keys, root] =
+            ball_by_arithmetic(h, spec.generators,
+                               centers[static_cast<std::size_t>(i)], spec.r,
+                               spec.level);
+        return order::find_ordered_ball_type_id(mini, keys, root, spec.r,
+                                                interner) == tau
                    ? 1
                    : 0;
       },

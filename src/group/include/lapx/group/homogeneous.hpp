@@ -77,9 +77,12 @@ std::string tau_star_type(const HomogeneousSpec& spec);
 /// in C(H_level(m), S), computed by local group arithmetic only.
 std::string local_type(const HomogeneousSpec& spec, const Elem& center);
 
-/// Estimates the fraction of tau*-type vertices by sampling.
-double sampled_homogeneity(const HomogeneousSpec& spec, int samples,
-                           std::mt19937_64& rng);
+/// Estimates the fraction of tau*-type vertices by sampling.  Only tau*
+/// is interned (into `interner`); the samples are looked up, so the
+/// interner's id order does not depend on LAPX_THREADS.
+double sampled_homogeneity(
+    const HomogeneousSpec& spec, int samples, std::mt19937_64& rng,
+    core::TypeInterner& interner = core::TypeInterner::global());
 
 /// The paper's analytic lower bound (m - 2r)^d / m^d on the tau*-fraction
 /// (clamped to [0, 1]).

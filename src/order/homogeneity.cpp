@@ -251,6 +251,14 @@ core::TypeId ordered_ball_type_id(const LDigraph& d, const Keys& keys,
   return interner.intern(key);
 }
 
+core::TypeId find_ordered_ball_type_id(const LDigraph& d, const Keys& keys,
+                                       Vertex v, int r,
+                                       const core::TypeInterner& interner) {
+  thread_local std::string key;
+  ordered_ball_key(d, keys, v, r, key);
+  return interner.try_intern(key);
+}
+
 namespace {
 
 template <typename GraphT>

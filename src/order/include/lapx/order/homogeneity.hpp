@@ -79,6 +79,13 @@ core::TypeId ordered_ball_type_id(
     const LDigraph& d, const Keys& keys, Vertex v, int r,
     core::TypeInterner& interner = core::TypeInterner::global());
 
+/// ordered_ball_type_id's lookup half: the id when the type is already
+/// interned, kNoType otherwise.  Never inserts, so a parallel caller
+/// leaves the interner's id order alone.
+core::TypeId find_ordered_ball_type_id(
+    const LDigraph& d, const Keys& keys, Vertex v, int r,
+    const core::TypeInterner& interner = core::TypeInterner::global());
+
 /// ordered_ball_type_id of every vertex, computed in parallel.  Fresh ids
 /// are interned serially in vertex order, so the interner's id -> key map
 /// does not depend on LAPX_THREADS.  Throws std::invalid_argument when

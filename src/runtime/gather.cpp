@@ -378,24 +378,23 @@ std::vector<bool> run_po_via_messages(const graph::Graph& g,
                                       const graph::PortNumbering& pn,
                                       const graph::Orientation& orient,
                                       const core::VertexPoAlgorithm& algo,
-                                      int r, int delta) {
+                                      int r, int delta,
+                                      core::TypeInterner& interner) {
   const auto knowledge = gather_full_information(g, pn, orient, r);
   const graph::Vertex n = g.num_vertices();
   // Classify every node by its (materialization-free) view type, then run
   // the algorithm once per class: the one place a ViewTree is still built
-  // is the per-class witness handed to the algorithm.
-  std::vector<core::TypeId> types(static_cast<std::size_t>(n));
-  runtime::parallel_for(n, [&](std::int64_t v) {
-    types[static_cast<std::size_t>(v)] =
-        knowledge_view_type_id(knowledge[static_cast<std::size_t>(v)], r,
-                               delta);
-  });
+  // is the per-class witness handed to the algorithm.  Typing interns, so
+  // it runs serially in vertex order: fresh ids then land in an order that
+  // does not depend on the thread schedule.
   std::unordered_map<core::TypeId, std::size_t> index;
   std::vector<graph::Vertex> rep;
   std::vector<std::size_t> cls(static_cast<std::size_t>(n));
   for (graph::Vertex v = 0; v < n; ++v) {
-    const auto [it, inserted] =
-        index.try_emplace(types[static_cast<std::size_t>(v)], rep.size());
+    const auto [it, inserted] = index.try_emplace(
+        knowledge_view_type_id(knowledge[static_cast<std::size_t>(v)], r,
+                               delta, interner),
+        rep.size());
     if (inserted) rep.push_back(v);
     cls[static_cast<std::size_t>(v)] = it->second;
   }

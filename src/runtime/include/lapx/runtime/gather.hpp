@@ -150,11 +150,12 @@ core::TypeId knowledge_view_type_id(
 /// reconstructed view.  Provably equal to core::run_po on the corresponding
 /// L-digraph (tested as such) -- the operational semantics of Section 2.
 /// Throws std::invalid_argument for an invalid port numbering, as
-/// gather_full_information does.
-std::vector<bool> run_po_via_messages(const graph::Graph& g,
-                                      const graph::PortNumbering& pn,
-                                      const graph::Orientation& orient,
-                                      const core::VertexPoAlgorithm& algo,
-                                      int r, int delta);
+/// gather_full_information does.  Views are typed serially against
+/// `interner`, so its id order does not depend on LAPX_THREADS.
+std::vector<bool> run_po_via_messages(
+    const graph::Graph& g, const graph::PortNumbering& pn,
+    const graph::Orientation& orient, const core::VertexPoAlgorithm& algo,
+    int r, int delta,
+    core::TypeInterner& interner = core::TypeInterner::global());
 
 }  // namespace lapx::runtime

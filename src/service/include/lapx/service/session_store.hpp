@@ -72,11 +72,11 @@ namespace lapx::service {
 ///
 /// Two backings share the interface: in-memory (put/generate/upload) and
 /// out-of-core (open_ooc) -- the latter keeps the graph in its mmap'd
-/// LAPXOOC1 file, streams view-type refinement over the file's step
-/// segments (the page cache keeps what stays resident), and only
-/// materializes an in-RAM Graph/LDigraph when a handler demands the full
-/// adjacency AND the instance is under the materialization cap (else
-/// kTooLarge).
+/// LAPXOOC1 file, which holds only the graph's step CSR, streams
+/// view-type refinement over that CSR (the page cache keeps what stays
+/// resident), and only materializes an in-RAM Graph/LDigraph from its
+/// out-steps when a handler demands the full adjacency AND the instance is
+/// under the materialization cap (else kTooLarge).
 class GraphEntry {
  public:
   /// `text` is g's canonical edge-list text; only its two hashes are kept.
@@ -84,7 +84,9 @@ class GraphEntry {
 
   /// Out-of-core backing.  `content_hex` is the file's payload checksum in
   /// hex and the content id is "ooc:" + content_hex -- stable across
-  /// processes, so persisted cache entries stay addressable.
+  /// processes, so persisted cache entries stay addressable while the
+  /// file's bytes do (the checksum covers the whole step CSR, so a file
+  /// rewritten in another format version is new content).
   GraphEntry(std::unique_ptr<graph::OocGraph> ooc, std::string source_path,
              std::string content_hex, std::uint64_t epoch,
              graph::Vertex materialize_max_vertices);
@@ -205,7 +207,7 @@ class SessionStore {
 
   /// Binds `name` to a LAPXOOC1 file (same epoch/LRU semantics as put).
   /// Throws graph::OocError when the file is missing, not a regular
-  /// file, or fails validation.
+  /// file, of another format version, or fails validation.
   std::shared_ptr<const GraphEntry> open_ooc(const std::string& name,
                                              const std::string& path);
 

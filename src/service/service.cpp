@@ -21,6 +21,28 @@ Json graph_summary(const std::string& name, const GraphEntry& entry) {
   return out;
 }
 
+// graph_summary plus the session's epoch and content hash.
+Json session_summary(const std::string& name, const GraphEntry& entry) {
+  Json out = graph_summary(name, entry);
+  out.set("epoch", Json::integer(static_cast<std::int64_t>(entry.epoch())));
+  out.set("content", Json::string(entry.content_hex()));
+  return out;
+}
+
+// The store counters `stats` and `session_info` both report.
+Json store_counters(const SessionStore::Stats& gs) {
+  Json store = Json::object();
+  for (const auto& [key, count] :
+       {std::pair<const char*, std::uint64_t>{"resident", gs.resident},
+        {"inserted", gs.inserted},
+        {"evicted", gs.evicted},
+        {"dropped", gs.dropped},
+        {"overwritten", gs.overwritten},
+        {"mutated", gs.mutated}})
+    store.set(key, Json::integer(static_cast<std::int64_t>(count)));
+  return store;
+}
+
 std::string name_field(const Request& req) {
   const Json* v = req.body.find("name");
   if (v == nullptr || !v->is_string() || v->as_string().empty())
@@ -202,11 +224,7 @@ std::string Service::admin(const Request& req) {
     }
     if (entry == nullptr)
       throw ServiceError(ErrorCode::kNotFound, "no such graph: " + name);
-    Json out = graph_summary(name, *entry);
-    out.set("epoch",
-            Json::integer(static_cast<std::int64_t>(entry->epoch())));
-    out.set("content", Json::string(entry->content_hex()));
-    return ok_response(req.id, out.dump());
+    return ok_response(req.id, session_summary(name, *entry).dump());
   }
   if (req.op == "session_info") {
     // Deterministic by design (unlike stats' cache/scheduler sections):
@@ -215,29 +233,12 @@ std::string Service::admin(const Request& req) {
     // diffs across executor counts and cold/warm cache states.
     Json sessions = Json::array();
     for (const std::string& name : store_.names()) {
-      if (auto entry = store_.get(name)) {
-        Json s = graph_summary(name, *entry);
-        s.set("epoch",
-              Json::integer(static_cast<std::int64_t>(entry->epoch())));
-        s.set("content", Json::string(entry->content_hex()));
-        sessions.push_back(std::move(s));
-      }
+      if (auto entry = store_.get(name))
+        sessions.push_back(session_summary(name, *entry));
     }
-    const auto gs = store_.stats();
-    Json store = Json::object();
-    store.set("resident",
-              Json::integer(static_cast<std::int64_t>(gs.resident)));
-    store.set("inserted",
-              Json::integer(static_cast<std::int64_t>(gs.inserted)));
-    store.set("evicted", Json::integer(static_cast<std::int64_t>(gs.evicted)));
-    store.set("dropped", Json::integer(static_cast<std::int64_t>(gs.dropped)));
-    store.set("overwritten",
-              Json::integer(static_cast<std::int64_t>(gs.overwritten)));
-    store.set("mutated",
-              Json::integer(static_cast<std::int64_t>(gs.mutated)));
     Json out = Json::object();
     out.set("sessions", std::move(sessions));
-    out.set("store", std::move(store));
+    out.set("store", store_counters(store_.stats()));
     return ok_response(req.id, out.dump());
   }
   if (req.op == "drop") {
@@ -261,7 +262,6 @@ std::string Service::admin(const Request& req) {
   if (req.op == "stats") {
     const auto cs = cache_.stats();
     const auto ss = scheduler_.stats();
-    const auto gs = store_.stats();
     Json cache = Json::object();
     cache.set("hits", Json::integer(static_cast<std::int64_t>(cs.hits)));
     cache.set("misses", Json::integer(static_cast<std::int64_t>(cs.misses)));
@@ -283,21 +283,10 @@ std::string Service::admin(const Request& req) {
               Json::integer(static_cast<std::int64_t>(ss.completed)));
     sched.set("queued", Json::integer(static_cast<std::int64_t>(ss.queued)));
     sched.set("executors", Json::integer(scheduler_.executors()));
-    Json store = Json::object();
-    store.set("resident",
-              Json::integer(static_cast<std::int64_t>(gs.resident)));
-    store.set("inserted",
-              Json::integer(static_cast<std::int64_t>(gs.inserted)));
-    store.set("evicted", Json::integer(static_cast<std::int64_t>(gs.evicted)));
-    store.set("dropped", Json::integer(static_cast<std::int64_t>(gs.dropped)));
-    store.set("overwritten",
-              Json::integer(static_cast<std::int64_t>(gs.overwritten)));
-    store.set("mutated",
-              Json::integer(static_cast<std::int64_t>(gs.mutated)));
     Json out = Json::object();
     out.set("cache", std::move(cache));
     out.set("scheduler", std::move(sched));
-    out.set("store", std::move(store));
+    out.set("store", store_counters(store_.stats()));
     return ok_response(req.id, out.dump());
   }
   if (req.op == "cache_save") {

@@ -146,6 +146,61 @@ TEST(Properties, Components) {
   EXPECT_FALSE(is_connected(g));
 }
 
+// Girth by brute force: each edge {u, v} closes a cycle of length
+// dist(u, v) + 1 in the graph without it; the shortest over all edges.
+int brute_force_girth(const Graph& g) {
+  int best = kInfiniteGirth;
+  for (const auto& [a, b] : g.edges()) {
+    std::vector<int> dist(static_cast<std::size_t>(g.num_vertices()), -1);
+    std::vector<Vertex> queue{a};
+    dist[a] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const Vertex u = queue[head];
+      for (const Vertex w : g.neighbors(u))
+        if (dist[w] == -1 && !(u == a && w == b)) {
+          dist[w] = dist[u] + 1;
+          queue.push_back(w);
+        }
+    }
+    if (dist[b] != -1 && (best == kInfiniteGirth || dist[b] + 1 < best))
+      best = dist[b] + 1;
+  }
+  return best;
+}
+
+TEST(Properties, GirthAndForestMatchBruteForce) {
+  // Seeded forests of several components on shuffled vertex ids, then the
+  // same forest with one edge added: inside a component it closes exactly
+  // one cycle, across two it leaves a forest.
+  std::mt19937_64 rng(2026);
+  for (int trial = 0; trial < 60; ++trial) {
+    const Vertex n = 2 + static_cast<Vertex>(rng() % 40);
+    std::vector<Vertex> id(static_cast<std::size_t>(n));
+    for (Vertex v = 0; v < n; ++v) id[v] = v;
+    std::shuffle(id.begin(), id.end(), rng);
+    Graph forest(n);
+    for (Vertex v = 1; v < n; ++v)
+      if (rng() % 5 != 0)  // else v roots a new component
+        forest.add_edge(id[v], id[rng() % v]);
+    EXPECT_TRUE(is_forest(forest)) << "trial " << trial;
+    EXPECT_EQ(girth(forest), kInfiniteGirth) << "trial " << trial;
+
+    if (forest.num_edges() == static_cast<std::size_t>(n) * (n - 1) / 2)
+      continue;  // complete (n = 2): no edge left to add
+    Vertex u = 0, w = 0;
+    while (u == w || forest.has_edge(u, w)) {
+      u = static_cast<Vertex>(rng() % n);
+      w = static_cast<Vertex>(rng() % n);
+    }
+    Graph plus = forest;
+    plus.add_edge(u, w);
+    const int expected = brute_force_girth(plus);
+    EXPECT_EQ(girth(plus), expected) << "trial " << trial;
+    EXPECT_EQ(is_forest(plus), expected == kInfiniteGirth)
+        << "trial " << trial;
+  }
+}
+
 TEST(Properties, InducedSubgraph) {
   const Graph g = complete(5);
   auto [sub, map] = induced_subgraph(g, {1, 2, 4});

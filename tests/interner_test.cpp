@@ -17,11 +17,14 @@
 #include "lapx/core/refine.hpp"
 #include "lapx/core/model.hpp"
 #include "lapx/core/pn_view.hpp"
+#include "lapx/core/synthesis.hpp"
 #include "lapx/core/view.hpp"
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/lift.hpp"
 #include "lapx/graph/port_numbering.hpp"
+#include "lapx/group/homogeneous.hpp"
 #include "lapx/order/homogeneity.hpp"
+#include "lapx/problems/problem.hpp"
 #include "lapx/runtime/gather.hpp"
 #include "lapx/runtime/parallel.hpp"
 
@@ -289,6 +292,60 @@ TEST(Determinism, RunPoAndRunPnIndependentOfThreadCount) {
   runtime::set_thread_count(8);
   EXPECT_EQ(core::run_po(ld, po, 2), po1);
   EXPECT_EQ(core::run_pn(g, pn, pa, 2), pn1);
+}
+
+// The id -> spelling sequence of `interner`: what a fresh interner holds
+// after a call, which must not depend on the thread schedule.
+std::vector<std::string> spellings(const TypeInterner& interner) {
+  std::vector<std::string> out;
+  for (TypeId id = 0; id < interner.size(); ++id)
+    out.push_back(interner.spelling(id));
+  return out;
+}
+
+TEST(Determinism, ParallelCallersInternInScheduleFreeOrder) {
+  // Three calls that once interned from parallel loop bodies: the message
+  // passing PO run, the sampled homogeneity estimate and PO synthesis.
+  // Each fills a fresh interner identically at 1 and at 8 threads; the
+  // 8-thread side runs twice, since a racy body shows only on some
+  // schedules.
+  ThreadCountGuard guard;
+  std::mt19937_64 rng(600);
+  const Graph regular = graph::random_regular(600, 3, rng);
+  const auto pn = graph::PortNumbering::default_for(regular);
+  const auto orient = graph::Orientation::default_for(regular);
+  const core::VertexPoAlgorithm po = [](const core::ViewTree& t) {
+    return static_cast<int>(t.children[0].size() % 2);
+  };
+  auto spec = group::design_homogeneous(2, 2, 4, rng);
+  ASSERT_TRUE(spec.has_value());
+  spec->m = 10;
+  const std::vector<graph::LDigraph> instances{
+      graph::to_ldigraph(graph::random_regular(14, 3, rng))};
+
+  const auto check = [](const char* what, const auto& call) {
+    std::vector<std::string> reference;
+    for (const int threads : {1, 8, 8}) {
+      runtime::set_thread_count(threads);
+      TypeInterner interner;
+      call(interner);
+      if (threads == 1)
+        reference = spellings(interner);
+      else
+        EXPECT_EQ(spellings(interner), reference) << what;
+    }
+  };
+  check("run_po_via_messages", [&](TypeInterner& interner) {
+    runtime::run_po_via_messages(regular, pn, orient, po, 3, 3, interner);
+  });
+  check("sampled_homogeneity", [&](TypeInterner& interner) {
+    std::mt19937_64 draws(4000);
+    group::sampled_homogeneity(*spec, 4000, draws, interner);
+  });
+  check("synthesize_po_vertex", [&](TypeInterner& interner) {
+    core::synthesize_po_vertex(problems::vertex_cover(), instances, 2,
+                               std::size_t{1} << 22, interner);
+  });
 }
 
 TEST(Determinism, ParallelReduceChunkingIndependentOfThreadCount) {

@@ -1,8 +1,8 @@
 // LAPXOOC1 out-of-core graphs (graph/ooc.hpp): round-trip fidelity on the
 // experiment families, fail-closed validation on every corruption we can
 // craft (truncation, bad magic, checksum mismatches, foreign versions, a
-// file shorter than its own header claims, a well-checksummed adjacency
-// that is not a valid L-digraph, seeded generated damage), TypeId-identical
+// file shorter than its own header claims, well-checksummed step CSRs
+// that describe no valid L-digraph, seeded generated damage), TypeId-identical
 // streaming refinement, and the service `open` op (seeded request streams
 // byte-identical to the in-memory path, non-regular paths refused without
 // blocking, the mutate rejection, and the materialization cap).
@@ -22,6 +22,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "lapx/core/refine.hpp"
@@ -87,6 +88,42 @@ void reseal(std::vector<unsigned char>& bytes) {
   std::memcpy(bytes.data() + 64, &header, 8);
 }
 
+// Writes `ld` to `path`, then replaces the file's step CSR with `csr`
+// (same vertex and step counts) and reseals it: a crafted payload that
+// reaches the structural checks.
+void write_crafted(const std::string& path, const LDigraph& ld,
+                   const StepCsr& csr) {
+  lapx::graph::write_ooc_graph(path, ld);
+  auto bytes = read_file(path);
+  std::size_t at = 128;
+  for (const auto* seg : {&csr.off, &csr.succ, &csr.nbr, &csr.move_bits}) {
+    std::memcpy(bytes.data() + at, seg->data(), seg->size() * 4);
+    at += (seg->size() * 4 + 7) / 8 * 8;
+  }
+  reseal(bytes);
+  write_file(path, bytes);
+}
+
+// Swaps steps a and b of one span and re-points their inverse steps, so
+// the only broken invariant is the span's move order.
+void swap_steps(StepCsr& csr, std::uint32_t a, std::uint32_t b) {
+  std::swap(csr.succ[a], csr.succ[b]);
+  std::swap(csr.nbr[a], csr.nbr[b]);
+  std::swap(csr.move_bits[a], csr.move_bits[b]);
+  csr.succ[csr.succ[a]] = a;
+  csr.succ[csr.succ[b]] = b;
+}
+
+// Opening `path` must throw OocError naming `why`.
+void expect_refused(const std::string& path, const std::string& why) {
+  try {
+    OocGraph g(path);
+    ADD_FAILURE() << "accepted a file that should fail with: " << why;
+  } catch (const OocError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
 LDigraph lifted_torus_ld(int layers, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   return lapx::graph::random_lift(
@@ -119,11 +156,9 @@ void expect_round_trip(const LDigraph& ld, const std::string& path) {
            std::equal(span.begin(), span.end(), vec.begin());
   };
   EXPECT_TRUE(span_eq(g.step_off(), csr.off));
-  EXPECT_TRUE(span_eq(g.step_vertex(), csr.vertex));
   EXPECT_TRUE(span_eq(g.step_succ(), csr.succ));
   EXPECT_TRUE(span_eq(g.step_nbr(), csr.nbr));
   EXPECT_TRUE(span_eq(g.step_move_bits(), csr.move_bits));
-  EXPECT_TRUE(span_eq(g.step_edge_tag(), csr.tag));
 }
 
 TEST(OocFormat, RoundTripTorus) {
@@ -192,22 +227,19 @@ TEST(OocFormat, HeaderChecksumMismatchFailsClosed) {
 }
 
 TEST(OocFormat, UnknownVersionFailsClosed) {
+  // Version 1 (which also stored the adjacency) and a future version 3.
   TempDir dir;
   const std::string path = dir.path + "/g.lapxooc";
-  lapx::graph::write_ooc_graph(
-      path, lapx::graph::to_ldigraph(lapx::graph::torus({3, 3})));
-  auto bytes = read_file(path);
-  const std::uint32_t v2 = 2;
-  std::memcpy(bytes.data() + 8, &v2, 4);
-  // Recompute the header checksum so the version check itself fires.
-  const std::uint64_t sum = lapx::graph::fnv1a64(bytes.data(), 64);
-  std::memcpy(bytes.data() + 64, &sum, 8);
-  write_file(path, bytes);
-  try {
-    OocGraph g(path);
-    FAIL() << "unknown version accepted";
-  } catch (const OocError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  for (const std::uint32_t version : {1u, 3u}) {
+    lapx::graph::write_ooc_graph(
+        path, lapx::graph::to_ldigraph(lapx::graph::torus({3, 3})));
+    auto bytes = read_file(path);
+    std::memcpy(bytes.data() + 8, &version, 4);
+    // Recompute the header checksum so the version check itself fires.
+    const std::uint64_t sum = lapx::graph::fnv1a64(bytes.data(), 64);
+    std::memcpy(bytes.data() + 64, &sum, 8);
+    write_file(path, bytes);
+    expect_refused(path, "unsupported version " + std::to_string(version));
   }
 }
 
@@ -234,20 +266,119 @@ TEST(OocFormat, TruncatedPayloadFailsClosed) {
   EXPECT_THROW(OocGraph{path}, OocError);
 }
 
+// A torus file whose first vertex with two out-steps gives the second
+// the first one's label, with both checksums recomputed: every range
+// check passes, but LDigraph::from_arcs would reject the graph.
+void write_repeated_out_label(const std::string& path) {
+  const LDigraph ld = lapx::graph::to_ldigraph(lapx::graph::torus({3, 3}));
+  StepCsr csr = lapx::graph::build_step_csr(ld);
+  for (Vertex v = 0; v < ld.num_vertices(); ++v) {
+    if (ld.out_degree(v) < 2) continue;
+    const std::uint32_t first = csr.off[v + 1] - 2;  // out-steps end a span
+    csr.move_bits[first + 1] = csr.move_bits[first];
+    break;
+  }
+  write_crafted(path, ld, csr);
+}
+
 TEST(OocFormat, RepeatedOutLabelFailsClosed) {
-  // Vertex 0's second out-arc takes the label of its first, with both
-  // checksums recomputed: every range check passes, but
-  // LDigraph::from_arcs would reject the adjacency, so open must.
   TempDir dir;
   const std::string path = dir.path + "/dup.lapxooc";
-  lapx::graph::write_ooc_graph(
-      path, lapx::graph::to_ldigraph(lapx::graph::torus({3, 3})));
-  auto bytes = read_file(path);
-  const std::size_t out_arcs = 128 + 2 * (9 + 1) * 8;  // n = 9
-  std::memcpy(bytes.data() + out_arcs + 8 + 4, bytes.data() + out_arcs + 4, 4);
-  reseal(bytes);
-  write_file(path, bytes);
+  write_repeated_out_label(path);
   EXPECT_THROW(OocGraph{path}, OocError);
+}
+
+// Each crafted step CSR below breaks one invariant of the files the
+// writer emits, with both checksums resealed, and must fail closed.
+
+TEST(OocFormat, NonInvolutiveSuccFailsClosed) {
+  // Out-steps 0 -> 2 and 1 -> 2 both lead to vertex 2's one in-step,
+  // which leads back to 1 (likewise 3 -> 4 <- 5): every successor is in
+  // the right span with the inverse move, but succ is not an involution,
+  // and the out-steps would repeat an in-label.  The file is written for
+  // the valid arcs 0 -> 2, 1 -> 3 and 4 -> 5 (same counts).
+  TempDir dir;
+  const std::string path = dir.path + "/succ.lapxooc";
+  StepCsr csr;
+  csr.off = {0, 1, 2, 3, 4, 5, 6};
+  csr.succ = {2, 2, 1, 4, 5, 4};
+  csr.nbr = {2, 2, 1, 4, 5, 4};
+  csr.move_bits = {0x80000000u, 0x80000000u, 0, 0x80000000u, 0, 0x80000000u};
+  write_crafted(path,
+                LDigraph::from_arcs(6, 1, {{0, 2, 0}, {1, 3, 0}, {4, 5, 0}}),
+                csr);
+  expect_refused(path, "not the inverse step");
+}
+
+TEST(OocFormat, BadStepOffsetsFailClosed) {
+  // Offsets that start above zero, decrease, or stop short of the steps
+  // would leave steps outside every span or read past the segments.
+  TempDir dir;
+  const std::string path = dir.path + "/off.lapxooc";
+  const LDigraph ld = lapx::graph::to_ldigraph(lapx::graph::torus({3, 3}));
+  const StepCsr good = lapx::graph::build_step_csr(ld);
+  const auto steps = static_cast<std::uint32_t>(good.succ.size());
+  for (const auto& [at, value, why] :
+       {std::tuple<std::size_t, std::uint32_t, std::string>{
+            0, 1, "do not start at zero"},
+        {1, steps + 1, "non-monotone"},
+        {9, steps - 1, "do not cover"}}) {
+    StepCsr csr = good;
+    csr.off[at] = value;
+    write_crafted(path, ld, csr);
+    expect_refused(path, why);
+  }
+}
+
+TEST(OocFormat, OutOfRangeNeighbourFailsClosed) {
+  TempDir dir;
+  const std::string path = dir.path + "/nbr.lapxooc";
+  const LDigraph ld = lapx::graph::to_ldigraph(lapx::graph::torus({3, 3}));
+  StepCsr csr = lapx::graph::build_step_csr(ld);
+  csr.nbr[5] = static_cast<std::uint32_t>(ld.num_vertices());
+  write_crafted(path, ld, csr);
+  expect_refused(path, "out of range");
+}
+
+TEST(OocFormat, SelfLoopStepFailsClosed) {
+  // Vertex 0's first step returns to vertex 0; vertex 0 is checked first,
+  // so the self-loop is the first invariant found broken.
+  TempDir dir;
+  const std::string path = dir.path + "/loop.lapxooc";
+  const LDigraph ld = lapx::graph::to_ldigraph(lapx::graph::torus({3, 3}));
+  StepCsr csr = lapx::graph::build_step_csr(ld);
+  csr.nbr[0] = 0;
+  write_crafted(path, ld, csr);
+  expect_refused(path, "self-loop");
+}
+
+TEST(OocFormat, TwoOutStepsToOneNeighbourFailClosed) {
+  // Arcs 0 -> 1 labelled 0 and 1: a step CSR consistent in every other
+  // respect (each step's successor is its inverse), of a file written for
+  // the valid arcs 0 -> 1 and 1 -> 0 (same counts).
+  TempDir dir;
+  const std::string path = dir.path + "/parallel.lapxooc";
+  StepCsr csr;
+  csr.off = {0, 2, 4};
+  csr.succ = {2, 3, 0, 1};
+  csr.nbr = {1, 1, 0, 0};
+  csr.move_bits = {0x80000000u, 0x80000001u, 0, 1};
+  write_crafted(path,
+                LDigraph::from_arcs(2, 2, {{0, 1, 0}, {1, 0, 1}}), csr);
+  expect_refused(path, "parallel arcs");
+}
+
+TEST(OocFormat, OutStepBeforeInStepFailsClosed) {
+  // Vertex 0 of 2 -> 0 -> 1 has an in-step and then an out-step; swapped
+  // (inverse steps re-pointed), only the span's move order is wrong.
+  TempDir dir;
+  const std::string path = dir.path + "/order.lapxooc";
+  const LDigraph ld = LDigraph::from_arcs(3, 1, {{0, 1, 0}, {2, 0, 0}});
+  StepCsr csr = lapx::graph::build_step_csr(ld);
+  ASSERT_EQ(csr.off[1], 2u);
+  swap_steps(csr, 0, 1);
+  write_crafted(path, ld, csr);
+  expect_refused(path, "repeat or are unsorted");
 }
 
 // Generated inputs: seeded bit flips and length-field overwrites of a
@@ -442,13 +573,7 @@ TEST(OocService, OpenOfInvalidDigraphIsBadRequest) {
   // materialize, answering "internal".
   TempDir dir;
   const std::string path = dir.path + "/dup.lapxooc";
-  lapx::graph::write_ooc_graph(
-      path, lapx::graph::to_ldigraph(lapx::graph::torus({3, 3})));
-  auto bytes = read_file(path);
-  const std::size_t out_arcs = 128 + 2 * (9 + 1) * 8;
-  std::memcpy(bytes.data() + out_arcs + 8 + 4, bytes.data() + out_arcs + 4, 4);
-  reseal(bytes);
-  write_file(path, bytes);
+  write_repeated_out_label(path);
   lapx::service::Service svc;
   const std::string open =
       svc.handle(R"({"op":"open","name":"g","path":")" + path + R"("})");

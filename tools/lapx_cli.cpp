@@ -164,12 +164,12 @@ int cmd_query(const std::string& op, Json fields) {
   return 0;
 }
 
-// `lapx_cli graph-convert OUT [...]`: serialize a graph in the mmap-able
-// LAPXOOC1 on-disk CSR format (lapx/graph/ooc.hpp).  The input comes from
-// stdin (edge list) or --family; --lift L replaces it with its random
+// `lapx_cli graph-convert OUT [...]`: serialize a graph's step CSR in the
+// mmap-able LAPXOOC1 on-disk format (lapx/graph/ooc.hpp).  The input comes
+// from stdin (edge list) or --family; --lift L replaces it with its random
 // L-lift first.  Unless --no-verify, the written file is reopened and
-// checked against the in-memory graph arc for arc (plus the precomputed
-// step CSR), so a 0 exit means the file round-trips exactly.
+// checked against the in-memory graph arc for arc and step for step, so a
+// 0 exit means the file round-trips exactly.
 int cmd_graph_convert(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string out = argv[0];
@@ -239,11 +239,9 @@ int cmd_graph_convert(int argc, char** argv) {
              std::equal(span.begin(), span.end(), vec.begin());
     };
     if (!span_eq(reopened.step_off(), steps.off) ||
-        !span_eq(reopened.step_vertex(), steps.vertex) ||
         !span_eq(reopened.step_succ(), steps.succ) ||
         !span_eq(reopened.step_nbr(), steps.nbr) ||
-        !span_eq(reopened.step_move_bits(), steps.move_bits) ||
-        !span_eq(reopened.step_edge_tag(), steps.tag))
+        !span_eq(reopened.step_move_bits(), steps.move_bits))
       throw std::runtime_error("graph-convert: round-trip step-CSR mismatch");
   }
   std::fprintf(stderr,
