@@ -24,8 +24,10 @@
 // The third table (E18c) times a session write stage by stage, as
 // SessionStore::mutate and the `homogeneity` handler run it, on a lifted
 // torus at n = 9 000 and 90 000: which stages still scale with n.  Its
-// last two columns are the homogeneity r=1 requery from scratch and from
-// the session's forked ordered-ball classes, re-typed on the edit's ball
+// release column frees the parent epoch's Graph, LDigraph and RefineState,
+// as the store does when a write displaces an entry.  Its last two
+// columns are the homogeneity r=1 requery from scratch and from the
+// session's forked ordered-ball classes, re-typed on the edit's ball
 // frontier only; the fork must report the same and be >= 5x faster.
 
 #include <algorithm>
@@ -317,20 +319,24 @@ bool same_digraph(const LDigraph& a, const LDigraph& b) {
 }
 
 // The stages of one write, in the order SessionStore::mutate runs them
-// (derive: the child RefineState from its parent's), then the homogeneity
-// r=1 requery, from scratch and from the forked classes (copy, ball
-// frontier, re-type, report); medians in ms over the edits.
+// (derive: the child RefineState from its parent's; release: freeing the
+// parent epoch's Graph, LDigraph and RefineState once the child is
+// installed), then the homogeneity r=1 requery, from scratch and from the
+// forked classes (copy, ball frontier, re-type, report); medians in ms
+// over the edits.
 enum Stage {
   kCopy,
   kHash,
   kLDigraph,
   kDerive,
+  kRelease,
   kHomogeneity,
   kHomogeneityFork,
   kStages
 };
 constexpr const char* kStageNames[kStages] = {
-    "copy", "hash", "ldigraph", "derive", "homogeneity", "homogeneity-fork"};
+    "copy",    "hash",        "ldigraph",        "derive",
+    "release", "homogeneity", "homogeneity-fork"};
 
 struct WritePathResult {
   lapx::graph::Vertex n = 0;
@@ -412,10 +418,12 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
     out.hashes_match_store = out.hashes_match_store && entry &&
                              entry->content_hex() == fnv &&
                              entry->content_id() == blake;
-    state = std::move(*derived);
+    timed(kRelease, [&] {
+      state = std::move(*derived);
+      ld = std::move(next_ld);
+      g = std::move(next);
+    });
     classes = std::move(*forked_classes);
-    ld = std::move(next_ld);
-    g = std::move(next);
   }
   phase("write-" + size + "-checks");
   out.ldigraph_matches_general = same_digraph(
@@ -430,15 +438,15 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
 
 void print_write_path_table() {
   print_header("E18c write path, stage by stage: copy, content hash, "
-               "to_ldigraph, derive, homogeneity r=1 from scratch and "
-               "forked",
+               "to_ldigraph, derive, release, homogeneity r=1 from scratch "
+               "and forked",
                "a view changes only within radius r of an edit, so only the "
                "content hash (FNV-1a and BLAKE2b over the whole text) must "
                "scale with n; the other stages are O(n) today, except the "
                "forked homogeneity, which re-types the ball frontier only");
   constexpr int kEdits = 20;
   print_row({"n", "arcs", "copy ms", "hash ms", "to_ldigraph ms",
-             "derive ms", "homog. r=1 ms", "homog. fork ms"});
+             "derive ms", "release ms", "homog. r=1 ms", "homog. fork ms"});
   std::vector<WritePathResult> results;
   for (const int layers : {1000, 10000}) {
     const WritePathResult& r =

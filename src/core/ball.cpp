@@ -25,7 +25,6 @@ Ball canonicalize_oi(const Ball& b) {
   const auto ranks = order::ranks_from_keys(b.keys);
   Ball c;
   c.radius = b.radius;
-  c.g = graph::Graph(b.g.num_vertices());
   c.keys.resize(b.keys.size());
   c.original.resize(b.original.size());
   for (std::size_t i = 0; i < b.keys.size(); ++i) {
@@ -42,7 +41,7 @@ Ball canonicalize_oi(const Ball& b) {
     edges.emplace_back(a, w);
   }
   std::sort(edges.begin(), edges.end());
-  for (const auto& [u, v] : edges) c.g.add_edge(u, v);
+  c.g = graph::Graph::from_edges(b.g.num_vertices(), std::move(edges));
   c.root = static_cast<graph::Vertex>(ranks[b.root]);
   return c;
 }

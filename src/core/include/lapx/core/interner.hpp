@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -121,6 +122,16 @@ class TypeInterner {
   std::atomic<std::size_t> size_{0};
   std::atomic<std::string*> slabs_[kMaxSlabs] = {};
 };
+
+/// The classes of equal ids in a sequence: how many, and the largest.
+struct ClassCounts {
+  std::size_t distinct = 0;
+  std::size_t largest = 0;
+};
+
+/// Counts the classes of `ids` (none of them kNoType) in one pass over a
+/// flat open-addressed table: O(n), no sort and no per-class node.
+ClassCounts count_classes(std::span<const TypeId> ids);
 
 // Node-tag namespaces for intern_node, one per canonical tree domain.
 // Layout: top byte = kind, low bytes = payload.

@@ -313,7 +313,7 @@ std::vector<TypeId> bulk_view_type_ids(
 
 /// The type of the complete radius-r view over a k-letter alphabet -- the
 /// view of any vertex whose radius-r neighborhood is k-in-k-out regular
-/// (Figure 5's (T*, lambda) truncated at r).  O(k^2 r) interner lookups;
+/// (Figure 5's (T*, lambda) truncated at r).  O(k r) interner calls;
 /// types[v] == complete_view_type_id(k, r) <=> is_complete_view(view(g,v,r)).
 TypeId complete_view_type_id(int k, int r,
                              TypeInterner& interner = TypeInterner::global());

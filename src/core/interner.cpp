@@ -1,8 +1,10 @@
 #include "lapx/core/interner.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace lapx::core {
 
@@ -256,6 +258,27 @@ const std::string& TypeInterner::spelling(TypeId id) const {
   if (id >= size_.load(std::memory_order_acquire))
     throw std::out_of_range("TypeInterner::spelling");
   return spelling_at(id);
+}
+
+ClassCounts count_classes(std::span<const TypeId> ids) {
+  // Slots hold (id, class size), kNoType when empty; at least twice as
+  // many slots as ids keep the linear probes short.
+  std::size_t size = 16;
+  while (size < 2 * ids.size()) size *= 2;
+  std::vector<std::pair<TypeId, std::uint32_t>> slots(size, {kNoType, 0});
+  const int shift = 64 - std::countr_zero(size);
+  ClassCounts counts;
+  for (const TypeId id : ids) {
+    std::size_t h = std::uint64_t{id} * 0x9e3779b97f4a7c15u >> shift;
+    while (slots[h].first != kNoType && slots[h].first != id)
+      h = (h + 1) & (size - 1);
+    if (slots[h].first == kNoType) {
+      slots[h].first = id;
+      ++counts.distinct;
+    }
+    counts.largest = std::max<std::size_t>(counts.largest, ++slots[h].second);
+  }
+  return counts;
 }
 
 TypeInterner& TypeInterner::global() {

@@ -679,7 +679,12 @@ std::vector<TypeId> bulk_view_type_ids(const LDigraph& g, int r,
 
 TypeId complete_view_type_id(int k, int r, TypeInterner& interner) {
   // Arrival moves of the complete tree, in step order: {false, 0..k-1} then
-  // {true, 0..k-1}; move m and move (m + k) % 2k are inverses.
+  // {true, 0..k-1}; move m and move (m + k) % 2k are inverses.  The node
+  // reached by move m has an edge for every move but m's inverse, so each
+  // depth interns its 2k edge nodes once and assembles the 2k nodes from
+  // them.  First-time interns keep the order of building node by node --
+  // every edge but edge k, node 0, edge k, nodes 1 .. 2k-1 -- so that no
+  // TypeId moves.
   const int moves = 2 * k;
   const auto move_tag = [k](int m) {
     return edge_tag((m >= k ? 0x80000000u : 0u) |
@@ -687,28 +692,29 @@ TypeId complete_view_type_id(int k, int r, TypeInterner& interner) {
   };
   const TypeId empty = interner.intern_node(type_tag::kViewNode, nullptr, 0);
   std::vector<TypeId> prev(static_cast<std::size_t>(moves), empty), cur(prev);
-  std::vector<TypeId> edges;
+  std::vector<TypeId> edges(prev.size()), children;
+  const auto intern_edge = [&](int j) {
+    const auto i = static_cast<std::size_t>(j);
+    edges[i] = interner.intern_node(move_tag(j), &prev[i], 1);
+  };
   for (int depth = 1; depth < r; ++depth) {
+    for (int j = 0; j < moves; ++j)
+      if (j != k) intern_edge(j);
     for (int m = 0; m < moves; ++m) {
-      edges.clear();
-      for (int j = 0; j < moves; ++j) {
-        if (j == (m + k) % moves) continue;
-        const TypeId sub = prev[static_cast<std::size_t>(j)];
-        edges.push_back(interner.intern_node(move_tag(j), &sub, 1));
-      }
-      cur[static_cast<std::size_t>(m)] =
-          interner.intern_node(type_tag::kViewNode, edges.data(), edges.size());
+      if (m == 1) intern_edge(k);
+      children.clear();
+      for (int j = 0; j < moves; ++j)
+        if (j != (m + k) % moves)
+          children.push_back(edges[static_cast<std::size_t>(j)]);
+      cur[static_cast<std::size_t>(m)] = interner.intern_node(
+          type_tag::kViewNode, children.data(), children.size());
     }
     prev.swap(cur);
   }
-  edges.clear();
   if (r > 0)
-    for (int j = 0; j < moves; ++j) {
-      const TypeId sub = prev[static_cast<std::size_t>(j)];
-      edges.push_back(interner.intern_node(move_tag(j), &sub, 1));
-    }
-  const TypeId body =
-      interner.intern_node(type_tag::kViewNode, edges.data(), edges.size());
+    for (int j = 0; j < moves; ++j) intern_edge(j);
+  const TypeId body = interner.intern_node(
+      type_tag::kViewNode, edges.data(), r > 0 ? edges.size() : 0);
   return interner.intern_node(
       type_tag::kViewRoot | static_cast<std::uint32_t>(r), &body, 1);
 }

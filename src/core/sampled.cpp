@@ -81,24 +81,25 @@ Ball sampled_lift_ball(const HomogeneousSpec& spec, const graph::LDigraph& g,
 
   Ball ball;
   ball.radius = r;
-  ball.g = graph::Graph(static_cast<graph::Vertex>(members.size()));
   ball.root = 0;
   ball.original.resize(members.size());
   std::iota(ball.original.begin(), ball.original.end(), 0);
   // Induced edges: scan arcs from each member.
+  std::vector<graph::Edge> edges;
   for (std::size_t i = 0; i < members.size(); ++i) {
     for (graph::Label l = 0; l < g.alphabet_size(); ++l) {
       const auto next =
           lift_step(spec, h_group, g, members[i], Move{true, l});
       if (!next) continue;
       auto it = index.find(*next);
-      if (it != index.end() &&
-          !ball.g.has_edge(static_cast<graph::Vertex>(i),
-                           static_cast<graph::Vertex>(it->second)))
-        ball.g.add_edge(static_cast<graph::Vertex>(i),
-                        static_cast<graph::Vertex>(it->second));
+      if (it != index.end())
+        edges.emplace_back(static_cast<graph::Vertex>(i),
+                           static_cast<graph::Vertex>(it->second));
     }
   }
+  const auto size = static_cast<graph::Vertex>(members.size());
+  graph::drop_repeated_edges(size, edges);
+  ball.g = graph::Graph::from_edges(size, std::move(edges));
   // Keys: cone order on the H component (ties broken by G index; girth
   // guarantees no ties inside a ball, but the completion keeps the order
   // total regardless).

@@ -10,7 +10,7 @@ namespace lapx::core {
 Ball view_to_ordered_ball(const ViewTree& t, const TStarOrder& order) {
   Ball ball;
   ball.radius = t.radius;
-  ball.g = graph::Graph(static_cast<graph::Vertex>(t.size()));
+  std::vector<graph::Edge> edges;
   ball.original.resize(t.nodes.size());
   ball.keys.resize(t.nodes.size());
   for (int i = 0; i < t.size(); ++i) {
@@ -20,9 +20,11 @@ Ball view_to_ordered_ball(const ViewTree& t, const TStarOrder& order) {
     ball.original[i] = static_cast<graph::Vertex>(i);
     ball.keys[i] = order.rank(t.word(i));
     if (t.nodes[i].parent >= 0)
-      ball.g.add_edge(static_cast<graph::Vertex>(t.nodes[i].parent),
-                      static_cast<graph::Vertex>(i));
+      edges.emplace_back(static_cast<graph::Vertex>(t.nodes[i].parent),
+                         static_cast<graph::Vertex>(i));
   }
+  ball.g = graph::Graph::from_edges(static_cast<graph::Vertex>(t.size()),
+                                    std::move(edges));
   ball.root = 0;
   return ball;
 }

@@ -120,11 +120,20 @@ bool LDigraph::is_k_in_k_out_regular(int k) const {
 }
 
 Graph LDigraph::underlying_graph() const {
-  Graph g(num_vertices());
-  for (const Arc& a : arcs_) {
-    if (!g.has_edge(a.from, a.to)) g.add_edge(a.from, a.to);
-  }
-  return g;
+  std::vector<Edge> edges(arcs_.size());
+  for (std::size_t i = 0; i < arcs_.size(); ++i)
+    edges[i] = {arcs_[i].from, arcs_[i].to};
+  // An antiparallel pair names its edge twice; the earlier arc keeps it.
+  if (has_antiparallel_arcs()) drop_repeated_edges(n_, edges);
+  return Graph::from_edges(n_, std::move(edges));
+}
+
+bool LDigraph::has_antiparallel_arcs() const {
+  for (Vertex v = 0; v < n_; ++v)
+    for (const auto& out : out_arcs(v))
+      for (const auto& in : in_arcs(v))
+        if (in.second == out.second) return true;
+  return false;
 }
 
 std::string LDigraph::summary() const {

@@ -106,8 +106,13 @@ class LDigraph {
   /// All arcs, in the order from_arcs was given them.
   const std::vector<Arc>& arcs() const { return arcs_; }
 
-  /// Forgets directions and labels.  Antiparallel arc pairs collapse to a
-  /// single undirected edge.
+  /// True if some pair of vertices carries an arc each way.
+  /// O(sum over v of out_degree(v) * in_degree(v)).
+  bool has_antiparallel_arcs() const;
+
+  /// Forgets directions and labels; edge i is the i-th arc that is not
+  /// the second of an antiparallel pair, which collapses to the edge of
+  /// its first.
   Graph underlying_graph() const;
 
   std::string summary() const;

@@ -37,10 +37,18 @@ struct EdgeEdit {
   bool operator==(const EdgeEdit&) const = default;
 };
 
-/// Applies the edits to g in order.  Throws MutationError on the first
-/// invalid edit (self-loop, duplicate add, missing remove, overflow
-/// guards), leaving g with every *earlier* edit applied -- callers that
-/// need all-or-nothing semantics apply the batch to a copy.
+/// Applies the edits to g in order, with the checks of Graph::from_edges
+/// for an add and "no edge {u,v}" for a missing remove.  An add takes id
+/// num_edges(); a remove keeps ids dense by moving the edge with the
+/// largest id into the freed one, whose id it rewrites in place in its
+/// endpoints' incident runs.  Throws at the
+/// first invalid edit -- std::invalid_argument for an endpoint out of
+/// range, MutationError otherwise -- leaving g with every *earlier* edit
+/// applied; callers that need all-or-nothing semantics apply the batch to
+/// a copy.  Works on the runs of the vertices the batch touches (its
+/// endpoints and those of each edge that moves into a freed id), written
+/// back in place when no degree changed: k edits cost O(k Delta) plus at
+/// most one O(n + m) pass to lay the offsets out again.
 void apply_edits(Graph& g, std::span<const EdgeEdit> edits);
 
 /// The vertices whose radius-r view (default port numbering) can differ

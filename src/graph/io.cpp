@@ -74,22 +74,31 @@ Graph read_edge_list(std::istream& is, const EdgeListLimits& limits) {
         "edge list: more edges than a simple graph admits");
   if (n == 0 && m > 0)
     throw std::invalid_argument("edge list: edges on an empty vertex set");
-  Graph g(static_cast<Vertex>(n));
-  for (long long i = 0; i < m; ++i) {
-    if (!next_content_line(is, line))
-      throw std::invalid_argument("edge list: missing edges");
-    std::istringstream row(line);
-    long long u, v;
-    if (!(row >> u >> v)) throw std::invalid_argument("edge list: bad edge");
-    reject_trailing_garbage(row, "edge");
-    // Range check before the narrowing cast: a 64-bit id must not be able
-    // to wrap into a valid 32-bit vertex.
-    if (u < 0 || u >= n || v < 0 || v >= n)
-      throw std::invalid_argument("edge list: vertex out of range on edge " +
-                                  std::to_string(u) + " " + std::to_string(v));
-    g.add_edge(static_cast<Vertex>(u), static_cast<Vertex>(v));
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(m));
+  try {
+    for (long long i = 0; i < m; ++i) {
+      if (!next_content_line(is, line))
+        throw std::invalid_argument("edge list: missing edges");
+      std::istringstream row(line);
+      long long u, v;
+      if (!(row >> u >> v)) throw std::invalid_argument("edge list: bad edge");
+      reject_trailing_garbage(row, "edge");
+      // Range check before the narrowing cast: a 64-bit id must not be
+      // able to wrap into a valid 32-bit vertex.
+      if (u < 0 || u >= n || v < 0 || v >= n)
+        throw std::invalid_argument(
+            "edge list: vertex out of range on edge " + std::to_string(u) +
+            " " + std::to_string(v));
+      edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
+    }
+  } catch (const std::invalid_argument&) {
+    // An invalid edge on an earlier line wins, as if each edge were
+    // inserted as it is read.
+    Graph::from_edges(static_cast<Vertex>(n), std::move(edges));
+    throw;
   }
-  return g;
+  return Graph::from_edges(static_cast<Vertex>(n), std::move(edges));
 }
 
 Graph graph_from_edge_list(const std::string& text,

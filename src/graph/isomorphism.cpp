@@ -118,10 +118,11 @@ bool basic_invariants_match(const Graph& g, const Graph& h) {
 std::pair<std::vector<int>, std::vector<int>> joint_refinement(
     const Graph& g, const Graph& h) {
   // Disjoint union, refine, split.
-  Graph joint(g.num_vertices() + h.num_vertices());
-  for (const auto& [u, v] : g.edges()) joint.add_edge(u, v);
+  std::vector<Edge> edges = g.edges();
   for (const auto& [u, v] : h.edges())
-    joint.add_edge(g.num_vertices() + u, g.num_vertices() + v);
+    edges.emplace_back(g.num_vertices() + u, g.num_vertices() + v);
+  const Graph joint = Graph::from_edges(g.num_vertices() + h.num_vertices(),
+                                        std::move(edges));
   auto colors =
       refine_colors(joint, std::vector<int>(joint.num_vertices(), 0));
   std::vector<int> cg(colors.begin(), colors.begin() + g.num_vertices());

@@ -183,10 +183,12 @@ Lift connected_lift(const LDigraph& G, int l) {
   std::size_t rewired = G.arcs().size();
   for (std::size_t i = 0; i < G.arcs().size(); ++i) {
     const Arc& a = G.arcs()[i];
-    Graph without(underlying.num_vertices());
+    std::vector<Edge> kept;
     for (const auto& [u, v] : underlying.edges())
       if (!((u == std::min(a.from, a.to)) && (v == std::max(a.from, a.to))))
-        without.add_edge(u, v);
+        kept.emplace_back(u, v);
+    const Graph without =
+        Graph::from_edges(underlying.num_vertices(), std::move(kept));
     if (is_connected(without)) {
       rewired = i;
       break;

@@ -5,16 +5,9 @@
 #include <string>
 #include <utility>
 
-namespace lapx::graph {
+// apply_edits lives in graph.cpp: it edits the CSR in place.
 
-void apply_edits(Graph& g, std::span<const EdgeEdit> edits) {
-  for (const EdgeEdit& e : edits) {
-    if (e.kind == EdgeEdit::Kind::kAdd)
-      g.add_edge(e.u, e.v);
-    else
-      g.remove_edge(e.u, e.v);
-  }
-}
+namespace lapx::graph {
 
 std::vector<Vertex> affected_frontier(const Graph& g,
                                       std::span<const EdgeEdit> edits, int r) {

@@ -68,14 +68,38 @@ int shortest_cycle_through(const Graph& g, Vertex source, int best_so_far,
 }  // namespace
 
 int girth(const Graph& g) {
-  // A forest's BFS never closes a cycle, so it would never prune.
-  if (is_forest(g)) return kInfiniteGirth;
+  // A component whose degrees are all at most 2 is a path or a cycle, and
+  // a cycle's girth is its length: a BFS from each of its n vertices would
+  // prune only at depth n/2.  A tree's BFS never closes a cycle, so it
+  // would never prune.  The per-source BFS runs only on the other
+  // components, starting from the shortest closed-form cycle.
+  struct Component {
+    std::size_t vertices = 0, degree_sum = 0;
+    bool branching = false;  // some vertex has degree >= 3
+  };
+  const std::vector<int> comp = connected_components(g);
+  std::vector<Component> parts(
+      comp.empty() ? 0 : 1 + *std::max_element(comp.begin(), comp.end()));
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    Component& c = parts[static_cast<std::size_t>(comp[v])];
+    ++c.vertices;
+    c.degree_sum += static_cast<std::size_t>(g.degree(v));
+    c.branching = c.branching || g.degree(v) >= 3;
+  }
+  int best = kInfiniteGirth;
+  for (const Component& c : parts) {
+    const auto length = static_cast<int>(c.vertices);
+    if (!c.branching && c.degree_sum == 2 * c.vertices &&
+        (best == kInfiniteGirth || length < best))
+      best = length;
+  }
   BallScratch s;
   std::vector<Vertex> parent(static_cast<std::size_t>(g.num_vertices()));
-  int best = kInfiniteGirth;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    best = shortest_cycle_through(g, v, best, s, parent);
+    const Component& c = parts[static_cast<std::size_t>(comp[v])];
+    if (!c.branching || c.degree_sum / 2 < c.vertices) continue;
     if (best == 3) return 3;
+    best = shortest_cycle_through(g, v, best, s, parent);
   }
   return best;
 }
@@ -83,12 +107,7 @@ int girth(const Graph& g) {
 int girth(const LDigraph& d) {
   // Detect 2-cycles (antiparallel arc pairs) first -- they vanish in the
   // underlying simple graph.
-  for (const Arc& a : d.arcs()) {
-    for (const auto& [l, w] : d.out_arcs(a.to)) {
-      (void)l;
-      if (w == a.from) return 2;
-    }
-  }
+  if (d.has_antiparallel_arcs()) return 2;
   return girth(d.underlying_graph());
 }
 
@@ -207,15 +226,17 @@ std::pair<Graph, std::vector<Vertex>> induced_subgraph(
   index.reserve(vertices.size());
   for (std::size_t i = 0; i < vertices.size(); ++i)
     index[vertices[i]] = static_cast<Vertex>(i);
-  Graph sub(static_cast<Vertex>(vertices.size()));
+  std::vector<Edge> edges;
   for (std::size_t i = 0; i < vertices.size(); ++i) {
     for (Vertex w : g.neighbors(vertices[i])) {
       auto it = index.find(w);
       if (it != index.end() && static_cast<Vertex>(i) < it->second)
-        sub.add_edge(static_cast<Vertex>(i), it->second);
+        edges.emplace_back(static_cast<Vertex>(i), it->second);
     }
   }
-  return {std::move(sub), vertices};
+  return {Graph::from_edges(static_cast<Vertex>(vertices.size()),
+                            std::move(edges)),
+          vertices};
 }
 
 std::pair<LDigraph, std::vector<Vertex>> component_of(const LDigraph& d,

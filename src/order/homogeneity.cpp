@@ -312,20 +312,17 @@ std::vector<core::TypeId> type_ids(const GraphT& g, const Keys& keys, int r,
   return ids;
 }
 
-std::unordered_map<core::TypeId, std::size_t> count_classes(
+std::unordered_map<core::TypeId, std::size_t> class_sizes(
     const std::vector<core::TypeId>& ids) {
   std::unordered_map<core::TypeId, std::size_t> counts;
   for (const core::TypeId id : ids) ++counts[id];
   return counts;
 }
 
-HomogeneityReport report_of(
-    const std::unordered_map<core::TypeId, std::size_t>& counts,
-    std::size_t n) {
+HomogeneityReport report_of(core::ClassCounts classes, std::size_t n) {
   HomogeneityReport report;
-  report.distinct_types = counts.size();
-  for (const auto& [id, size] : counts)
-    report.largest_class = std::max(report.largest_class, size);
+  report.distinct_types = classes.distinct;
+  report.largest_class = classes.largest;
   if (n > 0)
     report.fraction = static_cast<double>(report.largest_class) /
                       static_cast<double>(n);
@@ -348,13 +345,13 @@ std::vector<core::TypeId> ordered_ball_type_ids(const LDigraph& d,
 
 HomogeneityReport measure_homogeneity(const Graph& g, const Keys& keys, int r,
                                       core::TypeInterner& interner) {
-  return report_of(count_classes(type_ids(g, keys, r, interner)),
+  return report_of(core::count_classes(type_ids(g, keys, r, interner)),
                    static_cast<std::size_t>(g.num_vertices()));
 }
 
 HomogeneityReport measure_homogeneity(const LDigraph& d, const Keys& keys,
                                       int r, core::TypeInterner& interner) {
-  return report_of(count_classes(type_ids(d, keys, r, interner)),
+  return report_of(core::count_classes(type_ids(d, keys, r, interner)),
                    static_cast<std::size_t>(d.num_vertices()));
 }
 
@@ -363,10 +360,13 @@ OrderedBallClasses::OrderedBallClasses(const Graph& g, const Keys& keys,
     : r_(r),
       interner_(&interner),
       ids_(type_ids(g, keys, r, interner)),
-      counts_(count_classes(ids_)) {}
+      counts_(class_sizes(ids_)) {}
 
 HomogeneityReport OrderedBallClasses::report() const {
-  return report_of(counts_, ids_.size());
+  core::ClassCounts classes{counts_.size(), 0};
+  for (const auto& [id, size] : counts_)
+    classes.largest = std::max(classes.largest, size);
+  return report_of(classes, ids_.size());
 }
 
 void OrderedBallClasses::retype(const Graph& g, const Keys& keys,

@@ -49,12 +49,13 @@ std::vector<bool> koenig_cover(const Graph& g, const std::vector<bool>& left,
 }  // namespace
 
 graph::Graph bipartite_double_cover(const Graph& g) {
-  Graph dc(2 * g.num_vertices());
+  std::vector<graph::Edge> edges;
+  edges.reserve(2 * g.num_edges());
   for (const auto& [u, v] : g.edges()) {
-    dc.add_edge(2 * u, 2 * v + 1);
-    dc.add_edge(2 * u + 1, 2 * v);
+    edges.emplace_back(2 * u, 2 * v + 1);
+    edges.emplace_back(2 * u + 1, 2 * v);
   }
-  return dc;
+  return Graph::from_edges(2 * g.num_vertices(), std::move(edges));
 }
 
 std::size_t fractional_matching_doubled(const Graph& g) {

@@ -114,27 +114,18 @@ Json handle_views(const Request& req, const GraphEntry& entry) {
   // same epoch, and survives mutation via delta-refinement.  Same global
   // interner as bulk_view_type_ids, so counts (all we emit) -- and hence
   // the response bytes -- are identical to the from-scratch path.
-  std::vector<core::TypeId> types = entry.view_types(r);
+  const std::vector<core::TypeId> types = entry.view_types(r);
   const auto alphabet = entry.alphabet();
   // A view is complete iff its type equals the complete-tree type.
   const core::TypeId complete_type = core::complete_view_type_id(alphabet, r);
-  std::int64_t complete = 0;
-  for (const core::TypeId t : types)
-    if (t == complete_type) ++complete;
-  // Class sizes via one sort.
-  std::sort(types.begin(), types.end());
-  std::int64_t distinct = 0, largest = 0;
-  for (std::size_t i = 0; i < types.size();) {
-    std::size_t j = i;
-    while (j < types.size() && types[j] == types[i]) ++j;
-    ++distinct;
-    largest = std::max(largest, static_cast<std::int64_t>(j - i));
-    i = j;
-  }
+  const auto complete = std::count(types.begin(), types.end(), complete_type);
+  const core::ClassCounts classes = core::count_classes(types);
+  const auto largest = static_cast<std::int64_t>(classes.largest);
   Json out = Json::object();
   out.set("radius", Json::integer(r));
   out.set("alphabet", Json::integer(alphabet));
-  out.set("distinct_views", Json::integer(distinct));
+  out.set("distinct_views",
+          Json::integer(static_cast<std::int64_t>(classes.distinct)));
   out.set("largest_class", Json::integer(largest));
   out.set("fraction",
           Json::number(n == 0 ? 0.0

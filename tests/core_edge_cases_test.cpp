@@ -80,8 +80,7 @@ TEST(Ball, RadiusBeyondDiameterCoversEverything) {
 }
 
 TEST(Ball, IsolatedVertex) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
+  const graph::Graph g = graph::Graph::from_edges(3, {{0, 1}});
   order::Keys keys{10, 20, 30};
   const auto ball = core::extract_ball(g, keys, 2, 5);
   EXPECT_EQ(ball.size(), 1);

@@ -129,8 +129,10 @@ TEST(Isomorphism, DetectsIsomorphicRelabellings) {
   const Graph g = graph::petersen();
   // Relabel by a fixed permutation.
   std::vector<Vertex> perm{3, 1, 4, 0, 5, 9, 2, 6, 8, 7};
-  Graph h(10);
-  for (const auto& [u, v] : g.edges()) h.add_edge(perm[u], perm[v]);
+  std::vector<graph::Edge> relabelled;
+  for (const auto& [u, v] : g.edges())
+    relabelled.emplace_back(perm[u], perm[v]);
+  const Graph h = Graph::from_edges(10, std::move(relabelled));
   const auto iso = graph::find_isomorphism(g, h);
   ASSERT_TRUE(iso.has_value());
   for (const auto& [u, v] : g.edges())
@@ -139,10 +141,8 @@ TEST(Isomorphism, DetectsIsomorphicRelabellings) {
 
 TEST(Isomorphism, DistinguishesNonIsomorphicGraphs) {
   // Same degree sequence, different graphs: C6 vs two triangles.
-  Graph two_triangles(6);
-  for (int base : {0, 3})
-    for (int i = 0; i < 3; ++i)
-      two_triangles.add_edge(base + i, base + (i + 1) % 3);
+  const Graph two_triangles =
+      Graph::from_edges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}});
   EXPECT_FALSE(graph::are_isomorphic(graph::cycle(6), two_triangles));
   EXPECT_FALSE(
       graph::are_isomorphic(graph::prism(3), graph::complete_bipartite(3, 3)));

@@ -2,7 +2,7 @@
 // Seeded graphs shared by the builder and edge-list oracles (graph_test,
 // graph_io_error_test): bounded-degree graphs with isolated vertices,
 // random regular graphs, lifts, tori, forests, the empty and one-edge
-// graphs, and graphs after remove_edge, whose edge ids are no longer in
+// graphs, and graphs after edge removals, whose edge ids are no longer in
 // endpoint order.  Also seeded edge-edit batches for the mutation oracles
 // (order_test, service_test).
 
@@ -21,7 +21,8 @@ namespace lapx::graph::corpus {
 inline void remove_random_edges(Graph& g, int count, std::mt19937_64& rng) {
   for (int k = 0; k < count && g.num_edges() > 0; ++k) {
     const auto [u, v] = g.edge(static_cast<EdgeId>(rng() % g.num_edges()));
-    g.remove_edge(u, v);
+    const EdgeEdit remove{EdgeEdit::Kind::kRemove, u, v};
+    apply_edits(g, std::span(&remove, 1));
   }
 }
 
@@ -69,13 +70,13 @@ inline std::vector<EdgeEdit> random_edit_batch(const Graph& g,
   std::vector<EdgeEdit> batch;
   auto random_vertex = [&] { return static_cast<Vertex>(rng() % n); };
   auto remove = [&](Vertex u, Vertex v) {
-    h.remove_edge(u, v);
     batch.push_back({EdgeEdit::Kind::kRemove, u, v});
+    apply_edits(h, std::span(&batch.back(), 1));
   };
   auto add = [&](Vertex u, Vertex v) {
     if (u == v || h.has_edge(u, v)) return false;
-    h.add_edge(u, v);
     batch.push_back({EdgeEdit::Kind::kAdd, u, v});
+    apply_edits(h, std::span(&batch.back(), 1));
     return true;
   };
   auto remove_random = [&] {

@@ -75,6 +75,32 @@ TEST(EdgeListErrors, SelfLoopsAndDuplicates) {
   EXPECT_THROW(parse("3 2\n0 1\n0 1\n"), std::invalid_argument);
 }
 
+TEST(EdgeListErrors, AnEarlierInvalidEdgeBeatsALaterBadLine) {
+  // The reader builds the graph in bulk after the last line, yet reports
+  // as if each edge were inserted as it is read: an invalid edge wins over
+  // any bad line after it, and a bad line over any invalid edge after it.
+  auto message = [](const std::string& text) -> std::string {
+    try {
+      parse(text);
+    } catch (const MutationError& e) {
+      return std::string("MutationError: ") + e.what();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "parsed";
+  };
+  EXPECT_EQ(message("4 5\n0 1\n1 2\n1 0\n2 3\nx y\n"),
+            "MutationError: parallel edge {1,0}");
+  EXPECT_EQ(message("4 3\n2 2\n0 9\n0 1\n"),
+            "MutationError: self-loop at 2");
+  EXPECT_EQ(message("4 3\n0 1\n1 0\n"),
+            "MutationError: parallel edge {1,0}");
+  EXPECT_EQ(message("4 3\n0 1\n2 3 junk\n1 0\n"),
+            "edge list: trailing garbage after edge: junk");
+  EXPECT_EQ(message("4 3\n0 1\n0 4\n1 1\n"),
+            "edge list: vertex out of range on edge 0 4");
+}
+
 TEST(EdgeListErrors, LimitsAreEnforced) {
   EdgeListLimits tight;
   tight.max_vertices = 4;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,13 +36,11 @@ TEST(Graph, NegativeVertexCountThrowsInvalidArgument) {
 }
 
 TEST(Graph, BasicConstruction) {
-  Graph g(4);
-  EXPECT_EQ(g.num_vertices(), 4);
-  EXPECT_EQ(g.num_edges(), 0u);
-  const EdgeId e0 = g.add_edge(0, 1);
-  const EdgeId e1 = g.add_edge(2, 1);
-  EXPECT_EQ(e0, 0);
-  EXPECT_EQ(e1, 1);
+  EXPECT_EQ(Graph(4).num_vertices(), 4);
+  EXPECT_EQ(Graph(4).num_edges(), 0u);
+  const Graph g = Graph::from_edges(4, {{0, 1}, {2, 1}});
+  EXPECT_EQ(g.edge_id(0, 1), 0);
+  EXPECT_EQ(g.edge_id(1, 2), 1);
   EXPECT_TRUE(g.has_edge(1, 0));
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_FALSE(g.has_edge(0, 2));
@@ -49,18 +50,13 @@ TEST(Graph, BasicConstruction) {
 }
 
 TEST(Graph, RejectsSelfLoopsAndParallelEdges) {
-  Graph g(3);
-  EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(1, 0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(0, 5), std::invalid_argument);
+  EXPECT_THROW(Graph::from_edges(3, {{1, 1}}), std::invalid_argument);
+  EXPECT_THROW(Graph::from_edges(3, {{0, 1}, {1, 0}}), std::invalid_argument);
+  EXPECT_THROW(Graph::from_edges(3, {{0, 1}, {0, 5}}), std::invalid_argument);
 }
 
 TEST(Graph, NeighborsSorted) {
-  Graph g(5);
-  g.add_edge(2, 4);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
+  const Graph g = Graph::from_edges(5, {{2, 4}, {2, 0}, {2, 3}});
   auto nb = g.neighbors(2);
   EXPECT_TRUE(std::is_sorted(nb.begin(), nb.end()));
   EXPECT_EQ(nb.size(), 3u);
@@ -137,9 +133,7 @@ TEST(Properties, BfsAndBall) {
 }
 
 TEST(Properties, Components) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const Graph g = Graph::from_edges(6, {{0, 1}, {2, 3}});
   const auto comp = connected_components(g);
   EXPECT_EQ(comp[0], comp[1]);
   EXPECT_NE(comp[0], comp[2]);
@@ -178,10 +172,11 @@ TEST(Properties, GirthAndForestMatchBruteForce) {
     std::vector<Vertex> id(static_cast<std::size_t>(n));
     for (Vertex v = 0; v < n; ++v) id[v] = v;
     std::shuffle(id.begin(), id.end(), rng);
-    Graph forest(n);
+    std::vector<Edge> edges;
     for (Vertex v = 1; v < n; ++v)
       if (rng() % 5 != 0)  // else v roots a new component
-        forest.add_edge(id[v], id[rng() % v]);
+        edges.emplace_back(id[v], id[rng() % v]);
+    const Graph forest = Graph::from_edges(n, edges);
     EXPECT_TRUE(is_forest(forest)) << "trial " << trial;
     EXPECT_EQ(girth(forest), kInfiniteGirth) << "trial " << trial;
 
@@ -192,11 +187,60 @@ TEST(Properties, GirthAndForestMatchBruteForce) {
       u = static_cast<Vertex>(rng() % n);
       w = static_cast<Vertex>(rng() % n);
     }
-    Graph plus = forest;
-    plus.add_edge(u, w);
+    edges.emplace_back(u, w);
+    const Graph plus = Graph::from_edges(n, edges);
     const int expected = brute_force_girth(plus);
     EXPECT_EQ(girth(plus), expected) << "trial " << trial;
     EXPECT_EQ(is_forest(plus), expected == kInfiniteGirth)
+        << "trial " << trial;
+  }
+}
+
+TEST(Properties, GirthOfUnionsIsTheLeastComponentGirth) {
+  // Seeded disjoint unions of cycles, paths, chorded cycles and small
+  // cubic graphs on shuffled vertex ids.  The closed form settles the
+  // cycles and paths, the BFS the components with a degree-3 vertex.
+  std::mt19937_64 rng(1201);
+  for (int trial = 0; trial < 80; ++trial) {
+    std::vector<Graph> parts;
+    for (int k = 1 + static_cast<int>(rng() % 5); k > 0; --k) {
+      const auto size = static_cast<Vertex>(4 + rng() % 30);
+      switch (rng() % 4) {
+        case 0:
+          parts.push_back(cycle(size - 1));
+          break;
+        case 1:
+          parts.push_back(path(size - 3));
+          break;
+        case 2: {  // a cycle with one chord
+          std::vector<Edge> edges = cycle(size).edges();
+          edges.emplace_back(0, 2 + static_cast<Vertex>(rng() % (size - 3)));
+          parts.push_back(Graph::from_edges(size, std::move(edges)));
+          break;
+        }
+        default:
+          parts.push_back(random_regular(size + size % 2, 3, rng));
+      }
+    }
+    int expected = kInfiniteGirth;
+    Vertex n = 0;
+    for (const Graph& part : parts) {
+      const int g = brute_force_girth(part);
+      if (g != kInfiniteGirth && (expected == kInfiniteGirth || g < expected))
+        expected = g;
+      n += part.num_vertices();
+    }
+    std::vector<Vertex> id(static_cast<std::size_t>(n));
+    std::iota(id.begin(), id.end(), 0);
+    std::shuffle(id.begin(), id.end(), rng);
+    std::vector<Edge> edges;
+    Vertex base = 0;
+    for (const Graph& part : parts) {
+      for (const auto& [u, v] : part.edges())
+        edges.emplace_back(id[base + u], id[base + v]);
+      base += part.num_vertices();
+    }
+    EXPECT_EQ(girth(Graph::from_edges(n, std::move(edges))), expected)
         << "trial " << trial;
   }
 }
@@ -481,14 +525,14 @@ TEST(Properties, ComponentOfLDigraph) {
 
 // ------------------------------------------------------------- mutation --
 
+void apply_one(Graph& g, EdgeEdit::Kind kind, Vertex u, Vertex v) {
+  const EdgeEdit edit{kind, u, v};
+  apply_edits(g, std::span(&edit, 1));
+}
+
 TEST(Mutation, RemoveEdgeKeepsIdsDense) {
-  Graph g(5);
-  g.add_edge(0, 1);  // id 0
-  g.add_edge(1, 2);  // id 1
-  g.add_edge(2, 3);  // id 2
-  g.add_edge(3, 4);  // id 3
-  const EdgeId freed = g.remove_edge(1, 2);
-  EXPECT_EQ(freed, 1);
+  Graph g = path(5);  // ids 0..3 along the path
+  apply_one(g, EdgeEdit::Kind::kRemove, 1, 2);
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_FALSE(g.has_edge(1, 2));
   // The last edge {3,4} moved into the freed slot; ids stay 0..m-1 and
@@ -499,23 +543,24 @@ TEST(Mutation, RemoveEdgeKeepsIdsDense) {
   for (Vertex v = 0; v < 5; ++v)
     for (EdgeId id : g.incident_edges(v)) EXPECT_LT(id, 3);
   // Removing the absent edge again is a typed error.
-  EXPECT_THROW(g.remove_edge(1, 2), MutationError);
+  EXPECT_THROW(apply_one(g, EdgeEdit::Kind::kRemove, 1, 2), MutationError);
   // Re-adding restores adjacency (with a fresh id).
-  g.add_edge(1, 2);
+  apply_one(g, EdgeEdit::Kind::kAdd, 1, 2);
   EXPECT_TRUE(g.has_edge(1, 2));
+  EXPECT_EQ(g.edge_id(1, 2), 3);
   EXPECT_EQ(g.num_edges(), 4u);
 }
 
 TEST(Mutation, AddEdgeHardeningMatchesReaderGuards) {
-  Graph g(3);
-  g.add_edge(0, 1);
+  Graph g = Graph::from_edges(3, {{0, 1}});
   // The same classes of corruption graph/io.cpp's reader rejects are
   // typed errors here: self-loops, duplicates, degree overflow.
-  EXPECT_THROW(g.add_edge(1, 1), MutationError);
-  EXPECT_THROW(g.add_edge(1, 0), MutationError);
+  EXPECT_THROW(apply_one(g, EdgeEdit::Kind::kAdd, 1, 1), MutationError);
+  EXPECT_THROW(apply_one(g, EdgeEdit::Kind::kAdd, 1, 0), MutationError);
   // MutationError stays catchable as std::invalid_argument for old call
   // sites.
-  EXPECT_THROW(g.add_edge(2, 2), std::invalid_argument);
+  EXPECT_THROW(apply_one(g, EdgeEdit::Kind::kAdd, 2, 2),
+               std::invalid_argument);
   EXPECT_EQ(g.num_edges(), 1u);
 }
 
@@ -540,6 +585,204 @@ TEST(Mutation, ApplyEditsIsOrderedAndThrowsOnFirstBadEdit) {
                                   {EdgeEdit::Kind::kAdd, 3, 3}};
   EXPECT_THROW(apply_edits(k, bad), MutationError);
   EXPECT_FALSE(k.has_edge(0, 1));
+}
+
+// The graph as one vector of sorted neighbours and one of incident ids
+// per vertex, edited one edge at a time: the semantics from_edges and
+// apply_edits reproduce, errors included.
+struct ReferenceGraph {
+  explicit ReferenceGraph(Vertex n)
+      : adj(static_cast<std::size_t>(n)), inc(adj.size()) {}
+
+  std::vector<std::vector<Vertex>> adj;
+  std::vector<std::vector<EdgeId>> inc;
+  std::vector<Edge> edges;
+
+  void check_vertex(Vertex v) const {
+    if (v < 0 || v >= static_cast<Vertex>(adj.size()))
+      throw std::invalid_argument("vertex out of range: " + std::to_string(v));
+  }
+  bool has_edge(Vertex u, Vertex v) const {
+    return std::ranges::binary_search(adj[u], v);
+  }
+  static std::string pair(Vertex u, Vertex v) {
+    return "{" + std::to_string(u) + "," + std::to_string(v) + "}";
+  }
+
+  void add(Vertex u, Vertex v) {
+    check_vertex(u);
+    check_vertex(v);
+    if (u == v) throw MutationError("self-loop at " + std::to_string(u));
+    if (has_edge(u, v)) throw MutationError("parallel edge " + pair(u, v));
+    if (edges.size() >= kMaxGraphEdges)
+      throw MutationError("edge count would overflow EdgeId");
+    for (Vertex x : {u, v})
+      if (static_cast<int>(adj[x].size()) >= kMaxGraphDegree)
+        throw MutationError("degree at " + std::to_string(x) +
+                            " would overflow the port-label alphabet");
+    adj[u].insert(std::ranges::lower_bound(adj[u], v), v);
+    adj[v].insert(std::ranges::lower_bound(adj[v], u), u);
+    if (u > v) std::swap(u, v);
+    edges.emplace_back(u, v);
+    inc[u].push_back(static_cast<EdgeId>(edges.size() - 1));
+    inc[v].push_back(static_cast<EdgeId>(edges.size() - 1));
+  }
+
+  void remove(Vertex u, Vertex v) {
+    check_vertex(u);
+    check_vertex(v);
+    if (!has_edge(u, v)) throw MutationError("no edge " + pair(u, v));
+    adj[u].erase(std::ranges::lower_bound(adj[u], v));
+    adj[v].erase(std::ranges::lower_bound(adj[v], u));
+    if (u > v) std::swap(u, v);
+    const auto id = static_cast<EdgeId>(
+        std::ranges::find(edges, Edge{u, v}) - edges.begin());
+    for (Vertex w : {u, v}) inc[w].erase(std::ranges::find(inc[w], id));
+    const auto last = static_cast<EdgeId>(edges.size() - 1);
+    if (id != last) {
+      edges[id] = edges[last];
+      for (Vertex w : {edges[id].first, edges[id].second})
+        *std::ranges::find(inc[w], last) = id;
+    }
+    edges.pop_back();
+  }
+
+  void apply(const EdgeEdit& e) {
+    if (e.kind == EdgeEdit::Kind::kAdd)
+      add(e.u, e.v);
+    else
+      remove(e.u, e.v);
+  }
+};
+
+// "ok", or the type and message of what f threw.
+template <typename F>
+std::string outcome(const F& f) {
+  try {
+    f();
+    return "ok";
+  } catch (const MutationError& e) {
+    return std::string("MutationError: ") + e.what();
+  } catch (const std::invalid_argument& e) {
+    return std::string("invalid_argument: ") + e.what();
+  }
+}
+
+void expect_matches(const Graph& g, const ReferenceGraph& ref,
+                    const std::string& where) {
+  ASSERT_EQ(g.num_vertices(), static_cast<Vertex>(ref.adj.size())) << where;
+  ASSERT_EQ(g.edges(), ref.edges) << where;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(g.neighbors(v), ref.adj[v]))
+        << where << ", vertex " << v;
+    ASSERT_TRUE(std::ranges::equal(g.incident_edges(v), ref.inc[v]))
+        << where << ", vertex " << v;
+  }
+}
+
+// Builds g and its reference from `edges`; both must fail alike or match.
+bool build_both(Vertex n, const std::vector<Edge>& edges, Graph& g,
+                ReferenceGraph& ref, const std::string& where) {
+  const std::string built =
+      outcome([&] { g = Graph::from_edges(n, edges); });
+  const std::string added = outcome([&] {
+    for (const auto& [u, v] : edges) ref.add(u, v);
+  });
+  EXPECT_EQ(built, added) << where;
+  if (built != "ok") return false;
+  expect_matches(g, ref, where);
+  return true;
+}
+
+// Six corpus batches on g and ref, every other one with a random edit
+// inserted that may fail: both must throw alike and keep the same state.
+int edit_both(Graph& g, ReferenceGraph& ref, std::mt19937_64& rng,
+              const std::string& where) {
+  int failed = 0;
+  const auto n = static_cast<Vertex>(ref.adj.size());
+  for (int round = 0; round < 6; ++round) {
+    std::vector<EdgeEdit> batch = corpus::random_edit_batch(g, rng);
+    if (round % 2 == 1) {
+      const EdgeEdit extra{
+          rng() % 2 ? EdgeEdit::Kind::kAdd : EdgeEdit::Kind::kRemove,
+          static_cast<Vertex>(rng() % (n + 2)) - 1,
+          static_cast<Vertex>(rng() % (n + 2)) - 1};
+      batch.insert(batch.begin() + static_cast<std::ptrdiff_t>(
+                                       rng() % (batch.size() + 1)),
+                   extra);
+    }
+    const std::string applied = outcome([&] { apply_edits(g, batch); });
+    const std::string replayed = outcome([&] {
+      for (const EdgeEdit& e : batch) ref.apply(e);
+    });
+    const std::string at = where + ", round " + std::to_string(round);
+    EXPECT_EQ(applied, replayed) << at;
+    failed += applied != "ok";
+    expect_matches(g, ref, at);
+  }
+  return failed;
+}
+
+TEST(Mutation, BuildersMatchOneByOneReference) {
+  // Seeded edge lists, half with one defect inserted -- a self-loop, a
+  // repeated edge in either order, or an endpoint out of range -- then
+  // corpus graphs; every graph that builds then takes edit batches.
+  std::mt19937_64 rng(27);
+  int failed_builds = 0, failed_batches = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<Vertex>(2 + rng() % 30);
+    std::vector<Edge> edges;
+    for (int k = 0; k < 2 * n; ++k) {
+      const Edge e = std::minmax(static_cast<Vertex>(rng() % n),
+                                 static_cast<Vertex>(rng() % n));
+      if (e.first != e.second && std::ranges::count(edges, e) == 0)
+        edges.push_back(rng() % 2 ? e : Edge{e.second, e.first});
+    }
+    if (trial % 2 == 1) {
+      const Vertex x = static_cast<Vertex>(rng() % n);
+      Edge defect{x, x};
+      if (!edges.empty() && trial % 3 == 0) {
+        defect = edges[rng() % edges.size()];
+        if (rng() % 2) std::swap(defect.first, defect.second);
+      } else if (trial % 3 == 1) {
+        defect.second = rng() % 2 ? n : -1;
+      }
+      edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(
+                                       rng() % (edges.size() + 1)),
+                   defect);
+    }
+    const std::string where = "trial " + std::to_string(trial);
+    Graph g;
+    ReferenceGraph ref(n);
+    if (build_both(n, edges, g, ref, where))
+      failed_batches += edit_both(g, ref, rng, where);
+    else
+      ++failed_builds;
+  }
+  for (const Graph& h : corpus::builder_graphs(3, 20)) {
+    Graph g;
+    ReferenceGraph ref(h.num_vertices());
+    ASSERT_TRUE(build_both(h.num_vertices(), h.edges(), g, ref, h.summary()));
+    failed_batches += edit_both(g, ref, rng, h.summary());
+  }
+  EXPECT_GT(failed_builds, 100);
+  EXPECT_GT(failed_batches, 100);
+
+  // The degree cap: a star whose centre is at it takes no further edge.
+  const Vertex n = kMaxGraphDegree + 2;
+  std::vector<Edge> star_edges;
+  for (Vertex leaf = 1; leaf + 1 < n; ++leaf) star_edges.emplace_back(0, leaf);
+  Graph star_at_cap;
+  ReferenceGraph ref(n);
+  ASSERT_TRUE(build_both(n, star_edges, star_at_cap, ref, "star"));
+  const std::vector<EdgeEdit> over{{EdgeEdit::Kind::kAdd, n - 1, 0}};
+  EXPECT_EQ(outcome([&] { apply_edits(star_at_cap, over); }),
+            "MutationError: degree at 0 would overflow the port-label "
+            "alphabet");
+  star_edges.emplace_back(n - 1, 0);
+  Graph over_cap;
+  ReferenceGraph over_ref(n);
+  EXPECT_FALSE(build_both(n, star_edges, over_cap, over_ref, "star + 1"));
 }
 
 TEST(Mutation, AffectedFrontierIsTheEditBall) {

@@ -37,12 +37,12 @@ using graph::Graph;
 using graph::Vertex;
 
 Graph random_graph(int n, double p, std::mt19937_64& rng) {
-  Graph g(n);
+  std::vector<graph::Edge> edges;
   std::bernoulli_distribution coin(p);
   for (Vertex u = 0; u < n; ++u)
     for (Vertex v = u + 1; v < n; ++v)
-      if (coin(rng)) g.add_edge(u, v);
-  return g;
+      if (coin(rng)) edges.emplace_back(u, v);
+  return Graph::from_edges(n, std::move(edges));
 }
 
 order::Keys random_keys(int n, std::mt19937_64& rng) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "lapx/graph/generators.hpp"
 #include "lapx/problems/exact.hpp"
@@ -62,12 +65,14 @@ TEST(Blossom, AgainstBruteForceOnRandomGraphs) {
   std::mt19937_64 rng(99);
   for (int trial = 0; trial < 40; ++trial) {
     const Vertex n = 6 + static_cast<Vertex>(trial % 4);
-    Graph g(n);
+    std::vector<lapx::graph::Edge> edges;
     std::uniform_int_distribution<Vertex> pick(0, n - 1);
-    for (int tries = 0; tries < 14 && g.num_edges() < 14; ++tries) {
-      const Vertex u = pick(rng), v = pick(rng);
-      if (u != v && !g.has_edge(u, v)) g.add_edge(u, v);
+    for (int tries = 0; tries < 14 && edges.size() < 14; ++tries) {
+      const lapx::graph::Edge e = std::minmax(pick(rng), pick(rng));
+      if (e.first != e.second && std::ranges::count(edges, e) == 0)
+        edges.push_back(e);
     }
+    const Graph g = Graph::from_edges(n, std::move(edges));
     EXPECT_EQ(maximum_matching_size(g), brute_force_matching(g))
         << "trial " << trial;
   }

@@ -197,6 +197,53 @@ TEST(Refine, CompleteViewTypeId) {
     EXPECT_NE(view_type_id(view(path, v, 2), interner2), complete);
 }
 
+// complete_view_type_id as it was first written: every node interns its
+// own 2k - 1 edge nodes.
+TypeId complete_type_node_by_node(int k, int r, TypeInterner& interner) {
+  const int moves = 2 * k;
+  const auto move_tag = [k](int m) {
+    return type_tag::kViewEdge | std::uint64_t{m >= k} << 32 |
+           static_cast<std::uint64_t>(m % k);
+  };
+  const TypeId empty = interner.intern_node(type_tag::kViewNode, nullptr, 0);
+  std::vector<TypeId> prev(static_cast<std::size_t>(moves), empty), cur(prev);
+  std::vector<TypeId> edges;
+  for (int depth = 1; depth < r; ++depth) {
+    for (int m = 0; m < moves; ++m) {
+      edges.clear();
+      for (int j = 0; j < moves; ++j)
+        if (j != (m + k) % moves)
+          edges.push_back(interner.intern_node(move_tag(j), {prev[j]}));
+      cur[m] = interner.intern_node(type_tag::kViewNode, edges.data(),
+                                    edges.size());
+    }
+    prev.swap(cur);
+  }
+  edges.clear();
+  if (r > 0)
+    for (int j = 0; j < moves; ++j)
+      edges.push_back(interner.intern_node(move_tag(j), {prev[j]}));
+  const TypeId body =
+      interner.intern_node(type_tag::kViewNode, edges.data(), edges.size());
+  return interner.intern_node(
+      type_tag::kViewRoot | static_cast<std::uint32_t>(r), {body});
+}
+
+TEST(Refine, CompleteViewTypeIdKeepsInternOrder) {
+  // Each depth's edge nodes are interned once, yet fresh interners must
+  // hand out the same ids to the same spellings as the node-by-node build.
+  for (int k = 0; k <= 5; ++k)
+    for (int r = 0; r <= 4; ++r) {
+      TypeInterner once, node_by_node;
+      EXPECT_EQ(complete_view_type_id(k, r, once),
+                complete_type_node_by_node(k, r, node_by_node));
+      ASSERT_EQ(once.size(), node_by_node.size()) << k << " " << r;
+      for (TypeId id = 0; id < once.size(); ++id)
+        EXPECT_EQ(once.spelling(id), node_by_node.spelling(id))
+            << "k " << k << ", r " << r << ", id " << id;
+    }
+}
+
 TEST(Refine, StabilityFastPathStaysExact) {
   // Push a high-girth-ish regular graph far past stabilization; the
   // per-class fast path must keep matching the oracle at every radius.

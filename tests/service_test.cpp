@@ -1123,7 +1123,9 @@ TEST(Service, PoRunsOnTheSessionStateMatchOneShotRunners) {
       // the freed slot; the delta-forked state and the new ids must hold.
       auto cut = [&](std::size_t edge_id, const char* state) {
         const auto [u, v] = g.edges()[edge_id];
-        g.remove_edge(u, v);
+        const lapx::graph::EdgeEdit edit{lapx::graph::EdgeEdit::Kind::kRemove,
+                                         u, v};
+        lapx::graph::apply_edits(g, std::span(&edit, 1));
         std::string req = R"({"op":"mutate","name":")" + name;
         req += R"(","edits":[{"op":"remove","u":)" + std::to_string(u);
         req += R"(,"v":)" + std::to_string(v) + "}]}";

@@ -27,13 +27,18 @@
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/order/homogeneity.hpp"
 #include "lapx/service/blake2b.hpp"
+#include "lapx/service/handlers.hpp"
+#include "lapx/service/protocol.hpp"
 #include "lapx/service/session_store.hpp"
 
 namespace {
 
 using lapx::graph::EdgeEdit;
 using lapx::service::blake2b_256_hex;
+using lapx::service::build_generated_graph;
 using lapx::service::GraphEntry;
+using lapx::service::parse_uploaded_graph;
+using lapx::service::Request;
 using lapx::service::SessionStore;
 
 SessionStore::Options capped(std::size_t max) {
@@ -128,6 +133,117 @@ TEST(SessionStore, ContentHexIsPinned) {
   EXPECT_EQ(lift->content_hex(), "4b859612796eafaf");
   EXPECT_EQ(lift->content_id(),
             "287ad27d0ffa665faf70ff4572df7e9c27c74f28a688429f0764b4058523edf7");
+}
+
+Request request(const std::string& line) {
+  return lapx::service::parse_request(line);
+}
+
+TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
+  // Edge ids and adjacency order feed both digests, so every generate
+  // family, an upload in arbitrary edge order, and a mutate batch that
+  // moves the last edge id and changes degrees pin what the graph
+  // builders and apply_edits must reproduce.
+  struct Pin {
+    const char* family;
+    const char* args;
+    const char* hex;
+    const char* id;
+  };
+  const Pin pins[] = {
+      {"cycle", "[50]",
+       "26ef60cf1230722b",
+       "ec369770b33f57ad62cfeb92de25431047747d70e9dca3e0364edef78bc10e88"},
+      {"path", "[40]",
+       "8fa929a48754ee07",
+       "a0d4943421c09fcc9ac66c91a67dec11f0ea43af0b9c16417d73df5f93792d36"},
+      {"complete", "[12]",
+       "bf09fb770cf3454e",
+       "f53c27e57b65b405d1f1ce1b6664283ecfbc8eee90220cb2c04db2c0e906e2f7"},
+      {"torus", "[5,7]",
+       "b8a7925d1ab09268",
+       "d50b665a117674d3b8bacdedaf02775aab240840b6862270044742264e6cd148"},
+      {"torus", "[3,3]",
+       "84379ea70d621c0b",
+       "d30df1176f37cf4ded5b2a2be6b26a632d6d88ebc6284f51570d301130775511"},
+      {"hypercube", "[6]",
+       "1fc97979831a039b",
+       "cdd79f2e705efd578e2a899d6d7daa981243f8470d4aa1bd6b54a12e107cc962"},
+      {"petersen", "[]",
+       "cef57ec8054e8a39",
+       "d1518a5aec23515a5e689e7dbec4391a610652d5ec9ffa50c5e929f7070bb567"},
+      {"gp", "[8,3]",
+       "ab31f5be4208b9de",
+       "31fbf68ca5a041084b0589edd580ca5c003e81496653822d8c278adfcdc8f736"},
+      {"grid", "[6,9]",
+       "25bad03b7f0e69ae",
+       "6a750ae02c21ed1c6f8de061000fa36135fe94bbd17ffaec7cdc2591bf2990be"},
+      {"lift", "[3,3,50,7]",
+       "c97c6b6a32212311",
+       "50bbebe9760818f0988f48bbe04d6171939f645c87c3c8f564d5c5067c0358a5"},
+      {"lift", "[3,4,20,11]",
+       "20cb174329038543",
+       "35a6fcbe6e1c583abd8f290452d7c984708b5d6f1d24769262923acc37e3e323"},
+      {"regular", "[200,3,1]",
+       "18f931a98cc5b500",
+       "31447e01e691510918201bca05ee21cb45eb02c88a7c00d747cd5064fcb0cf88"},
+      {"regular", "[64,6,5]",
+       "8cd6595e8e7b9c97",
+       "b1f168b16ae3ec6dd9e7fda6e4f82193ad3fef17eaf0284ead6e74a38d4b5a32"},
+      {"regular", "[101,4,9]",
+       "de9e5a5a6e13062b",
+       "24446a80d6ef983f27c4749f5983390f125112b7c419319bef3e83628fd311fa"},
+      {"regular", "[500,5,3]",
+       "8341340b499dd058",
+       "a7582bee6ca9306716783dcb2a6715483580517f1e86739796fa302abe19e6b6"},
+  };
+  SessionStore store;
+  for (const Pin& p : pins) {
+    const auto entry = store.put(
+        "g", build_generated_graph(request(
+                 std::string(R"({"op":"generate","name":"g","family":")") +
+                 p.family + R"(","args":)" + p.args + "}")));
+    EXPECT_EQ(entry->content_hex(), p.hex) << p.family << " " << p.args;
+    EXPECT_EQ(entry->content_id(), p.id) << p.family << " " << p.args;
+  }
+  // A side of 2 would repeat every edge of its dimension; the generator
+  // refuses it rather than dropping the repeats.
+  try {
+    build_generated_graph(request(
+        R"({"op":"generate","name":"g","family":"torus","args":[2,5]})"));
+    ADD_FAILURE() << "torus [2,5] built";
+  } catch (const lapx::service::ServiceError& e) {
+    EXPECT_STREQ(e.what(), "generate failed: torus side must be >= 3");
+  }
+
+  const auto upload = store.put(
+      "u", parse_uploaded_graph(request(
+               R"({"op":"upload","name":"u","edges":"7 9\n3 1\n0 6\n5 2\n)"
+               R"(2 0\n4 3\n6 5\n1 0\n2 4\n6 3\n"})")));
+  EXPECT_EQ(upload->content_hex(), "ede8a0fdd1c21ffa");
+  EXPECT_EQ(upload->content_id(),
+            "4bd49bc3d8a66be098fa5d28a62d8d99ca31dd7de1355affe425080c547f521d");
+
+  const auto lift = store.put(
+      "l", build_generated_graph(request(
+               R"({"op":"generate","name":"l","family":"lift",)"
+               R"("args":[3,3,20,7]})")));
+  const auto& g = lift->graph();
+  const auto [a, b] = g.edge(0);
+  const auto [c, d] = g.edge(3);
+  lapx::graph::Vertex w = 0;
+  while (w == a || w == b || w == c || w == d || g.has_edge(b, w)) ++w;
+  // Removing ids 0 and 3 moves the last edge into each; b keeps its
+  // degree, a, c and d lose one and w reaches 5.
+  const std::vector<EdgeEdit> batch{{EdgeEdit::Kind::kRemove, b, a},
+                                    {EdgeEdit::Kind::kRemove, c, d},
+                                    {EdgeEdit::Kind::kAdd, w, b}};
+  const auto mutated = store.mutate("l", batch);
+  ASSERT_NE(mutated, nullptr);
+  EXPECT_EQ(mutated->graph().max_degree(), 5);
+  EXPECT_EQ(mutated->content_hex(), "c6bcb60862471306");
+  EXPECT_EQ(mutated->content_id(),
+            "65e669237a6746d3ff60f9540aacddde13b15f8ecb3a7c9e914c177f95cf1b75");
 }
 
 TEST(SessionStore, PutAndMutateAddNoInternerIds) {
@@ -257,7 +373,8 @@ TEST(SessionStore, ConcurrentGetAndMutatePinEpochs) {
   SessionStore store;
   store.put("g", lapx::graph::torus({4, 4}))->homogeneity(1);
   lapx::graph::Graph cut_graph = lapx::graph::torus({4, 4});
-  cut_graph.remove_edge(0, 1);
+  const std::vector<EdgeEdit> cut_edit{{EdgeEdit::Kind::kRemove, 0, 1}};
+  lapx::graph::apply_edits(cut_graph, cut_edit);
   const auto healed_report = scratch_homogeneity(lapx::graph::torus({4, 4}), 1);
   const auto cut_report = scratch_homogeneity(cut_graph, 1);
   constexpr int kMutations = 40;
