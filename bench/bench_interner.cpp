@@ -6,7 +6,9 @@
 // is what lets Phase A of the refinement engine's
 // two-phase pattern fan out across LAPX_THREADS.  The table measures
 // hit-path throughput scaling with raw std::thread workers (not the pool:
-// the subject is the interner), and the batched-miss microbench times the
+// the subject is the interner); its working-set row re-probes a few
+// hundred keys over and over, as a lift's refine rounds do, which the
+// per-thread node memo answers.  The batched-miss microbench times the
 // two-phase pattern itself against a fully serial interning pass while
 // asserting both allocate byte-identical ids.
 
@@ -47,6 +49,51 @@ std::vector<TypeId> intern_universe(core::TypeInterner& interner) {
   return ids;
 }
 
+// Runs body(t) for t < threads on raw std::threads released together,
+// timed as phase `name`; returns the wall seconds from release to join.
+template <typename F>
+double run_released(const std::string& name, int threads, const F& body) {
+  std::atomic<bool> start{false};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!start.load(std::memory_order_acquire)) {
+      }
+      body(t);
+    });
+  }
+  while (ready.load() != threads) {
+  }
+  bench::phase(name);
+  const auto t0 = std::chrono::steady_clock::now();
+  start.store(true, std::memory_order_release);
+  for (auto& w : workers) w.join();
+  return seconds_since(t0);
+}
+
+// The working set: 256 node keys of 1-6 children (the node memo's
+// range) plus 8 of 7 (the framed path), the size of the type set a lift's
+// refine rounds re-probe.
+struct NodeKey {
+  std::uint64_t tag;
+  std::vector<TypeId> children;
+};
+std::vector<NodeKey> working_set() {
+  std::mt19937_64 rng(223);
+  std::vector<NodeKey> keys;
+  for (std::uint32_t i = 0; i < 264; ++i) {
+    NodeKey key{core::type_tag::kViewNode,
+                {static_cast<TypeId>(kUniverse + i)}};
+    const std::uint32_t n = i < 256 ? 1 + i % 6 : 7;
+    while (key.children.size() < n)
+      key.children.push_back(static_cast<TypeId>(rng() % kUniverse));
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
 void print_hit_path_table() {
   bench::print_header(
       "E21: interner hit-path throughput",
@@ -56,6 +103,7 @@ void print_hit_path_table() {
 
   core::TypeInterner interner;
   const std::vector<TypeId> ids = intern_universe(interner);
+  const std::size_t universe_distinct = interner.size();
 
   // Per-thread probe order: distinct deterministic shuffles, so threads
   // collide on slots and memo lines the way refinement workers do.
@@ -72,34 +120,19 @@ void print_hit_path_table() {
   double throughput_1t = 0.0, throughput_8t = 0.0;
   bool all_ok = true;
   for (const int threads : {1, 2, 4, 8}) {
-    std::atomic<bool> start{false};
-    std::atomic<int> ready{0};
     std::atomic<bool> ok{true};
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        const std::vector<std::uint32_t>& order = orders[t];
-        ready.fetch_add(1);
-        while (!start.load(std::memory_order_acquire)) {
-        }
-        bool mine = true;
-        for (std::size_t i = 0; i < kLookupsPerThread; ++i) {
-          const std::uint32_t x = order[i & (kUniverse - 1)];
-          const TypeId child = x;
-          const TypeId got = interner.try_intern_node(
-              core::type_tag::kViewNode, &child, 1);
-          mine &= got == ids[x];
-        }
-        if (!mine) ok.store(false);
-      });
-    }
-    while (ready.load() != threads) {
-    }
-    bench::phase("hit_path_lookups");
-    const auto t0 = std::chrono::steady_clock::now();
-    start.store(true, std::memory_order_release);
-    for (auto& w : workers) w.join();
-    const double s = seconds_since(t0);
+    const double s = run_released("hit_path_lookups", threads, [&](int t) {
+      const std::vector<std::uint32_t>& order = orders[t];
+      bool mine = true;
+      for (std::size_t i = 0; i < kLookupsPerThread; ++i) {
+        const std::uint32_t x = order[i & (kUniverse - 1)];
+        const TypeId child = x;
+        const TypeId got =
+            interner.try_intern_node(core::type_tag::kViewNode, &child, 1);
+        mine &= got == ids[x];
+      }
+      if (!mine) ok.store(false);
+    });
     const double throughput =
         s > 0 ? static_cast<double>(threads) * kLookupsPerThread / s : 0.0;
     if (threads == 1) throughput_1t = throughput;
@@ -113,8 +146,50 @@ void print_hit_path_table() {
          ok.load() ? "yes" : "NO"});
   }
 
+  // Working set: every thread walks its own shuffle of the few hundred
+  // keys pass after pass, alternating the lock-free probe and intern_node,
+  // both of which must keep returning the serially interned ids.
+  // Timings go to the phases only.
+  const std::vector<NodeKey> keys = working_set();
+  std::vector<TypeId> key_ids;
+  for (const NodeKey& key : keys)
+    key_ids.push_back(interner.intern_node(key.tag, key.children.data(),
+                                           key.children.size()));
+  constexpr int kPasses = 1024;
+  bool working_ok = true;
+  for (const int threads : {1, 2, 4, 8}) {
+    std::atomic<bool> ok{true};
+    run_released("working_set_" + std::to_string(threads) + "t", threads,
+                 [&](int t) {
+                   std::vector<std::uint32_t> order(keys.size());
+                   for (std::uint32_t i = 0; i < order.size(); ++i)
+                     order[i] = i;
+                   std::mt19937_64 rng(307 + t);
+                   std::shuffle(order.begin(), order.end(), rng);
+                   bool mine = true;
+                   for (int pass = 0; pass < kPasses; ++pass)
+                     for (const std::uint32_t k : order) {
+                       const NodeKey& key = keys[k];
+                       const std::size_t n = key.children.size();
+                       const TypeId got =
+                           pass % 2 == 0
+                               ? interner.try_intern_node(
+                                     key.tag, key.children.data(), n)
+                               : interner.intern_node(
+                                     key.tag, key.children.data(), n);
+                       mine &= got == key_ids[k];
+                     }
+                   if (!mine) ok.store(false);
+                 });
+    working_ok = working_ok && ok.load();
+  }
+  all_ok = all_ok && working_ok;
+  bench::print_row({"working set", "keys", "passes", "threads", "ids ok"});
+  bench::print_row({"", std::to_string(keys.size()), std::to_string(kPasses),
+                    "1/2/4/8", working_ok ? "yes" : "NO"});
+
   bench::value("interner_universe_distinct",
-               static_cast<double>(interner.size()));
+               static_cast<double>(universe_distinct));
   bench::check(all_ok,
                "every concurrent hit-path lookup returned the serially "
                "interned id at every thread count");

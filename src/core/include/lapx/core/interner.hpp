@@ -22,14 +22,22 @@
 //
 // Concurrency (DESIGN.md, "Interner & batched id assignment").  One
 // open-addressed table of packed (32-bit hash tag << 32 | id) words, each
-// homed by the top bits of its tag.  The HIT path is lock-free and
-// allocation-free -- node keys are framed in a stack buffer, the table is
-// probed with atomic loads, and a per-thread stamped direct-mapped L1 memo
-// short-circuits repeated re-interns (every memo hit is verified
-// byte-for-byte against the stored spelling, so a hash collision can never
-// alias two types).  Only a MISS takes the one mutex, under which ids are
-// handed out densely in insertion order, the spelling is written and the
-// slot is published -- ids depend only on the order intern calls commit.
+// homed by the top bits of its tag.  The HIT path is lock-free, and
+// allocation-free once a thread has its node memo (48 KiB, allocated at
+// the thread's first node intern).  A node of at most 6 children probes a
+// per-thread direct-mapped node memo keyed by value -- (interner serial,
+// tag, child count, child ids) -> id -- so a repeated intern frames,
+// hashes and compares no bytes; on a memo miss the key is framed in a
+// stack buffer and the table is probed with atomic loads.  Flat keys and
+// wider nodes probe a per-thread L1 memo keyed by hash first (every L1
+// hit is verified byte-for-byte against the stored spelling, so a hash
+// collision can never alias two types).  Both memos key on a serial that
+// each interner takes from a process-wide counter and that is never
+// reused, so an entry can only ever answer for the interner that filled
+// it.  Only a MISS takes the one mutex, under which ids are handed out
+// densely in insertion order, the spelling is written and the slot is
+// published -- ids depend only on the order intern calls commit; the
+// memos assign none.
 //
 // Code that needs a deterministic id order must still intern serially.
 // Parallel consumers either compare ids for equality only (order-free), or
@@ -76,9 +84,10 @@ class TypeInterner {
   }
 
   /// Lock-free lookup-only probes: the id if the key is already interned,
-  /// kNoType otherwise.  Never inserts, never locks, never allocates --
-  /// safe to call from parallel workers racing concurrent interns (a
-  /// racing insert may be missed; the caller re-interns serially).
+  /// kNoType otherwise.  Never insert, never lock, and allocate nothing
+  /// but the calling thread's node memo on its first node intern -- safe
+  /// to call from parallel workers racing concurrent interns (a racing
+  /// insert may be missed; the caller re-interns serially).
   TypeId try_intern(std::string_view key) const;
   TypeId try_intern_node(std::uint64_t tag, const TypeId* children,
                          std::size_t n) const;
@@ -105,10 +114,15 @@ class TypeInterner {
   static constexpr int kSlabBase = 10;
   static constexpr int kMaxSlabs = 23;
 
+  // The table alone; lookup puts the L1 memo in front of it.
+  TypeId probe(std::uint64_t hash, std::string_view key) const;
   TypeId lookup(std::uint64_t hash, std::string_view key) const;
   TypeId insert(std::uint64_t hash, std::string_view key);
   const std::string& spelling_at(TypeId id) const;
 
+  // Owner key of this interner's per-thread memo entries: unique per
+  // instance for the life of the process.
+  const std::uint64_t serial_;
   // mu_ serializes every insert: the re-probe, id assignment, the
   // spelling write, growth and the slot publish.
   std::mutex mu_;

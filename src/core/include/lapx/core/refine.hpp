@@ -45,8 +45,12 @@
 // only types already present, and a retired span's tuples were interned
 // when it was last active, so fresh TypeIds land in the order a fully
 // serial pass would produce -- they depend only on the graph (and, for a
-// derived state, on the parent), never on LAPX_THREADS.
-// Round-local deduplication rides on the ids themselves (the interner is
+// derived state, on the parent), never on LAPX_THREADS.  Phase B calls
+// intern_node directly: symmetric regions refine in lockstep, so its novel
+// tuples arrive in clusters of duplicates, and every repeat after the
+// first resolves from the interner's per-thread memo (by value, with no
+// framing, hashing or spelling read, up to 6 children).  The root and
+// stability passes deduplicate on the ids themselves (the interner is
 // injective on the serialized tuple), via open-addressed id maps sized by
 // the ids a round holds, never by the interner.
 //
@@ -126,7 +130,7 @@ class RefineState {
   const std::vector<TypeId>& types_at(int radius);
 
   /// Number of distinct radius-`radius` root types (advances as needed;
-  /// sorts a copy of types_at(radius) on every call).
+  /// counts the classes of types_at(radius) on every call, O(n)).
   std::size_t distinct_at(int radius);
 
   /// Largest radius computed so far (-1 before the first types_at call).
@@ -242,22 +246,6 @@ class RefineState {
   // successor state differs from edge_sub_[j].  init_round0 starts the
   // memo at kNoType.
   std::vector<TypeId> edge_sub_;
-
-  // Phase B scratch: round-local dedup of serially interned nodes.  The
-  // serial phase pays the interner once per *distinct* (tag, children)
-  // key per round; duplicates (symmetric regions refine in lockstep)
-  // verify against the arena copy by id compare -- no hash-cons probe, no
-  // spelling access.  A dedup hit is provably an interner hit (its first
-  // occurrence was interned earlier the same round), so skipping the
-  // call cannot perturb id allocation order.
-  struct BatchEntry {
-    std::uint64_t hash, tag;
-    std::uint32_t off, len;
-    TypeId id;
-  };
-  std::vector<BatchEntry> batch_entries_;
-  std::vector<TypeId> batch_arena_;        // children of every entry
-  std::vector<std::uint32_t> batch_slots_; // open-addressed: entry idx + 1
 
   std::vector<std::uint32_t> state_class_;  // stable partition labels
   std::vector<std::uint32_t> state_rep_;    // representative step per class

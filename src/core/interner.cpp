@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -71,19 +72,98 @@ constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 constexpr int kInitialBits = 6;  // 64 slots
 constexpr int kMaxBits = 32;     // a 32-bit tag homes at most 2^32 slots
 
-// Thread-local stamped direct-mapped L1 memo in front of the table: one
-// slot per hash bucket holding the owning interner, the full 64-bit hash,
-// and the id.  Hits are verified byte-for-byte against the spelling before
-// being trusted (a collision or a stale owner pointer can therefore never
-// alias two types -- verification reads only through the interner being
-// called, never through the stored pointer).
+// Thread-local direct-mapped L1 memo in front of the table: one slot per
+// hash bucket holding the owning interner's serial, the full 64-bit hash
+// and the id.  It serves flat keys and nodes too wide for the node memo
+// below, which narrower nodes use instead.  Keyed by hash, so a hit is
+// verified byte-for-byte against the spelling before it is trusted (a
+// collision can never alias two types); the serial confines it to the
+// interner that filled it, whose ids it has seen published.
 struct L1Entry {
-  const void* owner;
+  std::uint64_t serial;
   std::uint64_t hash;
   TypeId id;
 };
 constexpr std::size_t kL1Slots = 2048;  // 2^11 x 24 B = 48 KiB per thread
 thread_local L1Entry g_l1[kL1Slots];
+
+// Thread-local direct-mapped node memo in front of the framing: a node of
+// at most kMemoChildren children is keyed by value -- (owner serial, tag,
+// child count, child ids) -> id -- so a hit frames, hashes and reads
+// nothing shared, and compares no spelling.  A (tag, children) -> id
+// binding never changes while its interner lives, and serials are never
+// reused, so an entry never goes stale.  The memo only remembers ids the
+// table handed out; it assigns none.
+constexpr std::size_t kMemoChildren = 6;
+struct NodeMemoEntry {
+  std::uint64_t serial;  // 0: empty (serials start at 1)
+  std::uint64_t tag;
+  std::uint32_t n;
+  TypeId id;
+  TypeId children[kMemoChildren];
+
+  bool matches(std::uint64_t s, std::uint64_t t, const TypeId* ch,
+               std::size_t len) const {
+    return serial == s && tag == t && n == len &&
+           std::equal(ch, ch + len, children);
+  }
+  void assign(std::uint64_t s, std::uint64_t t, const TypeId* ch,
+              std::size_t len, TypeId got) {
+    serial = s;
+    tag = t;
+    n = static_cast<std::uint32_t>(len);
+    id = got;
+    std::copy(ch, ch + len, children);
+  }
+};
+static_assert(sizeof(NodeMemoEntry) == 48);
+constexpr int kNodeMemoBits = 10;  // 2^10 x 48 B = 48 KiB per thread
+
+// This thread's node memo, allocated zeroed at its first node intern and
+// freed at its exit.  Not a static thread_local array: a thread's whole
+// static TLS block is zeroed when the thread is created, so the array
+// would cost every thread its page faults, interning or not -- and lapxd
+// starts one per connection.
+NodeMemoEntry* node_memo() {
+  thread_local NodeMemoEntry* memo = nullptr;
+  if (memo == nullptr) [[unlikely]] {
+    thread_local std::unique_ptr<NodeMemoEntry[]> owner(
+        new NodeMemoEntry[std::size_t{1} << kNodeMemoBits]());
+    memo = owner.get();
+  }
+  return memo;
+}
+
+// The memo slot of a node key, nullptr when it has too many children.
+// A multiply-xor chain over tag, count and children; the top bits index.
+NodeMemoEntry* node_memo_slot(std::uint64_t tag, const TypeId* children,
+                              std::size_t n) {
+  if (n > kMemoChildren) return nullptr;
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = (tag ^ n) * kMul;
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ children[i]) * kMul;
+  return &node_memo()[h >> (64 - kNodeMemoBits)];
+}
+
+// Frames a node key (on the stack up to kInlineChildren children) and
+// returns f(key).
+template <typename F>
+TypeId with_node_key(std::uint64_t tag, const TypeId* children,
+                     std::size_t n, const F& f) {
+  char stack[node_key_size(kInlineChildren)];
+  std::string heap;
+  char* buf = stack;
+  if (n > kInlineChildren) {
+    heap.resize(node_key_size(n));
+    buf = heap.data();
+  }
+  frame_node_key(buf, tag, children, n);
+  return f(std::string_view(buf, node_key_size(n)));
+}
+
+// Interner serials: one per instance, never reused (0 marks an empty
+// memo slot).
+std::atomic<std::uint64_t> g_next_serial{1};
 
 }  // namespace
 
@@ -124,7 +204,8 @@ struct TypeInterner::Table {
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
 };
 
-TypeInterner::TypeInterner() = default;
+TypeInterner::TypeInterner()
+    : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)) {}
 
 TypeInterner::~TypeInterner() {
   for (int k = 0; k < kMaxSlabs; ++k)
@@ -141,22 +222,23 @@ const std::string& TypeInterner::spelling_at(TypeId id) const {
   return slab[id - start];
 }
 
+TypeId TypeInterner::probe(std::uint64_t hash, std::string_view key) const {
+  const Table* t = table_.load(std::memory_order_acquire);
+  return t == nullptr ? kNoType : t->find(*this, hash >> 32, key);
+}
+
 TypeId TypeInterner::lookup(std::uint64_t hash, std::string_view key) const {
-  const std::size_t live = size_.load(std::memory_order_acquire);
-  // L1 memo first: a thread re-interning the same node (refinement rounds
-  // re-derive unchanged tuples every round) pays one private probe plus
-  // the byte verify, never touching the shared table.
+  // L1 memo first: a thread re-interning the same key pays one private
+  // probe plus the byte verify, never touching the shared table.
   L1Entry& memo = g_l1[hash & (kL1Slots - 1)];
-  if (memo.owner == this && memo.hash == hash && memo.id < live) {
+  if (memo.serial == serial_ && memo.hash == hash) {
     const std::string& sp = spelling_at(memo.id);
     if (sp.size() == key.size() &&
         std::memcmp(sp.data(), key.data(), key.size()) == 0)
       return memo.id;
   }
-  const Table* t = table_.load(std::memory_order_acquire);
-  if (t == nullptr) return kNoType;
-  const TypeId id = t->find(*this, hash >> 32, key);
-  if (id != kNoType) memo = {this, hash, id};
+  const TypeId id = probe(hash, key);
+  if (id != kNoType) memo = {serial_, hash, id};
   return id;
 }
 
@@ -207,7 +289,6 @@ TypeId TypeInterner::insert(std::uint64_t hash, std::string_view key) {
   next_id_ = id + 1;
   size_.store(static_cast<std::size_t>(id) + 1, std::memory_order_release);
   t->place((tag << 32) | id);
-  g_l1[hash & (kL1Slots - 1)] = {this, hash, id};
   return id;
 }
 
@@ -215,43 +296,49 @@ TypeId TypeInterner::intern(std::string_view key) {
   const std::uint64_t hash = hash_bytes(key.data(), key.size());
   const TypeId hit = lookup(hash, key);
   if (hit != kNoType) return hit;
-  return insert(hash, key);
+  const TypeId id = insert(hash, key);
+  g_l1[hash & (kL1Slots - 1)] = {serial_, hash, id};
+  return id;
 }
 
 TypeId TypeInterner::try_intern(std::string_view key) const {
   return lookup(hash_bytes(key.data(), key.size()), key);
 }
 
+// Nodes of at most kMemoChildren children resolve through the node memo
+// and the table; wider ones take the flat path, L1 memo included.
 TypeId TypeInterner::intern_node(std::uint64_t tag, const TypeId* children,
                                  std::size_t n) {
-  char stack[node_key_size(kInlineChildren)];
-  std::string heap;
-  char* buf = stack;
-  if (n > kInlineChildren) {
-    heap.resize(node_key_size(n));
-    buf = heap.data();
-  }
-  frame_node_key(buf, tag, children, n);
-  const std::string_view key(buf, node_key_size(n));
-  const std::uint64_t hash = hash_bytes(key.data(), key.size());
-  const TypeId hit = lookup(hash, key);
-  if (hit != kNoType) return hit;
-  return insert(hash, key);
+  NodeMemoEntry* memo = node_memo_slot(tag, children, n);
+  if (memo == nullptr)
+    return with_node_key(tag, children, n,
+                         [&](std::string_view key) { return intern(key); });
+  if (memo->matches(serial_, tag, children, n)) return memo->id;
+  const TypeId id =
+      with_node_key(tag, children, n, [&](std::string_view key) {
+        const std::uint64_t hash = hash_bytes(key.data(), key.size());
+        const TypeId hit = probe(hash, key);
+        return hit != kNoType ? hit : insert(hash, key);
+      });
+  memo->assign(serial_, tag, children, n, id);
+  return id;
 }
 
 TypeId TypeInterner::try_intern_node(std::uint64_t tag,
                                      const TypeId* children,
                                      std::size_t n) const {
-  char stack[node_key_size(kInlineChildren)];
-  std::string heap;
-  char* buf = stack;
-  if (n > kInlineChildren) {
-    heap.resize(node_key_size(n));
-    buf = heap.data();
-  }
-  frame_node_key(buf, tag, children, n);
-  const std::string_view key(buf, node_key_size(n));
-  return lookup(hash_bytes(key.data(), key.size()), key);
+  NodeMemoEntry* memo = node_memo_slot(tag, children, n);
+  if (memo == nullptr)
+    return with_node_key(tag, children, n, [&](std::string_view key) {
+      return try_intern(key);
+    });
+  if (memo->matches(serial_, tag, children, n)) return memo->id;
+  const TypeId id =
+      with_node_key(tag, children, n, [&](std::string_view key) {
+        return probe(hash_bytes(key.data(), key.size()), key);
+      });
+  if (id != kNoType) memo->assign(serial_, tag, children, n, id);
+  return id;
 }
 
 const std::string& TypeInterner::spelling(TypeId id) const {

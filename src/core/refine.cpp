@@ -321,57 +321,7 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
       runtime::for_each_index(active_,
                               [&](std::uint32_t v) { resolve_span(v); });
     }
-
-    // Phase B round-local dedup (see BatchEntry in the header).
-    batch_entries_.clear();
-    batch_arena_.clear();
-    batch_slots_.assign(std::max<std::size_t>(batch_slots_.size(), 1024), 0);
   }
-  // Every serial intern below goes through batch_intern, which pays the
-  // real interner once per *distinct* (tag, children) key this round;
-  // duplicates -- symmetric regions refine in lockstep, so novel tuples
-  // arrive in large duplicate clusters -- verify against the arena copy
-  // by id compare, with no hash-cons probe and no spelling access.  A
-  // local hit is provably an interner hit (its first occurrence was
-  // interned earlier the same round), so the skipped calls cannot
-  // perturb id allocation order.
-  const auto batch_intern = [&](std::uint64_t tag, const TypeId* ch,
-                                std::size_t len) {
-    std::uint64_t h = tag * 0x9E3779B97F4A7C15ull + len;
-    for (std::size_t i = 0; i < len; ++i)
-      h ^= ch[i] + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h ^= h >> 33;
-    h *= 0xFF51AFD7ED558CCDull;
-    h ^= h >> 33;
-    std::size_t mask = batch_slots_.size() - 1;
-    std::size_t idx = static_cast<std::size_t>(h) & mask;
-    for (;; idx = (idx + 1) & mask) {
-      const std::uint32_t e = batch_slots_[idx];
-      if (e == 0) break;
-      const BatchEntry& be = batch_entries_[e - 1];
-      if (be.hash == h && be.tag == tag && be.len == len &&
-          std::equal(ch, ch + len, batch_arena_.begin() + be.off))
-        return be.id;
-    }
-    const TypeId id = interner.intern_node(tag, ch, len);
-    batch_entries_.push_back({h, tag,
-                              static_cast<std::uint32_t>(batch_arena_.size()),
-                              static_cast<std::uint32_t>(len), id});
-    batch_arena_.insert(batch_arena_.end(), ch, ch + len);
-    batch_slots_[idx] = static_cast<std::uint32_t>(batch_entries_.size());
-    if (2 * batch_entries_.size() > batch_slots_.size()) {
-      batch_slots_.assign(2 * batch_slots_.size(), 0);
-      mask = batch_slots_.size() - 1;
-      for (std::uint32_t i = 0;
-           i < static_cast<std::uint32_t>(batch_entries_.size()); ++i) {
-        std::size_t k =
-            static_cast<std::size_t>(batch_entries_[i].hash) & mask;
-        while (batch_slots_[k] != 0) k = (k + 1) & mask;
-        batch_slots_[k] = i + 1;
-      }
-    }
-    return id;
-  };
 
   // Phase B helper: serially intern an unresolved span -- edge nodes in
   // step order, then the body tuple -- exactly the calls the serial pass
@@ -380,10 +330,11 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
     const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
     for (std::uint32_t j = lo; j < hi; ++j) {
       const TypeId sub = in[step_succ[j]];
-      edge_ids_[j] = batch_intern(edge_tag(step_move[j]), &sub, 1);
+      edge_ids_[j] = interner.intern_node(edge_tag(step_move[j]), &sub, 1);
       edge_sub_[j] = sub;
     }
-    return batch_intern(type_tag::kViewNode, edge_ids_.data() + lo, hi - lo);
+    return interner.intern_node(type_tag::kViewNode, edge_ids_.data() + lo,
+                                hi - lo);
   };
 
   // Stable per-class path: intern the node over v's steps, `skip`
@@ -475,8 +426,8 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
           tuple.clear();
           for (std::uint32_t j = lo; j < hi; ++j)
             if (j != s) tuple.push_back(edge_ids_[j]);
-          out[s] =
-              batch_intern(type_tag::kViewNode, tuple.data(), tuple.size());
+          out[s] = interner.intern_node(type_tag::kViewNode, tuple.data(),
+                                        tuple.size());
         }
         changed = changed || out[s] != base[b + (s - lo)];
       }
@@ -518,10 +469,7 @@ const std::vector<TypeId>& RefineState::types_at(int radius) {
 }
 
 std::size_t RefineState::distinct_at(int radius) {
-  std::vector<TypeId> sorted(types_at(radius));
-  std::sort(sorted.begin(), sorted.end());
-  return static_cast<std::size_t>(
-      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+  return count_classes(types_at(radius)).distinct;
 }
 
 RefineState::RefineState(const RefineState& parent, const LDigraph& g,

@@ -152,8 +152,9 @@ TEST(Simulate, OrderedLiftKeysFollowTemplateOrder) {
   const auto lift = core::ordered_product_lift(h, h_keys, g);
   for (graph::Vertex v = 0; v < lift.graph.num_vertices(); ++v)
     for (graph::Vertex u = 0; u < lift.graph.num_vertices(); ++u)
-      if (h_keys[lift.phi_h[v]] < h_keys[lift.phi_h[u]])
+      if (h_keys[lift.phi_h[v]] < h_keys[lift.phi_h[u]]) {
         EXPECT_LT(lift.keys[v], lift.keys[u]);
+      }
 }
 
 TEST(Digraph, ComponentOfConnectedIsIdentity) {

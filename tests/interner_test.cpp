@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <string>
@@ -130,6 +131,143 @@ TEST(Interner, SpellingBoundsCheckThrows) {
   EXPECT_NO_THROW(interner.spelling(0));
   EXPECT_THROW(interner.spelling(1), std::out_of_range);
   EXPECT_THROW(interner.spelling(core::kNoType), std::out_of_range);
+}
+
+// --- the per-thread node memo ---
+//
+// A node of at most 6 children resolves from a per-thread memo of 1 024
+// slots keyed by value and by the interner's serial.  It must never answer
+// for another interner (a destroyed one's successor often reuses its
+// address), and evicting entries must never change an answer.
+
+// The framed spelling of a node key: '\x01', the tag and the child ids,
+// little-endian.
+std::string framed(std::uint64_t tag, const std::vector<TypeId>& children) {
+  std::string out(1, '\x01');
+  for (int b = 0; b < 8; ++b) out += static_cast<char>(tag >> (8 * b));
+  for (const TypeId c : children)
+    for (int b = 0; b < 4; ++b) out += static_cast<char>(c >> (8 * b));
+  return out;
+}
+
+TEST(NodeMemo, NeverAnswersForADestroyedInterner) {
+  const std::vector<TypeId> key = {3, 1, 4};
+  auto a = std::make_unique<TypeInterner>();
+  for (const char* flat : {"a0", "a1", "a2"}) a->intern(flat);
+  const TypeId in_a = a->intern_node(77, key.data(), key.size());
+  ASSERT_EQ(in_a, 3u);
+  ASSERT_EQ(a->try_intern_node(77, key.data(), key.size()), in_a);
+  a.reset();
+  // B usually lands at A's address; only A's serial keys A's entries.
+  auto b = std::make_unique<TypeInterner>();
+  b->intern("b0");
+  EXPECT_EQ(b->try_intern_node(77, key.data(), key.size()), core::kNoType);
+  const TypeId in_b = b->intern_node(77, key.data(), key.size());
+  EXPECT_EQ(in_b, 1u);
+  EXPECT_EQ(b->spelling(in_b), framed(77, key));
+  EXPECT_EQ(b->size(), 2u);
+}
+
+// Keys for the memo tests: `count` distinct node keys whose child counts
+// cycle through 0..7, so both sides of the 6-child memo limit are hit.
+struct NodeKey {
+  std::uint64_t tag;
+  std::vector<TypeId> children;
+};
+std::vector<NodeKey> node_keys(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<NodeKey> keys;
+  for (std::size_t i = 0; i < count; ++i) {
+    NodeKey key{core::type_tag::kind(9) | i, {}};
+    for (std::size_t j = 0; j < i % 8; ++j)
+      key.children.push_back(static_cast<TypeId>(rng() % 5000));
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+TEST(NodeMemo, TwoLiveInternersKeepTheirOwnIds) {
+  const std::vector<NodeKey> keys = node_keys(400, 5);
+  std::vector<std::size_t> order_a(keys.size()), order_b(keys.size());
+  std::iota(order_a.begin(), order_a.end(), 0);
+  order_b = order_a;
+  std::mt19937_64 rng(6);
+  std::shuffle(order_b.begin(), order_b.end(), rng);
+  // What a lone interner hands out in each order.
+  const auto lone = [&](const std::vector<std::size_t>& order) {
+    TypeInterner interner;
+    std::vector<TypeId> ids(keys.size());
+    for (const std::size_t k : order)
+      ids[k] = interner.intern_node(keys[k].tag, keys[k].children.data(),
+                                    keys[k].children.size());
+    return ids;
+  };
+  const std::vector<TypeId> want_a = lone(order_a), want_b = lone(order_b);
+  ASSERT_NE(want_a, want_b);
+
+  TypeInterner a, b;
+  std::vector<TypeId> got_a(keys.size()), got_b(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const NodeKey& ka = keys[order_a[i]];
+    const NodeKey& kb = keys[order_b[i]];
+    got_a[order_a[i]] =
+        a.intern_node(ka.tag, ka.children.data(), ka.children.size());
+    got_b[order_b[i]] =
+        b.intern_node(kb.tag, kb.children.data(), kb.children.size());
+  }
+  EXPECT_EQ(got_a, want_a);
+  EXPECT_EQ(got_b, want_b);
+  // Re-interns and probes, interleaved: every one a hit, in its own ids.
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const NodeKey& key = keys[k];
+    const std::size_t n = key.children.size();
+    ASSERT_EQ(a.try_intern_node(key.tag, key.children.data(), n), want_a[k]);
+    ASSERT_EQ(b.try_intern_node(key.tag, key.children.data(), n), want_b[k]);
+    ASSERT_EQ(b.intern_node(key.tag, key.children.data(), n), want_b[k]);
+    ASSERT_EQ(a.intern_node(key.tag, key.children.data(), n), want_a[k]);
+  }
+  EXPECT_EQ(a.size(), keys.size());
+  EXPECT_EQ(b.size(), keys.size());
+}
+
+TEST(NodeMemo, EvictionNeverChangesAnAnswer) {
+  // 8x the memo's 1 024 slots, so most entries are evicted many times.
+  const std::vector<NodeKey> keys = node_keys(8 * 1024, 7);
+  TypeInterner interner;
+  std::vector<TypeId> ids;
+  for (const NodeKey& key : keys)
+    ids.push_back(interner.intern_node(key.tag, key.children.data(),
+                                       key.children.size()));
+  for (const int threads : {1, 8}) {
+    std::vector<int> bad(static_cast<std::size_t>(threads), 0);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        std::vector<std::size_t> order(keys.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::mt19937_64 rng(100 + t);
+        for (int pass = 0; pass < 2; ++pass) {
+          std::shuffle(order.begin(), order.end(), rng);
+          for (const std::size_t k : order) {
+            const NodeKey& key = keys[k];
+            const std::size_t n = key.children.size();
+            const TypeId got =
+                pass == 0
+                    ? interner.try_intern_node(key.tag, key.children.data(), n)
+                    : interner.intern_node(key.tag, key.children.data(), n);
+            if (got != ids[k] ||
+                interner.spelling(got) != framed(key.tag, key.children))
+              ++bad[static_cast<std::size_t>(t)];
+          }
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (int t = 0; t < threads; ++t)
+      EXPECT_EQ(bad[static_cast<std::size_t>(t)], 0)
+          << "threads=" << threads << " thread " << t;
+    EXPECT_EQ(interner.size(), keys.size()) << "threads=" << threads;
+  }
 }
 
 // The central contract: within one interner, equal TypeId <=> equal

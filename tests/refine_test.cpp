@@ -17,6 +17,7 @@
 #include "lapx/graph/generators.hpp"
 #include "lapx/graph/lift.hpp"
 #include "lapx/graph/mutation.hpp"
+#include "lapx/graph/ooc.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/group/homogeneous.hpp"
 #include "lapx/runtime/parallel.hpp"
@@ -242,6 +243,40 @@ TEST(Refine, CompleteViewTypeIdKeepsInternOrder) {
         EXPECT_EQ(once.spelling(id), node_by_node.spelling(id))
             << "k " << k << ", r " << r << ", id " << id;
     }
+}
+
+// The order in which a refine first interns its types.  One fresh
+// interner types five fixtures at r = 3 in turn; the FNV-1a digest of its
+// id -> spelling sequence and its size were taken while Phase B still
+// deduplicated its serial interns within each round, so the pin holds the
+// order that dedup produced, at 1 and at 8 threads.
+TEST(Refine, FirstInternOrderIsPinned) {
+  namespace graph = lapx::graph;
+  std::mt19937_64 rng(2027);
+  const std::vector<LDigraph> fixtures = {
+      graph::to_ldigraph(graph::lifted_torus(3, 3, 40, 7)),
+      graph::to_ldigraph(graph::random_regular(200, 3, rng)),
+      graph::to_ldigraph(graph::torus({12, 12})),
+      graph::to_ldigraph(graph::hypercube(6)),
+      graph::to_ldigraph(graph::generalized_petersen(50, 7))};
+  constexpr std::size_t kIds = 6881;
+  constexpr std::uint64_t kDigest = 0xce3f18efb89e2788ull;
+  const int old_threads = lapx::runtime::thread_count();
+  for (const int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    TypeInterner interner;
+    for (const LDigraph& g : fixtures) bulk_view_type_ids(g, 3, interner);
+    std::uint64_t digest = graph::fnv1a64(nullptr, 0);
+    for (TypeId id = 0; id < interner.size(); ++id) {
+      const std::string& spelling = interner.spelling(id);
+      const std::uint64_t size = spelling.size();
+      digest = graph::fnv1a64(&size, sizeof size, digest);
+      digest = graph::fnv1a64(spelling.data(), spelling.size(), digest);
+    }
+    EXPECT_EQ(interner.size(), kIds) << "threads=" << threads;
+    EXPECT_EQ(digest, kDigest) << "threads=" << threads;
+  }
+  lapx::runtime::set_thread_count(old_threads);
 }
 
 TEST(Refine, StabilityFastPathStaysExact) {
