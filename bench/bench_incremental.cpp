@@ -24,11 +24,13 @@
 // The third table (E18c) times a session write stage by stage, as
 // SessionStore::mutate and the `homogeneity` handler run it, on a lifted
 // torus at n = 9 000 and 90 000: which stages still scale with n.  Its
-// release column frees the parent epoch's Graph, LDigraph and RefineState,
-// as the store does when a write displaces an entry.  Its last two
-// columns are the homogeneity r=1 requery from scratch and from the
-// session's forked ordered-ball classes, re-typed on the edit's ball
-// frontier only; the fork must report the same and be >= 5x faster.
+// L-digraph column patches the parent's at the edit, and every patch must
+// equal a fresh to_ldigraph.  Its release column frees the parent epoch's
+// Graph, LDigraph and RefineState, as the store does when a write
+// displaces an entry.  Its last two columns are the homogeneity r=1
+// requery from scratch and from the session's forked ordered-ball
+// classes, re-typed on the edit's ball frontier only; the fork must
+// report the same and be >= 5x faster.
 
 #include <algorithm>
 #include <chrono>
@@ -319,11 +321,12 @@ bool same_digraph(const LDigraph& a, const LDigraph& b) {
 }
 
 // The stages of one write, in the order SessionStore::mutate runs them
-// (derive: the child RefineState from its parent's; release: freeing the
-// parent epoch's Graph, LDigraph and RefineState once the child is
-// installed), then the homogeneity r=1 requery, from scratch and from the
-// forked classes (copy, ball frontier, re-type, report); medians in ms
-// over the edits.
+// (ldigraph: the edit's frontier and the parent's L-digraph patched at
+// it; derive: the child RefineState from its parent's, seeded from that
+// frontier; release: freeing the parent epoch's Graph, LDigraph and
+// RefineState once the child is installed), then the homogeneity r=1
+// requery, from scratch and from the forked classes (copy, ball frontier,
+// re-type, report); medians in ms over the edits.
 enum Stage {
   kCopy,
   kHash,
@@ -344,6 +347,7 @@ struct WritePathResult {
   int edits = 0;
   double median_ms[kStages] = {};
   bool ldigraph_matches_general = false;
+  bool patched_ldigraph_matches = true;
   bool delta_matches_scratch = false;
   bool hashes_match_store = true;
   bool homogeneity_fork_matches = true;
@@ -388,13 +392,18 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
       fnv = hex16(lapx::graph::fnv1a64(text.data(), text.size()));
       blake = lapx::service::blake2b_256_hex(text);
     });
+    // As GraphEntry::fork_refine_from runs them: the edit's frontier, the
+    // parent's L-digraph patched at it, the child derived from it.
+    std::vector<lapx::graph::Vertex> frontier;
     std::unique_ptr<LDigraph> next_ld;
     timed(kLDigraph, [&] {
-      next_ld = std::make_unique<LDigraph>(lapx::graph::to_ldigraph(next));
+      frontier = lapx::graph::affected_frontier(next, batch, 1);
+      next_ld = std::make_unique<LDigraph>(
+          lapx::graph::to_ldigraph(next, *ld, batch, frontier));
     });
     std::unique_ptr<RefineState> derived;
     timed(kDerive, [&] {
-      derived = std::make_unique<RefineState>(state, *next_ld);
+      derived = std::make_unique<RefineState>(state, *next_ld, frontier);
     });
     lapx::order::HomogeneityReport scratch, forked_report;
     timed(kHomogeneity, [&] {
@@ -414,6 +423,9 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
         forked_report.distinct_types == scratch.distinct_types &&
         forked_report.fraction == scratch.fraction;
     phase("write-" + size + "-checks");
+    out.patched_ldigraph_matches =
+        out.patched_ldigraph_matches &&
+        same_digraph(*next_ld, lapx::graph::to_ldigraph(next));
     const auto entry = store.mutate("g", batch);
     out.hashes_match_store = out.hashes_match_store && entry &&
                              entry->content_hex() == fnv &&
@@ -438,14 +450,15 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
 
 void print_write_path_table() {
   print_header("E18c write path, stage by stage: copy, content hash, "
-               "to_ldigraph, derive, release, homogeneity r=1 from scratch "
-               "and forked",
+               "patched L-digraph, derive, release, homogeneity r=1 from "
+               "scratch and forked",
                "a view changes only within radius r of an edit, so only the "
                "content hash (FNV-1a and BLAKE2b over the whole text) must "
-               "scale with n; the other stages are O(n) today, except the "
-               "forked homogeneity, which re-types the ball frontier only");
+               "scale with n; the L-digraph patch and the seeded derive "
+               "still copy O(n) blocks, and the forked homogeneity re-types "
+               "the ball frontier only");
   constexpr int kEdits = 20;
-  print_row({"n", "arcs", "copy ms", "hash ms", "to_ldigraph ms",
+  print_row({"n", "arcs", "copy ms", "hash ms", "ldigraph ms",
              "derive ms", "release ms", "homog. r=1 ms", "homog. fork ms"});
   std::vector<WritePathResult> results;
   for (const int layers : {1000, 10000}) {
@@ -471,6 +484,9 @@ void print_write_path_table() {
     check(r.ldigraph_matches_general,
           "to_ldigraph(g) equals the general path after the edits (n=" + n +
               ")");
+    check(r.patched_ldigraph_matches,
+          "the patched L-digraph equals to_ldigraph(g') after every edit (n=" +
+              n + ")");
     check(r.delta_matches_scratch,
           "delta-forked TypeIds equal a from-scratch refine after the last "
           "edit (n=" + n + ", r=3)");

@@ -121,9 +121,19 @@ class RefineState {
   /// parent's graph may already be gone.  Vertex ids must be stable
   /// across the edit (append-only growth is fine; a shrink refines `g`
   /// from scratch).  Throws std::logic_error when the parent keeps no
-  /// rounds.
+  /// rounds.  Compares every vertex's signature; see the overload below.
   RefineState(const RefineState& parent, const LDigraph& g,
               DeltaStats* stats = nullptr);
+
+  /// The derivation above, comparing signatures only at `candidates`:
+  /// ascending, each once, and a superset of the vertices whose incident
+  /// arcs differ between the parent's graph and `g` (with every vertex
+  /// `g` added).  After an edge edit of a default-port graph,
+  /// graph::affected_frontier(g', edits, 1) is one -- every vertex when
+  /// the maximum degree moved, since every label moves then -- and
+  /// graph::ball_frontier is not.  The result is the same state.
+  RefineState(const RefineState& parent, const LDigraph& g,
+              std::span<const Vertex> candidates, DeltaStats* stats = nullptr);
 
   /// types[v] == view_type_id(view(g, v, radius)) for every vertex v.
   /// Advances the refinement as needed; earlier radii stay cached.
@@ -235,7 +245,9 @@ class RefineState {
   // The non-backtracking steps of the graph (empty in streaming mode).
   graph::StepCsr steps_;
 
-  // State types of the previous / current round (indexed by step).
+  // State types of the previous / current round (indexed by step), when
+  // rounds are not kept; a state that keeps them reads the last kept
+  // table and writes the next.  t_cur_ is sized by the first advance().
   std::vector<TypeId> t_prev_, t_cur_;
   // Phase A scratch: this round's edge-node id per step, resolved lock-free
   // (kNoType where the probe missed; Phase B interns those serially).
@@ -247,6 +259,8 @@ class RefineState {
   // memo at kNoType.
   std::vector<TypeId> edge_sub_;
 
+  // Sized when first labelled (a forward round that finds the partition
+  // stable), so a derived state carries none until it advances.
   std::vector<std::uint32_t> state_class_;  // stable partition labels
   std::vector<std::uint32_t> state_rep_;    // representative step per class
   std::size_t state_distinct_ = 0;

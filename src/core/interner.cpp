@@ -85,7 +85,25 @@ struct L1Entry {
   TypeId id;
 };
 constexpr std::size_t kL1Slots = 2048;  // 2^11 x 24 B = 48 KiB per thread
-thread_local L1Entry g_l1[kL1Slots];
+
+// This thread's array of `Slots` zeroed T, allocated at its first use and
+// freed at its exit.  Not a static thread_local array: a thread's whole
+// static TLS block is zeroed when the thread is created, so the array
+// would cost every thread its page faults, interning or not -- and lapxd
+// starts one per connection.
+template <typename T, std::size_t Slots>
+T* thread_array() {
+  thread_local T* array = nullptr;
+  if (array == nullptr) [[unlikely]] {
+    thread_local std::unique_ptr<T[]> owner(new T[Slots]());
+    array = owner.get();
+  }
+  return array;
+}
+
+L1Entry& l1_slot(std::uint64_t hash) {
+  return thread_array<L1Entry, kL1Slots>()[hash & (kL1Slots - 1)];
+}
 
 // Thread-local direct-mapped node memo in front of the framing: a node of
 // at most kMemoChildren children is keyed by value -- (owner serial, tag,
@@ -119,21 +137,6 @@ struct NodeMemoEntry {
 static_assert(sizeof(NodeMemoEntry) == 48);
 constexpr int kNodeMemoBits = 10;  // 2^10 x 48 B = 48 KiB per thread
 
-// This thread's node memo, allocated zeroed at its first node intern and
-// freed at its exit.  Not a static thread_local array: a thread's whole
-// static TLS block is zeroed when the thread is created, so the array
-// would cost every thread its page faults, interning or not -- and lapxd
-// starts one per connection.
-NodeMemoEntry* node_memo() {
-  thread_local NodeMemoEntry* memo = nullptr;
-  if (memo == nullptr) [[unlikely]] {
-    thread_local std::unique_ptr<NodeMemoEntry[]> owner(
-        new NodeMemoEntry[std::size_t{1} << kNodeMemoBits]());
-    memo = owner.get();
-  }
-  return memo;
-}
-
 // The memo slot of a node key, nullptr when it has too many children.
 // A multiply-xor chain over tag, count and children; the top bits index.
 NodeMemoEntry* node_memo_slot(std::uint64_t tag, const TypeId* children,
@@ -142,7 +145,8 @@ NodeMemoEntry* node_memo_slot(std::uint64_t tag, const TypeId* children,
   constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
   std::uint64_t h = (tag ^ n) * kMul;
   for (std::size_t i = 0; i < n; ++i) h = (h ^ children[i]) * kMul;
-  return &node_memo()[h >> (64 - kNodeMemoBits)];
+  constexpr std::size_t kSlots = std::size_t{1} << kNodeMemoBits;
+  return &thread_array<NodeMemoEntry, kSlots>()[h >> (64 - kNodeMemoBits)];
 }
 
 // Frames a node key (on the stack up to kInlineChildren children) and
@@ -230,7 +234,7 @@ TypeId TypeInterner::probe(std::uint64_t hash, std::string_view key) const {
 TypeId TypeInterner::lookup(std::uint64_t hash, std::string_view key) const {
   // L1 memo first: a thread re-interning the same key pays one private
   // probe plus the byte verify, never touching the shared table.
-  L1Entry& memo = g_l1[hash & (kL1Slots - 1)];
+  L1Entry& memo = l1_slot(hash);
   if (memo.serial == serial_ && memo.hash == hash) {
     const std::string& sp = spelling_at(memo.id);
     if (sp.size() == key.size() &&
@@ -297,7 +301,7 @@ TypeId TypeInterner::intern(std::string_view key) {
   const TypeId hit = lookup(hash, key);
   if (hit != kNoType) return hit;
   const TypeId id = insert(hash, key);
-  g_l1[hash & (kL1Slots - 1)] = {serial_, hash, id};
+  l1_slot(hash) = {serial_, hash, id};
   return id;
 }
 

@@ -134,13 +134,16 @@ RefineState::RefineState(const graph::OocGraph& g, TypeInterner& interner)
 void RefineState::init_round0() {
   const std::size_t steps = off_span()[static_cast<std::size_t>(n_)];
 
-  // Round 0: every state is the empty node -- one class.
+  // Round 0: every state is the empty node -- one class.  A state that
+  // keeps rounds reads each round's input from its last kept table, so
+  // only one that does not keeps t_prev_.
   const TypeId empty = interner_->intern_node(type_tag::kViewNode, nullptr, 0);
-  t_prev_.assign(steps, empty);
-  t_cur_.resize(steps);
+  if (keep_rounds_)
+    round_states_.assign(1, std::vector<TypeId>(steps, empty));
+  else
+    t_prev_.assign(steps, empty);
   edge_ids_.resize(steps);
   edge_sub_.assign(steps, kNoType);
-  state_class_.resize(steps);
   state_distinct_ = steps ? 1 : 0;
   states_stable_ = roots_stable_ = false;
   state_count_.clear();
@@ -150,18 +153,25 @@ void RefineState::init_round0() {
       interner_->intern_node(type_tag::kViewRoot | 0u, &empty, 1);
   roots_.resize(1);
   roots_[0].assign(static_cast<std::size_t>(n_), root0);
-  root_class_.resize(static_cast<std::size_t>(n_));
   all_active_ = true;  // the tracking seeds itself on the first round
-  if (keep_rounds_) round_states_.assign(1, t_prev_);
 }
 
 void RefineState::advance() {
   const bool states_were_stable = states_stable_;
+  const std::size_t steps = off_span()[static_cast<std::size_t>(n_)];
+  // T_radius() in, T_radius()+1 out: a state that keeps rounds writes a
+  // fresh table it then keeps, any other swaps t_prev_ and t_cur_.
+  const std::vector<TypeId>& in = keep_rounds_ ? round_states_.back() : t_prev_;
+  std::vector<TypeId> kept;
+  std::vector<TypeId>& out = keep_rounds_ ? kept : t_cur_;
   // Retired spans carry last round's values; the kernel rewrites the rest.
-  if (!all_active_) std::copy(t_prev_.begin(), t_prev_.end(), t_cur_.begin());
+  if (all_active_)
+    out.resize(steps);
+  else
+    out.assign(in.begin(), in.end());
   std::vector<TypeId> roots(static_cast<std::size_t>(n_));
-  run_round(radius() + 1, t_prev_.data(), t_cur_.data(), t_prev_.data(),
-            off_span(), roots, /*replay=*/false);
+  run_round(radius() + 1, in.data(), out.data(), in.data(), off_span(), roots,
+            /*replay=*/false);
   roots_.push_back(std::move(roots));
 
   if (!states_were_stable) {
@@ -172,14 +182,13 @@ void RefineState::advance() {
     const std::span<const std::uint32_t> step_off = off_span();
     if (all_active_) {
       state_count_.clear();
-      for (const TypeId id : t_cur_) ++*state_count_.try_emplace(id, 0).first;
+      for (const TypeId id : out) ++*state_count_.try_emplace(id, 0).first;
     } else {
       for (const std::uint32_t v : changed_)
         for (std::uint32_t s = step_off[v]; s < step_off[v + 1]; ++s) {
-          if (t_cur_[s] == t_prev_[s]) continue;
-          if (--*state_count_.find(t_prev_[s]) == 0)
-            state_count_.erase(t_prev_[s]);
-          ++*state_count_.try_emplace(t_cur_[s], 0).first;
+          if (out[s] == in[s]) continue;
+          if (--*state_count_.find(in[s]) == 0) state_count_.erase(in[s]);
+          ++*state_count_.try_emplace(out[s], 0).first;
         }
     }
     states_stable_ = state_count_.size() == state_distinct_;
@@ -188,10 +197,10 @@ void RefineState::advance() {
       // The per-class path takes over next round; label the states once,
       // by first occurrence per id in step order.
       state_rep_.clear();
-      for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(t_cur_.size());
-           ++s) {
+      state_class_.resize(steps);
+      for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(steps); ++s) {
         const auto [cls, fresh] = state_map_.try_emplace(
-            t_cur_[s], static_cast<std::uint32_t>(state_rep_.size()));
+            out[s], static_cast<std::uint32_t>(state_rep_.size()));
         if (fresh) state_rep_.push_back(s);
         state_class_[s] = *cls;
       }
@@ -205,8 +214,10 @@ void RefineState::advance() {
     schedule({});
   if (all_active_) state_count_.clear();  // a full round recounts
 
-  t_prev_.swap(t_cur_);
-  if (keep_rounds_) round_states_.push_back(t_prev_);
+  if (keep_rounds_)
+    round_states_.push_back(std::move(kept));  // `in` may dangle after this
+  else
+    t_prev_.swap(t_cur_);
 }
 
 template <typename F>
@@ -374,7 +385,10 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
     // are bitwise last round's).  Once the states are stable the root
     // partition cannot change either: label it for the per-class path.
     const bool label = states_stable_;
-    if (label) root_rep_.clear();
+    if (label) {
+      root_rep_.clear();
+      root_class_.resize(static_cast<std::size_t>(n));
+    }
     const auto type_root = [&](Vertex v) {
       const auto vi = static_cast<std::size_t>(v);
       TypeId body = root_body_[vi];
@@ -472,8 +486,23 @@ std::size_t RefineState::distinct_at(int radius) {
   return count_classes(types_at(radius)).distinct;
 }
 
+namespace {
+
+// 0 .. n - 1: the candidates of a derivation told nothing about its edit.
+std::vector<Vertex> every_vertex(Vertex n) {
+  std::vector<Vertex> all(static_cast<std::size_t>(n));
+  for (Vertex v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
+  return all;
+}
+
+}  // namespace
+
 RefineState::RefineState(const RefineState& parent, const LDigraph& g,
                          DeltaStats* stats)
+    : RefineState(parent, g, every_vertex(g.num_vertices()), stats) {}
+
+RefineState::RefineState(const RefineState& parent, const LDigraph& g,
+                         std::span<const Vertex> candidates, DeltaStats* stats)
     : n_(g.num_vertices()), interner_(parent.interner_), keep_rounds_(true) {
   if (!parent.keep_rounds_)
     throw std::logic_error(
@@ -500,14 +529,13 @@ RefineState::RefineState(const RefineState& parent, const LDigraph& g,
   const std::vector<std::uint32_t>& step_off = steps_.off;
   const std::size_t steps = step_off[static_cast<std::size_t>(n)];
 
-  // Seed: a vertex is dirty when its incident-step SIGNATURE changed --
+  // Seed: a candidate is dirty when its incident-step SIGNATURE changed --
   // the per-span sequence of (move bits, successor vertex) pairs, compared
   // straight off the adjacency in the same (outgoing, label) enumeration
   // order StepCsr::fill uses.  T_1 is a pure function of the signature,
   // and the signature also pins the identity of every successor state, so
-  // a clean vertex's parent table values carry over verbatim.  Serial on
-  // purpose: the whole scan is ~one pass over the adjacency, and the
-  // pool's wake/barrier costs more than the scan itself at this size.
+  // a clean vertex's parent table values carry over verbatim.  Only the
+  // candidates can be dirty, so only they are compared.
   std::vector<std::uint32_t> dirty;
   const auto same_arcs = [&](const auto& arcs, std::uint32_t out_bit,
                              std::uint32_t& k) {
@@ -517,7 +545,7 @@ RefineState::RefineState(const RefineState& parent, const LDigraph& g,
         return false;
     return true;
   };
-  for (Vertex v = 0; v < n; ++v) {
+  for (const Vertex v : candidates) {
     std::uint32_t k = v < old_n ? old.off[v] : 0;
     const bool same =
         v < old_n &&
@@ -606,10 +634,9 @@ RefineState::RefineState(const RefineState& parent, const LDigraph& g,
     if (i < max_r) schedule(dirty);
   }
 
-  // Arm the forward rounds on the last replayed round.  The tracking
-  // compared against the parent's tables and root_body_ mixes rounds, so
-  // the next advance() runs all-active, which re-seeds it.
-  t_prev_ = round_states_.back();
+  // The tracking compared against the parent's tables and root_body_
+  // mixes rounds, so the next advance() runs all-active, which re-seeds
+  // it.
   all_active_ = true;
 }
 

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "csr_edit.hpp"
+
 namespace lapx::graph {
 
 LDigraph::LDigraph(Vertex n, Label alphabet_size)
@@ -55,6 +57,26 @@ std::vector<std::pair<Label, Vertex>> bucket(const std::vector<Arc>& arcs,
   return runs;
 }
 
+// One side's runs after an edit: touched[k]'s new run is
+// fresh[at[k] .. at[k + 1]), every other vertex keeps its run in (off,
+// runs); the result goes to (new_off, new_runs).
+void splice_runs(std::span<const Vertex> touched,
+                 const std::vector<std::pair<Label, Vertex>>& fresh,
+                 const std::vector<std::uint32_t>& at,
+                 const std::vector<std::uint32_t>& off,
+                 const std::vector<std::pair<Label, Vertex>>& runs,
+                 std::vector<std::uint32_t>& new_off,
+                 std::vector<std::pair<Label, Vertex>>& new_runs) {
+  new_off = detail::relaid_offsets(
+      off, touched, [&](std::size_t k) { return at[k + 1] - at[k]; });
+  new_runs.resize(new_off.back());
+  detail::move_untouched_runs(off, new_off, touched, runs, new_runs);
+  for (std::size_t k = 0; k < touched.size(); ++k)
+    std::copy(fresh.begin() + at[k], fresh.begin() + at[k + 1],
+              new_runs.begin() +
+                  new_off[static_cast<std::size_t>(touched[k])]);
+}
+
 }  // namespace
 
 void LDigraph::throw_out_of_range(Vertex v) {
@@ -95,6 +117,37 @@ LDigraph LDigraph::from_arcs(Vertex n, Label alphabet_size,
       if (in[i - 1].first == in[i].first)
         throw_duplicate_label("incoming", in[i].first, v);
   }
+  d.arcs_ = std::move(arcs);
+  return d;
+}
+
+LDigraph LDigraph::edited(std::vector<Arc> arcs,
+                          std::span<const Vertex> touched,
+                          const Graph& incidence) const {
+  LDigraph d;
+  d.n_ = n_;
+  d.alphabet_ = alphabet_;
+  // The touched vertices' runs, rebuilt from their arcs, back to back.
+  Runs out, in;
+  std::vector<std::uint32_t> out_at{0}, in_at{0};
+  const auto by_label = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  for (const Vertex v : touched) {
+    for (const EdgeId e : incidence.incident_edges(v)) {
+      const Arc& a = arcs[static_cast<std::size_t>(e)];
+      if (a.from == v)
+        out.emplace_back(a.label, a.to);
+      else
+        in.emplace_back(a.label, a.from);
+    }
+    std::sort(out.begin() + out_at.back(), out.end(), by_label);
+    std::sort(in.begin() + in_at.back(), in.end(), by_label);
+    out_at.push_back(static_cast<std::uint32_t>(out.size()));
+    in_at.push_back(static_cast<std::uint32_t>(in.size()));
+  }
+  splice_runs(touched, out, out_at, out_off_, out_, d.out_off_, d.out_);
+  splice_runs(touched, in, in_at, in_off_, in_, d.in_off_, d.in_);
   d.arcs_ = std::move(arcs);
   return d;
 }

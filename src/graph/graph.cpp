@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "csr_edit.hpp"
 #include "lapx/graph/mutation.hpp"
 
 namespace lapx::graph {
@@ -269,29 +270,20 @@ class Graph::Editor {
     }
     std::sort(slots_.begin(), slots_.end(),
               [](const Slot& a, const Slot& b) { return a.v < b.v; });
-    std::vector<std::uint32_t> new_off(off.size());
+    std::vector<Vertex> touched(slots_.size());
+    std::transform(slots_.begin(), slots_.end(), touched.begin(),
+                   [](const Slot& s) { return s.v; });
+    std::vector<std::uint32_t> new_off = detail::relaid_offsets(
+        off, touched, [&](std::size_t k) { return slots_[k].size; });
     std::vector<Vertex> nbr(2 * g_.edges_.size());
     std::vector<EdgeId> inc(nbr.size());
-    std::size_t from = 0;  // the first vertex not laid out yet
-    const auto move_untouched = [&](std::size_t to) {
-      // Vertices [from, to) keep their runs: one block, shifted.
-      const std::uint32_t delta = new_off[from] - off[from];
-      for (std::size_t v = from; v < to; ++v)
-        new_off[v + 1] = off[v + 1] + delta;
-      std::copy(g_.nbr_.begin() + off[from], g_.nbr_.begin() + off[to],
-                nbr.begin() + new_off[from]);
-      std::copy(g_.inc_.begin() + off[from], g_.inc_.begin() + off[to],
-                inc.begin() + new_off[from]);
-    };
+    detail::move_untouched_runs(off, new_off, touched, g_.nbr_, nbr);
+    detail::move_untouched_runs(off, new_off, touched, g_.inc_, inc);
     for (const Slot& s : slots_) {
-      const auto v = static_cast<std::size_t>(s.v);
-      move_untouched(v);
-      new_off[v + 1] = new_off[v] + s.size;
-      std::copy_n(nbr_.begin() + s.begin, s.size, nbr.begin() + new_off[v]);
-      std::copy_n(inc_.begin() + s.begin, s.size, inc.begin() + new_off[v]);
-      from = v + 1;
+      const std::uint32_t at = new_off[static_cast<std::size_t>(s.v)];
+      std::copy_n(nbr_.begin() + s.begin, s.size, nbr.begin() + at);
+      std::copy_n(inc_.begin() + s.begin, s.size, inc.begin() + at);
     }
-    move_untouched(off.size() - 1);
     off = std::move(new_off);
     g_.nbr_ = std::move(nbr);
     g_.inc_ = std::move(inc);

@@ -8,8 +8,10 @@
 // label with an edge of the opposite direction at the same node.)
 //
 // Labels are represented as integers 0..alphabet_size()-1.  Properness is
-// checked when the digraph is built: LDigraph::from_arcs is its one
-// construction path, and a built digraph is immutable.
+// checked when the digraph is built by LDigraph::from_arcs, its one
+// checked builder; LDigraph::edited derives an edit of a built digraph for
+// callers whose arcs are proper by construction.  A built digraph is
+// immutable.
 
 #include <cstdint>
 #include <optional>
@@ -66,6 +68,19 @@ class LDigraph {
   /// O(n + m log deg).
   static LDigraph from_arcs(Vertex n, Label alphabet_size,
                             std::vector<Arc> arcs);
+
+  /// The digraph of `arcs` (kept as arcs()), built from this one, which it
+  /// differs from only at the vertices in `touched` (ascending, each
+  /// once): an arc with no endpoint there is one of this digraph's, with
+  /// its label.  `incidence` is a graph whose edge i joins the endpoints of
+  /// arcs[i] -- for a default-port digraph, the Graph it labels.  Rebuilds
+  /// the touched vertices' runs from their arcs and, per side, lays the
+  /// offsets out again in one pass and moves the untouched runs between
+  /// touched vertices as blocks (the pass apply_edits runs).  Runs none
+  /// of from_arcs' checks: `arcs` must form a proper L-digraph.  O(n + m)
+  /// block copies plus O(d log d) per touched vertex of degree d.
+  LDigraph edited(std::vector<Arc> arcs, std::span<const Vertex> touched,
+                  const Graph& incidence) const;
 
   Vertex num_vertices() const { return n_; }
   std::size_t num_arcs() const { return arcs_.size(); }

@@ -51,9 +51,17 @@ class OocError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// FNV-1a 64 (the repo-wide content hash; seed/prime per the reference).
+/// The FNV-1a 64 seed this repo uses: 1469598103934665603
+/// (0x14650fb0739d0383), not the reference offset basis
+/// 14695981039346656037 (0xcbf29ce484222325) it drops a digit of.  Every
+/// content_hex, LAPXOOC1 checksum and persisted fingerprint depends on
+/// it, so it stays.
+inline constexpr std::uint64_t kFnv1a64Seed = 1469598103934665603ull;
+
+/// FNV-1a 64 with the reference prime, the repo-wide content hash;
+/// `seed` continues a chain.
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
-                      std::uint64_t seed = 1469598103934665603ull);
+                      std::uint64_t seed = kFnv1a64Seed);
 
 /// The flat non-backtracking step CSR of an LDigraph: per vertex, in-arc
 /// steps in label order then out-arc steps in label order (the order

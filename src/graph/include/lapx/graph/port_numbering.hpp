@@ -9,10 +9,12 @@
 // We encode (i, j) as the integer i * Delta + j, fixing the alphabet
 // L = {0, .., Delta^2 - 1} for the whole graph family of maximum degree Delta.
 
+#include <span>
 #include <vector>
 
 #include "lapx/graph/digraph.hpp"
 #include "lapx/graph/graph.hpp"
+#include "lapx/graph/mutation.hpp"
 
 namespace lapx::graph {
 
@@ -64,6 +66,18 @@ LDigraph to_ldigraph(const Graph& g, const PortNumbering& pn,
 
 /// Convenience: default ports + default orientation + delta = max_degree.
 LDigraph to_ldigraph(const Graph& g);
+
+/// to_ldigraph(g), patched from `parent` == to_ldigraph(f), where `edits`
+/// turned f into g (apply_edits).  `frontier` lists, ascending, a
+/// superset of the edit endpoints and their neighbours in g, such as
+/// affected_frontier(g, edits, 1): default ports move only at the edit
+/// endpoints, so only the frontier's runs can change.  Relabels the arcs
+/// at the endpoints and at the ids whose edge changed, and rebuilds the
+/// frontier's runs (LDigraph::edited); when the batch moved the maximum
+/// degree, and with it every label, it builds to_ldigraph(g) instead.
+LDigraph to_ldigraph(const Graph& g, const LDigraph& parent,
+                     std::span<const EdgeEdit> edits,
+                     std::span<const Vertex> frontier);
 
 /// Port numbering induced by a proper edge colouring: the edge of colour c
 /// sits behind port c at *both* endpoints.  Requires colours[e] in

@@ -5,6 +5,8 @@
 #include <string>
 #include <utility>
 
+#include "ball_scratch.hpp"
+
 // apply_edits lives in graph.cpp: it edits the CSR in place.
 
 namespace lapx::graph {
@@ -14,23 +16,35 @@ std::vector<Vertex> affected_frontier(const Graph& g,
   const Vertex n = g.num_vertices();
   if (r < 0) throw std::invalid_argument("negative radius");
 
-  // Reconstruct the pre-edit degrees from the post-edit graph: an add
-  // raised both endpoint degrees by one, a remove lowered them.  If the
-  // maximum degree moved, the port-label alphabet Delta^2 moved with it
-  // and every arc label in the induced L-digraph is suspect.
-  std::vector<int> old_degree(static_cast<std::size_t>(n));
-  for (Vertex v = 0; v < n; ++v)
-    old_degree[static_cast<std::size_t>(v)] = g.degree(v);
-  for (const EdgeEdit& e : edits) {
-    const int shift = e.kind == EdgeEdit::Kind::kAdd ? -1 : 1;
+  // Reconstruct the pre-edit degrees of the edit endpoints from the
+  // post-edit graph: an add raised both endpoint degrees by one, a remove
+  // lowered them; every other vertex kept its degree.  If the maximum
+  // degree moved, the port-label alphabet Delta^2 moved with it and every
+  // arc label in the induced L-digraph is suspect.
+  std::vector<std::pair<Vertex, int>> old_degree;  // (endpoint, degree)
+  for (const EdgeEdit& e : edits)
     for (Vertex x : {e.u, e.v}) {
       if (x < 0 || x >= n) throw MutationError("edit endpoint out of range");
-      old_degree[static_cast<std::size_t>(x)] += shift;
+      old_degree.emplace_back(x, g.degree(x));
     }
+  std::sort(old_degree.begin(), old_degree.end());
+  old_degree.erase(std::unique(old_degree.begin(), old_degree.end()),
+                   old_degree.end());
+  for (const EdgeEdit& e : edits)
+    for (Vertex x : {e.u, e.v})
+      std::lower_bound(old_degree.begin(), old_degree.end(),
+                       std::pair<Vertex, int>{x, -1})
+          ->second += e.kind == EdgeEdit::Kind::kAdd ? -1 : 1;
+  int new_max = 0, old_max = 0;
+  auto endpoint = old_degree.begin();
+  for (Vertex v = 0; v < n; ++v) {
+    const int d = g.degree(v);
+    new_max = std::max(new_max, d);
+    if (endpoint != old_degree.end() && endpoint->first == v)
+      old_max = std::max(old_max, (endpoint++)->second);
+    else
+      old_max = std::max(old_max, d);
   }
-  const int new_max = g.max_degree();
-  int old_max = 0;
-  for (int d : old_degree) old_max = std::max(old_max, d);
   if (old_max != new_max) {
     std::vector<Vertex> all(static_cast<std::size_t>(n));
     for (Vertex v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
@@ -58,32 +72,30 @@ std::vector<Vertex> ball_frontier(const Graph& g,
     }
   }
   std::sort(removed.begin(), removed.end());
-  std::vector<int> depth(static_cast<std::size_t>(n), -1);
-  std::vector<Vertex> queue;
+  detail::BallScratch& s = detail::thread_ball_scratch();
+  s.begin(static_cast<std::size_t>(n));
+  const auto reach = [&](Vertex w, int depth) {
+    const auto wi = static_cast<std::size_t>(w);
+    if (s.stamp[wi] == s.epoch) return;
+    s.stamp[wi] = s.epoch;
+    s.dist[wi] = depth;
+    s.queue.push_back(w);
+  };
   for (const EdgeEdit& e : edits)
-    for (Vertex x : {e.u, e.v})
-      if (depth[static_cast<std::size_t>(x)] < 0) {
-        depth[static_cast<std::size_t>(x)] = 0;
-        queue.push_back(x);
-      }
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Vertex v = queue[head];
-    const int d = depth[static_cast<std::size_t>(v)];
+    for (Vertex x : {e.u, e.v}) reach(x, 0);
+  for (std::size_t head = 0; head < s.queue.size(); ++head) {
+    const Vertex v = s.queue[head];
+    const int d = s.dist[static_cast<std::size_t>(v)];
     if (d == r) continue;
-    auto visit = [&](Vertex w) {
-      if (depth[static_cast<std::size_t>(w)] < 0) {
-        depth[static_cast<std::size_t>(w)] = d + 1;
-        queue.push_back(w);
-      }
-    };
-    for (Vertex w : g.neighbors(v)) visit(w);
+    for (Vertex w : g.neighbors(v)) reach(w, d + 1);
     for (auto it = std::lower_bound(removed.begin(), removed.end(),
                                     std::pair<Vertex, Vertex>{v, -1});
          it != removed.end() && it->first == v; ++it)
-      visit(it->second);
+      reach(it->second, d + 1);
   }
-  std::sort(queue.begin(), queue.end());
-  return queue;
+  std::vector<Vertex> frontier = s.queue;
+  std::sort(frontier.begin(), frontier.end());
+  return frontier;
 }
 
 }  // namespace lapx::graph

@@ -135,7 +135,7 @@ void write_ooc_graph(const std::string& path, const LDigraph& g) {
   const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) fail_errno(tmp, "open");
   Header hdr{};
-  std::uint64_t checksum = 1469598103934665603ull;
+  std::uint64_t checksum = kFnv1a64Seed;
   std::uint64_t payload_bytes = 0;
   try {
     full_write(fd, &hdr, sizeof(hdr), tmp);  // placeholder, rewritten below

@@ -74,25 +74,65 @@ LDigraph to_ldigraph(const Graph& g, const PortNumbering& pn,
                              std::move(arcs));
 }
 
+namespace {
+
+// The arc of g's edge e under the default ports and orientation: a port
+// is a position in the sorted neighbour run, and each edge points from
+// its .first to its .second.  Both default-port builders label here.
+Arc default_arc(const Graph& g, std::size_t e, int delta) {
+  const auto [u, v] = g.edges()[e];
+  const auto nu = g.neighbors(u);
+  const auto nv = g.neighbors(v);
+  const auto i = std::lower_bound(nu.begin(), nu.end(), v) - nu.begin();
+  const auto j = std::lower_bound(nv.begin(), nv.end(), u) - nv.begin();
+  return {u, v,
+          encode_port_label(static_cast<int>(i), static_cast<int>(j), delta)};
+}
+
+}  // namespace
+
 LDigraph to_ldigraph(const Graph& g) {
-  // Default ports are the sorted adjacency lists, and the default
-  // orientation points each edge (u, v), u < v, from u to v: so a port is
-  // a position in neighbors(), and no PortNumbering is built or validated.
+  // Default ports: no PortNumbering is built or validated.
   const int delta = g.max_degree();
   std::vector<Arc> arcs;
   arcs.reserve(g.num_edges());
-  for (const auto& [u, v] : g.edges()) {
-    const auto nu = g.neighbors(u);
-    const auto nv = g.neighbors(v);
-    const auto i = std::lower_bound(nu.begin(), nu.end(), v) - nu.begin();
-    const auto j = std::lower_bound(nv.begin(), nv.end(), u) - nv.begin();
-    arcs.push_back({u, v,
-                    encode_port_label(static_cast<int>(i),
-                                      static_cast<int>(j), delta)});
-  }
+  for (std::size_t e = 0; e < g.num_edges(); ++e)
+    arcs.push_back(default_arc(g, e, delta));
   return LDigraph::from_arcs(g.num_vertices(),
                              static_cast<Label>(delta * delta),
                              std::move(arcs));
+}
+
+LDigraph to_ldigraph(const Graph& g, const LDigraph& parent,
+                     std::span<const EdgeEdit> edits,
+                     std::span<const Vertex> frontier) {
+  const int delta = g.max_degree();
+  // A moved maximum degree moves the alphabet, and every label with it.
+  if (delta * delta != parent.alphabet_size()) return to_ldigraph(g);
+  // Arc e is edge e.  An id whose edge changed -- a remove moved the last
+  // edge into it, or an add appended it -- takes its new edge's arc.
+  const std::vector<Edge>& edges = g.edges();
+  const std::size_t kept = std::min(parent.num_arcs(), edges.size());
+  std::vector<Arc> arcs;
+  arcs.reserve(edges.size());
+  arcs.assign(parent.arcs().begin(),
+              parent.arcs().begin() + static_cast<std::ptrdiff_t>(kept));
+  for (std::size_t e = 0; e < kept; ++e)
+    if (arcs[e].from != edges[e].first || arcs[e].to != edges[e].second)
+      arcs[e] = default_arc(g, e, delta);
+  for (std::size_t e = kept; e < edges.size(); ++e)
+    arcs.push_back(default_arc(g, e, delta));
+  // Ports moved only at the edit endpoints, so only their arcs relabel.
+  for (const EdgeEdit& edit : edits)
+    for (const Vertex x : {edit.u, edit.v})
+      for (const EdgeId e : g.incident_edges(x))
+        arcs[static_cast<std::size_t>(e)] =
+            default_arc(g, static_cast<std::size_t>(e), delta);
+  // `edited` skips from_arcs' properness checks.  Default ports pass them
+  // by construction: labels i * delta + j with i, j positions in runs of
+  // distinct neighbours, and a simple graph.  graph_test's
+  // PortNumbering.PatchedMatchesFreshBuild holds the two builds equal.
+  return parent.edited(std::move(arcs), frontier, g);
 }
 
 PortNumbering ports_from_edge_coloring(const Graph& g,

@@ -7,32 +7,18 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "ball_scratch.hpp"
+
 namespace lapx::graph {
 
+using detail::BallScratch;
+
+BallScratch& detail::thread_ball_scratch() {
+  static thread_local BallScratch s;
+  return s;
+}
+
 namespace {
-
-// Epoch-stamped BFS scratch: bulk callers (ordered-ball typing, OI
-// simulations, girth) run one BFS per vertex, and a fresh O(n) dist vector
-// per BFS made those sweeps quadratic.  A bumped epoch invalidates every
-// mark at once; the arrays are only ever grown.
-struct BallScratch {
-  std::vector<std::uint32_t> stamp;
-  std::vector<int> dist;
-  std::vector<Vertex> queue;
-  std::uint32_t epoch = 0;
-
-  void begin(std::size_t n) {
-    if (stamp.size() < n) {
-      stamp.resize(n, 0);
-      dist.resize(n, 0);
-    }
-    if (++epoch == 0) {  // wrapped: every stale stamp looks fresh again
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-    queue.clear();
-  }
-};
 
 // Shortest cycle through `source` is found by BFS recording parents; a
 // non-tree edge between branches closes a cycle of length
@@ -130,7 +116,7 @@ std::vector<int> bfs_distances(const Graph& g, Vertex source) {
 std::vector<Vertex> ball(const Graph& g, Vertex v, int r) {
   if (v < 0 || v >= g.num_vertices())
     throw std::out_of_range("ball: root out of range");
-  static thread_local BallScratch s;
+  BallScratch& s = detail::thread_ball_scratch();
   s.begin(static_cast<std::size_t>(g.num_vertices()));
   std::vector<Vertex> result{v};
   s.stamp[static_cast<std::size_t>(v)] = s.epoch;

@@ -27,13 +27,15 @@
 // Mutation: `mutate` applies a batch of edge edits to a copy of the
 // bound graph (atomic: a bad edit throws graph::MutationError and leaves
 // the binding untouched) and installs the result as the next epoch.  If
-// the old epoch had a materialized RefineState, the new entry derives its
-// own from it, re-refining only the edit frontier (core::RefineState's
-// derivation constructor) instead of the whole graph.  Likewise every
-// radius of ordered-ball classes the old epoch holds is forked and
-// re-typed on the edit's ball frontier only (graph::ball_frontier); a
-// radius whose frontier spans every vertex is dropped instead, so the
-// fork never costs more than the from-scratch pass a later query pays.
+// the old epoch had a materialized RefineState, the new entry patches the
+// old L-digraph at the edit and derives its state from the old one,
+// seeded from the edit's frontier and re-refining only where types move
+// (core::RefineState's derivation constructor), instead of rebuilding
+// either over the whole graph.  Likewise every radius of ordered-ball
+// classes the old epoch holds is forked and re-typed on the edit's ball
+// frontier only (graph::ball_frontier); a radius whose frontier spans
+// every vertex is dropped instead, so the fork never costs more than the
+// from-scratch pass a later query pays.
 //
 // Eviction: the store holds at most `max_graphs` named entries; inserting
 // beyond that evicts the least-recently-used name.  `content_id` is the
@@ -130,15 +132,20 @@ class GraphEntry {
   /// next epoch to derive from.
   std::vector<core::TypeId> view_types(int r) const;
 
-  /// True when the refinement state has been materialized (stats only).
+  /// True when the refinement state has been materialized (stats, and
+  /// whether a mutate derives the next epoch's).
   bool has_refine_state() const;
 
   /// Pre-publication hook used by SessionStore::mutate: if `prev` has a
-  /// materialized RefineState, derive this entry's from it, re-refining
-  /// only the edit frontier against this entry's graph.  Holds prev's
-  /// refinement lock while it derives.  Must be called before the entry
-  /// is visible to other threads.
-  void fork_refine_from(const GraphEntry& prev) const;
+  /// materialized RefineState, patch prev's L-digraph at the edit into
+  /// this entry's (graph::to_ldigraph's patching overload) and derive this
+  /// entry's state from prev's, comparing signatures only on
+  /// graph::affected_frontier(graph(), edits, 1) and re-refining only the
+  /// frontier the edit moves.  `edits` turned prev's graph into this
+  /// entry's.  Holds prev's refinement lock while it derives.  Must be
+  /// called before the entry is visible to other threads.
+  void fork_refine_from(const GraphEntry& prev,
+                        std::span<const graph::EdgeEdit> edits) const;
 
   /// The radius-r homogeneity of the graph under the identity order --
   /// equal to order::measure_homogeneity(graph(), identity_keys(n), r) --

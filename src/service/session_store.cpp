@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "lapx/graph/io.hpp"
+#include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/service/blake2b.hpp"
 
@@ -102,15 +103,25 @@ bool GraphEntry::has_refine_state() const {
   return refine_ != nullptr;
 }
 
-void GraphEntry::fork_refine_from(const GraphEntry& prev) const {
+void GraphEntry::fork_refine_from(
+    const GraphEntry& prev, std::span<const graph::EdgeEdit> edits) const {
+  // A refinement, once built, stays; and it implies prev's L-digraph,
+  // which this entry's patches at the edit.
+  if (!prev.has_refine_state()) return;  // nothing materialized; stay lazy
+  const std::vector<graph::Vertex> frontier =
+      graph::affected_frontier(graph_, edits, 1);
+  std::call_once(ld_once_, [&] {
+    ld_ = std::make_unique<graph::LDigraph>(
+        graph::to_ldigraph(graph_, prev.ldigraph(), edits, frontier));
+  });
   // The derivation reads prev's kept tables, so it runs under prev's lock
   // (a concurrent query may not advance prev meanwhile); the child is
   // installed under ours, and the two locks are never held together.
   std::unique_ptr<core::RefineState> derived;
   {
     std::lock_guard<std::mutex> plock(prev.refine_mu_);
-    if (!prev.refine_) return;  // nothing materialized; stay lazy
-    derived = std::make_unique<core::RefineState>(*prev.refine_, ldigraph());
+    derived = std::make_unique<core::RefineState>(*prev.refine_, *ld_,
+                                                  frontier);
   }
   std::lock_guard<std::mutex> lock(refine_mu_);
   refine_ = std::move(derived);
@@ -237,7 +248,7 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
     const std::string text = graph::to_edge_list(g);
     auto entry = std::make_shared<const GraphEntry>(std::move(g), text,
                                                     old->epoch() + 1);
-    entry->fork_refine_from(*old);
+    entry->fork_refine_from(*old, edits);
     entry->fork_homogeneity_from(*old, edits);
     std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock
     std::lock_guard<std::mutex> lock(mu_);

@@ -443,6 +443,69 @@ TEST(PortNumbering, DefaultOverloadMatchesGeneralPath) {
   }
 }
 
+// Patches `ld` == to_ldigraph(g) through `edits`, as a session write
+// does, and expects exactly to_ldigraph of the edited g; then moves both
+// to the edited graph.  True when some frontier vertex's in- or
+// out-degree moved under an unchanged alphabet, so that its runs changed
+// length.
+bool expect_patch_matches_fresh(Graph& g, LDigraph& ld,
+                                const std::vector<EdgeEdit>& edits) {
+  apply_edits(g, edits);
+  const std::vector<Vertex> frontier = affected_frontier(g, edits, 1);
+  LDigraph patched = to_ldigraph(g, ld, edits, frontier);
+  expect_same_digraph(patched, to_ldigraph(g));
+  bool flipped = false;
+  if (patched.alphabet_size() == ld.alphabet_size())
+    for (const Vertex v : frontier)
+      flipped = flipped || patched.out_degree(v) != ld.out_degree(v) ||
+                patched.in_degree(v) != ld.in_degree(v);
+  ld = std::move(patched);
+  return flipped;
+}
+
+TEST(PortNumbering, PatchedMatchesFreshBuild) {
+  // The patched build against a fresh to_ldigraph, whose properness
+  // checks the patch skips: seeded batches over the corpus -- 2-switches,
+  // single adds and removes, isolated vertices, batches that raise the
+  // maximum degree -- each patching the previous patch.
+  std::mt19937_64 rng(29);
+  int batches = 0;
+  for (Graph g : corpus::builder_graphs(11, 30)) {
+    SCOPED_TRACE(g.summary());
+    LDigraph ld = to_ldigraph(g);
+    for (int round = 0; round < 8 && g.num_vertices() > 0; ++round) {
+      const std::vector<EdgeEdit> edits = corpus::random_edit_batch(g, rng);
+      expect_patch_matches_fresh(g, ld, edits);
+      batches += !edits.empty();
+    }
+  }
+  EXPECT_GT(batches, 1000);
+
+  // Removes that move the last edge into ids 0 and 3.
+  Graph g = torus({4, 5});
+  LDigraph ld = to_ldigraph(g);
+  for (const EdgeId id : {0, 3}) {
+    const auto [u, v] = g.edge(id);
+    expect_patch_matches_fresh(g, ld, {{EdgeEdit::Kind::kRemove, u, v}});
+  }
+  // A 2-switch that keeps every degree but turns 3's edge to 2 (in at 3)
+  // into one to 6 (out at 3): runs change length though no degree does.
+  Graph c = cycle(8);
+  LDigraph lc = to_ldigraph(c);
+  EXPECT_TRUE(expect_patch_matches_fresh(c, lc,
+                                         {{EdgeEdit::Kind::kRemove, 2, 3},
+                                          {EdgeEdit::Kind::kRemove, 5, 6},
+                                          {EdgeEdit::Kind::kAdd, 3, 6},
+                                          {EdgeEdit::Kind::kAdd, 2, 5}}));
+  // Isolating a vertex, then a chord that raises the maximum degree (a
+  // fresh build) and one that keeps it.
+  expect_patch_matches_fresh(c, lc,
+                             {{EdgeEdit::Kind::kRemove, 0, 1},
+                              {EdgeEdit::Kind::kRemove, 0, 7}});
+  expect_patch_matches_fresh(c, lc, {{EdgeEdit::Kind::kAdd, 1, 4}});
+  expect_patch_matches_fresh(c, lc, {{EdgeEdit::Kind::kAdd, 0, 7}});
+}
+
 TEST(PortNumbering, DeltaAboveDegreeCapThrows) {
   // delta * delta is an int: above kMaxGraphDegree it would overflow.
   const Graph g = path(3);

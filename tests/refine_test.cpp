@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "graph_corpus.hpp"
 #include "lapx/core/refine.hpp"
 #include "lapx/core/view.hpp"
 #include "lapx/graph/generators.hpp"
@@ -769,6 +770,52 @@ TEST(RefineDelta, PortRenumberingAfterMaxDegreeChange) {
   const auto stats = state.refine_delta(ld1);
   EXPECT_FALSE(stats.full_rebuild);
   expect_delta_matches_scratch(state, ld1, 2, interner);
+}
+
+TEST(RefineDelta, SeededFromTheEditFrontierMatchesScratch) {
+  // A session write seeds its derivation from affected_frontier(g', edits,
+  // 1) instead of comparing every vertex's signature.  Over the corpus'
+  // seeded batches, chained, at 1 and 8 threads: the seeded child mints
+  // the ids the unseeded one mints in an interner of its own, in the same
+  // order, reports the same stats, and equals a from-scratch refine.
+  const ThreadGuard guard;
+  for (const int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    std::mt19937_64 rng(31);
+    int derived = 0;
+    for (lapx::graph::Graph g : lapx::graph::corpus::builder_graphs(13, 8)) {
+      TypeInterner seeded_ids, full_ids;
+      LDigraph ld = lapx::graph::to_ldigraph(g);
+      auto seeded = std::make_unique<RefineState>(ld, seeded_ids, true);
+      auto full = std::make_unique<RefineState>(ld, full_ids, true);
+      seeded->types_at(3);
+      full->types_at(3);
+      for (int round = 0; round < 4 && g.num_vertices() > 0; ++round) {
+        const auto edits = lapx::graph::corpus::random_edit_batch(g, rng);
+        lapx::graph::apply_edits(g, edits);
+        const auto frontier = lapx::graph::affected_frontier(g, edits, 1);
+        ld = lapx::graph::to_ldigraph(g);
+        RefineState::DeltaStats seeded_stats, full_stats;
+        seeded = std::make_unique<RefineState>(*seeded, ld, frontier,
+                                               &seeded_stats);
+        full = std::make_unique<RefineState>(*full, ld, &full_stats);
+        EXPECT_EQ(seeded_stats.dirty_vertices, full_stats.dirty_vertices);
+        EXPECT_EQ(seeded_stats.frontier_vertices,
+                  full_stats.frontier_vertices);
+        RefineState scratch(ld, seeded_ids);
+        for (int r = 0; r <= 4; ++r) {
+          ASSERT_EQ(seeded->types_at(r), full->types_at(r))
+              << g.summary() << " round " << round << " radius " << r
+              << " threads " << threads;
+          ASSERT_EQ(seeded->types_at(r), scratch.types_at(r))
+              << g.summary() << " round " << round << " radius " << r
+              << " threads " << threads;
+        }
+        ++derived;
+      }
+    }
+    EXPECT_GT(derived, 150);
+  }
 }
 
 TEST(RefineDelta, ThreadCountIndependentTypeIds) {
