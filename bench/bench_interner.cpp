@@ -8,14 +8,20 @@
 // hit-path throughput scaling with raw std::thread workers (not the pool:
 // the subject is the interner); its working-set row re-probes a few
 // hundred keys over and over, as a lift's refine rounds do, which the
-// per-thread node memo answers.  The batched-miss microbench times the
-// two-phase pattern itself against a fully serial interning pass while
-// asserting both allocate byte-identical ids.
+// per-thread node memo answers.  Its memory rows intern 2^20 node keys
+// into a fresh interner: the heap bytes that costs per id (gated), and
+// the cost of a hit that misses both memos over that table (timed only).
+// The batched-miss microbench times the two-phase pattern itself against
+// a fully serial interning pass while asserting both allocate
+// byte-identical ids.
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -92,6 +98,68 @@ std::vector<NodeKey> working_set() {
     keys.push_back(std::move(key));
   }
   return keys;
+}
+
+// Heap bytes in use: mallinfo2's arena bytes (uordblks) plus its mmapped
+// bytes (hblkhd), allocated pages whether touched or not.  It reads no
+// growth where allocations bypass glibc's malloc (a sanitizer's
+// allocator) and 0 without glibc.
+std::size_t heap_in_use() {
+#ifdef __GLIBC__
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+// The memory rows: 2^20 node keys of 1-4 children into a fresh interner
+// (slot tables, retired ones included, record pointers and spelling
+// records), then one thread re-probes them all in a scattered order, so
+// nearly every probe misses both per-thread memos and reads the table and
+// a spelling record cold.  Returns false if a probe got a wrong id.
+bool print_memory_rows() {
+  constexpr TypeId kKeys = TypeId{1} << 20;
+  const auto key_children = [](TypeId k, TypeId* children) {
+    for (TypeId c = 0; c < 4; ++c) children[c] = k + c;
+    return 1 + k % 4;
+  };
+  bench::phase("memory_inserts");
+  const std::size_t before = heap_in_use();
+  auto interner = std::make_unique<core::TypeInterner>();
+  TypeId children[4];
+  for (TypeId k = 0; k < kKeys; ++k)
+    interner->intern_node(core::type_tag::kViewNode, children,
+                          key_children(k, children));
+  const std::size_t after = heap_in_use();
+  const std::size_t grown = after > before ? after - before : 0;
+  const double bytes_per_id =
+      static_cast<double>(grown) / static_cast<double>(interner->size());
+
+  // k * odd mod 2^20 visits every key once, scattered over the table.
+  bench::phase("cold_hits");
+  const auto t0 = std::chrono::steady_clock::now();
+  bool ok = true;
+  for (TypeId i = 0; i < kKeys; ++i) {
+    const TypeId k = (i * 0x9E3779B1u) & (kKeys - 1);
+    const std::size_t n = key_children(k, children);
+    ok &= interner->try_intern_node(core::type_tag::kViewNode, children,
+                                    n) == k;
+  }
+  const double cold_ns = seconds_since(t0) * 1e9 / kKeys;
+  bench::phase("memory_release");
+  interner.reset();
+
+  bench::print_row({"2^20 node keys", "heap B/id", "B/id gate",
+                    "cold hit ns", "ids ok"});
+  bench::print_row({"1-4 children", grown > 0 ? bench::fmt(bytes_per_id, 1)
+                                              : "n/a",
+                    "<= 80", bench::fmt(cold_ns, 0), ok ? "yes" : "NO"});
+  if (grown > 0)
+    bench::check(bytes_per_id <= 80.0,
+                 "2^20 interned node keys of 1-4 children cost <= 80 heap "
+                 "bytes per id (mallinfo2 uordblks + hblkhd)");
+  return ok;
 }
 
 void print_hit_path_table() {
@@ -187,6 +255,7 @@ void print_hit_path_table() {
   bench::print_row({"working set", "keys", "passes", "threads", "ids ok"});
   bench::print_row({"", std::to_string(keys.size()), std::to_string(kPasses),
                     "1/2/4/8", working_ok ? "yes" : "NO"});
+  all_ok = print_memory_rows() && all_ok;
 
   bench::value("interner_universe_distinct",
                static_cast<double>(universe_distinct));

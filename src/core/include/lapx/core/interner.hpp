@@ -35,9 +35,9 @@
 // each interner takes from a process-wide counter and that is never
 // reused, so an entry can only ever answer for the interner that filled
 // it.  Only a MISS takes the one mutex, under which ids are handed out
-// densely in insertion order, the spelling is written and the slot is
-// published -- ids depend only on the order intern calls commit; the
-// memos assign none.
+// densely in insertion order, the spelling is appended to the byte arena
+// and the slot is published -- ids depend only on the order intern calls
+// commit; the memos assign none.
 //
 // Code that needs a deterministic id order must still intern serially.
 // Parallel consumers either compare ids for equality only (order-free), or
@@ -93,8 +93,9 @@ class TypeInterner {
                          std::size_t n) const;
 
   /// The interned key bytes (debug view; structural keys are binary).
-  /// Lock-free: ids are published after their spelling is written.
-  const std::string& spelling(TypeId id) const;
+  /// Lock-free: ids are published after their spelling is written.  The
+  /// view stays valid for the interner's life, across later inserts.
+  std::string_view spelling(TypeId id) const;
 
   /// Number of distinct types interned so far (atomic, no lock).
   std::size_t size() const {
@@ -107,24 +108,33 @@ class TypeInterner {
  private:
   struct Table;
 
-  // Spelling storage: geometric slabs (slab k holds 2^(10+k) strings), so
-  // a 22-pointer directory covers the whole 32-bit id space lock-free and
-  // references stay stable forever.  Slabs are allocated under mu_;
-  // readers reach a slab only through ids published after the write.
+  // Spelling storage.  Each spelling is a record -- its length as a
+  // 4-byte integer, then its bytes -- appended to an arena of kChunkBytes
+  // chunks; a record longer than a chunk gets a chunk of its own.  Chunks
+  // never move and are freed only with the interner, so a spelling's view
+  // stays valid.  Id i's record pointer sits in a geometric slab
+  // directory (slab k holds 2^(10+k) pointers), so 23 slabs cover the
+  // whole 32-bit id space lock-free.  Slabs and chunks are allocated
+  // uninitialised under mu_, so a page costs memory only once ids land on
+  // it; readers reach a record only through ids published after it was
+  // written.
   static constexpr int kSlabBase = 10;
   static constexpr int kMaxSlabs = 23;
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 
   // The table alone; lookup puts the L1 memo in front of it.
   TypeId probe(std::uint64_t hash, std::string_view key) const;
   TypeId lookup(std::uint64_t hash, std::string_view key) const;
   TypeId insert(std::uint64_t hash, std::string_view key);
-  const std::string& spelling_at(TypeId id) const;
+  // Writes key's record into the arena (under mu_) and returns it.
+  const char* append_record(std::string_view key);
+  std::string_view spelling_at(TypeId id) const;
 
   // Owner key of this interner's per-thread memo entries: unique per
   // instance for the life of the process.
   const std::uint64_t serial_;
   // mu_ serializes every insert: the re-probe, id assignment, the
-  // spelling write, growth and the slot publish.
+  // record write, growth and the slot publish.
   std::mutex mu_;
   std::atomic<Table*> table_{nullptr};
   // Current + retired tables, guarded by mu_.  Grown tables are never
@@ -134,7 +144,11 @@ class TypeInterner {
   std::vector<std::unique_ptr<Table>> tables_;
   TypeId next_id_ = 0;  // guarded by mu_
   std::atomic<std::size_t> size_{0};
-  std::atomic<std::string*> slabs_[kMaxSlabs] = {};
+  // The arena's chunks and the open chunk's free range, guarded by mu_.
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* chunk_free_ = nullptr;
+  char* chunk_end_ = nullptr;
+  std::atomic<const char**> slabs_[kMaxSlabs] = {};
 };
 
 /// The classes of equal ids in a sequence: how many, and the largest.

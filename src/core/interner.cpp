@@ -165,6 +165,19 @@ TypeId with_node_key(std::uint64_t tag, const TypeId* children,
   return f(std::string_view(buf, node_key_size(n)));
 }
 
+// Where id's record pointer sits in the geometric slab directory: slab k
+// holds the 2^(base+k) ids from (2^k - 1) * 2^base on.
+struct SlabPos {
+  int slab;
+  std::size_t index;
+};
+SlabPos slab_pos(TypeId id, int base) {
+  const std::uint64_t bucket = (std::uint64_t{id} >> base) + 1;
+  const int k = 63 - std::countl_zero(bucket);
+  const std::uint64_t start = ((std::uint64_t{1} << k) - 1) << base;
+  return {k, static_cast<std::size_t>(id - start)};
+}
+
 // Interner serials: one per instance, never reused (0 marks an empty
 // memo slot).
 std::atomic<std::uint64_t> g_next_serial{1};
@@ -188,10 +201,7 @@ struct TypeInterner::Table {
       if (slot == kEmptySlot) return kNoType;
       if ((slot >> 32) != tag) continue;
       const auto id = static_cast<TypeId>(slot);
-      const std::string& sp = in.spelling_at(id);
-      if (sp.size() == key.size() &&
-          std::memcmp(sp.data(), key.data(), key.size()) == 0)
-        return id;
+      if (in.spelling_at(id) == key) return id;
     }
   }
 
@@ -216,14 +226,39 @@ TypeInterner::~TypeInterner() {
     delete[] slabs_[k].load(std::memory_order_relaxed);
 }
 
-const std::string& TypeInterner::spelling_at(TypeId id) const {
-  const std::uint64_t bucket =
-      (static_cast<std::uint64_t>(id) >> kSlabBase) + 1;
-  const int k = 63 - std::countl_zero(bucket);
-  const std::string* slab =
-      slabs_[k].load(std::memory_order_acquire);
-  const std::uint64_t start = ((std::uint64_t{1} << k) - 1) << kSlabBase;
-  return slab[id - start];
+std::string_view TypeInterner::spelling_at(TypeId id) const {
+  const SlabPos at = slab_pos(id, kSlabBase);
+  const char* record =
+      slabs_[at.slab].load(std::memory_order_acquire)[at.index];
+  std::uint32_t length;
+  std::memcpy(&length, record, sizeof length);
+  return {record + sizeof length, length};
+}
+
+const char* TypeInterner::append_record(std::string_view key) {
+  constexpr std::size_t kPrefix = sizeof(std::uint32_t);
+  if (key.size() > UINT32_MAX)
+    throw std::length_error("TypeInterner: key too long");
+  const std::size_t bytes = kPrefix + key.size();
+  char* record = nullptr;
+  if (bytes > kChunkBytes) {
+    chunks_.push_back(std::make_unique_for_overwrite<char[]>(bytes));
+    record = chunks_.back().get();
+  } else {
+    if (bytes > static_cast<std::size_t>(chunk_end_ - chunk_free_)) {
+      chunks_.push_back(std::make_unique_for_overwrite<char[]>(kChunkBytes));
+      chunk_free_ = chunks_.back().get();
+      chunk_end_ = chunk_free_ + kChunkBytes;
+    }
+    record = chunk_free_;
+    chunk_free_ += bytes;
+  }
+  // key may be another record's view: chunks never move, and this record
+  // lies past every record written so far, so the two never overlap.
+  const auto length = static_cast<std::uint32_t>(key.size());
+  std::memcpy(record, &length, kPrefix);
+  std::copy(key.begin(), key.end(), record + kPrefix);
+  return record;
 }
 
 TypeId TypeInterner::probe(std::uint64_t hash, std::string_view key) const {
@@ -235,12 +270,9 @@ TypeId TypeInterner::lookup(std::uint64_t hash, std::string_view key) const {
   // L1 memo first: a thread re-interning the same key pays one private
   // probe plus the byte verify, never touching the shared table.
   L1Entry& memo = l1_slot(hash);
-  if (memo.serial == serial_ && memo.hash == hash) {
-    const std::string& sp = spelling_at(memo.id);
-    if (sp.size() == key.size() &&
-        std::memcmp(sp.data(), key.data(), key.size()) == 0)
-      return memo.id;
-  }
+  if (memo.serial == serial_ && memo.hash == hash &&
+      spelling_at(memo.id) == key)
+    return memo.id;
   const TypeId id = probe(hash, key);
   if (id != kNoType) memo = {serial_, hash, id};
   return id;
@@ -278,18 +310,17 @@ TypeId TypeInterner::insert(std::uint64_t hash, std::string_view key) {
     tables_.push_back(std::move(grown));
     table_.store(t, std::memory_order_release);
   }
-  // The next dense id: write the spelling, then publish the size and the
-  // slot, so every reader that reaches the id can read its spelling.
-  const std::uint64_t bucket =
-      (static_cast<std::uint64_t>(id) >> kSlabBase) + 1;
-  const int k = 63 - std::countl_zero(bucket);
-  std::string* slab = slabs_[k].load(std::memory_order_relaxed);
+  // The next dense id: write its record and record pointer, then publish
+  // the size and the slot, so every reader that reaches the id can read
+  // its spelling.
+  const SlabPos at = slab_pos(id, kSlabBase);
+  const char** slab = slabs_[at.slab].load(std::memory_order_relaxed);
   if (slab == nullptr) {
-    slab = new std::string[std::size_t{1} << (kSlabBase + k)];
-    slabs_[k].store(slab, std::memory_order_release);
+    // Uninitialised: a pointer is written before its id is published.
+    slab = new const char*[std::size_t{1} << (kSlabBase + at.slab)];
+    slabs_[at.slab].store(slab, std::memory_order_release);
   }
-  const std::uint64_t start = ((std::uint64_t{1} << k) - 1) << kSlabBase;
-  slab[id - start].assign(key.data(), key.size());
+  slab[at.index] = append_record(key);
   next_id_ = id + 1;
   size_.store(static_cast<std::size_t>(id) + 1, std::memory_order_release);
   t->place((tag << 32) | id);
@@ -345,7 +376,7 @@ TypeId TypeInterner::try_intern_node(std::uint64_t tag,
   return id;
 }
 
-const std::string& TypeInterner::spelling(TypeId id) const {
+std::string_view TypeInterner::spelling(TypeId id) const {
   if (id >= size_.load(std::memory_order_acquire))
     throw std::out_of_range("TypeInterner::spelling");
   return spelling_at(id);

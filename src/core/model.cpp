@@ -1,5 +1,6 @@
 #include "lapx/core/model.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <unordered_map>
@@ -51,6 +52,44 @@ TypeClasses classify_views(const LDigraph& g, std::span<const TypeId> types) {
     throw std::invalid_argument("PO runner needs one view type per vertex");
   return classify(types);
 }
+
+// The edges the vertices of g mark, collected per incidence: one flat
+// flag array in which vertex v owns the deg(v) flags of its incident
+// edges (in incident_edges order), so the two endpoints of an edge never
+// write the same byte and the parallel phase allocates nothing.  The
+// edge bits are set serially.
+class IncidenceMarks {
+ public:
+  explicit IncidenceMarks(const graph::Graph& g)
+      : g_(g), start_(static_cast<std::size_t>(g.num_vertices()) + 1) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      start_[v + 1] = start_[v] + static_cast<std::size_t>(g.degree(v));
+    flags_.assign(start_.back(), 0);
+  }
+
+  // Marks edge {v, w}; throws as g.edge_id(v, w) does when there is none.
+  void mark(Vertex v, Vertex w) {
+    const graph::EdgeId e = g_.edge_id(v, w);
+    const auto incident = g_.incident_edges(v);
+    const auto at = std::find(incident.begin(), incident.end(), e);
+    flags_[start_[v] + static_cast<std::size_t>(at - incident.begin())] = 1;
+  }
+
+  std::vector<bool> edges() const {
+    std::vector<bool> marks(g_.num_edges(), false);
+    for (Vertex v = 0; v < g_.num_vertices(); ++v) {
+      const auto incident = g_.incident_edges(v);
+      for (std::size_t i = 0; i < incident.size(); ++i)
+        if (flags_[start_[v] + i]) marks[incident[i]] = true;
+    }
+    return marks;
+  }
+
+ private:
+  const graph::Graph& g_;
+  std::vector<std::size_t> start_;
+  std::vector<unsigned char> flags_;
+};
 
 }  // namespace
 
@@ -129,10 +168,7 @@ std::vector<bool> run_po_edges(const LDigraph& g,
                               algo(view(g, tc.rep[static_cast<std::size_t>(c)],
                                         r));
                         });
-  // Two endpoints may mark the same edge, so the parallel phase only
-  // collects each vertex's marked edge ids; the bits are set serially.
-  std::vector<std::vector<std::size_t>> marked(
-      static_cast<std::size_t>(g.num_vertices()));
+  IncidenceMarks marked(underlying);
   runtime::parallel_for(g.num_vertices(), [&](std::int64_t vi) {
     const Vertex v = static_cast<Vertex>(vi);
     for (const auto& [move, selected] :
@@ -142,14 +178,10 @@ std::vector<bool> run_po_edges(const LDigraph& g,
                                    : g.in_neighbor(v, move.label);
       if (!w)
         throw std::logic_error("PO edge algorithm marked a missing arc");
-      marked[static_cast<std::size_t>(vi)].push_back(
-          underlying.edge_id(v, *w));
+      marked.mark(v, *w);
     }
   });
-  std::vector<bool> marks(underlying.num_edges(), false);
-  for (const auto& ids : marked)
-    for (std::size_t e : ids) marks[e] = true;
-  return marks;
+  return marked.edges();
 }
 
 namespace {
@@ -158,8 +190,7 @@ std::vector<bool> run_edges_with_keys(const graph::Graph& g,
                                       const order::Keys& keys,
                                       const EdgeOiAlgorithm& algo, int r,
                                       bool canonicalize) {
-  std::vector<std::vector<std::size_t>> marked(
-      static_cast<std::size_t>(g.num_vertices()));
+  IncidenceMarks marked(g);
   runtime::parallel_for(g.num_vertices(), [&](std::int64_t vi) {
     const graph::Vertex v = static_cast<graph::Vertex>(vi);
     const Ball ball = extract_ball(g, keys, v, r);
@@ -168,14 +199,10 @@ std::vector<bool> run_edges_with_keys(const graph::Graph& g,
       if (!selected) continue;
       if (!input.g.has_edge(input.root, neighbor_idx))
         throw std::logic_error("edge algorithm marked a non-incident edge");
-      marked[static_cast<std::size_t>(vi)].push_back(
-          g.edge_id(v, input.original.at(neighbor_idx)));
+      marked.mark(v, input.original.at(neighbor_idx));
     }
   });
-  std::vector<bool> marks(g.num_edges(), false);
-  for (const auto& ids : marked)
-    for (std::size_t e : ids) marks[e] = true;
-  return marks;
+  return marked.edges();
 }
 
 }  // namespace

@@ -172,7 +172,8 @@ Json handle_run(const Request& req, const GraphEntry& entry) {
   const Graph& g = entry.graph();
   const std::string alg = string_field(req, "algorithm");
   const int r = static_cast<int>(int_field(req, "radius", 0, 0, kMaxRadius));
-  const auto keys = order::identity_keys(g.num_vertices());
+  // The OI and ID algorithms read identity keys; the PO ones never do.
+  const auto keys = [&] { return order::identity_keys(g.num_vertices()); };
   // A PO algorithm is a function of the view type (core/model.hpp), so it
   // runs on the epoch's own view classes -- the entry's RefineState, shared
   // with `views`, from which `mutate` derives the next epoch's -- and marks
@@ -199,28 +200,28 @@ Json handle_run(const Request& req, const GraphEntry& entry) {
     model = "PO";
   } else if (alg == "local-min-is") {
     sol = problems::vertex_solution(
-        core::run_oi(g, keys, algorithms::local_min_is_oi(), 1));
+        core::run_oi(g, keys(), algorithms::local_min_is_oi(), 1));
     p = &problems::independent_set();
     model = "OI";
   } else if (alg == "vc-non-min") {
     sol = problems::vertex_solution(
-        core::run_oi(g, keys, algorithms::non_local_min_vc_oi(), 1));
+        core::run_oi(g, keys(), algorithms::non_local_min_vc_oi(), 1));
     p = &problems::vertex_cover();
     model = "OI";
   } else if (alg == "eds-greedy") {
     sol = problems::edge_solution(core::run_oi_edges(
-        g, keys, algorithms::eds_greedy_fallback_oi(r > 0 ? r / 2 : 1),
+        g, keys(), algorithms::eds_greedy_fallback_oi(r > 0 ? r / 2 : 1),
         r > 0 ? r : 2));
     p = &problems::edge_dominating_set();
     model = "OI";
   } else if (alg == "even-min-is") {
     sol = problems::vertex_solution(
-        core::run_id(g, keys, algorithms::even_min_is_id(), 1));
+        core::run_id(g, keys(), algorithms::even_min_is_id(), 1));
     p = &problems::independent_set();
     model = "ID";
   } else if (alg == "ds-even-pref") {
     sol = problems::vertex_solution(
-        core::run_id(g, keys, algorithms::ds_even_preference_id(), 1));
+        core::run_id(g, keys(), algorithms::ds_even_preference_id(), 1));
     p = &problems::dominating_set();
     model = "ID";
   } else {

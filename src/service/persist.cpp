@@ -140,7 +140,7 @@ void CachePersist::note_error_locked(const std::string& what) {
 
 std::string CachePersist::entry_record(core::TypeId fingerprint,
                                        const std::string& payload) const {
-  const std::string& key = interner_.spelling(fingerprint);
+  const std::string_view key = interner_.spelling(fingerprint);
   std::string body;
   body.reserve(4 + key.size() + payload.size());
   put_u32(body, static_cast<std::uint32_t>(key.size()));

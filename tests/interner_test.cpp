@@ -10,6 +10,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -131,6 +132,134 @@ TEST(Interner, SpellingBoundsCheckThrows) {
   EXPECT_NO_THROW(interner.spelling(0));
   EXPECT_THROW(interner.spelling(1), std::out_of_range);
   EXPECT_THROW(interner.spelling(core::kNoType), std::out_of_range);
+}
+
+// --- the spelling arena ---
+//
+// Spellings are length-prefixed records in an append-only arena of 1 MiB
+// chunks (interner.hpp); spelling() returns views into it that must stay
+// valid, and byte-equal, for the interner's life.
+
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+constexpr std::size_t kRecordPrefix = 4;  // the record's length field
+
+TEST(SpellingArena, ViewsSurviveManyChunksAndGrowths) {
+  TypeInterner interner;
+  std::vector<std::string_view> views;
+  std::vector<std::string> copies;
+  for (TypeId k = 0; k < 64; ++k) {
+    const TypeId id =
+        interner.intern("first:" + std::to_string(k) + std::string(k, 'v'));
+    views.push_back(interner.spelling(id));
+    copies.emplace_back(views.back());
+  }
+  // 2^20 node keys of 1-4 children: about 23 MiB of records, so many
+  // chunks, and slot-table growths from 128 to 2^21 slots.
+  std::vector<TypeId> children(4);
+  for (TypeId k = 0; k < (TypeId{1} << 20); ++k) {
+    for (std::size_t c = 0; c < children.size(); ++c)
+      children[c] = k + static_cast<TypeId>(c);
+    ASSERT_EQ(interner.intern_node(5, children.data(), 1 + k % 4), 64 + k);
+  }
+  for (TypeId id = 0; id < 64; ++id) {
+    EXPECT_EQ(views[id], copies[id]) << id;
+    EXPECT_EQ(interner.spelling(id).data(), views[id].data()) << id;
+    EXPECT_EQ(interner.try_intern(copies[id]), id) << id;
+  }
+}
+
+TEST(SpellingArena, KeyLongerThanAChunkRoundTrips) {
+  TypeInterner interner;
+  const TypeId small = interner.intern("before");
+  std::string big(2 * kChunkBytes + 3, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<char>('a' + i % 23);
+  const TypeId id = interner.intern(big);
+  EXPECT_EQ(id, small + 1);
+  EXPECT_EQ(interner.spelling(id), big);
+  EXPECT_EQ(interner.intern(big), id);
+  EXPECT_EQ(interner.try_intern(big), id);
+  // The next small key still interns, and the keys before it still read.
+  const TypeId after = interner.intern("after");
+  EXPECT_EQ(after, id + 1);
+  EXPECT_EQ(interner.spelling(after), "after");
+  EXPECT_EQ(interner.spelling(small), "before");
+  EXPECT_EQ(interner.intern("before"), small);
+  EXPECT_EQ(interner.size(), 3u);
+}
+
+TEST(SpellingArena, InternOfASpellingsViewOpeningANewChunk) {
+  TypeInterner interner;
+  const std::string text = "source:" + std::string(93, 's');
+  const TypeId source = interner.intern(text);
+  // A filler that leaves 50 bytes of the first chunk free, fewer than the
+  // substring's record needs.
+  const std::size_t used = kRecordPrefix + text.size();
+  const TypeId filler = interner.intern(
+      std::string(kChunkBytes - used - kRecordPrefix - 50, 'f'));
+  const std::string_view view = interner.spelling(source).substr(1);
+  const std::string copy(view);
+  const TypeId got = interner.intern(view);
+  EXPECT_EQ(got, filler + 1);
+  // It opened a new chunk: the record does not follow the filler's.
+  const std::string_view filled = interner.spelling(filler);
+  ASSERT_NE(interner.spelling(got).data(),
+            filled.data() + filled.size() + kRecordPrefix);
+  EXPECT_EQ(interner.spelling(got), copy);
+  EXPECT_EQ(interner.intern(copy), got);
+  EXPECT_EQ(interner.spelling(source), text);
+  // A second interner fed the copy hands out the same id.
+  TypeInterner fresh;
+  fresh.intern(text);
+  fresh.intern(interner.spelling(filler));
+  EXPECT_EQ(fresh.intern(copy), got);
+}
+
+// Raw threads read the spellings of ids they got from try_intern, and of
+// every published id, while one thread inserts across chunks, slabs and
+// table growths.  Runs under TSan in CI.
+TEST(SpellingArena, ReadersRaceOneInserter) {
+  constexpr TypeId kKeys = 1 << 17;
+  const auto key = [](TypeId i) {
+    return "race:" + std::to_string(i) +
+           std::string(i % 97, static_cast<char>('a' + i % 26));
+  };
+  TypeInterner interner;
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::atomic<std::size_t> found{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937_64 rng(900 + t);
+      std::size_t hits = 0;
+      // At least 1 000 reads each, so a reader started late still hits.
+      for (int reads = 0;
+           reads < 1000 || !done.load(std::memory_order_acquire); ++reads) {
+        const TypeId i = static_cast<TypeId>(rng() % kKeys);
+        const std::string k = key(i);
+        const TypeId id = interner.try_intern(k);
+        if (id != core::kNoType) {
+          ++hits;
+          if (id != i || interner.spelling(id) != k) ++bad;
+        }
+        if (const std::size_t n = interner.size(); n > 0) {
+          const TypeId last = static_cast<TypeId>(n - 1);
+          if (interner.spelling(last) != key(last)) ++bad;
+        }
+      }
+      found += hits;
+    });
+  }
+  bool dense = true;
+  for (TypeId i = 0; i < kKeys; ++i) dense &= interner.intern(key(i)) == i;
+  done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  EXPECT_TRUE(dense);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(found.load(), 0u);
+  for (TypeId i = 0; i < kKeys; i += 997)
+    EXPECT_EQ(interner.spelling(i), key(i));
 }
 
 // --- the per-thread node memo ---
@@ -437,7 +566,7 @@ TEST(Determinism, RunPoAndRunPnIndependentOfThreadCount) {
 std::vector<std::string> spellings(const TypeInterner& interner) {
   std::vector<std::string> out;
   for (TypeId id = 0; id < interner.size(); ++id)
-    out.push_back(interner.spelling(id));
+    out.emplace_back(interner.spelling(id));
   return out;
 }
 
@@ -611,7 +740,7 @@ TEST(Determinism, RefineIdsIndependentOfThreads) {
     for (int r = 0; r <= kRadius; ++r) out.roots.push_back(refiner.types_at(r));
     out.spellings.reserve(interner.size());
     for (TypeId id = 0; id < interner.size(); ++id)
-      out.spellings.push_back(interner.spelling(id));
+      out.spellings.emplace_back(interner.spelling(id));
     return out;
   };
 

@@ -323,7 +323,7 @@ TEST(Order, HomogeneityInterningIsScheduleIndependent) {
         ordered_ball_type_ids(g, keys, 2, interner);
       std::vector<std::string>& ids = spellings.emplace_back();
       for (lapx::core::TypeId id = 0; id < interner.size(); ++id)
-        ids.push_back(interner.spelling(id));
+        ids.emplace_back(interner.spelling(id));
     }
     EXPECT_GT(spellings[0].size(), 2000u) << "digraph " << digraph;
     EXPECT_EQ(spellings[1], spellings[0]) << "4 threads vs 1, " << digraph;

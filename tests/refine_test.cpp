@@ -269,7 +269,7 @@ TEST(Refine, FirstInternOrderIsPinned) {
     for (const LDigraph& g : fixtures) bulk_view_type_ids(g, 3, interner);
     std::uint64_t digest = graph::fnv1a64(nullptr, 0);
     for (TypeId id = 0; id < interner.size(); ++id) {
-      const std::string& spelling = interner.spelling(id);
+      const std::string_view spelling = interner.spelling(id);
       const std::uint64_t size = spelling.size();
       digest = graph::fnv1a64(&size, sizeof size, digest);
       digest = graph::fnv1a64(spelling.data(), spelling.size(), digest);
