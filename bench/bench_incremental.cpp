@@ -44,14 +44,11 @@
 #include "bench_common.hpp"
 #include "lapx/core/refine.hpp"
 #include "lapx/graph/generators.hpp"
-#include "lapx/graph/io.hpp"
 #include "lapx/graph/lift.hpp"
 #include "lapx/graph/mutation.hpp"
-#include "lapx/graph/ooc.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/order/homogeneity.hpp"
 #include "lapx/runtime/parallel.hpp"
-#include "lapx/service/blake2b.hpp"
 #include "lapx/service/ordering.hpp"
 #include "lapx/service/service.hpp"
 #include "lapx/service/session_store.hpp"
@@ -302,13 +299,6 @@ std::vector<EdgeEdit> two_switch(const Graph& g, std::mt19937_64& rng) {
   }
 }
 
-std::string hex16(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
 bool same_digraph(const LDigraph& a, const LDigraph& b) {
   if (a.num_vertices() != b.num_vertices() ||
       a.alphabet_size() != b.alphabet_size() || a.arcs() != b.arcs())
@@ -386,12 +376,8 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
     Graph next;
     timed(kCopy, [&] { next = g; });
     lapx::graph::apply_edits(next, batch);
-    std::string text, fnv, blake;
-    timed(kHash, [&] {
-      text = lapx::graph::to_edge_list(next);
-      fnv = hex16(lapx::graph::fnv1a64(text.data(), text.size()));
-      blake = lapx::service::blake2b_256_hex(text);
-    });
+    std::string id;
+    timed(kHash, [&] { id = lapx::service::graph_content_id(next); });
     // As GraphEntry::fork_refine_from runs them: the edit's frontier, the
     // parent's L-digraph patched at it, the child derived from it.
     std::vector<lapx::graph::Vertex> frontier;
@@ -428,8 +414,8 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed) {
         same_digraph(*next_ld, lapx::graph::to_ldigraph(next));
     const auto entry = store.mutate("g", batch);
     out.hashes_match_store = out.hashes_match_store && entry &&
-                             entry->content_hex() == fnv &&
-                             entry->content_id() == blake;
+                             entry->content_id() == id &&
+                             entry->content_hex() == id.substr(0, 16);
     timed(kRelease, [&] {
       state = std::move(*derived);
       ld = std::move(next_ld);
@@ -453,7 +439,7 @@ void print_write_path_table() {
                "patched L-digraph, derive, release, homogeneity r=1 from "
                "scratch and forked",
                "a view changes only within radius r of an edit, so only the "
-               "content hash (FNV-1a and BLAKE2b over the whole text) must "
+               "content hash (BLAKE2b over the whole edge array) must "
                "scale with n; the L-digraph patch and the seeded derive "
                "still copy O(n) blocks, and the forked homogeneity re-types "
                "the ball frontier only");
@@ -499,8 +485,8 @@ void print_write_path_table() {
           "delta-forked TypeIds equal a from-scratch refine after the last "
           "edit (n=" + n + ", r=3)");
     check(r.hashes_match_store,
-          "mutate's content_hex and content_id are the hashes of "
-          "to_edge_list of the edited graph (n=" + n + ")");
+          "mutate's content_id is the digest of the edited graph and "
+          "content_hex its prefix (n=" + n + ")");
     check(r.homogeneity_fork_matches,
           "forked homogeneity r=1 report equals from-scratch after every "
           "edit (n=" + n + ")");

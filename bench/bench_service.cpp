@@ -296,7 +296,7 @@ void print_tables() {
 // transcript must be byte-identical to the cold run -- the on-disk format
 // survives the restart's fresh TypeId assignment because each record
 // holds the fingerprint's spelling, which names the graph by a
-// BLAKE2b-256 digest of its edge-list text, and loading re-interns that
+// BLAKE2b-256 digest of its edge array, and loading re-interns that
 // spelling.  (An in-process "restart" shares the global
 // interner, so the id-shift axis itself is covered by
 // service_persist_test's two-interner suite and the CI cross-process

@@ -20,8 +20,8 @@
 //    iteration order is deterministic (important for canonical encodings).
 //  * Every undirected edge has a stable integer id in [0, num_edges());
 //    edge-subset solutions (matchings, edge covers, edge dominating sets) are
-//    bit vectors indexed by these ids.  Edge ids and adjacency order feed
-//    the service's content digests, so both builders keep them exactly.
+//    bit vectors indexed by these ids.  Edge ids and endpoint order feed
+//    the service's content digest, so both builders keep them exactly.
 //  * The class maintains the invariant "simple graph": no self-loops, no
 //    parallel edges.  Violations throw MutationError (an
 //    std::invalid_argument, so legacy catch sites keep working).

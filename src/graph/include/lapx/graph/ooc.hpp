@@ -54,12 +54,13 @@ class OocError : public std::runtime_error {
 /// The FNV-1a 64 seed this repo uses: 1469598103934665603
 /// (0x14650fb0739d0383), not the reference offset basis
 /// 14695981039346656037 (0xcbf29ce484222325) it drops a digit of.  Every
-/// content_hex, LAPXOOC1 checksum and persisted fingerprint depends on
-/// it, so it stays.
+/// LAPXOOC1 checksum depends on it, and so does an out-of-core session's
+/// content id ("ooc:" + the payload checksum) with every persisted
+/// fingerprint that embeds one, so it stays.
 inline constexpr std::uint64_t kFnv1a64Seed = 1469598103934665603ull;
 
-/// FNV-1a 64 with the reference prime, the repo-wide content hash;
-/// `seed` continues a chain.
+/// FNV-1a 64 with the reference prime, the LAPXOOC1 checksum; `seed`
+/// continues a chain.
 std::uint64_t fnv1a64(const void* data, std::size_t bytes,
                       std::uint64_t seed = kFnv1a64Seed);
 

@@ -1,5 +1,6 @@
 #include "lapx/service/blake2b.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -79,26 +80,45 @@ void compress(std::uint64_t* h, const unsigned char* block,
 
 }  // namespace
 
-std::string blake2b_256_hex(std::string_view bytes) {
-  std::uint64_t h[8];
-  std::memcpy(h, kIv, sizeof h);
-  h[0] ^= 0x01010000u | 32u;  // depth 1, fanout 1, no key, 32-byte digest
-  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
-  // The final flag marks the last block even when it is full, so only
-  // blocks with more input after them are compressed in place.
-  std::size_t off = 0;
-  for (; bytes.size() - off > 128; off += 128)
-    compress(h, data + off, off + 128, /*last=*/false);
-  unsigned char tail[128] = {};
-  if (bytes.size() > off) std::memcpy(tail, data + off, bytes.size() - off);
-  compress(h, tail, bytes.size(), /*last=*/true);
+Blake2b256::Blake2b256() {
+  std::memcpy(h_, kIv, sizeof h_);
+  h_[0] ^= 0x01010000u | 32u;  // depth 1, fanout 1, no key, 32-byte digest
+}
+
+void Blake2b256::update(const void* data, std::size_t bytes) {
+  // The final flag marks the last block even when it is full, so a block
+  // is compressed only once more input is known to follow it.
+  const auto* p = static_cast<const unsigned char*>(data);
+  while (bytes > 0) {
+    if (fill_ == sizeof block_) {
+      compressed_ += sizeof block_;
+      compress(h_, block_, compressed_, /*last=*/false);
+      fill_ = 0;
+    }
+    const std::size_t take = std::min(bytes, sizeof block_ - fill_);
+    std::memcpy(block_ + fill_, p, take);
+    fill_ += take;
+    p += take;
+    bytes -= take;
+  }
+}
+
+std::string Blake2b256::hex() {
+  std::memset(block_ + fill_, 0, sizeof block_ - fill_);
+  compress(h_, block_, compressed_ + fill_, /*last=*/true);
   std::string out(64, '0');
   for (int i = 0; i < 32; ++i) {
-    const auto byte = static_cast<unsigned>(h[i / 8] >> (8 * (i % 8))) & 0xFFu;
+    const auto byte = static_cast<unsigned>(h_[i / 8] >> (8 * (i % 8))) & 0xFFu;
     out[static_cast<std::size_t>(2 * i)] = "0123456789abcdef"[byte >> 4];
     out[static_cast<std::size_t>(2 * i + 1)] = "0123456789abcdef"[byte & 0xF];
   }
   return out;
+}
+
+std::string blake2b_256_hex(std::string_view bytes) {
+  Blake2b256 hash;
+  hash.update(bytes.data(), bytes.size());
+  return hash.hex();
 }
 
 }  // namespace lapx::service

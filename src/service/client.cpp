@@ -144,8 +144,11 @@ void Client::send(const std::string& request_line) {
 std::string Client::recv_line() {
   if (fd_ < 0) throw std::runtime_error("client not connected");
   char chunk[4096];
+  // Bytes before `from` were scanned and hold no newline, so a long line
+  // costs O(length), not O(length^2 / sizeof chunk).
+  std::size_t from = 0;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', from);
     if (nl != std::string::npos) {
       std::string line = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
@@ -165,6 +168,7 @@ std::string Client::recv_line() {
       sys_fail("recv");
     }
     if (k == 0) throw std::runtime_error("server closed the connection");
+    from = buffer_.size();
     buffer_.append(chunk, static_cast<std::size_t>(k));
   }
 }

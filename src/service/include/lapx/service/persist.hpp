@@ -5,7 +5,7 @@
 // Cache keys are TypeIds, and TypeIds are process-local (dense in
 // interner insertion order), so a key's numeric value means nothing to
 // the next process.  Its *spelling* does: a query fingerprint embeds the
-// graph's content id, a digest of the graph's canonical bytes
+// graph's content id, a digest of the graph's edge array
 // (GraphEntry::content_id), so protocol.cpp spells the same request
 // against the same graph identically in every process.  The on-disk
 // records therefore store each fill as (fingerprint spelling, payload
@@ -17,10 +17,10 @@
 //
 // File layout under the cache dir (both files share one record framing):
 //
-//   snapshot.lapxc   "LAPXC002" magic, then records.  Rewritten as a
+//   snapshot.lapxc   "LAPXC003" magic, then records.  Rewritten as a
 //                    whole via write-to-temp + fsync + rename, so a
 //                    crash mid-save leaves the previous snapshot intact.
-//   journal.lapxj    "LAPXJ002" magic, then records appended on every
+//   journal.lapxj    "LAPXJ003" magic, then records appended on every
 //                    first-writer-wins cache fill (one write() each).
 //
 //   record  := u32le body_len | u8 type | body | u32le crc32(type+body)

@@ -9,7 +9,8 @@
 //
 // Ops
 //   mutating / admin (never cached):
-//     ping | generate | upload | open | drop | list | stats | shutdown
+//     ping | generate | upload | open | mutate | session_info | drop |
+//     list | stats | cache_save | cache_info | shutdown
 //   queries (cached, coalesced, deterministic):
 //     analyze | homogeneity | views | optimum | run | fractional
 //

@@ -46,9 +46,9 @@
 // cold computation's exact bytes (the cache is first-writer-wins, so a
 // fingerprint's bytes never change while resident), and the envelope is a
 // pure function of the request id.  `mutate` and `session_info` ARE
-// covered: they surface epochs, store counters, and the stable FNV
-// content hash (never raw interner ids, which depend on process
-// history), all pure functions of the request sequence.
+// covered: they surface epochs, store counters, and the content hash
+// (GraphEntry::content_hex, never raw interner ids, which depend on
+// process history), all pure functions of the request sequence.
 
 #include <atomic>
 #include <chrono>

@@ -20,9 +20,8 @@
 // overwrites or a mutate edits the bound graph.  An in-flight query pins
 // its epoch (it holds the entry shared_ptr it resolved); mutation
 // installs the next epoch without touching the old one.  `content_hex`
-// is a stable FNV-1a 64 hash of the canonical edge-list text -- it never
-// depends on process history, so it is safe to surface in deterministic
-// responses.
+// is the first 16 hex digits of the content id -- it never depends on
+// process history, so it is safe to surface in deterministic responses.
 //
 // Mutation: `mutate` applies a batch of edge edits to a copy of the
 // bound graph (atomic: a bad edit throws graph::MutationError and leaves
@@ -39,11 +38,10 @@
 //
 // Eviction: the store holds at most `max_graphs` named entries; inserting
 // beyond that evicts the least-recently-used name.  `content_id` is the
-// BLAKE2b-256 digest of the canonical edge-list text -- the result cache
-// keys on it, so two names bound to identical graphs share cache entries,
-// re-uploading identical content keeps the cache warm, and the id is the
-// same in every process.  The text itself is dropped once hashed and never
-// enters the interner.
+// BLAKE2b-256 digest of the graph's edge array (graph_content_id) -- the
+// result cache keys on it, so two names bound to identical graphs share
+// cache entries, re-uploading identical content keeps the cache warm, and
+// the id is the same in every process.  It never enters the interner.
 
 #include <cstdint>
 #include <list>
@@ -53,7 +51,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -81,8 +78,8 @@ namespace lapx::service {
 /// under the materialization cap (else kTooLarge).
 class GraphEntry {
  public:
-  /// `text` is g's canonical edge-list text; only its two hashes are kept.
-  GraphEntry(graph::Graph g, std::string_view text, std::uint64_t epoch);
+  /// In-memory backing; the content id is graph_content_id(g).
+  GraphEntry(graph::Graph g, std::uint64_t epoch);
 
   /// Out-of-core backing.  `content_hex` is the file's payload checksum in
   /// hex and the content id is "ooc:" + content_hex -- stable across
@@ -107,17 +104,17 @@ class GraphEntry {
   /// throws ServiceError(kTooLarge) above the materialization cap.
   const graph::Graph& graph() const;
 
-  /// The content identity query fingerprints embed: 64 hex digits of
-  /// BLAKE2b-256 over the canonical edge-list text, or "ooc:" +
-  /// content_hex for an out-of-core entry.  Equal for equal graphs in any
-  /// process.
+  /// The content identity query fingerprints embed: graph_content_id of
+  /// the graph, or "ooc:" + content_hex for an out-of-core entry.  Equal
+  /// for equal graphs in any process.
   const std::string& content_id() const { return content_id_; }
 
   /// 1 for a fresh binding; previous + 1 after each overwrite or mutate.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// FNV-1a 64 of the canonical edge-list text, 16 hex digits.  Stable
-  /// across processes and executor counts (raw interner ids are not).
+  /// The first 16 hex digits of content_id (an out-of-core entry: its
+  /// file's payload checksum).  Stable across processes and executor
+  /// counts (raw interner ids are not).
   const std::string& content_hex() const { return content_hex_; }
 
   /// The default port-numbered L-digraph (PO substrate), built on first
@@ -186,6 +183,12 @@ class GraphEntry {
   mutable std::mutex mutate_mu_;
   friend class SessionStore;
 };
+
+/// An in-memory graph's content identity: unkeyed BLAKE2b-256, as 64
+/// lowercase hex digits, over u64le n, u64le m, then each edge's (first,
+/// second) as two u32le values in edge-id order.  Edge ids and endpoint
+/// order fix it, so equal graphs (Graph::operator==) get equal ids.
+std::string graph_content_id(const graph::Graph& g);
 
 class SessionStore {
  public:

@@ -300,11 +300,15 @@ void Server::serve_connection(int fd) {
     if (pfds[0].revents == 0) continue;  // only a head may be ready
     const ssize_t k = recv_retry(fd, chunk, sizeof chunk);
     if (k <= 0) break;  // 0 = orderly close, < 0 = real error
+    // The bytes already buffered hold no newline: scan only the new ones,
+    // so a long line costs O(length), not O(length^2 / sizeof chunk).
+    std::size_t from = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(k));
     std::size_t nl;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
+    while ((nl = buffer.find('\n', from)) != std::string::npos) {
       std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
+      from = 0;  // what follows the newline is unscanned
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       sequencer.enqueue(service_.submit(line, notify));

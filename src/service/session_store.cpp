@@ -1,9 +1,9 @@
 #include "lapx/service/session_store.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
-#include "lapx/graph/io.hpp"
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/service/blake2b.hpp"
@@ -24,12 +24,24 @@ std::string hex16(std::uint64_t h) {
 
 }  // namespace
 
-GraphEntry::GraphEntry(graph::Graph g, std::string_view text,
-                       std::uint64_t epoch)
+std::string graph_content_id(const graph::Graph& g) {
+  // Endpoints are non-negative, so on a little-endian host (blake2b.cpp
+  // asserts one) the edge array's own bytes are the encoding: no copy.
+  static_assert(sizeof(graph::Edge) == 2 * sizeof(std::uint32_t) &&
+                offsetof(graph::Edge, second) == sizeof(std::uint32_t));
+  const std::uint64_t header[2] = {
+      static_cast<std::uint64_t>(g.num_vertices()), g.num_edges()};
+  Blake2b256 hash;
+  hash.update(header, sizeof header);
+  hash.update(g.edges().data(), g.num_edges() * sizeof(graph::Edge));
+  return hash.hex();
+}
+
+GraphEntry::GraphEntry(graph::Graph g, std::uint64_t epoch)
     : graph_(std::move(g)),
-      content_id_(blake2b_256_hex(text)),
+      content_id_(graph_content_id(graph_)),
       epoch_(epoch),
-      content_hex_(hex16(graph::fnv1a64(text.data(), text.size()))) {}
+      content_hex_(content_id_.substr(0, 16)) {}
 
 GraphEntry::GraphEntry(std::unique_ptr<graph::OocGraph> ooc,
                        std::string source_path, std::string content_hex,
@@ -171,8 +183,7 @@ SessionStore::SessionStore(Options opt) : opt_(opt) {
 
 std::shared_ptr<const GraphEntry> SessionStore::put(const std::string& name,
                                                     graph::Graph g) {
-  const std::string text = graph::to_edge_list(g);
-  auto entry = std::make_shared<GraphEntry>(std::move(g), text, /*epoch=*/1);
+  auto entry = std::make_shared<GraphEntry>(std::move(g), /*epoch=*/1);
   Displaced displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
   bind_locked(name, entry, displaced);
@@ -183,7 +194,7 @@ std::shared_ptr<const GraphEntry> SessionStore::open_ooc(
     const std::string& name, const std::string& path) {
   auto ooc = std::make_unique<graph::OocGraph>(path);  // throws OocError
   // Content identity: the file's payload checksum, stable across restarts
-  // and namespaced so it can never collide with an edge-list digest.
+  // and namespaced so it can never collide with a graph_content_id.
   std::string hex = hex16(ooc->payload_checksum());
   auto entry = std::make_shared<GraphEntry>(std::move(ooc), path,
                                             std::move(hex), /*epoch=*/1,
@@ -245,9 +256,8 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
           "re-open it");
     graph::Graph g = old->graph();
     graph::apply_edits(g, edits);  // throws MutationError; binding untouched
-    const std::string text = graph::to_edge_list(g);
-    auto entry = std::make_shared<const GraphEntry>(std::move(g), text,
-                                                    old->epoch() + 1);
+    auto entry =
+        std::make_shared<const GraphEntry>(std::move(g), old->epoch() + 1);
     entry->fork_refine_from(*old, edits);
     entry->fork_homogeneity_from(*old, edits);
     std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "lapx/core/interner.hpp"
+#include "lapx/graph/generators.hpp"
 #include "lapx/service/blake2b.hpp"
 #include "lapx/service/client.hpp"
 #include "lapx/service/json.hpp"
@@ -45,6 +46,7 @@
 #include "lapx/service/result_cache.hpp"
 #include "lapx/service/server.hpp"
 #include "lapx/service/service.hpp"
+#include "lapx/service/session_store.hpp"
 #include "lapx/service/testing.hpp"
 
 namespace {
@@ -209,7 +211,7 @@ TEST(PersistService, ReloadThroughShiftedInterner) {
   TempDir dir;
   // Content ids are restart-stable strings (GraphEntry::content_id): the
   // same graph yields the same id in both "processes".
-  const std::string content = blake2b_256_hex("3 2\n0 1\n1 2\n");
+  const std::string content = graph_content_id(lapx::graph::path(3));
   const std::vector<std::string> lines = {
       R"({"op":"analyze","graph":"g"})",
       R"({"op":"homogeneity","graph":"g","radius":1})",
@@ -320,8 +322,10 @@ TEST(PersistService, CorruptedChecksumDiscardsFromCorruption) {
 
 TEST(PersistService, GarbageFilesIgnoredNotFatal) {
   // Two kinds of unreadable store: plain garbage, and framed records under
-  // the previous format's magics (LAPXC001/LAPXJ001), whose entries keyed
-  // graphs by file-local content slots.  Both load cold.
+  // the earlier formats' magics -- LAPXC001/LAPXJ001, whose entries keyed
+  // graphs by file-local content slots, and LAPXC002/LAPXJ002, whose
+  // fingerprints named graphs by a digest of their edge-list text.  All
+  // load cold.
   TempDir framed;
   {
     TypeInterner a;
@@ -335,11 +339,13 @@ TEST(PersistService, GarbageFilesIgnoredNotFatal) {
   std::string old_journal = read_bytes(framed.path + "/journal.lapxj");
   ASSERT_GT(old_snapshot.size(), 8u);
   ASSERT_GT(old_journal.size(), 8u);
-  old_snapshot.replace(0, 8, "LAPXC001");
-  old_journal.replace(0, 8, "LAPXJ001");
   const std::string garbage = "total garbage, not a store\n";
-  for (const auto& [snapshot, journal] :
-       {std::pair{garbage, garbage}, std::pair{old_snapshot, old_journal}}) {
+  std::vector<std::pair<std::string, std::string>> stores{{garbage, garbage}};
+  for (const char* version : {"001", "002"})
+    stores.emplace_back(
+        std::string("LAPXC") + version + old_snapshot.substr(8),
+        std::string("LAPXJ") + version + old_journal.substr(8));
+  for (const auto& [snapshot, journal] : stores) {
     TempDir dir;
     write_bytes(dir.path + "/snapshot.lapxc", snapshot);
     write_bytes(dir.path + "/journal.lapxj", journal);

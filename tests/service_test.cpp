@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -1502,6 +1507,96 @@ TEST(ServerClient, TcpPipeliningAnswersInSubmissionOrder) {
     client.call(R"({"op":"shutdown"})");
   }
   t.join();
+}
+
+TEST(ServerClient, FramingAcrossRecvBoundaries) {
+  // One pipelined stream over a raw socket.  Short lines go out one byte
+  // per send, among them a CRLF line and blank lines; a multi-MiB upload
+  // line and the lines after it go out in odd-sized pieces, so a piece
+  // can end anywhere in a line or carry several newlines.  The response
+  // stream must be what Service::handle answers line by line, skipping
+  // blank lines.
+  Service svc;
+  Server::Options opt;
+  opt.endpoint.tcp_port = 0;
+  Server server(svc, opt);
+  const ServingThread serving(server);
+  const std::string upload = upload_request("big", lapx::graph::cycle(160000));
+  ASSERT_GT(upload.size(), std::size_t{2} << 20);
+  struct Segment {
+    std::string bytes;
+    bool bytewise;
+  };
+  const Segment segments[] = {
+      {R"({"id":1,"op":"ping"})"
+       "\n\n"
+       R"({"id":2,"op":"generate","name":"g","family":"cycle","args":[12]})"
+       "\r\n\n\r\n",
+       true},
+      {upload + "\n" + R"({"id":3,"op":"views","graph":"big","radius":1})" +
+           "\n" + R"({"id":4,"op":"analyze","graph":"g"})" + "\r\n\n",
+       false},
+      {R"({"id":5,"op":"views","graph":"g","radius":2})"
+       "\n",
+       true},
+  };
+  Service twin;
+  std::string expected;
+  for (const Segment& segment : segments) {
+    std::size_t begin = 0;
+    for (std::size_t nl; (nl = segment.bytes.find('\n', begin)) !=
+                         std::string::npos;
+         begin = nl + 1) {
+      std::string line = segment.bytes.substr(begin, nl - begin);
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (!line.empty()) expected += twin.handle(line) + "\n";
+    }
+  }
+  ASSERT_EQ(std::count(expected.begin(), expected.end(), '\n'), 6);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.bound_tcp_port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  auto send_piece = [fd](const char* data, std::size_t n) {
+    while (n > 0) {
+      const ssize_t k = ::send(fd, data, n, MSG_NOSIGNAL);
+      if (k < 0 && errno == EINTR) continue;
+      ASSERT_GT(k, 0);
+      data += k;
+      n -= static_cast<std::size_t>(k);
+    }
+  };
+  constexpr std::size_t kPieces[] = {4093, 7, 65537, 1, 12289, 333};
+  for (const Segment& segment : segments) {
+    const std::string& bytes = segment.bytes;
+    for (std::size_t off = 0, i = 0; off < bytes.size(); ++i) {
+      const std::size_t n =
+          segment.bytewise
+              ? 1
+              : std::min(kPieces[i % std::size(kPieces)], bytes.size() - off);
+      send_piece(bytes.data() + off, n);
+      off += n;
+    }
+  }
+  // End of input: the server answers everything in flight, then closes.
+  ::shutdown(fd, SHUT_WR);
+  std::string got;
+  char chunk[4096];
+  for (ssize_t k; (k = ::recv(fd, chunk, sizeof chunk, 0)) != 0;) {
+    if (k < 0 && errno == EINTR) continue;
+    ASSERT_GT(k, 0);
+    got.append(chunk, static_cast<std::size_t>(k));
+  }
+  ::close(fd);
+  EXPECT_EQ(got, expected);
 }
 
 // ------------------------------------------------------- client retry --

@@ -3,10 +3,10 @@
 // epoch consistency under concurrent get/mutate, and overwrite/drop/evict
 // racing readers of other names -- the store-side half of the
 // incremental-session design (DESIGN.md "Round kernel") -- plus content
-// identity: the pinned hashes, the BLAKE2b vectors behind content_id, and
-// an interner left untouched by put and mutate.  Forked artifacts (the
-// RefineState and the per-radius ordered-ball classes) must equal a
-// from-scratch pass over the mutated graph.
+// identity: the pinned ids and edge-list digests, the BLAKE2b vectors
+// behind content_id, and an interner left untouched by put and mutate.
+// Forked artifacts (the RefineState and the per-radius ordered-ball
+// classes) must equal a from-scratch pass over the mutated graph.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "lapx/core/interner.hpp"
 #include "lapx/core/refine.hpp"
 #include "lapx/graph/generators.hpp"
+#include "lapx/graph/io.hpp"
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/order/homogeneity.hpp"
@@ -36,6 +37,7 @@ namespace {
 using lapx::graph::EdgeEdit;
 using lapx::service::blake2b_256_hex;
 using lapx::service::build_generated_graph;
+using lapx::service::graph_content_id;
 using lapx::service::GraphEntry;
 using lapx::service::parse_uploaded_graph;
 using lapx::service::Request;
@@ -97,7 +99,7 @@ TEST(SessionStore, MutateAdvancesEpochAndRoundTripsContent) {
   const std::string original = v1->content_hex();
   // Cut the highest-id edge: removing it is a pure pop (no swap-with-last
   // id churn), so healing it re-appends the same normalized pair at the
-  // same slot and the serialized edge list round-trips byte for byte.
+  // same slot and the edge array round-trips byte for byte.
   const auto [lu, lv] = v1->graph().edges().back();
   std::vector<EdgeEdit> cut{{EdgeEdit::Kind::kRemove, lu, lv}};
   const auto v2 = store.mutate("g", cut);
@@ -116,23 +118,67 @@ TEST(SessionStore, MutateAdvancesEpochAndRoundTripsContent) {
   EXPECT_EQ(store.stats().mutated, 2u);
 }
 
+// The content ids pinned below come from Python's hashlib over the
+// encoding graph_content_id documents, with n and the edges parsed from
+// `lapx_cli generate FAMILY ARGS...` output (one "first second" line per
+// edge, in edge-id order):
+//   hashlib.blake2b(struct.pack("<QQ", n, m) + b"".join(
+//       struct.pack("<II", u, v) for u, v in edges),
+//       digest_size=32).hexdigest()
+// The edge-list digests beside them are BLAKE2b-256 of to_edge_list(g):
+// they pin each builder's edge order independently of the id encoding.
+
 TEST(SessionStore, ContentHexIsPinned) {
-  // FNV-1a 64 of the canonical edge-list text, 16 lowercase hex digits:
-  // responses surface it, so the format must never drift.  The content id
-  // is BLAKE2b-256 of the same 158 bytes; persisted fingerprints embed it,
-  // so it must not drift either.
+  // content_hex is the first 16 hex digits of content_id: responses
+  // surface the one and persisted fingerprints embed the other, so
+  // neither may drift.
   SessionStore store;
   const auto entry = store.put("g", lapx::graph::torus({4, 4}));
-  EXPECT_EQ(entry->content_hex(), "91873099f584ee33");
   EXPECT_EQ(entry->content_id(),
+            "51f3d25f90dfa5a8e98380eb4e5544bd8de0fdc55ab7016a342ccb68dbd2b563");
+  EXPECT_EQ(entry->content_hex(), "51f3d25f90dfa5a8");
+  EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(entry->graph())),
             "ebebcf178b5e846031498d57ae801aa11cae0b05e663540a579cba4728cdde09");
   // A lift also pins LDigraph::arcs() order: random_lift draws one
   // permutation per base arc in that order, and underlying_graph() numbers
   // the lifted edges in it.
   const auto lift = store.put("lift", lapx::graph::lifted_torus(3, 3, 40, 7));
-  EXPECT_EQ(lift->content_hex(), "4b859612796eafaf");
   EXPECT_EQ(lift->content_id(),
+            "86654a5c626f2af8b1b1d021fff0eff93c4ab78f78f4578cca0c9dfda5ad11f7");
+  EXPECT_EQ(lift->content_hex(), "86654a5c626f2af8");
+  EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(lift->graph())),
             "287ad27d0ffa665faf70ff4572df7e9c27c74f28a688429f0764b4058523edf7");
+}
+
+TEST(SessionStore, ContentIdPinsEdgeCases) {
+  // No edges at two vertex counts (the header alone, which must still
+  // tell them apart), one edge, exactly one 128-byte block (m = 14: a
+  // full final block), and m = 1000 (8 000 bytes of edges, 63 blocks).
+  struct Pin {
+    lapx::graph::Graph g;
+    const char* id;
+  };
+  const Pin pins[] = {
+      {lapx::graph::Graph(0),
+       "94c1c088cc9453996779630ad3af45cbd92814828dd784cf2aa12df95d1b8afe"},
+      {lapx::graph::Graph(5),
+       "ffc59942a6b1087b7dda01e31908984bae6a16b4d35ffee7d489680031cd8a9a"},
+      {lapx::graph::path(2),
+       "ef06fa173d8edbc5d2f47070e3eebe44d6d5697536995f01d2cef0f4b614eff3"},
+      {lapx::graph::cycle(14),
+       "d64165f424d114a7c7b794d0076e3a701300f1d05a60e6168d48757903af996d"},
+      {lapx::graph::cycle(1000),
+       "d34d10373704abd411f0961ea525140912aca9dcc60f2bf04b1824312a3fdfe1"},
+  };
+  SessionStore store;
+  for (const Pin& p : pins) {
+    EXPECT_EQ(graph_content_id(p.g), p.id) << p.g.summary();
+    const auto entry = store.put("g", p.g);
+    EXPECT_EQ(entry->content_id(), p.id) << p.g.summary();
+    EXPECT_EQ(entry->content_hex(), std::string(p.id, 16)) << p.g.summary();
+  }
+  EXPECT_NE(graph_content_id(lapx::graph::Graph(0)),
+            graph_content_id(lapx::graph::Graph(5)));
 }
 
 Request request(const std::string& line) {
@@ -140,62 +186,63 @@ Request request(const std::string& line) {
 }
 
 TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
-  // Edge ids and adjacency order feed both digests, so every generate
+  // Edge ids and endpoint order feed both digests, so every generate
   // family, an upload in arbitrary edge order, and a mutate batch that
   // moves the last edge id and changes degrees pin what the graph
-  // builders and apply_edits must reproduce.
+  // builders and apply_edits must reproduce.  `text` is the BLAKE2b-256
+  // of the edge-list text, `id` the content id (see the note above).
   struct Pin {
     const char* family;
     const char* args;
-    const char* hex;
+    const char* text;
     const char* id;
   };
   const Pin pins[] = {
       {"cycle", "[50]",
-       "26ef60cf1230722b",
-       "ec369770b33f57ad62cfeb92de25431047747d70e9dca3e0364edef78bc10e88"},
+       "ec369770b33f57ad62cfeb92de25431047747d70e9dca3e0364edef78bc10e88",
+       "9a5b1a98bc6652d7e1eac79092ab51ec60120365c47905e0d913518b1d9d7a22"},
       {"path", "[40]",
-       "8fa929a48754ee07",
-       "a0d4943421c09fcc9ac66c91a67dec11f0ea43af0b9c16417d73df5f93792d36"},
+       "a0d4943421c09fcc9ac66c91a67dec11f0ea43af0b9c16417d73df5f93792d36",
+       "7a83caf14a91bf7cc646a942ba1b53c68e9e224d0020feecbec313af39899e41"},
       {"complete", "[12]",
-       "bf09fb770cf3454e",
-       "f53c27e57b65b405d1f1ce1b6664283ecfbc8eee90220cb2c04db2c0e906e2f7"},
+       "f53c27e57b65b405d1f1ce1b6664283ecfbc8eee90220cb2c04db2c0e906e2f7",
+       "8e06b4008789874741b6f005f13c0ae5411d11abcb76c4845814155d26b89d05"},
       {"torus", "[5,7]",
-       "b8a7925d1ab09268",
-       "d50b665a117674d3b8bacdedaf02775aab240840b6862270044742264e6cd148"},
+       "d50b665a117674d3b8bacdedaf02775aab240840b6862270044742264e6cd148",
+       "046c391bcf05330694463309176c97061729acac43e6a9538e1738b5873f3713"},
       {"torus", "[3,3]",
-       "84379ea70d621c0b",
-       "d30df1176f37cf4ded5b2a2be6b26a632d6d88ebc6284f51570d301130775511"},
+       "d30df1176f37cf4ded5b2a2be6b26a632d6d88ebc6284f51570d301130775511",
+       "36a2ed1e56cda5f9f74f351c4145fc906bde4a86b786db943abb26f15b721473"},
       {"hypercube", "[6]",
-       "1fc97979831a039b",
-       "cdd79f2e705efd578e2a899d6d7daa981243f8470d4aa1bd6b54a12e107cc962"},
+       "cdd79f2e705efd578e2a899d6d7daa981243f8470d4aa1bd6b54a12e107cc962",
+       "4679a9dfa76b7b4124b8b5eb41e85ce215e1238283afc8eb2569b45482ac72f9"},
       {"petersen", "[]",
-       "cef57ec8054e8a39",
-       "d1518a5aec23515a5e689e7dbec4391a610652d5ec9ffa50c5e929f7070bb567"},
+       "d1518a5aec23515a5e689e7dbec4391a610652d5ec9ffa50c5e929f7070bb567",
+       "0474b0f4da482114fc571efc28c3cd7666aa334e019bbd309c4fdb5cbc8a0783"},
       {"gp", "[8,3]",
-       "ab31f5be4208b9de",
-       "31fbf68ca5a041084b0589edd580ca5c003e81496653822d8c278adfcdc8f736"},
+       "31fbf68ca5a041084b0589edd580ca5c003e81496653822d8c278adfcdc8f736",
+       "84ef99fc6b2ab91310d708d2c925e8b18a45185b55c4018d7174bc52f2d185dd"},
       {"grid", "[6,9]",
-       "25bad03b7f0e69ae",
-       "6a750ae02c21ed1c6f8de061000fa36135fe94bbd17ffaec7cdc2591bf2990be"},
+       "6a750ae02c21ed1c6f8de061000fa36135fe94bbd17ffaec7cdc2591bf2990be",
+       "dee65efa2bd8d5b946f5e9c94b68f96ecae44f04d9b03d7e5e17fbead61dce29"},
       {"lift", "[3,3,50,7]",
-       "c97c6b6a32212311",
-       "50bbebe9760818f0988f48bbe04d6171939f645c87c3c8f564d5c5067c0358a5"},
+       "50bbebe9760818f0988f48bbe04d6171939f645c87c3c8f564d5c5067c0358a5",
+       "102a954beb2f17fd84ec155920b4d77859dcae22bb226299ad481ff25ca515b3"},
       {"lift", "[3,4,20,11]",
-       "20cb174329038543",
-       "35a6fcbe6e1c583abd8f290452d7c984708b5d6f1d24769262923acc37e3e323"},
+       "35a6fcbe6e1c583abd8f290452d7c984708b5d6f1d24769262923acc37e3e323",
+       "700532d0ef15ad77643750c0d37b2bc7c30e1e01fa8a55e322f6602a6d750910"},
       {"regular", "[200,3,1]",
-       "18f931a98cc5b500",
-       "31447e01e691510918201bca05ee21cb45eb02c88a7c00d747cd5064fcb0cf88"},
+       "31447e01e691510918201bca05ee21cb45eb02c88a7c00d747cd5064fcb0cf88",
+       "2da54bf4a051387daf835a5965454a6fb8467aa844cfcf1de330d500aecf6333"},
       {"regular", "[64,6,5]",
-       "8cd6595e8e7b9c97",
-       "b1f168b16ae3ec6dd9e7fda6e4f82193ad3fef17eaf0284ead6e74a38d4b5a32"},
+       "b1f168b16ae3ec6dd9e7fda6e4f82193ad3fef17eaf0284ead6e74a38d4b5a32",
+       "137c5594dbf745f06eae7b9b6b95d9f072ef5cf52f9b065d3328fe27c30e91d2"},
       {"regular", "[101,4,9]",
-       "de9e5a5a6e13062b",
-       "24446a80d6ef983f27c4749f5983390f125112b7c419319bef3e83628fd311fa"},
+       "24446a80d6ef983f27c4749f5983390f125112b7c419319bef3e83628fd311fa",
+       "af7bd422d24c63da13a5de044f4ac449ce99de86b1b7c664c64f604b5b25fc17"},
       {"regular", "[500,5,3]",
-       "8341340b499dd058",
-       "a7582bee6ca9306716783dcb2a6715483580517f1e86739796fa302abe19e6b6"},
+       "a7582bee6ca9306716783dcb2a6715483580517f1e86739796fa302abe19e6b6",
+       "5797a73b6049f1c6a7966589def82b4b1835e2f4ae1eba637fb84f734f00eb49"},
   };
   SessionStore store;
   for (const Pin& p : pins) {
@@ -203,8 +250,12 @@ TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
         "g", build_generated_graph(request(
                  std::string(R"({"op":"generate","name":"g","family":")") +
                  p.family + R"(","args":)" + p.args + "}")));
-    EXPECT_EQ(entry->content_hex(), p.hex) << p.family << " " << p.args;
+    EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(entry->graph())),
+              p.text)
+        << p.family << " " << p.args;
     EXPECT_EQ(entry->content_id(), p.id) << p.family << " " << p.args;
+    EXPECT_EQ(entry->content_hex(), std::string(p.id, 16))
+        << p.family << " " << p.args;
   }
   // A side of 2 would repeat every edge of its dimension; the generator
   // refuses it rather than dropping the repeats.
@@ -220,9 +271,11 @@ TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
       "u", parse_uploaded_graph(request(
                R"({"op":"upload","name":"u","edges":"7 9\n3 1\n0 6\n5 2\n)"
                R"(2 0\n4 3\n6 5\n1 0\n2 4\n6 3\n"})")));
-  EXPECT_EQ(upload->content_hex(), "ede8a0fdd1c21ffa");
-  EXPECT_EQ(upload->content_id(),
+  EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(upload->graph())),
             "4bd49bc3d8a66be098fa5d28a62d8d99ca31dd7de1355affe425080c547f521d");
+  EXPECT_EQ(upload->content_id(),
+            "09de08fef0979f90f1c6dbde45d35843ac72f36440c2dabf9009dcb83ebf9d7c");
+  EXPECT_EQ(upload->content_hex(), "09de08fef0979f90");
 
   const auto lift = store.put(
       "l", build_generated_graph(request(
@@ -241,9 +294,11 @@ TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
   const auto mutated = store.mutate("l", batch);
   ASSERT_NE(mutated, nullptr);
   EXPECT_EQ(mutated->graph().max_degree(), 5);
-  EXPECT_EQ(mutated->content_hex(), "c6bcb60862471306");
-  EXPECT_EQ(mutated->content_id(),
+  EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(mutated->graph())),
             "65e669237a6746d3ff60f9540aacddde13b15f8ecb3a7c9e914c177f95cf1b75");
+  EXPECT_EQ(mutated->content_id(),
+            "854953fb1371ef8804dd89dc13dd437a86930630f9a5fd56e053071efa1c9e91");
+  EXPECT_EQ(mutated->content_hex(), "854953fb1371ef88");
 }
 
 TEST(SessionStore, PutAndMutateAddNoInternerIds) {
@@ -286,6 +341,21 @@ TEST(Blake2b, MatchesHashlibVectors) {
        "8a5a7a9dc3cf203ed374b0a1eea930601ad2acbfe2b4bc62cf83de4ee536528b"}};
   for (const auto& [n, hex] : vectors)
     EXPECT_EQ(blake2b_256_hex(pattern(n)), hex) << "length " << n;
+}
+
+TEST(Blake2b, IncrementalUpdatesMatchOneShot) {
+  // Any split of the input into update() calls hashes the concatenation:
+  // pieces that end inside, at, and beyond a 128-byte block boundary.
+  std::string data(777, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<char>((i * 131) % 256);
+  const std::string whole = blake2b_256_hex(data);
+  for (const std::size_t piece : {1, 7, 16, 127, 128, 129, 300, 776}) {
+    lapx::service::Blake2b256 hash;
+    for (std::size_t off = 0; off < data.size(); off += piece)
+      hash.update(data.data() + off, std::min(piece, data.size() - off));
+    EXPECT_EQ(hash.hex(), whole) << "piece " << piece;
+  }
 }
 
 TEST(SessionStore, MutateForksRefineStateWithExactIds) {

@@ -145,9 +145,8 @@ graph::Graph generated(int argc, char** argv) {
 // A stdin query: the `op` request with `fields`, answered by lapxd's handler
 // on an entry built the way `upload` builds one.
 int cmd_query(const std::string& op, Json fields) {
-  graph::Graph g = graph::read_edge_list(std::cin);
-  const std::string text = graph::to_edge_list(g);
-  const service::GraphEntry entry(std::move(g), text, /*epoch=*/1);
+  const service::GraphEntry entry(graph::read_edge_list(std::cin),
+                                  /*epoch=*/1);
   service::Request req;
   req.op = op;
   req.body = std::move(fields);
