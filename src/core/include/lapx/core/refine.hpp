@@ -31,8 +31,8 @@
 // bitwise) and the next round's active set is the neighbours of the
 // vertices that changed; the first round, and every round with all
 // vertices active, is the full recurrence.  Deriving the state of an
-// edited graph from its parent's is the same rounds 1..r replayed against
-// the parent's kept tables: the active set starts at the dirty
+// edited graph from its parent's is the same rounds 1..r replayed in
+// place over the parent's kept tables: the active set starts at the dirty
 // (signature-changed) vertices and adds each round the neighbours of any
 // vertex whose T_i differs from the parent's, so the frontier stops where
 // types stop changing.
@@ -108,32 +108,40 @@ class RefineState {
   explicit RefineState(const graph::OocGraph& g,
                        TypeInterner& interner = TypeInterner::global());
 
-  /// Derives the state of `g`, an edit of the parent's graph, from
-  /// `parent` (which must keep rounds; the child keeps them too).  Clean
-  /// step spans (incident-arc signature unchanged) copy from the parent's
-  /// CSR and kept tables, dirty ones refill from `g`, and rounds
+  /// Derives the state of `g`, an edit of the parent's graph, inside the
+  /// parent's own buffers, which it takes over (`parent` must keep rounds,
+  /// and the child keeps them too; `parent` is left empty, to be assigned
+  /// to or destroyed).  Compares signatures only at `candidates`:
+  /// ascending, each once, and a superset of the vertices whose incident
+  /// arcs differ between the parent's graph and `g` (with every vertex `g`
+  /// added).  After an edge edit of a default-port graph,
+  /// graph::affected_frontier(g', edits, 1) is one -- every vertex when
+  /// the maximum degree moved, since every label moves then -- and
+  /// graph::ball_frontier is not.  Clean step spans (incident-arc
+  /// signature unchanged), the kept tables, the roots and the edge memo
+  /// stay where they are; dirty spans refill from `g`; and rounds
   /// 1..parent.radius() replay through the round kernel against the
   /// parent's tables: round i recomputes the dirty vertices and the
   /// neighbours of every vertex whose round-(i-1) states differ from the
-  /// parent's.  types_at(r) for every r <= parent.radius() then equals
-  /// RefineState(g).types_at(r) -- identical TypeIds, same interner.
-  /// Neither writes the parent nor reads the parent's graph, so the
-  /// parent's graph may already be gone.  Vertex ids must be stable
-  /// across the edit (append-only growth is fine; a shrink refines `g`
-  /// from scratch).  Throws std::logic_error when the parent keeps no
-  /// rounds.  Compares every vertex's signature; see the overload below.
-  RefineState(const RefineState& parent, const LDigraph& g,
-              DeltaStats* stats = nullptr);
+  /// parent's.  So a derivation costs O(edit frontier), unless a degree
+  /// changed or vertices were added, which moves offsets and lays the
+  /// tables out again in O(n).  types_at(r) for every r <= parent.radius()
+  /// then equals RefineState(g).types_at(r) -- identical TypeIds, same
+  /// interner.  Never reads the parent's graph, so it may already be
+  /// gone.  Vertex ids must be stable across the edit (append-only growth
+  /// is fine; a shrink refines `g` from scratch).  Throws std::logic_error,
+  /// leaving `parent` as it was, when the parent keeps no rounds.
+  RefineState(RefineState&& parent, const LDigraph& g,
+              std::span<const Vertex> candidates, DeltaStats* stats = nullptr);
 
-  /// The derivation above, comparing signatures only at `candidates`:
-  /// ascending, each once, and a superset of the vertices whose incident
-  /// arcs differ between the parent's graph and `g` (with every vertex
-  /// `g` added).  After an edge edit of a default-port graph,
-  /// graph::affected_frontier(g', edits, 1) is one -- every vertex when
-  /// the maximum degree moved, since every label moves then -- and
-  /// graph::ball_frontier is not.  The result is the same state.
+  /// The derivation above from a copy of `parent`, which stays intact.
   RefineState(const RefineState& parent, const LDigraph& g,
               std::span<const Vertex> candidates, DeltaStats* stats = nullptr);
+
+  /// The derivation from a copy of `parent`, comparing every vertex's
+  /// signature (no candidates known).
+  RefineState(const RefineState& parent, const LDigraph& g,
+              DeltaStats* stats = nullptr);
 
   /// types[v] == view_type_id(view(g, v, radius)) for every vertex v.
   /// Advances the refinement as needed; earlier radii stay cached.
@@ -156,7 +164,8 @@ class RefineState {
   /// from this one.
   bool keeps_rounds() const { return keep_rounds_; }
 
-  /// In place: *this = RefineState(*this, g, &stats).
+  /// In place, comparing every vertex's signature: *this derives itself
+  /// (the consuming derivation, candidates 0..n-1) and reports the stats.
   DeltaStats refine_delta(const LDigraph& g);
 
  private:
@@ -208,13 +217,19 @@ class RefineState {
   // The round kernel: rewrites the active spans of `out` (T_radius) from
   // `in` (T_{radius-1}) and their roots in `roots`, and lists in changed_
   // the active vertices whose span differs from the kept values
-  // base[base_off[v] + k] (kNone: none kept).  A forward round types
-  // every root; a replay (a derivation) types only the active roots.
+  // base[base_off[x] + k] (kNone: none kept), x being the vertex in a
+  // forward round and its rank in the active set in a replay.  A forward
+  // round types every root; a replay (a derivation) types only the active
+  // roots.
   void run_round(int radius, const TypeId* in, TypeId* out, const TypeId* base,
                  std::span<const std::uint32_t> base_off,
                  std::vector<TypeId>& roots, bool replay);
   // The next round's active set: `seed` plus the neighbours of changed_.
   void schedule(std::span<const std::uint32_t> seed);
+  // A derivation whose edit moved offsets: lays steps_ out for g and moves
+  // every table's spans there, except those of `relaid` (ascending), which
+  // the caller refills.
+  void relay(const LDigraph& g, std::span<const std::uint32_t> relaid);
   // f(v) for every active vertex v, in ascending order.
   template <typename F>
   void for_active(const F& f) const;
@@ -284,6 +299,11 @@ class RefineState {
   std::vector<std::uint64_t> active_bits_;  // schedule()'s scratch
   std::vector<std::uint32_t> changed_;      // this round's changed vertices
   std::vector<TypeId> root_body_;           // per vertex: root tuple body id
+  // A derivation's replay rewrites each table in place, so it first copies
+  // the active spans' kept values to kept_; kept_off_[k] is where the k-th
+  // active vertex's start there (kNone: none kept).
+  std::vector<TypeId> kept_;
+  std::vector<std::uint32_t> kept_off_;
   bool all_active_ = true;
   bool all_active_only_ = false;
 

@@ -431,9 +431,10 @@ void RefineState::run_round(int radius, const TypeId* in, TypeId* out,
     // gather over edge_ids_.  A span that differs from its kept values, or
     // has none, marks its vertex changed.
     std::vector<TypeId> tuple;
+    std::size_t rank = 0;  // v's position in the active set
     for_active([&](Vertex v) {
       const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
-      const std::uint32_t b = base_off[v];
+      const std::uint32_t b = base_off[replay ? rank++ : v];
       bool changed = b == kNone;
       for (std::uint32_t s = lo; s < hi; ++s) {
         if (out[s] == kNoType) {
@@ -495,26 +496,37 @@ std::vector<Vertex> every_vertex(Vertex n) {
   return all;
 }
 
+// The parent of a derivation, checked before anything moves out of it.
+RefineState&& keeping_rounds(RefineState&& parent) {
+  if (!parent.keeps_rounds())
+    throw std::logic_error(
+        "deriving a RefineState requires a parent built with keep_rounds");
+  return std::move(parent);
+}
+
 }  // namespace
 
 RefineState::RefineState(const RefineState& parent, const LDigraph& g,
                          DeltaStats* stats)
-    : RefineState(parent, g, every_vertex(g.num_vertices()), stats) {}
+    : RefineState(RefineState(parent), g, every_vertex(g.num_vertices()),
+                  stats) {}
 
 RefineState::RefineState(const RefineState& parent, const LDigraph& g,
                          std::span<const Vertex> candidates, DeltaStats* stats)
-    : n_(g.num_vertices()), interner_(parent.interner_), keep_rounds_(true) {
-  if (!parent.keep_rounds_)
-    throw std::logic_error(
-        "deriving a RefineState requires a parent built with keep_rounds");
-  const int max_r = parent.radius();  // >= 0 always (radius 0 from birth)
-  const Vertex old_n = parent.n_;
+    : RefineState(RefineState(parent), g, candidates, stats) {}
+
+RefineState::RefineState(RefineState&& parent, const LDigraph& g,
+                         std::span<const Vertex> candidates, DeltaStats* stats)
+    : RefineState(keeping_rounds(std::move(parent))) {
+  const int max_r = radius();  // >= 0 always (radius 0 from birth)
+  const Vertex old_n = n_;
+  const Vertex n = g.num_vertices();
   DeltaStats local;
   DeltaStats& st = stats ? *stats : local;
   st = DeltaStats{};
   st.rounds = max_r;
-  st.total_vertices = static_cast<std::size_t>(n_);
-  if (n_ < old_n) {
+  st.total_vertices = static_cast<std::size_t>(n);
+  if (n < old_n) {
     // Vertex removal shifts ids; nothing carries over.  Refine from scratch.
     *this = RefineState(g, *interner_, /*keep_rounds=*/true);
     types_at(max_r);
@@ -523,112 +535,96 @@ RefineState::RefineState(const RefineState& parent, const LDigraph& g,
     return;
   }
 
-  const graph::StepCsr& old = parent.steps_;
-  const Vertex n = n_;
-  steps_.layout(g);
-  const std::vector<std::uint32_t>& step_off = steps_.off;
-  const std::size_t steps = step_off[static_cast<std::size_t>(n)];
-
   // Seed: a candidate is dirty when its incident-step SIGNATURE changed --
   // the per-span sequence of (move bits, successor vertex) pairs, compared
-  // straight off the adjacency in the same (outgoing, label) enumeration
-  // order StepCsr::fill uses.  T_1 is a pure function of the signature,
-  // and the signature also pins the identity of every successor state, so
-  // a clean vertex's parent table values carry over verbatim.  Only the
-  // candidates can be dirty, so only they are compared.
-  std::vector<std::uint32_t> dirty;
-  const auto same_arcs = [&](const auto& arcs, std::uint32_t out_bit,
-                             std::uint32_t& k) {
-    for (const auto& [l, w] : arcs)
-      if (old.move_bits[k] != (out_bit | static_cast<std::uint32_t>(l)) ||
-          old.nbr[k++] != static_cast<std::uint32_t>(w))
-        return false;
-    return true;
-  };
+  // straight off the adjacency, in the (outgoing, label) enumeration order
+  // StepCsr::fill uses, against the parent's CSR, still in place.  T_1 is
+  // a pure function of the signature, and the signature also pins the
+  // identity of every successor state, so a clean vertex's table values
+  // carry over verbatim.  Only the candidates can be dirty, so only they
+  // are compared.  A dirty span is relaid when its move sequence changed
+  // too (or it is new): its tables then hold nothing of the parent's, and
+  // it counts as changed every round; any other dirty span keeps its
+  // values, and its edge memo, which depends on the moves alone.
+  std::vector<std::uint32_t> dirty, relaid;
+  bool offsets_move = n != old_n;
   for (const Vertex v : candidates) {
-    std::uint32_t k = v < old_n ? old.off[v] : 0;
-    const bool same =
-        v < old_n &&
-        step_off[v + 1] - step_off[v] == old.off[v + 1] - old.off[v] &&
-        same_arcs(g.in_arcs(v), 0, k) &&
-        same_arcs(g.out_arcs(v), 0x80000000u, k);
-    if (!same) dirty.push_back(static_cast<std::uint32_t>(v));
+    const auto vi = static_cast<std::uint32_t>(v);
+    if (v >= old_n ||
+        static_cast<std::uint32_t>(g.degree(v)) !=
+            steps_.off[vi + 1] - steps_.off[vi]) {
+      dirty.push_back(vi);
+      relaid.push_back(vi);
+      offsets_move = true;
+      continue;
+    }
+    bool same_moves = true, same_nbrs = true;
+    std::uint32_t k = steps_.off[vi];
+    const auto compare = [&](const auto& arcs, std::uint32_t out_bit) {
+      for (const auto& [l, w] : arcs) {
+        same_moves &=
+            steps_.move_bits[k] == (out_bit | static_cast<std::uint32_t>(l));
+        same_nbrs &= steps_.nbr[k++] == static_cast<std::uint32_t>(w);
+      }
+    };
+    compare(g.in_arcs(v), 0);
+    compare(g.out_arcs(v), 0x80000000u);
+    if (same_moves && same_nbrs) continue;
+    dirty.push_back(vi);
+    if (!same_moves) relaid.push_back(vi);
   }
   st.dirty_vertices = dirty.size();
 
-  // Clean spans copy in blocks: within a run of clean vertices the
-  // parent-vs-child offset delta is constant, because degrees change only
-  // at signature-changed vertices.  f(lo, old_lo, len) per maximal run.
-  const auto clean_runs = [&](const auto& f) {
-    Vertex run_start = 0;
-    for (std::size_t di = 0; di <= dirty.size(); ++di) {
-      const Vertex stop =
-          di < dirty.size() ? static_cast<Vertex>(dirty[di]) : n;
-      if (run_start < stop)  // all clean => every vertex < old_n
-        f(step_off[run_start], old.off[run_start],
-          step_off[stop] - step_off[run_start]);
-      if (di < dirty.size()) run_start = static_cast<Vertex>(dirty[di]) + 1;
-    }
-  };
-
-  // The CSR: dirty spans fill from g, clean spans copy from the parent.
+  // The CSR: a degree change or a new vertex moves offsets, and only then
+  // is every table laid out again (O(n) block moves); otherwise every
+  // clean span stays where it is.  Dirty spans refill from g, and a step
+  // into a relaid span takes the inverse of that span's step back (succ
+  // is an involution), so only steps that point into one move.
+  if (offsets_move) relay(g, relaid);
+  n_ = n;
   for (const std::uint32_t v : dirty) steps_.fill(g, static_cast<Vertex>(v));
-  // Kept values: a clean span, or a dirty one whose step layout (its move
-  // sequence) survived the edit, has the parent's tables at old_at[v]; any
-  // other span has none (kNone) and counts as changed every round.
-  std::vector<std::uint32_t> old_at(static_cast<std::size_t>(n), kNone);
-  std::copy(old.off.begin(), old.off.begin() + old_n, old_at.begin());
-  for (const std::uint32_t v : dirty) {
-    const std::uint32_t lo = step_off[v], hi = step_off[v + 1];
-    if (v >= static_cast<std::uint32_t>(old_n) ||
-        hi - lo != old.off[v + 1] - old.off[v] ||
-        !std::equal(steps_.move_bits.begin() + lo,
-                    steps_.move_bits.begin() + hi,
-                    old.move_bits.begin() + old.off[v]))
-      old_at[v] = kNone;
-  }
-  // A clean step's successor index shifts by its target span's offset
-  // delta -- unless the target's layout changed and may have reordered its
-  // span, which costs one label scan.
-  clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
-    std::copy_n(old.nbr.begin() + olo, len, steps_.nbr.begin() + lo);
-    std::copy_n(old.move_bits.begin() + olo, len,
-                steps_.move_bits.begin() + lo);
-    for (std::uint32_t j = 0; j < len; ++j) {
-      const auto w = static_cast<Vertex>(old.nbr[olo + j]);
-      const std::uint32_t mb = old.move_bits[olo + j];
-      const auto label = static_cast<graph::Label>(mb & 0x7fffffffu);
-      steps_.succ[lo + j] =
-          old_at[static_cast<std::size_t>(w)] == kNone
-              ? steps_.step_index_of(g, w, (mb & 0x80000000u) == 0, label)
-              : old.succ[olo + j] - old.off[w] + step_off[w];
+  for (const std::uint32_t v : relaid)
+    for (std::uint32_t k = steps_.off[v]; k < steps_.off[v + 1]; ++k) {
+      steps_.succ[steps_.succ[k]] = k;
+      edge_ids_[k] = kNoType;  // the memo held another move's edge
     }
-  });
 
-  // Rounds 1..max_r through the kernel.  Each table starts from the
-  // parent's clean spans; its dirty spans are stale, but dirty vertices
-  // are active in every round, so the kernel rewrites them.  Round 1
+  // What init_round0 resets, but no table: radius 0 stays as it is.
+  state_distinct_ = steps_.off[static_cast<std::size_t>(n)] ? 1 : 0;
+  states_stable_ = roots_stable_ = false;
+  state_count_.clear();
+
+  // Rounds 1..max_r through the kernel, in place.  Each table holds the
+  // parent's values; its relaid spans are stale, but dirty vertices are
+  // active in every round, so the kernel rewrites them.  Round 1
   // recomputes the dirty vertices (T_0 is uniform, so nothing else can
   // differ); each later round adds the neighbours of every vertex whose
-  // states differ from the parent's.  Phase B interns in ascending vertex
-  // order, so fresh ids are thread-count-independent, and hash-consing
-  // makes them the ids a from-scratch refine finds.
-  init_round0();
+  // states differ from the parent's, which the kernel reads from a copy
+  // of the active spans taken before it overwrites them.  Phase B interns
+  // in ascending vertex order, so fresh ids are thread-count-independent,
+  // and hash-consing makes them the ids a from-scratch refine finds.
   active_ = dirty;
   all_active_ = active_.size() == static_cast<std::size_t>(n);
   for (int i = 1; i <= max_r; ++i) {
-    const std::vector<TypeId>& kept =
-        parent.round_states_[static_cast<std::size_t>(i)];
-    std::vector<TypeId> t(steps);
-    clean_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
-      std::copy_n(kept.begin() + olo, len, t.begin() + lo);
+    std::vector<TypeId>& t = round_states_[static_cast<std::size_t>(i)];
+    kept_.clear();
+    kept_off_.clear();
+    std::size_t r = 0;  // relaid[r] is the first one not below v
+    for_active([&](Vertex v) {
+      while (r < relaid.size() && relaid[r] < static_cast<std::uint32_t>(v))
+        ++r;
+      if (r < relaid.size() && relaid[r] == static_cast<std::uint32_t>(v)) {
+        kept_off_.push_back(kNone);  // nothing kept
+        return;
+      }
+      const auto vi = static_cast<std::size_t>(v);
+      kept_off_.push_back(static_cast<std::uint32_t>(kept_.size()));
+      kept_.insert(kept_.end(), t.begin() + steps_.off[vi],
+                   t.begin() + steps_.off[vi + 1]);
     });
-    std::vector<TypeId> roots = parent.roots_[static_cast<std::size_t>(i)];
-    roots.resize(static_cast<std::size_t>(n));
-    run_round(i, round_states_.back().data(), t.data(), kept.data(), old_at,
-              roots, /*replay=*/true);
-    round_states_.push_back(std::move(t));
-    roots_.push_back(std::move(roots));
+    run_round(i, round_states_[static_cast<std::size_t>(i) - 1].data(),
+              t.data(), kept_.data(), kept_off_,
+              roots_[static_cast<std::size_t>(i)], /*replay=*/true);
     st.frontier_vertices =
         all_active_ ? static_cast<std::size_t>(n) : active_.size();
     if (i < max_r) schedule(dirty);
@@ -640,9 +636,64 @@ RefineState::RefineState(const RefineState& parent, const LDigraph& g,
   all_active_ = true;
 }
 
+void RefineState::relay(const LDigraph& g,
+                        std::span<const std::uint32_t> relaid) {
+  const graph::StepCsr old = std::move(steps_);
+  steps_ = graph::StepCsr{};
+  steps_.layout(g);
+  const std::vector<std::uint32_t>& off = steps_.off;
+  const std::size_t steps = off.back();
+  const auto old_n = static_cast<std::uint32_t>(old.off.size() - 1);
+  // f(lo, old_lo, len) per maximal run of old vertices not relaid: within
+  // one the parent-vs-child offset delta is constant.
+  const auto kept_runs = [&](const auto& f) {
+    std::uint32_t from = 0;
+    for (std::size_t k = 0; k <= relaid.size(); ++k) {
+      const std::uint32_t to =
+          k < relaid.size() ? std::min(relaid[k], old_n) : old_n;
+      if (from < to)
+        f(off[from], old.off[from], old.off[to] - old.off[from]);
+      if (k < relaid.size()) from = std::max(from, relaid[k] + 1);
+    }
+  };
+  const auto relay_table = [&](std::vector<TypeId>& table) {
+    std::vector<TypeId> moved(steps);
+    kept_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
+      std::copy_n(table.begin() + olo, len, moved.begin() + lo);
+    });
+    table = std::move(moved);
+  };
+  kept_runs([&](std::uint32_t lo, std::uint32_t olo, std::uint32_t len) {
+    std::copy_n(old.nbr.begin() + olo, len, steps_.nbr.begin() + lo);
+    std::copy_n(old.move_bits.begin() + olo, len,
+                steps_.move_bits.begin() + lo);
+    // A step's successor shifts by its target span's offset delta; one
+    // into a relaid span is set again from that span's side.
+    for (std::uint32_t j = 0; j < len; ++j) {
+      const std::uint32_t w = old.nbr[olo + j];
+      steps_.succ[lo + j] = old.succ[olo + j] - old.off[w] + off[w];
+    }
+  });
+  // Radius 0 is uniform, so its table is laid out afresh.
+  const TypeId empty = interner_->intern_node(type_tag::kViewNode, nullptr, 0);
+  round_states_[0].assign(steps, empty);
+  for (std::size_t i = 1; i < round_states_.size(); ++i)
+    relay_table(round_states_[i]);
+  relay_table(edge_ids_);
+  relay_table(edge_sub_);
+  // New vertices: radius 0 is uniform, the replay writes every later one.
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const TypeId root0 =
+      interner_->intern_node(type_tag::kViewRoot | 0u, &empty, 1);
+  roots_[0].resize(n, root0);
+  for (std::size_t i = 1; i < roots_.size(); ++i) roots_[i].resize(n);
+  root_body_.resize(n);
+}
+
 RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
   DeltaStats stats;
-  *this = RefineState(*this, g, &stats);
+  *this = RefineState(std::move(*this), g, every_vertex(g.num_vertices()),
+                      &stats);
   return stats;
 }
 

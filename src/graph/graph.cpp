@@ -224,6 +224,7 @@ class Graph::Editor {
     g_.edges_.emplace_back(u, v);
     const auto id = static_cast<EdgeId>(g_.edges_.size() - 1);
     for (Vertex x : {u, v}) incident(touch(x)).back() = id;
+    rewritten_.push_back(id);
   }
 
   void remove(Vertex u, Vertex v) {
@@ -246,8 +247,18 @@ class Graph::Editor {
         const std::span<EdgeId> run = incident(touch(w));
         *std::find(run.begin(), run.end(), last) = id;
       }
+      rewritten_.push_back(id);
     }
     g_.edges_.pop_back();
+    rewritten_.push_back(last);
+  }
+
+  // The edge ids add and remove wrote or dropped, ascending, each once.
+  std::vector<EdgeId> rewritten() {
+    std::sort(rewritten_.begin(), rewritten_.end());
+    rewritten_.erase(std::unique(rewritten_.begin(), rewritten_.end()),
+                     rewritten_.end());
+    return std::move(rewritten_);
   }
 
   // Writes the touched runs back: in place when no degree changed (every
@@ -367,9 +378,10 @@ class Graph::Editor {
   bool loaded_ = false;
   std::vector<Vertex> nbr_;  // the touched runs, each followed by its room
   std::vector<EdgeId> inc_;
+  std::vector<EdgeId> rewritten_;
 };
 
-void apply_edits(Graph& g, std::span<const EdgeEdit> edits) {
+std::vector<EdgeId> apply_edits(Graph& g, std::span<const EdgeEdit> edits) {
   Graph::Editor batch(g, edits);
   // An invalid edit leaves every earlier one applied.
   try {
@@ -384,6 +396,7 @@ void apply_edits(Graph& g, std::span<const EdgeEdit> edits) {
     throw;
   }
   batch.commit();
+  return batch.rewritten();
 }
 
 }  // namespace lapx::graph

@@ -132,7 +132,8 @@ class Graph {
   }
 
  private:
-  friend void apply_edits(Graph& g, std::span<const EdgeEdit> edits);
+  friend std::vector<EdgeId> apply_edits(Graph& g,
+                                         std::span<const EdgeEdit> edits);
   class Editor;  // apply_edits' batch state (graph.cpp)
 
   template <typename T>

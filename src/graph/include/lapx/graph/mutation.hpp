@@ -49,7 +49,14 @@ struct EdgeEdit {
 /// endpoints and those of each edge that moves into a freed id), written
 /// back in place when no degree changed: k edits cost O(k Delta) plus at
 /// most one O(n + m) pass to lay the offsets out again.
-void apply_edits(Graph& g, std::span<const EdgeEdit> edits);
+///
+/// Returns the edge ids whose slot of the edge array the batch rewrote,
+/// ascending, each once: an add's id, the freed id a remove moved the last
+/// edge into, and the last id a remove dropped (at or past the final
+/// num_edges()).  Every slot that differs between the old and the new
+/// edge array, or exists in only one of them, is listed, so a digest kept
+/// per block of ids (service::ContentDigest) re-hashes only their blocks.
+std::vector<EdgeId> apply_edits(Graph& g, std::span<const EdgeEdit> edits);
 
 /// The vertices whose radius-r view (default port numbering) can differ
 /// between the pre-edit graph and `g`, the POST-edit graph, sorted

@@ -54,9 +54,8 @@ class OocError : public std::runtime_error {
 /// The FNV-1a 64 seed this repo uses: 1469598103934665603
 /// (0x14650fb0739d0383), not the reference offset basis
 /// 14695981039346656037 (0xcbf29ce484222325) it drops a digit of.  Every
-/// LAPXOOC1 checksum depends on it, and so does an out-of-core session's
-/// content id ("ooc:" + the payload checksum) with every persisted
-/// fingerprint that embeds one, so it stays.
+/// LAPXOOC1 checksum depends on it, so it stays.  (An out-of-core
+/// session's content id is a BLAKE2b of the payload, not this checksum.)
 inline constexpr std::uint64_t kFnv1a64Seed = 1469598103934665603ull;
 
 /// FNV-1a 64 with the reference prime, the LAPXOOC1 checksum; `seed`
@@ -121,9 +120,12 @@ class OocGraph {
   std::size_t num_steps() const { return static_cast<std::size_t>(steps_); }
   const std::string& path() const { return path_; }
 
-  /// The payload FNV -- the file's stable content hash (hex form is what
-  /// the service surfaces as an ooc session's content id).
+  /// The payload FNV, the file's integrity checksum (verified at open).
   std::uint64_t payload_checksum() const { return payload_checksum_; }
+
+  /// The payload bytes: every segment, padding included -- what the
+  /// service digests into an ooc session's content id.
+  std::span<const unsigned char> payload() const;
 
   // The step CSR, mmap'd.
   std::span<const std::uint32_t> step_off() const {

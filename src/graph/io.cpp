@@ -3,29 +3,120 @@
 #include <charconv>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace lapx::graph {
 
 namespace {
 
-// Skips comment lines and returns the next token stream line.
-bool next_content_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return true;
-  }
-  return false;
+// A content line: neither blank nor a '#' comment.
+bool is_content(std::string_view line) {
+  const auto first = line.find_first_not_of(" \t\r");
+  return first != std::string_view::npos && line[first] != '#';
 }
 
-// After the expected fields of a line, only whitespace or an inline
-// '#' comment may follow.
-void reject_trailing_garbage(std::istringstream& row, const char* what) {
-  std::string rest;
-  if (row >> rest && rest[0] != '#')
-    throw std::invalid_argument(std::string("edge list: trailing garbage ") +
-                                "after " + what + ": " + rest);
+// The whitespace operator>> skips (std::isspace in the C locale).
+bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+// One line's fields, read as `std::istringstream >> long long` reads
+// them -- skip whitespace, an optional sign, decimal digits, failing on
+// overflow -- but with std::from_chars over the line in place.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  bool next(long long& x) {
+    skip_space();
+    const char* q = p_;
+    // from_chars takes '-' but not '+'; a '+' must precede a digit.
+    if (q != end_ && *q == '+' && ++q == end_) return false;
+    if (q != p_ && (*q < '0' || *q > '9')) return false;
+    const auto [ptr, ec] = std::from_chars(q, end_, x);
+    if (ec != std::errc()) return false;
+    p_ = ptr;
+    return true;
+  }
+
+  // After the expected fields of a line, only whitespace or an inline
+  // '#' comment may follow.
+  void reject_trailing_garbage(const char* what) {
+    skip_space();
+    const char* q = p_;
+    while (q != end_ && !is_space(*q)) ++q;
+    if (q != p_ && *p_ != '#')
+      throw std::invalid_argument(std::string("edge list: trailing garbage ") +
+                                  "after " + what + ": " +
+                                  std::string(p_, q));
+  }
+
+ private:
+  void skip_space() {
+    while (p_ != end_ && is_space(*p_)) ++p_;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
+// The edge-list grammar over a line source: next_line(line) sets `line`
+// to the next line and returns false at the end of the input.
+template <typename NextLine>
+Graph parse_edge_list(const NextLine& next_line, const EdgeListLimits& limits) {
+  std::string_view line;
+  const auto next_content_line = [&] {
+    while (next_line(line))
+      if (is_content(line)) return true;
+    return false;
+  };
+  if (!next_content_line())
+    throw std::invalid_argument("edge list: empty input");
+  Fields header(line);
+  long long n = -1, m = -1;
+  if (!header.next(n) || !header.next(m) || n < 0 || m < 0)
+    throw std::invalid_argument("edge list: bad header");
+  header.reject_trailing_garbage("header");
+  if (n > limits.max_vertices)
+    throw std::invalid_argument("edge list: vertex count " +
+                                std::to_string(n) + " exceeds limit " +
+                                std::to_string(limits.max_vertices));
+  if (m > limits.max_edges)
+    throw std::invalid_argument("edge list: edge count " + std::to_string(m) +
+                                " exceeds limit " +
+                                std::to_string(limits.max_edges));
+  if (n >= 1 && m > n * (n - 1) / 2)  // n <= max_vertices: product cannot overflow
+    throw std::invalid_argument(
+        "edge list: more edges than a simple graph admits");
+  if (n == 0 && m > 0)
+    throw std::invalid_argument("edge list: edges on an empty vertex set");
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(m));
+  try {
+    for (long long i = 0; i < m; ++i) {
+      if (!next_content_line())
+        throw std::invalid_argument("edge list: missing edges");
+      Fields row(line);
+      long long u, v;
+      if (!row.next(u) || !row.next(v))
+        throw std::invalid_argument("edge list: bad edge");
+      row.reject_trailing_garbage("edge");
+      // Range check before the narrowing cast: a 64-bit id must not be
+      // able to wrap into a valid 32-bit vertex.
+      if (u < 0 || u >= n || v < 0 || v >= n)
+        throw std::invalid_argument(
+            "edge list: vertex out of range on edge " + std::to_string(u) +
+            " " + std::to_string(v));
+      edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
+    }
+  } catch (const std::invalid_argument&) {
+    // An invalid edge on an earlier line wins, as if each edge were
+    // inserted as it is read.
+    Graph::from_edges(static_cast<Vertex>(n), std::move(edges));
+    throw;
+  }
+  return Graph::from_edges(static_cast<Vertex>(n), std::move(edges));
 }
 
 }  // namespace
@@ -53,58 +144,31 @@ std::string to_edge_list(const Graph& g) {
 }
 
 Graph read_edge_list(std::istream& is, const EdgeListLimits& limits) {
-  std::string line;
-  if (!next_content_line(is, line))
-    throw std::invalid_argument("edge list: empty input");
-  std::istringstream header(line);
-  long long n = -1, m = -1;
-  if (!(header >> n >> m) || n < 0 || m < 0)
-    throw std::invalid_argument("edge list: bad header");
-  reject_trailing_garbage(header, "header");
-  if (n > limits.max_vertices)
-    throw std::invalid_argument("edge list: vertex count " +
-                                std::to_string(n) + " exceeds limit " +
-                                std::to_string(limits.max_vertices));
-  if (m > limits.max_edges)
-    throw std::invalid_argument("edge list: edge count " + std::to_string(m) +
-                                " exceeds limit " +
-                                std::to_string(limits.max_edges));
-  if (n >= 1 && m > n * (n - 1) / 2)  // n <= max_vertices: product cannot overflow
-    throw std::invalid_argument(
-        "edge list: more edges than a simple graph admits");
-  if (n == 0 && m > 0)
-    throw std::invalid_argument("edge list: edges on an empty vertex set");
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
-  try {
-    for (long long i = 0; i < m; ++i) {
-      if (!next_content_line(is, line))
-        throw std::invalid_argument("edge list: missing edges");
-      std::istringstream row(line);
-      long long u, v;
-      if (!(row >> u >> v)) throw std::invalid_argument("edge list: bad edge");
-      reject_trailing_garbage(row, "edge");
-      // Range check before the narrowing cast: a 64-bit id must not be
-      // able to wrap into a valid 32-bit vertex.
-      if (u < 0 || u >= n || v < 0 || v >= n)
-        throw std::invalid_argument(
-            "edge list: vertex out of range on edge " + std::to_string(u) +
-            " " + std::to_string(v));
-      edges.emplace_back(static_cast<Vertex>(u), static_cast<Vertex>(v));
-    }
-  } catch (const std::invalid_argument&) {
-    // An invalid edge on an earlier line wins, as if each edge were
-    // inserted as it is read.
-    Graph::from_edges(static_cast<Vertex>(n), std::move(edges));
-    throw;
-  }
-  return Graph::from_edges(static_cast<Vertex>(n), std::move(edges));
+  std::string buffer;
+  return parse_edge_list(
+      [&](std::string_view& line) {
+        if (!std::getline(is, buffer)) return false;
+        line = buffer;
+        return true;
+      },
+      limits);
 }
 
 Graph graph_from_edge_list(const std::string& text,
                            const EdgeListLimits& limits) {
-  std::istringstream is(text);
-  return read_edge_list(is, limits);
+  // std::getline's lines: split at '\n', with no empty line after a
+  // final newline.
+  std::string_view rest = text;
+  return parse_edge_list(
+      [&](std::string_view& line) {
+        if (rest.empty()) return false;
+        const std::size_t eol = rest.find('\n');
+        line = rest.substr(0, eol);
+        rest.remove_prefix(eol == std::string_view::npos ? rest.size()
+                                                         : eol + 1);
+        return true;
+      },
+      limits);
 }
 
 std::string to_dot(const Graph& g) {

@@ -308,6 +308,10 @@ const char* OocGraph::structure_error() const {
   return nullptr;
 }
 
+std::span<const unsigned char> OocGraph::payload() const {
+  return {map_ + kHeaderBytes, map_bytes_ - kHeaderBytes};
+}
+
 OocGraph::~OocGraph() {
   if (map_ != nullptr) ::munmap(map_, map_bytes_);
   if (fd_ >= 0) ::close(fd_);

@@ -103,14 +103,20 @@ void Blake2b256::update(const void* data, std::size_t bytes) {
   }
 }
 
-std::string Blake2b256::hex() {
+Blake2b256::Digest Blake2b256::digest() {
   std::memset(block_ + fill_, 0, sizeof block_ - fill_);
   compress(h_, block_, compressed_ + fill_, /*last=*/true);
-  std::string out(64, '0');
-  for (int i = 0; i < 32; ++i) {
-    const auto byte = static_cast<unsigned>(h_[i / 8] >> (8 * (i % 8))) & 0xFFu;
-    out[static_cast<std::size_t>(2 * i)] = "0123456789abcdef"[byte >> 4];
-    out[static_cast<std::size_t>(2 * i + 1)] = "0123456789abcdef"[byte & 0xF];
+  Digest out;
+  std::memcpy(out.data(), h_, out.size());  // little-endian words
+  return out;
+}
+
+std::string Blake2b256::hex() {
+  const Digest d = digest();
+  std::string out(2 * d.size(), '0');
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    out[2 * i] = "0123456789abcdef"[d[i] >> 4];
+    out[2 * i + 1] = "0123456789abcdef"[d[i] & 0xF];
   }
   return out;
 }

@@ -17,10 +17,10 @@
 //
 // File layout under the cache dir (both files share one record framing):
 //
-//   snapshot.lapxc   "LAPXC003" magic, then records.  Rewritten as a
+//   snapshot.lapxc   "LAPXC004" magic, then records.  Rewritten as a
 //                    whole via write-to-temp + fsync + rename, so a
 //                    crash mid-save leaves the previous snapshot intact.
-//   journal.lapxj    "LAPXJ003" magic, then records appended on every
+//   journal.lapxj    "LAPXJ004" magic, then records appended on every
 //                    first-writer-wins cache fill (one write() each).
 //
 //   record  := u32le body_len | u8 type | body | u32le crc32(type+body)

@@ -19,26 +19,38 @@
 // carries an epoch counter -- 1 for a fresh put, previous + 1 when a put
 // overwrites or a mutate edits the bound graph.  An in-flight query pins
 // its epoch (it holds the entry shared_ptr it resolved); mutation
-// installs the next epoch without touching the old one.  `content_hex`
-// is the first 16 hex digits of the content id -- it never depends on
-// process history, so it is safe to surface in deterministic responses.
+// installs the next epoch without changing what the old one answers.
+// `content_hex` is the first 16 hex digits of the content id -- it never
+// depends on process history, so it is safe to surface in deterministic
+// responses.
 //
 // Mutation: `mutate` applies a batch of edge edits to a copy of the
 // bound graph (atomic: a bad edit throws graph::MutationError and leaves
-// the binding untouched) and installs the result as the next epoch.  If
-// the old epoch had a materialized RefineState, the new entry patches the
-// old L-digraph at the edit and derives its state from the old one,
-// seeded from the edit's frontier and re-refining only where types move
-// (core::RefineState's derivation constructor), instead of rebuilding
-// either over the whole graph.  Likewise every radius of ordered-ball
-// classes the old epoch holds is forked and re-typed on the edit's ball
-// frontier only (graph::ball_frontier); a radius whose frontier spans
-// every vertex is dropped instead, so the fork never costs more than the
-// from-scratch pass a later query pays.
+// the binding untouched) and installs the result as the next epoch.  The
+// new entry patches the old one's content digest at the leaves the edit
+// rewrote (ContentDigest).  If the old epoch had a materialized
+// RefineState, the new entry patches the old L-digraph at the edit and
+// derives its state from the old one, seeded from the edit's frontier and
+// re-refining only where types move (core::RefineState's consuming
+// derivation), instead of rebuilding either over the whole graph.
+// Likewise every radius of ordered-ball classes the old epoch holds is
+// taken over and re-typed on the edit's ball frontier only
+// (graph::ball_frontier); a radius whose frontier spans every vertex is
+// dropped instead, so the fork never costs more than the from-scratch
+// pass a later query pays.
+//
+// Epoch hand-over: the superseded epoch keeps its Graph and L-digraph,
+// which queries read without a lock, but gives up its refinement and its
+// ordered-ball classes -- the next epoch takes both over (moved out under
+// the old entry's locks) and edits them in place, so a write that keeps
+// every degree copies no O(n) table.  A query still pinned to the superseded epoch rebuilds what
+// it asks for on first use, through the same lazy paths a fresh entry
+// takes: the same response bytes, only slower.  The content digest is
+// small (32 bytes per 1 024 edges), so it is copied, not taken.
 //
 // Eviction: the store holds at most `max_graphs` named entries; inserting
 // beyond that evicts the least-recently-used name.  `content_id` is the
-// BLAKE2b-256 digest of the graph's edge array (graph_content_id) -- the
+// Merkle digest of the graph's edge array (graph_content_id) -- the
 // result cache keys on it, so two names bound to identical graphs share
 // cache entries, re-uploading identical content keeps the cache warm, and
 // the id is the same in every process.  It never enters the interner.
@@ -61,13 +73,52 @@
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/ooc.hpp"
 #include "lapx/order/homogeneity.hpp"
+#include "lapx/service/blake2b.hpp"
 #include "lapx/service/protocol.hpp"
 
 namespace lapx::service {
 
-/// A stored graph plus lazily-derived shared artifacts.  One immutable
-/// epoch of a session; mutation creates the next entry, it never edits
-/// this one.
+/// An in-memory graph's content identity, kept per leaf: the two-level
+/// Merkle tree blake2b.hpp defines, over the edge array in leaves of
+/// kLeafEdges ids.  An epoch keeps its digest (32 bytes per leaf) so the
+/// next one, an edit of it, re-hashes only the leaves the edit rewrote,
+/// plus the root.
+class ContentDigest {
+ public:
+  static constexpr std::size_t kLeafEdges = 1024;
+
+  ContentDigest() = default;  // no graph (an out-of-core entry's)
+
+  /// Hashes every leaf of g, then the root.
+  explicit ContentDigest(const graph::Graph& g);
+
+  /// The digest of g, which an edit batch made from the graph `parent`
+  /// digests; `rewritten` is what graph::apply_edits returned for that
+  /// batch.  Re-hashes only the leaves holding a rewritten id below
+  /// g.num_edges(), then the root: equal to ContentDigest(g).
+  ContentDigest(const ContentDigest& parent, const graph::Graph& g,
+                std::span<const graph::EdgeId> rewritten);
+
+  /// The root as 64 lowercase hex digits (empty without a graph).
+  const std::string& id() const { return id_; }
+
+ private:
+  void hash_leaf(const graph::Graph& g, std::size_t k);
+  void hash_root(const graph::Graph& g);
+
+  std::vector<Blake2b256::Digest> leaves_;
+  std::string id_;
+};
+
+/// An in-memory graph's content identity, ContentDigest(g).id(): 64
+/// lowercase hex digits.  Edge ids and endpoint order fix it, so equal
+/// graphs (Graph::operator==) get equal ids.
+std::string graph_content_id(const graph::Graph& g);
+
+/// A stored graph plus lazily-derived shared artifacts.  One epoch of a
+/// session: mutation creates the next entry and never edits this one's
+/// graph, but takes over its refinement and ordered-ball classes (the
+/// epoch hand-over above), which this entry then rebuilds on demand.
 ///
 /// Two backings share the interface: in-memory (put/generate/upload) and
 /// out-of-core (open_ooc) -- the latter keeps the graph in its mmap'd
@@ -81,14 +132,21 @@ class GraphEntry {
   /// In-memory backing; the content id is graph_content_id(g).
   GraphEntry(graph::Graph g, std::uint64_t epoch);
 
-  /// Out-of-core backing.  `content_hex` is the file's payload checksum in
-  /// hex and the content id is "ooc:" + content_hex -- stable across
-  /// processes, so persisted cache entries stay addressable while the
-  /// file's bytes do (the checksum covers the whole step CSR, so a file
-  /// rewritten in another format version is new content).
+  /// In-memory backing for the next epoch of `parent`, an in-memory
+  /// entry whose graph graph::apply_edits turned into g, returning
+  /// `rewritten`: the content digest is parent's, patched at the leaves
+  /// the edit rewrote.
+  GraphEntry(graph::Graph g, std::uint64_t epoch, const GraphEntry& parent,
+             std::span<const graph::EdgeId> rewritten);
+
+  /// Out-of-core backing.  The content id is "ooc:" + the BLAKE2b-256 of
+  /// the file's payload bytes (64 hex digits) -- stable across processes,
+  /// so persisted cache entries stay addressable while the file's bytes
+  /// do (the payload is the whole step CSR, so a file rewritten in
+  /// another format version is new content), and collision-resistant like
+  /// graph_content_id.  The prefix keeps it apart from every in-memory id.
   GraphEntry(std::unique_ptr<graph::OocGraph> ooc, std::string source_path,
-             std::string content_hex, std::uint64_t epoch,
-             graph::Vertex materialize_max_vertices);
+             std::uint64_t epoch, graph::Vertex materialize_max_vertices);
 
   bool is_ooc() const { return ooc_ != nullptr; }
   const graph::OocGraph* ooc() const { return ooc_.get(); }
@@ -105,15 +163,15 @@ class GraphEntry {
   const graph::Graph& graph() const;
 
   /// The content identity query fingerprints embed: graph_content_id of
-  /// the graph, or "ooc:" + content_hex for an out-of-core entry.  Equal
-  /// for equal graphs in any process.
+  /// the graph, or "ooc:" + the payload digest for an out-of-core entry.
+  /// Equal for equal graphs in any process.
   const std::string& content_id() const { return content_id_; }
 
   /// 1 for a fresh binding; previous + 1 after each overwrite or mutate.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// The first 16 hex digits of content_id (an out-of-core entry: its
-  /// file's payload checksum).  Stable across processes and executor
+  /// The first 16 hex digits of the digest in content_id (after "ooc:"
+  /// for an out-of-core entry).  Stable across processes and executor
   /// counts (raw interner ids are not).
   const std::string& content_hex() const { return content_hex_; }
 
@@ -130,17 +188,21 @@ class GraphEntry {
   std::vector<core::TypeId> view_types(int r) const;
 
   /// True when the refinement state has been materialized (stats, and
-  /// whether a mutate derives the next epoch's).
+  /// whether a mutate derives the next epoch's).  False again on an
+  /// epoch a mutate superseded, until a query rebuilds it.
   bool has_refine_state() const;
 
   /// Pre-publication hook used by SessionStore::mutate: if `prev` has a
   /// materialized RefineState, patch prev's L-digraph at the edit into
-  /// this entry's (graph::to_ldigraph's patching overload) and derive this
-  /// entry's state from prev's, comparing signatures only on
-  /// graph::affected_frontier(graph(), edits, 1) and re-refining only the
-  /// frontier the edit moves.  `edits` turned prev's graph into this
-  /// entry's.  Holds prev's refinement lock while it derives.  Must be
-  /// called before the entry is visible to other threads.
+  /// this entry's (graph::to_ldigraph's patching overload), take prev's
+  /// state over (moved out under prev's refinement lock, which is all the
+  /// lock covers) and derive this entry's state inside its buffers,
+  /// comparing signatures only on graph::affected_frontier(graph(),
+  /// edits, 1) and re-refining only the frontier the edit moves.  prev
+  /// keeps its L-digraph and rebuilds a refinement lazily if a query
+  /// still asks it for one.  `edits` turned prev's graph into this
+  /// entry's.  Must be called before the entry is visible to other
+  /// threads.
   void fork_refine_from(const GraphEntry& prev,
                         std::span<const graph::EdgeEdit> edits) const;
 
@@ -152,10 +214,12 @@ class GraphEntry {
   order::HomogeneityReport homogeneity(int r) const;
 
   /// Pre-publication hook used by SessionStore::mutate, beside
-  /// fork_refine_from: forks every radius of ordered-ball classes `prev`
-  /// holds and re-types only graph::ball_frontier(graph(), edits, r); a
-  /// radius whose frontier is every vertex is dropped (a later query
-  /// rebuilds it).  `edits` turned prev's graph into this entry's.
+  /// fork_refine_from: takes over every radius of ordered-ball classes
+  /// `prev` holds (moved out under prev's homogeneity lock; a query still
+  /// pinned to prev rebuilds the radius it asks for) and re-types only
+  /// graph::ball_frontier(graph(), edits, r); a radius whose frontier is
+  /// every vertex is dropped (a later query rebuilds it).  `edits` turned
+  /// prev's graph into this entry's.
   void fork_homogeneity_from(const GraphEntry& prev,
                              std::span<const graph::EdgeEdit> edits) const;
 
@@ -166,6 +230,7 @@ class GraphEntry {
   std::unique_ptr<graph::OocGraph> ooc_;
   std::string source_path_;
   graph::Vertex materialize_max_ = 0;
+  ContentDigest digest_;  // in-memory backing only
   std::string content_id_;
   std::uint64_t epoch_;
   std::string content_hex_;
@@ -183,12 +248,6 @@ class GraphEntry {
   mutable std::mutex mutate_mu_;
   friend class SessionStore;
 };
-
-/// An in-memory graph's content identity: unkeyed BLAKE2b-256, as 64
-/// lowercase hex digits, over u64le n, u64le m, then each edge's (first,
-/// second) as two u32le values in edge-id order.  Edge ids and endpoint
-/// order fix it, so equal graphs (Graph::operator==) get equal ids.
-std::string graph_content_id(const graph::Graph& g);
 
 class SessionStore {
  public:
@@ -225,8 +284,10 @@ class SessionStore {
   std::shared_ptr<const GraphEntry> get(const std::string& name);
 
   /// Applies `edits` to a copy of the graph bound to `name` and installs
-  /// the result as the next epoch, deriving its refinement state from the
-  /// old epoch's when one is materialized.  Returns the new entry, or
+  /// the result as the next epoch, patching the old epoch's content digest
+  /// and taking over (and deriving from) its refinement state and
+  /// ordered-ball classes when they are materialized.  Returns the new
+  /// entry, or
   /// nullptr when the name is absent.  Throws graph::MutationError on an
   /// invalid edit (the binding is left untouched).  Mutations of one name are
   /// serialized, so its epochs are strictly increasing; mutations of

@@ -15,8 +15,8 @@ namespace lapx::service {
 
 namespace {
 
-constexpr char kSnapshotMagic[9] = "LAPXC003";
-constexpr char kJournalMagic[9] = "LAPXJ003";
+constexpr char kSnapshotMagic[9] = "LAPXC004";
+constexpr char kJournalMagic[9] = "LAPXJ004";
 constexpr std::size_t kMagicLen = 8;
 constexpr char kEntryRecord = 'E';
 // A record body is a key + a payload, both protocol-capped at 16 MiB; a

@@ -10,49 +10,90 @@
 
 namespace lapx::service {
 
-namespace {
+// Endpoints are non-negative, so on a little-endian host (blake2b.cpp
+// asserts one) the edge array's own bytes are the encoding: no copy.
+static_assert(sizeof(graph::Edge) == 2 * sizeof(std::uint32_t) &&
+              offsetof(graph::Edge, second) == sizeof(std::uint32_t));
 
-// 16 lowercase hex digits, most significant first.
-std::string hex16(std::uint64_t h) {
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = "0123456789abcdef"[h & 0xf];
-    h >>= 4;
-  }
-  return out;
+ContentDigest::ContentDigest(const graph::Graph& g)
+    : leaves_((g.num_edges() + kLeafEdges - 1) / kLeafEdges) {
+  for (std::size_t k = 0; k < leaves_.size(); ++k) hash_leaf(g, k);
+  hash_root(g);
 }
 
-}  // namespace
+ContentDigest::ContentDigest(const ContentDigest& parent,
+                             const graph::Graph& g,
+                             std::span<const graph::EdgeId> rewritten)
+    : leaves_(parent.leaves_) {
+  // Every slot the edit changed, added or dropped is rewritten, so only
+  // their leaves -- the shortened or grown last one among them -- differ.
+  leaves_.resize((g.num_edges() + kLeafEdges - 1) / kLeafEdges);
+  std::size_t last = leaves_.size();  // rewritten is ascending
+  for (const graph::EdgeId id : rewritten) {
+    const std::size_t k = static_cast<std::size_t>(id) / kLeafEdges;
+    if (k >= leaves_.size()) break;
+    if (k != last) hash_leaf(g, last = k);
+  }
+  hash_root(g);
+}
 
-std::string graph_content_id(const graph::Graph& g) {
-  // Endpoints are non-negative, so on a little-endian host (blake2b.cpp
-  // asserts one) the edge array's own bytes are the encoding: no copy.
-  static_assert(sizeof(graph::Edge) == 2 * sizeof(std::uint32_t) &&
-                offsetof(graph::Edge, second) == sizeof(std::uint32_t));
+void ContentDigest::hash_leaf(const graph::Graph& g, std::size_t k) {
+  const std::uint8_t leaf_tag = 0x00;
+  const std::size_t lo = k * kLeafEdges;
+  const std::size_t count = std::min(kLeafEdges, g.num_edges() - lo);
+  Blake2b256 hash;
+  hash.update(&leaf_tag, 1);
+  hash.update(g.edges().data() + lo, count * sizeof(graph::Edge));
+  leaves_[k] = hash.digest();
+}
+
+void ContentDigest::hash_root(const graph::Graph& g) {
+  const std::uint8_t root_tag = 0x01;
   const std::uint64_t header[2] = {
       static_cast<std::uint64_t>(g.num_vertices()), g.num_edges()};
   Blake2b256 hash;
+  hash.update(&root_tag, 1);
   hash.update(header, sizeof header);
-  hash.update(g.edges().data(), g.num_edges() * sizeof(graph::Edge));
-  return hash.hex();
+  hash.update(leaves_.data(), leaves_.size() * sizeof(Blake2b256::Digest));
+  id_ = hash.hex();
+}
+
+std::string graph_content_id(const graph::Graph& g) {
+  return ContentDigest(g).id();
 }
 
 GraphEntry::GraphEntry(graph::Graph g, std::uint64_t epoch)
     : graph_(std::move(g)),
-      content_id_(graph_content_id(graph_)),
+      digest_(graph_),
+      content_id_(digest_.id()),
+      epoch_(epoch),
+      content_hex_(content_id_.substr(0, 16)) {}
+
+GraphEntry::GraphEntry(graph::Graph g, std::uint64_t epoch,
+                       const GraphEntry& parent,
+                       std::span<const graph::EdgeId> rewritten)
+    : graph_(std::move(g)),
+      digest_(parent.digest_, graph_, rewritten),
+      content_id_(digest_.id()),
       epoch_(epoch),
       content_hex_(content_id_.substr(0, 16)) {}
 
 GraphEntry::GraphEntry(std::unique_ptr<graph::OocGraph> ooc,
-                       std::string source_path, std::string content_hex,
-                       std::uint64_t epoch,
+                       std::string source_path, std::uint64_t epoch,
                        graph::Vertex materialize_max_vertices)
     : ooc_(std::move(ooc)),
       source_path_(std::move(source_path)),
       materialize_max_(materialize_max_vertices),
-      content_id_("ooc:" + content_hex),
-      epoch_(epoch),
-      content_hex_(std::move(content_hex)) {}
+      epoch_(epoch) {
+  // One more pass over the payload open already checksummed: FNV-1a
+  // guards the file's integrity, BLAKE2b names its content.
+  const std::span<const unsigned char> payload = ooc_->payload();
+  Blake2b256 hash;
+  hash.update(payload.data(), payload.size());
+  const std::string hex = hash.hex();
+  content_id_ = "ooc:" + hex;
+  content_hex_ = hex.substr(0, 16);
+}
 
 graph::Vertex GraphEntry::num_vertices() const {
   return ooc_ ? ooc_->num_vertices() : graph_.num_vertices();
@@ -117,24 +158,24 @@ bool GraphEntry::has_refine_state() const {
 
 void GraphEntry::fork_refine_from(
     const GraphEntry& prev, std::span<const graph::EdgeEdit> edits) const {
-  // A refinement, once built, stays; and it implies prev's L-digraph,
-  // which this entry's patches at the edit.
-  if (!prev.has_refine_state()) return;  // nothing materialized; stay lazy
+  // prev's state moves out under prev's lock, so a concurrent query on
+  // prev either finished with it or finds none and rebuilds its own; the
+  // derivation then runs under no lock, in the moved buffers.  A state
+  // implies prev's L-digraph, which this entry's patches at the edit.
+  std::unique_ptr<core::RefineState> state;
+  {
+    std::lock_guard<std::mutex> plock(prev.refine_mu_);
+    state = std::move(prev.refine_);
+  }
+  if (!state) return;  // nothing materialized; stay lazy
   const std::vector<graph::Vertex> frontier =
       graph::affected_frontier(graph_, edits, 1);
   std::call_once(ld_once_, [&] {
     ld_ = std::make_unique<graph::LDigraph>(
         graph::to_ldigraph(graph_, prev.ldigraph(), edits, frontier));
   });
-  // The derivation reads prev's kept tables, so it runs under prev's lock
-  // (a concurrent query may not advance prev meanwhile); the child is
-  // installed under ours, and the two locks are never held together.
-  std::unique_ptr<core::RefineState> derived;
-  {
-    std::lock_guard<std::mutex> plock(prev.refine_mu_);
-    derived = std::make_unique<core::RefineState>(*prev.refine_, *ld_,
-                                                  frontier);
-  }
+  auto derived =
+      std::make_unique<core::RefineState>(std::move(*state), *ld_, frontier);
   std::lock_guard<std::mutex> lock(refine_mu_);
   refine_ = std::move(derived);
 }
@@ -153,12 +194,12 @@ order::HomogeneityReport GraphEntry::homogeneity(int r) const {
 
 void GraphEntry::fork_homogeneity_from(
     const GraphEntry& prev, std::span<const graph::EdgeEdit> edits) const {
-  // Pre-publication: this entry is not yet visible, so taking prev's lock
-  // then ours cannot cycle with any other lock order.
+  // prev's classes move out under prev's lock, as fork_refine_from's
+  // state does: a query still pinned to prev rebuilds the radius it asks.
   std::map<int, order::OrderedBallClasses> forked;
   {
     std::lock_guard<std::mutex> plock(prev.homogeneity_mu_);
-    forked = prev.homogeneity_;
+    forked.swap(prev.homogeneity_);
   }
   if (forked.empty()) return;  // nothing typed yet; stay lazy
   const graph::Graph& g = graph();
@@ -193,11 +234,7 @@ std::shared_ptr<const GraphEntry> SessionStore::put(const std::string& name,
 std::shared_ptr<const GraphEntry> SessionStore::open_ooc(
     const std::string& name, const std::string& path) {
   auto ooc = std::make_unique<graph::OocGraph>(path);  // throws OocError
-  // Content identity: the file's payload checksum, stable across restarts
-  // and namespaced so it can never collide with a graph_content_id.
-  std::string hex = hex16(ooc->payload_checksum());
-  auto entry = std::make_shared<GraphEntry>(std::move(ooc), path,
-                                            std::move(hex), /*epoch=*/1,
+  auto entry = std::make_shared<GraphEntry>(std::move(ooc), path, /*epoch=*/1,
                                             opt_.ooc_materialize_max_vertices);
   Displaced displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
@@ -255,9 +292,10 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
           "cannot mutate an out-of-core session; regenerate the file and "
           "re-open it");
     graph::Graph g = old->graph();
-    graph::apply_edits(g, edits);  // throws MutationError; binding untouched
-    auto entry =
-        std::make_shared<const GraphEntry>(std::move(g), old->epoch() + 1);
+    // Throws MutationError, leaving the binding and `old` untouched.
+    const std::vector<graph::EdgeId> rewritten = graph::apply_edits(g, edits);
+    auto entry = std::make_shared<const GraphEntry>(
+        std::move(g), old->epoch() + 1, *old, rewritten);
     entry->fork_refine_from(*old, edits);
     entry->fork_homogeneity_from(*old, edits);
     std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock

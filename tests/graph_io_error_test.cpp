@@ -101,6 +101,60 @@ TEST(EdgeListErrors, AnEarlierInvalidEdgeBeatsALaterBadLine) {
             "edge list: vertex out of range on edge 0 4");
 }
 
+TEST(EdgeListErrors, FieldsReadAsStreamExtractionReadsThem) {
+  // Each field is read as `std::istream >> long long` reads one: leading
+  // whitespace (any of " \t\v\f\r"), an optional sign, decimal digits,
+  // and a failure on overflow; the token after the fields is the one the
+  // trailing-garbage message quotes.  Both entry points agree.
+  auto message = [](const std::string& text) -> std::string {
+    std::string from_stream;
+    try {
+      std::istringstream is(text);
+      read_edge_list(is);
+      from_stream = "parsed";
+    } catch (const std::invalid_argument& e) {
+      from_stream = e.what();
+    }
+    try {
+      parse(text);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), from_stream) << text;
+      return e.what();
+    }
+    EXPECT_EQ("parsed", from_stream) << text;
+    return "parsed";
+  };
+  // Signs: '+' is taken before a digit, as is '-'; alone or doubled, not.
+  EXPECT_EQ(message("+3 1\n+0 +1\n"), "parsed");
+  EXPECT_EQ(parse("3 1\n-0 +02\n").edge(0), Edge(0, 2));
+  EXPECT_EQ(message("+\n"), "edge list: bad header");
+  EXPECT_EQ(message("3 1\n+-1 2\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n--1 2\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n+ 1 2\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n0 -1\n"),
+            "edge list: vertex out of range on edge 0 -1");
+  // Overflow of a 64-bit field fails the line; the extremes still parse.
+  EXPECT_EQ(message("99999999999999999999 1\n"), "edge list: bad header");
+  EXPECT_EQ(message("3 1\n0 99999999999999999999\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n-9223372036854775809 1\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n9223372036854775807 1\n"),
+            "edge list: vertex out of range on edge 9223372036854775807 1");
+  // Garbage glued to a field is the next token; a glued comment is not.
+  EXPECT_EQ(message("3 1 2x # c\n0 1\n"),
+            "edge list: trailing garbage after header: 2x");
+  EXPECT_EQ(message("3 1\n0 1x\n"),
+            "edge list: trailing garbage after edge: x");
+  EXPECT_EQ(message("3 1\n0x1 2\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n1.5 2\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n0 1#c\n"), "parsed");
+  // Missing fields, and a line of whitespace that blank-line skipping
+  // does not treat as blank.
+  EXPECT_EQ(message("3 1\n\n0\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\n\v\n"), "edge list: bad edge");
+  EXPECT_EQ(message("3 1\r\n0\t1\v\f\r\n"), "parsed");
+  EXPECT_EQ(message("3 2\n0 1"), "edge list: missing edges");
+}
+
 TEST(EdgeListErrors, LimitsAreEnforced) {
   EdgeListLimits tight;
   tight.max_vertices = 4;

@@ -162,9 +162,27 @@ void expect_round_trip(const LDigraph& ld, const std::string& path) {
 }
 
 TEST(OocFormat, Fnv1a64SeedIsPinned) {
-  // Every checksum here and every content_hex starts from this seed (one
-  // digit short of the reference offset basis; see ooc.hpp).
+  // Every LAPXOOC1 checksum starts from this seed (one digit short of the
+  // reference offset basis; see ooc.hpp).
   EXPECT_EQ(lapx::graph::fnv1a64("", 0), 1469598103934665603ull);
+}
+
+TEST(OocService, ContentIdIsThePayloadDigest) {
+  // An ooc session's id is "ooc:" + BLAKE2b-256 of the file's payload,
+  // pinned from Python's hashlib over what `lapx_cli graph-convert F
+  // --family torus 3 3` writes:
+  //   hashlib.blake2b(open(F, "rb").read()[128:],
+  //                   digest_size=32).hexdigest()
+  TempDir dir;
+  const std::string path = dir.path + "/torus.lapxooc";
+  lapx::graph::write_ooc_graph(
+      path, lapx::graph::to_ldigraph(lapx::graph::torus({3, 3})));
+  lapx::service::SessionStore store;
+  const auto entry = store.open_ooc("t", path);
+  EXPECT_EQ(entry->content_id(),
+            "ooc:e53120d3a03f945ce4455fdbbaecbf6bc387ae7883800a2892151ef220b3"
+            "17c5");
+  EXPECT_EQ(entry->content_hex(), "e53120d3a03f945c");
 }
 
 TEST(OocFormat, RoundTripTorus) {

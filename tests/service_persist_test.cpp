@@ -323,9 +323,10 @@ TEST(PersistService, CorruptedChecksumDiscardsFromCorruption) {
 TEST(PersistService, GarbageFilesIgnoredNotFatal) {
   // Two kinds of unreadable store: plain garbage, and framed records under
   // the earlier formats' magics -- LAPXC001/LAPXJ001, whose entries keyed
-  // graphs by file-local content slots, and LAPXC002/LAPXJ002, whose
-  // fingerprints named graphs by a digest of their edge-list text.  All
-  // load cold.
+  // graphs by file-local content slots, LAPXC002/LAPXJ002, whose
+  // fingerprints named graphs by a digest of their edge-list text, and
+  // LAPXC003/LAPXJ003, by a flat digest of their edge array and an
+  // out-of-core file by its FNV-1a checksum.  All load cold.
   TempDir framed;
   {
     TypeInterner a;
@@ -341,7 +342,7 @@ TEST(PersistService, GarbageFilesIgnoredNotFatal) {
   ASSERT_GT(old_journal.size(), 8u);
   const std::string garbage = "total garbage, not a store\n";
   std::vector<std::pair<std::string, std::string>> stores{{garbage, garbage}};
-  for (const char* version : {"001", "002"})
+  for (const char* version : {"001", "002", "003"})
     stores.emplace_back(
         std::string("LAPXC") + version + old_snapshot.substr(8),
         std::string("LAPXJ") + version + old_journal.substr(8));

@@ -1275,6 +1275,7 @@ TEST(Service, MutateDifferentialMatchesFreshUpload) {
               {{Kind::kRemove, a, b}, {Kind::kAdd, x, x}},
               {{Kind::kAdd, 0, n}}};
           const auto before = session_responses(svc, "s", true);
+          const auto bound = svc.store().get("s");
           for (const auto& batch : bad) {
             const std::string resp = svc.handle(mutate_request("s", batch));
             EXPECT_NE(resp.find("\"code\":\"bad_request\""),
@@ -1283,6 +1284,9 @@ TEST(Service, MutateDifferentialMatchesFreshUpload) {
             ++rejected;
           }
           EXPECT_EQ(session_responses(svc, "s", true), before);
+          // The binding, and with it the id and its leaf digests, stayed.
+          EXPECT_EQ(svc.store().get("s"), bound);
+          EXPECT_EQ(bound->content_id(), lapx::service::graph_content_id(g));
           states = true;  // session_responses queried everything
           continue;
         }
@@ -1295,6 +1299,10 @@ TEST(Service, MutateDifferentialMatchesFreshUpload) {
         const int old_max = g.max_degree();
         lapx::graph::apply_edits(g, batch);
         if (g.max_degree() != old_max) ++degree_moves;
+        // The digest patched at the rewritten leaves is the one hashed
+        // from scratch.
+        EXPECT_EQ(svc.store().get("s")->content_id(),
+                  lapx::service::graph_content_id(g));
         ASSERT_NE(ref.handle(upload_request("s", g)).find("\"ok\":true"),
                   std::string::npos);
         EXPECT_EQ(session_responses(svc, "s", false),

@@ -14,12 +14,14 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "graph_corpus.hpp"
 #include "lapx/core/interner.hpp"
 #include "lapx/core/refine.hpp"
 #include "lapx/graph/generators.hpp"
@@ -27,6 +29,7 @@
 #include "lapx/graph/mutation.hpp"
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/order/homogeneity.hpp"
+#include "lapx/runtime/parallel.hpp"
 #include "lapx/service/blake2b.hpp"
 #include "lapx/service/handlers.hpp"
 #include "lapx/service/protocol.hpp"
@@ -119,12 +122,14 @@ TEST(SessionStore, MutateAdvancesEpochAndRoundTripsContent) {
 }
 
 // The content ids pinned below come from Python's hashlib over the
-// encoding graph_content_id documents, with n and the edges parsed from
-// `lapx_cli generate FAMILY ARGS...` output (one "first second" line per
-// edge, in edge-id order):
-//   hashlib.blake2b(struct.pack("<QQ", n, m) + b"".join(
-//       struct.pack("<II", u, v) for u, v in edges),
-//       digest_size=32).hexdigest()
+// Merkle tree graph_content_id documents (blake2b.hpp), with n and the
+// edges parsed from `lapx_cli generate FAMILY ARGS...` output (one "first
+// second" line per edge, in edge-id order):
+//   b2 = lambda d: hashlib.blake2b(d, digest_size=32)
+//   e = b"".join(struct.pack("<II", u, v) for u, v in edges)
+//   leaves = [b2(b"\0" + e[i:i + 8192]).digest()
+//             for i in range(0, len(e), 8192)]
+//   b2(b"\1" + struct.pack("<QQ", n, m) + b"".join(leaves)).hexdigest()
 // The edge-list digests beside them are BLAKE2b-256 of to_edge_list(g):
 // they pin each builder's edge order independently of the id encoding.
 
@@ -135,8 +140,8 @@ TEST(SessionStore, ContentHexIsPinned) {
   SessionStore store;
   const auto entry = store.put("g", lapx::graph::torus({4, 4}));
   EXPECT_EQ(entry->content_id(),
-            "51f3d25f90dfa5a8e98380eb4e5544bd8de0fdc55ab7016a342ccb68dbd2b563");
-  EXPECT_EQ(entry->content_hex(), "51f3d25f90dfa5a8");
+            "46f6618727ef6a54a8ec2074e5bc51e697ba183facc7679e7f9f3b4b75a79b9e");
+  EXPECT_EQ(entry->content_hex(), "46f6618727ef6a54");
   EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(entry->graph())),
             "ebebcf178b5e846031498d57ae801aa11cae0b05e663540a579cba4728cdde09");
   // A lift also pins LDigraph::arcs() order: random_lift draws one
@@ -144,31 +149,36 @@ TEST(SessionStore, ContentHexIsPinned) {
   // the lifted edges in it.
   const auto lift = store.put("lift", lapx::graph::lifted_torus(3, 3, 40, 7));
   EXPECT_EQ(lift->content_id(),
-            "86654a5c626f2af8b1b1d021fff0eff93c4ab78f78f4578cca0c9dfda5ad11f7");
-  EXPECT_EQ(lift->content_hex(), "86654a5c626f2af8");
+            "be0510d5c5549efc7490fdf114c9f58d327ad8176756f63930c8b88121466980");
+  EXPECT_EQ(lift->content_hex(), "be0510d5c5549efc");
   EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(lift->graph())),
             "287ad27d0ffa665faf70ff4572df7e9c27c74f28a688429f0764b4058523edf7");
 }
 
 TEST(SessionStore, ContentIdPinsEdgeCases) {
-  // No edges at two vertex counts (the header alone, which must still
-  // tell them apart), one edge, exactly one 128-byte block (m = 14: a
-  // full final block), and m = 1000 (8 000 bytes of edges, 63 blocks).
+  // No edges at two vertex counts (no leaf: the root's header alone,
+  // which must still tell them apart), one edge, m = 14 and m = 1000 (one
+  // partial leaf each), and m = 1024 and 1025: exactly one full leaf, and
+  // a full leaf plus a leaf of one edge.
   struct Pin {
     lapx::graph::Graph g;
     const char* id;
   };
   const Pin pins[] = {
       {lapx::graph::Graph(0),
-       "94c1c088cc9453996779630ad3af45cbd92814828dd784cf2aa12df95d1b8afe"},
+       "eb26d1099560e57f95908fda97dd2cda9ce88bab77962b8011f50c03473f15c9"},
       {lapx::graph::Graph(5),
-       "ffc59942a6b1087b7dda01e31908984bae6a16b4d35ffee7d489680031cd8a9a"},
+       "4ebe5b70fd590e0f3e7049788fac776620d7e0012bfcc53480ff0e6d9a29668a"},
       {lapx::graph::path(2),
-       "ef06fa173d8edbc5d2f47070e3eebe44d6d5697536995f01d2cef0f4b614eff3"},
+       "fafd346bb2f134984b9c0d53e5f6863a12919dc9ca7cbd336802e5960220b0c8"},
       {lapx::graph::cycle(14),
-       "d64165f424d114a7c7b794d0076e3a701300f1d05a60e6168d48757903af996d"},
+       "c99b0695807b427f6eeca2b7859ca5f3f69b171297b8118d9fdc0baf7949e937"},
       {lapx::graph::cycle(1000),
-       "d34d10373704abd411f0961ea525140912aca9dcc60f2bf04b1824312a3fdfe1"},
+       "dba6cb38b2672cabffda8e2f05eda23247800cda0af5942e08f5cbe7303940cf"},
+      {lapx::graph::cycle(1024),
+       "3ea173c76c774a7a26f1e6c5c7276fd44aef12b61f23eeb2c32cd0f2f2c6f6d4"},
+      {lapx::graph::cycle(1025),
+       "00fcaed98b21b4cd5a8a8d158810518aab40c847b346eb9e29911274bca81667"},
   };
   SessionStore store;
   for (const Pin& p : pins) {
@@ -200,49 +210,49 @@ TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
   const Pin pins[] = {
       {"cycle", "[50]",
        "ec369770b33f57ad62cfeb92de25431047747d70e9dca3e0364edef78bc10e88",
-       "9a5b1a98bc6652d7e1eac79092ab51ec60120365c47905e0d913518b1d9d7a22"},
+       "625acb63187390cca312b0ca95287823e39a19bc4333a6587b0468566eb324a1"},
       {"path", "[40]",
        "a0d4943421c09fcc9ac66c91a67dec11f0ea43af0b9c16417d73df5f93792d36",
-       "7a83caf14a91bf7cc646a942ba1b53c68e9e224d0020feecbec313af39899e41"},
+       "d55099a863f48a3be517d1fcb67aaffeeff5c6fd758e8a2193e1b8b80de7bc58"},
       {"complete", "[12]",
        "f53c27e57b65b405d1f1ce1b6664283ecfbc8eee90220cb2c04db2c0e906e2f7",
-       "8e06b4008789874741b6f005f13c0ae5411d11abcb76c4845814155d26b89d05"},
+       "afc9ad0cdf0069c6307cd6bc6629d0d30737b39d293610f5e3e2dcde60838c35"},
       {"torus", "[5,7]",
        "d50b665a117674d3b8bacdedaf02775aab240840b6862270044742264e6cd148",
-       "046c391bcf05330694463309176c97061729acac43e6a9538e1738b5873f3713"},
+       "a42963fc0326a1f242ac255aa9544f513a55d506a8e2824b17573522ad2d4946"},
       {"torus", "[3,3]",
        "d30df1176f37cf4ded5b2a2be6b26a632d6d88ebc6284f51570d301130775511",
-       "36a2ed1e56cda5f9f74f351c4145fc906bde4a86b786db943abb26f15b721473"},
+       "24feba67f79b51f5614ee868a2b4ddd29367c5f5defc269404f96137012f65f5"},
       {"hypercube", "[6]",
        "cdd79f2e705efd578e2a899d6d7daa981243f8470d4aa1bd6b54a12e107cc962",
-       "4679a9dfa76b7b4124b8b5eb41e85ce215e1238283afc8eb2569b45482ac72f9"},
+       "0330e5fe95106d77f0b6eb90f90e260a3ad184744d3b7e80db8ad26970d298d3"},
       {"petersen", "[]",
        "d1518a5aec23515a5e689e7dbec4391a610652d5ec9ffa50c5e929f7070bb567",
-       "0474b0f4da482114fc571efc28c3cd7666aa334e019bbd309c4fdb5cbc8a0783"},
+       "40fe912d1c823c524d0ccb4be9df543f2afa8e775eb4d5291b60beca65a111fb"},
       {"gp", "[8,3]",
        "31fbf68ca5a041084b0589edd580ca5c003e81496653822d8c278adfcdc8f736",
-       "84ef99fc6b2ab91310d708d2c925e8b18a45185b55c4018d7174bc52f2d185dd"},
+       "3ffee0776f0f167e355ba737c5cc6855c670e8ee80605f72c74eaf8c3fffcf4c"},
       {"grid", "[6,9]",
        "6a750ae02c21ed1c6f8de061000fa36135fe94bbd17ffaec7cdc2591bf2990be",
-       "dee65efa2bd8d5b946f5e9c94b68f96ecae44f04d9b03d7e5e17fbead61dce29"},
+       "e43699a4c7939443400b895169c48b8e22f1872e8cba7e914df7d59dfc64caf1"},
       {"lift", "[3,3,50,7]",
        "50bbebe9760818f0988f48bbe04d6171939f645c87c3c8f564d5c5067c0358a5",
-       "102a954beb2f17fd84ec155920b4d77859dcae22bb226299ad481ff25ca515b3"},
+       "07ad16c45ea4fbcc667f430073410bcae22e74ef9647b28057e5521f44322602"},
       {"lift", "[3,4,20,11]",
        "35a6fcbe6e1c583abd8f290452d7c984708b5d6f1d24769262923acc37e3e323",
-       "700532d0ef15ad77643750c0d37b2bc7c30e1e01fa8a55e322f6602a6d750910"},
+       "5fcfef32a257c3112b8af64786e7149f92bff010592eeb497521a1d5af42f936"},
       {"regular", "[200,3,1]",
        "31447e01e691510918201bca05ee21cb45eb02c88a7c00d747cd5064fcb0cf88",
-       "2da54bf4a051387daf835a5965454a6fb8467aa844cfcf1de330d500aecf6333"},
+       "cba461f99980f46fdebbe2d5e367ba3401946139e9bfbf56f42b3a37c7def73a"},
       {"regular", "[64,6,5]",
        "b1f168b16ae3ec6dd9e7fda6e4f82193ad3fef17eaf0284ead6e74a38d4b5a32",
-       "137c5594dbf745f06eae7b9b6b95d9f072ef5cf52f9b065d3328fe27c30e91d2"},
+       "7f21caceec86f9b182aa9a78172cf7df50ad2c03791a5760c350a1de1ac81957"},
       {"regular", "[101,4,9]",
        "24446a80d6ef983f27c4749f5983390f125112b7c419319bef3e83628fd311fa",
-       "af7bd422d24c63da13a5de044f4ac449ce99de86b1b7c664c64f604b5b25fc17"},
+       "9c219b7cde5c63911f849ae73265f82235c5b883fe8393be134682ae81093681"},
       {"regular", "[500,5,3]",
        "a7582bee6ca9306716783dcb2a6715483580517f1e86739796fa302abe19e6b6",
-       "5797a73b6049f1c6a7966589def82b4b1835e2f4ae1eba637fb84f734f00eb49"},
+       "746e406900e60d3ffc8ff9c516355913df82b671f885f6af6a5f0925f0cdc719"},
   };
   SessionStore store;
   for (const Pin& p : pins) {
@@ -274,8 +284,8 @@ TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
   EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(upload->graph())),
             "4bd49bc3d8a66be098fa5d28a62d8d99ca31dd7de1355affe425080c547f521d");
   EXPECT_EQ(upload->content_id(),
-            "09de08fef0979f90f1c6dbde45d35843ac72f36440c2dabf9009dcb83ebf9d7c");
-  EXPECT_EQ(upload->content_hex(), "09de08fef0979f90");
+            "21169ec5aef67b13f7bd03b5ff49f873f43fe4dfada4c8391b7fda710078fba2");
+  EXPECT_EQ(upload->content_hex(), "21169ec5aef67b13");
 
   const auto lift = store.put(
       "l", build_generated_graph(request(
@@ -297,8 +307,56 @@ TEST(SessionStore, GeneratedAndUploadedContentIsPinned) {
   EXPECT_EQ(blake2b_256_hex(lapx::graph::to_edge_list(mutated->graph())),
             "65e669237a6746d3ff60f9540aacddde13b15f8ecb3a7c9e914c177f95cf1b75");
   EXPECT_EQ(mutated->content_id(),
-            "854953fb1371ef8804dd89dc13dd437a86930630f9a5fd56e053071efa1c9e91");
-  EXPECT_EQ(mutated->content_hex(), "854953fb1371ef88");
+            "45df824336654a14199e7ee93492c251894ae1f3c7510e303f6355057e724b24");
+  EXPECT_EQ(mutated->content_hex(), "45df824336654a14");
+}
+
+TEST(SessionStore, PatchedDigestMatchesScratchAcrossLeaves) {
+  // The edit corpus of Service.MutateDifferentialMatchesFreshUpload on
+  // graphs of several 1 024-edge leaves, and on a cycle whose edge count
+  // crosses a leaf boundary both ways: after every accepted batch the
+  // patched id is the one hashed from scratch, and a rejected batch
+  // leaves the bound entry -- its id and leaf digests -- as it was.
+  using Kind = EdgeEdit::Kind;
+  std::mt19937_64 rng(2026);
+  std::vector<lapx::graph::Graph> graphs = {
+      lapx::graph::lifted_torus(3, 3, 300, 5),
+      lapx::graph::random_regular(700, 5, rng), lapx::graph::cycle(1025)};
+  int accepted = 0, rejected = 0;
+  for (lapx::graph::Graph g : graphs) {
+    SessionStore store;
+    store.put("g", g);
+    for (int step = 0; step < 40; ++step) {
+      std::vector<EdgeEdit> batch;
+      if (g.num_edges() >= 1023 && g.num_edges() <= 1026 && step % 2 == 0) {
+        // Across the boundary: m = 1 024 is exactly one full leaf.
+        const auto [a, b] = g.edge(static_cast<lapx::graph::EdgeId>(
+            rng() % g.num_edges()));
+        batch = {{Kind::kRemove, a, b}};
+      } else {
+        batch = lapx::graph::corpus::random_edit_batch(g, rng);
+      }
+      if (batch.empty()) continue;
+      const auto before = store.get("g");
+      if (step % 5 == 4) {
+        // A valid prefix, then a self-loop: the whole batch is refused.
+        batch.push_back({Kind::kAdd, 0, 0});
+        EXPECT_THROW(store.mutate("g", batch), lapx::graph::MutationError);
+        EXPECT_EQ(store.get("g"), before);
+        EXPECT_EQ(before->content_id(), graph_content_id(g));
+        ++rejected;
+        continue;
+      }
+      lapx::graph::apply_edits(g, batch);
+      const auto entry = store.mutate("g", batch);
+      ASSERT_NE(entry, nullptr);
+      ASSERT_EQ(entry->content_id(), graph_content_id(g))
+          << "step " << step << " m=" << g.num_edges();
+      ++accepted;
+    }
+  }
+  EXPECT_GT(accepted, 60);
+  EXPECT_GT(rejected, 10);
 }
 
 TEST(SessionStore, PutAndMutateAddNoInternerIds) {
@@ -416,6 +474,42 @@ TEST(SessionStore, MutateForksHomogeneityWithExactReports) {
     expect_same_report(v1->homogeneity(2), scratch_homogeneity(g, 2));
     EXPECT_THROW(v2->homogeneity(-1), std::invalid_argument);
   }
+}
+
+TEST(SessionStore, SupersededEpochRebuildsWhatItGaveUp) {
+  // A mutate takes over epoch k's refinement and ordered-ball classes;
+  // epoch k, still pinned, answers from lazily rebuilt ones exactly as a
+  // fresh build of its graph does, below and above the radius it kept,
+  // at 1 and 8 threads.
+  const int old_threads = lapx::runtime::thread_count();
+  for (const int threads : {1, 8}) {
+    lapx::runtime::set_thread_count(threads);
+    SessionStore store;
+    const auto k = store.put("g", lapx::graph::lifted_torus(3, 3, 30, 7));
+    k->view_types(2);
+    k->homogeneity(1);
+    const auto [a, b] = k->graph().edge(4);
+    const auto [c, d] = k->graph().edge(40);
+    ASSERT_FALSE(k->graph().has_edge(a, c) || k->graph().has_edge(b, d));
+    const std::vector<EdgeEdit> two_switch{{EdgeEdit::Kind::kRemove, a, b},
+                                           {EdgeEdit::Kind::kRemove, c, d},
+                                           {EdgeEdit::Kind::kAdd, a, c},
+                                           {EdgeEdit::Kind::kAdd, b, d}};
+    const auto next = store.mutate("g", two_switch);
+    ASSERT_NE(next, nullptr);
+    EXPECT_TRUE(next->has_refine_state());
+    EXPECT_FALSE(k->has_refine_state());  // handed over
+    const lapx::graph::LDigraph fresh = lapx::graph::to_ldigraph(k->graph());
+    for (const int r : {1, 2, 3})
+      EXPECT_EQ(k->view_types(r), lapx::core::bulk_view_type_ids(fresh, r))
+          << "threads " << threads << " r=" << r;
+    expect_same_report(k->homogeneity(1), scratch_homogeneity(k->graph(), 1));
+    EXPECT_EQ(next->view_types(3),
+              lapx::core::bulk_view_type_ids(next->ldigraph(), 3));
+    expect_same_report(next->homogeneity(1),
+                       scratch_homogeneity(next->graph(), 1));
+  }
+  lapx::runtime::set_thread_count(old_threads);
 }
 
 TEST(SessionStore, MutateAbsentNameAndBadEdit) {
