@@ -401,8 +401,9 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed,
     std::optional<lapx::service::ContentDigest> patched;
     timed(kHash, [&] { patched.emplace(digest, next, rewritten); });
     const std::string& id = patched->id();
-    // As GraphEntry::fork_refine_from runs them: the edit's frontier, the
-    // parent's L-digraph patched at it, the child derived from it.
+    // As the GraphEntry(prev, edits) constructor runs them: the edit's
+    // frontier, the parent's L-digraph patched at it, the child derived
+    // from it.
     std::vector<lapx::graph::Vertex> frontier;
     std::unique_ptr<LDigraph> next_ld;
     timed(kLDigraph, [&] {
@@ -419,7 +420,7 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed,
     timed(kHomogeneity, [&] {
       scratch = lapx::order::measure_homogeneity(next, keys, 1);
     });
-    // As GraphEntry::fork_homogeneity_from and the handler run it.
+    // As the GraphEntry(prev, edits) constructor and the handler run it.
     std::optional<lapx::order::OrderedBallClasses> forked_classes;
     timed(kHomogeneityFork, [&] {
       forked_classes.emplace(std::move(classes));

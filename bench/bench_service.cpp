@@ -4,9 +4,13 @@
 // Drives the in-process Service core (exactly what `lapx_cli serve`
 // wraps in a socket) with a mixed query workload over a family of stored
 // graphs and measures:
-//   * cold-path throughput (empty result cache: every query computes),
-//   * warm-path throughput (same request stream replayed: every query is
-//     a cache lookup) and the measured hit rate,
+//   * cold-path throughput: the 69 distinct queries of the mix on a
+//     freshly set-up Service (setup untimed), so every query misses the
+//     result cache and builds its session's artifacts; the global
+//     interner stays warm, as in a long-running daemon,
+//   * warm-path throughput: the same queries replayed on that Service,
+//     every one a cache lookup, with exact counts over each warm pass --
+//     no scheduler job runs, no lookup misses and no TypeId is interned,
 //   * the determinism invariant: concatenated response bytes identical
 //     across LAPX_THREADS=1 vs =8 and across cold vs warm cache,
 //   * the executor sweep: 1/2/4/8 scheduler executors fed through the
@@ -15,6 +19,8 @@
 //     width and a cold-throughput scaling check on multi-core hosts,
 //   * backpressure: a queue-capacity-1 service under a burst answers
 //     `busy` instead of queueing unboundedly.
+// Each side is timed over enough passes to span at least 100 ms, and
+// each ratio is the median of 5 interleaved reps.
 //
 // The warm/cold ratio is the service's reason to exist: repeated
 // homogeneity/simulation queries against resident graphs must be
@@ -22,14 +28,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "lapx/core/interner.hpp"
 #include "lapx/runtime/parallel.hpp"
 #include "lapx/service/ordering.hpp"
 #include "lapx/service/service.hpp"
@@ -61,13 +70,14 @@ const std::vector<std::string>& setup_requests() {
 }
 
 // The query mix: every query op, several radii/problems/algorithms; the
-// exponential exact solvers only run against the small tier.
-std::vector<std::string> query_mix() {
+// exponential exact solvers only run against the small tier.  `reps`
+// copies of its 69 distinct queries, each request with its own id.
+std::vector<std::string> query_mix(int reps) {
   const std::vector<std::string> small = {"pet", "g44", "c12"};
   const std::vector<std::string> large = {"c200", "t99", "q7", "r4"};
   std::vector<std::string> reqs;
   int id = 100;
-  for (int rep = 0; rep < 8; ++rep) {
+  for (int rep = 0; rep < reps; ++rep) {
     for (const std::string& g : small) {
       auto add = [&](const std::string& rest) {
         reqs.push_back("{\"id\":" + std::to_string(id++) + ",\"graph\":\"" +
@@ -119,28 +129,135 @@ PassResult run_pass(Service& svc, const std::vector<std::string>& reqs) {
   return out;
 }
 
-struct ThreadsResult {
-  PassResult cold, warm;
-  double hit_rate = 0.0;
+using Pass = PassResult (*)(Service&, const std::vector<std::string>&);
+
+// A Service with the E15 graphs bound and nothing cached.
+std::unique_ptr<Service> fresh_service(int executors) {
+  Service::Options opt;
+  opt.scheduler.executors = executors;
+  auto svc = std::make_unique<Service>(opt);
+  for (const std::string& r : setup_requests()) svc->handle(r);
+  return svc;
+}
+
+// The counters a warm pass must leave unchanged, plus its hits.
+struct Counts {
+  std::uint64_t executed = 0;  // scheduler jobs run
+  std::uint64_t misses = 0;    // result-cache lookups that missed
+  std::uint64_t hits = 0;
+  std::size_t types = 0;  // TypeInterner::global().size()
 };
 
-ThreadsResult run_at(int threads, const std::vector<std::string>& reqs) {
-  lapx::runtime::set_thread_count(threads);
-  Service svc;
-  for (const std::string& r : setup_requests()) svc.handle(r);
-  ThreadsResult out;
-  svc.clear_cache();
-  out.cold = run_pass(svc, reqs);
-  const auto before = svc.cache().stats();
-  out.warm = run_pass(svc, reqs);
-  const auto after = svc.cache().stats();
-  const auto lookups = (after.hits - before.hits) +
-                       (after.misses - before.misses);
-  out.hit_rate = lookups == 0 ? 0.0
-                              : static_cast<double>(after.hits - before.hits) /
-                                    static_cast<double>(lookups);
-  lapx::runtime::set_thread_count(0);
+Counts read_counts(Service& svc) {
+  const auto cache = svc.cache().stats();
+  return {svc.scheduler().stats().executed, cache.misses, cache.hits,
+          lapx::core::TypeInterner::global().size()};
+}
+
+constexpr double kMinSpanSeconds = 0.1;  // per timed side of one rep
+constexpr int kReps = 5;                 // interleaved; ratios are medians
+
+// One rep of one configuration.  Cold: passes of `reqs`, each on a fresh
+// Service (set up untimed), until they span kMinSpanSeconds.  Warm: `reqs`
+// replayed on the last of those services until they span it too.
+struct Rep {
+  double cold_rps = 0.0, warm_rps = 0.0;
+  std::string bytes;      // the first cold pass's responses
+  bool identical = true;  // every later pass, cold or warm, matched them
+  Counts warm;            // summed over the warm passes
+};
+
+Rep measure_rep(int executors, Pass pass,
+                const std::vector<std::string>& reqs) {
+  Rep out;
+  std::unique_ptr<Service> svc;
+  const auto timed_passes = [&](const auto& before_pass) {
+    double seconds = 0.0;
+    std::size_t requests = 0;
+    while (seconds < kMinSpanSeconds) {
+      before_pass();
+      const PassResult p = pass(*svc, reqs);
+      seconds += p.seconds;
+      requests += reqs.size();
+      if (out.bytes.empty())
+        out.bytes = p.bytes;
+      else
+        out.identical = out.identical && p.bytes == out.bytes;
+    }
+    return static_cast<double>(requests) / seconds;
+  };
+  out.cold_rps = timed_passes([&] {
+    svc.reset();  // the previous pass's service goes first
+    svc = fresh_service(executors);
+  });
+  const Counts before = read_counts(*svc);
+  out.warm_rps = timed_passes([] {});
+  const Counts after = read_counts(*svc);
+  out.warm = {after.executed - before.executed, after.misses - before.misses,
+              after.hits - before.hits, after.types - before.types};
   return out;
+}
+
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t mid = xs.size() / 2;
+  return xs.size() % 2 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2.0;
+}
+
+// One configuration's reps folded: median throughputs and ratio, the
+// warm counts summed over every rep.
+struct Summary {
+  double cold_rps = 0.0, warm_rps = 0.0, speedup = 0.0, hit_rate = 0.0;
+  bool identical = true;  // every pass of every rep gave the same bytes
+  Counts warm;
+  std::string bytes;  // the responses of every pass
+};
+
+Summary summarize(const std::vector<Rep>& reps) {
+  Summary out;
+  std::vector<double> cold, warm, speedup;
+  for (const Rep& r : reps) {
+    cold.push_back(r.cold_rps);
+    warm.push_back(r.warm_rps);
+    speedup.push_back(r.warm_rps / r.cold_rps);
+    out.identical =
+        out.identical && r.identical && r.bytes == reps.front().bytes;
+    out.warm.executed += r.warm.executed;
+    out.warm.misses += r.warm.misses;
+    out.warm.hits += r.warm.hits;
+    out.warm.types += r.warm.types;
+  }
+  out.cold_rps = median(cold);
+  out.warm_rps = median(warm);
+  out.speedup = median(speedup);
+  const std::uint64_t lookups = out.warm.hits + out.warm.misses;
+  out.hit_rate = lookups == 0 ? 0.0
+                              : static_cast<double>(out.warm.hits) /
+                                    static_cast<double>(lookups);
+  out.bytes = reps.front().bytes;
+  return out;
+}
+
+void print_warm_counts(const std::string& config, const Counts& c) {
+  std::printf("  warm passes, %s: +%llu jobs run, +%llu cache misses, "
+              "+%zu TypeIds over %llu hits\n",
+              config.c_str(), static_cast<unsigned long long>(c.executed),
+              static_cast<unsigned long long>(c.misses), c.types,
+              static_cast<unsigned long long>(c.hits));
+}
+
+// The exact-count checks over every warm pass of `summaries`.
+void check_warm_counts(const std::vector<Summary>& summaries,
+                       const std::string& configs) {
+  bool no_job = true, no_miss = true, no_type = true;
+  for (const Summary& s : summaries) {
+    no_job = no_job && s.warm.executed == 0;
+    no_miss = no_miss && s.warm.misses == 0;
+    no_type = no_type && s.warm.types == 0;
+  }
+  check(no_job, "warm passes run no scheduler job (" + configs + ")");
+  check(no_miss, "warm passes miss no cache lookup (" + configs + ")");
+  check(no_type, "warm passes intern no TypeId (" + configs + ")");
 }
 
 // Pipelined pass: up to kWindow requests in flight against the scheduler;
@@ -166,104 +283,105 @@ PassResult run_pipelined_pass(Service& svc,
   return out;
 }
 
-ThreadsResult run_executors(int executors,
-                            const std::vector<std::string>& reqs) {
-  // Pin the runtime pool to one thread so the sweep isolates the executor
-  // axis: any scaling seen here is the scheduler's, not the pool's.
-  lapx::runtime::set_thread_count(1);
-  Service::Options opt;
-  opt.scheduler.executors = executors;
-  Service svc(opt);
-  for (const std::string& r : setup_requests()) svc.handle(r);
-  ThreadsResult out;
-  svc.clear_cache();
-  out.cold = run_pipelined_pass(svc, reqs);
-  const auto before = svc.cache().stats();
-  out.warm = run_pipelined_pass(svc, reqs);
-  const auto after = svc.cache().stats();
-  const auto lookups =
-      (after.hits - before.hits) + (after.misses - before.misses);
-  out.hit_rate = lookups == 0 ? 0.0
-                              : static_cast<double>(after.hits - before.hits) /
-                                    static_cast<double>(lookups);
-  lapx::runtime::set_thread_count(0);
-  return out;
-}
-
 void print_persistence_table(const std::vector<std::string>& reqs);
 
 void print_tables() {
   print_header("E15  lapxd service: cache + scheduler under load",
                "warm-cache repeated queries are O(lookup): >= 10x the cold "
                "path, byte-identical responses at any thread count");
-  const std::vector<std::string> reqs = query_mix();
-  std::printf("request mix: %zu requests over 7 resident graphs "
-              "(all query ops)\n\n",
+  const std::vector<std::string> reqs = query_mix(1);
+  std::printf("distinct queries: %zu over 7 resident graphs (all query "
+              "ops); cold = a fresh Service, warm = replayed on it\n\n",
               reqs.size());
-  print_row({"threads", "cold req/s", "warm req/s", "speedup", "hit rate"});
-  const ThreadsResult t1 = run_at(1, reqs);
-  const ThreadsResult t8 = run_at(8, reqs);
-  for (const auto& [threads, res] :
-       {std::pair<int, const ThreadsResult&>{1, t1}, {8, t8}}) {
-    print_row({std::to_string(threads), fmt(res.cold.requests_per_second, 0),
-               fmt(res.warm.requests_per_second, 0),
-               fmt(res.warm.requests_per_second /
-                       res.cold.requests_per_second, 1) + "x",
-               fmt(res.hit_rate, 4)});
+  {
+    // Warm the global interner once, as a long-running daemon's is.
+    const auto svc = fresh_service(1);
+    run_pass(*svc, reqs);
   }
+  const std::vector<int> thread_counts = {1, 8};
+  std::vector<std::vector<Rep>> sync_reps(thread_counts.size());
+  for (int rep = 0; rep < kReps; ++rep)
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      lapx::runtime::set_thread_count(thread_counts[i]);
+      sync_reps[i].push_back(measure_rep(1, run_pass, reqs));
+    }
+  lapx::runtime::set_thread_count(0);
+  const Summary t1 = summarize(sync_reps[0]);
+  const Summary t8 = summarize(sync_reps[1]);
+  print_row({"threads", "cold req/s", "warm req/s", "speedup", "hit rate"});
+  for (const auto& [threads, res] :
+       {std::pair<int, const Summary&>{1, t1}, {8, t8}})
+    print_row({std::to_string(threads), fmt(res.cold_rps, 0),
+               fmt(res.warm_rps, 0), fmt(res.speedup, 1) + "x",
+               fmt(res.hit_rate, 4)});
+  print_warm_counts("1 thread", t1.warm);
+  print_warm_counts("8 threads", t8.warm);
   std::printf("\n");
-  check(t1.warm.requests_per_second >= 10.0 * t1.cold.requests_per_second,
-        "warm >= 10x cold (1 thread)");
-  check(t8.warm.requests_per_second >= 10.0 * t8.cold.requests_per_second,
-        "warm >= 10x cold (8 threads)");
+  check(t1.speedup >= 10.0, "warm >= 10x cold (1 thread)");
+  check(t8.speedup >= 10.0, "warm >= 10x cold (8 threads)");
   check(t1.hit_rate > 0.999, "warm pass hit rate ~ 1");
-  check(t1.cold.bytes == t1.warm.bytes,
-        "responses byte-identical cold vs warm (1 thread)");
-  check(t8.cold.bytes == t8.warm.bytes,
-        "responses byte-identical cold vs warm (8 threads)");
-  check(t1.cold.bytes == t8.cold.bytes,
+  check(t1.identical, "responses byte-identical cold vs warm (1 thread)");
+  check(t8.identical, "responses byte-identical cold vs warm (8 threads)");
+  check(t1.bytes == t8.bytes,
         "responses byte-identical LAPX_THREADS=1 vs =8");
+  check_warm_counts({t1, t8}, "LAPX_THREADS=1 and =8");
   value("requests_in_mix", static_cast<double>(reqs.size()));
   value("warm_hit_rate_threads1", t1.hit_rate);
   value("warm_hit_rate_threads8", t8.hit_rate);
 
-  // Executor sweep: the same mix pipelined onto 1/2/4/8 scheduler
-  // executors (runtime pool pinned to 1 thread).  The merge layer must
-  // make the width invisible in the bytes; on a multi-core host the cold
-  // path must also show real scaling.
+  // Executor sweep: the same queries pipelined onto 1/2/4/8 scheduler
+  // executors (runtime pool pinned to 1 thread, so any scaling seen here
+  // is the scheduler's, not the pool's).  The merge layer must make the
+  // width invisible in the bytes; on a multi-core host the cold path must
+  // also show real scaling.
   std::printf("\nexecutor sweep (LAPX_THREADS=1, pipelined, window 32)\n");
   print_row({"executors", "cold req/s", "warm req/s", "hit rate"});
   const std::vector<int> widths = {1, 2, 4, 8};
-  std::vector<ThreadsResult> sweep;
-  sweep.reserve(widths.size());
-  for (const int e : widths) {
-    sweep.push_back(run_executors(e, reqs));
-    const ThreadsResult& res = sweep.back();
-    print_row({std::to_string(e), fmt(res.cold.requests_per_second, 0),
-               fmt(res.warm.requests_per_second, 0), fmt(res.hit_rate, 4)});
+  std::vector<std::vector<Rep>> sweep_reps(widths.size());
+  lapx::runtime::set_thread_count(1);
+  for (int rep = 0; rep < kReps; ++rep)
+    for (std::size_t i = 0; i < widths.size(); ++i)
+      sweep_reps[i].push_back(
+          measure_rep(widths[i], run_pipelined_pass, reqs));
+  lapx::runtime::set_thread_count(0);
+  std::vector<Summary> sweep;
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    sweep.push_back(summarize(sweep_reps[i]));
+    const Summary& res = sweep.back();
+    print_row({std::to_string(widths[i]), fmt(res.cold_rps, 0),
+               fmt(res.warm_rps, 0), fmt(res.hit_rate, 4)});
   }
+  for (std::size_t i = 0; i < widths.size(); ++i)
+    print_warm_counts(std::to_string(widths[i]) + " executors",
+                      sweep[i].warm);
   std::printf("\n");
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    check(sweep[i].cold.bytes == sweep[i].warm.bytes,
+    check(sweep[i].identical,
           "byte-identical cold vs warm (" + std::to_string(widths[i]) +
               " executors)");
-    check(sweep[i].cold.bytes == sweep[0].cold.bytes,
+    check(sweep[i].bytes == sweep[0].bytes,
           "byte-identical transcript vs 1 executor (" +
               std::to_string(widths[i]) + " executors)");
     check(sweep[i].hit_rate > 0.999,
           "warm hit rate ~ 1 (" + std::to_string(widths[i]) + " executors)");
   }
-  check(t1.cold.bytes == sweep[0].cold.bytes,
+  check(t1.bytes == sweep[0].bytes,
         "pipelined transcript matches synchronous transcript");
+  check_warm_counts(sweep, "1-8 executors");
   // Scaling is hardware-dependent, so the check self-gates: on hosts with
   // fewer than 4 cores it degenerates to the (still meaningful) claim that
   // extra executors at least do no harm.  The check name stays
   // machine-independent so the CI bench gate can compare it across runs.
   const bool enough_cores = std::thread::hardware_concurrency() >= 4;
-  const double scaling =
-      sweep[2].cold.requests_per_second / sweep[0].cold.requests_per_second;
-  std::printf("cold scaling at 4 executors: %sx (%u hardware threads)\n",
-              fmt(scaling, 2).c_str(), std::thread::hardware_concurrency());
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kReps; ++rep)
+    ratios.push_back(sweep_reps[2][rep].cold_rps /
+                     sweep_reps[0][rep].cold_rps);
+  const double scaling = median(ratios);
+  std::printf("cold scaling at 4 executors: %sx (median of %d reps; %u "
+              "hardware threads)\n",
+              fmt(scaling, 2).c_str(), kReps,
+              std::thread::hardware_concurrency());
   check(enough_cores ? scaling >= 2.0 : scaling >= 0.5,
         "cold throughput scales with executors (>= 2x on >= 4 cores)");
 
@@ -286,12 +404,12 @@ void print_tables() {
         "synchronous client never trips backpressure");
   std::printf("(burst-mode busy responses are exercised in service_test)\n");
 
-  print_persistence_table(reqs);
+  print_persistence_table(query_mix(8));
 }
 
 // E16: warm restart from the persisted cache.  A service with a cache dir
-// runs the E15 mix cold and shuts down cleanly (snapshot + journal
-// truncate); a second service over the same directory re-generates the
+// runs the E15 mix, 8 copies of its distinct queries, cold and shuts down
+// cleanly (snapshot + journal truncate); a second service over the same directory re-generates the
 // graphs and replays the mix.  Every query must be a cache hit, and the
 // transcript must be byte-identical to the cold run -- the on-disk format
 // survives the restart's fresh TypeId assignment because each record

@@ -55,11 +55,10 @@ using VertexIdAlgorithm = std::function<int(const Ball&)>;
 using EdgeMarksPo = std::vector<std::pair<Move, bool>>;
 using EdgePoAlgorithm = std::function<EdgeMarksPo(const ViewTree&)>;
 
-/// OI/ID edge output: marks keyed by the ball-local index of the neighbour
+/// OI edge output: marks keyed by the ball-local index of the neighbour
 /// at the other end of the incident edge.
 using EdgeMarksOi = std::vector<std::pair<graph::Vertex, bool>>;
 using EdgeOiAlgorithm = std::function<EdgeMarksOi(const Ball&)>;
-using EdgeIdAlgorithm = std::function<EdgeMarksOi(const Ball&)>;
 
 // --- Runners ---
 
@@ -97,11 +96,9 @@ std::vector<bool> run_po_edges(const LDigraph& g,
                                std::span<const TypeId> types,
                                const EdgePoAlgorithm& algo, int r);
 
-/// Runs an OI (or, without canonicalization, ID) edge algorithm.
+/// Runs an OI edge algorithm.
 std::vector<bool> run_oi_edges(const graph::Graph& g, const order::Keys& keys,
                                const EdgeOiAlgorithm& algo, int r);
-std::vector<bool> run_id_edges(const graph::Graph& g, const order::Keys& ids,
-                               const EdgeIdAlgorithm& algo, int r);
 
 /// Verifies PO lift-invariance empirically: for every vertex v of the lift,
 /// the algorithm's output equals its output at phi(v) on the base graph.

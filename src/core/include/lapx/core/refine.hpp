@@ -89,8 +89,7 @@ class RefineState {
     /// Active set of the last replayed round (0 when none replays).
     std::size_t frontier_vertices = 0;
     std::size_t total_vertices = 0;
-    int rounds = 0;             ///< rounds replayed (the parent's radius)
-    bool full_rebuild = false;  ///< shrunk graph: state rebuilt from scratch
+    int rounds = 0;  ///< rounds replayed (the parent's radius)
   };
 
   explicit RefineState(const LDigraph& g,
@@ -108,13 +107,14 @@ class RefineState {
   explicit RefineState(const graph::OocGraph& g,
                        TypeInterner& interner = TypeInterner::global());
 
-  /// Derives the state of `g`, an edit of the parent's graph, inside the
-  /// parent's own buffers, which it takes over (`parent` must keep rounds,
-  /// and the child keeps them too; `parent` is left empty, to be assigned
-  /// to or destroyed).  Compares signatures only at `candidates`:
-  /// ascending, each once, and a superset of the vertices whose incident
-  /// arcs differ between the parent's graph and `g` (with every vertex `g`
-  /// added).  After an edge edit of a default-port graph,
+  /// The one derivation: the state of `g`, an edit of the parent's graph
+  /// on the same vertex set, derived inside the parent's own buffers,
+  /// which it takes over (`parent` must keep rounds, and the child keeps
+  /// them too; `parent` is left empty, to be assigned to or destroyed).
+  /// A caller that keeps the parent derives from a copy.  Compares
+  /// signatures only at `candidates`: ascending, each once, and a superset
+  /// of the vertices whose incident arcs differ between the parent's graph
+  /// and `g`.  After an edge edit of a default-port graph,
   /// graph::affected_frontier(g', edits, 1) is one -- every vertex when
   /// the maximum degree moved, since every label moves then -- and
   /// graph::ball_frontier is not.  Clean step spans (incident-arc
@@ -124,24 +124,14 @@ class RefineState {
   /// parent's tables: round i recomputes the dirty vertices and the
   /// neighbours of every vertex whose round-(i-1) states differ from the
   /// parent's.  So a derivation costs O(edit frontier), unless a degree
-  /// changed or vertices were added, which moves offsets and lays the
-  /// tables out again in O(n).  types_at(r) for every r <= parent.radius()
-  /// then equals RefineState(g).types_at(r) -- identical TypeIds, same
-  /// interner.  Never reads the parent's graph, so it may already be
-  /// gone.  Vertex ids must be stable across the edit (append-only growth
-  /// is fine; a shrink refines `g` from scratch).  Throws std::logic_error,
-  /// leaving `parent` as it was, when the parent keeps no rounds.
+  /// changed, which moves offsets and lays the tables out again in O(n).
+  /// types_at(r) for every r <= parent.radius() then equals
+  /// RefineState(g).types_at(r) -- identical TypeIds, same interner.
+  /// Never reads the parent's graph, so it may already be gone.  Throws,
+  /// leaving `parent` as it was: std::logic_error when the parent keeps
+  /// no rounds, std::invalid_argument when `g` has another vertex count.
   RefineState(RefineState&& parent, const LDigraph& g,
               std::span<const Vertex> candidates, DeltaStats* stats = nullptr);
-
-  /// The derivation above from a copy of `parent`, which stays intact.
-  RefineState(const RefineState& parent, const LDigraph& g,
-              std::span<const Vertex> candidates, DeltaStats* stats = nullptr);
-
-  /// The derivation from a copy of `parent`, comparing every vertex's
-  /// signature (no candidates known).
-  RefineState(const RefineState& parent, const LDigraph& g,
-              DeltaStats* stats = nullptr);
 
   /// types[v] == view_type_id(view(g, v, radius)) for every vertex v.
   /// Advances the refinement as needed; earlier radii stay cached.
@@ -165,7 +155,7 @@ class RefineState {
   bool keeps_rounds() const { return keep_rounds_; }
 
   /// In place, comparing every vertex's signature: *this derives itself
-  /// (the consuming derivation, candidates 0..n-1) and reports the stats.
+  /// (the derivation above, candidates 0..n-1) and reports the stats.
   DeltaStats refine_delta(const LDigraph& g);
 
  private:
@@ -212,6 +202,8 @@ class RefineState {
     std::size_t size_ = 0;
   };
 
+  // A derivation's parent, checked before anything moves out of it.
+  static RefineState&& derivable(RefineState&& parent, const LDigraph& g);
   void init_round0();  // start at radius 0 (every constructor)
   void advance();      // one forward round: radius() + 1
   // The round kernel: rewrites the active spans of `out` (T_radius) from

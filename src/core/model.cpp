@@ -184,17 +184,12 @@ std::vector<bool> run_po_edges(const LDigraph& g,
   return marked.edges();
 }
 
-namespace {
-
-std::vector<bool> run_edges_with_keys(const graph::Graph& g,
-                                      const order::Keys& keys,
-                                      const EdgeOiAlgorithm& algo, int r,
-                                      bool canonicalize) {
+std::vector<bool> run_oi_edges(const graph::Graph& g, const order::Keys& keys,
+                               const EdgeOiAlgorithm& algo, int r) {
   IncidenceMarks marked(g);
   runtime::parallel_for(g.num_vertices(), [&](std::int64_t vi) {
     const graph::Vertex v = static_cast<graph::Vertex>(vi);
-    const Ball ball = extract_ball(g, keys, v, r);
-    const Ball input = canonicalize ? canonicalize_oi(ball) : ball;
+    const Ball input = canonicalize_oi(extract_ball(g, keys, v, r));
     for (const auto& [neighbor_idx, selected] : algo(input)) {
       if (!selected) continue;
       if (!input.g.has_edge(input.root, neighbor_idx))
@@ -203,18 +198,6 @@ std::vector<bool> run_edges_with_keys(const graph::Graph& g,
     }
   });
   return marked.edges();
-}
-
-}  // namespace
-
-std::vector<bool> run_oi_edges(const graph::Graph& g, const order::Keys& keys,
-                               const EdgeOiAlgorithm& algo, int r) {
-  return run_edges_with_keys(g, keys, algo, r, /*canonicalize=*/true);
-}
-
-std::vector<bool> run_id_edges(const graph::Graph& g, const order::Keys& ids,
-                               const EdgeIdAlgorithm& algo, int r) {
-  return run_edges_with_keys(g, ids, algo, r, /*canonicalize=*/false);
 }
 
 bool po_outputs_lift_invariant(const LDigraph& lift, const LDigraph& base,

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "lapx/runtime/parallel.hpp"
@@ -487,53 +489,28 @@ std::size_t RefineState::distinct_at(int radius) {
   return count_classes(types_at(radius)).distinct;
 }
 
-namespace {
-
-// 0 .. n - 1: the candidates of a derivation told nothing about its edit.
-std::vector<Vertex> every_vertex(Vertex n) {
-  std::vector<Vertex> all(static_cast<std::size_t>(n));
-  for (Vertex v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
-  return all;
-}
-
-// The parent of a derivation, checked before anything moves out of it.
-RefineState&& keeping_rounds(RefineState&& parent) {
-  if (!parent.keeps_rounds())
+RefineState&& RefineState::derivable(RefineState&& parent, const LDigraph& g) {
+  if (!parent.keep_rounds_)
     throw std::logic_error(
         "deriving a RefineState requires a parent built with keep_rounds");
+  if (g.num_vertices() != parent.n_)
+    throw std::invalid_argument(
+        "deriving a RefineState requires the parent's vertex set (" +
+        std::to_string(parent.n_) + " vertices, got " +
+        std::to_string(g.num_vertices()) + ")");
   return std::move(parent);
 }
 
-}  // namespace
-
-RefineState::RefineState(const RefineState& parent, const LDigraph& g,
-                         DeltaStats* stats)
-    : RefineState(RefineState(parent), g, every_vertex(g.num_vertices()),
-                  stats) {}
-
-RefineState::RefineState(const RefineState& parent, const LDigraph& g,
-                         std::span<const Vertex> candidates, DeltaStats* stats)
-    : RefineState(RefineState(parent), g, candidates, stats) {}
-
 RefineState::RefineState(RefineState&& parent, const LDigraph& g,
                          std::span<const Vertex> candidates, DeltaStats* stats)
-    : RefineState(keeping_rounds(std::move(parent))) {
+    : RefineState(derivable(std::move(parent), g)) {
   const int max_r = radius();  // >= 0 always (radius 0 from birth)
-  const Vertex old_n = n_;
-  const Vertex n = g.num_vertices();
+  const Vertex n = n_;
   DeltaStats local;
   DeltaStats& st = stats ? *stats : local;
   st = DeltaStats{};
   st.rounds = max_r;
   st.total_vertices = static_cast<std::size_t>(n);
-  if (n < old_n) {
-    // Vertex removal shifts ids; nothing carries over.  Refine from scratch.
-    *this = RefineState(g, *interner_, /*keep_rounds=*/true);
-    types_at(max_r);
-    st.full_rebuild = true;
-    st.dirty_vertices = st.frontier_vertices = st.total_vertices;
-    return;
-  }
 
   // Seed: a candidate is dirty when its incident-step SIGNATURE changed --
   // the per-span sequence of (move bits, successor vertex) pairs, compared
@@ -543,16 +520,15 @@ RefineState::RefineState(RefineState&& parent, const LDigraph& g,
   // identity of every successor state, so a clean vertex's table values
   // carry over verbatim.  Only the candidates can be dirty, so only they
   // are compared.  A dirty span is relaid when its move sequence changed
-  // too (or it is new): its tables then hold nothing of the parent's, and
-  // it counts as changed every round; any other dirty span keeps its
-  // values, and its edge memo, which depends on the moves alone.
+  // too: its tables then hold nothing of the parent's, and it counts as
+  // changed every round; any other dirty span keeps its values, and its
+  // edge memo, which depends on the moves alone.
   std::vector<std::uint32_t> dirty, relaid;
-  bool offsets_move = n != old_n;
+  bool offsets_move = false;
   for (const Vertex v : candidates) {
     const auto vi = static_cast<std::uint32_t>(v);
-    if (v >= old_n ||
-        static_cast<std::uint32_t>(g.degree(v)) !=
-            steps_.off[vi + 1] - steps_.off[vi]) {
+    if (static_cast<std::uint32_t>(g.degree(v)) !=
+        steps_.off[vi + 1] - steps_.off[vi]) {
       dirty.push_back(vi);
       relaid.push_back(vi);
       offsets_move = true;
@@ -575,13 +551,12 @@ RefineState::RefineState(RefineState&& parent, const LDigraph& g,
   }
   st.dirty_vertices = dirty.size();
 
-  // The CSR: a degree change or a new vertex moves offsets, and only then
-  // is every table laid out again (O(n) block moves); otherwise every
-  // clean span stays where it is.  Dirty spans refill from g, and a step
-  // into a relaid span takes the inverse of that span's step back (succ
-  // is an involution), so only steps that point into one move.
+  // The CSR: a degree change moves offsets, and only then is every table
+  // laid out again (O(n) block moves); otherwise every clean span stays
+  // where it is.  Dirty spans refill from g, and a step into a relaid span
+  // takes the inverse of that span's step back (succ is an involution), so
+  // only steps that point into one move.
   if (offsets_move) relay(g, relaid);
-  n_ = n;
   for (const std::uint32_t v : dirty) steps_.fill(g, static_cast<Vertex>(v));
   for (const std::uint32_t v : relaid)
     for (std::uint32_t k = steps_.off[v]; k < steps_.off[v + 1]; ++k) {
@@ -643,17 +618,16 @@ void RefineState::relay(const LDigraph& g,
   steps_.layout(g);
   const std::vector<std::uint32_t>& off = steps_.off;
   const std::size_t steps = off.back();
-  const auto old_n = static_cast<std::uint32_t>(old.off.size() - 1);
-  // f(lo, old_lo, len) per maximal run of old vertices not relaid: within
-  // one the parent-vs-child offset delta is constant.
+  const auto n = static_cast<std::uint32_t>(n_);
+  // f(lo, old_lo, len) per maximal run of vertices not relaid: within one
+  // the parent-vs-child offset delta is constant.
   const auto kept_runs = [&](const auto& f) {
     std::uint32_t from = 0;
     for (std::size_t k = 0; k <= relaid.size(); ++k) {
-      const std::uint32_t to =
-          k < relaid.size() ? std::min(relaid[k], old_n) : old_n;
+      const std::uint32_t to = k < relaid.size() ? relaid[k] : n;
       if (from < to)
         f(off[from], old.off[from], old.off[to] - old.off[from]);
-      if (k < relaid.size()) from = std::max(from, relaid[k] + 1);
+      if (k < relaid.size()) from = relaid[k] + 1;
     }
   };
   const auto relay_table = [&](std::vector<TypeId>& table) {
@@ -681,19 +655,14 @@ void RefineState::relay(const LDigraph& g,
     relay_table(round_states_[i]);
   relay_table(edge_ids_);
   relay_table(edge_sub_);
-  // New vertices: radius 0 is uniform, the replay writes every later one.
-  const auto n = static_cast<std::size_t>(g.num_vertices());
-  const TypeId root0 =
-      interner_->intern_node(type_tag::kViewRoot | 0u, &empty, 1);
-  roots_[0].resize(n, root0);
-  for (std::size_t i = 1; i < roots_.size(); ++i) roots_[i].resize(n);
-  root_body_.resize(n);
 }
 
 RefineState::DeltaStats RefineState::refine_delta(const LDigraph& g) {
+  // Candidates 0 .. n - 1: nothing is known about the edit.
+  std::vector<Vertex> every_vertex(static_cast<std::size_t>(g.num_vertices()));
+  std::iota(every_vertex.begin(), every_vertex.end(), Vertex{0});
   DeltaStats stats;
-  *this = RefineState(std::move(*this), g, every_vertex(g.num_vertices()),
-                      &stats);
+  *this = RefineState(std::move(*this), g, every_vertex, &stats);
   return stats;
 }
 

@@ -73,7 +73,6 @@ class Knowledge {
   Node root() const { return Node(this, 0); }
 
   bool empty() const { return nodes_.empty(); }
-  std::size_t node_count() const { return nodes_.size(); }
 
   /// Records what arrived through a root port: the neighbour's return port
   /// and its previous-round knowledge (grafted into this arena).

@@ -38,7 +38,6 @@ class Json {
   bool is_null() const { return kind_ == Kind::Null; }
   bool is_bool() const { return kind_ == Kind::Bool; }
   bool is_int() const { return kind_ == Kind::Int; }
-  bool is_number() const { return kind_ == Kind::Int || kind_ == Kind::Double; }
   bool is_string() const { return kind_ == Kind::String; }
   bool is_array() const { return kind_ == Kind::Array; }
   bool is_object() const { return kind_ == Kind::Object; }

@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "lapx/core/interner.hpp"
+#include "lapx/service/protocol.hpp"
 
 namespace lapx::service {
 
@@ -62,6 +63,9 @@ struct Outcome {
   enum class Status { kOk, kError, kBusy, kDeadline };
   Status status = Status::kOk;
   std::string payload;  ///< serialized result (kOk) or message (kError)
+  /// The error code a kError response carries: a handler's ServiceError
+  /// sets it, and any other exception keeps kInternal.
+  ErrorCode code = ErrorCode::kInternal;
 };
 
 class BatchScheduler {

@@ -24,29 +24,31 @@
 // depends on process history, so it is safe to surface in deterministic
 // responses.
 //
-// Mutation: `mutate` applies a batch of edge edits to a copy of the
-// bound graph (atomic: a bad edit throws graph::MutationError and leaves
-// the binding untouched) and installs the result as the next epoch.  The
-// new entry patches the old one's content digest at the leaves the edit
-// rewrote (ContentDigest).  If the old epoch had a materialized
-// RefineState, the new entry patches the old L-digraph at the edit and
-// derives its state from the old one, seeded from the edit's frontier and
-// re-refining only where types move (core::RefineState's consuming
-// derivation), instead of rebuilding either over the whole graph.
-// Likewise every radius of ordered-ball classes the old epoch holds is
-// taken over and re-typed on the edit's ball frontier only
-// (graph::ball_frontier); a radius whose frontier spans every vertex is
-// dropped instead, so the fork never costs more than the from-scratch
-// pass a later query pays.
+// Mutation: `mutate` derives the next epoch from the bound one in one
+// constructor, GraphEntry(prev, edits), and installs it.  The constructor
+// applies the batch to a copy of prev's graph (atomic: a bad edit throws
+// graph::MutationError before anything is taken from prev, and the
+// binding stays untouched) and patches prev's content digest at the
+// leaves the edit rewrote (ContentDigest).  If prev had a materialized
+// RefineState, it patches prev's L-digraph at the edit and derives its
+// state from prev's, seeded from the edit's frontier and re-refining only
+// where types move (core::RefineState's derivation), instead of
+// rebuilding either over the whole graph.  Likewise every radius of
+// ordered-ball classes prev holds is taken over and re-typed on the
+// edit's ball frontier only (graph::ball_frontier); a radius whose
+// frontier spans every vertex is dropped instead, so the derivation never
+// costs more than the from-scratch pass a later query pays.  All of it
+// runs before the entry exists for any other thread.
 //
 // Epoch hand-over: the superseded epoch keeps its Graph and L-digraph,
 // which queries read without a lock, but gives up its refinement and its
 // ordered-ball classes -- the next epoch takes both over (moved out under
 // the old entry's locks) and edits them in place, so a write that keeps
-// every degree copies no O(n) table.  A query still pinned to the superseded epoch rebuilds what
-// it asks for on first use, through the same lazy paths a fresh entry
-// takes: the same response bytes, only slower.  The content digest is
-// small (32 bytes per 1 024 edges), so it is copied, not taken.
+// every degree copies no O(n) table.  A query still pinned to the
+// superseded epoch rebuilds what it asks for on first use, through the
+// same lazy paths a fresh entry takes: the same response bytes, only
+// slower.  The content digest is small (32 bytes per 1 024 edges), so it
+// is copied, not taken.
 //
 // Eviction: the store holds at most `max_graphs` named entries; inserting
 // beyond that evicts the least-recently-used name.  `content_id` is the
@@ -116,9 +118,9 @@ class ContentDigest {
 std::string graph_content_id(const graph::Graph& g);
 
 /// A stored graph plus lazily-derived shared artifacts.  One epoch of a
-/// session: mutation creates the next entry and never edits this one's
-/// graph, but takes over its refinement and ordered-ball classes (the
-/// epoch hand-over above), which this entry then rebuilds on demand.
+/// session: the next epoch's constructor never edits this one's graph,
+/// but takes over its refinement and ordered-ball classes (the epoch
+/// hand-over above), which this entry then rebuilds on demand.
 ///
 /// Two backings share the interface: in-memory (put/generate/upload) and
 /// out-of-core (open_ooc) -- the latter keeps the graph in its mmap'd
@@ -132,12 +134,17 @@ class GraphEntry {
   /// In-memory backing; the content id is graph_content_id(g).
   GraphEntry(graph::Graph g, std::uint64_t epoch);
 
-  /// In-memory backing for the next epoch of `parent`, an in-memory
-  /// entry whose graph graph::apply_edits turned into g, returning
-  /// `rewritten`: the content digest is parent's, patched at the leaves
-  /// the edit rewrote.
-  GraphEntry(graph::Graph g, std::uint64_t epoch, const GraphEntry& parent,
-             std::span<const graph::EdgeId> rewritten);
+  /// The next epoch of `prev` (Mutation, above).  In order: copies
+  /// prev's graph, applies `edits` (graph::apply_edits), patches prev's
+  /// content digest at the leaves the batch rewrote, sets the epoch to
+  /// prev.epoch() + 1, and takes over prev's refinement -- patching prev's
+  /// L-digraph at the edit (graph::to_ldigraph's patching overload) and
+  /// deriving inside prev's buffers, with signatures compared only on
+  /// graph::affected_frontier(graph(), edits, 1) -- and its ordered-ball
+  /// classes, re-typed on graph::ball_frontier(graph(), edits, r) or
+  /// dropped when that is every vertex.  Throws graph::MutationError,
+  /// with nothing taken from prev, for a bad batch or an out-of-core prev.
+  GraphEntry(const GraphEntry& prev, std::span<const graph::EdgeEdit> edits);
 
   /// Out-of-core backing.  The content id is "ooc:" + the BLAKE2b-256 of
   /// the file's payload bytes (64 hex digits) -- stable across processes,
@@ -145,12 +152,11 @@ class GraphEntry {
   /// do (the payload is the whole step CSR, so a file rewritten in
   /// another format version is new content), and collision-resistant like
   /// graph_content_id.  The prefix keeps it apart from every in-memory id.
-  GraphEntry(std::unique_ptr<graph::OocGraph> ooc, std::string source_path,
-             std::uint64_t epoch, graph::Vertex materialize_max_vertices);
+  GraphEntry(std::unique_ptr<graph::OocGraph> ooc, std::uint64_t epoch,
+             graph::Vertex materialize_max_vertices);
 
   bool is_ooc() const { return ooc_ != nullptr; }
   const graph::OocGraph* ooc() const { return ooc_.get(); }
-  const std::string& source_path() const { return source_path_; }
 
   /// Cheap shape accessors that never materialize: summaries and the
   /// views handler use these so huge ooc graphs stay on disk.
@@ -188,47 +194,23 @@ class GraphEntry {
   std::vector<core::TypeId> view_types(int r) const;
 
   /// True when the refinement state has been materialized (stats, and
-  /// whether a mutate derives the next epoch's).  False again on an
+  /// whether the next epoch derives its own from it).  False again on an
   /// epoch a mutate superseded, until a query rebuilds it.
   bool has_refine_state() const;
-
-  /// Pre-publication hook used by SessionStore::mutate: if `prev` has a
-  /// materialized RefineState, patch prev's L-digraph at the edit into
-  /// this entry's (graph::to_ldigraph's patching overload), take prev's
-  /// state over (moved out under prev's refinement lock, which is all the
-  /// lock covers) and derive this entry's state inside its buffers,
-  /// comparing signatures only on graph::affected_frontier(graph(),
-  /// edits, 1) and re-refining only the frontier the edit moves.  prev
-  /// keeps its L-digraph and rebuilds a refinement lazily if a query
-  /// still asks it for one.  `edits` turned prev's graph into this
-  /// entry's.  Must be called before the entry is visible to other
-  /// threads.
-  void fork_refine_from(const GraphEntry& prev,
-                        std::span<const graph::EdgeEdit> edits) const;
 
   /// The radius-r homogeneity of the graph under the identity order --
   /// equal to order::measure_homogeneity(graph(), identity_keys(n), r) --
   /// read from the entry's radius-r OrderedBallClasses, built on first use
-  /// or forked by mutate.  Ooc backing: materializes graph() first
-  /// (kTooLarge above the cap).  Throws std::invalid_argument for r < 0.
+  /// or taken over from the previous epoch.  Ooc backing: materializes
+  /// graph() first (kTooLarge above the cap).  Throws
+  /// std::invalid_argument for r < 0.
   order::HomogeneityReport homogeneity(int r) const;
-
-  /// Pre-publication hook used by SessionStore::mutate, beside
-  /// fork_refine_from: takes over every radius of ordered-ball classes
-  /// `prev` holds (moved out under prev's homogeneity lock; a query still
-  /// pinned to prev rebuilds the radius it asks for) and re-types only
-  /// graph::ball_frontier(graph(), edits, r); a radius whose frontier is
-  /// every vertex is dropped (a later query rebuilds it).  `edits` turned
-  /// prev's graph into this entry's.
-  void fork_homogeneity_from(const GraphEntry& prev,
-                             std::span<const graph::EdgeEdit> edits) const;
 
  private:
   graph::Graph graph_;  // empty for ooc entries until materialized
   // Declared before refine_ (destroyed after it): the streaming
   // RefineState holds spans into the mapped file.
   std::unique_ptr<graph::OocGraph> ooc_;
-  std::string source_path_;
   graph::Vertex materialize_max_ = 0;
   ContentDigest digest_;  // in-memory backing only
   std::string content_id_;
@@ -283,13 +265,10 @@ class SessionStore {
   /// Looks up a name, refreshing its LRU position; nullptr when absent.
   std::shared_ptr<const GraphEntry> get(const std::string& name);
 
-  /// Applies `edits` to a copy of the graph bound to `name` and installs
-  /// the result as the next epoch, patching the old epoch's content digest
-  /// and taking over (and deriving from) its refinement state and
-  /// ordered-ball classes when they are materialized.  Returns the new
-  /// entry, or
-  /// nullptr when the name is absent.  Throws graph::MutationError on an
-  /// invalid edit (the binding is left untouched).  Mutations of one name are
+  /// Installs GraphEntry(bound entry, edits) as the next epoch of `name`.
+  /// Returns the new entry, or nullptr when the name is absent.  Throws
+  /// graph::MutationError on an invalid edit or an out-of-core binding
+  /// (the binding is left untouched).  Mutations of one name are
   /// serialized, so its epochs are strictly increasing; mutations of
   /// different names run concurrently.
   std::shared_ptr<const GraphEntry> mutate(

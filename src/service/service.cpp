@@ -98,25 +98,9 @@ const std::string& Service::Pending::get() {
     case Outcome::Status::kDeadline:
       response_ = error_response(id_, ErrorCode::kDeadline, outcome.payload);
       break;
-    case Outcome::Status::kError: {
-      // Typed handler errors tunnel through the payload as "code:message"
-      // so every coalesced waiter renders the same envelope.
-      const auto colon = outcome.payload.find(':');
-      ErrorCode best = ErrorCode::kInternal;
-      std::string message = outcome.payload;
-      for (const ErrorCode code :
-           {ErrorCode::kBadRequest, ErrorCode::kNotFound, ErrorCode::kTooLarge,
-            ErrorCode::kInternal}) {
-        if (colon != std::string::npos &&
-            outcome.payload.compare(0, colon, error_code_name(code)) == 0) {
-          best = code;
-          message = outcome.payload.substr(colon + 1);
-          break;
-        }
-      }
-      response_ = error_response(id_, best, message);
+    case Outcome::Status::kError:
+      response_ = error_response(id_, outcome.code, outcome.payload);
       break;
-    }
   }
   resolved_ = true;
   return response_;
@@ -370,11 +354,8 @@ void Service::query(const Request& req, Pending& out,
               Outcome::Status::kOk,
               cache_.put(fingerprint, handle_query(req, *entry).dump())};
         } catch (const ServiceError& e) {
-          // Typed errors tunnel through the outcome payload; decoded in
-          // Pending::get so every coalesced waiter sees the same code.
-          return Outcome{Outcome::Status::kError,
-                         std::string(error_code_name(e.code())) + ":" +
-                             e.what()};
+          // Every coalesced waiter renders the same code from the outcome.
+          return Outcome{Outcome::Status::kError, e.what(), e.code()};
         }
       },
       req.deadline_ms.value_or(-1), on_ready);

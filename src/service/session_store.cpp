@@ -69,20 +69,73 @@ GraphEntry::GraphEntry(graph::Graph g, std::uint64_t epoch)
       epoch_(epoch),
       content_hex_(content_id_.substr(0, 16)) {}
 
-GraphEntry::GraphEntry(graph::Graph g, std::uint64_t epoch,
-                       const GraphEntry& parent,
-                       std::span<const graph::EdgeId> rewritten)
-    : graph_(std::move(g)),
-      digest_(parent.digest_, graph_, rewritten),
-      content_id_(digest_.id()),
-      epoch_(epoch),
-      content_hex_(content_id_.substr(0, 16)) {}
+namespace {
+
+// The graph the next epoch of `prev` edits a copy of.
+const graph::Graph& editable_graph(const GraphEntry& prev) {
+  if (prev.is_ooc())
+    throw graph::MutationError(
+        "cannot mutate an out-of-core session; regenerate the file and "
+        "re-open it");
+  return prev.graph();
+}
+
+}  // namespace
+
+GraphEntry::GraphEntry(const GraphEntry& prev,
+                       std::span<const graph::EdgeEdit> edits)
+    : graph_(editable_graph(prev)), epoch_(prev.epoch_ + 1) {
+  // A bad batch throws here, before anything is taken from prev.
+  const std::vector<graph::EdgeId> rewritten =
+      graph::apply_edits(graph_, edits);
+  digest_ = ContentDigest(prev.digest_, graph_, rewritten);
+  content_id_ = digest_.id();
+  content_hex_ = content_id_.substr(0, 16);
+
+  // prev's state moves out under prev's lock, so a concurrent query on
+  // prev either finished with it or finds none and rebuilds its own; the
+  // derivation then runs in the moved buffers.  A state implies prev's
+  // L-digraph, which this entry's patches at the edit.
+  std::unique_ptr<core::RefineState> state;
+  {
+    std::lock_guard<std::mutex> lock(prev.refine_mu_);
+    state = std::move(prev.refine_);
+  }
+  if (state) {
+    const std::vector<graph::Vertex> frontier =
+        graph::affected_frontier(graph_, edits, 1);
+    std::call_once(ld_once_, [&] {
+      ld_ = std::make_unique<graph::LDigraph>(
+          graph::to_ldigraph(graph_, prev.ldigraph(), edits, frontier));
+    });
+    refine_ =
+        std::make_unique<core::RefineState>(std::move(*state), *ld_, frontier);
+  }
+
+  // prev's ordered-ball classes move out the same way; a query still
+  // pinned to prev rebuilds the radius it asks for.
+  {
+    std::lock_guard<std::mutex> lock(prev.homogeneity_mu_);
+    homogeneity_.swap(prev.homogeneity_);
+  }
+  if (homogeneity_.empty()) return;  // nothing typed yet; stay lazy
+  const order::Keys keys = order::identity_keys(graph_.num_vertices());
+  for (auto it = homogeneity_.begin(); it != homogeneity_.end();) {
+    const std::vector<graph::Vertex> frontier =
+        graph::ball_frontier(graph_, edits, it->first);
+    if (frontier.size() == static_cast<std::size_t>(graph_.num_vertices())) {
+      it = homogeneity_.erase(it);
+      continue;
+    }
+    it->second.retype(graph_, keys, frontier);
+    ++it;
+  }
+}
 
 GraphEntry::GraphEntry(std::unique_ptr<graph::OocGraph> ooc,
-                       std::string source_path, std::uint64_t epoch,
+                       std::uint64_t epoch,
                        graph::Vertex materialize_max_vertices)
     : ooc_(std::move(ooc)),
-      source_path_(std::move(source_path)),
       materialize_max_(materialize_max_vertices),
       epoch_(epoch) {
   // One more pass over the payload open already checksummed: FNV-1a
@@ -156,30 +209,6 @@ bool GraphEntry::has_refine_state() const {
   return refine_ != nullptr;
 }
 
-void GraphEntry::fork_refine_from(
-    const GraphEntry& prev, std::span<const graph::EdgeEdit> edits) const {
-  // prev's state moves out under prev's lock, so a concurrent query on
-  // prev either finished with it or finds none and rebuilds its own; the
-  // derivation then runs under no lock, in the moved buffers.  A state
-  // implies prev's L-digraph, which this entry's patches at the edit.
-  std::unique_ptr<core::RefineState> state;
-  {
-    std::lock_guard<std::mutex> plock(prev.refine_mu_);
-    state = std::move(prev.refine_);
-  }
-  if (!state) return;  // nothing materialized; stay lazy
-  const std::vector<graph::Vertex> frontier =
-      graph::affected_frontier(graph_, edits, 1);
-  std::call_once(ld_once_, [&] {
-    ld_ = std::make_unique<graph::LDigraph>(
-        graph::to_ldigraph(graph_, prev.ldigraph(), edits, frontier));
-  });
-  auto derived =
-      std::make_unique<core::RefineState>(std::move(*state), *ld_, frontier);
-  std::lock_guard<std::mutex> lock(refine_mu_);
-  refine_ = std::move(derived);
-}
-
 order::HomogeneityReport GraphEntry::homogeneity(int r) const {
   const graph::Graph& g = graph();
   std::lock_guard<std::mutex> lock(homogeneity_mu_);
@@ -190,32 +219,6 @@ order::HomogeneityReport GraphEntry::homogeneity(int r) const {
                              g, order::identity_keys(g.num_vertices()), r))
              .first;
   return it->second.report();
-}
-
-void GraphEntry::fork_homogeneity_from(
-    const GraphEntry& prev, std::span<const graph::EdgeEdit> edits) const {
-  // prev's classes move out under prev's lock, as fork_refine_from's
-  // state does: a query still pinned to prev rebuilds the radius it asks.
-  std::map<int, order::OrderedBallClasses> forked;
-  {
-    std::lock_guard<std::mutex> plock(prev.homogeneity_mu_);
-    forked.swap(prev.homogeneity_);
-  }
-  if (forked.empty()) return;  // nothing typed yet; stay lazy
-  const graph::Graph& g = graph();
-  const order::Keys keys = order::identity_keys(g.num_vertices());
-  for (auto it = forked.begin(); it != forked.end();) {
-    const std::vector<graph::Vertex> frontier =
-        graph::ball_frontier(g, edits, it->first);
-    if (frontier.size() == static_cast<std::size_t>(g.num_vertices())) {
-      it = forked.erase(it);
-      continue;
-    }
-    it->second.retype(g, keys, frontier);
-    ++it;
-  }
-  std::lock_guard<std::mutex> lock(homogeneity_mu_);
-  homogeneity_ = std::move(forked);
 }
 
 SessionStore::SessionStore(Options opt) : opt_(opt) {
@@ -234,7 +237,7 @@ std::shared_ptr<const GraphEntry> SessionStore::put(const std::string& name,
 std::shared_ptr<const GraphEntry> SessionStore::open_ooc(
     const std::string& name, const std::string& path) {
   auto ooc = std::make_unique<graph::OocGraph>(path);  // throws OocError
-  auto entry = std::make_shared<GraphEntry>(std::move(ooc), path, /*epoch=*/1,
+  auto entry = std::make_shared<GraphEntry>(std::move(ooc), /*epoch=*/1,
                                             opt_.ooc_materialize_max_vertices);
   Displaced displaced;  // destroyed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
@@ -287,17 +290,8 @@ std::shared_ptr<const GraphEntry> SessionStore::mutate(
       old = std::move(cur);
       continue;
     }
-    if (old->is_ooc())
-      throw graph::MutationError(
-          "cannot mutate an out-of-core session; regenerate the file and "
-          "re-open it");
-    graph::Graph g = old->graph();
     // Throws MutationError, leaving the binding and `old` untouched.
-    const std::vector<graph::EdgeId> rewritten = graph::apply_edits(g, edits);
-    auto entry = std::make_shared<const GraphEntry>(
-        std::move(g), old->epoch() + 1, *old, rewritten);
-    entry->fork_refine_from(*old, edits);
-    entry->fork_homogeneity_from(*old, edits);
+    auto entry = std::make_shared<const GraphEntry>(*old, edits);
     std::shared_ptr<const GraphEntry> displaced;  // freed after the unlock
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(name);

@@ -299,9 +299,9 @@ TEST(Refine, StabilityFastPathStaysExact) {
 
 // ---------------------------------------------------------------------------
 // Incremental delta-refinement: a state derived for g' from its parent
-// (RefineState(parent, g'), or refine_delta(g') in place) must be
-// indistinguishable -- exact TypeIds, same interner -- from a from-scratch
-// RefineState(g') at every radius the parent computed.
+// (RefineState(std::move(parent), g', candidates), or refine_delta(g') in
+// place) must be indistinguishable -- exact TypeIds, same interner -- from
+// a from-scratch RefineState(g') at every radius the parent computed.
 
 // Compares the delta'd state against a scratch refinement in the SAME
 // interner (hash-consing makes TypeId equality equivalent to structural
@@ -384,7 +384,6 @@ TEST(RefineDelta, RandomizedRewiresMatchScratch) {
       LDigraph next = g;
       random_rewire(next, rng);
       const auto stats = state.refine_delta(next);
-      EXPECT_FALSE(stats.full_rebuild);
       EXPECT_GT(stats.dirty_vertices, 0u);
       EXPECT_GE(stats.frontier_vertices, stats.dirty_vertices);
       expect_delta_matches_scratch(state, next, max_r, interner);
@@ -430,52 +429,33 @@ TEST(RefineDelta, RemoveThenReaddRoundTrips) {
   EXPECT_EQ(state.types_at(3), before);
 }
 
-TEST(RefineDelta, GrowLiftTouchesOnlyNewFibres) {
+TEST(RefineDelta, RequiresKeepRounds) {
+  // The derivation's two preconditions, each checked before anything
+  // moves out of the parent: kept rounds, and the parent's vertex set (a
+  // session write never changes n).  A rejected derivation leaves the
+  // parent's types as they were.
   std::mt19937_64 rng(21);
   const LDigraph base = directed_torus({3, 4});
   auto lift = lapx::graph::random_lift(base, 3, rng);
   TypeInterner interner;
+  {
+    RefineState state(lift.graph, interner);  // keep_rounds defaults to false
+    const std::vector<TypeId> before = state.types_at(2);
+    EXPECT_FALSE(state.keeps_rounds());
+    EXPECT_THROW(state.refine_delta(lift.graph), std::logic_error);
+    EXPECT_EQ(state.types_at(2), before);
+  }
   RefineState state(lift.graph, interner, /*keep_rounds=*/true);
   const std::vector<TypeId> before = state.types_at(3);
-  // grow_lift rebuilds lift.graph into the same object; a derivation never
-  // reads the parent's graph -- only its step CSR and kept tables -- so
-  // passing the grown graph is legal.
-  const Vertex first = lapx::graph::grow_lift(lift, base, 2, rng);
-  EXPECT_EQ(first, static_cast<Vertex>(before.size()));
-  const auto stats = state.refine_delta(lift.graph);
-  EXPECT_FALSE(stats.full_rebuild);
-  // The growth is vertex-disjoint: exactly the new fibres are dirty, and
-  // the old vertices keep their exact ids.
-  EXPECT_EQ(stats.dirty_vertices,
-            static_cast<std::size_t>(lift.graph.num_vertices() - first));
-  const auto& after = state.types_at(3);
-  for (std::size_t v = 0; v < before.size(); ++v)
-    ASSERT_EQ(after[v], before[v]) << "old vertex " << v;
-  expect_delta_matches_scratch(state, lift.graph, 3, interner);
-  std::string why;
-  EXPECT_TRUE(lapx::graph::is_covering_map(lift.graph, base, lift.phi, &why))
-      << why;
-}
-
-TEST(RefineDelta, ShrinkFallsBackToFullRebuild) {
-  std::mt19937_64 rng(5);
-  const auto lift = lapx::graph::random_lift(directed_torus({3, 4}), 3, rng);
-  TypeInterner interner;
-  RefineState state(lift.graph, interner, /*keep_rounds=*/true);
-  state.types_at(2);
-  const LDigraph smaller = directed_torus({3, 4});
-  const auto stats = state.refine_delta(smaller);
-  EXPECT_TRUE(stats.full_rebuild);
-  expect_delta_matches_scratch(state, smaller, 2, interner);
-}
-
-TEST(RefineDelta, RequiresKeepRounds) {
-  const LDigraph g = directed_cycle(6);
-  TypeInterner interner;
-  RefineState state(g, interner);  // keep_rounds defaults to false
-  state.types_at(2);
-  EXPECT_FALSE(state.keeps_rounds());
-  EXPECT_THROW(state.refine_delta(g), std::logic_error);
+  const LDigraph smaller = directed_torus({3, 3});
+  EXPECT_THROW(state.refine_delta(smaller), std::invalid_argument);
+  EXPECT_EQ(state.types_at(3), before);
+  lapx::graph::grow_lift(lift, base, 2, rng);
+  ASSERT_GT(lift.graph.num_vertices(), static_cast<Vertex>(before.size()));
+  EXPECT_THROW(RefineState(std::move(state), lift.graph, {}),
+               std::invalid_argument);
+  EXPECT_EQ(state.types_at(3), before);
+  EXPECT_EQ(state.radius(), 3);
 }
 
 TEST(RefineDelta, FrontierStopsWhereTypesStopChanging) {
@@ -675,8 +655,7 @@ TEST(RefineWorklist, DeltaRefinementOnWorklistPath) {
   state.types_at(4);
   LDigraph next = g;
   random_rewire(next, rng);
-  const auto stats = state.refine_delta(next);
-  EXPECT_FALSE(stats.full_rebuild);
+  state.refine_delta(next);
   expect_delta_matches_scratch(state, next, 4, interner);
 }
 
@@ -703,9 +682,8 @@ TEST(RefineDelta, DerivingLeavesTheParentIntact) {
     std::vector<std::vector<TypeId>> before;
     for (int r = 0; r <= max_r; ++r) before.push_back(parent.types_at(r));
     parent_graph.reset();
-    RefineState::DeltaStats stats;
-    RefineState child(parent, next, &stats);
-    EXPECT_FALSE(stats.full_rebuild);
+    RefineState child(parent);  // the derivation consumes the copy
+    const RefineState::DeltaStats stats = child.refine_delta(next);
     EXPECT_GT(stats.dirty_vertices, 0u);
     EXPECT_EQ(stats.rounds, max_r);
     ASSERT_EQ(parent.radius(), max_r) << "threads=" << threads;
@@ -767,8 +745,7 @@ TEST(RefineDelta, PortRenumberingAfterMaxDegreeChange) {
   const auto frontier = lapx::graph::affected_frontier(after, edits, 1);
   EXPECT_EQ(frontier.size(), static_cast<std::size_t>(g.num_vertices()));
   const LDigraph ld1 = lapx::graph::to_ldigraph(after);
-  const auto stats = state.refine_delta(ld1);
-  EXPECT_FALSE(stats.full_rebuild);
+  state.refine_delta(ld1);
   expect_delta_matches_scratch(state, ld1, 2, interner);
 }
 
@@ -795,10 +772,11 @@ TEST(RefineDelta, SeededFromTheEditFrontierMatchesScratch) {
         lapx::graph::apply_edits(g, edits);
         const auto frontier = lapx::graph::affected_frontier(g, edits, 1);
         ld = lapx::graph::to_ldigraph(g);
-        RefineState::DeltaStats seeded_stats, full_stats;
-        seeded = std::make_unique<RefineState>(*seeded, ld, frontier,
-                                               &seeded_stats);
-        full = std::make_unique<RefineState>(*full, ld, &full_stats);
+        RefineState::DeltaStats seeded_stats;
+        seeded = std::make_unique<RefineState>(RefineState(*seeded), ld,
+                                               frontier, &seeded_stats);
+        full = std::make_unique<RefineState>(*full);
+        const RefineState::DeltaStats full_stats = full->refine_delta(ld);
         EXPECT_EQ(seeded_stats.dirty_vertices, full_stats.dirty_vertices);
         EXPECT_EQ(seeded_stats.frontier_vertices,
                   full_stats.frontier_vertices);

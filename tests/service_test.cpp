@@ -505,10 +505,14 @@ TEST(BatchScheduler, ExecutesAndReportsErrors) {
   auto ok = sched.submit(kNoType, [] { return Outcome{Outcome::Status::kOk, "r"}; });
   EXPECT_EQ(ok.future.get().status, Outcome::Status::kOk);
   EXPECT_EQ(ok.future.get().payload, "r");
+  // A generic exception is internal whatever its message says: only a
+  // ServiceError names another code.
   auto err = sched.submit(kNoType, []() -> Outcome {
-    throw std::runtime_error("boom");
+    throw std::runtime_error("not_found: boom");
   });
   EXPECT_EQ(err.future.get().status, Outcome::Status::kError);
+  EXPECT_EQ(err.future.get().code, ErrorCode::kInternal);
+  EXPECT_EQ(err.future.get().payload, "not_found: boom");
   const auto s = sched.stats();
   EXPECT_EQ(s.submitted, 2u);
   EXPECT_EQ(s.executed, 2u);

@@ -316,7 +316,8 @@ TEST(SessionStore, PatchedDigestMatchesScratchAcrossLeaves) {
   // graphs of several 1 024-edge leaves, and on a cycle whose edge count
   // crosses a leaf boundary both ways: after every accepted batch the
   // patched id is the one hashed from scratch, and a rejected batch
-  // leaves the bound entry -- its id and leaf digests -- as it was.
+  // leaves the bound entry -- its id, leaf digests and refinement -- as it
+  // was.
   using Kind = EdgeEdit::Kind;
   std::mt19937_64 rng(2026);
   std::vector<lapx::graph::Graph> graphs = {
@@ -325,7 +326,7 @@ TEST(SessionStore, PatchedDigestMatchesScratchAcrossLeaves) {
   int accepted = 0, rejected = 0;
   for (lapx::graph::Graph g : graphs) {
     SessionStore store;
-    store.put("g", g);
+    store.put("g", g)->view_types(1);  // each epoch derives the next's
     for (int step = 0; step < 40; ++step) {
       std::vector<EdgeEdit> batch;
       if (g.num_edges() >= 1023 && g.num_edges() <= 1026 && step % 2 == 0) {
@@ -344,6 +345,7 @@ TEST(SessionStore, PatchedDigestMatchesScratchAcrossLeaves) {
         EXPECT_THROW(store.mutate("g", batch), lapx::graph::MutationError);
         EXPECT_EQ(store.get("g"), before);
         EXPECT_EQ(before->content_id(), graph_content_id(g));
+        EXPECT_TRUE(before->has_refine_state()) << "step " << step;
         ++rejected;
         continue;
       }
