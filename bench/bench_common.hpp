@@ -10,7 +10,9 @@
 // trajectory of each experiment.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -38,6 +40,33 @@ inline std::string fmt(double x, int digits = 4) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", digits, x);
   return buf;
+}
+
+/// Seconds elapsed on the steady clock since t0.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The median of a non-empty sample; the mean of the middle two when the
+/// count is even.
+inline double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t mid = xs.size() / 2;
+  return xs.size() % 2 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2.0;
+}
+
+/// Heap bytes in use: mallinfo2's arena bytes (uordblks) plus its mmapped
+/// bytes (hblkhd), allocated pages whether touched or not.  It reads no
+/// growth where allocations bypass glibc's malloc (a sanitizer's
+/// allocator) and 0 without glibc.
+inline std::size_t heap_in_use() {
+#ifdef __GLIBC__
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
 }
 
 /// Every check() verdict of the current process, in call order (recorded
@@ -88,10 +117,7 @@ inline PhaseState& phase_state() {
 inline void close_phase() {
   PhaseState& st = phase_state();
   if (st.name.empty()) return;
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    st.start)
-          .count();
+  const double secs = seconds_since(st.start);
   auto& log = phase_log();
   for (auto& [name, total] : log)
     if (name == st.name) {
@@ -191,9 +217,7 @@ inline int run_main(int argc, char** argv, void (*print_tables)()) {
   const auto start = std::chrono::steady_clock::now();
   print_tables();
   detail::close_phase();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double seconds = seconds_since(start);
   if (!json_path.empty()) {
     std::string name = argv[0];
     const auto slash = name.find_last_of('/');

@@ -61,9 +61,11 @@ namespace {
 
 using lapx::bench::check;
 using lapx::bench::fmt;
+using lapx::bench::median;
 using lapx::bench::phase;
 using lapx::bench::print_header;
 using lapx::bench::print_row;
+using lapx::bench::seconds_since;
 using lapx::bench::value;
 using lapx::core::RefineState;
 using lapx::core::TypeInterner;
@@ -73,17 +75,6 @@ using lapx::graph::Graph;
 using lapx::graph::LDigraph;
 using lapx::service::ResponseSequencer;
 using lapx::service::Service;
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-double median_of(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return n % 2 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
 
 struct EditTrialResult {
   double delta_seconds = 0.0;  // median per timed edit
@@ -147,8 +138,8 @@ EditTrialResult run_edit_trial(LDigraph g, int radius, int pairs,
       if (!warmup) ++out.edits;
     }
   }
-  out.delta_seconds = median_of(std::move(delta_times));
-  out.full_seconds = median_of(std::move(full_times));
+  out.delta_seconds = median(std::move(delta_times));
+  out.full_seconds = median(std::move(full_times));
   return out;
 }
 
@@ -457,7 +448,7 @@ WritePathResult run_write_path(int layers, int edits, std::uint64_t seed,
                lapx::graph::Orientation::default_for(g), g.max_degree()));
   out.delta_matches_scratch =
       state.types_at(kRadius) == RefineState(*ld, interner).types_at(kRadius);
-  for (int s = 0; s < kStages; ++s) out.median_ms[s] = median_of(ms[s]);
+  for (int s = 0; s < kStages; ++s) out.median_ms[s] = median(ms[s]);
   return out;
 }
 

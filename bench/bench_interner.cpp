@@ -10,12 +10,11 @@
 // hundred keys over and over, as a lift's refine rounds do, which the
 // per-thread node memo answers.  Its memory rows intern 2^20 node keys
 // into a fresh interner: the heap bytes that costs per id (gated), and
-// the cost of a hit that misses both memos over that table (timed only).
+// the cost of a hit that misses the node memo over that table (timed
+// only).
 // The batched-miss microbench times the two-phase pattern itself against
 // a fully serial interning pass while asserting both allocate
 // byte-identical ids.
-
-#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -33,12 +32,6 @@ namespace {
 
 using namespace lapx;
 using core::TypeId;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 constexpr std::size_t kUniverse = 1u << 15;      // distinct node keys
 constexpr std::size_t kLookupsPerThread = 1u << 18;
@@ -76,7 +69,7 @@ double run_released(const std::string& name, int threads, const F& body) {
   const auto t0 = std::chrono::steady_clock::now();
   start.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
-  return seconds_since(t0);
+  return bench::seconds_since(t0);
 }
 
 // The working set: 256 node keys of 1-6 children (the node memo's
@@ -100,24 +93,11 @@ std::vector<NodeKey> working_set() {
   return keys;
 }
 
-// Heap bytes in use: mallinfo2's arena bytes (uordblks) plus its mmapped
-// bytes (hblkhd), allocated pages whether touched or not.  It reads no
-// growth where allocations bypass glibc's malloc (a sanitizer's
-// allocator) and 0 without glibc.
-std::size_t heap_in_use() {
-#ifdef __GLIBC__
-  const struct mallinfo2 info = mallinfo2();
-  return info.uordblks + info.hblkhd;
-#else
-  return 0;
-#endif
-}
-
 // The memory rows: 2^20 node keys of 1-4 children into a fresh interner
 // (slot tables, retired ones included, record pointers and spelling
 // records), then one thread re-probes them all in a scattered order, so
-// nearly every probe misses both per-thread memos and reads the table and
-// a spelling record cold.  Returns false if a probe got a wrong id.
+// nearly every probe misses the per-thread node memo and reads the table
+// and a spelling record cold.  Returns false if a probe got a wrong id.
 bool print_memory_rows() {
   constexpr TypeId kKeys = TypeId{1} << 20;
   const auto key_children = [](TypeId k, TypeId* children) {
@@ -125,13 +105,13 @@ bool print_memory_rows() {
     return 1 + k % 4;
   };
   bench::phase("memory_inserts");
-  const std::size_t before = heap_in_use();
+  const std::size_t before = bench::heap_in_use();
   auto interner = std::make_unique<core::TypeInterner>();
   TypeId children[4];
   for (TypeId k = 0; k < kKeys; ++k)
     interner->intern_node(core::type_tag::kViewNode, children,
                           key_children(k, children));
-  const std::size_t after = heap_in_use();
+  const std::size_t after = bench::heap_in_use();
   const std::size_t grown = after > before ? after - before : 0;
   const double bytes_per_id =
       static_cast<double>(grown) / static_cast<double>(interner->size());
@@ -146,7 +126,7 @@ bool print_memory_rows() {
     ok &= interner->try_intern_node(core::type_tag::kViewNode, children,
                                     n) == k;
   }
-  const double cold_ns = seconds_since(t0) * 1e9 / kKeys;
+  const double cold_ns = bench::seconds_since(t0) * 1e9 / kKeys;
   bench::phase("memory_release");
   interner.reset();
 
@@ -295,7 +275,7 @@ void print_batched_miss_table() {
       serial_ids.push_back(
           serial.intern_node(core::type_tag::kViewNode, &child, 1));
     }
-  const double serial_s = seconds_since(t0);
+  const double serial_s = bench::seconds_since(t0);
 
   // Two-phase: per round, 8 workers probe the round's keys (novel keys
   // miss; repeat keys resolve), then the serial phase interns what is
@@ -325,7 +305,7 @@ void print_batched_miss_table() {
               : batched.intern_node(core::type_tag::kViewNode, &child, 1));
     }
   }
-  const double two_phase_s = seconds_since(t1);
+  const double two_phase_s = bench::seconds_since(t1);
 
   const bool equal =
       batched_ids == serial_ids && batched.size() == serial.size();

@@ -40,6 +40,7 @@ using lapx::bench::fmt;
 using lapx::bench::phase;
 using lapx::bench::print_header;
 using lapx::bench::print_row;
+using lapx::bench::seconds_since;
 using lapx::bench::value;
 using lapx::core::RefineState;
 using lapx::core::TypeId;
@@ -49,11 +50,6 @@ using lapx::graph::OocGraph;
 
 constexpr int kRadius = 3;
 constexpr int kLayers = 7000;  // 3x3 torus lift: n = 63000, 252000 steps
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 void print_tables() {
   print_header(

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <random>
 #include <string>
@@ -27,12 +28,6 @@
 namespace {
 
 using namespace lapx;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 // First-occurrence class index per vertex: two type vectors over different
 // interners induce the same partition iff these agree exactly.
@@ -62,12 +57,12 @@ CaseResult run_case(const graph::LDigraph& g, int r) {
   const auto t0 = std::chrono::steady_clock::now();
   for (graph::Vertex v = 0; v < g.num_vertices(); ++v)
     legacy[v] = core::view_type_id(core::view(g, v, r), legacy_interner);
-  res.legacy_s = seconds_since(t0);
+  res.legacy_s = bench::seconds_since(t0);
 
   bench::phase("engine_refinement");
   const auto t1 = std::chrono::steady_clock::now();
   const auto engine = core::bulk_view_type_ids(g, r, engine_interner);
-  res.engine_s = seconds_since(t1);
+  res.engine_s = bench::seconds_since(t1);
 
   bench::phase("verify_partition");
   res.same_partition = partition_of(legacy) == partition_of(engine);
@@ -218,12 +213,12 @@ void print_worklist_table() {
     core::TypeInterner li;
     auto t0 = std::chrono::steady_clock::now();
     const auto legacy_ids = ids(li, true);
-    const double legacy_s = seconds_since(t0);
+    const double legacy_s = bench::seconds_since(t0);
     bench::phase("worklist_sweep_worklist");
     core::TypeInterner wi;
     t0 = std::chrono::steady_clock::now();
     const auto worklist_ids = ids(wi, false);
-    const double worklist_s = seconds_since(t0);
+    const double worklist_s = bench::seconds_since(t0);
     // Raw TypeId equality (not just partitions): the retirement fast path
     // must intern in the identical allocation order.
     const bool identical = legacy_ids == ref_ids && worklist_ids == ref_ids;
@@ -261,16 +256,12 @@ void print_worklist_table() {
                "stabilizing workload at 8 threads (hardware-gated)");
 }
 
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
-
 // E17c: a daemon's interner only ever grows (each fresh session adds
 // thousands of ids), so a RefineState's per-round scratch must be sized by
 // the graph, not by interner.size().  Times the two lapxd cold-session
 // graphs and the mutate fork against one private interner padded with
-// 1M unrelated keys and one without, interleaved per rep.
+// 1M unrelated keys and one without, interleaved per rep, and reads the
+// heap each state holds on both.
 void print_interner_size_table() {
   bench::print_header(
       "E17c: refine scratch vs interner size (+0 vs +1M ids)",
@@ -302,7 +293,7 @@ void print_interner_size_table() {
   sides[0].interner = &unpadded;
   sides[1].interner = &padded;
   const auto ms_since = [](std::chrono::steady_clock::time_point t0) {
-    return 1e3 * seconds_since(t0);
+    return 1e3 * bench::seconds_since(t0);
   };
   for (Side& side : sides) {  // warm-up: first interning of every type
     side.lift_ids = core::bulk_view_type_ids(lift, 3, *side.interner);
@@ -334,13 +325,41 @@ void print_interner_size_table() {
   bench::print_row({"operation", "+0 ids ms", "+1M ids ms", "ratio"});
   double ratio[3];
   for (int op = 0; op < 3; ++op) {
-    const double base = median(sides[0].ms[op]);
-    const double pad = median(sides[1].ms[op]);
+    const double base = bench::median(sides[0].ms[op]);
+    const double pad = bench::median(sides[1].ms[op]);
     ratio[op] = base > 0 ? pad / base : 0.0;
     bench::print_row({names[op], bench::fmt(base, 2), bench::fmt(pad, 2),
                       bench::fmt(ratio[op], 2) + "x"});
   }
   std::printf("(medians of %d interleaved reps)\n", kReps);
+
+  // The exact companion of the timing checks: the heap a state holds once
+  // built and typed to radius 3 (ops 0 and 1) or forked (op 2), read
+  // through mallinfo2 as E21 reads it.  Both interners are warm, so
+  // nothing is interned here; scratch indexed by TypeId would hold >= 4 MB
+  // more on the padded side.
+  bench::phase("interner_size_heap");
+  const auto held_bytes = [&](int op, Side& side) {
+    const auto before = static_cast<std::int64_t>(bench::heap_in_use());
+    core::RefineState st =
+        op == 2 ? *side.kept
+                : core::RefineState(op == 0 ? lift : regular, *side.interner);
+    if (op != 2) st.types_at(3);
+    return static_cast<std::int64_t>(bench::heap_in_use()) - before;
+  };
+  constexpr std::int64_t kHeapSlack = 64 << 10;
+  bench::print_row({"operation", "+0 ids heap KiB", "+1M ids heap KiB",
+                    "difference B"});
+  bool heap_read = true, heap_flat = true;
+  for (int op = 0; op < 3; ++op) {
+    const std::int64_t base = held_bytes(op, sides[0]);
+    const std::int64_t pad = held_bytes(op, sides[1]);
+    heap_read = heap_read && base > 0;
+    heap_flat = heap_flat && std::abs(pad - base) <= kHeapSlack;
+    bench::print_row({names[op], bench::fmt(base / 1024.0, 1),
+                      bench::fmt(pad / 1024.0, 1),
+                      std::to_string(pad - base)});
+  }
 
   // Ids are dense in insertion order, and the padding keys (printable
   // text) never collide with node keys: the padded interner hands out the
@@ -368,6 +387,11 @@ void print_interner_size_table() {
   bench::check(ratio[2] <= 2.0,
                "E17c fork of the lift's kept-rounds state: +1M-id interner "
                "<= 2x the unpadded time (median of 15 interleaved reps)");
+  if (heap_read)
+    bench::check(heap_flat,
+                 "E17c heap held by each built and typed (r=3) state and "
+                 "by the kept-state fork: +1M-id interner within 64 KiB of "
+                 "the unpadded one (mallinfo2 uordblks + hblkhd)");
 }
 
 void BM_LegacyViewTypes(benchmark::State& state) {

@@ -47,8 +47,10 @@ namespace {
 
 using lapx::bench::check;
 using lapx::bench::fmt;
+using lapx::bench::median;
 using lapx::bench::print_header;
 using lapx::bench::print_row;
+using lapx::bench::seconds_since;
 using lapx::bench::value;
 using lapx::service::ResponseSequencer;
 using lapx::service::Service;
@@ -121,9 +123,7 @@ PassResult run_pass(Service& svc, const std::vector<std::string>& reqs) {
     out.bytes += svc.handle(r);
     out.bytes += '\n';
   }
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  out.seconds = seconds_since(start);
   out.requests_per_second =
       out.seconds > 0 ? static_cast<double>(reqs.size()) / out.seconds : 0.0;
   return out;
@@ -198,12 +198,6 @@ Rep measure_rep(int executors, Pass pass,
   return out;
 }
 
-double median(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  const std::size_t mid = xs.size() / 2;
-  return xs.size() % 2 ? xs[mid] : (xs[mid - 1] + xs[mid]) / 2.0;
-}
-
 // One configuration's reps folded: median throughputs and ratio, the
 // warm counts summed over every rep.
 struct Summary {
@@ -275,9 +269,7 @@ PassResult run_pipelined_pass(Service& svc,
     sequencer.drain_ready(out.bytes);
   }
   sequencer.drain_all(out.bytes);
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  out.seconds = seconds_since(start);
   out.requests_per_second =
       out.seconds > 0 ? static_cast<double>(reqs.size()) / out.seconds : 0.0;
   return out;

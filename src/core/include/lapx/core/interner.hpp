@@ -24,20 +24,19 @@
 // open-addressed table of packed (32-bit hash tag << 32 | id) words, each
 // homed by the top bits of its tag.  The HIT path is lock-free, and
 // allocation-free once a thread has its node memo (48 KiB, allocated at
-// the thread's first node intern).  A node of at most 6 children probes a
-// per-thread direct-mapped node memo keyed by value -- (interner serial,
-// tag, child count, child ids) -> id -- so a repeated intern frames,
-// hashes and compares no bytes; on a memo miss the key is framed in a
-// stack buffer and the table is probed with atomic loads.  Flat keys and
-// wider nodes probe a per-thread L1 memo keyed by hash first (every L1
-// hit is verified byte-for-byte against the stored spelling, so a hash
-// collision can never alias two types).  Both memos key on a serial that
-// each interner takes from a process-wide counter and that is never
-// reused, so an entry can only ever answer for the interner that filled
-// it.  Only a MISS takes the one mutex, under which ids are handed out
-// densely in insertion order, the spelling is appended to the byte arena
-// and the slot is published -- ids depend only on the order intern calls
-// commit; the memos assign none.
+// the thread's first node intern).  A node of at most 6 children probes
+// that per-thread direct-mapped memo first, keyed by value -- (interner
+// serial, tag, child count, child ids) -> id -- so a repeated intern
+// frames, hashes and compares no bytes.  Every other key, and a memo
+// miss, probes the table with atomic loads (a node key framed on the
+// stack first, up to 62 children); a tag match is confirmed byte for
+// byte against the stored spelling, so a hash collision can never alias
+// two types.  The memo keys on a serial that each interner takes from a
+// process-wide counter and that is never reused, so an entry can only
+// ever answer for the interner that filled it.  Only a MISS takes the one
+// mutex, under which ids are handed out densely in insertion order, the
+// spelling is appended to the byte arena and the slot is published -- ids
+// depend only on the order intern calls commit; the memo assigns none.
 //
 // Code that needs a deterministic id order must still intern serially.
 // Parallel consumers either compare ids for equality only (order-free), or
@@ -122,15 +121,14 @@ class TypeInterner {
   static constexpr int kMaxSlabs = 23;
   static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 
-  // The table alone; lookup puts the L1 memo in front of it.
+  // The id of key (whose hash is `hash`) in the table, else kNoType.
   TypeId probe(std::uint64_t hash, std::string_view key) const;
-  TypeId lookup(std::uint64_t hash, std::string_view key) const;
   TypeId insert(std::uint64_t hash, std::string_view key);
   // Writes key's record into the arena (under mu_) and returns it.
   const char* append_record(std::string_view key);
   std::string_view spelling_at(TypeId id) const;
 
-  // Owner key of this interner's per-thread memo entries: unique per
+  // Owner key of this interner's per-thread node memo entries: unique per
   // instance for the life of the process.
   const std::uint64_t serial_;
   // mu_ serializes every insert: the re-probe, id assignment, the

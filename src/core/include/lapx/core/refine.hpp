@@ -327,7 +327,9 @@ std::vector<TypeId> bulk_view_type_ids(
 
 /// The type of the complete radius-r view over a k-letter alphabet -- the
 /// view of any vertex whose radius-r neighborhood is k-in-k-out regular
-/// (Figure 5's (T*, lambda) truncated at r).  O(k r) interner calls;
+/// (Figure 5's (T*, lambda) truncated at r).  O(k r) interner calls, but
+/// each node has 2k - 1 children, so O(k^2 r) interned key bytes: lapxd's
+/// `views` builds it only when some vertex has the 2k arcs its root needs.
 /// types[v] == complete_view_type_id(k, r) <=> is_complete_view(view(g,v,r)).
 TypeId complete_view_type_id(int k, int r,
                              TypeInterner& interner = TypeInterner::global());

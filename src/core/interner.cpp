@@ -33,9 +33,8 @@ void frame_node_key(char* out, std::uint64_t tag, const TypeId* children,
 constexpr std::size_t kInlineChildren = 62;
 
 inline std::uint64_t mix64(std::uint64_t x) {
-  // splitmix64 finalizer: cheap, and strong enough that the low bits
-  // (L1 memo slot) and high bits (slot tag and home) are independently
-  // usable.
+  // splitmix64 finalizer: cheap, and strong enough that the top 32 bits
+  // serve as slot tag and home.
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
   x ^= x >> 27;
@@ -72,39 +71,6 @@ constexpr std::uint64_t kEmptySlot = ~std::uint64_t{0};
 constexpr int kInitialBits = 6;  // 64 slots
 constexpr int kMaxBits = 32;     // a 32-bit tag homes at most 2^32 slots
 
-// Thread-local direct-mapped L1 memo in front of the table: one slot per
-// hash bucket holding the owning interner's serial, the full 64-bit hash
-// and the id.  It serves flat keys and nodes too wide for the node memo
-// below, which narrower nodes use instead.  Keyed by hash, so a hit is
-// verified byte-for-byte against the spelling before it is trusted (a
-// collision can never alias two types); the serial confines it to the
-// interner that filled it, whose ids it has seen published.
-struct L1Entry {
-  std::uint64_t serial;
-  std::uint64_t hash;
-  TypeId id;
-};
-constexpr std::size_t kL1Slots = 2048;  // 2^11 x 24 B = 48 KiB per thread
-
-// This thread's array of `Slots` zeroed T, allocated at its first use and
-// freed at its exit.  Not a static thread_local array: a thread's whole
-// static TLS block is zeroed when the thread is created, so the array
-// would cost every thread its page faults, interning or not -- and lapxd
-// starts one per connection.
-template <typename T, std::size_t Slots>
-T* thread_array() {
-  thread_local T* array = nullptr;
-  if (array == nullptr) [[unlikely]] {
-    thread_local std::unique_ptr<T[]> owner(new T[Slots]());
-    array = owner.get();
-  }
-  return array;
-}
-
-L1Entry& l1_slot(std::uint64_t hash) {
-  return thread_array<L1Entry, kL1Slots>()[hash & (kL1Slots - 1)];
-}
-
 // Thread-local direct-mapped node memo in front of the framing: a node of
 // at most kMemoChildren children is keyed by value -- (owner serial, tag,
 // child count, child ids) -> id -- so a hit frames, hashes and reads
@@ -137,6 +103,21 @@ struct NodeMemoEntry {
 static_assert(sizeof(NodeMemoEntry) == 48);
 constexpr int kNodeMemoBits = 10;  // 2^10 x 48 B = 48 KiB per thread
 
+// This thread's memo, zeroed, allocated at its first node intern and
+// freed at its exit.  Not a static thread_local array: a thread's whole
+// static TLS block is zeroed when the thread is created, so the array
+// would cost every thread its page faults, interning or not -- and lapxd
+// starts one per connection.
+NodeMemoEntry* thread_node_memo() {
+  thread_local NodeMemoEntry* memo = nullptr;
+  if (memo == nullptr) [[unlikely]] {
+    thread_local std::unique_ptr<NodeMemoEntry[]> owner(
+        new NodeMemoEntry[std::size_t{1} << kNodeMemoBits]());
+    memo = owner.get();
+  }
+  return memo;
+}
+
 // The memo slot of a node key, nullptr when it has too many children.
 // A multiply-xor chain over tag, count and children; the top bits index.
 NodeMemoEntry* node_memo_slot(std::uint64_t tag, const TypeId* children,
@@ -145,8 +126,7 @@ NodeMemoEntry* node_memo_slot(std::uint64_t tag, const TypeId* children,
   constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
   std::uint64_t h = (tag ^ n) * kMul;
   for (std::size_t i = 0; i < n; ++i) h = (h ^ children[i]) * kMul;
-  constexpr std::size_t kSlots = std::size_t{1} << kNodeMemoBits;
-  return &thread_array<NodeMemoEntry, kSlots>()[h >> (64 - kNodeMemoBits)];
+  return &thread_node_memo()[h >> (64 - kNodeMemoBits)];
 }
 
 // Frames a node key (on the stack up to kInlineChildren children) and
@@ -266,18 +246,6 @@ TypeId TypeInterner::probe(std::uint64_t hash, std::string_view key) const {
   return t == nullptr ? kNoType : t->find(*this, hash >> 32, key);
 }
 
-TypeId TypeInterner::lookup(std::uint64_t hash, std::string_view key) const {
-  // L1 memo first: a thread re-interning the same key pays one private
-  // probe plus the byte verify, never touching the shared table.
-  L1Entry& memo = l1_slot(hash);
-  if (memo.serial == serial_ && memo.hash == hash &&
-      spelling_at(memo.id) == key)
-    return memo.id;
-  const TypeId id = probe(hash, key);
-  if (id != kNoType) memo = {serial_, hash, id};
-  return id;
-}
-
 TypeId TypeInterner::insert(std::uint64_t hash, std::string_view key) {
   const std::uint64_t tag = hash >> 32;
   std::lock_guard<std::mutex> lock(mu_);
@@ -329,33 +297,24 @@ TypeId TypeInterner::insert(std::uint64_t hash, std::string_view key) {
 
 TypeId TypeInterner::intern(std::string_view key) {
   const std::uint64_t hash = hash_bytes(key.data(), key.size());
-  const TypeId hit = lookup(hash, key);
-  if (hit != kNoType) return hit;
-  const TypeId id = insert(hash, key);
-  l1_slot(hash) = {serial_, hash, id};
-  return id;
+  const TypeId hit = probe(hash, key);
+  return hit != kNoType ? hit : insert(hash, key);
 }
 
 TypeId TypeInterner::try_intern(std::string_view key) const {
-  return lookup(hash_bytes(key.data(), key.size()), key);
+  return probe(hash_bytes(key.data(), key.size()), key);
 }
 
-// Nodes of at most kMemoChildren children resolve through the node memo
-// and the table; wider ones take the flat path, L1 memo included.
+// A node of at most kMemoChildren children tries the node memo first;
+// every other key probes the table alone.
 TypeId TypeInterner::intern_node(std::uint64_t tag, const TypeId* children,
                                  std::size_t n) {
   NodeMemoEntry* memo = node_memo_slot(tag, children, n);
-  if (memo == nullptr)
-    return with_node_key(tag, children, n,
-                         [&](std::string_view key) { return intern(key); });
-  if (memo->matches(serial_, tag, children, n)) return memo->id;
-  const TypeId id =
-      with_node_key(tag, children, n, [&](std::string_view key) {
-        const std::uint64_t hash = hash_bytes(key.data(), key.size());
-        const TypeId hit = probe(hash, key);
-        return hit != kNoType ? hit : insert(hash, key);
-      });
-  memo->assign(serial_, tag, children, n, id);
+  if (memo != nullptr && memo->matches(serial_, tag, children, n))
+    return memo->id;
+  const TypeId id = with_node_key(
+      tag, children, n, [&](std::string_view key) { return intern(key); });
+  if (memo != nullptr) memo->assign(serial_, tag, children, n, id);
   return id;
 }
 
@@ -363,16 +322,12 @@ TypeId TypeInterner::try_intern_node(std::uint64_t tag,
                                      const TypeId* children,
                                      std::size_t n) const {
   NodeMemoEntry* memo = node_memo_slot(tag, children, n);
-  if (memo == nullptr)
-    return with_node_key(tag, children, n, [&](std::string_view key) {
-      return try_intern(key);
-    });
-  if (memo->matches(serial_, tag, children, n)) return memo->id;
-  const TypeId id =
-      with_node_key(tag, children, n, [&](std::string_view key) {
-        return probe(hash_bytes(key.data(), key.size()), key);
-      });
-  if (id != kNoType) memo->assign(serial_, tag, children, n, id);
+  if (memo != nullptr && memo->matches(serial_, tag, children, n))
+    return memo->id;
+  const TypeId id = with_node_key(
+      tag, children, n, [&](std::string_view key) { return try_intern(key); });
+  if (memo != nullptr && id != kNoType)
+    memo->assign(serial_, tag, children, n, id);
   return id;
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/runtime/parallel.hpp"
@@ -264,36 +265,7 @@ std::vector<ChildEntry> sorted_children(const Knowledge::Node& k,
   return children;
 }
 
-void view_serialize(const Knowledge::Node& k, int arrived_port, int depth_left,
-                    int delta, std::string& out) {
-  out += '(';
-  if (depth_left <= 0) {
-    out += ')';
-    return;
-  }
-  for (const ChildEntry& c : sorted_children(k, arrived_port, delta)) {
-    out += c.outgoing ? '+' : '-';
-    out += std::to_string(c.label);
-    if (depth_left == 1) {
-      // Leaf level: the subtree is empty regardless of deeper knowledge.
-      out += "()";
-    } else {
-      if (!k.has_neighbor(c.port))
-        throw std::logic_error("knowledge too shallow for requested radius");
-      view_serialize(k.neighbor(c.port), c.back_port, depth_left - 1, delta,
-                     out);
-    }
-  }
-  out += ')';
-}
-
 }  // namespace
-
-std::string knowledge_view_type(const Knowledge& k, int radius, int delta) {
-  std::string out = "r=" + std::to_string(radius) + ";";
-  view_serialize(k.root(), -1, radius, delta, out);
-  return out;
-}
 
 core::ViewTree knowledge_to_view(const Knowledge& k, int radius, int delta) {
   core::ViewTree t;
@@ -330,48 +302,13 @@ core::ViewTree knowledge_to_view(const Knowledge& k, int radius, int delta) {
   return t;
 }
 
-namespace {
-
-// Hash-conses the view encoded by a knowledge tree directly -- the same
-// bottom-up tuple view_type_id builds from a ViewTree, so the TypeIds
-// coincide with view_type_id(knowledge_to_view(...)) without materializing
-// the tree.
-core::TypeId intern_knowledge(const Knowledge::Node& k, int arrived_port,
-                              int depth_left, int delta,
-                              core::TypeInterner& interner) {
-  if (depth_left <= 0)
-    return interner.intern_node(core::type_tag::kViewNode, nullptr, 0);
-  std::vector<core::TypeId> edges;
-  for (const ChildEntry& c : sorted_children(k, arrived_port, delta)) {
-    core::TypeId sub;
-    if (depth_left == 1) {
-      // Leaf level: the subtree is empty regardless of deeper knowledge.
-      sub = interner.intern_node(core::type_tag::kViewNode, nullptr, 0);
-    } else {
-      if (!k.has_neighbor(c.port))
-        throw std::logic_error("knowledge too shallow for requested radius");
-      sub = intern_knowledge(k.neighbor(c.port), c.back_port, depth_left - 1,
-                             delta, interner);
-    }
-    const std::uint64_t payload =
-        (static_cast<std::uint64_t>(c.outgoing ? 1 : 0) << 32) |
-        static_cast<std::uint32_t>(c.label);
-    edges.push_back(
-        interner.intern_node(core::type_tag::kViewEdge | payload, &sub, 1));
-  }
-  return interner.intern_node(core::type_tag::kViewNode, edges.data(),
-                              edges.size());
+std::string knowledge_view_type(const Knowledge& k, int radius, int delta) {
+  return core::view_type(knowledge_to_view(k, radius, delta));
 }
-
-}  // namespace
 
 core::TypeId knowledge_view_type_id(const Knowledge& k, int radius, int delta,
                                     core::TypeInterner& interner) {
-  const core::TypeId body =
-      intern_knowledge(k.root(), -1, radius, delta, interner);
-  return interner.intern_node(
-      core::type_tag::kViewRoot | static_cast<std::uint32_t>(radius), &body,
-      1);
+  return core::view_type_id(knowledge_to_view(k, radius, delta), interner);
 }
 
 std::vector<bool> run_po_via_messages(const graph::Graph& g,
@@ -382,30 +319,26 @@ std::vector<bool> run_po_via_messages(const graph::Graph& g,
                                       core::TypeInterner& interner) {
   const auto knowledge = gather_full_information(g, pn, orient, r);
   const graph::Vertex n = g.num_vertices();
-  // Classify every node by its (materialization-free) view type, then run
-  // the algorithm once per class: the one place a ViewTree is still built
-  // is the per-class witness handed to the algorithm.  Typing interns, so
-  // it runs serially in vertex order: fresh ids then land in an order that
-  // does not depend on the thread schedule.
+  // Classify every node by its view type, keeping one view per class,
+  // then run the algorithm once per class.  Typing interns, so it runs
+  // serially in vertex order: fresh ids then land in an order that does
+  // not depend on the thread schedule.
   std::unordered_map<core::TypeId, std::size_t> index;
-  std::vector<graph::Vertex> rep;
+  std::vector<core::ViewTree> rep;
   std::vector<std::size_t> cls(static_cast<std::size_t>(n));
   for (graph::Vertex v = 0; v < n; ++v) {
-    const auto [it, inserted] = index.try_emplace(
-        knowledge_view_type_id(knowledge[static_cast<std::size_t>(v)], r,
-                               delta, interner),
-        rep.size());
-    if (inserted) rep.push_back(v);
+    core::ViewTree t =
+        knowledge_to_view(knowledge[static_cast<std::size_t>(v)], r, delta);
+    const auto [it, inserted] =
+        index.try_emplace(core::view_type_id(t, interner), rep.size());
+    if (inserted) rep.push_back(std::move(t));
     cls[static_cast<std::size_t>(v)] = it->second;
   }
   std::vector<unsigned char> out(rep.size());
   runtime::parallel_for(static_cast<std::int64_t>(rep.size()),
                         [&](std::int64_t c) {
                           out[static_cast<std::size_t>(c)] =
-                              algo(knowledge_to_view(
-                                  knowledge[static_cast<std::size_t>(
-                                      rep[static_cast<std::size_t>(c)])],
-                                  r, delta)) != 0;
+                              algo(rep[static_cast<std::size_t>(c)]) != 0;
                         });
   std::vector<bool> result(static_cast<std::size_t>(n));
   for (graph::Vertex v = 0; v < n; ++v)

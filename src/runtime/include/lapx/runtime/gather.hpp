@@ -6,16 +6,17 @@
 //
 // Messages carry (sender's port index, serialized knowledge).  Knowledge
 // after round t is the node's degree and orientations plus, per port, the
-// neighbour's knowledge after round t-1.  knowledge_view_type() folds this
-// into the same canonical string that lapx::core::view_type produces from
-// the graph directly; experiment E11 checks the two are identical at every
-// node.
+// neighbour's knowledge after round t-1.  knowledge_to_view() rebuilds the
+// truncated view from it, which core's encoders then type like any other
+// view; experiment E11 checks that the string equals the one
+// lapx::core::view_type produces from the graph directly, at every node.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "lapx/core/model.hpp"
 #include "lapx/runtime/engine.hpp"
 
 namespace lapx::runtime {
@@ -123,23 +124,20 @@ std::vector<Knowledge> gather_full_information(const graph::Graph& g,
                                                const graph::Orientation& orient,
                                                int rounds);
 
-/// Folds knowledge into the canonical truncated-view encoding, identical to
-/// lapx::core::view_type(view(to_ldigraph(g, pn, orient, delta), v, radius)).
-/// `delta` must match the one used to build the L-digraph.
-std::string knowledge_view_type(const Knowledge& k, int radius, int delta);
-
-}  // namespace lapx::runtime
-
-#include "lapx/core/model.hpp"
-
-namespace lapx::runtime {
-
 /// Reconstructs the actual ViewTree from gathered knowledge (images are
-/// unknown to an anonymous node and are set to -1).
+/// unknown to an anonymous node and are set to -1), each node's children
+/// in (outgoing, label) order.  `delta` must match the one used to build
+/// the L-digraph: the result is view(to_ldigraph(g, pn, orient, delta), v,
+/// radius) up to images.
 core::ViewTree knowledge_to_view(const Knowledge& k, int radius, int delta);
 
-/// Interned knowledge view type; equal TypeId <=> equal knowledge_view_type
-/// string <=> equal core::view_type of the reconstructed view.
+/// core::view_type(knowledge_to_view(k, radius, delta)): the canonical
+/// truncated-view encoding, identical to core::view_type(view(
+/// to_ldigraph(g, pn, orient, delta), v, radius)).
+std::string knowledge_view_type(const Knowledge& k, int radius, int delta);
+
+/// core::view_type_id(knowledge_to_view(k, radius, delta), interner):
+/// equal TypeId <=> equal knowledge_view_type string.
 core::TypeId knowledge_view_type_id(
     const Knowledge& k, int radius, int delta,
     core::TypeInterner& interner = core::TypeInterner::global());
@@ -150,7 +148,8 @@ core::TypeId knowledge_view_type_id(
 /// L-digraph (tested as such) -- the operational semantics of Section 2.
 /// Throws std::invalid_argument for an invalid port numbering, as
 /// gather_full_information does.  Views are typed serially against
-/// `interner`, so its id order does not depend on LAPX_THREADS.
+/// `interner`, so its id order does not depend on LAPX_THREADS, and the
+/// algorithm runs once per view class.
 std::vector<bool> run_po_via_messages(
     const graph::Graph& g, const graph::PortNumbering& pn,
     const graph::Orientation& orient, const core::VertexPoAlgorithm& algo,

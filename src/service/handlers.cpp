@@ -116,9 +116,14 @@ Json handle_views(const Request& req, const GraphEntry& entry) {
   // the response bytes -- are identical to the from-scratch path.
   const std::vector<core::TypeId> types = entry.view_types(r);
   const auto alphabet = entry.alphabet();
-  // A view is complete iff its type equals the complete-tree type.
-  const core::TypeId complete_type = core::complete_view_type_id(alphabet, r);
-  const auto complete = std::count(types.begin(), types.end(), complete_type);
+  // A view is complete iff its type equals the complete-tree type.  For
+  // r >= 1 that needs a root with an outgoing and an incoming arc of each
+  // label, so the type (O(k^2 r) interned bytes) is built only if some
+  // vertex has 2k arcs.
+  std::int64_t complete = 0;
+  if (r == 0 || entry.max_degree() >= 2 * std::int64_t{alphabet})
+    complete = std::count(types.begin(), types.end(),
+                          core::complete_view_type_id(alphabet, r));
   const core::ClassCounts classes = core::count_classes(types);
   const auto largest = static_cast<std::int64_t>(classes.largest);
   Json out = Json::object();

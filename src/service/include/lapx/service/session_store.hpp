@@ -163,6 +163,9 @@ class GraphEntry {
   graph::Vertex num_vertices() const;
   std::size_t num_edges() const;
   graph::Label alphabet() const;
+  /// The most arcs at one vertex: graph().max_degree(), or the longest
+  /// span of an ooc file's step CSR.
+  std::int64_t max_degree() const;
 
   /// The full adjacency.  Ooc backing: lazily materialized from the file;
   /// throws ServiceError(kTooLarge) above the materialization cap.

@@ -162,6 +162,15 @@ graph::Label GraphEntry::alphabet() const {
   return ooc_ ? ooc_->alphabet_size() : ldigraph().alphabet_size();
 }
 
+std::int64_t GraphEntry::max_degree() const {
+  if (!ooc_) return graph_.max_degree();
+  const std::span<const std::uint32_t> off = ooc_->step_off();
+  std::uint32_t longest = 0;
+  for (std::size_t v = 1; v < off.size(); ++v)
+    longest = std::max(longest, off[v] - off[v - 1]);
+  return longest;
+}
+
 const graph::Graph& GraphEntry::graph() const {
   if (!ooc_) return graph_;
   // ldigraph() throws kTooLarge above the cap; calling it outside

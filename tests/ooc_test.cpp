@@ -5,7 +5,8 @@
 // that describe no valid L-digraph, seeded generated damage), TypeId-identical
 // streaming refinement, and the service `open` op (seeded request streams
 // byte-identical to the in-memory path, non-regular paths refused without
-// blocking, the mutate rejection, and the materialization cap).
+// blocking, the mutate rejection, and the materialization cap), plus the
+// `views` handler's complete-view count on in-memory and ooc entries.
 
 #include <gtest/gtest.h>
 #include <dirent.h>
@@ -32,6 +33,7 @@
 #include "lapx/graph/port_numbering.hpp"
 #include "lapx/group/homogeneous.hpp"
 #include "lapx/runtime/parallel.hpp"
+#include "lapx/service/handlers.hpp"
 #include "lapx/service/service.hpp"
 
 namespace {
@@ -697,6 +699,82 @@ TEST(OocService, MaterializationCapGatesNonStreamingOps) {
   const std::string analyze = svc.handle(R"({"op":"analyze","graph":"g"})");
   EXPECT_NE(analyze.find("\"code\":\"too_large\""), std::string::npos)
       << analyze;
+}
+
+// ------------------------------------------------- `views` complete count --
+
+// What `views` answers as complete_views at radius r on `entry`.
+std::int64_t complete_views(const lapx::service::GraphEntry& entry, int r) {
+  const auto req = lapx::service::parse_request(
+      R"({"op":"views","graph":"g","radius":)" + std::to_string(r) + "}");
+  return lapx::service::handle_query(req, entry)
+      .find("complete_views")
+      ->as_int();
+}
+
+// complete_views must be the number of vertices typed as the complete
+// view, whether or not the handler's degree guard built that type.
+// Returns the count at each radius 0..4.
+std::vector<std::int64_t> expect_complete_count(
+    const lapx::service::GraphEntry& entry, const std::string& what) {
+  std::vector<std::int64_t> counts;
+  for (int r = 0; r <= 4; ++r) {
+    const std::vector<TypeId> types = entry.view_types(r);
+    const TypeId complete =
+        lapx::core::complete_view_type_id(entry.alphabet(), r);
+    counts.push_back(std::count(types.begin(), types.end(), complete));
+    EXPECT_EQ(complete_views(entry, r), counts.back())
+        << what << " at radius " << r;
+  }
+  return counts;
+}
+
+TEST(CompleteViews, CountEqualsCompleteTypeMatches) {
+  std::mt19937_64 rng(3);
+  const auto edgeless = lapx::service::parse_uploaded_graph(
+      lapx::service::parse_request(
+          R"({"op":"upload","name":"g","edges":"5 0\n"})"));
+  const std::pair<std::string, lapx::graph::Graph> in_memory[] = {
+      {"lift(3,3,50,1)", lapx::graph::lifted_torus(3, 3, 50, 1)},
+      {"random_regular(300,3)", lapx::graph::random_regular(300, 3, rng)},
+      {"complete(8)", lapx::graph::complete(8)},
+      {"edgeless upload", edgeless}};
+  for (const auto& [what, g] : in_memory) {
+    const auto counts =
+        expect_complete_count(lapx::service::GraphEntry(g, 1), what);
+    // Every radius-0 view is complete.  Past that, default ports give
+    // k = max_degree^2 labels, so only an edgeless graph has one.
+    std::vector<std::int64_t> want(5, g.num_edges() == 0 ? g.num_vertices()
+                                                         : 0);
+    want[0] = g.num_vertices();
+    EXPECT_EQ(counts, want) << what;
+  }
+
+  // Ooc files carry any proper labelling, k-in-k-out ones included.
+  std::vector<lapx::graph::Arc> path, chords;
+  for (Vertex v = 0; v + 1 < 64; ++v) path.push_back({v, v + 1, 0});
+  for (Vertex v = 0; v + 1 < 2048; ++v) chords.push_back({v, v + 1, 0});
+  for (Vertex v = 0; v < 2048; ++v)
+    chords.push_back({v, (5 * v + 2) % 2048, 1});
+  const std::pair<std::string, LDigraph> files[] = {
+      {"torus 24x24", lapx::graph::directed_torus({24, 24})},
+      {"path 64", LDigraph::from_arcs(64, 1, path)},
+      {"path+chords 2048", LDigraph::from_arcs(2048, 2, chords)}};
+  TempDir dir;
+  std::vector<std::vector<std::int64_t>> counts;
+  for (const auto& [what, ld] : files) {
+    const std::string file = dir.path + "/g.lapxooc";
+    lapx::graph::write_ooc_graph(file, ld);
+    counts.push_back(expect_complete_count(
+        lapx::service::GraphEntry(std::make_unique<OocGraph>(file), 1,
+                                  1 << 20),
+        what));
+  }
+  // Every torus view is complete; on the path, the vertices r or more
+  // steps from both ends.
+  EXPECT_EQ(counts[0], std::vector<std::int64_t>(5, 24 * 24));
+  EXPECT_EQ(counts[1], (std::vector<std::int64_t>{64, 62, 60, 58, 56}));
+  EXPECT_GT(counts[2][1], 0);
 }
 
 }  // namespace

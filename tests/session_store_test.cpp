@@ -4,7 +4,8 @@
 // racing readers of other names -- the store-side half of the
 // incremental-session design (DESIGN.md "Round kernel") -- plus content
 // identity: the pinned ids and edge-list digests, the BLAKE2b vectors
-// behind content_id, and an interner left untouched by put and mutate.
+// behind content_id, an interner left untouched by put and mutate, and
+// one `views` that interns no complete type no vertex can match.
 // Forked artifacts (the RefineState and the per-radius ordered-ball
 // classes) must equal a from-scratch pass over the mutated graph.
 
@@ -33,6 +34,7 @@
 #include "lapx/service/blake2b.hpp"
 #include "lapx/service/handlers.hpp"
 #include "lapx/service/protocol.hpp"
+#include "lapx/service/service.hpp"
 #include "lapx/service/session_store.hpp"
 
 namespace {
@@ -377,6 +379,25 @@ TEST(SessionStore, PutAndMutateAddNoInternerIds) {
   EXPECT_NE(v1->content_id(), v2->content_id());
   EXPECT_NE(v2->content_id(), v3->content_id());
   EXPECT_EQ(lapx::core::TypeInterner::global().size(), before);
+}
+
+TEST(SessionStore, ViewsInternsNoCompleteTypeNoVertexCanMatch) {
+  // complete(64) has k = 63^2 labels under default ports and 63 arcs per
+  // vertex, fewer than the 2k a complete view's root needs: `views` must
+  // intern the refinement's types and its fingerprint, not the complete
+  // type's 7 938 nodes of 7 937 children (252 MB of keys at r = 2).
+  const lapx::graph::Graph g = lapx::graph::complete(64);
+  lapx::core::TypeInterner scratch;
+  lapx::core::RefineState(lapx::graph::to_ldigraph(g), scratch).types_at(2);
+  lapx::service::Service svc;
+  const std::size_t before = lapx::core::TypeInterner::global().size();
+  svc.handle(
+      R"({"op":"generate","name":"k","family":"complete","args":[64]})");
+  const std::string views =
+      svc.handle(R"({"op":"views","graph":"k","radius":2})");
+  EXPECT_NE(views.find("\"complete_views\":0"), std::string::npos) << views;
+  EXPECT_LE(lapx::core::TypeInterner::global().size() - before,
+            scratch.size() + 1);
 }
 
 TEST(Blake2b, MatchesHashlibVectors) {

@@ -32,12 +32,10 @@
 // internal), 2 usage (missing/unknown subcommand), 3 bad argument or
 // malformed input, a bad_request included (prints the usage block),
 // 4 service error (`call` reached the daemon but at least one response
-// line had "ok":false).  Malformed LAPXD_* environment values never abort:
-// they warn on stderr and fall back to the documented default.
+// line had "ok":false).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
@@ -72,8 +70,8 @@ int usage() {
       "       homogeneity [r] | optimum <problem> | run <alg> [r] |\n"
       "       fractional |\n"
       "       graph-convert <out.lapxooc> [--family <fam> <args...>]\n"
-      "             [--lift L] [--seed S] [--no-verify] (default: stdin\n"
-      "             edge list; writes the mmap-able LAPXOOC1 CSR format)\n"
+      "             [--lift L] [--seed S] (default: stdin edge list;\n"
+      "             writes the mmap-able LAPXOOC1 CSR format)\n"
       "       serve [--socket PATH | --tcp PORT] [--threads N]\n"
       "             [--executors N] [--cache-entries N] [--cache-bytes N]\n"
       "             [--cache-dir DIR] [--queue-depth N] [--max-graphs N] |\n"
@@ -95,9 +93,7 @@ int usage() {
       "           \"name\":N, \"edits\":[{\"op\":\"add|remove\",\"u\":U,\"v\":V}]}\n"
       "           -> new epoch; queries re-refine only the edit frontier;\n"
       "           open binds a LAPXOOC1 file: {\"op\":\"open\",\"name\":N,\n"
-      "           \"path\":P} -- queries stream over the mmap'd file)\n"
-      "env: LAPXD_EXECUTORS sets the serve executor default,\n"
-      "     LAPXD_CACHE_DIR the result-cache persistence dir\n");
+      "           \"path\":P} -- queries stream over the mmap'd file)\n");
   return kExitUsage;
 }
 
@@ -166,21 +162,18 @@ int cmd_query(const std::string& op, Json fields) {
 // `lapx_cli graph-convert OUT [...]`: serialize a graph's step CSR in the
 // mmap-able LAPXOOC1 on-disk format (lapx/graph/ooc.hpp).  The input comes
 // from stdin (edge list) or --family; --lift L replaces it with its random
-// L-lift first.  Unless --no-verify, the written file is reopened and
-// checked against the in-memory graph arc for arc and step for step, so a
-// 0 exit means the file round-trips exactly.
+// L-lift first.  The written file is reopened and checked against the
+// in-memory graph arc for arc and step for step, so a 0 exit means the
+// file round-trips exactly.
 int cmd_graph_convert(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string out = argv[0];
   int lift = 0;
   std::uint64_t seed = 1;
-  bool verify = true;
   std::vector<char*> family;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--no-verify") {
-      verify = false;
-    } else if (flag == "--lift") {
+    if (flag == "--lift") {
       if (i + 1 >= argc)
         throw std::invalid_argument("flag needs a value: --lift");
       lift = static_cast<int>(int_arg(argv[++i], "--lift", 1, 1 << 20));
@@ -216,40 +209,36 @@ int cmd_graph_convert(int argc, char** argv) {
   const graph::LDigraph ld = graph::to_ldigraph(g);
   graph::write_ooc_graph(out, ld);
   const graph::OocGraph reopened(out);
-  if (verify) {
-    if (reopened.num_vertices() != ld.num_vertices() ||
-        reopened.num_arcs() != ld.num_arcs() ||
-        reopened.alphabet_size() != ld.alphabet_size())
-      throw std::runtime_error("graph-convert: round-trip header mismatch");
-    const graph::LDigraph back = reopened.materialize();
-    for (graph::Vertex v = 0; v < ld.num_vertices(); ++v) {
-      const auto a_out = ld.out_arcs(v), b_out = back.out_arcs(v);
-      const auto a_in = ld.in_arcs(v), b_in = back.in_arcs(v);
-      if (!std::equal(a_out.begin(), a_out.end(), b_out.begin(),
-                      b_out.end()) ||
-          !std::equal(a_in.begin(), a_in.end(), b_in.begin(), b_in.end()))
-        throw std::runtime_error(
-            "graph-convert: round-trip adjacency mismatch at vertex " +
-            std::to_string(v));
-    }
-    const graph::StepCsr steps = graph::build_step_csr(ld);
-    auto span_eq = [](auto span, const auto& vec) {
-      return span.size() == vec.size() &&
-             std::equal(span.begin(), span.end(), vec.begin());
-    };
-    if (!span_eq(reopened.step_off(), steps.off) ||
-        !span_eq(reopened.step_succ(), steps.succ) ||
-        !span_eq(reopened.step_nbr(), steps.nbr) ||
-        !span_eq(reopened.step_move_bits(), steps.move_bits))
-      throw std::runtime_error("graph-convert: round-trip step-CSR mismatch");
+  if (reopened.num_vertices() != ld.num_vertices() ||
+      reopened.num_arcs() != ld.num_arcs() ||
+      reopened.alphabet_size() != ld.alphabet_size())
+    throw std::runtime_error("graph-convert: round-trip header mismatch");
+  const graph::LDigraph back = reopened.materialize();
+  for (graph::Vertex v = 0; v < ld.num_vertices(); ++v) {
+    const auto a_out = ld.out_arcs(v), b_out = back.out_arcs(v);
+    const auto a_in = ld.in_arcs(v), b_in = back.in_arcs(v);
+    if (!std::equal(a_out.begin(), a_out.end(), b_out.begin(), b_out.end()) ||
+        !std::equal(a_in.begin(), a_in.end(), b_in.begin(), b_in.end()))
+      throw std::runtime_error(
+          "graph-convert: round-trip adjacency mismatch at vertex " +
+          std::to_string(v));
   }
+  const graph::StepCsr steps = graph::build_step_csr(ld);
+  auto span_eq = [](auto span, const auto& vec) {
+    return span.size() == vec.size() &&
+           std::equal(span.begin(), span.end(), vec.begin());
+  };
+  if (!span_eq(reopened.step_off(), steps.off) ||
+      !span_eq(reopened.step_succ(), steps.succ) ||
+      !span_eq(reopened.step_nbr(), steps.nbr) ||
+      !span_eq(reopened.step_move_bits(), steps.move_bits))
+    throw std::runtime_error("graph-convert: round-trip step-CSR mismatch");
   std::fprintf(stderr,
                "graph-convert: wrote %s (n=%d m=%zu alphabet=%u "
-               "checksum=%016llx)%s\n",
+               "checksum=%016llx), round-trip verified\n",
                out.c_str(), reopened.num_vertices(), reopened.num_arcs(),
                static_cast<unsigned>(reopened.alphabet_size()),
-               static_cast<unsigned long long>(reopened.payload_checksum()),
-               verify ? ", round-trip verified" : "");
+               static_cast<unsigned long long>(reopened.payload_checksum()));
   return 0;
 }
 
@@ -258,27 +247,6 @@ int cmd_graph_convert(int argc, char** argv) {
 int cmd_serve(int argc, char** argv) {
   service::Service::Options sopt;
   service::Server::Options wopt;
-  // LAPXD_* environment seeds.  atoi silently truncated junk ("8x" ran 8
-  // executors, "banana" ran 0 and was ignored without a trace); malformed
-  // values now warn on stderr and fall back to the documented default so a
-  // typo'd deployment is visible in the service log instead of quietly
-  // changing topology.  --executors overrides.
-  auto env_int = [](const char* name, long long lo, long long hi,
-                    long long* out) {
-    const char* env = std::getenv(name);
-    if (env == nullptr) return false;
-    if (runtime::detail::parse_env_int(env, lo, hi, out)) return true;
-    std::fprintf(stderr,
-                 "lapxd: ignoring invalid %s=\"%s\" (expected an integer in "
-                 "[%lld, %lld]); using the default\n",
-                 name, env, lo, hi);
-    return false;
-  };
-  long long env_v = 0;
-  if (env_int("LAPXD_EXECUTORS", 1, 4096, &env_v))
-    sopt.scheduler.executors = static_cast<int>(env_v);
-  // LAPXD_CACHE_DIR seeds the persistence dir; --cache-dir overrides it.
-  if (const char* env = std::getenv("LAPXD_CACHE_DIR")) sopt.cache_dir = env;
   auto int_flag = [&](const char* value) {
     return int_arg(value, "flag value", 0,
                    std::numeric_limits<long long>::max());
